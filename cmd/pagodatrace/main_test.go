@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -220,6 +221,41 @@ func TestAutoscaleTraceSmoke(t *testing.T) {
 	}
 	if cats["warmup"] == 0 {
 		t.Errorf("no warm-up span despite a 1..4 elastic run: %v", cats)
+	}
+}
+
+// TestTraceModesByteIdentical runs the fleet, tenant and elastic modes twice
+// each: the trace files and the printed summaries must match byte for byte.
+func TestTraceModesByteIdentical(t *testing.T) {
+	modes := map[string][]string{
+		"nodes":     {"-bench", "MB", "-tasks", "48", "-smms", "4", "-nodes", "8"},
+		"tenants":   {"-bench", "XFMR", "-tasks", "48", "-smms", "4", "-tenants", "3", "-rate", "192e3"},
+		"autoscale": {"-bench", "MB", "-tasks", "96", "-smms", "4", "-autoscale", "reactive", "-minnodes", "1", "-maxnodes", "4"},
+	}
+	for _, mode := range []string{"nodes", "tenants", "autoscale"} {
+		t.Run(mode, func(t *testing.T) {
+			var files [2][]byte
+			var summaries [2]string
+			for i := range files {
+				out := filepath.Join(t.TempDir(), "t.json")
+				var sb strings.Builder
+				if err := run(&sb, append(modes[mode], "-o", out)); err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[i] = data
+				summaries[i] = strings.ReplaceAll(sb.String(), out, "<out>")
+			}
+			if !bytes.Equal(files[0], files[1]) {
+				t.Error("two runs wrote different trace bytes")
+			}
+			if summaries[0] != summaries[1] {
+				t.Errorf("two runs printed different summaries:\n%s\n%s", summaries[0], summaries[1])
+			}
+		})
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 //
 // Sinks (where a value starts steering simulated time, and therefore every
 // published number derived from it): the delay/deadline arguments of
-// sim.Engine.Schedule/ScheduleAt, sim.Timer.Reset/ResetAt and
+// sim.Engine.Schedule/ScheduleAt, sim.Timer.Reset/ResetAt/ResetForward and
 // sim.Proc.Sleep. Every golden virtual time, latency percentile and
 // capacity headline is a pure function of the times entering the event
 // heap, so these entry points are the chokepoint for "feeds published
@@ -140,6 +140,7 @@ var baseSinks = []struct {
 	{"Engine", "RunUntil", 0, "sim.Engine.RunUntil deadline"},
 	{"Timer", "Reset", 0, "sim.Timer.Reset delay"},
 	{"Timer", "ResetAt", 0, "sim.Timer.ResetAt deadline"},
+	{"Timer", "ResetForward", 0, "sim.Timer.ResetForward delay"},
 	{"Proc", "Sleep", 0, "sim.Proc.Sleep duration"},
 }
 

@@ -38,8 +38,8 @@ const (
 
 // Config parameterizes one elastic fleet. The zero value is not runnable;
 // fill in at least the bounds and a policy factory, or keep Min == Max for a
-// fixed fleet (Enabled returns false and runners fall back to the static
-// dispatcher, bit-identical to the pre-autoscale cluster path).
+// fixed fleet (Enabled returns false and runners use a cluster.StaticFleet
+// of Min nodes, bit-identical to a fixed-size run).
 type Config struct {
 	Min, Max int // fleet bounds; active+warming never leaves [Min, Max]
 
@@ -207,7 +207,7 @@ type Fleet struct {
 // NewFleet validates cfg and provisions the initial Min nodes, immediately
 // active: the starting fleet is pre-provisioned capacity, in place before
 // traffic, so it pays no warm-up — which is also what makes a Min == Max
-// fleet equivalent to the fixed cluster path. spawn builds one scheme-backed
+// fleet equivalent to a cluster.StaticFleet. spawn builds one scheme-backed
 // node (engine processes and all) per provisioned id; ids are dense and
 // monotonic, so "node%02d" track names stay stable across scale events.
 func NewFleet(eng *sim.Engine, cfg Config, spawn func(id int) cluster.Node) (*Fleet, error) {
@@ -429,17 +429,6 @@ func (f *Fleet) Finish(end sim.Time) {
 			m.span.RetiredAt = end
 		}
 	}
-}
-
-// Views returns every managed node's conservation ledger in id order —
-// including retired nodes, which is what keeps routed = done + dropped
-// checkable across scale events.
-func (f *Fleet) Views() []cluster.NodeView {
-	out := make([]cluster.NodeView, len(f.nodes))
-	for i, m := range f.nodes {
-		out[i] = m.n.View()
-	}
-	return out
 }
 
 // Outcome is the autoscaler's run summary: the scale-event log, each node's

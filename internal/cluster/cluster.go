@@ -8,13 +8,14 @@
 // the property Zorua-style decoupling of task placement from physical
 // resources needs to be measurable at all.
 //
-// The package deliberately knows nothing about Pagoda, HyperQ or GeMTC: a
-// node is anything implementing Node (internal/runners provides the three
-// scheme-backed implementations), a Policy picks a node per arrival from the
-// dispatcher-visible NodeViews, and per-node admission stays inside the node
-// (reusing serve.Policy), exactly where the single-device open-loop runners
-// consult it — which is what lets a 1-node fleet reproduce the single-device
-// serving numbers bit for bit.
+// The package deliberately knows nothing about the execution schemes: a
+// node is anything implementing Node (internal/runners provides the
+// scheme-backed implementations), a Fleet (StaticFleet, or
+// internal/autoscale's elastic one) supplies the dispatchable nodes, a Policy
+// picks a node per arrival from the dispatcher-visible NodeViews, and
+// per-node admission stays inside the node (reusing serve.Policy), at the
+// scheme's own presentation point. The single-device open loop is a one-node
+// fleet over this same Dispatcher.
 //
 // Determinism rules: the only pseudo-randomness is the explicitly seeded
 // xorshift behind PowerOfTwo (the randsource rule); policies break ties by
@@ -90,11 +91,10 @@ func CheckConservation(views []NodeView, offered int) error {
 	return nil
 }
 
-// WaitUntil sleeps p to the arrival instant and returns the Submit timestamp
+// waitUntil sleeps p to the arrival instant and returns the Submit timestamp
 // to record: the arrival time, clamped to the clock when the sleep target
-// rounds a float ulp past it, so Submit <= service start always holds. (Same
-// contract as the single-device open-loop runners.)
-func WaitUntil(p *sim.Proc, at sim.Time) sim.Time {
+// rounds a float ulp past it, so Submit <= service start always holds.
+func waitUntil(p *sim.Proc, at sim.Time) sim.Time {
 	if at > p.Now() {
 		p.Sleep(at - p.Now())
 	}

@@ -59,7 +59,7 @@ func TestDispatcherRoutesRoundRobinAtArrivalInstants(t *testing.T) {
 	const n = 9
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
 	fakes, nodes := fleet(3)
-	recs, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Nodes: nodes}, n)
+	recs, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Fleet: StaticFleet(nodes)}, n)
 
 	for ti := 0; ti < n; ti++ {
 		if nodeOf[ti] != ti%3 {
@@ -92,7 +92,7 @@ func TestDispatcherLeastOutstandingAvoidsStuckNode(t *testing.T) {
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
 	fakes, nodes := fleet(2)
 	fakes[0].pending = n // node 0 never completes anything
-	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Nodes: nodes, Policy: LeastOutstanding{}}, n)
+	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Fleet: StaticFleet(nodes), Policy: LeastOutstanding{}}, n)
 
 	// First arrival ties (both idle) -> node 0; every later arrival must see
 	// node 0's outstanding pile and go to node 1.
@@ -111,7 +111,7 @@ func TestDispatcherClassesReachAffinity(t *testing.T) {
 	arr := serve.FixedRate{Rate: 1e6}.Times(n)
 	classes := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	_, nodes := fleet(4)
-	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Classes: classes, Nodes: nodes, Policy: ClassAffinity{}}, n)
+	_, nodeOf := runDispatch(t, Dispatcher{Arrivals: arr, Classes: classes, Fleet: StaticFleet(nodes), Policy: ClassAffinity{}}, n)
 	for ti, c := range classes {
 		if nodeOf[ti] != c {
 			t.Errorf("task %d class %d routed to node %d", ti, c, nodeOf[ti])
@@ -121,15 +121,17 @@ func TestDispatcherClassesReachAffinity(t *testing.T) {
 
 func TestDispatcherValidate(t *testing.T) {
 	_, nodes := fleet(2)
+	two := StaticFleet(nodes)
 	cases := []struct {
 		name string
 		d    Dispatcher
 		n    int
 	}{
-		{"no nodes", Dispatcher{Arrivals: []sim.Time{1}}, 1},
-		{"arrival count", Dispatcher{Arrivals: []sim.Time{1}, Nodes: nodes}, 2},
-		{"decreasing", Dispatcher{Arrivals: []sim.Time{2, 1}, Nodes: nodes}, 2},
-		{"classes len", Dispatcher{Arrivals: []sim.Time{1, 2}, Classes: []int{0}, Nodes: nodes}, 2},
+		{"no fleet", Dispatcher{Arrivals: []sim.Time{1}}, 1},
+		{"no nodes", Dispatcher{Arrivals: []sim.Time{1}, Fleet: StaticFleet(nil)}, 1},
+		{"arrival count", Dispatcher{Arrivals: []sim.Time{1}, Fleet: two}, 2},
+		{"decreasing", Dispatcher{Arrivals: []sim.Time{2, 1}, Fleet: two}, 2},
+		{"classes len", Dispatcher{Arrivals: []sim.Time{1, 2}, Classes: []int{0}, Fleet: two}, 2},
 	}
 	for _, c := range cases {
 		func() {

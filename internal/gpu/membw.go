@@ -67,17 +67,7 @@ func (r *bwResource) rearm() {
 	if minRem < 0 {
 		minRem = 0
 	}
-	d := minRem / r.perFlow()
-	if now := r.eng.Now(); now+d == now {
-		// Far into a run the clock's float64 ulp exceeds tiny residual
-		// delays: the timer would re-fire at the same instant forever
-		// (settle sees dt=0 and drains nothing). Fire at the next
-		// representable instant instead; one step's drain exceeds the
-		// residue, so the flow completes there.
-		r.timer.ResetAt(math.Nextafter(now, math.Inf(1)))
-		return
-	}
-	r.timer.Reset(d)
+	r.timer.ResetForward(minRem / r.perFlow())
 }
 
 func (r *bwResource) onTimer() {

@@ -84,15 +84,7 @@ func (r *psResource) rearm() {
 	if minRem < 0 {
 		minRem = 0
 	}
-	d := minRem / r.rate()
-	if now := r.eng.Now(); now+d == now {
-		// See bwResource.rearm: a delay below the clock's current float64
-		// ulp would re-fire at this instant forever without draining; step
-		// to the next representable instant so the request completes.
-		r.timer.ResetAt(math.Nextafter(now, math.Inf(1)))
-		return
-	}
-	r.timer.Reset(d)
+	r.timer.ResetForward(minRem / r.rate())
 }
 
 func (r *psResource) onTimer() {

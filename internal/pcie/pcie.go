@@ -121,16 +121,7 @@ func (p *pipe) rearm() {
 	if minRem < 0 {
 		minRem = 0
 	}
-	d := minRem / p.perFlow()
-	if now := p.eng.Now(); now+d == now {
-		// See gpu.bwResource.rearm: a delay below the clock's current
-		// float64 ulp would re-fire at this instant forever without
-		// draining; step to the next representable instant so the
-		// transfer completes.
-		p.timer.ResetAt(math.Nextafter(now, math.Inf(1)))
-		return
-	}
-	p.timer.Reset(d)
+	p.timer.ResetForward(minRem / p.perFlow())
 }
 
 func (p *pipe) onTimer() {

@@ -19,10 +19,10 @@ import (
 // (each with its own PCIe bus and scheme instance) share one engine and one
 // virtual clock, a front-end dispatcher consumes the arrival stream, and a
 // cluster.Policy routes each task to a node. Per-node admission reuses the
-// serve.Policy shape and is consulted exactly where the single-device runner
-// consults it — at the scheme's spawn point for Pagoda/HyperQ, at arrival
-// for GeMTC — so a 1-node round-robin fleet reproduces the single-device
-// records bit for bit (pinned by TestClusterOneNodeMatchesOpenLoop).
+// serve.Policy shape and is consulted at the scheme's presentation point —
+// the spawn point for Pagoda/HyperQ/zorua, arrival for GeMTC. The
+// single-device open loop is the one-node round-robin case
+// (Scheme.RunOpenLoop).
 type ClusterOpenLoop struct {
 	// Arrivals holds one nondecreasing virtual-cycle instant per task.
 	Arrivals []sim.Time
@@ -55,8 +55,8 @@ type ClusterOpenLoop struct {
 	// Nodes fleet with an autoscale.Fleet: nodes warm up, drain and retire
 	// under the configured scaling policy and the run reports an
 	// autoscale.Outcome in ClusterRun.Scale. A disabled scaler (nil, or
-	// Min == Max) normalizes to the fixed-fleet path — bit-identical to
-	// pre-autoscale cluster runs, pinned by test.
+	// Min == Max) normalizes to the fixed fleet — bit-identical, pinned by
+	// test.
 	Scaler *autoscale.Config
 
 	// Trace, when enabled, receives each completed task's wait/service spans
@@ -66,9 +66,9 @@ type ClusterOpenLoop struct {
 }
 
 // normalize folds a disabled scaler into the fixed-fleet shape: Min == Max
-// means a fleet that can never scale, which is exactly Nodes = Min on the
-// original dispatcher — the delegation that makes "autoscaling off"
-// reproduce fixed-fleet records bit for bit.
+// means a fleet that can never scale, which is exactly Nodes = Min on a
+// static fleet — the delegation that makes "autoscaling off" reproduce
+// fixed-fleet records bit for bit.
 func (co ClusterOpenLoop) normalize() ClusterOpenLoop {
 	if co.Scaler != nil && !co.Scaler.Enabled() {
 		co.Nodes = co.Scaler.Min
@@ -124,12 +124,6 @@ func (cr ClusterRun) NodeRecords(node int) []serve.Record {
 	return out
 }
 
-// nodeTrack names one node's serve-span track; zero-padding keeps
-// lexicographic order equal to node order for fleets up to 100 nodes.
-func nodeTrack(node int, scheme string) string {
-	return fmt.Sprintf("node%02d/serve-%s", node, scheme)
-}
-
 // addClusterServeSpans exports one node's wait/service decomposition onto
 // its own track, spans named by global task index (deterministic order).
 func addClusterServeSpans(tr *trace.Tracer, track string, recs []serve.Record, nodeOf []int, node int) {
@@ -147,76 +141,117 @@ func addClusterServeSpans(tr *trace.Tracer, track string, recs []serve.Record, n
 	}
 }
 
-// elasticNode is the contract a scheme-backed node offers the shared elastic
-// fleet engine beyond cluster.Node: access to the embedded ledger base (for
-// hooking admission and completion) and its device metrics at the run's end.
-type elasticNode interface {
+// openLoopResult assembles the timing aggregates of a timed-arrival run:
+// elapsed plus exact latency statistics over the completed records.
+func openLoopResult(end sim.Time, recs []serve.Record) Result {
+	lats := make([]sim.Time, 0, len(recs))
+	for _, r := range recs {
+		if !r.Dropped {
+			lats = append(lats, r.Latency())
+		}
+	}
+	res := Result{Elapsed: end, Tasks: len(lats)}
+	res.fillLatencies(lats)
+	return res
+}
+
+// fleetNode is the contract a scheme-backed node offers the fleet runner
+// beyond cluster.Node: its device metrics at the run's end.
+type fleetNode interface {
 	cluster.Node
-	base() *nodeBase
 	devMetrics(end sim.Time) (occupancy, issueUtil float64)
 }
 
-// runElasticCluster is the shared elastic fleet engine behind every scheme's
-// autoscaled cluster path: an autoscale.Fleet manages nodes built on demand
-// by mk, an ElasticDispatcher routes each arrival over the currently
-// dispatchable subset, and a controller process steps the lifecycle (warm-up
-// promotion, drain retirement, scale decisions) at the scaler's interval.
-// Scale-out provisions a node whose engine processes spawn mid-run — legal
-// on the event engine, same mechanism as HyperQ's waiter procs — and
-// scale-in reuses Node.Close, so draining is the scheme's own drain path.
-func runElasticCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
-	scheme string, mk func(eng *sim.Engine, name string, recs []serve.Record) elasticNode) (Result, ClusterRun) {
+// nodeFactory builds one scheme-backed node on the fleet's shared engine,
+// spawning its engine processes. b carries the node's name, inputs and
+// admission hooks; the node embeds it.
+type nodeFactory func(eng *sim.Engine, b nodeBase) fleetNode
+
+// runFleet is the one timed-arrival engine behind every scheme: fixed
+// fleets, elastic fleets and (as one node) the single-device open loop. A
+// cluster.Dispatcher routes each arrival over a cluster.Fleet — a
+// StaticFleet of co.Nodes nodes, or, when co.Scaler asks for elasticity, an
+// autoscale.Fleet that builds nodes on demand while a controller process
+// steps the lifecycle (warm-up promotion, drain retirement, scale decisions)
+// at the scaler's interval. Scale-out provisions a node whose engine
+// processes spawn mid-run, and scale-in reuses Node.Close, so draining is
+// the scheme's own drain path. Elapsed is the instant the engine ran dry:
+// the last node's drain.
+func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
+	scheme string, newNode nodeFactory) (Result, ClusterRun) {
+	co = co.normalize()
+	elastic := co.Scaler.Enabled()
 	eng := sim.New()
 	recs := make([]serve.Record, len(tasks))
-	var elastics []elasticNode
-	var fleet *autoscale.Fleet
-	fleet, err := autoscale.NewFleet(eng, *co.Scaler, func(id int) cluster.Node {
-		n := mk(eng, fmt.Sprintf("node%02d", id), recs)
-		b := n.base()
-		b.admitTask = co.AdmitTask
-		// Completions feed the scaler's rolling-p99 signal; recs[ti] is fully
-		// stamped before noteDone fires (the noteDone contract).
-		b.onDone = func(ti int) { fleet.NoteLatency(recs[ti].Done - recs[ti].Submit) }
-		elastics = append(elastics, n)
-		return n
-	})
-	if err != nil {
-		panic(fmt.Sprintf("runners: %v", err))
-	}
-	eng.Spawn("autoscaler", func(p *sim.Proc) {
-		for !fleet.Closed() {
-			p.Sleep(fleet.Interval())
-			fleet.Step(p.Now())
+	var nodes []fleetNode
+	var scaler *autoscale.Fleet
+	provision := func(id int) cluster.Node {
+		b := nodeBase{name: fmt.Sprintf("node%02d", id), tasks: tasks, recs: recs, cfg: cfg,
+			admit: co.nodeAdmit(), admitTask: co.AdmitTask}
+		if elastic {
+			// Completions feed the scaler's rolling-p99 signal; recs[ti] is
+			// fully stamped before noteDone fires (the noteDone contract).
+			b.onDone = func(ti int) { scaler.NoteLatency(recs[ti].Done - recs[ti].Submit) }
 		}
-	})
+		n := newNode(eng, b)
+		nodes = append(nodes, n)
+		return n
+	}
+
+	var fleet cluster.Fleet
+	if elastic {
+		var err error
+		if scaler, err = autoscale.NewFleet(eng, *co.Scaler, provision); err != nil {
+			panic(fmt.Sprintf("runners: %v", err))
+		}
+		eng.Spawn("autoscaler", func(p *sim.Proc) {
+			for !scaler.Closed() {
+				p.Sleep(scaler.Interval())
+				scaler.Step(p.Now())
+			}
+		})
+		fleet = scaler
+	} else {
+		static := make([]cluster.Node, co.nodes())
+		for i := range static {
+			static[i] = provision(i)
+		}
+		fleet = cluster.StaticFleet(static)
+	}
 	nodeOf := make([]int, len(tasks))
-	cluster.ElasticDispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Fleet: fleet}.
+	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Fleet: fleet}.
 		Spawn(eng, recs, nodeOf)
 	end := eng.Run()
-	fleet.Finish(end)
 
 	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf, Views: fleet.Views(),
-		Names: make([]string, len(elastics))}
+	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
+		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
 	var occ, iu float64
-	for i, n := range elastics {
-		cr.Names[i] = nodeTrack(i, scheme)
+	for i, n := range nodes {
+		cr.Views[i] = n.View()
+		cr.Names[i] = n.Name() + "/serve-" + scheme
 		o, u := n.devMetrics(end)
 		occ += o
 		iu += u
 		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
 	}
-	res.Occupancy = occ / float64(len(elastics))
-	res.IssueUtil = iu / float64(len(elastics))
-	out := fleet.Outcome()
-	cr.Scale = &out
+	res.Occupancy = occ / float64(len(nodes))
+	res.IssueUtil = iu / float64(len(nodes))
+	if elastic {
+		scaler.Finish(end)
+		out := scaler.Outcome()
+		cr.Scale = &out
+	}
 	return res, cr
 }
 
-// nodeBase carries the accounting and admission state every backend shares.
-// All fields are touched only under the engine baton.
+// nodeBase carries the inputs, accounting and admission state every backend
+// shares. All fields are touched only under the engine baton.
 type nodeBase struct {
 	name      string
+	tasks     []workloads.TaskDef
+	recs      []serve.Record // fleet-wide, indexed by task
+	cfg       Config
 	view      cluster.NodeView
 	admit     func(sim.Time, int) bool
 	admitTask func(int, sim.Time, int) bool // fleet-wide, takes precedence
@@ -228,10 +263,9 @@ type nodeBase struct {
 
 func (n *nodeBase) Name() string           { return n.name }
 func (n *nodeBase) View() cluster.NodeView { return n.view }
-func (n *nodeBase) base() *nodeBase        { return n }
 
 // admitNow consults the fleet-wide task-aware layer first, then the node's
-// own policy — the same precedence OpenLoop.admit applies on one device.
+// own policy.
 func (n *nodeBase) admitNow(ti int, t sim.Time) bool {
 	if n.admitTask != nil {
 		return n.admitTask(ti, t, n.admitted-n.completed)
@@ -253,17 +287,16 @@ func (n *nodeBase) noteDone(ti int) {
 // Pagoda backend
 
 // pagodaNode is one Pagoda runtime behind the dispatcher. Its feeder procs
-// play the single-device runner's spawner threads: tasks are dealt to
-// feeders round-robin in routing order (the fleet analogue of
-// splitRoundRobin), each feeder spawns continuously through its own stream,
-// and the last feeder to drain shuts the runtime down.
+// are the host's spawner threads: tasks are dealt to feeders round-robin in
+// routing order, each feeder spawns continuously through its own stream,
+// and the last feeder to drain shuts the runtime down. Per-task Start is the
+// instant the scheduler warp picked the task up and Done its device-side
+// completion, observed through the runtime's OnTaskDone hook rather than
+// host polling.
 type pagodaNode struct {
 	nodeBase
 	sys     *system
 	rt      *core.Runtime
-	recs    []serve.Record
-	tasks   []workloads.TaskDef
-	cfg     Config
 	queues  [][]int      // per-feeder FIFO, dealt by routing order
 	more    []sim.Signal // one wake signal per feeder
 	streams []*cuda.Stream
@@ -274,14 +307,10 @@ type pagodaNode struct {
 	allSpawned bool
 }
 
-func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
-	recs []serve.Record, admit func(sim.Time, int) bool, cfg Config) *pagodaNode {
+func newPagodaNode(eng *sim.Engine, b nodeBase) fleetNode {
 	n := &pagodaNode{
-		nodeBase: nodeBase{name: name, admit: admit},
-		sys:      newSystemOn(eng, cfg),
-		recs:     recs,
-		tasks:    tasks,
-		cfg:      cfg,
+		nodeBase: b,
+		sys:      newSystemOn(eng, b.cfg),
 		idxOf:    map[core.TaskID]int{},
 		outBytes: map[core.TaskID]int{},
 	}
@@ -297,16 +326,19 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 		n.noteDone(ti)
 	}
 
-	if cfg.CopyData {
+	// Output copies chain off host-observed completions exactly as in the
+	// closed-loop runner: a collector polls the TaskTable so D2H transfers
+	// overlap ongoing compute.
+	if n.cfg.CopyData {
 		n.rt.OnHostObservedDone = func(id core.TaskID) {
-			if b := n.outBytes[id]; b > 0 {
+			if out := n.outBytes[id]; out > 0 {
 				delete(n.outBytes, id)
-				n.sys.bus.TransferAsync(pcie.DeviceToHost, b, nil)
+				n.sys.bus.TransferAsync(pcie.DeviceToHost, out, nil)
 			}
 		}
-		eng.Spawn(name+"-collector", func(p *sim.Proc) {
+		eng.Spawn(n.name+"-collector", func(p *sim.Proc) {
 			for {
-				p.Sleep(64_000) // 64 us polling cadence, as in the single-device runner
+				p.Sleep(64_000) // 64 us polling cadence, as in the closed loop
 				if n.allSpawned && len(n.outBytes) == 0 {
 					return
 				}
@@ -315,7 +347,7 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 		})
 	}
 
-	spawners := cfg.Spawners
+	spawners := n.cfg.Spawners
 	if spawners <= 0 {
 		spawners = 1
 	}
@@ -325,7 +357,7 @@ func newPagodaNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
 	for f := 0; f < spawners; f++ {
 		f := f
 		n.streams[f] = n.sys.ctx.NewStream()
-		eng.Spawn(fmt.Sprintf("%s-feeder%d", name, f), func(p *sim.Proc) { n.feed(p, f) })
+		eng.Spawn(fmt.Sprintf("%s-feeder%d", n.name, f), func(p *sim.Proc) { n.feed(p, f) })
 	}
 	return n
 }
@@ -395,92 +427,47 @@ func (n *pagodaNode) devMetrics(end sim.Time) (float64, float64) {
 	return n.rt.TaskWarpOccupancy(end), n.sys.dev.Metrics().IssueUtil
 }
 
-// RunPagodaCluster executes timed arrivals on a Pagoda fleet. Per-task Start
-// is the instant the owning node's scheduler warp picked the task up and
-// Done its device-side completion, exactly as in RunPagodaOpenLoop.
-func RunPagodaCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	co = co.normalize()
-	if co.Scaler.Enabled() {
-		return runElasticCluster(tasks, co, cfg, "pagoda",
-			func(eng *sim.Engine, name string, recs []serve.Record) elasticNode {
-				return newPagodaNode(eng, name, tasks, recs, co.nodeAdmit(), cfg)
-			})
-	}
-	eng := sim.New()
-	recs := make([]serve.Record, len(tasks))
-	nodes := make([]*pagodaNode, co.nodes())
-	fleet := make([]cluster.Node, len(nodes))
-	for i := range nodes {
-		nodes[i] = newPagodaNode(eng, fmt.Sprintf("node%02d", i), tasks, recs, co.nodeAdmit(), cfg)
-		nodes[i].admitTask = co.AdmitTask
-		fleet[i] = nodes[i]
-	}
-	nodeOf := make([]int, len(tasks))
-	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Nodes: fleet}.
-		Spawn(eng, recs, nodeOf)
-	end := eng.Run()
-
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
-		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
-	var occ, iu float64
-	for i, n := range nodes {
-		cr.Views[i] = n.View()
-		cr.Names[i] = nodeTrack(i, "pagoda")
-		occ += n.rt.TaskWarpOccupancy(end)
-		iu += n.sys.dev.Metrics().IssueUtil
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
-	}
-	res.Occupancy = occ / float64(len(nodes))
-	res.IssueUtil = iu / float64(len(nodes))
-	return res, cr
-}
-
 // ---------------------------------------------------------------------------
-// HyperQ backend
+// Kernel-per-task backend (HyperQ, zorua)
 
-// hyperqNode is one 32-stream HyperQ device behind the dispatcher. Its
-// single feeder proc plays the single-device runner's host thread: tasks
-// launch in routing order, each on the stream picked by its node-local
-// sequence number (the fleet analogue of streams[ti%32] — dropped tasks
-// still consume a sequence slot, preserving the single-device pattern).
+// hyperqNode is one 32-stream kernel-per-task device behind the dispatcher.
+// Its single host proc launches tasks in routing order, each on the stream
+// picked by its node-local sequence number (dropped tasks still consume a
+// sequence slot). Start is the instant the kernel's threadblocks become
+// dispatchable (stream reached it, HyperQ connection held, launch overhead
+// paid); Done is the end of the task's output copy — the stream-FIFO point
+// where the host could consume the result.
 type hyperqNode struct {
 	nodeBase
-	eng     *sim.Engine
 	sys     *system
-	recs    []serve.Record
-	tasks   []workloads.TaskDef
-	cfg     Config
 	streams []*cuda.Stream
 	queue   []int
 	seq     int // node-local arrival sequence, advanced per pop
 	more    sim.Signal
 	doneSig sim.Signal
-	endAt   sim.Time // instant this node drained (streams synced)
 }
 
 const hyperqNodeStreams = 32
 
+func newHyperQNode(eng *sim.Engine, b nodeBase) fleetNode {
+	return newKernelPerTaskNode(eng, b, gpu.Oversub{})
+}
+
 // newKernelPerTaskNode builds one kernel-per-task node: a static device for
 // HyperQ (zero Oversub), a virtualized one for zorua.
-func newKernelPerTaskNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
-	recs []serve.Record, admit func(sim.Time, int) bool, cfg Config, ov gpu.Oversub) *hyperqNode {
+func newKernelPerTaskNode(eng *sim.Engine, b nodeBase, ov gpu.Oversub) *hyperqNode {
 	n := &hyperqNode{
-		nodeBase: nodeBase{name: name, admit: admit},
-		eng:      eng,
-		recs:     recs,
-		tasks:    tasks,
-		cfg:      cfg,
+		nodeBase: b,
+		sys:      newSystemOn(eng, b.cfg),
 		streams:  make([]*cuda.Stream, hyperqNodeStreams),
 	}
-	n.sys = newSystemOn(eng, cfg)
 	if ov.Enabled() {
 		n.sys.dev.Virtualize(ov)
 	}
 	for i := range n.streams {
 		n.streams[i] = n.sys.ctx.NewStream()
 	}
-	eng.Spawn(name+"-host", n.host)
+	eng.Spawn(n.name+"-host", n.host)
 	return n
 }
 
@@ -496,7 +483,7 @@ func (n *hyperqNode) Close() {
 }
 
 func (n *hyperqNode) finish(ti int) {
-	n.recs[ti].Done = n.eng.Now()
+	n.recs[ti].Done = n.sys.eng.Now()
 	n.noteDone(ti)
 	n.doneSig.Broadcast()
 }
@@ -526,7 +513,7 @@ func (n *hyperqNode) host(p *sim.Proc) {
 			stream.MemcpyH2D(p, td.InBytes, nil)
 		}
 		h := stream.LaunchHooked(p, hyperqSpec(td), func() {
-			n.recs[ti].Start = n.eng.Now()
+			n.recs[ti].Start = n.sys.eng.Now()
 		})
 		if n.cfg.CopyData && td.OutBytes > 0 {
 			// The output copy sits right behind its kernel in the stream FIFO;
@@ -535,7 +522,7 @@ func (n *hyperqNode) host(p *sim.Proc) {
 		} else {
 			// No output copy: completion is the kernel's own end, observed by
 			// a waiter process.
-			n.eng.Spawn(fmt.Sprintf("%s-wait%d", n.name, ti), func(wp *sim.Proc) {
+			n.sys.eng.Spawn(fmt.Sprintf("%s-wait%d", n.name, ti), func(wp *sim.Proc) {
 				h.Wait(wp)
 				n.finish(ti)
 			})
@@ -547,14 +534,6 @@ func (n *hyperqNode) host(p *sim.Proc) {
 	for _, st := range n.streams {
 		st.Sync(p)
 	}
-	n.endAt = n.eng.Now()
-}
-
-// RunHyperQCluster executes timed arrivals on a HyperQ fleet: each admitted
-// task runs as its own kernel over the owning node's 32 streams. Start/Done
-// semantics match RunHyperQOpenLoop.
-func RunHyperQCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	return runKernelPerTaskCluster(tasks, co, cfg, gpu.Oversub{}, "hyperq")
 }
 
 func (n *hyperqNode) devMetrics(sim.Time) (float64, float64) {
@@ -562,86 +541,27 @@ func (n *hyperqNode) devMetrics(sim.Time) (float64, float64) {
 	return m.AvgOccupancy, m.IssueUtil
 }
 
-// runKernelPerTaskCluster is the shared kernel-per-task fleet engine behind
-// RunHyperQCluster and RunZoruaCluster; scheme names the per-node trace
-// tracks ("node00/serve-<scheme>").
-func runKernelPerTaskCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
-	ov gpu.Oversub, scheme string) (Result, ClusterRun) {
-	co = co.normalize()
-	if co.Scaler.Enabled() {
-		return runElasticCluster(tasks, co, cfg, scheme,
-			func(eng *sim.Engine, name string, recs []serve.Record) elasticNode {
-				return newKernelPerTaskNode(eng, name, tasks, recs, co.nodeAdmit(), cfg, ov)
-			})
-	}
-	eng := sim.New()
-	recs := make([]serve.Record, len(tasks))
-	nodes := make([]*hyperqNode, co.nodes())
-	fleet := make([]cluster.Node, len(nodes))
-	for i := range nodes {
-		nodes[i] = newKernelPerTaskNode(eng, fmt.Sprintf("node%02d", i), tasks, recs, co.nodeAdmit(), cfg, ov)
-		nodes[i].admitTask = co.AdmitTask
-		fleet[i] = nodes[i]
-	}
-	nodeOf := make([]int, len(tasks))
-	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Nodes: fleet}.
-		Spawn(eng, recs, nodeOf)
-	eng.Run()
-
-	// The fleet's elapsed time is the last node's drain instant, matching the
-	// single-device runner's endTime capture.
-	var end sim.Time
-	for _, n := range nodes {
-		if n.endAt > end {
-			end = n.endAt
-		}
-	}
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
-		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
-	var occ, iu float64
-	for i, n := range nodes {
-		cr.Views[i] = n.View()
-		cr.Names[i] = nodeTrack(i, scheme)
-		m := n.sys.dev.Metrics()
-		occ += m.AvgOccupancy
-		iu += m.IssueUtil
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
-	}
-	res.Occupancy = occ / float64(len(nodes))
-	res.IssueUtil = iu / float64(len(nodes))
-	return res, cr
-}
-
 // ---------------------------------------------------------------------------
 // GeMTC backend
 
 // gemtcNode is one GeMTC SuperKernel device behind the dispatcher. Admission
-// is consulted at the arrival instant (the single-device submit proc never
-// blocks), admitted tasks join the node's host-side FIFO, and a dispatch
-// proc launches a SuperKernel over the queue's contents whenever the device
-// is free — batch semantics identical to RunGeMTCOpenLoop.
+// is consulted at the arrival instant, admitted tasks join the node's
+// host-side FIFO, and a dispatch proc launches a SuperKernel over the
+// queue's current contents (up to the batch cap) whenever the device is
+// free. Batch semantics are the closed-loop runner's: a task's Start is its
+// batch's launch and its Done the whole batch's end, so under sparse
+// traffic a task pays the batch round-trip alone and under bursts it waits
+// for stragglers — the latency property Fig. 10 contrasts with.
 type gemtcNode struct {
 	nodeBase
 	sys     *system
-	recs    []serve.Record
-	tasks   []workloads.TaskDef
-	cfg     Config
 	pending []int
 	more    sim.Signal
-	endAt   sim.Time // instant this node drained (last batch done)
 }
 
-func newGeMTCNode(eng *sim.Engine, name string, tasks []workloads.TaskDef,
-	recs []serve.Record, admit func(sim.Time, int) bool, cfg Config) *gemtcNode {
-	n := &gemtcNode{
-		nodeBase: nodeBase{name: name, admit: admit},
-		sys:      newSystemOn(eng, cfg),
-		recs:     recs,
-		tasks:    tasks,
-		cfg:      cfg,
-	}
-	eng.Spawn(name+"-dispatch", n.dispatch)
+func newGeMTCNode(eng *sim.Engine, b nodeBase) fleetNode {
+	n := &gemtcNode{nodeBase: b, sys: newSystemOn(eng, b.cfg)}
+	eng.Spawn(n.name+"-dispatch", n.dispatch)
 	return n
 }
 
@@ -764,60 +684,9 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 			n.noteDone(ti)
 		}
 	}
-	n.endAt = n.sys.eng.Now()
 }
 
 func (n *gemtcNode) devMetrics(sim.Time) (float64, float64) {
 	m := n.sys.dev.Metrics()
 	return m.AvgOccupancy, m.IssueUtil
-}
-
-// RunGeMTCCluster executes timed arrivals on a GeMTC fleet. A task's Start
-// is its batch's launch on the owning node and its Done the whole batch's
-// end — the Fig. 10 batch property, now per node.
-func RunGeMTCCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	co = co.normalize()
-	if co.Scaler.Enabled() {
-		return runElasticCluster(tasks, co, cfg, "gemtc",
-			func(eng *sim.Engine, name string, recs []serve.Record) elasticNode {
-				return newGeMTCNode(eng, name, tasks, recs, co.nodeAdmit(), cfg)
-			})
-	}
-	eng := sim.New()
-	recs := make([]serve.Record, len(tasks))
-	nodes := make([]*gemtcNode, co.nodes())
-	fleet := make([]cluster.Node, len(nodes))
-	for i := range nodes {
-		nodes[i] = newGeMTCNode(eng, fmt.Sprintf("node%02d", i), tasks, recs, co.nodeAdmit(), cfg)
-		nodes[i].admitTask = co.AdmitTask
-		fleet[i] = nodes[i]
-	}
-	nodeOf := make([]int, len(tasks))
-	cluster.Dispatcher{Arrivals: co.Arrivals, Classes: co.Classes, Policy: co.Policy, Nodes: fleet}.
-		Spawn(eng, recs, nodeOf)
-	eng.Run()
-
-	// The fleet's elapsed time is the last node's drain instant, matching the
-	// single-device runner's endTime capture.
-	var end sim.Time
-	for _, n := range nodes {
-		if n.endAt > end {
-			end = n.endAt
-		}
-	}
-	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
-		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
-	var occ, iu float64
-	for i, n := range nodes {
-		cr.Views[i] = n.View()
-		cr.Names[i] = nodeTrack(i, "gemtc")
-		m := n.sys.dev.Metrics()
-		occ += m.AvgOccupancy
-		iu += m.IssueUtil
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
-	}
-	res.Occupancy = occ / float64(len(nodes))
-	res.IssueUtil = iu / float64(len(nodes))
-	return res, cr
 }

@@ -1,20 +1,22 @@
 package runners
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/tenancy"
 	"repro/internal/workloads"
 )
 
-// clusterBackend pairs a single-device open-loop runner with its cluster
-// generalization for the equivalence pin.
+// clusterBackend is one scheme's fleet runner under its key.
 type clusterBackend struct {
 	key     string
-	single  func([]workloads.TaskDef, OpenLoop, Config) (Result, []serve.Record)
 	cluster func([]workloads.TaskDef, ClusterOpenLoop, Config) (Result, ClusterRun)
 }
 
@@ -23,7 +25,7 @@ type clusterBackend struct {
 func clusterBackends() []clusterBackend {
 	var out []clusterBackend
 	for _, s := range Schemes() {
-		out = append(out, clusterBackend{s.Key, s.RunOpenLoop, s.RunCluster})
+		out = append(out, clusterBackend{s.Key, s.RunCluster})
 	}
 	return out
 }
@@ -43,59 +45,114 @@ func clusterTestConfig() Config {
 	return cfg
 }
 
-// TestClusterOneNodeMatchesOpenLoop is the regression pin from the issue: a
-// 1-node fleet under round-robin must reproduce the single-device open-loop
-// records exactly — same Submit/Start/Done/Dropped per task — for every
-// backend under every admission policy shape serve_latency sweeps.
+// openLoopGolden holds the FNV-64a digest of (records, Result) that each
+// scheme's standalone single-device open-loop runner produced for
+// TestClusterOneNodeMatchesOpenLoop's inputs, recorded before those runners
+// were folded into the one-node fleet. Keys are "<scheme>/<admission>".
+var openLoopGolden = map[string]uint64{
+	"hyperq/unbounded": 0xd2a9399d3bdfae59,
+	"hyperq/queue8":    0xbe93040dbf3d2bbd,
+	"hyperq/token":     0xf49ef27e81083551,
+	"hyperq/wfq":       0x5de06543c6e492cb,
+	"gemtc/unbounded":  0x11410d8defe8c0ec,
+	"gemtc/queue8":     0xe0082f2ce9c4a718,
+	"gemtc/token":      0x176be06ec9cf5f07,
+	"gemtc/wfq":        0xde0ba19d4d13836e,
+	"pagoda/unbounded": 0x2505b88d1244d546,
+	"pagoda/queue8":    0x3b469bb880023821,
+	"pagoda/token":     0x0cfc6617b90bbecc,
+	"pagoda/wfq":       0xe3895eb1103e7464,
+	"zorua/unbounded":  0x835f40c0439877a0,
+	"zorua/queue8":     0xbe93040dbf3d2bbd,
+	"zorua/token":      0xf49ef27e81083551,
+	"zorua/wfq":        0x5de06543c6e492cb,
+}
+
+// digestOpenLoop hashes every record field and every Result field, so any
+// shifted timestamp, flipped drop or changed aggregate changes the digest.
+func digestOpenLoop(res Result, recs []serve.Record) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, r := range recs {
+		put(r.Submit)
+		put(r.Start)
+		put(r.Done)
+		if r.Dropped {
+			put(1)
+		} else {
+			put(0)
+		}
+	}
+	for _, v := range []float64{res.Elapsed, res.AvgLatency, res.MaxLatency, res.P50Latency,
+		res.P90Latency, res.P99Latency, res.Occupancy, res.IssueUtil, float64(res.Tasks)} {
+		put(v)
+	}
+	return h.Sum64()
+}
+
+// TestClusterOneNodeMatchesOpenLoop pins the single-device open loop — a
+// one-node round-robin fleet — to the golden digests of the standalone
+// open-loop runners it replaced: every scheme under every admission shape
+// serve_latency and tenant_qos sweep (unbounded, bounded queue, token
+// bucket, fleet-wide WFQ tenancy through AdmitTask) must reproduce those
+// runners' records and Result bit for bit.
 func TestClusterOneNodeMatchesOpenLoop(t *testing.T) {
 	const n = 96
 	const rate = 256e3
 	tasks := clusterTestTasks(t, n)
+	// Shared-memory-bound tasks make the device's threadblock admission
+	// matter, so zorua's virtualized node cannot pass for HyperQ's.
+	for i := range tasks {
+		tasks[i].SharedMem = 24 * 1024
+	}
 	cfg := clusterTestConfig()
 	arrivals := serve.Poisson{Rate: rate, Seed: 1}.Times(n)
 
+	// Three tenant classes, the standard one offering ten times its contract.
+	counts := []int{n / 3, n / 3, n / 3}
+	horizon := sim.Time(float64(counts[0]) / (rate / 3) * 1e9)
+	classes := tenancy.DefaultClasses(3, rate/3, 200_000, horizon, 1, 1)
+	tenantArrivals, classOf := tenancy.Merge(classes, counts)
+
 	admissions := []struct {
-		name    string
-		single  func() serve.Policy
-		cluster func() func(sim.Time, int) bool
+		name string
+		ol   func() OpenLoop
 	}{
-		{"unbounded", nil, nil},
-		{"queue8",
-			func() serve.Policy { return serve.BoundedQueue{Limit: 8} },
-			func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 8}.Admit }},
-		{"token",
-			func() serve.Policy { return serve.NewTokenBucket(rate/2, 4) },
-			func() func(sim.Time, int) bool { return serve.NewTokenBucket(rate/2, 4).Admit }},
+		{"unbounded", func() OpenLoop { return OpenLoop{Arrivals: arrivals} }},
+		{"queue8", func() OpenLoop {
+			return OpenLoop{Arrivals: arrivals, Admit: serve.BoundedQueue{Limit: 8}.Admit}
+		}},
+		{"token", func() OpenLoop {
+			return OpenLoop{Arrivals: arrivals, Admit: serve.NewTokenBucket(rate/2, 4).Admit}
+		}},
+		{"wfq", func() OpenLoop {
+			adm := tenancy.NewAdmission(tenancy.AdmitWFQ, classes, tenantArrivals, classOf, 8, true)
+			return OpenLoop{Arrivals: tenantArrivals, AdmitTask: adm.AdmitTask}
+		}},
 	}
 
-	for _, be := range clusterBackends() {
+	for _, s := range Schemes() {
 		for _, ad := range admissions {
-			t.Run(be.key+"/"+ad.name, func(t *testing.T) {
-				ol := OpenLoop{Arrivals: arrivals}
-				if ad.single != nil {
-					ol.Admit = ad.single().Admit
+			key := s.Key + "/" + ad.name
+			t.Run(key, func(t *testing.T) {
+				res, recs := s.RunOpenLoop(tasks, ad.ol(), cfg)
+				if len(recs) != n {
+					t.Fatalf("%d records for %d tasks", len(recs), n)
 				}
-				sres, srecs := be.single(tasks, ol, cfg)
-
-				co := ClusterOpenLoop{Arrivals: arrivals, Nodes: 1, Policy: cluster.NewRoundRobin()}
-				if ad.cluster != nil {
-					co.Admit = ad.cluster
+				if dropped := n - res.Tasks; (dropped == 0) != (ad.name == "unbounded") {
+					t.Errorf("%d of %d tasks dropped under %s admission", dropped, n, ad.name)
 				}
-				cres, cr := be.cluster(tasks, co, cfg)
-
-				if !reflect.DeepEqual(srecs, cr.Recs) {
-					for i := range srecs {
-						if srecs[i] != cr.Recs[i] {
-							t.Fatalf("record %d diverged:\n single  %+v\n cluster %+v", i, srecs[i], cr.Recs[i])
-						}
-					}
-					t.Fatal("records diverged")
+				got := digestOpenLoop(res, recs)
+				want, ok := openLoopGolden[key]
+				if !ok {
+					t.Fatalf("no golden digest; got %#x", got)
 				}
-				if sres != cres {
-					t.Errorf("results diverged:\n single  %+v\n cluster %+v", sres, cres)
-				}
-				if err := cr.CheckConservation(); err != nil {
-					t.Errorf("conservation: %v", err)
+				if got != want {
+					t.Errorf("digest %#x, want %#x (result %+v)", got, want, res)
 				}
 			})
 		}

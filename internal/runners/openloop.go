@@ -1,15 +1,8 @@
 package runners
 
 import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/cuda"
-	"repro/internal/gpu"
-	"repro/internal/pcie"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -36,405 +29,19 @@ type OpenLoop struct {
 	// per-spawner instants — implementations must key on the index argument,
 	// never on call order.
 	AdmitTask func(ti int, now sim.Time, inFlight int) bool
-
-	// Trace, when enabled, receives two spans per completed task — cat
-	// "wait" (submit to service start) and "service" (start to done) — on a
-	// per-scheme track, the open-loop latency decomposition in profiler form.
-	Trace *trace.Tracer
 }
 
-func (ol OpenLoop) validate(n int) {
-	if len(ol.Arrivals) != n {
-		panic(fmt.Sprintf("runners: %d arrivals for %d tasks", len(ol.Arrivals), n))
-	}
-	for i := 1; i < n; i++ {
-		if ol.Arrivals[i] < ol.Arrivals[i-1] {
-			panic(fmt.Sprintf("runners: arrivals decrease at %d: %v < %v", i, ol.Arrivals[i], ol.Arrivals[i-1]))
-		}
-	}
-}
-
-func (ol OpenLoop) admit(ti int, now sim.Time, inFlight int) bool {
-	if ol.AdmitTask != nil {
-		return ol.AdmitTask(ti, now, inFlight)
-	}
-	return ol.Admit == nil || ol.Admit(now, inFlight)
-}
-
-// waitUntil sleeps p to the arrival instant and returns the Submit timestamp
-// to record: the arrival time, clamped to the clock when the sleep target
-// rounds a float ulp past it, so Submit <= service start always holds.
-func waitUntil(p *sim.Proc, at sim.Time) sim.Time {
-	if at > p.Now() {
-		p.Sleep(at - p.Now())
-	}
-	if p.Now() < at {
-		return p.Now()
-	}
-	return at
-}
-
-// addServeSpans exports each completed task's wait/service split as trace
-// spans on the given track (deterministic task-index order).
-func addServeSpans(tr *trace.Tracer, track string, recs []serve.Record) {
-	if !tr.Enabled() {
-		return
-	}
-	for i, r := range recs {
-		if r.Dropped {
-			continue
-		}
-		tr.Add(trace.Span{Name: trace.SpanName("wait", int64(i)), Cat: "wait",
-			Track: track, Start: r.Submit, End: r.Start})
-		tr.Add(trace.Span{Name: trace.SpanName("service", int64(i)), Cat: "service",
-			Track: track, Start: r.Start, End: r.Done})
-	}
-}
-
-// openLoopResult assembles the timing aggregates every open-loop runner
-// shares: elapsed plus exact latency statistics over the completed records.
-func openLoopResult(end sim.Time, recs []serve.Record) Result {
-	lats := make([]sim.Time, 0, len(recs))
-	for _, r := range recs {
-		if !r.Dropped {
-			lats = append(lats, r.Latency())
-		}
-	}
-	res := Result{Elapsed: end, Tasks: len(lats)}
-	res.fillLatencies(lats)
-	return res
-}
-
-// RunPagodaOpenLoop executes tasks on the Pagoda runtime with timed
-// arrivals: spawner threads sleep to each task's arrival instant, consult
-// admission, and TaskSpawn immediately (continuous spawning under real
-// traffic). Per-task Start is the instant the scheduler warp picked the task
-// up and Done the device-side completion, both observed through the
-// runtime's OnTaskDone hook rather than host polling.
-func RunPagodaOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config) (Result, []serve.Record) {
-	ol.validate(len(tasks))
-	sys := newSystem(cfg)
-	rt := core.NewRuntime(sys.ctx, core.DefaultConfig())
-	recs := make([]serve.Record, len(tasks))
-
-	idxOf := make(map[core.TaskID]int, len(tasks))
-	admitted, completed := 0, 0
-	rt.OnTaskDone = func(id core.TaskID, _, sched, end sim.Time) {
-		i, ok := idxOf[id]
-		if !ok {
-			return
-		}
-		delete(idxOf, id)
-		recs[i].Start = sched
-		recs[i].Done = end
-		completed++
-	}
-
-	// Output copies chain off host-observed completions exactly as in the
-	// closed-loop runner: a collector polls the TaskTable so D2H transfers
-	// overlap ongoing compute.
-	outBytes := make(map[core.TaskID]int, len(tasks))
-	allSpawned := false
-	if cfg.CopyData {
-		rt.OnHostObservedDone = func(id core.TaskID) {
-			if b := outBytes[id]; b > 0 {
-				delete(outBytes, id)
-				sys.bus.TransferAsync(pcie.DeviceToHost, b, nil)
-			}
-		}
-		sys.eng.Spawn("ol-collector", func(p *sim.Proc) {
-			for {
-				p.Sleep(64_000) // 64 us polling cadence
-				if allSpawned && len(outBytes) == 0 {
-					return
-				}
-				rt.PollCompletions(p)
-			}
-		})
-	}
-
-	spawners := cfg.Spawners
-	if spawners <= 0 {
-		spawners = 1
-	}
-	parts := splitRoundRobin(tasks, spawners)
-	streams := make([]*cuda.Stream, spawners)
-	finished := 0
-	for s := 0; s < spawners; s++ {
-		s := s
-		streams[s] = sys.ctx.NewStream()
-		sys.eng.Spawn(fmt.Sprintf("ol-spawner%d", s), func(p *sim.Proc) {
-			for _, ti := range parts[s] {
-				td := &tasks[ti]
-				recs[ti].Submit = waitUntil(p, ol.Arrivals[ti])
-				if !ol.admit(ti, p.Now(), admitted-completed) {
-					recs[ti].Dropped = true
-					continue
-				}
-				admitted++
-				if cfg.CopyData && td.InBytes > 0 {
-					streams[s].MemcpyH2DPipelined(p, td.InBytes, nil)
-				}
-				id := rt.TaskSpawn(p, core.TaskSpec{
-					Threads:   td.Threads,
-					Blocks:    td.Blocks,
-					SharedMem: td.SharedMem,
-					Sync:      td.Sync,
-					ArgBytes:  td.ArgBytes,
-					Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
-				})
-				idxOf[id] = ti
-				if cfg.CopyData && td.OutBytes > 0 {
-					outBytes[id] = td.OutBytes
-				}
-			}
-			finished++
-			if finished < spawners {
-				return
-			}
-			// The last spawner to finish drains everything.
-			allSpawned = true
-			rt.WaitAll(p)
-			for _, st := range streams {
-				st.Sync(p)
-			}
-			rt.Shutdown(p)
-		})
-	}
-	end := sys.eng.Run()
-
-	res := openLoopResult(end, recs)
-	res.Occupancy = rt.TaskWarpOccupancy(end)
-	res.IssueUtil = sys.dev.Metrics().IssueUtil
-	addServeSpans(ol.Trace, "serve-pagoda", recs)
-	return res, recs
-}
-
-// RunHyperQOpenLoop executes each admitted task as its own kernel over 32
-// streams with timed arrivals. Start is the instant the kernel's
-// threadblocks become dispatchable (stream reached it, HyperQ connection
-// held, launch overhead paid); Done is the end of the task's output copy —
-// the stream-FIFO point where the host could consume the result.
-func RunHyperQOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config) (Result, []serve.Record) {
-	return runKernelPerTaskOpenLoop(tasks, ol, cfg, gpu.Oversub{}, "hyperq")
-}
-
-// runKernelPerTaskOpenLoop is the shared kernel-per-task open-loop engine:
-// HyperQ runs it on the static device (zero Oversub), zorua on a virtualized
-// one. Serve spans land on the "serve-<scheme>" track.
-func runKernelPerTaskOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config,
-	ov gpu.Oversub, scheme string) (Result, []serve.Record) {
-	ol.validate(len(tasks))
-	sys := newSystem(cfg)
-	if ov.Enabled() {
-		sys.dev.Virtualize(ov)
-	}
-	recs := make([]serve.Record, len(tasks))
-	const numStreams = 32
-	streams := make([]*cuda.Stream, numStreams)
-	for i := range streams {
-		streams[i] = sys.ctx.NewStream()
-	}
-
-	admitted, completed := 0, 0
-	var doneSig sim.Signal
-	finish := func(i int) {
-		recs[i].Done = sys.eng.Now()
-		completed++
-		doneSig.Broadcast()
-	}
-
-	var endTime sim.Time
-	sys.eng.Spawn("ol-hq-host", func(p *sim.Proc) {
-		for ti := range tasks {
-			ti := ti
-			td := &tasks[ti]
-			recs[ti].Submit = waitUntil(p, ol.Arrivals[ti])
-			if !ol.admit(ti, p.Now(), admitted-completed) {
-				recs[ti].Dropped = true
-				continue
-			}
-			admitted++
-			stream := streams[ti%numStreams]
-			if cfg.CopyData && td.InBytes > 0 {
-				stream.MemcpyH2D(p, td.InBytes, nil)
-			}
-			h := stream.LaunchHooked(p, hyperqSpec(td), func() {
-				recs[ti].Start = sys.eng.Now()
-			})
-			if cfg.CopyData && td.OutBytes > 0 {
-				// The output copy sits right behind its kernel in the stream
-				// FIFO; its delivery is the task's completion.
-				stream.MemcpyD2H(p, td.OutBytes, func() { finish(ti) })
-			} else {
-				// No output copy: completion is the kernel's own end, observed
-				// by a waiter process.
-				sys.eng.Spawn(fmt.Sprintf("ol-hq-wait%d", ti), func(wp *sim.Proc) {
-					h.Wait(wp)
-					finish(ti)
-				})
-			}
-		}
-		for completed < admitted {
-			doneSig.Wait(p)
-		}
-		for _, st := range streams {
-			st.Sync(p)
-		}
-		endTime = sys.eng.Now()
-	})
-	sys.eng.Run()
-
-	res := openLoopResult(endTime, recs)
-	m := sys.dev.Metrics()
-	res.Occupancy = m.AvgOccupancy
-	res.IssueUtil = m.IssueUtil
-	addServeSpans(ol.Trace, "serve-"+scheme, recs)
-	return res, recs
-}
-
-// RunGeMTCOpenLoop executes timed arrivals under the GeMTC model: arrivals
-// join a host-side FIFO, and a dispatcher launches a SuperKernel over the
-// queue's current contents (up to the batch cap) whenever the device is
-// free. Batch semantics are preserved from the closed-loop runner: a task's
-// Start is its batch's launch and its Done the whole batch's end, so under
-// sparse traffic a task pays the batch round-trip alone and under bursts it
-// waits for stragglers — the latency property Fig. 10 contrasts with.
-func RunGeMTCOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config) (Result, []serve.Record) {
-	ol.validate(len(tasks))
-	sys := newSystem(cfg)
-	recs := make([]serve.Record, len(tasks))
-
-	batchCap := cfg.GeMTCBatch
-	if batchCap <= 0 {
-		batchCap = 1536
-	}
-	workerThreads := cfg.GeMTCThreads
-	if workerThreads <= 0 {
-		for i := range tasks {
-			if tasks[i].Threads > workerThreads {
-				workerThreads = tasks[i].Threads
-			}
-		}
-	}
-	if workerThreads == 0 {
-		workerThreads = 128
-	}
-	occ := gpu.TheoreticalOccupancy(sys.dev.Cfg, gpu.LaunchSpec{
-		BlockThreads: workerThreads, RegsPerThread: 32,
-	})
-	workers := occ.TBsPerSMM * sys.dev.Cfg.NumSMMs
-	queueSite := gpu.NewAtomicSite(sys.eng, sys.dev.Cfg.AtomicGlobalLatency)
-
-	var pending []int
-	var more sim.Signal
-	doneSubmitting := false
-	admitted, completed := 0, 0
-
-	sys.eng.Spawn("ol-gemtc-submit", func(p *sim.Proc) {
-		for ti := range tasks {
-			recs[ti].Submit = waitUntil(p, ol.Arrivals[ti])
-			if !ol.admit(ti, p.Now(), admitted-completed) {
-				recs[ti].Dropped = true
-				continue
-			}
-			admitted++
-			pending = append(pending, ti)
-			more.Broadcast()
-		}
-		doneSubmitting = true
-		more.Broadcast()
-	})
-
-	var endTime sim.Time
-	sys.eng.Spawn("ol-gemtc-dispatch", func(p *sim.Proc) {
-		stream := sys.ctx.NewStream()
-		for {
-			for len(pending) == 0 && !doneSubmitting {
-				more.Wait(p)
-			}
-			if len(pending) == 0 {
-				break
-			}
-			n := len(pending)
-			if n > batchCap {
-				n = batchCap
-			}
-			batch := append([]int(nil), pending[:n]...)
-			pending = pending[n:]
-			launchStart := sys.eng.Now()
-
-			desc := 64 * len(batch)
-			in := 0
-			for _, ti := range batch {
-				if cfg.CopyData {
-					in += tasks[ti].InBytes
-				}
-			}
-			stream.MemcpyH2D(p, desc+in, nil)
-
-			next := 0                       // single FIFO queue head
-			claimed := make([]int, workers) // per-worker claimed batch position
-			h := stream.Launch(p, gpu.LaunchSpec{
-				Name:          "SuperKernel",
-				GridDim:       workers,
-				BlockThreads:  workerThreads,
-				RegsPerThread: 32,
-				Fn: func(c *gpu.Ctx) {
-					for {
-						if c.WarpInBlock == 0 {
-							c.AtomicGlobal(queueSite)
-							if next < len(batch) {
-								claimed[c.BlockIdx] = next
-								next++
-							} else {
-								claimed[c.BlockIdx] = -1
-							}
-						}
-						c.SyncBlock()
-						idx := claimed[c.BlockIdx]
-						if idx < 0 {
-							return
-						}
-						td := &tasks[batch[idx]]
-						td.Kernel(&warpAdapter{
-							g:        c,
-							threads:  workerThreads,
-							blocks:   1,
-							blockIdx: 0,
-							warpInBl: c.WarpInBlock,
-						})
-						c.SyncBlock()
-					}
-				},
-			})
-			h.Wait(p)
-
-			out := 0
-			for _, ti := range batch {
-				if cfg.CopyData {
-					out += tasks[ti].OutBytes
-				}
-			}
-			if out > 0 {
-				stream.MemcpyD2H(p, out, nil)
-				stream.Sync(p)
-			}
-			batchEnd := sys.eng.Now()
-			for _, ti := range batch {
-				recs[ti].Start = launchStart
-				recs[ti].Done = batchEnd
-				completed++
-			}
-		}
-		endTime = sys.eng.Now()
-	})
-	sys.eng.Run()
-
-	res := openLoopResult(endTime, recs)
-	m := sys.dev.Metrics()
-	res.Occupancy = m.AvgOccupancy
-	res.IssueUtil = m.IssueUtil
-	addServeSpans(ol.Trace, "serve-gemtc", recs)
-	return res, recs
+// RunOpenLoop executes timed arrivals on one device: a one-node round-robin
+// fleet (RunCluster) with the admission hooks passed through, so the
+// single-device open loop and every fleet share one host path per scheme.
+// The records carry Submit at the arrival instant and the scheme's own
+// Start/Done semantics (see the node types in cluster.go).
+func (s Scheme) RunOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config) (Result, []serve.Record) {
+	res, cr := s.RunCluster(tasks, ClusterOpenLoop{
+		Arrivals:  ol.Arrivals,
+		Nodes:     1,
+		Admit:     func() func(sim.Time, int) bool { return ol.Admit },
+		AdmitTask: ol.AdmitTask,
+	}, cfg)
+	return res, cr.Recs
 }

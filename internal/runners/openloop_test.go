@@ -157,9 +157,14 @@ func TestOpenLoopTraceSpans(t *testing.T) {
 	tasks := olTasks(t, 24)
 	arr := serve.FixedRate{Rate: 20e3}.Times(len(tasks))
 	tr := trace.New()
-	res, recs := RunPagodaOpenLoop(tasks, OpenLoop{Arrivals: arr, Trace: tr}, olConfig())
+	pagoda, _ := SchemeByKey("pagoda")
+	res, cr := pagoda.RunCluster(tasks, ClusterOpenLoop{Arrivals: arr, Nodes: 1, Trace: tr}, olConfig())
+	recs := cr.Recs
 	if want := 2 * res.Tasks; tr.Len() != want {
 		t.Fatalf("trace has %d spans, want %d", tr.Len(), want)
+	}
+	if got := tr.Tracks(); len(got) != 1 || got[0] != "node00/serve-pagoda" {
+		t.Errorf("tracks = %v, want [node00/serve-pagoda]", got)
 	}
 	var waitBusy, serviceBusy float64
 	for cat, e := range tr.Summary() {
@@ -186,6 +191,7 @@ func TestOpenLoopTraceSpans(t *testing.T) {
 // TestOpenLoopValidation: arrival/task mismatches are programmer errors.
 func TestOpenLoopValidation(t *testing.T) {
 	tasks := olTasks(t, 4)
+	pagoda, _ := SchemeByKey("pagoda")
 	for _, bad := range []OpenLoop{
 		{Arrivals: []sim.Time{1, 2}},         // wrong length
 		{Arrivals: []sim.Time{1, 2, 3, 2.5}}, // decreasing
@@ -196,7 +202,7 @@ func TestOpenLoopValidation(t *testing.T) {
 					t.Errorf("no panic for %v", bad.Arrivals)
 				}
 			}()
-			RunPagodaOpenLoop(tasks, bad, olConfig())
+			pagoda.RunOpenLoop(tasks, bad, olConfig())
 		}()
 	}
 }

@@ -1,24 +1,29 @@
 package runners
 
-import (
-	"repro/internal/serve"
-	"repro/internal/workloads"
-)
+import "repro/internal/workloads"
 
-// Scheme is one GPU execution scheme's complete entry-point surface: the
-// closed-loop, open-loop and cluster runners under one stable key. The
+// Scheme is one GPU execution scheme under a stable key: its closed-loop
+// runner and the constructor of its fleet node, which backs every
+// timed-arrival run (RunCluster, and RunOpenLoop as a one-node fleet). The
 // registry is the single source of truth the harness tables, the CLI's
 // -scheme filter, the perf baselines and the cross-scheme test gates
-// (determinism, conservation, 1-node golden) all derive from — a scheme
+// (determinism, conservation, open-loop golden) all derive from — a scheme
 // registered here inherits every gate and every report column without
 // further wiring.
 type Scheme struct {
 	Key     string // stable id: flags, Values keys, perf metric names
 	Display string // table cell / report name
 
-	Run         func([]workloads.TaskDef, Config) Result
-	RunOpenLoop func([]workloads.TaskDef, OpenLoop, Config) (Result, []serve.Record)
-	RunCluster  func([]workloads.TaskDef, ClusterOpenLoop, Config) (Result, ClusterRun)
+	Run func([]workloads.TaskDef, Config) Result
+
+	newNode nodeFactory
+}
+
+// RunCluster executes timed arrivals on a fleet of this scheme's nodes —
+// fixed, or elastic when co.Scaler asks for it. Per-node serve spans land on
+// "node%02d/serve-<key>" tracks.
+func (s Scheme) RunCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
+	return runFleet(tasks, co, cfg, s.Key, s.newNode)
 }
 
 // Schemes returns the GPU scheme registry in canonical report order. Only
@@ -26,10 +31,10 @@ type Scheme struct {
 // open-loop or fleet form to register.
 func Schemes() []Scheme {
 	return []Scheme{
-		{"hyperq", "CUDA-HyperQ", RunHyperQ, RunHyperQOpenLoop, RunHyperQCluster},
-		{"gemtc", "GeMTC", RunGeMTC, RunGeMTCOpenLoop, RunGeMTCCluster},
-		{"pagoda", "Pagoda", RunPagoda, RunPagodaOpenLoop, RunPagodaCluster},
-		{"zorua", "Zorua", RunZorua, RunZoruaOpenLoop, RunZoruaCluster},
+		{"hyperq", "CUDA-HyperQ", RunHyperQ, newHyperQNode},
+		{"gemtc", "GeMTC", RunGeMTC, newGeMTCNode},
+		{"pagoda", "Pagoda", RunPagoda, newPagodaNode},
+		{"zorua", "Zorua", RunZorua, newZoruaNode},
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 )
 
 // TestSchemeRegistryComplete pins the registry's shape: the expected keys in
-// canonical order, unique, each with display name and all three entry points.
+// canonical order, unique, each with display name, closed-loop runner and
+// fleet node constructor.
 // Growing the registry without filling the full surface fails here, and every
 // cross-scheme gate (olRunners, clusterBackends, TestDoubleRunResultsIdentical,
 // TestVerificationMatrix) iterates Schemes() directly, so a registered scheme
@@ -32,9 +33,9 @@ func TestSchemeRegistryComplete(t *testing.T) {
 		if s.Display == "" {
 			t.Errorf("scheme %q has no display name", s.Key)
 		}
-		if s.Run == nil || s.RunOpenLoop == nil || s.RunCluster == nil {
-			t.Errorf("scheme %q is missing an entry point (closed %v, open %v, cluster %v)",
-				s.Key, s.Run != nil, s.RunOpenLoop != nil, s.RunCluster != nil)
+		if s.Run == nil || s.newNode == nil {
+			t.Errorf("scheme %q is missing an entry point (closed %v, node %v)",
+				s.Key, s.Run != nil, s.newNode != nil)
 		}
 	}
 	if got, ok := SchemeByKey("pagoda"); !ok || got.Display != "Pagoda" {
@@ -84,8 +85,10 @@ func TestZoruaAtUnityMatchesHyperQ(t *testing.T) {
 	}
 
 	arr := serve.Poisson{Rate: 128e3, Seed: 2}.Times(len(tasks))
-	rz, zrecs := RunZoruaOpenLoop(tasks, OpenLoop{Arrivals: arr}, unity)
-	rh, hrecs := RunHyperQOpenLoop(tasks, OpenLoop{Arrivals: arr}, cfg)
+	zorua, _ := SchemeByKey("zorua")
+	hyperq, _ := SchemeByKey("hyperq")
+	rz, zrecs := zorua.RunOpenLoop(tasks, OpenLoop{Arrivals: arr}, unity)
+	rh, hrecs := hyperq.RunOpenLoop(tasks, OpenLoop{Arrivals: arr}, cfg)
 	if rz != rh {
 		t.Errorf("open loop diverged at unity:\n zorua  %+v\n hyperq %+v", rz, rh)
 	}

@@ -2,7 +2,7 @@ package runners
 
 import (
 	"repro/internal/gpu"
-	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -37,15 +37,8 @@ func RunZorua(tasks []workloads.TaskDef, cfg Config) Result {
 	return runKernelPerTask(tasks, cfg, zoruaOversub(cfg))
 }
 
-// RunZoruaOpenLoop executes timed arrivals under the zorua scheme. Start and
-// Done semantics match RunHyperQOpenLoop (kernel dispatchable / output
-// delivered); serve spans land on the "serve-zorua" track.
-func RunZoruaOpenLoop(tasks []workloads.TaskDef, ol OpenLoop, cfg Config) (Result, []serve.Record) {
-	return runKernelPerTaskOpenLoop(tasks, ol, cfg, zoruaOversub(cfg), "zorua")
-}
-
-// RunZoruaCluster executes timed arrivals on a fleet of virtualized devices.
-// Routing, admission and Start/Done semantics match RunHyperQCluster.
-func RunZoruaCluster(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config) (Result, ClusterRun) {
-	return runKernelPerTaskCluster(tasks, co, cfg, zoruaOversub(cfg), "zorua")
+// newZoruaNode builds one virtualized kernel-per-task fleet node: HyperQ's
+// host path and Start/Done semantics over an oversubscribed device.
+func newZoruaNode(eng *sim.Engine, b nodeBase) fleetNode {
+	return newKernelPerTaskNode(eng, b, zoruaOversub(b.cfg))
 }

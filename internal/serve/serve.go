@@ -8,8 +8,9 @@
 // Pagoda, HyperQ or GeMTC. Generators produce arrival timestamps in virtual
 // cycles, policies decide admission from (virtual time, in-flight count), and
 // Summarize folds the per-task Records a timed runner returns into tail
-// statistics. internal/runners provides the timed-submission paths
-// (RunPagodaOpenLoop, ...) that consume arrivals and produce Records;
+// statistics. internal/runners provides the timed-submission path
+// (Scheme.RunOpenLoop, a one-node fleet, and Scheme.RunCluster) that
+// consumes arrivals and produces Records;
 // internal/harness wires both into the serve_latency and serve_capacity
 // experiments.
 //

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Timer is a cancellable, re-armable one-shot timer. Unlike raw Schedule
 // calls, a Timer can be Stopped or re-Reset before it fires. The timer owns a
 // single indexed entry in the engine's event heap: ResetAt re-keys that entry
@@ -22,6 +24,21 @@ func NewTimer(e *Engine, fn func()) *Timer {
 
 // Reset arms the timer to fire after delay, cancelling any earlier arming.
 func (t *Timer) Reset(delay Time) { t.ResetAt(t.eng.now + delay) }
+
+// ResetForward is Reset for a timer that must move the clock: when delay is
+// below the clock's float64 ulp (now+delay == now), it fires at the next
+// representable instant instead of now. Fair-share resources rearm with it —
+// far into a run a tiny residual drain delay would otherwise re-fire at one
+// instant forever, each settle seeing dt=0 and draining nothing; one ulp's
+// drain exceeds the residue, so the flow completes there.
+func (t *Timer) ResetForward(delay Time) {
+	now := t.eng.now
+	if at := now + delay; at != now {
+		t.ResetAt(at)
+		return
+	}
+	t.ResetAt(math.Nextafter(now, math.Inf(1)))
+}
 
 // ResetAt arms the timer to fire at absolute time at, cancelling any earlier
 // arming. An armed timer's queue entry is re-keyed in place; re-arming never

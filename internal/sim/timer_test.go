@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestTimerFires(t *testing.T) {
 	e := New()
@@ -57,6 +60,35 @@ func TestTimerRearmAfterFire(t *testing.T) {
 	e.Run()
 	if len(fires) != 3 || fires[2] != 15 {
 		t.Fatalf("fires = %v, want [5 10 15]", fires)
+	}
+}
+
+// TestTimerResetForwardSubUlpDelay: with the clock far enough out that
+// now+delay == now, ResetForward fires one representable instant later
+// instead of at now; a delay the clock can resolve fires exactly as Reset.
+func TestTimerResetForwardSubUlpDelay(t *testing.T) {
+	const far = Time(1 << 60) // float64 ulp here is 256 cycles
+	e := New()
+	var fires []Time
+	tm := NewTimer(e, func() { fires = append(fires, e.Now()) })
+	e.ScheduleAt(far, func() {
+		if far+0.5 != far {
+			t.Error("0.5-cycle delay is resolvable at the test instant")
+		}
+		tm.ResetForward(0.5)
+	})
+	e.Run()
+	if want := math.Nextafter(far, math.Inf(1)); len(fires) != 1 || fires[0] != want {
+		t.Fatalf("fires = %v, want [%v]", fires, want)
+	}
+
+	e = New()
+	tm = NewTimer(e, func() { fires = append(fires, e.Now()) })
+	fires = nil
+	tm.ResetForward(25)
+	e.Run()
+	if len(fires) != 1 || fires[0] != 25 {
+		t.Fatalf("resolvable delay: fires = %v, want [25]", fires)
 	}
 }
 

@@ -99,10 +99,12 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 		tids[n] = i + 1
 	}
 
+	// Metadata follows the sorted track order, never map order, so the
+	// output bytes are a function of the spans alone.
 	var out []any
-	for name, tid := range tids {
+	for i, name := range ordered {
 		out = append(out, chromeMeta{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
+			Name: "thread_name", Ph: "M", Pid: 1, Tid: i + 1,
 			Args: map[string]any{"name": name},
 		})
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -76,6 +77,37 @@ func TestChromeJSONWellFormed(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("task span missing from JSON")
+	}
+}
+
+// TestChromeJSONByteDeterministic writes one 12-track trace twice: the bytes
+// must match, with thread_name metadata in sorted track order.
+func TestChromeJSONByteDeterministic(t *testing.T) {
+	tr := New()
+	for i := 0; i < 12; i++ {
+		tr.Add(Span{Name: SpanName("task", int64(i)), Cat: "task",
+			Track: fmt.Sprintf("MTB%02d", (7*i)%12), Start: float64(i), End: float64(i + 5)})
+	}
+	write := func() []byte {
+		var buf bytes.Buffer
+		if err := tr.WriteChromeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := write()
+	if again := write(); !bytes.Equal(first, again) {
+		t.Fatalf("two writes of one trace differ:\n%s\n%s", first, again)
+	}
+	var arr []map[string]any
+	if err := json.Unmarshal(first, &arr); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range tr.Tracks() {
+		meta := arr[i]
+		if meta["ph"] != "M" || meta["args"].(map[string]any)["name"] != want || meta["tid"].(float64) != float64(i+1) {
+			t.Errorf("metadata %d = %v, want thread_name %q with tid %d", i, meta, want, i+1)
+		}
 	}
 }
 
