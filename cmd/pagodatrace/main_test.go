@@ -224,15 +224,17 @@ func TestAutoscaleTraceSmoke(t *testing.T) {
 	}
 }
 
-// TestTraceModesByteIdentical runs the fleet, tenant and elastic modes twice
-// each: the trace files and the printed summaries must match byte for byte.
+// TestTraceModesByteIdentical runs the plain closed-loop, fleet, tenant and
+// elastic modes twice each: the trace files and the printed summaries must
+// match byte for byte.
 func TestTraceModesByteIdentical(t *testing.T) {
 	modes := map[string][]string{
+		"plain":     {"-bench", "MB", "-tasks", "48", "-smms", "4"},
 		"nodes":     {"-bench", "MB", "-tasks", "48", "-smms", "4", "-nodes", "8"},
 		"tenants":   {"-bench", "XFMR", "-tasks", "48", "-smms", "4", "-tenants", "3", "-rate", "192e3"},
 		"autoscale": {"-bench", "MB", "-tasks", "96", "-smms", "4", "-autoscale", "reactive", "-minnodes", "1", "-maxnodes", "4"},
 	}
-	for _, mode := range []string{"nodes", "tenants", "autoscale"} {
+	for _, mode := range []string{"plain", "nodes", "tenants", "autoscale"} {
 		t.Run(mode, func(t *testing.T) {
 			var files [2][]byte
 			var summaries [2]string

@@ -63,6 +63,10 @@ type ClusterOpenLoop struct {
 	// on a per-node track ("node00/serve-pagoda", ...). Track names are
 	// zero-padded so lexicographic track ordering is node ordering.
 	Trace *trace.Tracer
+
+	// closedLoop makes each node stamp Submit at its own presentation point
+	// instead of the arrival instant (see runClosedLoop).
+	closedLoop bool
 }
 
 // normalize folds a disabled scaler into the fixed-fleet shape: Min == Max
@@ -167,8 +171,21 @@ type fleetNode interface {
 // admission hooks; the node embeds it.
 type nodeFactory func(eng *sim.Engine, b nodeBase) fleetNode
 
+// runClosedLoop runs a pre-built batch — the closed loop of Figs. 5-11 — as
+// a one-node round-robin fleet that receives every task at t0. Each node
+// stamps Submit where the host presents the task to the device (Pagoda: its
+// taskSpawn; GeMTC: its batch's SuperKernel launch), so a record's latency
+// is the closed loop's spawn-to-completion latency. Kernel-per-task schemes
+// keep their own closed loop (runKernelPerTask).
+func runClosedLoop(tasks []workloads.TaskDef, cfg Config, scheme string, newNode nodeFactory) Result {
+	co := ClusterOpenLoop{Arrivals: make([]sim.Time, len(tasks)), closedLoop: true}
+	res, _ := runFleet(tasks, co, cfg, scheme, newNode)
+	return res
+}
+
 // runFleet is the one timed-arrival engine behind every scheme: fixed
-// fleets, elastic fleets and (as one node) the single-device open loop. A
+// fleets, elastic fleets and (as one node) the single-device open loop and
+// the Pagoda/GeMTC closed loop. A
 // cluster.Dispatcher routes each arrival over a cluster.Fleet — a
 // StaticFleet of co.Nodes nodes, or, when co.Scaler asks for elasticity, an
 // autoscale.Fleet that builds nodes on demand while a controller process
@@ -187,7 +204,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	var scaler *autoscale.Fleet
 	provision := func(id int) cluster.Node {
 		b := nodeBase{name: fmt.Sprintf("node%02d", id), tasks: tasks, recs: recs, cfg: cfg,
-			admit: co.nodeAdmit(), admitTask: co.AdmitTask}
+			admit: co.nodeAdmit(), admitTask: co.AdmitTask, closedLoop: co.closedLoop}
 		if elastic {
 			// Completions feed the scaler's rolling-p99 signal; recs[ti] is
 			// fully stamped before noteDone fires (the noteDone contract).
@@ -248,17 +265,18 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 // nodeBase carries the inputs, accounting and admission state every backend
 // shares. All fields are touched only under the engine baton.
 type nodeBase struct {
-	name      string
-	tasks     []workloads.TaskDef
-	recs      []serve.Record // fleet-wide, indexed by task
-	cfg       Config
-	view      cluster.NodeView
-	admit     func(sim.Time, int) bool
-	admitTask func(int, sim.Time, int) bool // fleet-wide, takes precedence
-	onDone    func(ti int)                  // completion hook (elastic fleets)
-	admitted  int
-	completed int
-	closed    bool
+	name       string
+	tasks      []workloads.TaskDef
+	recs       []serve.Record // fleet-wide, indexed by task
+	cfg        Config
+	view       cluster.NodeView
+	admit      func(sim.Time, int) bool
+	admitTask  func(int, sim.Time, int) bool // fleet-wide, takes precedence
+	onDone     func(ti int)                  // completion hook (elastic fleets)
+	closedLoop bool                          // stamp Submit at presentation
+	admitted   int
+	completed  int
+	closed     bool
 }
 
 func (n *nodeBase) Name() string           { return n.name }
@@ -292,7 +310,8 @@ func (n *nodeBase) noteDone(ti int) {
 // and the last feeder to drain shuts the runtime down. Per-task Start is the
 // instant the scheduler warp picked the task up and Done its device-side
 // completion, observed through the runtime's OnTaskDone hook rather than
-// host polling.
+// host polling. In a closed loop Submit is the spawn instant, so a record's
+// latency is the runtime's own spawn-to-completion latency.
 type pagodaNode struct {
 	nodeBase
 	sys     *system
@@ -314,21 +333,33 @@ func newPagodaNode(eng *sim.Engine, b nodeBase) fleetNode {
 		idxOf:    map[core.TaskID]int{},
 		outBytes: map[core.TaskID]int{},
 	}
-	n.rt = core.NewRuntime(n.sys.ctx, core.DefaultConfig())
-	n.rt.OnTaskDone = func(id core.TaskID, _, sched, end sim.Time) {
+	ccfg := core.DefaultConfig()
+	if n.cfg.PagodaBatching {
+		ccfg.Batching = true
+		if n.cfg.GeMTCBatch > 0 {
+			ccfg.BatchSize = n.cfg.GeMTCBatch // "same batch size as GeMTC's"
+		}
+	}
+	n.rt = core.NewRuntime(n.sys.ctx, ccfg)
+	n.rt.OnTaskDone = func(id core.TaskID, spawn, sched, end sim.Time) {
 		ti, ok := n.idxOf[id]
 		if !ok {
 			return
 		}
 		delete(n.idxOf, id)
+		if n.closedLoop {
+			n.recs[ti].Submit = spawn
+		}
 		n.recs[ti].Start = sched
 		n.recs[ti].Done = end
 		n.noteDone(ti)
 	}
 
-	// Output copies chain off host-observed completions exactly as in the
-	// closed-loop runner: a collector polls the TaskTable so D2H transfers
-	// overlap ongoing compute.
+	// Output copies chain off host-observed completions: when a copy-back
+	// reveals a finished task, its D2H output transfer goes on the wire,
+	// overlapping with ongoing compute. A collector polls the TaskTable so
+	// completions are observed while compute is still in flight — the
+	// Fig. 1a pattern of a nested wait()+memcpy task per spawned task.
 	if n.cfg.CopyData {
 		n.rt.OnHostObservedDone = func(id core.TaskID) {
 			if out := n.outBytes[id]; out > 0 {
@@ -338,7 +369,7 @@ func newPagodaNode(eng *sim.Engine, b nodeBase) fleetNode {
 		}
 		eng.Spawn(n.name+"-collector", func(p *sim.Proc) {
 			for {
-				p.Sleep(64_000) // 64 us polling cadence, as in the closed loop
+				p.Sleep(64_000) // 64 us polling cadence
 				if n.allSpawned && len(n.outBytes) == 0 {
 					return
 				}
@@ -544,14 +575,31 @@ func (n *hyperqNode) devMetrics(sim.Time) (float64, float64) {
 // ---------------------------------------------------------------------------
 // GeMTC backend
 
-// gemtcNode is one GeMTC SuperKernel device behind the dispatcher. Admission
-// is consulted at the arrival instant, admitted tasks join the node's
-// host-side FIFO, and a dispatch proc launches a SuperKernel over the
-// queue's current contents (up to the batch cap) whenever the device is
-// free. Batch semantics are the closed-loop runner's: a task's Start is its
-// batch's launch and its Done the whole batch's end, so under sparse
-// traffic a task pays the batch round-trip alone and under bursts it waits
-// for stragglers — the latency property Fig. 10 contrasts with.
+// gemtcNode reproduces the GeMTC baseline (Krieder et al., HPDC'14): a
+// SuperKernel whose threadblocks act as workers, pulling tasks from a single
+// FIFO queue in device memory with global atomics, launched batch by batch.
+// The three properties the paper contrasts with are modelled directly:
+//
+//  1. batch-based launching — no new tasks enter until the whole previous
+//     batch (SuperKernel launch) completes, so a batch's makespan is its
+//     longest task;
+//  2. a single queue — every pop serializes on one global atomic;
+//  3. threadblock granularity — each task occupies one worker threadblock
+//     for its whole duration, and the SuperKernel's fixed threadblock size
+//     limits occupancy.
+//
+// GeMTC has no shared-memory support ("the GeMTC versions do not use shared
+// memory"), so tasks run with HasShared()==false regardless of their spec.
+//
+// Behind the dispatcher, admission is consulted at the arrival instant,
+// admitted tasks join the node's host-side FIFO, and a dispatch proc
+// launches a SuperKernel over the queue's current contents (up to the batch
+// cap) whenever the device is free. A task's Start is its batch's launch and
+// its Done the whole batch's end — a task is only available to the host when
+// the whole batch is — so under sparse traffic a task pays the batch
+// round-trip alone and under bursts it waits for stragglers, the latency
+// property Fig. 10 contrasts with. In a closed loop Submit is the launch
+// too, so a record's latency is its batch's round trip.
 type gemtcNode struct {
 	nodeBase
 	sys     *system
@@ -587,17 +635,18 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 	if batchCap <= 0 {
 		batchCap = 1536
 	}
-	workerThreads := n.cfg.GeMTCThreads
-	if workerThreads <= 0 {
-		for i := range n.tasks {
-			if n.tasks[i].Threads > workerThreads {
-				workerThreads = n.tasks[i].Threads
-			}
+	// Worker threadblock width: the evaluation uses the task's thread count
+	// (uniform within a benchmark run; for mixes, the maximum).
+	workerThreads := 0
+	for i := range n.tasks {
+		if n.tasks[i].Threads > workerThreads {
+			workerThreads = n.tasks[i].Threads
 		}
 	}
 	if workerThreads == 0 {
 		workerThreads = 128
 	}
+	// Worker count: fill the device at this threadblock size.
 	occ := gpu.TheoreticalOccupancy(n.sys.dev.Cfg, gpu.LaunchSpec{
 		BlockThreads: workerThreads, RegsPerThread: 32,
 	})
@@ -679,6 +728,9 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 		}
 		batchEnd := n.sys.eng.Now()
 		for _, ti := range batch {
+			if n.closedLoop {
+				n.recs[ti].Submit = launchStart
+			}
 			n.recs[ti].Start = launchStart
 			n.recs[ti].Done = batchEnd
 			n.noteDone(ti)

@@ -1,152 +1,10 @@
 package runners
 
-import (
-	"repro/internal/gpu"
-	"repro/internal/sim"
-	"repro/internal/workloads"
-)
+import "repro/internal/workloads"
 
-// RunGeMTC reproduces the GeMTC baseline (Krieder et al., HPDC'14): a
-// SuperKernel whose threadblocks act as workers, pulling tasks from a single
-// FIFO queue in device memory with global atomics, launched batch by batch.
-// The three properties the paper contrasts with are modelled directly:
-//
-//  1. batch-based launching — no new tasks enter until the whole previous
-//     batch (SuperKernel launch) completes, so a batch's makespan is its
-//     longest task;
-//  2. a single queue — every pop serializes on one global atomic;
-//  3. threadblock granularity — each task occupies one worker threadblock
-//     for its whole duration, and the SuperKernel's fixed threadblock size
-//     limits occupancy.
-//
-// GeMTC has no shared-memory support ("the GeMTC versions do not use shared
-// memory"), so tasks run with HasShared()==false regardless of their spec.
+// RunGeMTC executes the task stream on the GeMTC baseline (see gemtcNode):
+// the one-node fleet with every task presented at t0, so SuperKernel
+// launches take back-to-back batches of the whole stream.
 func RunGeMTC(tasks []workloads.TaskDef, cfg Config) Result {
-	sys := newSystem(cfg)
-
-	batch := cfg.GeMTCBatch
-	if batch <= 0 {
-		batch = 1536
-	}
-
-	// Worker threadblock width: the evaluation uses the task's thread count
-	// (uniform within a benchmark run; for mixes, the maximum).
-	workerThreads := cfg.GeMTCThreads
-	if workerThreads <= 0 {
-		for _, td := range tasks {
-			if td.Threads > workerThreads {
-				workerThreads = td.Threads
-			}
-		}
-	}
-	if workerThreads == 0 {
-		workerThreads = 128
-	}
-
-	// Worker count: fill the device at this threadblock size.
-	occ := gpu.TheoreticalOccupancy(sys.dev.Cfg, gpu.LaunchSpec{
-		BlockThreads: workerThreads, RegsPerThread: 32,
-	})
-	workers := occ.TBsPerSMM * sys.dev.Cfg.NumSMMs
-
-	queueSite := gpu.NewAtomicSite(sys.eng, sys.dev.Cfg.AtomicGlobalLatency)
-
-	lats := make([]sim.Time, 0, len(tasks))
-
-	var endTime sim.Time
-	sys.eng.Spawn("gemtc-host", func(p *sim.Proc) {
-		stream := sys.ctx.NewStream()
-		for lo := 0; lo < len(tasks); lo += batch {
-			hi := lo + batch
-			if hi > len(tasks) {
-				hi = len(tasks)
-			}
-			cur := tasks[lo:hi]
-			spawnTime := sys.eng.Now()
-
-			// Copy the batch's descriptors and inputs, then launch the
-			// SuperKernel.
-			desc := 64 * len(cur)
-			in := 0
-			for i := range cur {
-				if cfg.CopyData {
-					in += cur[i].InBytes
-				}
-			}
-			stream.MemcpyH2D(p, desc+in, nil)
-
-			next := 0                       // single FIFO queue head
-			claimed := make([]int, workers) // per-worker claimed task index
-			h := stream.Launch(p, gpu.LaunchSpec{
-				Name:          "SuperKernel",
-				GridDim:       workers,
-				BlockThreads:  workerThreads,
-				RegsPerThread: 32,
-				Fn: func(c *gpu.Ctx) {
-					for {
-						// Warp 0 of the worker pops from the single FIFO
-						// queue (one serialized global atomic per pop); the
-						// whole block then runs the claimed task.
-						if c.WarpInBlock == 0 {
-							c.AtomicGlobal(queueSite)
-							if next < len(cur) {
-								claimed[c.BlockIdx] = next
-								next++
-							} else {
-								claimed[c.BlockIdx] = -1
-							}
-						}
-						c.SyncBlock()
-						idx := claimed[c.BlockIdx]
-						if idx < 0 {
-							return
-						}
-						td := &cur[idx]
-						// The whole worker threadblock runs the task (the
-						// SuperKernel's threadblock width is the task width;
-						// under MPE mixes narrow tasks are padded to it).
-						td.Kernel(&warpAdapter{
-							g:        c,
-							threads:  workerThreads,
-							blocks:   1,
-							blockIdx: 0,
-							warpInBl: c.WarpInBlock,
-						})
-						c.SyncBlock()
-					}
-				},
-			})
-			h.Wait(p)
-
-			// Copy the batch's outputs back; only now is the batch over.
-			out := 0
-			for i := range cur {
-				if cfg.CopyData {
-					out += cur[i].OutBytes
-				}
-			}
-			if out > 0 {
-				stream.MemcpyD2H(p, out, nil)
-				stream.Sync(p)
-			}
-			batchEnd := sys.eng.Now()
-			for range cur {
-				// Batch semantics: a task is only available to the host when
-				// the whole batch is (the latency property of Fig. 10).
-				lats = append(lats, batchEnd-spawnTime)
-			}
-		}
-		endTime = sys.eng.Now()
-	})
-	sys.eng.Run()
-
-	m := sys.dev.Metrics()
-	r := Result{
-		Elapsed:   endTime,
-		Occupancy: m.AvgOccupancy,
-		IssueUtil: m.IssueUtil,
-		Tasks:     len(lats),
-	}
-	r.fillLatencies(lats)
-	return r
+	return runClosedLoop(tasks, cfg, "gemtc", newGeMTCNode)
 }

@@ -21,7 +21,10 @@ func RunHyperQ(tasks []workloads.TaskDef, cfg Config) Result {
 
 // runKernelPerTask is the shared kernel-per-task closed-loop engine: HyperQ
 // runs it on the static device (zero Oversub), zorua on a virtualized one —
-// the two schemes differ only in how the device admits threadblocks.
+// the two schemes differ only in how the device admits threadblocks. Unlike
+// Pagoda's and GeMTC's it is not a one-node fleet: each of its Spawners
+// hosts waits on its handles in order, so latency is host-observed
+// (DESIGN.md §7).
 func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Result {
 	sys := newSystem(cfg)
 	if ov.Enabled() {
@@ -40,15 +43,12 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 	parts := splitRoundRobin(tasks, spawners)
 
 	lats := make([]sim.Time, 0, len(tasks))
-	finishedSpawners := 0
-	var endTime sim.Time
 
 	for s := 0; s < spawners; s++ {
 		s := s
 		sys.eng.Spawn(fmt.Sprintf("hq-host%d", s), func(p *sim.Proc) {
 			var handles []*cuda.KernelHandle
 			var spawnTimes []sim.Time
-			var outs []int
 			for _, ti := range parts[s] {
 				td := &tasks[ti]
 				stream := streams[ti%numStreams]
@@ -59,7 +59,6 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 				h := stream.Launch(p, hyperqSpec(td))
 				if cfg.CopyData && td.OutBytes > 0 {
 					stream.MemcpyD2H(p, td.OutBytes, nil)
-					outs = append(outs, td.OutBytes)
 				}
 				handles = append(handles, h)
 			}
@@ -70,17 +69,13 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 			for _, st := range streams {
 				st.Sync(p)
 			}
-			finishedSpawners++
-			if finishedSpawners == spawners {
-				endTime = sys.eng.Now()
-			}
 		})
 	}
-	sys.eng.Run()
+	end := sys.eng.Run()
 
 	m := sys.dev.Metrics()
 	r := Result{
-		Elapsed:   endTime,
+		Elapsed:   end,
 		Occupancy: m.AvgOccupancy,
 		IssueUtil: m.IssueUtil,
 		Tasks:     len(lats),

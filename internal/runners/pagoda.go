@@ -1,112 +1,13 @@
 package runners
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/cuda"
-	"repro/internal/pcie"
-	"repro/internal/sim"
-	"repro/internal/workloads"
-)
+import "repro/internal/workloads"
 
 // RunPagoda executes the task stream on the Pagoda runtime: spawner threads
 // copy each task's input asynchronously and call taskSpawn immediately (the
 // continuous-spawning model of Fig. 1a); output copies are enqueued as the
 // host observes completions through the lazy copy-back protocol; waitAll
-// drains the tail.
+// drains the tail. It is the one-node fleet (pagodaNode) with every task
+// presented at t0.
 func RunPagoda(tasks []workloads.TaskDef, cfg Config) Result {
-	sys := newSystem(cfg)
-	ccfg := core.DefaultConfig()
-	if cfg.PagodaBatching {
-		ccfg.Batching = true
-		if cfg.GeMTCBatch > 0 {
-			ccfg.BatchSize = cfg.GeMTCBatch // "same batch size as GeMTC's"
-		}
-	}
-	rt := core.NewRuntime(sys.ctx, ccfg)
-
-	spawners := cfg.Spawners
-	if spawners <= 0 {
-		spawners = 1
-	}
-	parts := splitRoundRobin(tasks, spawners)
-
-	// Output copies chain off host-observed completions: when a copy-back
-	// reveals a finished task, its D2H output transfer goes on the wire,
-	// overlapping with ongoing compute.
-	outBytes := make(map[core.TaskID]int, len(tasks))
-	if cfg.CopyData {
-		rt.OnHostObservedDone = func(id core.TaskID) {
-			if b := outBytes[id]; b > 0 {
-				delete(outBytes, id)
-				sys.bus.TransferAsync(pcie.DeviceToHost, b, nil)
-			}
-		}
-	}
-
-	// A collector thread polls the TaskTable so completions (and therefore
-	// output copies) are observed while compute is still in flight — the
-	// Fig. 1a pattern of a nested wait()+memcpy task per spawned task.
-	allSpawned := false
-	if cfg.CopyData {
-		sys.eng.Spawn("collector", func(p *sim.Proc) {
-			for {
-				p.Sleep(64_000) // 64 us polling cadence
-				if allSpawned && len(outBytes) == 0 {
-					return
-				}
-				rt.PollCompletions(p)
-			}
-		})
-	}
-
-	streams := make([]*cuda.Stream, spawners)
-	finished := 0
-	for s := 0; s < spawners; s++ {
-		s := s
-		streams[s] = sys.ctx.NewStream()
-		sys.eng.Spawn(fmt.Sprintf("spawner%d", s), func(p *sim.Proc) {
-			for _, ti := range parts[s] {
-				td := &tasks[ti]
-				if cfg.CopyData && td.InBytes > 0 {
-					streams[s].MemcpyH2DPipelined(p, td.InBytes, nil)
-				}
-				id := rt.TaskSpawn(p, core.TaskSpec{
-					Threads:   td.Threads,
-					Blocks:    td.Blocks,
-					SharedMem: td.SharedMem,
-					Sync:      td.Sync,
-					ArgBytes:  td.ArgBytes,
-					Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
-				})
-				if cfg.CopyData && td.OutBytes > 0 {
-					outBytes[id] = td.OutBytes
-				}
-			}
-			finished++
-			if finished < spawners {
-				return
-			}
-			// The last spawner to finish drains everything.
-			allSpawned = true
-			rt.WaitAll(p)
-			for _, st := range streams {
-				st.Sync(p)
-			}
-			rt.Shutdown(p)
-		})
-	}
-	end := sys.eng.Run()
-
-	st := rt.Stats()
-	m := sys.dev.Metrics()
-	r := Result{
-		Elapsed:   end,
-		Occupancy: rt.TaskWarpOccupancy(end),
-		IssueUtil: m.IssueUtil,
-		Tasks:     st.Completed,
-	}
-	r.fillLatencies(rt.Latencies())
-	return r
+	return runClosedLoop(tasks, cfg, "pagoda", newPagodaNode)
 }

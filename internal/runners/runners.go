@@ -35,11 +35,10 @@ type Config struct {
 	Spawners int  // host threads feeding tasks (paper: 2)
 	CopyData bool // include per-task input/output PCIe copies
 
-	// GeMTCBatch is the FIFO batch size (tasks per SuperKernel launch).
+	// GeMTCBatch is the FIFO batch size (tasks per SuperKernel launch). The
+	// SuperKernel's worker threadblock width is the widest task's thread
+	// count (the paper's "modified" GeMTC).
 	GeMTCBatch int
-	// GeMTCThreads is the SuperKernel worker threadblock width; 0 uses each
-	// task's own thread count (the paper's "modified" GeMTC).
-	GeMTCThreads int
 
 	// FusedThreads is the uniform per-subtask thread count under static
 	// fusion (paper: 256).
