@@ -92,8 +92,8 @@ func Stamp() int64 { return time.Now().UnixNano() }
 func TestVerboseReportsSuppressions(t *testing.T) {
 	chdir(t, filepath.Join("..", ".."))
 	var out, errw strings.Builder
-	if code := run(&out, &errw, []string{"-v", "./internal/sim"}); code != 0 {
-		t.Fatalf("pagodavet -v ./internal/sim = %d\nstderr:\n%s", code, errw.String())
+	if code := run(&out, &errw, []string{"-v", "./internal/harness"}); code != 0 {
+		t.Fatalf("pagodavet -v ./internal/harness = %d\nstderr:\n%s", code, errw.String())
 	}
 	if !strings.Contains(out.String(), "(suppressed)") {
 		t.Errorf("-v output missing suppressed findings:\n%s", out.String())

@@ -8,10 +8,10 @@ import (
 )
 
 // Rawgo flags `go` statements anywhere outside internal/sim. The engine's
-// baton-passing design (one runnable goroutine at a time, handoff over
-// unbuffered channels) is what makes the simulator deterministic; a raw
-// goroutine runs outside the baton and races the event loop. Concurrency in
-// simulation and driver code must be expressed as engine processes
+// baton design (one runnable process at a time, each on a coroutine that a
+// single dispatch loop resumes) is what makes the simulator deterministic; a
+// raw goroutine runs outside the baton and races the event loop. Concurrency
+// in simulation and driver code must be expressed as engine processes
 // (sim.Engine.Spawn).
 var Rawgo = &analysis.Analyzer{
 	Name: "rawgo",

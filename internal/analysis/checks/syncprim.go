@@ -23,8 +23,9 @@ var syncprimBanned = map[string]bool{
 // internal/sim. Proc code paths must block on the engine's primitives
 // (sim.Sem, sim.Signal, sim.Timer): those wake in deterministic virtual-time
 // order, whereas a mutex or channel wakes in whatever order the Go runtime
-// picks. internal/sim itself is exempt — the baton handoff is built from one
-// unbuffered channel per proc, and that is exactly where such code belongs.
+// picks. internal/sim itself is exempt: its process-wide pool of idle proc
+// coroutines is shared by engines on different goroutines and guarded by a
+// mutex, and that is exactly where such code belongs.
 var Syncprim = &analysis.Analyzer{
 	Name: "syncprim",
 	Doc:  "forbid sync primitives and raw channel ops outside internal/sim; block on sim.Sem/sim.Signal/sim.Timer",

@@ -91,3 +91,34 @@ func TestFaultsDoNotLeakResources(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseIsNotATaskFault: Engine.Close unwinding a warp parked inside a
+// task kernel passes through the isolation recover; no fault is counted and
+// the fault hook never fires.
+func TestCloseIsNotATaskFault(t *testing.T) {
+	eng, rt := faultSystem(t)
+	faults := 0
+	rt.OnTaskFault = func(TaskID, any) { faults++ }
+	unwound := false
+	eng.Spawn("host", func(p *sim.Proc) {
+		rt.TaskSpawn(p, TaskSpec{
+			Threads: 32, Blocks: 1,
+			Kernel: func(tc *TaskCtx) {
+				defer func() { unwound = true }()
+				tc.gc.Proc().Block() // parks until Close
+			},
+		})
+		rt.WaitAll(p)
+	})
+	eng.RunUntil(1e6) // the scheduler warps poll until Shutdown, which never comes
+	if got := eng.BlockedProcs(); len(got) == 0 {
+		t.Fatal("no process parked; the kernel did not block")
+	}
+	eng.Close()
+	if !unwound || eng.LiveProcs() != 0 {
+		t.Fatalf("unwound = %v, LiveProcs = %d; want the kernel unwound and no live process", unwound, eng.LiveProcs())
+	}
+	if faults != 0 || rt.Stats().Failed != 0 {
+		t.Fatalf("Close counted as a task fault: hook calls %d, Stats.Failed %d", faults, rt.Stats().Failed)
+	}
+}

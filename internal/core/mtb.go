@@ -310,6 +310,9 @@ func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
+			if sim.Unwinding(r) {
+				panic(r) // Engine.Close, not a task fault
+			}
 			rt.failedTasks++
 			if rt.OnTaskFault != nil {
 				rt.OnTaskFault(e.id, r)

@@ -118,7 +118,9 @@ func CompareCPUSchemes(cfg Config, mkTasks func() []Task) []SchemeResult {
 	}
 	out := make([]SchemeResult, 0, len(runs))
 	for _, run := range runs {
-		out = append(out, run(sim.New(), cfg, mkTasks()))
+		eng := sim.New()
+		out = append(out, run(eng, cfg, mkTasks()))
+		eng.Close()
 	}
 	return out
 }

@@ -107,6 +107,9 @@ type ClusterRun struct {
 	// Scale is the autoscaler's outcome — scale events, node lifecycle
 	// spans and the node-seconds cost ledger. Nil for fixed-fleet runs.
 	Scale *autoscale.Outcome
+
+	// Engine is the shared engine's work: events fired and proc resumes.
+	Engine sim.Stats
 }
 
 // CheckConservation verifies submitted = done + dropped per node and
@@ -199,6 +202,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	co = co.normalize()
 	elastic := co.Scaler.Enabled()
 	eng := sim.New()
+	defer eng.Close()
 	recs := make([]serve.Record, len(tasks))
 	var nodes []fleetNode
 	var scaler *autoscale.Fleet
@@ -241,7 +245,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	end := eng.Run()
 
 	res := openLoopResult(end, recs)
-	cr := ClusterRun{Recs: recs, NodeOf: nodeOf,
+	cr := ClusterRun{Recs: recs, NodeOf: nodeOf, Engine: eng.Stats(),
 		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
 	var occ, iu float64
 	for i, n := range nodes {

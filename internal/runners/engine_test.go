@@ -1,0 +1,55 @@
+package runners
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/serve"
+	"repro/internal/sim"
+	"repro/internal/workloads"
+)
+
+// TestEngineStatsPinned pins the engine's work counters for one fig5 Pagoda
+// cell and one single-device open-loop cell. The counts are deterministic,
+// so a change that adds events or coroutine switches shows up here as a
+// number, not as noise in a wall-clock gate. Re-capture them only for an
+// intentional change to how the model schedules work, and say why.
+func TestEngineStatsPinned(t *testing.T) {
+	mb, _ := workloads.ByName("MB")
+	cfg := DefaultConfig()
+	cfg.SMMs = 8
+	tasks := mb.Make(workloads.Options{Tasks: 256, Threads: 128, Seed: 1})
+	_, closed := runFleet(tasks, ClusterOpenLoop{Arrivals: make([]sim.Time, len(tasks)), closedLoop: true},
+		cfg, "pagoda", newPagodaNode)
+	if want := (sim.Stats{Events: 549680, Handoffs: 244857, SelfResumes: 79049}); closed.Engine != want {
+		t.Errorf("fig5 MB Pagoda cell: Stats = %#v, want %#v", closed.Engine, want)
+	}
+
+	ol := olTasks(t, 48)
+	arr := serve.Poisson{Rate: 50e3, Seed: 3}.Times(len(ol))
+	_, open := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "pagoda", newPagodaNode)
+	if want := (sim.Stats{Events: 85914, Handoffs: 26909, SelfResumes: 23227}); open.Engine != want {
+		t.Errorf("open-loop Pagoda cell: Stats = %#v, want %#v", open.Engine, want)
+	}
+}
+
+// TestClosedFleetsLeaveNoGoroutines: runners close their engine, so after
+// one warm-up run fills the coroutine pool, further one-node Pagoda and
+// GeMTC fleets neither start nor strand a goroutine. (The count may drop: an
+// earlier test's goroutines can still be exiting when it is first read.)
+func TestClosedFleetsLeaveNoGoroutines(t *testing.T) {
+	cfg := olConfig()
+	runBoth := func() {
+		tasks := olTasks(t, 32)
+		RunPagoda(tasks, cfg)
+		RunGeMTC(olTasks(t, 32), cfg)
+	}
+	runBoth()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		runBoth()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d after five more closed runs, %d after the warm-up", after, before)
+	}
+}

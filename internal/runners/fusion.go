@@ -16,6 +16,7 @@ import (
 // makespan — fusion "performs the best if all tasks start and end together".
 func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 	sys := newSystem(cfg)
+	defer sys.eng.Close()
 
 	fusedThreads := cfg.FusedThreads
 	if fusedThreads <= 0 {

@@ -27,6 +27,7 @@ func RunHyperQ(tasks []workloads.TaskDef, cfg Config) Result {
 // (DESIGN.md §7).
 func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Result {
 	sys := newSystem(cfg)
+	defer sys.eng.Close()
 	if ov.Enabled() {
 		sys.dev.Virtualize(ov)
 	}

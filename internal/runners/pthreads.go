@@ -11,6 +11,7 @@ import (
 // ("PThreads obtained the best results"). No PCIe copies are involved.
 func RunPThreads(tasks []workloads.TaskDef, cfg Config) Result {
 	eng := sim.New()
+	defer eng.Close()
 	hcfg := hostcpu.Xeon20()
 	if cfg.CPUCores > 0 {
 		hcfg.Cores = cfg.CPUCores

@@ -116,7 +116,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineSleep measures the full Sleep round trip: arm, schedule,
-// yield, self-resume (no channel handoff on this path).
+// yield, self-resume (no coroutine switch on this path).
 func BenchmarkEngineSleep(b *testing.B) {
 	e := New()
 	e.Spawn("sleeper", func(p *Proc) {
@@ -154,8 +154,9 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 }
 
 // BenchmarkProcSwitchPair measures a two-process ping-pong where every
-// switch hands the baton to the *other* process: one channel handoff per
-// switch (previously two).
+// switch hands the baton to the *other* process: two coroutine switches per
+// handoff, through the dispatch loop in RunUntil (previously one channel
+// handoff through the Go scheduler).
 func BenchmarkProcSwitchPair(b *testing.B) {
 	e := New()
 	for k := 0; k < 2; k++ {

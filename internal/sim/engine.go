@@ -2,11 +2,12 @@
 //
 // The engine owns a virtual clock measured in abstract time units (this
 // repository uses GPU cycles, 1 cycle = 1 ns at 1 GHz) and an event queue.
-// Concurrency is expressed with coroutine-style processes (Proc): the engine
-// runs exactly one process at a time and hands the execution baton from
-// goroutine to goroutine over unbuffered channels, so simulations are fully
-// deterministic and free of data races even though every process is a real
-// goroutine.
+// Concurrency is expressed with coroutine-style processes (Proc): each body
+// runs on a pooled iter.Pull coroutine, and the engine runs exactly one
+// process at a time, resuming coroutines from one dispatch loop in RunUntil,
+// so simulations are fully deterministic and free of data races even though
+// every process has its own stack. Close unwinds the processes still parked
+// when a simulation ends.
 //
 // Events scheduled for the same timestamp fire in the order they were
 // scheduled (a monotonically increasing sequence number breaks ties).
@@ -54,25 +55,41 @@ type Engine struct {
 	stopReq bool
 	// stopped latches that the most recent run was halted by Stop.
 	stopped bool
-	// deadline is the active RunUntil bound, visible to whichever goroutine
+	// deadline is the active RunUntil bound, visible to whichever coroutine
 	// currently drives the event loop.
 	deadline Time
-	// done carries the baton back to the goroutine blocked in RunUntil when
-	// the run ends on some process's goroutine.
-	done chan struct{}
-	// current is the process currently holding the execution baton, nil when
-	// the event loop is running.
+	// current is the process the last dispatch handed the baton to, which
+	// the RunUntil loop resumes next.
 	current *Proc
-	// procs counts live processes, for leak diagnostics.
-	procs int
-	// live registers every spawned, unfinished process for BlockedProcs.
-	live map[*Proc]struct{}
+	// yielded says why a coroutine last switched back to the RunUntil loop,
+	// and panicked carries a body's panic value there.
+	yielded  dispatchResult
+	panicked any
+	// head and tail link every spawned, unfinished process in spawn order,
+	// for LiveProcs, BlockedProcs and Close.
+	head, tail *Proc
+	stats      Stats
+}
+
+// Stats counts an engine's work since New. Every count is deterministic:
+// the same simulation yields the same numbers on any host.
+type Stats struct {
+	// Events counts fired queue entries: callbacks, timer expiries and
+	// process resumes. Stale wake-ups are dropped, not fired.
+	Events int64
+	// Handoffs counts resumes that switched coroutines: the baton moved to
+	// a process other than the one driving the event loop.
+	Handoffs int64
+	// SelfResumes counts resumes of the yielding process itself, which
+	// return without any switch.
+	SelfResumes int64
 }
 
 // New returns an engine with the clock at zero.
-func New() *Engine {
-	return &Engine{done: make(chan struct{})}
-}
+func New() *Engine { return &Engine{} }
+
+// Stats returns the engine's work counters.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -168,10 +185,13 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	}
 	e.stopped = false
 	e.deadline = deadline
-	if e.dispatch(nil) == batonHandedOff {
-		// The baton went to a process; the run continues on process
-		// goroutines until whichever of them ends it signals done.
-		<-e.done
+	for r := e.dispatch(nil); r != runEnded; {
+		// The baton went to a process: run it until it hands off, ends the
+		// run or finishes, in which case this loop takes over dispatch.
+		e.switchTo(e.current)
+		if r = e.yielded; r == procExited {
+			r = e.dispatch(nil)
+		}
 	}
 	return e.now
 }
@@ -180,26 +200,27 @@ func (e *Engine) RunUntil(deadline Time) Time {
 type dispatchResult int
 
 const (
-	// runEnded: queue drained, Stop consumed, or deadline reached. Whoever
-	// owns the RunUntil frame must be given the baton back (endRun) unless
-	// the dispatcher is that frame itself.
+	// runEnded: queue drained, Stop consumed, or deadline reached; RunUntil
+	// returns.
 	runEnded dispatchResult = iota
-	// batonHandedOff: a process other than the dispatcher was resumed and now
-	// drives the loop from its own goroutine.
+	// batonHandedOff: the next runnable event resumes e.current, a process
+	// other than the dispatcher; RunUntil's loop switches to it.
 	batonHandedOff
 	// selfResumed: the next runnable event was the dispatcher's own resume —
-	// it simply continues, with no channel handoff at all (the common
-	// Sleep/rearm ping-pong).
+	// it simply continues, with no switch at all (the common Sleep/rearm
+	// ping-pong).
 	selfResumed
+	// procExited: a process body returned (or was unwound) and its
+	// coroutine switched back to RunUntil, which resumes dispatch.
+	procExited
 )
 
-// dispatch drives the event loop on the calling goroutine until the run ends
+// dispatch drives the event loop on the calling coroutine until the run ends
 // or the baton moves. self is the process driving the loop from its yield
-// point (nil when called from RunUntil or a finished process's goroutine):
-// resuming self short-circuits without touching a channel, and resuming any
-// other process costs exactly one channel handoff.
+// point (nil when called from RunUntil): resuming self short-circuits
+// without any switch, and resuming another process is left to RunUntil's
+// loop, two coroutine switches away.
 func (e *Engine) dispatch(self *Proc) dispatchResult {
-	e.current = nil
 	for len(e.queue) > 0 {
 		if e.stopReq {
 			e.stopReq = false
@@ -222,20 +243,24 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 			if p.dead || gen != p.wakeGen || !p.armed {
 				continue // stale wake-up
 			}
+			e.stats.Events++
 			p.armed = false
-			e.current = p
 			if p == self {
+				e.stats.SelfResumes++
 				return selfResumed
 			}
-			p.wake <- struct{}{}
+			e.stats.Handoffs++
+			e.current = p
 			return batonHandedOff
 		case ev.tmr != nil:
+			e.stats.Events++
 			t := ev.tmr
 			t.ev = nil
 			t.set = false
 			e.freeEvent(ev)
 			t.fn()
 		default:
+			e.stats.Events++
 			fn := ev.fn
 			e.freeEvent(ev)
 			fn()
@@ -244,40 +269,30 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 	return runEnded
 }
 
-// endRun hands the baton back to the goroutine blocked in RunUntil. Called by
-// a process goroutine whose dispatch saw the run end.
-func (e *Engine) endRun() { e.done <- struct{}{} }
-
 // Pending returns the number of queued events (diagnostics). Disarmed and
 // superseded timers do not linger in the queue, so this is O(live events).
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // LiveProcs returns the number of spawned processes that have not finished.
-func (e *Engine) LiveProcs() int { return e.procs }
-
-// BlockedProcs returns the names of live processes that have no pending
-// wake-up — the ones parked on a Signal or Block. When Run returns with the
-// queue drained but BlockedProcs is non-empty, those processes are
-// deadlocked; the list is the first thing to print when hunting one.
-func (e *Engine) BlockedProcs() []string {
-	var out []string
-	//pagoda:allow maprange diagnostics-only list, sorted below before it is returned
-	for p := range e.live {
-		if !p.parked || p.dead {
-			continue
-		}
-		out = append(out, p.name)
+func (e *Engine) LiveProcs() int {
+	n := 0
+	for p := e.head; p != nil; p = p.next {
+		n++
 	}
-	sortStrings(out)
-	return out
+	return n
 }
 
-// sortStrings is a tiny insertion sort (avoids importing sort for one call
-// site on a diagnostics path).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// BlockedProcs returns the names of live processes that have no pending
+// wake-up — the ones parked on a Signal or Block — in spawn order. When Run
+// returns with the queue drained but BlockedProcs is non-empty, those
+// processes are deadlocked; the list is the first thing to print when
+// hunting one.
+func (e *Engine) BlockedProcs() []string {
+	var out []string
+	for p := e.head; p != nil; p = p.next {
+		if p.parked {
+			out = append(out, p.name)
 		}
 	}
+	return out
 }

@@ -1,20 +1,32 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// Proc is a coroutine-style simulation process. A Proc runs on its own
-// goroutine but only while it holds the engine's execution baton. When it
-// blocks on a simulation primitive (Sleep, Wait, ...) it does not bounce the
-// baton through a central loop goroutine: the blocking goroutine itself keeps
-// driving the event loop (Engine.dispatch) and hands the baton directly to
-// the next process — one channel handoff per switch. Exactly one Proc (or
-// one dispatch loop) runs at any instant, which makes all simulation state
-// single-threaded.
+// Proc is a coroutine-style simulation process. Its body runs on a pooled
+// worker coroutine (iter.Pull) and only while it holds the engine's execution
+// baton. When it blocks on a simulation primitive (Sleep, Wait, ...) the
+// blocking coroutine itself keeps driving the event loop (Engine.dispatch):
+// if the next runnable event is its own resume it simply returns, with no
+// switch at all. Only a handoff to another process, or the end of the run,
+// switches back to the dispatch loop in RunUntil, which resumes the next
+// process's coroutine. Exactly one Proc (or the dispatch loop) runs at any
+// instant, which makes all simulation state single-threaded.
 type Proc struct {
 	eng  *Engine
 	name string
-	wake chan struct{} // dispatcher -> proc: you hold the baton
+	body func(p *Proc)
+	// w is the worker coroutine running the body; nil until the first
+	// resume and again once the body has returned.
+	w    *worker
 	dead bool
+	// killed asks the parked body to unwind (Engine.Close).
+	killed bool
 	// wakeGen guards against double wake-ups: a blocked proc records the
 	// generation it is waiting on, and stale resume events are dropped.
 	wakeGen uint64
@@ -23,36 +35,43 @@ type Proc struct {
 	// parked reports the proc is blocked with no scheduled wake-up event
 	// (Block/Signal.Wait) — only an explicit Wakeup can resume it.
 	parked bool
+	// prev and next link the engine's live processes in spawn order.
+	prev, next *Proc
 }
 
 // Spawn creates a process executing body and schedules it to start at the
 // current time. The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		name: name,
-		wake: make(chan struct{}),
+	p := &Proc{eng: e, name: name, body: body, prev: e.tail}
+	if e.tail != nil {
+		e.tail.next = p
+	} else {
+		e.head = p
 	}
-	e.procs++
-	if e.live == nil {
-		e.live = make(map[*Proc]struct{})
-	}
-	e.live[p] = struct{}{}
-	go func() {
-		<-p.wake // wait for first resume
-		body(p)
-		p.dead = true
-		e.procs--
-		delete(e.live, p)
-		// The finished process still holds the baton: keep driving the event
-		// loop here, then let the goroutine exit once the baton moves on.
-		if e.dispatch(nil) == runEnded {
-			e.endRun()
-		}
-	}()
+	e.tail = p
 	gen := p.arm()
 	e.scheduleProc(0, p, gen)
 	return p
+}
+
+// finish retires p: it is dead to stale wake-ups and leaves the live list.
+func (p *Proc) finish() {
+	e := p.eng
+	p.dead = true
+	p.body = nil
+	p.armed = false
+	p.parked = false
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // Name returns the diagnostic name given at Spawn.
@@ -76,21 +95,26 @@ func (p *Proc) arm() uint64 {
 }
 
 // yield releases the baton and blocks until resumed. The caller must have
-// armed a wake-up beforehand. Rather than handing control to a central loop,
-// the yielding goroutine runs the event loop itself until the baton moves to
-// another process (or the run ends), then parks on its own wake channel.
+// armed a wake-up beforehand. The yielding coroutine runs the event loop
+// itself; only when the baton moves to another process (or the run ends)
+// does it switch back to RunUntil's loop, parking until that loop resumes it.
 func (p *Proc) yield() {
 	if !p.armed {
 		panic(fmt.Sprintf("sim: proc %q yielding with no pending wake-up", p.name))
 	}
-	e := p.eng
-	switch e.dispatch(p) {
-	case selfResumed:
-		return // baton came straight back, no handoff needed
-	case runEnded:
-		e.endRun()
+	if p.killed {
+		panic(unwind{}) // a deferred call blocking again while Close unwinds
 	}
-	<-p.wake
+	e := p.eng
+	r := e.dispatch(p)
+	if r == selfResumed {
+		return // baton came straight back, no switch needed
+	}
+	e.yielded = r
+	p.w.yield(struct{}{})
+	if p.killed {
+		panic(unwind{})
+	}
 }
 
 // Sleep blocks the process for d time units. d == 0 yields the baton and
@@ -118,4 +142,143 @@ func (p *Proc) Wakeup() {
 		return
 	}
 	p.eng.scheduleProc(0, p, p.wakeGen)
+}
+
+// unwind is the private panic value Engine.Close raises inside a parked
+// process to unwind its body.
+type unwind struct{}
+
+func (unwind) Error() string { return "sim: process unwound by Engine.Close" }
+
+// Unwinding reports whether a recovered panic value is Engine.Close unwinding
+// a parked process. Code that recovers panics inside a process body must
+// re-panic such a value so the unwind completes.
+func Unwinding(v any) bool {
+	_, ok := v.(unwind)
+	return ok
+}
+
+// worker is a reusable coroutine that runs process bodies one after another.
+// Between bodies it sits in the process-wide free list; while running one it
+// belongs to that body's Proc.
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process being run, nil while idle
+}
+
+// loop is the worker coroutine: run the assigned body, switch back to the
+// RunUntil goroutine, wait for the next assignment.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.run()
+		if !yield(struct{}{}) {
+			return // stopped by putWorker
+		}
+	}
+}
+
+// run executes w.p's body to its end, recovering both Close's unwind and a
+// body panic; the latter is handed to switchTo, which re-raises it on the
+// RunUntil goroutine.
+func (w *worker) run() {
+	p := w.p
+	e := p.eng
+	defer func() {
+		r := recover()
+		p.finish()
+		e.yielded = procExited
+		if r != nil && !Unwinding(r) {
+			e.panicked = r
+		}
+	}()
+	p.body(p)
+}
+
+// maxWorkers bounds the idle worker pool; coroutines returned beyond it end
+// instead of staying parked. It sits above the ~50k processes a 32-node
+// Pagoda fleet keeps live at its peak, so such runs reuse every coroutine.
+const maxWorkers = 1 << 16
+
+// workers is the process-wide idle worker pool, shared by every engine (the
+// harness runs engines on several goroutines at once). It is not a
+// sync.Pool: a worker the GC dropped would stay parked forever.
+var workers struct {
+	sync.Mutex
+	free []*worker
+}
+
+// getWorker takes an idle worker, or starts a new coroutine.
+func getWorker() *worker {
+	workers.Lock()
+	if n := len(workers.free); n > 0 {
+		w := workers.free[n-1]
+		workers.free[n-1] = nil
+		workers.free = workers.free[:n-1]
+		workers.Unlock()
+		return w
+	}
+	workers.Unlock()
+	w := new(worker)
+	w.next, w.stop = iter.Pull(w.loop)
+	return w
+}
+
+// putWorker returns an idle worker to the pool.
+func putWorker(w *worker) {
+	w.p = nil
+	workers.Lock()
+	if len(workers.free) < maxWorkers {
+		workers.free = append(workers.free, w)
+		w = nil
+	}
+	workers.Unlock()
+	if w != nil {
+		w.stop()
+	}
+}
+
+// switchTo runs p's coroutine (starting one on the first resume) until it
+// switches back to the RunUntil goroutine, leaving the reason in e.yielded. A
+// finished body's worker goes back to the pool, and a body panic is re-raised
+// here with its original value.
+func (e *Engine) switchTo(p *Proc) {
+	w := p.w
+	if w == nil {
+		w = getWorker()
+		w.p = p
+		p.w = w
+	}
+	w.next()
+	if e.yielded != procExited {
+		return
+	}
+	p.w = nil
+	putWorker(w)
+	if v := e.panicked; v != nil {
+		e.panicked = nil
+		panic(v)
+	}
+}
+
+// Close unwinds every process that has not finished — parked in Block or
+// Signal.Wait, sleeping past the end of the run, or never started — in spawn
+// order, and returns their coroutines to the pool, so a finished simulation
+// leaves no goroutine behind. Each started body unwinds through its deferred
+// calls; recover sites inside bodies must re-panic values for which
+// Unwinding reports true. Close is a no-op on an engine with no live
+// process. It must not be called while the engine is running, and the
+// engine must not be run afterwards.
+func (e *Engine) Close() {
+	for p := e.head; p != nil; p = e.head {
+		if p.w == nil {
+			p.finish() // never started
+			continue
+		}
+		p.killed = true
+		p.armed = false // resumed, as dispatch would
+		e.switchTo(p)
+	}
 }
