@@ -17,9 +17,11 @@ check: lint vet test race perf-quick
 # nonzero and fails the gate; intentional exceptions are annotated in the
 # source with //pagoda:allow <check> <reason>, and a suppression that
 # suppresses nothing is itself a finding. `pagodavet -json` emits the same
-# findings machine-readably for CI annotation.
+# findings machine-readably for CI annotation. lint also fails when any
+# tracked Go file is not gofmt-clean.
 lint:
 	$(GO) run ./cmd/pagodavet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -80,7 +81,9 @@ type SMM struct {
 	dev *Device
 	ID  int
 
-	issue *psResource
+	// issue shares IssueWidth warp-instructions per cycle among the ready
+	// warps, at most one per warp.
+	issue *sim.Share
 
 	residentTBs     int
 	residentThreads int
@@ -156,7 +159,7 @@ type Device struct {
 
 	pending []*threadBlock // FIFO dispatch queue (head-of-line blocking, as in CUDA)
 
-	membw *bwResource // device-memory bandwidth, shared by all global accesses
+	membw *sim.Share // device-memory bandwidth, shared by all global accesses
 
 	// Trace, when set, records kernel and threadblock spans.
 	Trace *trace.Tracer
@@ -177,13 +180,13 @@ type Device struct {
 func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	cfg.Validate()
 	d := &Device{Eng: eng, Cfg: cfg, caps: physCaps(cfg), createdAt: eng.Now()}
-	d.membw = newBWResource(eng, cfg.MemBandwidth)
+	d.membw = sim.NewShare(eng, cfg.MemBandwidth, math.Inf(1))
 	d.SMMs = make([]*SMM, cfg.NumSMMs)
 	for i := range d.SMMs {
 		d.SMMs[i] = &SMM{
 			dev:         d,
 			ID:          i,
-			issue:       newPSResource(eng, cfg.IssueWidth),
+			issue:       sim.NewShare(eng, cfg.IssueWidth, 1),
 			lastWarpUpd: eng.Now(),
 		}
 	}

@@ -3,16 +3,16 @@ package gpu
 import "repro/internal/sim"
 
 // Metrics is a point-in-time snapshot of device utilization since device
-// creation (or the last ResetMetrics).
+// creation.
 type Metrics struct {
 	Elapsed       sim.Time // cycles covered by this snapshot
 	IssueUtil     float64  // fraction of issue slots busy, device-wide
 	AvgOccupancy  float64  // mean resident warps / total warp capacity
-	AvgReadyWarps float64  // mean warps contending for issue, device-wide
 	ResidentWarps int      // instantaneous resident warps
 }
 
-// Metrics gathers a utilization snapshot across all SMMs.
+// Metrics gathers a utilization snapshot across all SMMs. It only reads
+// state, so sampling it mid-run leaves the simulation bit-identical.
 func (d *Device) Metrics() Metrics {
 	now := d.Eng.Now()
 	elapsed := now - d.createdAt
@@ -20,32 +20,14 @@ func (d *Device) Metrics() Metrics {
 	if elapsed <= 0 {
 		return m
 	}
-	var busy, queue, warpInt float64
+	var busy, warpInt float64
 	for _, s := range d.SMMs {
-		s.issue.Poke()
-		s.settleWarps()
-		busy += s.issue.BusyIntegral()
-		queue += s.issue.QueueIntegral()
-		warpInt += s.warpIntegral
+		busy += s.issue.Integrals()
+		warpInt += s.warpIntegral + float64(s.residentWarps)*(now-s.lastWarpUpd)
 		m.ResidentWarps += s.residentWarps
 	}
 	totalIssue := d.Cfg.IssueWidth * elapsed * float64(d.Cfg.NumSMMs)
 	m.IssueUtil = busy / totalIssue
-	m.AvgReadyWarps = queue / (elapsed * float64(d.Cfg.NumSMMs))
 	m.AvgOccupancy = warpInt / (elapsed * float64(d.Cfg.TotalWarps()))
 	return m
-}
-
-// ResetMetrics restarts the utilization accounting window at the current
-// time.
-func (d *Device) ResetMetrics() {
-	now := d.Eng.Now()
-	d.createdAt = now
-	for _, s := range d.SMMs {
-		s.issue.Poke()
-		s.issue.busyIntegral = 0
-		s.issue.queueIntegral = 0
-		s.settleWarps()
-		s.warpIntegral = 0
-	}
 }

@@ -169,19 +169,3 @@ func BenchmarkKernelLaunchExec(b *testing.B) {
 		eng.Run()
 	}
 }
-
-func BenchmarkPSResource(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := sim.New()
-		r := newPSResource(eng, 4)
-		for w := 0; w < 64; w++ {
-			eng.Spawn("w", func(p *sim.Proc) {
-				for k := 0; k < 20; k++ {
-					r.Acquire(p, 100)
-					p.Sleep(50)
-				}
-			})
-		}
-		eng.Run()
-	}
-}

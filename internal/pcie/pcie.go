@@ -8,10 +8,10 @@
 //  2. There is no cross-transaction ordering or atomicity guarantee; only
 //     the CUDA stream layer above provides FIFO completion per stream.
 //
-// Bandwidth is shared among in-flight transfers in the same direction
-// (processor sharing), so bulk aggregated copies achieve better effective
-// bandwidth than many small ones — the property behind the TaskTable's lazy
-// aggregate updates (§4.2).
+// Bandwidth is shared equally among in-flight transfers in the same
+// direction (a sim.Share with no per-transfer cap), so bulk aggregated
+// copies achieve better effective bandwidth than many small ones — the
+// property behind the TaskTable's lazy aggregate updates (§4.2).
 package pcie
 
 import (
@@ -48,12 +48,12 @@ func Default() Config {
 	return Config{BytesPerCycle: 12, Latency: 8000}
 }
 
-// Bus is the simulated link. Each direction has an independent
-// bandwidth-shared pipe (PCIe is full duplex).
+// Bus is the simulated link. Each direction has an independent fair share
+// of the bandwidth (PCIe is full duplex).
 type Bus struct {
-	eng  *sim.Engine
-	cfg  Config
-	pipe [2]*pipe
+	eng *sim.Engine
+	cfg Config
+	bw  [2]*sim.Share
 
 	// Transfers and BytesMoved count completed transactions (diagnostics and
 	// handshake accounting in experiments). Started and BytesRequested count
@@ -65,98 +65,18 @@ type Bus struct {
 	BytesRequested [2]int64
 }
 
-// pipe is a processor-sharing bandwidth resource: n concurrent transfers
-// each progress at bandwidth/n.
-type pipe struct {
-	eng  *sim.Engine
-	rate float64 // bytes per cycle when alone
-	// reqs holds in-flight transfers by value; completion compacts in place
-	// and reuses the backing array, so steady-state transfer never allocates.
-	reqs  []xfer
-	last  sim.Time
-	timer *sim.Timer
-}
-
-type xfer struct {
-	remaining float64 // bytes
-	proc      *sim.Proc
-}
-
-func newPipe(eng *sim.Engine, rate float64) *pipe {
-	p := &pipe{eng: eng, rate: rate, last: eng.Now()}
-	p.timer = sim.NewTimer(eng, p.onTimer)
-	return p
-}
-
-func (p *pipe) perFlow() float64 {
-	if len(p.reqs) == 0 {
-		return 0
-	}
-	return p.rate / float64(len(p.reqs))
-}
-
-func (p *pipe) settle() {
-	now := p.eng.Now()
-	dt := now - p.last
-	if dt > 0 {
-		r := p.perFlow()
-		for i := range p.reqs {
-			p.reqs[i].remaining -= dt * r
-		}
-	}
-	p.last = now
-}
-
-func (p *pipe) rearm() {
-	if len(p.reqs) == 0 {
-		p.timer.Stop()
-		return
-	}
-	minRem := math.Inf(1)
-	for i := range p.reqs {
-		if p.reqs[i].remaining < minRem {
-			minRem = p.reqs[i].remaining
-		}
-	}
-	if minRem < 0 {
-		minRem = 0
-	}
-	p.timer.ResetForward(minRem / p.perFlow())
-}
-
-func (p *pipe) onTimer() {
-	p.settle()
-	kept := p.reqs[:0]
-	for i := range p.reqs {
-		if p.reqs[i].remaining <= 1e-6 {
-			p.reqs[i].proc.Wakeup()
-		} else {
-			kept = append(kept, p.reqs[i])
-		}
-	}
-	p.reqs = kept
-	p.rearm()
-}
-
-func (p *pipe) transfer(proc *sim.Proc, bytes int) {
-	if bytes <= 0 {
-		return
-	}
-	p.settle()
-	p.reqs = append(p.reqs, xfer{remaining: float64(bytes), proc: proc})
-	p.rearm()
-	proc.Block()
-}
-
 // New creates a bus on the engine.
 func New(eng *sim.Engine, cfg Config) *Bus {
 	if cfg.BytesPerCycle <= 0 {
 		panic("pcie: non-positive bandwidth")
 	}
 	return &Bus{
-		eng:  eng,
-		cfg:  cfg,
-		pipe: [2]*pipe{newPipe(eng, cfg.BytesPerCycle), newPipe(eng, cfg.BytesPerCycle)},
+		eng: eng,
+		cfg: cfg,
+		bw: [2]*sim.Share{
+			sim.NewShare(eng, cfg.BytesPerCycle, math.Inf(1)),
+			sim.NewShare(eng, cfg.BytesPerCycle, math.Inf(1)),
+		},
 	}
 }
 
@@ -175,7 +95,7 @@ func (b *Bus) Transfer(p *sim.Proc, d Dir, bytes int) {
 	b.Started[d]++
 	b.BytesRequested[d] += int64(bytes)
 	p.Sleep(b.cfg.Latency)
-	b.pipe[d].transfer(p, bytes)
+	b.bw[d].Acquire(p, float64(bytes))
 	b.Transfers[d]++
 	b.BytesMoved[d] += int64(bytes)
 }

@@ -79,9 +79,9 @@ func TestPercentileNearestRankExact(t *testing.T) {
 		p50, p90, p99, p100 sim.Time
 	}{
 		{[]sim.Time{42}, 42, 42, 42, 42},
-		{[]sim.Time{10, 20}, 10, 20, 20, 20},             // ceil(.5*2)=1st, ceil(.9*2)=2nd
-		{[]sim.Time{10, 20, 30}, 20, 30, 30, 30},         // ceil(.5*3)=2nd
-		{[]sim.Time{1, 2, 3, 4}, 2, 4, 4, 4},             // ceil(.9*4)=4th
+		{[]sim.Time{10, 20}, 10, 20, 20, 20},                      // ceil(.5*2)=1st, ceil(.9*2)=2nd
+		{[]sim.Time{10, 20, 30}, 20, 30, 30, 30},                  // ceil(.5*3)=2nd
+		{[]sim.Time{1, 2, 3, 4}, 2, 4, 4, 4},                      // ceil(.9*4)=4th
 		{[]sim.Time{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5, 9, 10, 10}, // ceil(.99*10)=10th
 	}
 	for _, c := range cases {

@@ -23,8 +23,8 @@ func TestPendingBoundedUnderTimerChurn(t *testing.T) {
 		t.Fatalf("timer fired %d times, want 1 (only the last Reset counts)", fired)
 	}
 
-	// Churn interleaved with running: a rearm-on-fire pattern (the gpu/pcie
-	// processor-sharing resources) must not accumulate entries either.
+	// Churn interleaved with running: a rearm-on-fire pattern (Share's
+	// completion timer) must not accumulate entries either.
 	e2 := New()
 	n := 0
 	var tm2 *Timer
@@ -130,8 +130,7 @@ func BenchmarkEngineSleep(b *testing.B) {
 }
 
 // BenchmarkEngineTimerChurn measures Reset-heavy rearming, the dominant
-// operation of the processor-sharing resources in internal/gpu and
-// internal/pcie.
+// timer operation of Share.
 func BenchmarkEngineTimerChurn(b *testing.B) {
 	e := New()
 	fired := 0

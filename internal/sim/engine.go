@@ -18,8 +18,8 @@ import (
 	"math"
 )
 
-// Time is the virtual clock type, in cycles. Fractional cycles arise from the
-// processor-sharing compute model in internal/gpu.
+// Time is the virtual clock type, in cycles. Fractional cycles arise from
+// fair-share resources (Share).
 type Time = float64
 
 // Infinity is a timestamp later than any event the engine will ever fire.

@@ -1,0 +1,130 @@
+package sim
+
+import "math"
+
+// shareEps absorbs floating-point drift when deciding that a request has
+// received all of its service.
+const shareEps = 1e-6
+
+// Share is an egalitarian fair-share resource: each of n concurrent requests
+// progresses at min(perFlow, capacity/n) work units per unit time. It models
+// every contended rate in the simulator: an SMM's issue slots (perFlow 1, so
+// a lone warp cannot issue faster than one instruction per cycle),
+// device-memory bandwidth and each direction of a PCIe link (perFlow +Inf,
+// so a lone transfer takes the whole capacity).
+//
+// Completion times are event-driven: whenever the active set changes,
+// accumulated progress is settled and one timer is re-armed for the earliest
+// finisher.
+type Share struct {
+	eng      *Engine
+	capacity float64
+	perFlow  float64
+	// reqs holds in-service requests by value; completion compacts in place
+	// and reuses the backing array, so steady-state Acquire never allocates.
+	reqs  []shareReq
+	last  Time
+	timer *Timer
+
+	// busy accumulates min(n·perFlow, capacity)·dt, the capacity in use,
+	// up to last.
+	busy float64
+}
+
+type shareReq struct {
+	remaining float64
+	proc      *Proc
+}
+
+// NewShare returns an idle resource of the given capacity (work units per
+// unit time) whose requests are each capped at perFlow; pass math.Inf(1)
+// for no per-request cap.
+func NewShare(e *Engine, capacity, perFlow float64) *Share {
+	s := &Share{eng: e, capacity: capacity, perFlow: perFlow, last: e.now}
+	s.timer = NewTimer(e, s.onTimer)
+	return s
+}
+
+// rate is each request's progress per unit time; n must be positive.
+func (s *Share) rate(n int) float64 {
+	return math.Min(s.perFlow, s.capacity/float64(n))
+}
+
+// used is the capacity in use with n requests in service.
+func (s *Share) used(n int) float64 {
+	return math.Min(float64(n)*s.perFlow, s.capacity)
+}
+
+// settle accrues progress and busy time for the interval since the last
+// change of the active set.
+func (s *Share) settle() {
+	now := s.eng.now
+	if n := len(s.reqs); n > 0 {
+		if dt := now - s.last; dt > 0 {
+			rt := s.rate(n)
+			for i := range s.reqs {
+				s.reqs[i].remaining -= dt * rt
+			}
+			s.busy += dt * s.used(n)
+		}
+	}
+	s.last = now
+}
+
+// rearm schedules the completion timer for the earliest-finishing request.
+func (s *Share) rearm() {
+	if len(s.reqs) == 0 {
+		s.timer.Stop()
+		return
+	}
+	minRem := math.Inf(1)
+	for i := range s.reqs {
+		if s.reqs[i].remaining < minRem {
+			minRem = s.reqs[i].remaining
+		}
+	}
+	if minRem < 0 {
+		minRem = 0
+	}
+	s.timer.ResetForward(minRem / s.rate(len(s.reqs)))
+}
+
+func (s *Share) onTimer() {
+	s.settle()
+	kept := s.reqs[:0]
+	for i := range s.reqs {
+		if s.reqs[i].remaining <= shareEps {
+			s.reqs[i].proc.Wakeup()
+		} else {
+			kept = append(kept, s.reqs[i])
+		}
+	}
+	s.reqs = kept
+	s.rearm()
+}
+
+// Acquire blocks p until `work` units of service have been delivered under
+// fair sharing. work <= 0 returns immediately.
+func (s *Share) Acquire(p *Proc, work float64) {
+	if work <= 0 {
+		return
+	}
+	s.settle()
+	s.reqs = append(s.reqs, shareReq{remaining: work, proc: p})
+	s.rearm()
+	p.Block()
+}
+
+// Integrals returns the busy integral up to now: capacity-time in use,
+// ∫ min(n·perFlow, capacity) dt; divide by capacity·elapsed for
+// utilization. It is a pure read: it settles nothing and leaves the
+// completion timer alone, so sampling it mid-run cannot perturb the run.
+func (s *Share) Integrals() (busy float64) {
+	busy = s.busy
+	if n := len(s.reqs); n > 0 {
+		if dt := s.eng.now - s.last; dt > 0 {
+			busy += dt * s.used(n)
+		}
+	}
+	return busy
+}

@@ -1,0 +1,148 @@
+package sim
+
+import (
+	"math"
+	"testing"
+)
+
+// flow is one Acquire of `work` units issued at time `at`.
+type flow struct{ at, work float64 }
+
+// runShare runs the flows on one Share and returns each one's completion
+// time.
+func runShare(capacity, perFlow float64, flows []flow) []Time {
+	e := New()
+	s := NewShare(e, capacity, perFlow)
+	done := make([]Time, len(flows))
+	for i, f := range flows {
+		e.Spawn("acq", func(p *Proc) {
+			p.Sleep(f.at)
+			s.Acquire(p, f.work)
+			done[i] = e.Now()
+		})
+	}
+	e.Run()
+	return done
+}
+
+func TestShareCompletionTimes(t *testing.T) {
+	inf := math.Inf(1)
+	eight := make([]flow, 8)
+	for i := range eight {
+		eight[i] = flow{0, 100}
+	}
+	cases := []struct {
+		name              string
+		capacity, perFlow float64
+		flows             []flow
+		want              []Time
+	}{
+		// Capped at one unit per cycle per flow (an SMM's issue slots; the
+		// TestPS* tests in internal/gpu drive that engine through more
+		// shapes).
+		{"capped/lone flow at the cap", 4, 1, []flow{{0, 100}}, []Time{100}},
+		{"capped/up to capacity no slowdown", 4, 1, eight[:4], []Time{100, 100, 100, 100}},
+		{"capped/oversubscribed shares equally", 4, 1, eight,
+			[]Time{200, 200, 200, 200, 200, 200, 200, 200}},
+
+		// No per-flow cap (device memory, a PCIe direction).
+		{"uncapped/lone flow takes capacity", 10, inf, []flow{{0, 1000}}, []Time{100}},
+		{"uncapped/n flows split evenly", 10, inf,
+			[]flow{{0, 1000}, {0, 1000}, {0, 1000}, {0, 1000}}, []Time{400, 400, 400, 400}},
+		{"uncapped/short flow frees capacity", 10, inf, []flow{{0, 100}, {0, 1000}}, []Time{20, 110}},
+		// Alone 0-50 at 10 (500 done), then 5 each: the first ends at 150,
+		// the second has 500 left at 10, done at 200.
+		{"uncapped/late arrival", 10, inf, []flow{{0, 1000}, {50, 1000}}, []Time{150, 200}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := runShare(c.capacity, c.perFlow, c.flows)
+			for i := range got {
+				if math.Abs(got[i]-c.want[i]) > 1e-6 {
+					t.Fatalf("flow %d done at %v, want %v (all: %v)", i, got[i], c.want[i], got)
+				}
+			}
+		})
+	}
+}
+
+func TestShareZeroWorkImmediate(t *testing.T) {
+	e := New()
+	s := NewShare(e, 4, 1)
+	ran := false
+	e.Spawn("z", func(p *Proc) {
+		s.Acquire(p, 0)
+		s.Acquire(p, -3)
+		ran = true
+		if e.Now() != 0 {
+			t.Errorf("zero work advanced time to %v", e.Now())
+		}
+	})
+	e.Run()
+	if !ran {
+		t.Fatal("proc never ran")
+	}
+}
+
+func TestShareIntegrals(t *testing.T) {
+	cases := []struct {
+		name              string
+		capacity, perFlow float64
+		works             []float64
+		mid, end          float64 // busy integral at t=50 and at the end
+	}{
+		// One capped flow uses one of four units: 50 at t=50, 100 at 100.
+		{"capped", 4, 1, []float64{100}, 50, 100},
+		// Two uncapped flows keep all 10 units busy until t=200.
+		{"uncapped", 10, math.Inf(1), []float64{1000, 1000}, 500, 2000},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			s := NewShare(e, c.capacity, c.perFlow)
+			for _, w := range c.works {
+				e.Spawn("acq", func(p *Proc) { s.Acquire(p, w) })
+			}
+			var mid float64
+			e.Schedule(50, func() { mid = s.Integrals() })
+			e.Run()
+			if mid != c.mid {
+				t.Errorf("busy integral at t=50 = %v, want %v", mid, c.mid)
+			}
+			if got := s.Integrals(); got != c.end {
+				t.Errorf("busy integral at end = %v, want %v", got, c.end)
+			}
+			// An idle stretch accrues nothing.
+			e.Schedule(1000, func() {})
+			e.Run()
+			if got := s.Integrals(); got != c.end {
+				t.Errorf("busy integral after idle = %v, want %v", got, c.end)
+			}
+		})
+	}
+}
+
+// BenchmarkShareAcquire measures steady-state Acquire: 8 procs on one engine
+// loop on a capacity-4 share capped at 1 per flow (an SMM issue engine),
+// with staggered work so completions keep re-keying the timer. Acquire
+// must not allocate once the request slice has grown.
+func BenchmarkShareAcquire(b *testing.B) {
+	const procs = 8
+	e := New()
+	s := NewShare(e, 4, 1)
+	for j := 0; j < procs; j++ {
+		n := b.N / procs
+		if j < b.N%procs {
+			n++
+		}
+		work := float64(1 + j)
+		e.Spawn("acq", func(p *Proc) {
+			for i := 0; i < n; i++ {
+				s.Acquire(p, work)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

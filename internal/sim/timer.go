@@ -5,9 +5,9 @@ import "math"
 // Timer is a cancellable, re-armable one-shot timer. Unlike raw Schedule
 // calls, a Timer can be Stopped or re-Reset before it fires. The timer owns a
 // single indexed entry in the engine's event heap: ResetAt re-keys that entry
-// in place and Stop removes it, so rearm-heavy users (the processor-sharing
-// resources in internal/gpu and internal/pcie) leave no stale events behind
-// and Engine.Pending stays proportional to live timers, not total Resets.
+// in place and Stop removes it, so rearm-heavy users (Share, which re-arms
+// on every arrival and completion) leave no stale events behind and
+// Engine.Pending stays proportional to live timers, not total Resets.
 type Timer struct {
 	eng *Engine
 	fn  func()
@@ -27,7 +27,7 @@ func (t *Timer) Reset(delay Time) { t.ResetAt(t.eng.now + delay) }
 
 // ResetForward is Reset for a timer that must move the clock: when delay is
 // below the clock's float64 ulp (now+delay == now), it fires at the next
-// representable instant instead of now. Fair-share resources rearm with it —
+// representable instant instead of now. Share rearms with it —
 // far into a run a tiny residual drain delay would otherwise re-fire at one
 // instant forever, each settle seeing dt=0 and draining nothing; one ulp's
 // drain exceeds the residue, so the flow completes there.
