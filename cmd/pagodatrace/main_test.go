@@ -3,13 +3,21 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/runners"
 )
+
+var update = flag.Bool("update", false, "rewrite this package's entries in the report-digest corpus")
+
+// reportDigests is the repository's committed output-digest corpus, shared
+// with internal/harness's rendered reports.
+const reportDigests = "../../internal/harness/testdata/report_digests.txt"
 
 // TestRunSmoke drives the command end to end on a small Mandelbrot config
 // and checks the written file is a non-empty Chrome trace-event array.
@@ -226,7 +234,7 @@ func TestAutoscaleTraceSmoke(t *testing.T) {
 
 // TestTraceModesByteIdentical runs the plain closed-loop, fleet, tenant and
 // elastic modes twice each: the trace files and the printed summaries must
-// match byte for byte.
+// match byte for byte, and match the digests committed in reportDigests.
 func TestTraceModesByteIdentical(t *testing.T) {
 	modes := map[string][]string{
 		"plain":     {"-bench", "MB", "-tasks", "48", "-smms", "4"},
@@ -257,6 +265,8 @@ func TestTraceModesByteIdentical(t *testing.T) {
 			if summaries[0] != summaries[1] {
 				t.Errorf("two runs printed different summaries:\n%s\n%s", summaries[0], summaries[1])
 			}
+			golden.Check(t, reportDigests, "pagodatrace/"+mode+".trace", files[0], *update)
+			golden.Check(t, reportDigests, "pagodatrace/"+mode+".summary", []byte(summaries[0]), *update)
 		})
 	}
 }

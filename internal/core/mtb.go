@@ -18,6 +18,7 @@ type warpSlot struct {
 	execSince sim.Time
 
 	sig sim.Signal // wakes the parked executor warp
+	tc  TaskCtx    // the context of the task the warp runs, reset per task
 }
 
 // MTB is one MasterKernel threadblock: a scheduler warp, 31 executor warps,
@@ -55,16 +56,23 @@ func newMTB(rt *Runtime, index int) *MTB {
 		barInUse: make([]bool, cfg.NumBarriers),
 		ctrSite:  gpu.NewAtomicSite(rt.Eng, rt.Ctx.Dev.Cfg.AtomicSharedLatency),
 	}
+	// Entries, slots and barriers each live in one backing array per MTB.
+	entries := make([]deviceEntry, cfg.Rows)
 	m.entries = make([]*deviceEntry, cfg.Rows)
 	for r := range m.entries {
-		m.entries[r] = &deviceEntry{col: index, row: r}
+		entries[r] = deviceEntry{col: index, row: r}
+		m.entries[r] = &entries[r]
 	}
-	m.slots = make([]*warpSlot, cfg.ExecutorWarpsPerMTB())
+	slots := make([]warpSlot, cfg.ExecutorWarpsPerMTB())
+	m.slots = make([]*warpSlot, len(slots))
 	for i := range m.slots {
-		m.slots[i] = &warpSlot{barID: -1}
+		slots[i].barID = -1
+		m.slots[i] = &slots[i]
 	}
+	bars := make([]gpu.Barrier, cfg.NumBarriers)
 	for i := range m.bars {
-		m.bars[i] = gpu.NewBarrier(rt.Eng, 1)
+		bars[i].Reset(1)
+		m.bars[i] = &bars[i]
 	}
 	return m
 }
@@ -343,7 +351,8 @@ func (m *MTB) executorLoop(c *gpu.Ctx, slotIdx int) {
 		e := m.entries[s.eNum]
 		c.GlobalRead(32) // fetch the task's kernel pointer and arguments
 
-		tc := &TaskCtx{
+		tc := &s.tc
+		*tc = TaskCtx{
 			gc:       c,
 			mtb:      m,
 			entry:    e,

@@ -5,6 +5,9 @@ import "repro/internal/gpu"
 // TaskCtx is the device-side API visible to a Pagoda task kernel (the GPU
 // rows of Table 1). A task kernel is invoked once per executor warp assigned
 // to it; lane-level code runs through ForEachLane, whose argument is getTid().
+// A TaskCtx is valid only for the duration of the kernel call: each executor
+// warp slot reuses one for every task it runs, so a kernel that keeps the
+// pointer (in a scheduled closure, a map, ...) later sees another task.
 type TaskCtx struct {
 	gc    *gpu.Ctx
 	mtb   *MTB

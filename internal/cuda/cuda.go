@@ -84,7 +84,7 @@ type command func(p *sim.Proc)
 type Stream struct {
 	ctx      *Context
 	id       int
-	queue    []command
+	queue    sim.FIFO[command]
 	notEmpty sim.Signal
 	inFlight int // queued + running commands
 	idleSig  sim.Signal
@@ -108,12 +108,10 @@ func (c *Context) NewStream() *Stream {
 
 func (s *Stream) worker(p *sim.Proc) {
 	for {
-		for len(s.queue) == 0 {
+		for s.queue.Len() == 0 {
 			s.notEmpty.Wait(p)
 		}
-		cmd := s.queue[0]
-		s.queue = s.queue[1:]
-		cmd(p)
+		s.queue.Pop()(p)
 		s.inFlight--
 		if s.inFlight == 0 {
 			s.idleSig.Broadcast()
@@ -124,7 +122,7 @@ func (s *Stream) worker(p *sim.Proc) {
 // enqueue appends a command, charging the host's enqueue cost to `host`.
 func (s *Stream) enqueue(host *sim.Proc, cmd command) {
 	host.Sleep(s.ctx.Cfg.EnqueueCost)
-	s.queue = append(s.queue, cmd)
+	s.queue.Push(cmd)
 	s.inFlight++
 	s.notEmpty.Broadcast()
 }

@@ -7,8 +7,9 @@ import "repro/internal/sim"
 // (bar.sync with an ID, as used by Pagoda's syncBlock()). Reuse across
 // generations is safe: a generation counter prevents a fast warp from racing
 // through two phases while a slow one is still waking.
+//
+// The zero Barrier has no participants; Reset sets its count.
 type Barrier struct {
-	eng     *sim.Engine
 	need    int
 	arrived int
 	gen     uint64
@@ -16,11 +17,10 @@ type Barrier struct {
 }
 
 // NewBarrier creates a barrier for `need` participating warps.
-func NewBarrier(eng *sim.Engine, need int) *Barrier {
-	if need <= 0 {
-		panic("gpu: barrier needs at least one participant")
-	}
-	return &Barrier{eng: eng, need: need}
+func NewBarrier(need int) *Barrier {
+	b := new(Barrier)
+	b.Reset(need)
+	return b
 }
 
 // Reset changes the participant count. Only legal while no warp is waiting
@@ -46,6 +46,11 @@ func (b *Barrier) Arrive(p *sim.Proc) {
 		b.gen++
 		b.sig.Broadcast()
 		return
+	}
+	if b.arrived == 1 {
+		// The first arrival of a generation sizes the waiter list once for
+		// the barrier's lifetime; later generations reuse it.
+		b.sig.Grow(b.need - 1)
 	}
 	gen := b.gen
 	for b.gen == gen {

@@ -41,6 +41,10 @@ type Kernel struct {
 	StartTime sim.Time // first threadblock dispatched
 	EndTime   sim.Time // last threadblock completed
 	started   bool
+
+	// one holds the threadblock of a single-block launch, which then needs
+	// no allocation of its own.
+	one [1]threadBlock
 }
 
 // Finished reports whether all threadblocks have completed.
@@ -66,13 +70,41 @@ func (k *Kernel) OnDone(fn func()) {
 // threadBlock is one block of a kernel pending dispatch or resident on an
 // SMM.
 type threadBlock struct {
-	kernel     *Kernel
-	blockIdx   int
-	smm        *SMM
-	warpsLeft  int
-	barrier    *Barrier
+	kernel    *Kernel
+	blockIdx  int
+	smm       *SMM
+	warpsLeft int
+	// barrier is the __syncthreads() barrier, used only when the block has
+	// more than one warp.
+	barrier    Barrier
 	placedAt   sim.Time
 	spillDelay sim.Time // coordinator swap-in cost before warps may execute
+}
+
+// warp is one resident warp: the process that runs it, the Ctx its kernel
+// function sees, and its threadblock. A threadblock's warps are allocated
+// together when it is placed, so a warp costs no allocation of its own.
+type warp struct {
+	proc sim.Proc
+	ctx  Ctx
+	tb   *threadBlock
+}
+
+// Run is the warp's process body: the coordinator's swap-in delay, if any,
+// then the kernel function.
+func (w *warp) Run(p *sim.Proc) {
+	tb := w.tb
+	if tb.spillDelay > 0 {
+		p.Sleep(tb.spillDelay)
+	}
+	tb.kernel.Spec.Fn(&w.ctx)
+	tb.kernel.dev.warpDone(tb)
+}
+
+// String names the warp "<kernel>/tb<block>/w<warp>" for diagnostics; it is
+// formatted only when read.
+func (w *warp) String() string {
+	return fmt.Sprintf("%s/tb%d/w%d", w.tb.kernel.Spec.Name, w.tb.blockIdx, w.ctx.WarpInBlock)
 }
 
 // SMM is one streaming multiprocessor: an issue engine plus resource
@@ -157,7 +189,7 @@ type Device struct {
 	Cfg  Config
 	SMMs []*SMM
 
-	pending []*threadBlock // FIFO dispatch queue (head-of-line blocking, as in CUDA)
+	pending sim.FIFO[*threadBlock] // dispatch queue (head-of-line blocking, as in CUDA)
 
 	membw *sim.Share // device-memory bandwidth, shared by all global accesses
 
@@ -225,12 +257,15 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 	}
 	k := &Kernel{Spec: spec, dev: d}
 	warpsPerTB := spec.WarpsPerTB(d.Cfg)
-	for b := 0; b < spec.GridDim; b++ {
-		tb := &threadBlock{kernel: k, blockIdx: b, warpsLeft: warpsPerTB}
-		if spec.BlockThreads > d.Cfg.ThreadsPerWarp {
-			tb.barrier = NewBarrier(d.Eng, warpsPerTB)
-		}
-		d.pending = append(d.pending, tb)
+	tbs := k.one[:]
+	if spec.GridDim > 1 {
+		tbs = make([]threadBlock, spec.GridDim)
+	}
+	for b := range tbs {
+		tb := &tbs[b]
+		tb.kernel, tb.blockIdx, tb.warpsLeft = k, b, warpsPerTB
+		tb.barrier.need = warpsPerTB
+		d.pending.Push(tb)
 	}
 	d.tryDispatch()
 	return k
@@ -240,13 +275,13 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 // longer fits anywhere (head-of-line blocking, matching the hardware
 // threadblock scheduler the paper contrasts with warp-level scheduling).
 func (d *Device) tryDispatch() {
-	for len(d.pending) > 0 {
-		tb := d.pending[0]
+	for d.pending.Len() > 0 {
+		tb := d.pending.Peek()
 		smm := d.pickSMM(tb.kernel.Spec)
 		if smm == nil {
 			return
 		}
-		d.pending = d.pending[1:]
+		d.pending.Pop()
 		smm.place(tb)
 		tb.placedAt = d.Eng.Now()
 		k := tb.kernel
@@ -273,31 +308,29 @@ func (d *Device) pickSMM(spec LaunchSpec) *SMM {
 	return best
 }
 
-// startWarps spawns one simulation process per warp of the threadblock.
+// startWarps starts one simulation process per warp of the threadblock.
 func (d *Device) startWarps(tb *threadBlock) {
 	spec := tb.kernel.Spec
-	warps := spec.WarpsPerTB(d.Cfg)
-	for w := 0; w < warps; w++ {
-		w := w
-		name := fmt.Sprintf("%s/tb%d/w%d", spec.Name, tb.blockIdx, w)
-		d.Eng.Spawn(name, func(p *sim.Proc) {
-			if tb.spillDelay > 0 {
-				p.Sleep(tb.spillDelay)
-			}
-			ctx := &Ctx{
-				dev:         d,
-				smm:         tb.smm,
-				proc:        p,
-				BlockIdx:    tb.blockIdx,
-				GridDim:     spec.GridDim,
-				BlockDim:    spec.BlockThreads,
-				WarpInBlock: w,
-				Args:        spec.Args,
-				blockBar:    tb.barrier,
-			}
-			spec.Fn(ctx)
-			d.warpDone(tb)
-		})
+	var bar *Barrier
+	if spec.BlockThreads > d.Cfg.ThreadsPerWarp {
+		bar = &tb.barrier
+	}
+	ws := make([]warp, spec.WarpsPerTB(d.Cfg))
+	for i := range ws {
+		w := &ws[i]
+		w.tb = tb
+		w.ctx = Ctx{
+			dev:         d,
+			smm:         tb.smm,
+			proc:        &w.proc,
+			BlockIdx:    tb.blockIdx,
+			GridDim:     spec.GridDim,
+			BlockDim:    spec.BlockThreads,
+			WarpInBlock: i,
+			Args:        spec.Args,
+			blockBar:    bar,
+		}
+		d.Eng.Start(&w.proc, w)
 	}
 }
 
@@ -334,4 +367,4 @@ func (d *Device) warpDone(tb *threadBlock) {
 }
 
 // PendingTBs returns the number of threadblocks awaiting dispatch.
-func (d *Device) PendingTBs() int { return len(d.pending) }
+func (d *Device) PendingTBs() int { return d.pending.Len() }

@@ -2,22 +2,34 @@ package harness
 
 import (
 	"bytes"
+	"flag"
 	"testing"
+
+	"repro/internal/golden"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/report_digests.txt from this run")
+
+// reportDigests is the committed corpus of rendered-report digests. The
+// pagodatrace tests keep their trace digests in the same file.
+const reportDigests = "testdata/report_digests.txt"
+
+// formats names renderAll's encodings, in order.
+var formats = [...]string{"text", "csv", "json"}
 
 // renderAll renders a report in every supported encoding; any nondeterminism
 // in rows, Values or notes shows up as a byte difference.
-func renderAll(t *testing.T, r *Report) []byte {
+func renderAll(t *testing.T, r *Report) [len(formats)][]byte {
 	t.Helper()
-	var buf bytes.Buffer
-	r.Fprint(&buf)
-	if err := r.WriteCSV(&buf); err != nil {
+	var text, csv, js bytes.Buffer
+	r.Fprint(&text)
+	if err := r.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return [...][]byte{text.Bytes(), csv.Bytes(), js.Bytes()}
 }
 
 // TestAllExperimentsDeterministicAndParallelSafe runs EVERY experiment ID
@@ -27,7 +39,9 @@ func renderAll(t *testing.T, r *Report) []byte {
 // runners' TestDoubleRunDeterminism to the whole harness); the parallel run
 // is the committed guarantee that the cell scheduler never changes results.
 // Under `go test -race` (make check) this is also the data-race probe for
-// the parallel sweep path.
+// the parallel sweep path. Each encoding's digest must also match the
+// committed corpus (reportDigests), so no change can move a report byte
+// unnoticed; -update rewrites those entries.
 func TestAllExperimentsDeterministicAndParallelSafe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep")
@@ -35,7 +49,7 @@ func TestAllExperimentsDeterministicAndParallelSafe(t *testing.T) {
 	for _, id := range Experiments() {
 		t.Run(id, func(t *testing.T) {
 			p := Params{Tasks: 48, SMMs: 4, Seed: 1, Parallel: 1}
-			run := func(p Params) []byte {
+			run := func(p Params) [len(formats)][]byte {
 				rep, err := Run(id, p)
 				if err != nil {
 					t.Fatal(err)
@@ -46,12 +60,15 @@ func TestAllExperimentsDeterministicAndParallelSafe(t *testing.T) {
 			seq2 := run(p)
 			p.Parallel = 4
 			par := run(p)
-			if !bytes.Equal(seq1, seq2) {
-				t.Errorf("%s: double sequential run differs (state leaks between runs)", id)
-			}
-			if !bytes.Equal(seq1, par) {
-				t.Errorf("%s: parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-					id, seq1, par)
+			for i, f := range formats {
+				if !bytes.Equal(seq1[i], seq2[i]) {
+					t.Errorf("%s %s: double sequential run differs (state leaks between runs)", id, f)
+				}
+				if !bytes.Equal(seq1[i], par[i]) {
+					t.Errorf("%s %s: parallel output differs from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+						id, f, seq1[i], par[i])
+				}
+				golden.Check(t, reportDigests, "harness/"+id+"."+f, seq1[i], *update)
 			}
 		})
 	}

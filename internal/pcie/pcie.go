@@ -107,13 +107,28 @@ func (b *Bus) InFlight(d Dir) int { return b.Started[d] - b.Transfers[d] }
 // TransferAsync starts a transfer and invokes onDone (on the event loop)
 // when it completes, without blocking the caller.
 func (b *Bus) TransferAsync(d Dir, bytes int, onDone func()) {
-	b.eng.Spawn("pcie-xfer", func(p *sim.Proc) {
-		b.Transfer(p, d, bytes)
-		if onDone != nil {
-			onDone()
-		}
-	})
+	x := &xfer{bus: b, dir: d, bytes: bytes, onDone: onDone}
+	b.eng.Start(&x.proc, x)
 }
+
+// xfer is one asynchronous transfer together with the process that runs it,
+// so starting one is a single allocation.
+type xfer struct {
+	proc   sim.Proc
+	bus    *Bus
+	dir    Dir
+	bytes  int
+	onDone func()
+}
+
+func (x *xfer) Run(p *sim.Proc) {
+	x.bus.Transfer(p, x.dir, x.bytes)
+	if x.onDone != nil {
+		x.onDone()
+	}
+}
+
+func (x *xfer) String() string { return "pcie-xfer" }
 
 // MinTransferTime returns the uncontended time to move `bytes` (latency +
 // bytes/bandwidth) — useful as an analytic lower bound in tests.

@@ -656,6 +656,9 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 	})
 	workers := occ.TBsPerSMM * n.sys.dev.Cfg.NumSMMs
 	queueSite := gpu.NewAtomicSite(n.sys.eng, n.sys.dev.Cfg.AtomicGlobalLatency)
+	// One adapter per worker warp, reset for every task the warp claims.
+	workerWarps := taskWarps(workerThreads)
+	adapters := make([]warpAdapter, workers*workerWarps)
 
 	stream := n.sys.ctx.NewStream()
 	for {
@@ -707,13 +710,15 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 						return
 					}
 					td := &n.tasks[batch[idx]]
-					td.Kernel(&warpAdapter{
+					w := &adapters[c.BlockIdx*workerWarps+c.WarpInBlock]
+					*w = warpAdapter{
 						g:        c,
 						threads:  workerThreads,
 						blocks:   1,
 						blockIdx: 0,
 						warpInBl: c.WarpInBlock,
-					})
+					}
+					td.Kernel(w)
 					c.SyncBlock()
 				}
 			},

@@ -85,14 +85,14 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 	return r
 }
 
-// hyperqSpec builds the per-task kernel launch.
+// hyperqSpec builds the per-task kernel launch. The task's warp adapters
+// and its per-block shared memory are each one allocation per task.
 func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
-	var sharedPerTB [][]byte
+	warps := taskWarps(td.Threads)
+	adapters := make([]warpAdapter, td.Blocks*warps)
+	var shared []byte
 	if td.SharedMem > 0 {
-		sharedPerTB = make([][]byte, td.Blocks)
-		for b := range sharedPerTB {
-			sharedPerTB[b] = make([]byte, td.SharedMem)
-		}
+		shared = make([]byte, td.Blocks*td.SharedMem)
 	}
 	regs := td.Regs
 	if regs <= 0 {
@@ -105,18 +105,19 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 		SharedPerTB:   td.SharedMem,
 		RegsPerThread: regs,
 		Fn: func(c *gpu.Ctx) {
-			var shared []byte
-			if sharedPerTB != nil {
-				shared = sharedPerTB[c.BlockIdx]
-			}
-			td.Kernel(&warpAdapter{
+			w := &adapters[c.BlockIdx*warps+c.WarpInBlock]
+			*w = warpAdapter{
 				g:        c,
 				threads:  td.Threads,
 				blocks:   td.Blocks,
 				blockIdx: c.BlockIdx,
 				warpInBl: c.WarpInBlock,
-				shared:   shared,
-			})
+			}
+			if shared != nil {
+				lo, hi := c.BlockIdx*td.SharedMem, (c.BlockIdx+1)*td.SharedMem
+				w.shared = shared[lo:hi:hi]
+			}
+			td.Kernel(w)
 		},
 	}
 }

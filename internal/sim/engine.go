@@ -101,14 +101,16 @@ func (e *Engine) newEvent(at Time) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule in the past: %v < %v", at, e.now))
 	}
-	var ev *event
-	if n := len(e.pool); n > 0 {
-		ev = e.pool[n-1]
-		e.pool[n-1] = nil
-		e.pool = e.pool[:n-1]
-	} else {
-		ev = &event{}
+	if len(e.pool) == 0 {
+		chunk := make([]event, eventChunk)
+		for i := range chunk {
+			e.pool = append(e.pool, &chunk[i])
+		}
 	}
+	n := len(e.pool)
+	ev := e.pool[n-1]
+	e.pool[n-1] = nil
+	e.pool = e.pool[:n-1]
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
@@ -116,19 +118,26 @@ func (e *Engine) newEvent(at Time) *event {
 	return ev
 }
 
-// maxPool bounds the event free list; draining a huge one-shot queue should
-// release the surplus to the GC rather than hold it for the run's lifetime.
+// eventChunk is how many queue entries newEvent allocates at once when the
+// pool runs dry, so warming an engine's pool up to its peak queue depth costs
+// one allocation per chunk rather than one per entry. Chunks belong to one
+// engine; nothing is shared between engines.
+const eventChunk = 32
+
+// maxPool bounds the event free list. An entry dropped beyond it is not
+// reused, but its chunk stays allocated while any neighbour is still in use,
+// so freeEvent clears the entry first and it keeps no closure or Proc alive.
 const maxPool = 1 << 14
 
 // freeEvent returns a popped or removed entry to the pool.
 func (e *Engine) freeEvent(ev *event) {
-	if len(e.pool) >= maxPool {
-		return
-	}
 	ev.fn = nil
 	ev.proc = nil
 	ev.tmr = nil
 	ev.gen = 0
+	if len(e.pool) >= maxPool {
+		return
+	}
 	e.pool = append(e.pool, ev)
 }
 
@@ -291,7 +300,7 @@ func (e *Engine) BlockedProcs() []string {
 	var out []string
 	for p := e.head; p != nil; p = p.next {
 		if p.parked {
-			out = append(out, p.name)
+			out = append(out, p.Name())
 		}
 	}
 	return out

@@ -18,9 +18,9 @@ import (
 // process's coroutine. Exactly one Proc (or the dispatch loop) runs at any
 // instant, which makes all simulation state single-threaded.
 type Proc struct {
-	eng  *Engine
-	name string
-	body func(p *Proc)
+	eng *Engine
+	// run is the body, which also names the proc.
+	run Runner
 	// w is the worker coroutine running the body; nil until the first
 	// resume and again once the body has returned.
 	w    *worker
@@ -42,7 +42,48 @@ type Proc struct {
 // Spawn creates a process executing body and schedules it to start at the
 // current time. The name is used in diagnostics only.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, body: body, prev: e.tail}
+	s := &spawned{name: name, body: body}
+	e.Start(&s.proc, s)
+	return &s.proc
+}
+
+// spawned is the Runner behind Spawn: a closure body under a fixed name,
+// allocated together with its Proc.
+type spawned struct {
+	proc Proc
+	name string
+	body func(p *Proc)
+}
+
+// Run runs the body, first dropping the reference to it so a dead proc
+// keeps nothing the closure captured alive.
+func (s *spawned) Run(p *Proc) {
+	body := s.body
+	s.body = nil
+	body(p)
+}
+
+func (s *spawned) String() string { return s.name }
+
+// Runner is a process body that names itself. A type that embeds the Proc
+// running it starts with Engine.Start, so one allocation covers both, and
+// its String is formatted only when the name is read: by Proc.Name,
+// BlockedProcs and the engine's panic messages.
+type Runner interface {
+	Run(p *Proc)
+	String() string
+}
+
+// Start runs r as the body of a caller-owned process, scheduled to start at
+// the current time. p must be a zero Proc, never started before (procs are
+// not reused, so a stale Wakeup stays a no-op on a dead proc).
+func (e *Engine) Start(p *Proc, r Runner) {
+	if p.eng != nil {
+		panic(fmt.Sprintf("sim: proc %q started twice", p.Name()))
+	}
+	p.run = r
+	p.eng = e
+	p.prev = e.tail
 	if e.tail != nil {
 		e.tail.next = p
 	} else {
@@ -51,14 +92,12 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	e.tail = p
 	gen := p.arm()
 	e.scheduleProc(0, p, gen)
-	return p
 }
 
 // finish retires p: it is dead to stale wake-ups and leaves the live list.
 func (p *Proc) finish() {
 	e := p.eng
 	p.dead = true
-	p.body = nil
 	p.armed = false
 	p.parked = false
 	if p.prev != nil {
@@ -74,8 +113,8 @@ func (p *Proc) finish() {
 	p.prev, p.next = nil, nil
 }
 
-// Name returns the diagnostic name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the diagnostic name: the body's String.
+func (p *Proc) Name() string { return p.run.String() }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -87,7 +126,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // token that the matching resume must present.
 func (p *Proc) arm() uint64 {
 	if p.armed {
-		panic(fmt.Sprintf("sim: proc %q armed twice", p.name))
+		panic(fmt.Sprintf("sim: proc %q armed twice", p.Name()))
 	}
 	p.armed = true
 	p.wakeGen++
@@ -100,7 +139,7 @@ func (p *Proc) arm() uint64 {
 // does it switch back to RunUntil's loop, parking until that loop resumes it.
 func (p *Proc) yield() {
 	if !p.armed {
-		panic(fmt.Sprintf("sim: proc %q yielding with no pending wake-up", p.name))
+		panic(fmt.Sprintf("sim: proc %q yielding with no pending wake-up", p.Name()))
 	}
 	if p.killed {
 		panic(unwind{}) // a deferred call blocking again while Close unwinds
@@ -194,7 +233,7 @@ func (w *worker) run() {
 			e.panicked = r
 		}
 	}()
-	p.body(p)
+	p.run.Run(p)
 }
 
 // maxWorkers bounds the idle worker pool; coroutines returned beyond it end

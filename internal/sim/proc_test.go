@@ -269,3 +269,39 @@ func TestManyProcsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// namedRunner is a Runner that embeds its Proc and counts String calls.
+type namedRunner struct {
+	proc    Proc
+	strings int
+}
+
+func (r *namedRunner) Run(p *Proc) { p.Block() }
+
+func (r *namedRunner) String() string {
+	r.strings++
+	return "runner"
+}
+
+// TestStartNamesOnDemand: a proc begun with Start runs its Runner, is named
+// by the Runner's String only when the name is read, and cannot be started
+// a second time.
+func TestStartNamesOnDemand(t *testing.T) {
+	e := New()
+	t.Cleanup(e.Close)
+	r := &namedRunner{}
+	e.Start(&r.proc, r)
+	e.Run()
+	if r.strings != 0 {
+		t.Fatalf("String called %d times before any read", r.strings)
+	}
+	if got := e.BlockedProcs(); len(got) != 1 || got[0] != "runner" || r.proc.Name() != "runner" {
+		t.Fatalf("BlockedProcs = %q, Name = %q, want [runner], runner", got, r.proc.Name())
+	}
+	defer func() {
+		if got, want := recover(), `sim: proc "runner" started twice`; got != want {
+			t.Errorf("second Start panic = %v, want %q", got, want)
+		}
+	}()
+	e.Start(&r.proc, r)
+}

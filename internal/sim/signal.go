@@ -10,39 +10,75 @@ package sim
 // Broadcast and Pulse deliver wake-ups through zero-delay events, so the
 // relative order of resumed processes follows the order in which they began
 // waiting (FIFO) and is deterministic.
+//
+// A lone waiter is held inline, and the queue behind it keeps its backing
+// array across wakes, so steady-state waiting does not allocate. Waking in
+// place is safe because Proc.Wakeup only queues an event: no body runs, and
+// so no one can Wait, until the waking call has returned.
 type Signal struct {
-	waiters []*Proc
+	// first, when set, is the longest-waiting process and the rest wait in
+	// more; a Wait fills first only while more is empty, keeping FIFO order.
+	first *Proc
+	more  FIFO[*Proc]
 }
 
 // Wait parks p until the signal is pulsed or broadcast. Spurious wake-ups do
 // not occur, but because other waiters may run first, predicates must be
 // re-checked.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
+	if s.first == nil && s.more.Len() == 0 {
+		s.first = p
+	} else {
+		s.more.Push(p)
+	}
 	p.Block()
+}
+
+// Grow makes room for n more waiters without reallocating, so a caller that
+// knows its rendezvous size (a barrier) pays one allocation for it instead of
+// a doubling series.
+func (s *Signal) Grow(n int) {
+	if s.first == nil && s.more.Len() == 0 {
+		n-- // the next waiter is held inline
+	}
+	if n > 0 {
+		s.more.Grow(n)
+	}
 }
 
 // Broadcast wakes every current waiter. Processes that start waiting after
 // the call are not affected.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, p := range ws {
+	if s.first != nil {
+		s.first.Wakeup()
+		s.first = nil
+	}
+	for _, p := range s.more.Items() {
 		p.Wakeup()
 	}
+	s.more.Clear()
 }
 
 // Pulse wakes the longest-waiting process, if any. It reports whether a
 // process was woken.
 func (s *Signal) Pulse() bool {
-	if len(s.waiters) == 0 {
+	switch {
+	case s.first != nil:
+		s.first.Wakeup()
+		s.first = nil
+	case s.more.Len() > 0:
+		s.more.Pop().Wakeup()
+	default:
 		return false
 	}
-	p := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	p.Wakeup()
 	return true
 }
 
 // Waiting returns the number of parked processes.
-func (s *Signal) Waiting() int { return len(s.waiters) }
+func (s *Signal) Waiting() int {
+	n := s.more.Len()
+	if s.first != nil {
+		n++
+	}
+	return n
+}

@@ -34,7 +34,9 @@ import (
 )
 
 // TaskCtx is the device-side API handed to task kernels (getTid, syncBlock,
-// getSMPtr and the cost-charging operations).
+// getSMPtr and the cost-charging operations). It is valid only for the
+// duration of the kernel call: an executor warp reuses it for its next task,
+// so a kernel must not keep the pointer after it returns.
 type TaskCtx = core.TaskCtx
 
 // TaskID identifies a spawned task.
