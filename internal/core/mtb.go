@@ -32,7 +32,9 @@ type MTB struct {
 	slots   []*warpSlot
 
 	buddy *Buddy
-	arena []byte // real backing store for getSMPtr
+	// arena is the real backing store for getSMPtr, allocated zeroed on
+	// first use: most tasks never touch shared memory.
+	arena []byte
 
 	bars     []*gpu.Barrier
 	barInUse []bool
@@ -51,7 +53,6 @@ func newMTB(rt *Runtime, index int) *MTB {
 		rt:       rt,
 		index:    index,
 		buddy:    NewBuddy(cfg.SharedPerMTB, cfg.MinAllocBlock),
-		arena:    make([]byte, cfg.SharedPerMTB),
 		bars:     make([]*gpu.Barrier, cfg.NumBarriers),
 		barInUse: make([]bool, cfg.NumBarriers),
 		ctrSite:  gpu.NewAtomicSite(rt.Eng, rt.Ctx.Dev.Cfg.AtomicSharedLatency),
@@ -77,13 +78,17 @@ func newMTB(rt *Runtime, index int) *MTB {
 	return m
 }
 
-// wakeAll releases every parked warp of this MTB (used at shutdown).
+// wakeAll releases every parked warp of this MTB (used at shutdown). An
+// executor warp that never ran a task is retired without starting: woken,
+// it would only see the shutdown flag and return. Waking a retired warp is
+// a no-op.
 func (m *MTB) wakeAll() {
 	m.activity.Broadcast()
 	m.warpFreed.Broadcast()
 	m.smemFreed.Broadcast()
 	m.barFreed.Broadcast()
-	for _, s := range m.slots {
+	for i, s := range m.slots {
+		m.rt.kernel.RetireParked(m.index, i+1)
 		s.sig.Broadcast()
 	}
 }

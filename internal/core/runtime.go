@@ -115,6 +115,16 @@ func (rt *Runtime) launchMasterKernel() {
 				m.executorLoop(c, c.WarpInBlock-1)
 			}
 		},
+		// An executor warp waits for its WarpTable slot before anything
+		// else, re-checking exec at the top of executorLoop, so it starts
+		// parked on the slot's signal: an idle executor costs no event
+		// and no coroutine.
+		ParkOn: func(b, w int) *sim.Signal {
+			if w == 0 {
+				return nil // the scheduler warp
+			}
+			return &rt.mtbs[b].slots[w-1].sig
+		},
 	}
 	occ := gpu.TheoreticalOccupancy(rt.Ctx.Dev.Cfg, spec)
 	if occ.TBsPerSMM < cfg.MTBsPerSMM {

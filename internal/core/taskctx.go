@@ -79,7 +79,11 @@ func (t *TaskCtx) Shared() []byte {
 	if t.smSize == 0 {
 		panic("core: Shared() on a task spawned without shared memory")
 	}
-	return t.mtb.arena[t.smOffset : t.smOffset+t.smSize]
+	m := t.mtb
+	if m.arena == nil {
+		m.arena = make([]byte, m.rt.Cfg.SharedPerMTB)
+	}
+	return m.arena[t.smOffset : t.smOffset+t.smSize]
 }
 
 // HasShared reports whether the task was spawned with shared memory.

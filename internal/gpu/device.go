@@ -22,6 +22,17 @@ type LaunchSpec struct {
 	RegsPerThread int // register budget per thread (occupancy input)
 	Fn            KernelFunc
 	Args          any
+
+	// ParkOn, when set, may return a signal for a warp to start parked on
+	// instead of starting at dispatch (sim.Engine.StartOn): the warp's
+	// process takes no start event and no coroutine until the signal wakes
+	// it, and Fn then runs from the top. This is sound only for a warp
+	// whose Fn begins as a Mesa-style waiter on that signal, re-checking
+	// its predicate before it charges any cost or touches any other state,
+	// so that starting parked is indistinguishable from starting and
+	// waiting at once. A nil result, or a block the virtualization
+	// coordinator charges a swap-in delay, starts the warp normally.
+	ParkOn func(block, warp int) *sim.Signal
 }
 
 // WarpsPerTB returns the number of warps a threadblock occupies.
@@ -42,9 +53,21 @@ type Kernel struct {
 	EndTime   sim.Time // last threadblock completed
 	started   bool
 
-	// one holds the threadblock of a single-block launch, which then needs
-	// no allocation of its own.
+	// tbs are the kernel's threadblocks; one holds the threadblock of a
+	// single-block launch, which then needs no allocation of its own.
+	tbs []threadBlock
 	one [1]threadBlock
+}
+
+// RetireParked retires a warp that ParkOn started parked and that no
+// wake-up has started yet: its Fn never runs, and it leaves its threadblock
+// at once, as a warp whose Fn returns immediately would. A warp that is not
+// resident, or has started, is left alone.
+func (k *Kernel) RetireParked(block, warp int) {
+	tb := &k.tbs[block]
+	if tb.warps != nil && tb.warps[warp].proc.Retire() {
+		k.dev.warpDone(tb)
+	}
 }
 
 // Finished reports whether all threadblocks have completed.
@@ -79,6 +102,7 @@ type threadBlock struct {
 	barrier    Barrier
 	placedAt   sim.Time
 	spillDelay sim.Time // coordinator swap-in cost before warps may execute
+	warps      []warp   // the resident warps, nil until the block is placed
 }
 
 // warp is one resident warp: the process that runs it, the Ctx its kernel
@@ -257,12 +281,12 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 	}
 	k := &Kernel{Spec: spec, dev: d}
 	warpsPerTB := spec.WarpsPerTB(d.Cfg)
-	tbs := k.one[:]
+	k.tbs = k.one[:]
 	if spec.GridDim > 1 {
-		tbs = make([]threadBlock, spec.GridDim)
+		k.tbs = make([]threadBlock, spec.GridDim)
 	}
-	for b := range tbs {
-		tb := &tbs[b]
+	for b := range k.tbs {
+		tb := &k.tbs[b]
 		tb.kernel, tb.blockIdx, tb.warpsLeft = k, b, warpsPerTB
 		tb.barrier.need = warpsPerTB
 		d.pending.Push(tb)
@@ -316,6 +340,7 @@ func (d *Device) startWarps(tb *threadBlock) {
 		bar = &tb.barrier
 	}
 	ws := make([]warp, spec.WarpsPerTB(d.Cfg))
+	tb.warps = ws
 	for i := range ws {
 		w := &ws[i]
 		w.tb = tb
@@ -329,6 +354,12 @@ func (d *Device) startWarps(tb *threadBlock) {
 			WarpInBlock: i,
 			Args:        spec.Args,
 			blockBar:    bar,
+		}
+		if spec.ParkOn != nil && tb.spillDelay == 0 {
+			if sig := spec.ParkOn(tb.blockIdx, i); sig != nil {
+				d.Eng.StartOn(sig, &w.proc, w)
+				continue
+			}
 		}
 		d.Eng.Start(&w.proc, w)
 	}

@@ -21,14 +21,14 @@ func TestEngineStatsPinned(t *testing.T) {
 	tasks := mb.Make(workloads.Options{Tasks: 256, Threads: 128, Seed: 1})
 	_, closed := runFleet(tasks, ClusterOpenLoop{Arrivals: make([]sim.Time, len(tasks)), closedLoop: true},
 		cfg, "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 549680, Handoffs: 244857, SelfResumes: 79049}); closed.Engine != want {
+	if want := (sim.Stats{Events: 549083, Handoffs: 244260, SelfResumes: 79049, PeakRunning: 488}); closed.Engine != want {
 		t.Errorf("fig5 MB Pagoda cell: Stats = %#v, want %#v", closed.Engine, want)
 	}
 
 	ol := olTasks(t, 48)
 	arr := serve.Poisson{Rate: 50e3, Seed: 3}.Times(len(ol))
 	_, open := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 85914, Handoffs: 26909, SelfResumes: 23227}); open.Engine != want {
+	if want := (sim.Stats{Events: 85466, Handoffs: 26461, SelfResumes: 23227, PeakRunning: 73}); open.Engine != want {
 		t.Errorf("open-loop Pagoda cell: Stats = %#v, want %#v", open.Engine, want)
 	}
 }

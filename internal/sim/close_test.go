@@ -186,7 +186,8 @@ func TestEnginesShareWorkerPool(t *testing.T) {
 }
 
 // TestStatsCounts pins the counters of a small run: one start handoff per
-// process, then every Sleep of a lone process resumes itself.
+// process, then every Sleep of a lone process resumes itself; PeakRunning
+// counts the procs holding a coroutine at once.
 func TestStatsCounts(t *testing.T) {
 	e := New()
 	e.Spawn("solo", func(p *Proc) {
@@ -196,7 +197,7 @@ func TestStatsCounts(t *testing.T) {
 	})
 	e.Schedule(10, func() {})
 	e.Run()
-	if got, want := e.Stats(), (Stats{Events: 5, Handoffs: 1, SelfResumes: 3}); got != want {
+	if got, want := e.Stats(), (Stats{Events: 5, Handoffs: 1, SelfResumes: 3, PeakRunning: 1}); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
 
@@ -210,7 +211,7 @@ func TestStatsCounts(t *testing.T) {
 		})
 	}
 	e.Run()
-	if got, want := e.Stats(), (Stats{Events: 10, Handoffs: 10, SelfResumes: 0}); got != want {
+	if got, want := e.Stats(), (Stats{Events: 10, Handoffs: 10, SelfResumes: 0, PeakRunning: 2}); got != want {
 		t.Fatalf("ping-pong Stats = %+v, want %+v", got, want)
 	}
 }

@@ -68,7 +68,9 @@ type Engine struct {
 	// head and tail link every spawned, unfinished process in spawn order,
 	// for LiveProcs, BlockedProcs and Close.
 	head, tail *Proc
-	stats      Stats
+	// running counts started, unfinished procs: the coroutines held.
+	running int64
+	stats   Stats
 }
 
 // Stats counts an engine's work since New. Every count is deterministic:
@@ -83,6 +85,10 @@ type Stats struct {
 	// SelfResumes counts resumes of the yielding process itself, which
 	// return without any switch.
 	SelfResumes int64
+	// PeakRunning is the most procs that were ever started but not
+	// finished at once: the peak number of coroutines the engine held. A
+	// proc parked by StartOn and never woken does not count.
+	PeakRunning int64
 }
 
 // New returns an engine with the clock at zero.

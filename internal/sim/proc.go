@@ -78,6 +78,41 @@ type Runner interface {
 // the current time. p must be a zero Proc, never started before (procs are
 // not reused, so a stale Wakeup stays a no-op on a dead proc).
 func (e *Engine) Start(p *Proc, r Runner) {
+	e.register(p, r)
+	gen := p.arm()
+	e.scheduleProc(0, p, gen)
+}
+
+// StartOn registers r as the body of a caller-owned process that is already
+// parked on sig, exactly as if the body's first act had been sig.Wait(p): it
+// queues no start event and takes no coroutine. When sig wakes the proc, the
+// body starts from the top, in the queue slot that Wakeup takes. The body
+// must therefore begin the way a Mesa-style waiter resumes, re-checking the
+// predicate it waits on before anything else. p must be a zero Proc, as for
+// Start; Close finishes a proc that was never woken without starting it.
+func (e *Engine) StartOn(sig *Signal, p *Proc, r Runner) {
+	e.register(p, r)
+	sig.enqueue(p)
+	p.arm()
+	p.parked = true
+}
+
+// Retire finishes a proc begun with StartOn whose body has not started, so
+// that the body never runs, and reports whether it did. A wake-up already
+// queued for it is dropped. A proc whose body has started, or that was
+// begun with Start, is left alone. The retired proc stays queued on its
+// signal, where waking it is a no-op, so a Pulse there could be spent on
+// it: retire only the waiters of a signal that is not pulsed afterwards.
+func (p *Proc) Retire() bool {
+	if p.w != nil || !p.parked {
+		return false
+	}
+	p.finish()
+	return true
+}
+
+// register links a zero Proc into the engine's live list with r as its body.
+func (e *Engine) register(p *Proc, r Runner) {
 	if p.eng != nil {
 		panic(fmt.Sprintf("sim: proc %q started twice", p.Name()))
 	}
@@ -90,8 +125,6 @@ func (e *Engine) Start(p *Proc, r Runner) {
 		e.head = p
 	}
 	e.tail = p
-	gen := p.arm()
-	e.scheduleProc(0, p, gen)
 }
 
 // finish retires p: it is dead to stale wake-ups and leaves the live list.
@@ -289,11 +322,16 @@ func (e *Engine) switchTo(p *Proc) {
 		w = getWorker()
 		w.p = p
 		p.w = w
+		p.parked = false // a StartOn proc leaves its signal by starting
+		if e.running++; e.running > e.stats.PeakRunning {
+			e.stats.PeakRunning = e.running
+		}
 	}
 	w.next()
 	if e.yielded != procExited {
 		return
 	}
+	e.running--
 	p.w = nil
 	putWorker(w)
 	if v := e.panicked; v != nil {

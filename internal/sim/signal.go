@@ -26,12 +26,17 @@ type Signal struct {
 // not occur, but because other waiters may run first, predicates must be
 // re-checked.
 func (s *Signal) Wait(p *Proc) {
+	s.enqueue(p)
+	p.Block()
+}
+
+// enqueue appends p to the waiters.
+func (s *Signal) enqueue(p *Proc) {
 	if s.first == nil && s.more.Len() == 0 {
 		s.first = p
 	} else {
 		s.more.Push(p)
 	}
-	p.Block()
 }
 
 // Grow makes room for n more waiters without reallocating, so a caller that
