@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check lint test vet race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster
+.PHONY: check lint test vet bench-module race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster
 
 # check is the pre-merge gate, in order: the determinism analyzers
-# (pagodavet), go vet, the full test suite, race detection across the
-# internal tree, and the quick tier of the perf-regression gate (pagodaperf
-# against the BENCH_*.json baselines). lint runs first so a wall-clock read
-# or stray goroutine fails the build before anything expensive starts.
-check: lint vet test race perf-quick
+# (pagodavet), go vet, the full test suite, the bench/ module's tests, race
+# detection across the internal tree, and the quick tier of the
+# perf-regression gate (pagodaperf against the BENCH_*.json baselines). lint
+# runs first so a wall-clock read or stray goroutine fails the build before
+# anything expensive starts.
+check: lint vet test bench-module race perf-quick
 
 # lint runs the project's determinism & sim-safety analyzers: the per-file
 # checks plus the interprocedural taintflow pass (call-graph taint tracking
@@ -28,6 +29,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench-module builds and tests bench/, the benchmark's own Go module: the
+# root `go test ./...` never compiles it, so without this target a change to
+# a runners field that bench uses passes check and fails only in CI.
+bench-module:
+	cd bench && $(GO) test ./...
 
 # race covers the whole internal tree, including the parallel experiment
 # sweep (harness's TestAllExperimentsDeterministicAndParallelSafe runs every

@@ -26,23 +26,25 @@
 // -maxnodes, and the trace gains a "fleet/scale" track whose warmup, active
 // and drain spans show each node's lifecycle alongside the per-node serve
 // tracks. Mutually exclusive with -tenants.
+//
+// The three timed-arrival modes share one fleet run; their wait/service
+// spans are built from the run's records (runners.ClusterRun.AddServeSpans).
+// Bad flags exit 2, any other failure exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
+	"repro"
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/cuda"
-	"repro/internal/gpu"
-	"repro/internal/pcie"
 	"repro/internal/runners"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -52,10 +54,21 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout, os.Args[1:]); err != nil {
-		log.Fatal(err)
+	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
 }
+
+// usageError marks an error caused by the command line; main exits 2 on it.
+type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
 
 // run executes the traced simulation; split from main so the smoke test can
 // drive the command with small flags and inspect the written trace.
@@ -77,215 +90,186 @@ func run(w io.Writer, args []string) error {
 	admit := fs.String("admit", tenancy.AdmitStrict, "tenant mode admission policy: "+strings.Join(tenancy.Kinds(), ", "))
 	out := fs.String("o", "trace.json", "output file")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
-	if *nodes > 0 && *tenants > 0 {
-		return fmt.Errorf("pagodatrace: -nodes and -tenants are mutually exclusive modes")
-	}
-	if *autoPol != "" && *tenants > 0 {
-		return fmt.Errorf("pagodatrace: -autoscale and -tenants are mutually exclusive modes")
-	}
-	if *minNodes < 1 || *minNodes > *maxNodes {
-		return fmt.Errorf("pagodatrace: fleet bounds %d..%d are not a valid range", *minNodes, *maxNodes)
+	maxThreads := core.DefaultConfig().ExecutorWarpsPerMTB() * 32
+	switch {
+	case *nodes > 0 && *tenants > 0:
+		return usagef("pagodatrace: -nodes and -tenants are mutually exclusive modes")
+	case *autoPol != "" && *tenants > 0:
+		return usagef("pagodatrace: -autoscale and -tenants are mutually exclusive modes")
+	case *minNodes < 1 || *minNodes > *maxNodes:
+		return usagef("pagodatrace: fleet bounds %d..%d are not a valid range", *minNodes, *maxNodes)
+	case *autoPol != "" && *minNodes == *maxNodes:
+		return usagef("pagodatrace: -autoscale needs -maxnodes above -minnodes (equal bounds are a fixed fleet: use -nodes %d)", *minNodes)
+	case *nodes < 0 || *tenants < 0:
+		return usagef("pagodatrace: -nodes %d and -tenants %d must not be negative", *nodes, *tenants)
+	case *tasks < 1:
+		return usagef("pagodatrace: -tasks %d: need at least one task", *tasks)
+	case *smms < 1:
+		return usagef("pagodatrace: -smms %d: need at least one SMM", *smms)
+	case *threads > maxThreads:
+		return usagef("pagodatrace: -threads %d exceeds the %d executor lanes of an MTB", *threads, maxThreads)
 	}
 
 	b, err := workloads.ByName(*benchName)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	defs := b.Make(workloads.Options{Tasks: *tasks, Threads: *threads, Seed: *seed})
-
-	if *autoPol != "" {
-		return runAutoscale(w, defs, *benchName, *smms, *seed, *minNodes, *maxNodes, *autoPol, *policy, *scheme, *rate, *out)
-	}
-	if *nodes > 0 {
-		return runCluster(w, defs, *benchName, *smms, *seed, *nodes, *policy, *scheme, *rate, *out)
-	}
-	if *tenants > 0 {
-		return runTenants(w, b, *benchName, *tasks, *threads, *smms, *seed, *tenants, *admit, *scheme, *rate, *out)
+	if *autoPol == "" && *nodes == 0 && *tenants == 0 {
+		return runPlain(w, defs, *benchName, *smms, *out)
 	}
 
-	eng := sim.New()
-	gcfg := gpu.TitanX()
-	gcfg.NumSMMs = *smms
-	dev := gpu.NewDevice(eng, gcfg)
-	bus := pcie.New(eng, pcie.Default())
-	ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
-	rt := core.NewRuntime(ctx, core.DefaultConfig())
-
-	tr := trace.New()
-	dev.Trace = tr
-	rt.Trace = tr
-
-	eng.Spawn("host", func(p *sim.Proc) {
-		for i := range defs {
-			td := &defs[i]
-			rt.TaskSpawn(p, core.TaskSpec{
-				Threads:   td.Threads,
-				Blocks:    td.Blocks,
-				SharedMem: td.SharedMem,
-				Sync:      td.Sync,
-				ArgBytes:  td.ArgBytes,
-				Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
-			})
-		}
-		rt.WaitAll(p)
-		rt.Shutdown(p)
-	})
-	end := eng.Run()
-
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChromeJSON(f); err != nil {
-		return err
-	}
-
-	st := rt.Stats()
-	fmt.Fprintf(w, "ran %d %s tasks in %.2f ms simulated; wrote %d spans to %s\n",
-		st.Completed, *benchName, end/1e6, tr.Len(), *out)
-	summary := tr.Summary()
-	cats := make([]string, 0, len(summary))
-	for cat := range summary {
-		cats = append(cats, cat)
-	}
-	sort.Strings(cats)
-	for _, cat := range cats {
-		s := summary[cat]
-		fmt.Fprintf(w, "  %-12s %6d spans, %10.1f us total\n", cat, s.Count, s.Busy/1e3)
-	}
-	return nil
-}
-
-// runTenants runs the multi-tenant open loop on one device and writes a
-// trace with one wait/service track per tenant class, plus a per-tenant
-// outcome summary (served/shed/evicted and span totals).
-func runTenants(w io.Writer, b workloads.Benchmark, benchName string,
-	tasks, threads, smms int, seed int64, tenants int, admit, scheme string, rate float64, out string) error {
-	sc, ok := runners.SchemeByKey(scheme)
+	sc, ok := runners.SchemeByKey(*scheme)
 	if !ok {
-		return fmt.Errorf("pagodatrace: unknown scheme %q (valid: %s)", scheme, strings.Join(runners.SchemeKeys(), ", "))
+		return usagef("pagodatrace: unknown scheme %q (valid: %s)", *scheme, strings.Join(runners.SchemeKeys(), ", "))
 	}
-	okKind := false
-	for _, k := range tenancy.Kinds() {
-		okKind = okKind || k == admit
-	}
-	if !okKind {
-		return fmt.Errorf("pagodatrace: unknown admission policy %q (valid: %s)", admit, strings.Join(tenancy.Kinds(), ", "))
-	}
-
-	const slo = sim.Time(1000e3) // 1000us premium p99 bound
-	horizon := sim.Time(float64(tasks) / float64(tenants) / rate * 1e9)
-	classes := tenancy.DefaultClasses(tenants, rate, slo, horizon, seed, 1)
-	counts := make([]int, tenants)
-	for c := range counts {
-		counts[c] = tasks / tenants
-		if c < tasks%tenants {
-			counts[c]++
-		}
-	}
-	arrivals, classOf := tenancy.Merge(classes, counts)
-	defs := b.Make(workloads.Options{Tasks: len(arrivals), Threads: threads, Seed: seed})
-	adm := tenancy.NewAdmission(admit, classes, arrivals, classOf, 64, admit != tenancy.AdmitNone)
-
-	cfg := runners.DefaultConfig()
-	cfg.SMMs = smms
-	_, recs := sc.RunOpenLoop(defs, runners.OpenLoop{Arrivals: arrivals, AdmitTask: adm.AdmitTask}, cfg)
-
-	// One wait/service track per tenant, built directly from the records so
-	// each tenant's queueing story reads as its own timeline row.
-	tr := trace.New()
-	tracks := make([]string, tenants)
-	for c, cl := range classes {
-		tracks[c] = fmt.Sprintf("tenant-%s/serve-%s", cl.Name, scheme)
-	}
-	for i, r := range recs {
-		if r.Dropped {
-			continue
-		}
-		tr.Add(trace.Span{Name: trace.SpanName("wait", int64(i)), Cat: "wait",
-			Track: tracks[classOf[i]], Start: r.Submit, End: r.Start})
-		tr.Add(trace.Span{Name: trace.SpanName("service", int64(i)), Cat: "service",
-			Track: tracks[classOf[i]], Start: r.Start, End: r.Done})
-	}
-
-	f, err := os.Create(out)
+	mk, err := cluster.NewPolicy(*policy, *seed)
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChromeJSON(f); err != nil {
-		return err
-	}
-
-	st := tenancy.SummarizeClasses(classes, classOf, recs, adm.Outcomes())
-	fmt.Fprintf(w, "ran %d %s tasks for %d tenants (%s admission, %s scheme); wrote %d spans to %s\n",
-		len(recs), benchName, tenants, admit, scheme, tr.Len(), out)
-	byTrack := tr.SummaryByTrack()
-	for c := range classes {
-		s := st[c]
-		fmt.Fprintf(w, "  %s: offered %d, served %d, shed %d, evicted %d, p99 %.1f us\n",
-			tracks[c], s.Offered, s.Completed, s.Shed, s.Evicted, s.P99/1e3)
-		per := byTrack[tracks[c]]
-		cats := make([]string, 0, len(per))
-		for cat := range per {
-			cats = append(cats, cat)
-		}
-		sort.Strings(cats)
-		for _, cat := range cats {
-			sum := per[cat]
-			fmt.Fprintf(w, "    %-10s %6d spans, %10.1f us total\n", cat, sum.Count, sum.Busy/1e3)
-		}
-	}
-	return nil
-}
-
-// runAutoscale runs an elastic fleet under a diurnal arrival wave and writes
-// the merged trace: the usual per-node serve tracks plus a "fleet/scale"
-// track carrying each node's warmup/active/drain lifecycle spans, so the
-// timeline shows capacity following load.
-func runAutoscale(w io.Writer, defs []workloads.TaskDef, benchName string,
-	smms int, seed int64, minN, maxN int, autoPol, policy, scheme string, rate float64, out string) error {
-	mk, err := cluster.NewPolicy(policy, seed)
-	if err != nil {
-		return err
-	}
-	sc, ok := runners.SchemeByKey(scheme)
-	if !ok {
-		return fmt.Errorf("pagodatrace: unknown scheme %q (valid: %s)", scheme, strings.Join(runners.SchemeKeys(), ", "))
-	}
-	tu := autoscale.DefaultTuning()
-	tu.PerNodeRate = rate
-	mkPol, err := autoscale.NewPolicy(autoPol, tu)
-	if err != nil {
-		return fmt.Errorf("pagodatrace: %v (valid: %s)", err, strings.Join(autoscale.PolicyNames(), ", "))
+		return usageError{err}
 	}
 	cfg := runners.DefaultConfig()
-	cfg.SMMs = smms
+	cfg.SMMs = *smms
 
-	// A diurnal wave whose mean sits mid-band, with a short control loop and
-	// warm-up so even small -tasks runs show scale events on the timeline.
-	tr := trace.New()
-	mean := rate * float64(minN+maxN) / 2
-	co := runners.ClusterOpenLoop{
-		Arrivals: serve.Diurnal{MeanRate: mean, Swing: 0.8, Period: 400_000, Seed: seed}.Times(len(defs)),
-		Policy:   mk(),
-		Scaler: &autoscale.Config{Min: minN, Max: maxN, Policy: mkPol,
-			Interval: 50_000, Warmup: 200_000, Cooldown: 100_000},
-		Trace: tr,
+	// Each mode fills in its arrivals and fleet shape, an optional per-task
+	// track (nil: the task's node track), and its summary printer.
+	co := runners.ClusterOpenLoop{Policy: mk()}
+	var track func(ti int) string
+	var report func(tr *trace.Tracer, res runners.Result, cr runners.ClusterRun)
+	switch {
+	case *autoPol != "":
+		tu := autoscale.DefaultTuning()
+		tu.PerNodeRate = *rate
+		mkPol, err := autoscale.NewPolicy(*autoPol, tu)
+		if err != nil {
+			return usagef("pagodatrace: %v (valid: %s)", err, strings.Join(autoscale.PolicyNames(), ", "))
+		}
+		// A diurnal wave whose mean sits mid-band, with a short control loop
+		// and warm-up so even small -tasks runs show scale events on the
+		// timeline.
+		gen := serve.Diurnal{MeanRate: *rate * float64(*minNodes+*maxNodes) / 2, Swing: 0.8, Period: 400_000, Seed: *seed}
+		if err := gen.Validate(); err != nil {
+			return usageError{err}
+		}
+		co.Arrivals = gen.Times(len(defs))
+		co.Scaler = &autoscale.Config{Min: *minNodes, Max: *maxNodes, Policy: mkPol,
+			Interval: 50_000, Warmup: 200_000, Cooldown: 100_000}
+		report = func(tr *trace.Tracer, res runners.Result, cr runners.ClusterRun) {
+			o := cr.Scale
+			fmt.Fprintf(w, "ran %d %s tasks on an elastic %d..%d %s fleet (%s scaling, policy %s) in %.2f ms simulated; wrote %d spans to %s\n",
+				len(defs), *benchName, *minNodes, *maxNodes, *scheme, *autoPol, *policy, res.Elapsed/1e6, tr.Len(), *out)
+			fmt.Fprintf(w, "  fleet/scale: %d scale-outs, %d scale-ins, peak %d nodes, %.4f node-seconds\n",
+				o.ScaleOuts, o.ScaleIns, o.Peak, o.NodeSeconds())
+			for i, name := range cr.Names {
+				v, sp := cr.Views[i], o.Nodes[i]
+				fmt.Fprintf(w, "  %s: routed %d, done %d, dropped %d (provisioned %.1f us, retired %.1f us)\n",
+					name, v.Routed, v.Done, v.Dropped, sp.ProvisionedAt/1e3, sp.RetiredAt/1e3)
+			}
+		}
+	case *nodes > 0:
+		gen := serve.Poisson{Rate: *rate * float64(*nodes), Seed: *seed}
+		if err := gen.Validate(); err != nil {
+			return usageError{err}
+		}
+		co.Arrivals = gen.Times(len(defs))
+		co.Nodes = *nodes
+		report = func(tr *trace.Tracer, res runners.Result, cr runners.ClusterRun) {
+			fmt.Fprintf(w, "ran %d %s tasks on %d %s nodes (policy %s) in %.2f ms simulated; wrote %d spans to %s\n",
+				len(defs), *benchName, *nodes, *scheme, *policy, res.Elapsed/1e6, tr.Len(), *out)
+			byTrack := tr.SummaryByTrack()
+			for i, name := range cr.Names { // "node%02d/..." names: index order = lexicographic order
+				v := cr.Views[i]
+				fmt.Fprintf(w, "  %s: routed %d, done %d, dropped %d\n", name, v.Routed, v.Done, v.Dropped)
+				printCats(w, "    %-10s %6d spans, %10.1f us total\n", byTrack[name])
+			}
+		}
+	case *tenants > 0:
+		if !slices.Contains(tenancy.Kinds(), *admit) {
+			return usagef("pagodatrace: unknown admission policy %q (valid: %s)", *admit, strings.Join(tenancy.Kinds(), ", "))
+		}
+		const slo = sim.Time(1000e3) // 1000us premium p99 bound
+		horizon := sim.Time(float64(*tasks) / float64(*tenants) / *rate * 1e9)
+		classes := tenancy.DefaultClasses(*tenants, *rate, slo, horizon, *seed, 1)
+		counts := make([]int, *tenants)
+		tracks := make([]string, *tenants)
+		for c, cl := range classes {
+			if err := cl.Validate(); err != nil {
+				return usageError{err}
+			}
+			counts[c] = *tasks / *tenants
+			if c < *tasks%*tenants {
+				counts[c]++
+			}
+			tracks[c] = fmt.Sprintf("tenant-%s/serve-%s", cl.Name, *scheme)
+		}
+		arrivals, classOf := tenancy.Merge(classes, counts)
+		adm := tenancy.NewAdmission(*admit, classes, arrivals, classOf, 64, *admit != tenancy.AdmitNone)
+		co.Arrivals, co.AdmitTask = arrivals, adm.AdmitTask
+		// One wait/service track per tenant, so each tenant's queueing story
+		// reads as its own timeline row.
+		track = func(ti int) string { return tracks[classOf[ti]] }
+		report = func(tr *trace.Tracer, _ runners.Result, cr runners.ClusterRun) {
+			st := tenancy.SummarizeClasses(classes, classOf, cr.Recs, adm.Outcomes())
+			fmt.Fprintf(w, "ran %d %s tasks for %d tenants (%s admission, %s scheme); wrote %d spans to %s\n",
+				len(cr.Recs), *benchName, *tenants, *admit, *scheme, tr.Len(), *out)
+			byTrack := tr.SummaryByTrack()
+			for c, s := range st {
+				fmt.Fprintf(w, "  %s: offered %d, served %d, shed %d, evicted %d, p99 %.1f us\n",
+					tracks[c], s.Offered, s.Completed, s.Shed, s.Evicted, s.P99/1e3)
+				printCats(w, "    %-10s %6d spans, %10.1f us total\n", byTrack[tracks[c]])
+			}
+		}
 	}
+
 	res, cr := sc.RunCluster(defs, co, cfg)
 	if err := cr.CheckConservation(); err != nil {
 		return err
 	}
+	tr := trace.New()
+	cr.AddServeSpans(tr, track)
+	if cr.Scale != nil {
+		addScaleSpans(tr, cr.Scale)
+	}
+	if err := writeTrace(tr, *out); err != nil {
+		return err
+	}
+	report(tr, res, cr)
+	return nil
+}
 
-	// Lifecycle spans: one "fleet/scale" track, one span per phase per node.
-	// A node canceled during warm-up (ActiveAt 0 despite a post-start
-	// provision) reads as warmup for its whole open extent, then drain; the
-	// initial nodes are active from t=0 with no warm-up.
-	for i, sp := range cr.Scale.Nodes {
+// runPlain runs the batch closed-loop on one Pagoda system and traces the
+// device and the runtime: one span per task per MTB plus the kernel spans.
+func runPlain(w io.Writer, defs []workloads.TaskDef, benchName string, smms int, out string) error {
+	cfg := pagoda.DefaultConfig()
+	cfg.GPU.NumSMMs = smms
+	sys := pagoda.New(cfg)
+	tr := trace.New()
+	sys.Device.Trace = tr
+	sys.Runtime.Trace = tr
+	end := sys.Run(func(h *pagoda.Host) {
+		for i := range defs {
+			td := &defs[i]
+			h.Spawn(pagoda.Task{Threads: td.Threads, Blocks: td.Blocks, SharedMem: td.SharedMem,
+				Sync: td.Sync, ArgBytes: td.ArgBytes, Kernel: func(tc *pagoda.TaskCtx) { td.Kernel(tc) }})
+		}
+		h.WaitAll()
+	})
+	if err := writeTrace(tr, out); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "ran %d %s tasks in %.2f ms simulated; wrote %d spans to %s\n",
+		sys.Runtime.Stats().Completed, benchName, end/1e6, tr.Len(), out)
+	printCats(w, "  %-12s %6d spans, %10.1f us total\n", tr.Summary())
+	return nil
+}
+
+// addScaleSpans adds the elastic fleet's lifecycle: one "fleet/scale" track,
+// one span per phase per node. A node canceled during warm-up (ActiveAt 0
+// despite a post-start provision) reads as warmup for its whole open extent,
+// then drain; the initial nodes are active from t=0 with no warm-up.
+func addScaleSpans(tr *trace.Tracer, o *autoscale.Outcome) {
+	for i, sp := range o.Nodes {
 		activeFrom := sp.ActiveAt
 		if sp.ActiveAt == 0 && sp.ProvisionedAt > 0 {
 			activeFrom = sp.ClosedAt // never promoted
@@ -303,82 +287,30 @@ func runAutoscale(w io.Writer, defs []workloads.TaskDef, benchName string,
 				Track: "fleet/scale", Start: sp.ClosedAt, End: sp.RetiredAt})
 		}
 	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := tr.WriteChromeJSON(f); err != nil {
-		return err
-	}
-
-	o := cr.Scale
-	fmt.Fprintf(w, "ran %d %s tasks on an elastic %d..%d %s fleet (%s scaling, policy %s) in %.2f ms simulated; wrote %d spans to %s\n",
-		len(defs), benchName, minN, maxN, scheme, autoPol, policy, res.Elapsed/1e6, tr.Len(), out)
-	fmt.Fprintf(w, "  fleet/scale: %d scale-outs, %d scale-ins, peak %d nodes, %.4f node-seconds\n",
-		o.ScaleOuts, o.ScaleIns, o.Peak, o.NodeSeconds())
-	for i, track := range cr.Names {
-		v := cr.Views[i]
-		sp := o.Nodes[i]
-		fmt.Fprintf(w, "  %s: routed %d, done %d, dropped %d (provisioned %.1f us, retired %.1f us)\n",
-			track, v.Routed, v.Done, v.Dropped, sp.ProvisionedAt/1e3, sp.RetiredAt/1e3)
-	}
-	return nil
 }
 
-// runCluster runs the open-loop fleet and writes the merged per-node trace.
-func runCluster(w io.Writer, defs []workloads.TaskDef, benchName string,
-	smms int, seed int64, nodes int, policy, scheme string, rate float64, out string) error {
-	mk, err := cluster.NewPolicy(policy, seed)
+// writeTrace writes tr to path as Chrome trace-event JSON.
+func writeTrace(tr *trace.Tracer, path string) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	sc, ok := runners.SchemeByKey(scheme)
-	if !ok {
-		return fmt.Errorf("pagodatrace: unknown scheme %q (valid: %s)", scheme, strings.Join(runners.SchemeKeys(), ", "))
-	}
-	run := sc.RunCluster
-	cfg := runners.DefaultConfig()
-	cfg.SMMs = smms
-
-	tr := trace.New()
-	co := runners.ClusterOpenLoop{
-		Arrivals: serve.Poisson{Rate: rate * float64(nodes), Seed: seed}.Times(len(defs)),
-		Nodes:    nodes,
-		Policy:   mk(),
-		Trace:    tr,
-	}
-	res, cr := run(defs, co, cfg)
-	if err := cr.CheckConservation(); err != nil {
-		return err
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	if err := tr.WriteChromeJSON(f); err != nil {
+		f.Close()
 		return err
 	}
+	return f.Close()
+}
 
-	fmt.Fprintf(w, "ran %d %s tasks on %d %s nodes (policy %s) in %.2f ms simulated; wrote %d spans to %s\n",
-		len(defs), benchName, nodes, scheme, policy, res.Elapsed/1e6, tr.Len(), out)
-	byTrack := tr.SummaryByTrack()
-	for i, track := range cr.Names { // "node%02d/..." names: index order = lexicographic order
-		v := cr.Views[i]
-		fmt.Fprintf(w, "  %s: routed %d, done %d, dropped %d\n", track, v.Routed, v.Done, v.Dropped)
-		per := byTrack[track]
-		cats := make([]string, 0, len(per))
-		for cat := range per {
-			cats = append(cats, cat)
-		}
-		sort.Strings(cats)
-		for _, cat := range cats {
-			s := per[cat]
-			fmt.Fprintf(w, "    %-10s %6d spans, %10.1f us total\n", cat, s.Count, s.Busy/1e3)
-		}
+// printCats prints one catFmt line (category, span count, busy µs) per span
+// category, in sorted category order.
+func printCats(w io.Writer, catFmt string, per map[string]trace.CatStats) {
+	cats := make([]string, 0, len(per))
+	for cat := range per {
+		cats = append(cats, cat)
 	}
-	return nil
+	slices.Sort(cats)
+	for _, cat := range cats {
+		fmt.Fprintf(w, catFmt, cat, per[cat].Count, per[cat].Busy/1e3)
+	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -49,6 +50,41 @@ func TestRunRejectsUnknownBench(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, []string{"-bench", "NOPE", "-o", filepath.Join(t.TempDir(), "t.json")}); err == nil {
 		t.Fatal("run accepted an unknown workload")
+	}
+}
+
+// TestRunRejectsBadFlags pins input validation: every bad flag combination
+// returns a usage error (main exits 2 on it) before anything runs, never a
+// panic and never a silent fall-back to another mode.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"negative_nodes", []string{"-nodes", "-3"}},
+		{"negative_tenants", []string{"-tenants", "-1"}},
+		{"negative_tasks", []string{"-tasks", "-1"}},
+		{"zero_smms", []string{"-smms", "0"}},
+		{"threads_over_mtb", []string{"-threads", "5000"}},
+		{"undefined_flag", []string{"-bogus"}},
+		{"cluster_zero_rate", []string{"-nodes", "2", "-rate", "0"}},
+		{"cluster_nan_rate", []string{"-nodes", "2", "-rate", "NaN"}},
+		{"autoscale_zero_rate", []string{"-autoscale", "reactive", "-rate", "0"}},
+		{"autoscale_equal_bounds", []string{"-autoscale", "reactive", "-minnodes", "2", "-maxnodes", "2"}},
+		{"tenant_negative_rate", []string{"-tenants", "3", "-rate", "-5"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "t.json")
+			var sb strings.Builder
+			err := run(&sb, append([]string{"-tasks", "16", "-smms", "4", "-o", out}, tc.args...))
+			var ue usageError
+			if !errors.As(err, &ue) {
+				t.Fatalf("run(%v) = %v, want a usage error", tc.args, err)
+			}
+			if _, statErr := os.Stat(out); statErr == nil {
+				t.Error("a rejected run wrote a trace file")
+			}
+		})
 	}
 }
 
@@ -159,14 +195,15 @@ func TestTenantTraceSmoke(t *testing.T) {
 func TestTenantTraceRejectsBadFlags(t *testing.T) {
 	var sb strings.Builder
 	tmp := filepath.Join(t.TempDir(), "t.json")
-	if err := run(&sb, []string{"-nodes", "2", "-tenants", "2", "-o", tmp}); err == nil {
-		t.Error("run accepted -nodes together with -tenants")
+	var ue usageError
+	if err := run(&sb, []string{"-nodes", "2", "-tenants", "2", "-o", tmp}); !errors.As(err, &ue) {
+		t.Errorf("run with -nodes together with -tenants = %v, want a usage error", err)
 	}
-	if err := run(&sb, []string{"-tenants", "2", "-admit", "nope", "-o", tmp}); err == nil {
-		t.Error("run accepted an unknown admission policy")
+	if err := run(&sb, []string{"-tenants", "2", "-admit", "nope", "-o", tmp}); !errors.As(err, &ue) {
+		t.Errorf("run with an unknown admission policy = %v, want a usage error", err)
 	}
-	if err := run(&sb, []string{"-tenants", "2", "-scheme", "nope", "-o", tmp}); err == nil {
-		t.Error("tenant mode accepted an unknown scheme")
+	if err := run(&sb, []string{"-tenants", "2", "-scheme", "nope", "-o", tmp}); !errors.As(err, &ue) {
+		t.Errorf("tenant mode with an unknown scheme = %v, want a usage error", err)
 	}
 }
 
@@ -174,11 +211,12 @@ func TestTenantTraceRejectsBadFlags(t *testing.T) {
 func TestClusterTraceRejectsUnknownSchemeAndPolicy(t *testing.T) {
 	var sb strings.Builder
 	tmp := filepath.Join(t.TempDir(), "t.json")
-	if err := run(&sb, []string{"-nodes", "2", "-scheme", "nope", "-o", tmp}); err == nil {
-		t.Error("run accepted an unknown scheme")
+	var ue usageError
+	if err := run(&sb, []string{"-nodes", "2", "-scheme", "nope", "-o", tmp}); !errors.As(err, &ue) {
+		t.Errorf("run with an unknown scheme = %v, want a usage error", err)
 	}
-	if err := run(&sb, []string{"-nodes", "2", "-policy", "nope", "-o", tmp}); err == nil {
-		t.Error("run accepted an unknown policy")
+	if err := run(&sb, []string{"-nodes", "2", "-policy", "nope", "-o", tmp}); !errors.As(err, &ue) {
+		t.Errorf("run with an unknown policy = %v, want a usage error", err)
 	}
 }
 

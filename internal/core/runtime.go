@@ -42,7 +42,6 @@ type Runtime struct {
 	latSum, schedDelaySum float64
 	latMax                sim.Time
 	latCount              int
-	latencies             []sim.Time // per-task spawn-to-completion, completion order
 	busyWarpIntegral      float64
 
 	// CopyBacks counts forced TaskTable copy-back transactions (lazy
@@ -423,16 +422,10 @@ func (rt *Runtime) taskFinished(e *deviceEntry) {
 		rt.latMax = lat
 	}
 	rt.latCount++
-	rt.latencies = append(rt.latencies, lat)
 	if rt.OnTaskDone != nil {
 		rt.OnTaskDone(e.id, e.spawnTime, e.schedTime, e.endTime)
 	}
 }
-
-// Latencies returns every completed task's spawn-to-completion latency in
-// completion order. The slice is owned by the runtime: callers must not
-// mutate it (sort a copy for percentiles).
-func (rt *Runtime) Latencies() []sim.Time { return rt.latencies }
 
 // Shutdown terminates the MasterKernel: the host writes a termination flag
 // to device memory and waits for the daemon to exit.

@@ -35,9 +35,6 @@ func (b *Barrier) Reset(need int) {
 	b.need = need
 }
 
-// Need returns the participant count.
-func (b *Barrier) Need() int { return b.need }
-
 // Arrive blocks p until all participants of the current generation arrive.
 func (b *Barrier) Arrive(p *sim.Proc) {
 	b.arrived++

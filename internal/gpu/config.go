@@ -115,11 +115,6 @@ func (c Config) MaxResidentThreads() int { return c.WarpsPerSMM * c.ThreadsPerWa
 // denominator: 64 x #SMMs on the Titan X).
 func (c Config) TotalWarps() int { return c.NumSMMs * c.WarpsPerSMM }
 
-// CyclesToSeconds converts a cycle count to seconds of simulated wall time.
-func (c Config) CyclesToSeconds(cycles float64) float64 {
-	return cycles / (c.ClockGHz * 1e9)
-}
-
 // Validate panics if the configuration is internally inconsistent; it is
 // called by NewDevice.
 func (c Config) Validate() {

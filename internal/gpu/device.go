@@ -396,6 +396,3 @@ func (d *Device) warpDone(tb *threadBlock) {
 	}
 	d.tryDispatch()
 }
-
-// PendingTBs returns the number of threadblocks awaiting dispatch.
-func (d *Device) PendingTBs() int { return d.pending.Len() }

@@ -66,9 +66,6 @@ type Params struct {
 	Misbehave int
 }
 
-// DefaultParams returns the laptop-scale defaults.
-func DefaultParams() Params { return Params{Tasks: 2048, SMMs: 24, Seed: 1} }
-
 func (p Params) fill() Params {
 	if p.Tasks <= 0 {
 		p.Tasks = 2048

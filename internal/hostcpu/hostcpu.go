@@ -90,14 +90,6 @@ func (p *Pool) Submit(host *sim.Proc, t Task) {
 	p.notEmpty.Broadcast()
 }
 
-// SubmitBulk enqueues many tasks with a single dispatch charge per task but
-// without yielding between them beyond the dispatch sleeps.
-func (p *Pool) SubmitBulk(host *sim.Proc, tasks []Task) {
-	for _, t := range tasks {
-		p.Submit(host, t)
-	}
-}
-
 // WaitAll parks the host until every submitted task has completed.
 func (p *Pool) WaitAll(host *sim.Proc) {
 	for p.pending > 0 {

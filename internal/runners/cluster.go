@@ -59,11 +59,6 @@ type ClusterOpenLoop struct {
 	// test.
 	Scaler *autoscale.Config
 
-	// Trace, when enabled, receives each completed task's wait/service spans
-	// on a per-node track ("node00/serve-pagoda", ...). Track names are
-	// zero-padded so lexicographic track ordering is node ordering.
-	Trace *trace.Tracer
-
 	// closedLoop makes each node stamp Submit at its own presentation point
 	// instead of the arrival instant (see runClosedLoop).
 	closedLoop bool
@@ -131,20 +126,29 @@ func (cr ClusterRun) NodeRecords(node int) []serve.Record {
 	return out
 }
 
-// addClusterServeSpans exports one node's wait/service decomposition onto
-// its own track, spans named by global task index (deterministic order).
-func addClusterServeSpans(tr *trace.Tracer, track string, recs []serve.Record, nodeOf []int, node int) {
+// AddServeSpans exports each completed task's wait (Submit→Start) and service
+// (Start→Done) spans, named by task index, on track(ti) — by default its
+// node's track, Names[NodeOf[ti]]. Spans go in node by node, in task order
+// within a node: Tracer.Spans sorts unstably by start, so insertion order
+// decides ties and is part of the exported bytes.
+func (cr ClusterRun) AddServeSpans(tr *trace.Tracer, track func(ti int) string) {
 	if !tr.Enabled() {
 		return
 	}
-	for ti, r := range recs {
-		if nodeOf[ti] != node || r.Dropped {
-			continue
+	if track == nil {
+		track = func(ti int) string { return cr.Names[cr.NodeOf[ti]] }
+	}
+	for node := range cr.Names {
+		for ti, r := range cr.Recs {
+			if cr.NodeOf[ti] != node || r.Dropped {
+				continue
+			}
+			tk := track(ti)
+			tr.Add(trace.Span{Name: trace.SpanName("wait", int64(ti)), Cat: "wait",
+				Track: tk, Start: r.Submit, End: r.Start})
+			tr.Add(trace.Span{Name: trace.SpanName("service", int64(ti)), Cat: "service",
+				Track: tk, Start: r.Start, End: r.Done})
 		}
-		tr.Add(trace.Span{Name: trace.SpanName("wait", int64(ti)), Cat: "wait",
-			Track: track, Start: r.Submit, End: r.Start})
-		tr.Add(trace.Span{Name: trace.SpanName("service", int64(ti)), Cat: "service",
-			Track: track, Start: r.Start, End: r.Done})
 	}
 }
 
@@ -254,7 +258,6 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 		o, u := n.devMetrics(end)
 		occ += o
 		iu += u
-		addClusterServeSpans(co.Trace, cr.Names[i], recs, nodeOf, i)
 	}
 	res.Occupancy = occ / float64(len(nodes))
 	res.IssueUtil = iu / float64(len(nodes))

@@ -1,6 +1,8 @@
 package runners
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/serve"
@@ -151,40 +153,64 @@ func TestOpenLoopLoadRaisesTail(t *testing.T) {
 	}
 }
 
-// TestOpenLoopTraceSpans: the wait/service decomposition exports two spans
-// per completed task and none for drops.
+// TestOpenLoopTraceSpans: AddServeSpans exports two spans per completed task
+// and none for drops, on the node's track by default or on the tracks a
+// track function names, with busy time equal to the records' wait and
+// service totals per track.
 func TestOpenLoopTraceSpans(t *testing.T) {
 	tasks := olTasks(t, 24)
 	arr := serve.FixedRate{Rate: 20e3}.Times(len(tasks))
-	tr := trace.New()
 	pagoda, _ := SchemeByKey("pagoda")
-	res, cr := pagoda.RunCluster(tasks, ClusterOpenLoop{Arrivals: arr, Nodes: 1, Trace: tr}, olConfig())
-	recs := cr.Recs
-	if want := 2 * res.Tasks; tr.Len() != want {
-		t.Fatalf("trace has %d spans, want %d", tr.Len(), want)
-	}
-	if got := tr.Tracks(); len(got) != 1 || got[0] != "node00/serve-pagoda" {
-		t.Errorf("tracks = %v, want [node00/serve-pagoda]", got)
-	}
-	var waitBusy, serviceBusy float64
-	for cat, e := range tr.Summary() {
-		switch cat {
-		case "wait":
-			waitBusy = e.Busy
-		case "service":
-			serviceBusy = e.Busy
-		default:
-			t.Errorf("unexpected span category %q", cat)
-		}
-	}
-	var wantWait, wantService sim.Time
-	for _, rec := range recs {
-		wantWait += rec.Wait()
-		wantService += rec.Service()
-	}
-	if waitBusy != wantWait || serviceBusy != wantService {
-		t.Errorf("span busy time (wait %v, service %v) disagrees with records (%v, %v)",
-			waitBusy, serviceBusy, wantWait, wantService)
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		track func(ti int) string
+		want  []string
+	}{
+		{"one-node", 1, nil, []string{"node00/serve-pagoda"}},
+		{"two-node-track-func", 2, func(ti int) string { return fmt.Sprintf("class%d", ti%3) },
+			[]string{"class0", "class1", "class2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, cr := pagoda.RunCluster(tasks, ClusterOpenLoop{Arrivals: arr, Nodes: tc.nodes}, olConfig())
+			tr := trace.New()
+			cr.AddServeSpans(tr, tc.track)
+			if want := 2 * res.Tasks; tr.Len() != want {
+				t.Fatalf("trace has %d spans, want %d", tr.Len(), want)
+			}
+			if got := tr.Tracks(); !slices.Equal(got, tc.want) {
+				t.Errorf("tracks = %v, want %v", got, tc.want)
+			}
+			track := tc.track
+			if track == nil {
+				track = func(ti int) string { return cr.Names[cr.NodeOf[ti]] }
+			}
+			// Summed node by node, in task order within a node: the
+			// exporter's insertion order, so the float sums match exactly.
+			wantBusy := map[string]map[string]sim.Time{}
+			for node := range cr.Names {
+				for ti, rec := range cr.Recs {
+					if cr.NodeOf[ti] != node || rec.Dropped {
+						continue
+					}
+					if wantBusy[track(ti)] == nil {
+						wantBusy[track(ti)] = map[string]sim.Time{}
+					}
+					wantBusy[track(ti)]["wait"] += rec.Wait()
+					wantBusy[track(ti)]["service"] += rec.Service()
+				}
+			}
+			for tk, per := range tr.SummaryByTrack() {
+				for cat, e := range per {
+					if e.Busy != wantBusy[tk][cat] {
+						t.Errorf("%s %s busy %v, records say %v", tk, cat, e.Busy, wantBusy[tk][cat])
+					}
+				}
+				if len(per) != 2 {
+					t.Errorf("%s has categories %v, want wait and service", tk, per)
+				}
+			}
+		})
 	}
 }
 

@@ -28,15 +28,6 @@ func (o Options) pickThreads(def, units, baseUnits int) int {
 	return t
 }
 
-// irregularThreads draws a thread count independent of size (used by
-// benchmarks whose irregularity is computational, not size-based).
-func (o Options) irregularThreads(rng *xorshift, def int) int {
-	if !o.Irregular {
-		return o.threads(def)
-	}
-	return 32 << uint(rng.intn(4)) // 32, 64, 128, 256
-}
-
 func approxEqual32(name string, got, want []float32, tol float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d != %d", name, len(got), len(want))
