@@ -1,6 +1,9 @@
 package gpu
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/sim"
 )
 
@@ -97,31 +100,82 @@ func (c *Ctx) transactions(n int) float64 {
 // memory: issue cost proportional to transactions, the bandwidth-shared
 // transfer, then the memory latency with the warp descheduled (so other
 // warps can hide it).
-func (c *Ctx) GlobalRead(n int) {
-	c.Compute(c.transactions(n))
-	c.dev.membw.Acquire(c.proc, float64(n))
-	c.proc.Sleep(c.dev.Cfg.GlobalLatency)
-}
+func (c *Ctx) GlobalRead(n int) { c.chain(opGlobalRead, n) }
 
 // GlobalWrite models a warp-wide coalesced write of n bytes. Writes retire
 // through the store queue: issue and bandwidth cost, plus a small depart
 // latency.
-func (c *Ctx) GlobalWrite(n int) {
-	c.Compute(c.transactions(n))
-	c.dev.membw.Acquire(c.proc, float64(n))
-	c.proc.Sleep(c.dev.Cfg.GlobalLatency / 8)
-}
+func (c *Ctx) GlobalWrite(n int) { c.chain(opGlobalWrite, n) }
 
 // SharedRead models a warp-wide shared-memory read of n bytes.
-func (c *Ctx) SharedRead(n int) {
-	c.Compute(c.transactions(n))
-	c.proc.Sleep(c.dev.Cfg.SharedLatency)
-}
+func (c *Ctx) SharedRead(n int) { c.chain(opSharedRead, n) }
 
 // SharedWrite models a warp-wide shared-memory write of n bytes.
-func (c *Ctx) SharedWrite(n int) {
-	c.Compute(c.transactions(n))
-	c.proc.Sleep(c.dev.Cfg.SharedLatency / 2)
+func (c *Ctx) SharedWrite(n int) { c.chain(opSharedWrite, n) }
+
+// The memory ops above block the warp once (sim.Proc.Chain) and run their
+// stages on the event loop, in warp.Step: the issue slots, then a global
+// access's share of device-memory bandwidth, then the op's latency. Each
+// stage starts in the event where the previous one was served, the instant
+// and queue slot at which the warp would have resumed to start it, so the
+// chain takes exactly the virtual time of charging the stages one by one. A
+// chain's stage is its op plus the phase it has reached.
+const (
+	opGlobalRead uint8 = iota + 1
+	opGlobalWrite
+	opSharedRead
+	opSharedWrite
+
+	opMask = 0x0f
+	// phaseMem: issue is served; a global access's transfer is next.
+	phaseMem = 0x10
+	// phaseLatency: all service is done; the latency is next.
+	phaseLatency = 0x20
+)
+
+// chain blocks the warp for a memory op on n bytes. A negative n moves no
+// bytes, as a zero one does.
+func (c *Ctx) chain(op uint8, n int) {
+	bytes := uint64(max(n, 0))
+	if bytes > math.MaxUint32 {
+		panic(fmt.Sprintf("gpu: warp access of %d bytes exceeds 4 GiB", n))
+	}
+	c.proc.Chain(op, uint32(bytes))
+}
+
+// Step runs the next stage of the memory op the warp is blocked in. A stage
+// with no work falls through to the next one at once.
+func (w *warp) Step(uint64) {
+	c, p := &w.ctx, &w.proc
+	stage, n := p.Stage()
+	op := stage & opMask
+	switch stage &^ opMask {
+	case 0:
+		if c.smm.issue.Chain(p, c.transactions(int(n)), op|phaseMem) {
+			return
+		}
+		fallthrough
+	case phaseMem:
+		if (op == opGlobalRead || op == opGlobalWrite) && c.dev.membw.Chain(p, float64(n), op|phaseLatency) {
+			return
+		}
+	}
+	p.ResumeAfter(c.latency(op))
+}
+
+// latency is how long a memory op keeps the warp descheduled once served.
+func (c *Ctx) latency(op uint8) sim.Time {
+	cfg := &c.dev.Cfg
+	switch op {
+	case opGlobalRead:
+		return cfg.GlobalLatency
+	case opGlobalWrite:
+		return cfg.GlobalLatency / 8
+	case opSharedRead:
+		return cfg.SharedLatency
+	default:
+		return cfg.SharedLatency / 2
+	}
 }
 
 // AtomicShared performs one shared-memory atomic through the given site,

@@ -1,0 +1,157 @@
+package sim
+
+import (
+	"math"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// chainer is a process that repeats one three-stage op: w1 units on s1, w2
+// units on s2, then a sleep of lat. Chained, it blocks once per op in
+// Proc.Chain and its Step runs the stages; otherwise it blocks per stage.
+type chainer struct {
+	proc    Proc
+	s1, s2  *Share
+	w1, w2  float64
+	lat     Time
+	rounds  int
+	chained bool
+	done    []Time
+	// onStep, when set, runs at the start of every chained stage.
+	onStep func()
+}
+
+// The chainer's stages.
+const (
+	atS1 uint8 = iota + 1
+	atS2
+	atLat
+)
+
+func (c *chainer) Run(p *Proc) {
+	for i := 0; i < c.rounds; i++ {
+		if c.chained {
+			p.Chain(atS1, 0)
+		} else {
+			c.s1.Acquire(p, c.w1)
+			c.s2.Acquire(p, c.w2)
+			p.Sleep(c.lat)
+		}
+		c.done = append(c.done, p.Now())
+	}
+}
+
+func (c *chainer) String() string { return "chainer" }
+
+func (c *chainer) Step(uint64) {
+	if c.onStep != nil {
+		c.onStep()
+	}
+	stage, _ := c.proc.Stage()
+	switch stage {
+	case atS1:
+		if c.s1.Chain(&c.proc, c.w1, atS2) {
+			return
+		}
+		fallthrough
+	case atS2:
+		if c.s2.Chain(&c.proc, c.w2, atLat) {
+			return
+		}
+	}
+	c.proc.ResumeAfter(c.lat)
+}
+
+// chainRun runs eight contending chainers, including zero-work stages, and
+// returns their completion instants and the engine's counters.
+func chainRun(chained bool) ([][]Time, Stats) {
+	e := New()
+	defer e.Close()
+	s1, s2 := NewShare(e, 4, 1), NewShare(e, 10, math.Inf(1))
+	var cs []*chainer
+	for i := 0; i < 8; i++ {
+		c := &chainer{s1: s1, s2: s2, w1: float64(1 + i%3), w2: float64(i%4) * 2.5,
+			lat: Time(i%2) * 3, rounds: 5, chained: chained}
+		e.Schedule(Time(i)/3, func() { e.Start(&c.proc, c) })
+		cs = append(cs, c)
+	}
+	e.Run()
+	var done [][]Time
+	for _, c := range cs {
+		done = append(done, c.done)
+	}
+	return done, e.Stats()
+}
+
+// TestChainMatchesBlockingStages: a chained op completes at exactly the
+// instant the same stages charged one blocking call at a time would, firing
+// the same events, with one resume per op instead of one per stage.
+func TestChainMatchesBlockingStages(t *testing.T) {
+	got, chained := chainRun(true)
+	want, blocking := chainRun(false)
+	for i := range want {
+		if !slices.EqualFunc(got[i], want[i], sameBits) {
+			t.Fatalf("chainer %d done at %v, blocking stages at %v", i, got[i], want[i])
+		}
+	}
+	if chained.Events != blocking.Events {
+		t.Errorf("Events = %d chained, %d blocking", chained.Events, blocking.Events)
+	}
+	resumes := func(s Stats) int64 { return s.Handoffs + s.SelfResumes }
+	if got, want := resumes(chained), resumes(blocking)-chained.Steps; got != want || chained.Steps == 0 {
+		t.Errorf("chained: %d resumes and %d steps, want the %d blocking resumes minus the steps", got, chained.Steps, resumes(blocking))
+	}
+}
+
+// TestChainPendingStageIsNotBlocked: a chained proc is listed by
+// BlockedProcs while it waits in a share, and not once its next stage is
+// queued. Two chainers finish their s1 work together; while the first
+// one's stage runs, the second's is queued.
+func TestChainPendingStageIsNotBlocked(t *testing.T) {
+	e := New()
+	t.Cleanup(e.Close)
+	s1, s2 := NewShare(e, 4, 1), NewShare(e, 1, 1)
+	var seen [][]string
+	var cs [2]*chainer
+	for i := range cs {
+		cs[i] = &chainer{s1: s1, s2: s2, w1: 2, w2: 1, rounds: 1, chained: true}
+		cs[i].onStep = func() { seen = append(seen, e.BlockedProcs()) }
+		e.Start(&cs[i].proc, cs[i])
+	}
+	e.RunUntil(1)
+	if got := e.BlockedProcs(); !slices.Equal(got, []string{"chainer", "chainer"}) {
+		t.Fatalf("waiting in s1: BlockedProcs = %v, want both chainers", got)
+	}
+	e.Run()
+	// The first stages run inline in Chain, the second chainer's while the
+	// first waits in s1. s1 serves both at t=2: the first one's stage runs
+	// with the second's still queued, and the second's while the first
+	// waits in s2. s2 serves both at t=4: neither stage runs while the
+	// other waits in a share.
+	want := [][]string{{}, {"chainer"}, {}, {"chainer"}, {}, {}}
+	if !slices.EqualFunc(seen, want, func(a, b []string) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("BlockedProcs at each stage = %q, want %q", seen, want)
+	}
+}
+
+// TestHotStructSizes pins the engine's per-event, per-proc and per-request
+// structs: a chain's stage lives in Proc's padding and the event payload is
+// one interface, so neither grew.
+func TestHotStructSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"event", unsafe.Sizeof(event{}), 56},
+		{"Proc", unsafe.Sizeof(Proc{}), 72},
+		{"shareReq", unsafe.Sizeof(shareReq{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}

@@ -187,7 +187,9 @@ func TestEnginesShareWorkerPool(t *testing.T) {
 
 // TestStatsCounts pins the counters of a small run: one start handoff per
 // process, then every Sleep of a lone process resumes itself; PeakRunning
-// counts the procs holding a coroutine at once.
+// counts the procs holding a coroutine at once. A start is scheduled for
+// the current instant, so it fires from the lane; later wakes go through
+// the heap.
 func TestStatsCounts(t *testing.T) {
 	e := New()
 	e.Spawn("solo", func(p *Proc) {
@@ -197,7 +199,8 @@ func TestStatsCounts(t *testing.T) {
 	})
 	e.Schedule(10, func() {})
 	e.Run()
-	if got, want := e.Stats(), (Stats{Events: 5, Handoffs: 1, SelfResumes: 3, PeakRunning: 1}); got != want {
+	if got, want := e.Stats(), (Stats{Events: 5, Handoffs: 1, SelfResumes: 3, PeakRunning: 1,
+		LaneEvents: 1, HeapPushes: 4, PeakPending: 2}); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
 
@@ -211,7 +214,22 @@ func TestStatsCounts(t *testing.T) {
 		})
 	}
 	e.Run()
-	if got, want := e.Stats(), (Stats{Events: 10, Handoffs: 10, SelfResumes: 0, PeakRunning: 2}); got != want {
+	if got, want := e.Stats(), (Stats{Events: 10, Handoffs: 10, SelfResumes: 0, PeakRunning: 2,
+		LaneEvents: 2, HeapPushes: 8, PeakPending: 2}); got != want {
 		t.Fatalf("ping-pong Stats = %+v, want %+v", got, want)
+	}
+
+	// A chained op fires each stage as a step and resumes its proc once; a
+	// timer re-armed while armed moves its heap entry in place.
+	e = New()
+	c := &chainer{s1: NewShare(e, 1, 1), s2: NewShare(e, 1, 1), w1: 1, w2: 2, lat: 3, rounds: 1, chained: true}
+	e.Start(&c.proc, c)
+	tm := NewTimer(e, func() {})
+	tm.Reset(1)
+	tm.Reset(5)
+	e.Run()
+	if got, want := e.Stats(), (Stats{Events: 7, Handoffs: 1, SelfResumes: 1, PeakRunning: 1,
+		LaneEvents: 3, HeapPushes: 4, Rekeys: 1, Steps: 2, PeakPending: 2}); got != want {
+		t.Fatalf("chained Stats = %+v, want %+v", got, want)
 	}
 }

@@ -25,20 +25,35 @@ type Time = float64
 // Infinity is a timestamp later than any event the engine will ever fire.
 const Infinity Time = math.MaxFloat64
 
-// event is a pooled queue entry. At most one payload field is set: proc (a
-// process resume carrying its wake generation), tmr (an armed Timer, which
-// owns the entry until it fires or is disarmed), or fn (a plain callback).
-// idx is the entry's position in the queue heap, maintained by the sift
-// routines so timers can re-key or remove their entry in place.
+// event is a pooled queue entry. It carries one of two payloads: a process
+// resume (proc with its wake generation in gen, step nil) or a step, run
+// with gen as its argument. A step event that also names proc is a stage of
+// that process's chain (Proc.Chain) and is dropped, like a resume, once the
+// proc is no longer blocked under gen. idx is the entry's position in the
+// queue heap, maintained by the sift routines so timers can re-key or remove
+// their entry in place.
 type event struct {
 	at   Time
 	seq  int64
 	idx  int
-	fn   func()
+	step Step
 	proc *Proc
 	gen  uint64
-	tmr  *Timer
 }
+
+// Step is the payload of every queued event other than a process resume: a
+// continuation run on the event loop with the argument it was queued with.
+// A Schedule callback, an armed Timer and a chained process stage are all
+// steps. A step must not block.
+type Step interface {
+	Step(arg uint64)
+}
+
+// funcStep is a Schedule callback as a Step. A func value is pointer-shaped,
+// so converting one to the interface does not allocate.
+type funcStep func()
+
+func (f funcStep) Step(uint64) { f() }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
@@ -46,6 +61,11 @@ type Engine struct {
 	now   Time
 	seq   int64
 	queue []*event
+	// lane holds the non-timer events scheduled for the instant at which
+	// they were scheduled, oldest first. The clock cannot pass an entry
+	// while it waits, so the lane is in (at, seq) order by construction and
+	// dispatch merges its head with the heap's.
+	lane FIFO[*event]
 	// pool recycles popped event structs; its high-water mark is the maximum
 	// number of simultaneously pending events, so it stays small.
 	pool []*event
@@ -89,6 +109,20 @@ type Stats struct {
 	// finished at once: the peak number of coroutines the engine held. A
 	// proc parked by StartOn and never woken does not count.
 	PeakRunning int64
+	// LaneEvents counts the fired events that came from the same-instant
+	// lane rather than the heap.
+	LaneEvents int64
+	// HeapPushes counts entries inserted into the event heap: events
+	// scheduled for a later instant and timers armed from rest.
+	HeapPushes int64
+	// Rekeys counts timer re-arms that moved an armed timer's heap entry
+	// in place.
+	Rekeys int64
+	// Steps counts fired stages of chained processes (Proc.Chain).
+	Steps int64
+	// PeakPending is the most events ever queued at once, heap and lane
+	// together.
+	PeakPending int64
 }
 
 // New returns an engine with the clock at zero.
@@ -100,10 +134,23 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// newEvent allocates (or recycles) a queue entry at absolute time at and
-// assigns the next sequence number. Callers fill in exactly one payload
-// field after it returns.
+// newEvent allocates (or recycles) a queue entry at absolute time at,
+// assigns the next sequence number and queues it: in the same-instant lane
+// when at is the current instant, in the heap otherwise. Callers fill in the
+// payload after it returns.
 func (e *Engine) newEvent(at Time) *event {
+	ev := e.allocEvent(at)
+	if at == e.now {
+		e.lane.Push(ev)
+		e.notePending()
+	} else {
+		e.heapPush(ev)
+	}
+	return ev
+}
+
+// allocEvent takes a pooled entry keyed (at, next seq) without queueing it.
+func (e *Engine) allocEvent(at Time) *event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule in the past: %v < %v", at, e.now))
 	}
@@ -120,8 +167,14 @@ func (e *Engine) newEvent(at Time) *event {
 	e.seq++
 	ev.at = at
 	ev.seq = e.seq
-	e.heapPush(ev)
 	return ev
+}
+
+// notePending records a new high-water mark of queued events.
+func (e *Engine) notePending() {
+	if n := int64(len(e.queue) + e.lane.Len()); n > e.stats.PeakPending {
+		e.stats.PeakPending = n
+	}
 }
 
 // eventChunk is how many queue entries newEvent allocates at once when the
@@ -132,14 +185,13 @@ const eventChunk = 32
 
 // maxPool bounds the event free list. An entry dropped beyond it is not
 // reused, but its chunk stays allocated while any neighbour is still in use,
-// so freeEvent clears the entry first and it keeps no closure or Proc alive.
+// so freeEvent clears the entry first and it keeps no step or Proc alive.
 const maxPool = 1 << 14
 
 // freeEvent returns a popped or removed entry to the pool.
 func (e *Engine) freeEvent(ev *event) {
-	ev.fn = nil
+	ev.step = nil
 	ev.proc = nil
-	ev.tmr = nil
 	ev.gen = 0
 	if len(e.pool) >= maxPool {
 		return
@@ -160,7 +212,7 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 // ScheduleAt arranges for fn to run at absolute time at, which must not be in
 // the past.
 func (e *Engine) ScheduleAt(at Time, fn func()) {
-	e.newEvent(at).fn = fn
+	e.newEvent(at).step = funcStep(fn)
 }
 
 // scheduleProc queues a resume of p at Now()+delay without allocating a
@@ -172,6 +224,16 @@ func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
 	ev := e.newEvent(e.now + delay)
 	ev.proc = p
 	ev.gen = gen
+}
+
+// scheduleStep queues the next stage of p's chain now, in the queue slot a
+// Wakeup would take: p's Runner runs it with the generation p is blocked
+// under.
+func (e *Engine) scheduleStep(p *Proc) {
+	ev := e.newEvent(e.now)
+	ev.step = p.run.(Step)
+	ev.proc = p
+	ev.gen = p.wakeGen
 }
 
 // Stop makes Run return after the currently executing event completes. A Stop
@@ -190,8 +252,10 @@ func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 // RunUntil executes events with timestamps <= deadline, stopping earlier if
 // the queue drains or Stop is called. The clock is left at the time of the
 // last executed event (or at deadline if the deadline was reached with events
-// still pending). A Stop issued before the run starts (e.g. from a completion
-// hook between two RunUntil calls) is honored immediately: no event fires.
+// still pending). The clock never moves backward: a deadline before Now
+// fires nothing and leaves the clock where it is. A Stop issued before the
+// run starts (e.g. from a completion hook between two RunUntil calls) is
+// honored immediately: no event fires.
 func (e *Engine) RunUntil(deadline Time) Time {
 	if e.stopReq {
 		e.stopReq = false
@@ -236,57 +300,71 @@ const (
 // without any switch, and resuming another process is left to RunUntil's
 // loop, two coroutine switches away.
 func (e *Engine) dispatch(self *Proc) dispatchResult {
-	for len(e.queue) > 0 {
+	for {
+		// The next event is the lane's head or the heap's, whichever is
+		// earlier in (at, seq).
+		var ev *event
+		fromLane := e.lane.Len() > 0
+		switch {
+		case fromLane && (len(e.queue) == 0 || eventLess(e.lane.Peek(), e.queue[0])):
+			ev = e.lane.Peek()
+		case len(e.queue) > 0:
+			ev, fromLane = e.queue[0], false
+		default:
+			return runEnded
+		}
 		if e.stopReq {
 			e.stopReq = false
 			e.stopped = true
 			return runEnded
 		}
-		ev := e.queue[0]
 		if ev.at > e.deadline {
-			e.now = e.deadline
+			if e.deadline > e.now {
+				e.now = e.deadline
+			}
 			return runEnded
 		}
-		e.heapPopHead()
-		if ev.at > e.now {
+		if fromLane {
+			e.lane.Pop()
+		} else {
+			e.heapPopHead()
 			e.now = ev.at
 		}
-		switch {
-		case ev.proc != nil:
-			p, gen := ev.proc, ev.gen
-			e.freeEvent(ev)
+		step, p, gen := ev.step, ev.proc, ev.gen
+		e.freeEvent(ev)
+		if p != nil {
 			if p.dead || gen != p.wakeGen || !p.armed {
 				continue // stale wake-up
 			}
-			e.stats.Events++
-			p.armed = false
-			if p == self {
-				e.stats.SelfResumes++
-				return selfResumed
+			if step == nil {
+				e.countFired(fromLane)
+				p.armed = false
+				if p == self {
+					e.stats.SelfResumes++
+					return selfResumed
+				}
+				e.stats.Handoffs++
+				e.current = p
+				return batonHandedOff
 			}
-			e.stats.Handoffs++
-			e.current = p
-			return batonHandedOff
-		case ev.tmr != nil:
-			e.stats.Events++
-			t := ev.tmr
-			t.ev = nil
-			t.set = false
-			e.freeEvent(ev)
-			t.fn()
-		default:
-			e.stats.Events++
-			fn := ev.fn
-			e.freeEvent(ev)
-			fn()
+			e.stats.Steps++
 		}
+		e.countFired(fromLane)
+		step.Step(gen)
 	}
-	return runEnded
+}
+
+// countFired counts one fired event.
+func (e *Engine) countFired(fromLane bool) {
+	e.stats.Events++
+	if fromLane {
+		e.stats.LaneEvents++
+	}
 }
 
 // Pending returns the number of queued events (diagnostics). Disarmed and
 // superseded timers do not linger in the queue, so this is O(live events).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return len(e.queue) + e.lane.Len() }
 
 // LiveProcs returns the number of spawned processes that have not finished.
 func (e *Engine) LiveProcs() int {

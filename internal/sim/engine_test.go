@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -150,5 +151,26 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRunUntilNeverRewindsClock: a deadline before Now fires nothing and
+// leaves the clock where it is, so an event scheduled afterwards cannot fire
+// before events that have already fired.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	e := New()
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	e.Schedule(10, record)
+	e.Schedule(20, record)
+	e.RunUntil(15)
+	e.RunUntil(5)
+	if e.Now() != 15 {
+		t.Fatalf("Now() = %v after RunUntil(5) at 15, want 15", e.Now())
+	}
+	e.Schedule(0, record)
+	e.Run()
+	if want := []Time{10, 15, 20}; !slices.Equal(fired, want) {
+		t.Fatalf("events fired at %v, want %v", fired, want)
 	}
 }

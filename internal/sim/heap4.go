@@ -1,8 +1,10 @@
 package sim
 
 // The event queue is a 4-ary min-heap ordered by (at, seq), stored 0-based in
-// Engine.queue. A 4-ary layout halves the tree depth of a binary heap, which
-// cuts comparisons on the sift-up path (the common case: most events are
+// Engine.queue, beside the same-instant lane (Engine.lane) that takes
+// non-timer events scheduled for the current instant without any sifting. A
+// 4-ary layout halves the tree depth of a binary heap, which cuts
+// comparisons on the sift-up path (the common case: most events are
 // scheduled near the clock and popped soon after) and keeps sibling keys on
 // one cache line. Every entry carries its own position (event.idx), so armed
 // timers can be re-keyed or removed in place instead of abandoning stale
@@ -22,6 +24,8 @@ func (e *Engine) heapPush(ev *event) {
 	e.queue = append(e.queue, ev)
 	ev.idx = len(e.queue) - 1
 	e.siftUp(ev.idx)
+	e.stats.HeapPushes++
+	e.notePending()
 }
 
 // heapPopHead removes and returns the earliest event.

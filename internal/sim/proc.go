@@ -23,20 +23,26 @@ type Proc struct {
 	run Runner
 	// w is the worker coroutine running the body; nil until the first
 	// resume and again once the body has returned.
-	w    *worker
-	dead bool
-	// killed asks the parked body to unwind (Engine.Close).
-	killed bool
+	w *worker
 	// wakeGen guards against double wake-ups: a blocked proc records the
 	// generation it is waiting on, and stale resume events are dropped.
 	wakeGen uint64
+	// prev and next link the engine's live processes in spawn order.
+	prev, next *Proc
+	// operand and stage describe the chain the proc is blocked in (Chain);
+	// stage is zero outside a chain. They sit in what would otherwise be
+	// padding, so a chain costs the proc no space.
+	operand uint32
+	stage   uint8
+	dead    bool
+	// killed asks the parked body to unwind (Engine.Close).
+	killed bool
 	// armed reports whether some event/signal is due to resume this proc.
 	armed bool
 	// parked reports the proc is blocked with no scheduled wake-up event
-	// (Block/Signal.Wait) — only an explicit Wakeup can resume it.
+	// (Block/Signal.Wait, or a chain waiting in a Share) — only an explicit
+	// Wakeup or a Share completion can resume it.
 	parked bool
-	// prev and next link the engine's live processes in spawn order.
-	prev, next *Proc
 }
 
 // Spawn creates a process executing body and schedules it to start at the
@@ -214,6 +220,54 @@ func (p *Proc) Wakeup() {
 		return
 	}
 	p.eng.scheduleProc(0, p, p.wakeGen)
+}
+
+// Chain blocks p once for a chain of stages that run on the event loop
+// rather than in p's body, saving the coroutine switches of blocking once
+// per stage. p's Runner must implement Step: it runs every stage with the
+// wake generation p blocked under, the first one inline here, and reads the
+// chain's stage and operand with Stage. A stage either queues a request with
+// Share.Chain, whose completion queues the next stage in the queue slot a
+// Wakeup of p would take, or ends the chain with ResumeAfter, p's single
+// resume. stage must not be zero.
+func (p *Proc) Chain(stage uint8, operand uint32) {
+	if stage == 0 {
+		panic(fmt.Sprintf("sim: proc %q chained at stage 0", p.Name()))
+	}
+	p.stage, p.operand = stage, operand
+	gen := p.arm()
+	p.run.(Step).Step(gen)
+	p.yield()
+}
+
+// Stage returns the stage and operand of the chain p is blocked in; the
+// stage is zero outside a chain.
+func (p *Proc) Stage() (stage uint8, operand uint32) { return p.stage, p.operand }
+
+// ResumeAfter ends p's chain: p resumes after d, from the Chain call that
+// blocked it, exactly as if it had slept for d.
+func (p *Proc) ResumeAfter(d Time) {
+	if p.stage == 0 {
+		panic(fmt.Sprintf("sim: proc %q resumed outside a chain", p.Name()))
+	}
+	p.stage = 0
+	p.parked = false
+	p.eng.scheduleProc(d, p, p.wakeGen)
+}
+
+// shareDone is a Share's completion of p's request. A chained proc's next
+// stage is queued; any other proc is woken. Either takes the same queue
+// slot.
+func (p *Proc) shareDone() {
+	if p.stage == 0 {
+		p.Wakeup()
+		return
+	}
+	if !p.armed || p.dead {
+		return
+	}
+	p.parked = false
+	p.eng.scheduleStep(p)
 }
 
 // unwind is the private panic value Engine.Close raises inside a parked

@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // shareEps absorbs floating-point drift when deciding that a request has
 // received all of its service.
@@ -15,14 +18,20 @@ const shareEps = 1e-6
 //
 // Completion times are event-driven: whenever the active set changes,
 // accumulated progress is settled and one timer is re-armed for the earliest
-// finisher.
+// finisher. The earliest finisher is tracked, not searched for: settling
+// subtracts the same amount from every request, and float subtraction is
+// monotonic, so a request with the least remaining work keeps it until the
+// active set changes.
 type Share struct {
 	eng      *Engine
 	capacity float64
 	perFlow  float64
 	// reqs holds in-service requests by value; completion compacts in place
 	// and reuses the backing array, so steady-state Acquire never allocates.
-	reqs  []shareReq
+	reqs []shareReq
+	// min indexes a request with the least remaining work while reqs is
+	// non-empty.
+	min   int
 	last  Time
 	timer *Timer
 
@@ -77,29 +86,40 @@ func (s *Share) rearm() {
 		s.timer.Stop()
 		return
 	}
-	minRem := math.Inf(1)
-	for i := range s.reqs {
-		if s.reqs[i].remaining < minRem {
-			minRem = s.reqs[i].remaining
-		}
-	}
+	minRem := s.reqs[s.min].remaining
 	if minRem < 0 {
 		minRem = 0
 	}
 	s.timer.ResetForward(minRem / s.rate(len(s.reqs)))
 }
 
+// onTimer completes every request that has received its service, in
+// arrival order, and re-arms for the earliest of the rest.
 func (s *Share) onTimer() {
 	s.settle()
 	kept := s.reqs[:0]
-	for i := range s.reqs {
-		if s.reqs[i].remaining <= shareEps {
-			s.reqs[i].proc.Wakeup()
-		} else {
-			kept = append(kept, s.reqs[i])
+	s.min = 0
+	for _, r := range s.reqs {
+		if r.remaining <= shareEps {
+			r.proc.shareDone()
+			continue
 		}
+		if len(kept) > 0 && r.remaining < kept[s.min].remaining {
+			s.min = len(kept)
+		}
+		kept = append(kept, r)
 	}
 	s.reqs = kept
+	s.rearm()
+}
+
+// push settles and enters a request of work units for p.
+func (s *Share) push(p *Proc, work float64) {
+	s.settle()
+	if len(s.reqs) == 0 || work < s.reqs[s.min].remaining {
+		s.min = len(s.reqs)
+	}
+	s.reqs = append(s.reqs, shareReq{remaining: work, proc: p})
 	s.rearm()
 }
 
@@ -109,10 +129,26 @@ func (s *Share) Acquire(p *Proc, work float64) {
 	if work <= 0 {
 		return
 	}
-	s.settle()
-	s.reqs = append(s.reqs, shareReq{remaining: work, proc: p})
-	s.rearm()
+	s.push(p, work)
 	p.Block()
+}
+
+// Chain is Acquire as one stage of p's chain (Proc.Chain): it queues `work`
+// units for p, which stays blocked, and sets p's stage to next, which p's
+// Runner runs once the work is served. It reports false, changing nothing,
+// when work <= 0; the caller then runs the next stage itself, as the proc
+// would have continued past an Acquire of no work.
+func (s *Share) Chain(p *Proc, work float64, next uint8) bool {
+	if work <= 0 {
+		return false
+	}
+	if next == 0 {
+		panic(fmt.Sprintf("sim: proc %q chained to stage 0", p.Name()))
+	}
+	p.stage = next
+	p.parked = true
+	s.push(p, work)
+	return true
 }
 
 // Integrals returns the busy integral up to now: capacity-time in use,

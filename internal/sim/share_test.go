@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -146,3 +148,141 @@ func BenchmarkShareAcquire(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// scanShare is Share as it was before it tracked its earliest finisher:
+// rearm scans every request for the least remaining work. It is the
+// reference TestShareMatchesScanningRearm holds Share to, bit for bit.
+type scanShare struct {
+	eng               *Engine
+	capacity, perFlow float64
+	reqs              []shareReq
+	last, busy        float64
+	timer             *Timer
+}
+
+func newScanShare(e *Engine, capacity, perFlow float64) *scanShare {
+	s := &scanShare{eng: e, capacity: capacity, perFlow: perFlow, last: e.now}
+	s.timer = NewTimer(e, s.onTimer)
+	return s
+}
+
+func (s *scanShare) rate(n int) float64 { return math.Min(s.perFlow, s.capacity/float64(n)) }
+
+func (s *scanShare) used(n int) float64 { return math.Min(float64(n)*s.perFlow, s.capacity) }
+
+func (s *scanShare) settle() {
+	now := s.eng.now
+	if n := len(s.reqs); n > 0 {
+		if dt := now - s.last; dt > 0 {
+			rt := s.rate(n)
+			for i := range s.reqs {
+				s.reqs[i].remaining -= dt * rt
+			}
+			s.busy += dt * s.used(n)
+		}
+	}
+	s.last = now
+}
+
+func (s *scanShare) rearm() {
+	if len(s.reqs) == 0 {
+		s.timer.Stop()
+		return
+	}
+	minRem := math.Inf(1)
+	for i := range s.reqs {
+		if s.reqs[i].remaining < minRem {
+			minRem = s.reqs[i].remaining
+		}
+	}
+	if minRem < 0 {
+		minRem = 0
+	}
+	s.timer.ResetForward(minRem / s.rate(len(s.reqs)))
+}
+
+func (s *scanShare) onTimer() {
+	s.settle()
+	kept := s.reqs[:0]
+	for i := range s.reqs {
+		if s.reqs[i].remaining <= shareEps {
+			s.reqs[i].proc.Wakeup()
+		} else {
+			kept = append(kept, s.reqs[i])
+		}
+	}
+	s.reqs = kept
+	s.rearm()
+}
+
+func (s *scanShare) Acquire(p *Proc, work float64) {
+	if work <= 0 {
+		return
+	}
+	s.settle()
+	s.reqs = append(s.reqs, shareReq{remaining: work, proc: p})
+	s.rearm()
+	p.Block()
+}
+
+func (s *scanShare) Integrals() float64 {
+	busy := s.busy
+	if n := len(s.reqs); n > 0 {
+		if dt := s.eng.now - s.last; dt > 0 {
+			busy += dt * s.used(n)
+		}
+	}
+	return busy
+}
+
+// TestShareMatchesScanningRearm runs seeded random workloads through Share
+// and through scanShare: staggered and simultaneous arrivals, requests with
+// equal remaining work, residues below shareEps and zero work, on capped
+// and uncapped shares. Every completion instant and every sampled busy
+// integral must match bit for bit.
+func TestShareMatchesScanningRearm(t *testing.T) {
+	type share interface {
+		Acquire(p *Proc, work float64)
+		Integrals() float64
+	}
+	works := []float64{1, 1, 2, 0.5, 3e-7, 1 + 3e-7, 7, 1e-7, 2.0000001, 0, 1.0 / 3, 64}
+	gaps := []Time{0, 0, 0.25, 0.5, 1, 3, 1.0 / 3, 1e-7}
+	shapes := []struct{ capacity, perFlow float64 }{{4, 1}, {10, math.Inf(1)}, {3, 1}, {2.5, 1}, {300, math.Inf(1)}}
+	run := func(seed int64, mk func(*Engine, float64, float64) share) (done, busy []float64) {
+		rng := rand.New(rand.NewSource(seed))
+		shape := shapes[rng.Intn(len(shapes))]
+		e := New()
+		defer e.Close()
+		s := mk(e, shape.capacity, shape.perFlow)
+		for i := 0; i < 12; i++ {
+			plan := make([][2]float64, 20)
+			for j := range plan {
+				plan[j] = [2]float64{gaps[rng.Intn(len(gaps))], works[rng.Intn(len(works))]}
+			}
+			e.Spawn("acq", func(p *Proc) {
+				for _, step := range plan {
+					p.Sleep(step[0])
+					s.Acquire(p, step[1])
+					done = append(done, p.Now())
+				}
+			})
+		}
+		for k := 1; k <= 40; k++ {
+			e.Schedule(Time(k)*1.7, func() { busy = append(busy, s.Integrals()) })
+		}
+		e.Run()
+		return done, append(busy, s.Integrals())
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		got, gotBusy := run(seed, func(e *Engine, c, f float64) share { return NewShare(e, c, f) })
+		want, wantBusy := run(seed, func(e *Engine, c, f float64) share { return newScanShare(e, c, f) })
+		if !slices.EqualFunc(got, want, sameBits) {
+			t.Fatalf("seed %d: completion instants differ from the scanning rearm:\n got %v\nwant %v", seed, got, want)
+		}
+		if !slices.EqualFunc(gotBusy, wantBusy, sameBits) {
+			t.Fatalf("seed %d: busy integrals differ from the scanning rearm:\n got %v\nwant %v", seed, gotBusy, wantBusy)
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

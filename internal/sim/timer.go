@@ -4,10 +4,12 @@ import "math"
 
 // Timer is a cancellable, re-armable one-shot timer. Unlike raw Schedule
 // calls, a Timer can be Stopped or re-Reset before it fires. The timer owns a
-// single indexed entry in the engine's event heap: ResetAt re-keys that entry
-// in place and Stop removes it, so rearm-heavy users (Share, which re-arms
-// on every arrival and completion) leave no stale events behind and
-// Engine.Pending stays proportional to live timers, not total Resets.
+// single indexed entry in the engine's event heap, even when armed for the
+// current instant: ResetAt re-keys that entry in place and Stop removes it,
+// so rearm-heavy users (Share, which re-arms on every arrival and
+// completion) leave no stale events behind and Engine.Pending stays
+// proportional to live timers, not total Resets. A Timer is the Step its
+// entry carries.
 type Timer struct {
 	eng *Engine
 	fn  func()
@@ -57,11 +59,21 @@ func (t *Timer) ResetAt(at Time) {
 		t.ev.at = at
 		t.ev.seq = e.seq
 		e.heapFix(t.ev.idx)
+		e.stats.Rekeys++
 		return
 	}
-	ev := e.newEvent(at)
-	ev.tmr = t
+	ev := e.allocEvent(at)
+	ev.step = t
+	e.heapPush(ev)
 	t.ev = ev
+}
+
+// Step is the timer's firing, run by the engine once the timer's entry has
+// left the queue.
+func (t *Timer) Step(uint64) {
+	t.ev = nil
+	t.set = false
+	t.fn()
 }
 
 // Stop disarms the timer, removing its queue entry. It is safe to call
