@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint test vet bench-module race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster
+.PHONY: check lint test vet bench-module race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster loc
 
 # check is the pre-merge gate, in order: the determinism analyzers
 # (pagodavet), go vet, the full test suite, the bench/ module's tests, race
@@ -84,3 +84,9 @@ bench-serve:
 # glob ./internal/..., so `make check` covers it with no extra target.
 bench-cluster:
 	$(GO) test -bench=BenchmarkCluster -benchtime=1x -run='^$$' ./internal/runners/
+
+# loc prints the lines of non-test Go in tracked files outside bench/: the
+# code-size headline of ROADMAP.md, which CHANGES.md entries quote as
+# before -> after. Stage new files first; untracked ones are not counted.
+loc:
+	@git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l

@@ -26,14 +26,15 @@ func ablationRun(b *testing.B, cfg Config, smms int) sim.Time {
 			if i%4 == 0 {
 				sm = 2048
 			}
+			sync := i%2 == 0
 			rt.TaskSpawn(p, TaskSpec{
-				Threads: 128, Blocks: 1, SharedMem: sm, Sync: i%2 == 0,
+				Threads: 128, Blocks: 1, SharedMem: sm, Sync: sync,
 				Kernel: func(tc *TaskCtx) {
 					for s := 0; s < 8; s++ {
 						tc.GlobalRead(512)
 						tc.Compute(400)
 					}
-					if tc.Threads() > 32 && tc.entry.spec.Sync {
+					if tc.Threads() > 32 && sync {
 						tc.SyncBlock()
 					}
 				},

@@ -17,7 +17,7 @@
 //     barriers (§5.2).
 //
 // Host-side API (Table 1): TaskSpawn, Wait, WaitAll, Check. Device-side API:
-// TaskCtx.GetTid/ForEachLane, SyncBlock, Shared (getSMPtr).
+// TaskCtx.ForEachLane (getTid), SyncBlock (syncBlock), Shared (getSMPtr).
 package core
 
 import (

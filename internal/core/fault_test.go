@@ -94,7 +94,8 @@ func TestFaultsDoNotLeakResources(t *testing.T) {
 
 // TestCloseIsNotATaskFault: Engine.Close unwinding a warp parked inside a
 // task kernel passes through the isolation recover; no fault is counted and
-// the fault hook never fires.
+// the fault hook never fires. The warp parks on its task's barrier, which
+// the task's other warp returns without reaching.
 func TestCloseIsNotATaskFault(t *testing.T) {
 	eng, rt := faultSystem(t)
 	faults := 0
@@ -102,10 +103,13 @@ func TestCloseIsNotATaskFault(t *testing.T) {
 	unwound := false
 	eng.Spawn("host", func(p *sim.Proc) {
 		rt.TaskSpawn(p, TaskSpec{
-			Threads: 32, Blocks: 1,
+			Threads: 64, Blocks: 1, Sync: true,
 			Kernel: func(tc *TaskCtx) {
+				if tc.WarpInBlock() == 1 {
+					return
+				}
 				defer func() { unwound = true }()
-				tc.gc.Proc().Block() // parks until Close
+				tc.SyncBlock() // parks until Close
 			},
 		})
 		rt.WaitAll(p)

@@ -14,15 +14,15 @@ func TestFig2bStateSequence(t *testing.T) {
 	eng, rt := testSystem(t, 1)
 
 	var taID, tbID TaskID
-	kernelRan := map[string]sim.Time{}
+	kernelRan := map[string]bool{}
 	eng.Spawn("host", func(p *sim.Proc) {
 		taID = rt.TaskSpawn(p, TaskSpec{
 			Threads: 32, Blocks: 1,
-			Kernel: func(tc *TaskCtx) { tc.Compute(50_000); kernelRan["TA"] = tc.WarpCtx().Now() },
+			Kernel: func(tc *TaskCtx) { tc.Compute(50_000); kernelRan["TA"] = true },
 		})
 		tbID = rt.TaskSpawn(p, TaskSpec{
 			Threads: 32, Blocks: 1,
-			Kernel: func(tc *TaskCtx) { tc.Compute(50_000); kernelRan["TB"] = tc.WarpCtx().Now() },
+			Kernel: func(tc *TaskCtx) { tc.Compute(50_000); kernelRan["TB"] = true },
 		})
 		rt.WaitAll(p)
 		rt.Shutdown(p)

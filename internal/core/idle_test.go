@@ -92,14 +92,13 @@ func TestArenaAllocatedOnFirstUse(t *testing.T) {
 			if td.SharedMem == 0 {
 				t.Fatal("DCT with UseShared requested no shared memory")
 			}
-			rt.TaskSpawn(p, TaskSpec{
+			id := rt.TaskSpawn(p, TaskSpec{
 				Threads: td.Threads, Blocks: td.Blocks, SharedMem: td.SharedMem,
 				Sync: td.Sync, ArgBytes: td.ArgBytes,
-				Kernel: func(tc *TaskCtx) {
-					used[tc.mtb.index] = true
-					td.Kernel(tc)
-				},
+				Kernel: func(tc *TaskCtx) { td.Kernel(tc) },
 			})
+			// The MTB that owns the task's TaskTable column runs it.
+			used[slotForTaskID(id, rt.Cfg.Rows, rt.totalEntries).col] = true
 		}
 		rt.WaitAll(p)
 	})

@@ -47,8 +47,9 @@ func TestPagodaOnTeslaK40(t *testing.T) {
 			if i%3 == 0 {
 				sm = 4096
 			}
+			sync := i%2 == 0
 			rt.TaskSpawn(p, TaskSpec{
-				Threads: 96, Blocks: 1, SharedMem: sm, Sync: i%2 == 0,
+				Threads: 96, Blocks: 1, SharedMem: sm, Sync: sync,
 				Kernel: func(tc *TaskCtx) {
 					tc.Compute(500)
 					tc.GlobalRead(1024)
@@ -57,7 +58,7 @@ func TestPagodaOnTeslaK40(t *testing.T) {
 						s[0] = 1
 						tc.SharedWrite(64)
 					}
-					if tc.entry.spec.Sync {
+					if sync {
 						tc.SyncBlock()
 					}
 					if tc.WarpInBlock() == 0 {

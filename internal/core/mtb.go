@@ -356,15 +356,14 @@ func (m *MTB) executorLoop(c *gpu.Ctx, slotIdx int) {
 		e := m.entries[s.eNum]
 		c.GlobalRead(32) // fetch the task's kernel pointer and arguments
 
+		var bar *gpu.Barrier
+		if s.barID >= 0 {
+			bar = m.bars[s.barID]
+		}
 		tc := &s.tc
-		*tc = TaskCtx{
-			gc:       c,
-			mtb:      m,
-			entry:    e,
-			warpID:   s.warpID,
-			barID:    s.barID,
-			smOffset: s.smOffset,
-			smSize:   s.smSize,
+		tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, s.warpID, bar, e.spec.Args)
+		if s.smSize > 0 {
+			tc.UseArena(&m.arena, rt.Cfg.SharedPerMTB, s.smOffset, s.smSize)
 		}
 		m.runTaskKernel(tc, e) // the warp executes the task as a subroutine
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/gpu"
 	"repro/internal/sim"
 )
 
@@ -26,6 +27,12 @@ const (
 // TaskKernel is Pagoda device code: a __device__ function executed by each
 // executor warp assigned to the task.
 type TaskKernel func(tc *TaskCtx)
+
+// TaskCtx is the device-side API a task kernel sees (the GPU rows of Table
+// 1): the gpu.Task every scheme hands its task kernels. Each executor warp
+// slot rebinds one for every task it runs, so a kernel that keeps the
+// pointer (in a scheduled closure, a map, ...) later sees another task.
+type TaskCtx = gpu.Task
 
 // TaskSpec mirrors the taskSpawn arguments of Table 1: threads per
 // threadblock, threadblock count, shared-memory bytes per threadblock, the

@@ -160,7 +160,18 @@ func TestCtxSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Ctx{}); got != 88 {
-		t.Errorf("sizeof(Ctx) = %d, want 88", got)
+	if got := unsafe.Sizeof(Ctx{}); got != 56 {
+		t.Errorf("sizeof(Ctx) = %d, want 56", got)
+	}
+}
+
+// TestTaskSize pins a task's view of its warp, which HyperQ and GeMTC
+// allocate one of per task warp and Pagoda one of per WarpTable slot.
+func TestTaskSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Task{}); got != 88 {
+		t.Errorf("sizeof(Task) = %d, want 88", got)
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"repro/internal/trace"
 )
 
-// KernelFunc is device code, invoked once per warp. Lane-level work is
-// expressed through the Ctx helpers; simulated cost is charged through the
-// Ctx op methods (Compute, GlobalRead, ...).
+// KernelFunc is device code, invoked once per warp. Simulated cost is
+// charged through the Ctx op methods (Compute, GlobalRead, ...).
 type KernelFunc func(ctx *Ctx)
 
 // LaunchSpec describes a kernel launch (grid, block shape, resources).
@@ -21,7 +20,6 @@ type LaunchSpec struct {
 	SharedPerTB   int // bytes of shared memory per threadblock
 	RegsPerThread int // register budget per thread (occupancy input)
 	Fn            KernelFunc
-	Args          any
 
 	// ParkOn, when set, may return a signal for a warp to start parked on
 	// instead of starting at dispatch (sim.Engine.StartOn): the warp's
@@ -204,9 +202,6 @@ func (m *SMM) release(tb *threadBlock) {
 // FreeWarps returns the number of warp slots currently unoccupied.
 func (m *SMM) FreeWarps() int { return m.dev.Cfg.WarpsPerSMM - m.residentWarps }
 
-// ResidentWarps returns the warps currently resident.
-func (m *SMM) ResidentWarps() int { return m.residentWarps }
-
 // Device is the simulated GPU.
 type Device struct {
 	Eng  *sim.Engine
@@ -349,10 +344,8 @@ func (d *Device) startWarps(tb *threadBlock) {
 			smm:         tb.smm,
 			proc:        &w.proc,
 			BlockIdx:    tb.blockIdx,
-			GridDim:     spec.GridDim,
 			BlockDim:    spec.BlockThreads,
 			WarpInBlock: i,
-			Args:        spec.Args,
 			blockBar:    bar,
 		}
 		if spec.ParkOn != nil && tb.spillDelay == 0 {

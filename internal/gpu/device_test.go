@@ -20,7 +20,9 @@ func TestKernelRunsAllWarps(t *testing.T) {
 		Name: "count", GridDim: 3, BlockThreads: 64,
 		Fn: func(c *Ctx) {
 			c.Compute(10)
-			c.ForEachLane(func(tid int) { lanes = append(lanes, tid) })
+			var task Task
+			task.Bind(c, 3, c.BlockIdx, nil)
+			task.ForEachLane(func(tid int) { lanes = append(lanes, task.BlockIdx()*64+tid) })
 		},
 	})
 	eng.Run()
@@ -46,7 +48,9 @@ func TestPartialWarp(t *testing.T) {
 	dev.Launch(LaunchSpec{
 		Name: "partial", GridDim: 1, BlockThreads: 40, // 2 warps: 32 + 8 lanes
 		Fn: func(c *Ctx) {
-			c.ForEachLane(func(int) { count++ })
+			var task Task
+			task.Bind(c, 1, 0, nil)
+			task.ForEachLane(func(int) { count++ })
 		},
 	})
 	eng.Run()
@@ -298,7 +302,7 @@ func TestDispatchBalancesAcrossSMMs(t *testing.T) {
 		Name: "bal", GridDim: 8, BlockThreads: 256,
 		Fn: func(c *Ctx) {
 			if c.WarpInBlock == 0 {
-				smms[c.SMM().ID]++
+				smms[c.smm.ID]++
 			}
 			c.Compute(100)
 		},

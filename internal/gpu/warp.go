@@ -11,24 +11,17 @@ import (
 // plays the role of the CUDA built-ins (threadIdx/blockIdx/blockDim) plus the
 // cost-charging API of the simulator.
 //
-// A kernel function runs warp-synchronously: it is invoked once per warp and
-// iterates over its 32 lanes with ForEachLane when it needs per-thread
-// behaviour.
+// A kernel function runs warp-synchronously: it is invoked once per warp.
+// Task kernels see the warp through a Task, which adds the task's own
+// geometry and per-lane iteration.
 type Ctx struct {
 	dev  *Device
 	smm  *SMM
 	proc *sim.Proc
 
 	BlockIdx    int // blockIdx.x
-	GridDim     int // gridDim.x
 	BlockDim    int // blockDim.x (threads per block)
 	WarpInBlock int // warp index within the block
-	Args        any // kernel arguments
-
-	// TidBase overrides the default global-thread-id origin. The CUDA layer
-	// leaves it zero; the Pagoda MasterKernel sets it so that tasks see task-
-	// relative thread IDs regardless of which executor warps they landed on.
-	TidBase int
 
 	blockBar *Barrier
 }
@@ -37,45 +30,11 @@ type Ctx struct {
 // on top of raw warps, e.g. Pagoda's MasterKernel).
 func (c *Ctx) Proc() *sim.Proc { return c.proc }
 
-// Device returns the device this warp runs on.
-func (c *Ctx) Device() *Device { return c.dev }
-
-// SMM returns the multiprocessor this warp is resident on.
-func (c *Ctx) SMM() *SMM { return c.smm }
-
 // Now returns the current simulated time in cycles.
 func (c *Ctx) Now() sim.Time { return c.dev.Eng.Now() }
 
 // WarpSize returns the SIMT width (32).
 func (c *Ctx) WarpSize() int { return c.dev.Cfg.ThreadsPerWarp }
-
-// LaneBase returns the global thread id of lane 0 of this warp.
-func (c *Ctx) LaneBase() int {
-	return c.TidBase + c.BlockIdx*c.BlockDim + c.WarpInBlock*c.dev.Cfg.ThreadsPerWarp
-}
-
-// ActiveLanes returns how many lanes of this warp map to real threads (the
-// last warp of a block may be partial).
-func (c *Ctx) ActiveLanes() int {
-	remaining := c.BlockDim - c.WarpInBlock*c.dev.Cfg.ThreadsPerWarp
-	if remaining >= c.dev.Cfg.ThreadsPerWarp {
-		return c.dev.Cfg.ThreadsPerWarp
-	}
-	if remaining < 0 {
-		return 0
-	}
-	return remaining
-}
-
-// ForEachLane invokes fn for every active lane with that lane's global
-// thread id (getTid() in the Pagoda API). It charges no simulated time;
-// charge compute costs separately.
-func (c *Ctx) ForEachLane(fn func(tid int)) {
-	base := c.LaneBase()
-	for l := 0; l < c.ActiveLanes(); l++ {
-		fn(base + l)
-	}
-}
 
 // --- cost-charging operations ---
 

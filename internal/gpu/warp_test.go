@@ -93,12 +93,21 @@ func TestCtxGeometry(t *testing.T) {
 	cfg := TitanX()
 	cfg.NumSMMs = 1
 	dev := NewDevice(eng, cfg)
-	type rec struct{ block, warp, base, lanes int }
+	type rec struct{ block, warp, first, lanes int }
 	var recs []rec
 	dev.Launch(LaunchSpec{
 		Name: "geom", GridDim: 2, BlockThreads: 96, // 3 warps per block
 		Fn: func(c *Ctx) {
-			recs = append(recs, rec{c.BlockIdx, c.WarpInBlock, c.LaneBase(), c.ActiveLanes()})
+			var task Task
+			task.Bind(c, 2, c.BlockIdx, nil)
+			r := rec{block: task.BlockIdx(), warp: task.WarpInBlock(), first: -1}
+			task.ForEachLane(func(tid int) {
+				if r.first < 0 {
+					r.first = tid
+				}
+				r.lanes++
+			})
+			recs = append(recs, r)
 		},
 	})
 	eng.Run()
@@ -106,32 +115,12 @@ func TestCtxGeometry(t *testing.T) {
 		t.Fatalf("ran %d warps, want 6", len(recs))
 	}
 	for _, r := range recs {
-		wantBase := r.block*96 + r.warp*32
-		if r.base != wantBase {
-			t.Errorf("block %d warp %d: LaneBase = %d, want %d", r.block, r.warp, r.base, wantBase)
+		if r.first != r.warp*32 {
+			t.Errorf("block %d warp %d: first tid = %d, want %d", r.block, r.warp, r.first, r.warp*32)
 		}
 		if r.lanes != 32 {
 			t.Errorf("full warp has %d active lanes", r.lanes)
 		}
-	}
-}
-
-func TestTidBaseOffset(t *testing.T) {
-	eng := sim.New()
-	cfg := TitanX()
-	cfg.NumSMMs = 1
-	dev := NewDevice(eng, cfg)
-	var tids []int
-	dev.Launch(LaunchSpec{
-		Name: "tidbase", GridDim: 1, BlockThreads: 32,
-		Fn: func(c *Ctx) {
-			c.TidBase = 1000
-			c.ForEachLane(func(tid int) { tids = append(tids, tid) })
-		},
-	})
-	eng.Run()
-	if tids[0] != 1000 || tids[31] != 1031 {
-		t.Fatalf("tids = [%d..%d], want [1000..1031]", tids[0], tids[31])
 	}
 }
 

@@ -659,9 +659,9 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 	})
 	workers := occ.TBsPerSMM * n.sys.dev.Cfg.NumSMMs
 	queueSite := gpu.NewAtomicSite(n.sys.eng, n.sys.dev.Cfg.AtomicGlobalLatency)
-	// One adapter per worker warp, reset for every task the warp claims.
+	// One Task per worker warp, rebound for every task the warp claims.
 	workerWarps := taskWarps(workerThreads)
-	adapters := make([]warpAdapter, workers*workerWarps)
+	warpTasks := make([]gpu.Task, workers*workerWarps)
 
 	stream := n.sys.ctx.NewStream()
 	for {
@@ -713,15 +713,9 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 						return
 					}
 					td := &n.tasks[batch[idx]]
-					w := &adapters[c.BlockIdx*workerWarps+c.WarpInBlock]
-					*w = warpAdapter{
-						g:        c,
-						threads:  workerThreads,
-						blocks:   1,
-						blockIdx: 0,
-						warpInBl: c.WarpInBlock,
-					}
-					td.Kernel(w)
+					t := &warpTasks[c.BlockIdx*workerWarps+c.WarpInBlock]
+					t.Bind(c, 1, 0, nil)
+					td.Kernel(t)
 					c.SyncBlock()
 				}
 			},

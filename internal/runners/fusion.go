@@ -70,14 +70,9 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 				}
 				// The fused kernel gives every subtask the same, fixed
 				// thread count regardless of its input size.
-				td.Kernel(&warpAdapter{
-					g:        c,
-					threads:  fusedThreads,
-					blocks:   1,
-					blockIdx: 0,
-					warpInBl: c.WarpInBlock,
-					shared:   shared,
-				})
+				t := new(gpu.Task)
+				t.Bind(c, 1, 0, shared)
+				td.Kernel(t)
 			},
 		})
 		h.Wait(p)

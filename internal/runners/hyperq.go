@@ -85,11 +85,11 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 	return r
 }
 
-// hyperqSpec builds the per-task kernel launch. The task's warp adapters
-// and its per-block shared memory are each one allocation per task.
+// hyperqSpec builds the per-task kernel launch. The task's warps and its
+// per-block shared memory are each one allocation per task.
 func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 	warps := taskWarps(td.Threads)
-	adapters := make([]warpAdapter, td.Blocks*warps)
+	tasks := make([]gpu.Task, td.Blocks*warps)
 	var shared []byte
 	if td.SharedMem > 0 {
 		shared = make([]byte, td.Blocks*td.SharedMem)
@@ -105,19 +105,20 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 		SharedPerTB:   td.SharedMem,
 		RegsPerThread: regs,
 		Fn: func(c *gpu.Ctx) {
-			w := &adapters[c.BlockIdx*warps+c.WarpInBlock]
-			*w = warpAdapter{
-				g:        c,
-				threads:  td.Threads,
-				blocks:   td.Blocks,
-				blockIdx: c.BlockIdx,
-				warpInBl: c.WarpInBlock,
-			}
+			var sh []byte
 			if shared != nil {
 				lo, hi := c.BlockIdx*td.SharedMem, (c.BlockIdx+1)*td.SharedMem
-				w.shared = shared[lo:hi:hi]
+				sh = shared[lo:hi:hi]
 			}
-			td.Kernel(w)
+			t := &tasks[c.BlockIdx*warps+c.WarpInBlock]
+			t.Bind(c, td.Blocks, c.BlockIdx, sh)
+			td.Kernel(t)
 		},
 	}
 }
+
+// Every scheme hands its task kernels a gpu.Task.
+var _ workloads.DeviceCtx = (*gpu.Task)(nil)
+
+// taskWarps returns the physical warp count for a task's threadblock.
+func taskWarps(threads int) int { return (threads + 31) / 32 }

@@ -40,18 +40,27 @@ func mustValidate(err error) {
 	}
 }
 
-// rateErr rejects rates that are not positive finite tasks/second.
+// maxCycles bounds a generator's gaps: past 2^53 cycles a float64 sim time
+// no longer resolves one cycle, and a few such gaps overflow to +Inf.
+const maxCycles = 1 << 53
+
+// rateErr rejects rates that are not positive finite tasks/second, and rates
+// so low that their mean gap exceeds maxCycles.
 func rateErr(what string, rate float64) error {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return fmt.Errorf("serve: %s %v is not a positive finite tasks/second", what, rate)
 	}
+	if gap := cyclesPerSecond / rate; gap > maxCycles {
+		return fmt.Errorf("serve: %s %v tasks/second spaces arrivals %v cycles apart, past the 2^53 a sim time resolves", what, rate, gap)
+	}
 	return nil
 }
 
-// durErr rejects durations that are not positive finite cycles.
+// durErr rejects durations that are not finite cycle counts of at least one
+// cycle, the sim clock's resolution.
 func durErr(what string, d sim.Time) error {
-	if d <= 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		return fmt.Errorf("serve: %s %v is not a positive finite cycle count", what, d)
+	if !(d >= 1) || math.IsInf(d, 0) {
+		return fmt.Errorf("serve: %s %v is not a finite cycle count of at least 1", what, d)
 	}
 	return nil
 }
@@ -131,8 +140,8 @@ func (g Bursty) Validate() error {
 	if g.Burst <= 0 {
 		return fmt.Errorf("serve: bursty burst size %d is not positive", g.Burst)
 	}
-	if g.Gap < 0 || math.IsNaN(g.Gap) || math.IsInf(g.Gap, 0) {
-		return fmt.Errorf("serve: bursty inter-burst gap %v is not a finite non-negative cycle count", g.Gap)
+	if !(g.Gap >= 0 && g.Gap <= maxCycles) {
+		return fmt.Errorf("serve: bursty inter-burst gap %v is not a cycle count in [0, 2^53]", g.Gap)
 	}
 	return nil
 }
@@ -179,6 +188,10 @@ func (g Diurnal) Validate() error {
 	}
 	if g.Swing < 0 || g.Swing > 1 || math.IsNaN(g.Swing) {
 		return fmt.Errorf("serve: diurnal swing %v outside [0, 1]", g.Swing)
+	}
+	// Thinning samples at the peak rate, which must be finite too.
+	if err := rateErr("diurnal peak rate", g.MeanRate*(1+g.Swing)); err != nil {
+		return err
 	}
 	return durErr("diurnal period", g.Period)
 }

@@ -37,6 +37,18 @@ func TestGeneratorValidateRejectsBadParams(t *testing.T) {
 		{FlashCrowd{BaseRate: 1e3, SpikeRate: -1, SpikeAt: 0, SpikeDur: 1e6}, "spike rate"},
 		{FlashCrowd{BaseRate: 1e3, SpikeRate: 1e4, SpikeAt: -5, SpikeDur: 1e6}, "onset"},
 		{FlashCrowd{BaseRate: 1e3, SpikeRate: 1e4, SpikeAt: 0, SpikeDur: 0}, "spike duration"},
+		// Gaps past 2^53 cycles: Times used to return +Inf instants, and
+		// Diurnal's thinning, once its sine phase overflowed to NaN (as it
+		// also does for a sub-cycle period, or an infinite peak rate),
+		// never accepted a candidate.
+		{FixedRate{Rate: 1e-300}, "2^53"},
+		{Poisson{Rate: 1e-300, Seed: 1}, "2^53"},
+		{Bursty{PeakRate: 1e-300, Burst: 4, Gap: 10}, "2^53"},
+		{Bursty{PeakRate: 1e3, Burst: 1, Gap: 1e308}, "inter-burst gap"},
+		{Diurnal{MeanRate: 1e-300, Swing: 0.5, Period: 1e9, Seed: 1}, "2^53"},
+		{Diurnal{MeanRate: math.MaxFloat64, Swing: 1, Period: 1e9, Seed: 1}, "diurnal peak rate"},
+		{Diurnal{MeanRate: 1e3, Swing: 0.5, Period: 1e-305, Seed: 1}, "diurnal period"},
+		{FlashCrowd{BaseRate: 1e-300, SpikeRate: 1e4, SpikeAt: 0, SpikeDur: 1e6}, "2^53"},
 		{Trace{At: []sim.Time{5, 3}}, "decrease"},
 		{Trace{At: []sim.Time{-1, 3}}, "finite non-negative"},
 	}
@@ -147,4 +159,59 @@ func TestThinnedDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzGenerators: every generator that passes Validate returns n finite,
+// nondecreasing instants, and one that fails it panics in Times. kind picks
+// the generator; rate is its (base, mean or peak) rate, and a and b its
+// other parameters.
+func FuzzGenerators(f *testing.F) {
+	f.Add(uint8(0), 1e-300, 0.0, 0.0, int64(1), uint8(3))
+	f.Add(uint8(1), 1e-300, 0.0, 0.0, int64(1), uint8(3))
+	f.Add(uint8(2), 1e-300, 4.0, 10.0, int64(1), uint8(3))
+	f.Add(uint8(3), 1e-300, 0.5, 1e9, int64(1), uint8(3))
+	f.Add(uint8(4), 1e-300, 1e-299, 1e6, int64(1), uint8(3))
+	f.Add(uint8(1), 16e3, 0.0, 0.0, int64(7), uint8(64))
+	f.Add(uint8(2), 64e3, 8.0, 1e6, int64(7), uint8(64))
+	f.Add(uint8(3), 16e3, 0.6, 50e6, int64(7), uint8(64))
+	f.Add(uint8(4), 8e3, 64e3, 4e6, int64(7), uint8(64))
+	f.Fuzz(func(t *testing.T, kind uint8, rate, a, b float64, seed int64, n uint8) {
+		var g Generator
+		switch kind % 5 {
+		case 0:
+			g = FixedRate{Rate: rate}
+		case 1:
+			g = Poisson{Rate: rate, Seed: seed}
+		case 2:
+			g = Bursty{PeakRate: rate, Burst: int(a), Gap: b}
+		case 3:
+			g = Diurnal{MeanRate: rate, Swing: a, Period: b, Seed: seed}
+		default:
+			// Thinning at a spike/base ratio r draws ~r candidates per
+			// arrival: correct, but slow past 1e3.
+			if lo, hi := min(rate, a), max(rate, a); lo > 0 && hi/lo > 1e3 {
+				t.Skip("spike/base ratio beyond 1e3")
+			}
+			g = FlashCrowd{BaseRate: rate, SpikeRate: a, SpikeAt: b, SpikeDur: b + 1, Seed: seed}
+		}
+		n %= 65
+		if g.Validate() != nil {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: Times accepted parameters Validate rejects", g.Name())
+				}
+			}()
+			g.Times(int(n))
+			return
+		}
+		ts := g.Times(int(n))
+		if len(ts) != int(n) {
+			t.Fatalf("%s: Times(%d) returned %d instants", g.Name(), n, len(ts))
+		}
+		for i, at := range ts {
+			if math.IsNaN(at) || math.IsInf(at, 0) || at < 0 || (i > 0 && at < ts[i-1]) {
+				t.Fatalf("%s: instant %d is %v after %v", g.Name(), i, at, ts[max(i-1, 0)])
+			}
+		}
+	})
 }

@@ -17,8 +17,9 @@ package workloads
 
 import "fmt"
 
-// DeviceCtx is the device-side API a task kernel needs. core.TaskCtx
-// satisfies it directly; the baseline executors provide adapters.
+// DeviceCtx is the device-side API a task kernel needs. gpu.Task, which
+// every scheme hands its task kernels (core.TaskCtx under Pagoda), is the
+// implementation.
 type DeviceCtx interface {
 	// Geometry.
 	Threads() int     // threads per threadblock
