@@ -43,6 +43,7 @@ var simScoped = []string{
 	"internal/cluster",
 	"internal/tenancy",
 	"internal/autoscale",
+	"internal/prng",
 }
 
 // inSimScope reports whether relPath is one of the simulation packages (or a

@@ -72,8 +72,9 @@ func TestTaintflowBeyondSyntacticChecks(t *testing.T) {
 }
 
 // TestScopes pins which packages each analyzer binds to: the wall-clock,
-// RNG and map-order rules cover the eleven simulation packages (including
-// internal/cluster, internal/tenancy and internal/autoscale); rawgo and goroutine cover everything except
+// RNG and map-order rules cover the twelve simulation packages (including
+// internal/cluster, internal/tenancy, internal/autoscale and
+// internal/prng); rawgo and goroutine cover everything except
 // internal/sim; syncprim covers the simulation packages minus internal/sim
 // itself.
 func TestScopes(t *testing.T) {
@@ -89,6 +90,7 @@ func TestScopes(t *testing.T) {
 		{"internal/cluster", true, true, true, true, true, true, true},
 		{"internal/tenancy", true, true, true, true, true, true, true},
 		{"internal/autoscale", true, true, true, true, true, true, true},
+		{"internal/prng", true, true, true, true, true, true, true},
 		{"internal/serve", false, false, false, true, true, false, true},
 		{"internal/harness", false, false, false, true, true, false, true},
 		{"internal/trace", false, false, false, true, true, false, true},

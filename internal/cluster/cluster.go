@@ -18,7 +18,7 @@
 // fleet over this same Dispatcher.
 //
 // Determinism rules: the only pseudo-randomness is the explicitly seeded
-// xorshift behind PowerOfTwo (the randsource rule); policies break ties by
+// prng.Xorshift behind PowerOfTwo (the randsource rule); policies break ties by
 // lowest node index; no wall clock, map iteration or raw goroutines appear
 // anywhere in the fleet path.
 package cluster

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"repro/internal/prng"
 	"repro/internal/sim"
 )
 
@@ -71,11 +72,11 @@ func (JoinShortestQueue) Pick(_ sim.Time, _ Task, nodes []NodeView) int {
 // routes to the less-loaded of the pair (lower index on ties) — the
 // power-of-two-choices policy, which buys most of JSQ's balance with two
 // probes instead of a full scan. With one node it degenerates to that node.
-type PowerOfTwo struct{ rng *xorshift }
+type PowerOfTwo struct{ rng *prng.Xorshift }
 
 // NewPowerOfTwo returns a sampler seeded for one run. Identical seeds
 // produce identical probe sequences, keeping fleet runs bit-deterministic.
-func NewPowerOfTwo(seed int64) *PowerOfTwo { return &PowerOfTwo{rng: newRand(seed)} }
+func NewPowerOfTwo(seed int64) *PowerOfTwo { return &PowerOfTwo{rng: prng.New(seed)} }
 
 // Name implements Policy.
 func (*PowerOfTwo) Name() string { return "p2c" }
@@ -85,8 +86,8 @@ func (p *PowerOfTwo) Pick(_ sim.Time, _ Task, nodes []NodeView) int {
 	if len(nodes) == 1 {
 		return 0
 	}
-	a := p.rng.intn(len(nodes))
-	b := p.rng.intn(len(nodes) - 1)
+	a := p.rng.Intn(len(nodes))
+	b := p.rng.Intn(len(nodes) - 1)
 	if b >= a {
 		b++ // second probe drawn from the remaining nodes, so a != b
 	}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/autoscale"
-	"repro/internal/cluster"
 	"repro/internal/runners"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/workloads"
 )
 
 // Sweep-section lifecycle: scaled to the short horizons the capped task
@@ -28,70 +26,6 @@ const (
 	asTraceMin = 8
 	asTraceMax = 32
 )
-
-// elasticOut is one elastic fleet cell's summary: serving stats, the final
-// per-node ledgers, the scale outcome, and the run's elapsed virtual time
-// (for pricing a scaler-disabled fixed fleet).
-type elasticOut struct {
-	st      serve.Stats
-	views   []cluster.NodeView
-	scale   *autoscale.Outcome
-	elapsed sim.Time
-}
-
-// nodeSeconds prices the cell: the scaler's provision-to-retire ledger, or —
-// when scaling was disabled (min = max) and no outcome exists — the fixed
-// fleet's size times the run's elapsed time.
-func (e elasticOut) nodeSeconds() float64 {
-	if e.scale != nil {
-		return e.scale.NodeSeconds()
-	}
-	return float64(len(e.views)) * e.elapsed / 1e9
-}
-
-func (e elasticOut) nodeSecPerMTask() float64 {
-	if e.st.Completed <= 0 {
-		return 0
-	}
-	return e.nodeSeconds() / (float64(e.st.Completed) / 1e6)
-}
-
-func (e elasticOut) outsInsPeak() (int, int, int) {
-	if e.scale == nil {
-		return 0, 0, len(e.views)
-	}
-	return e.scale.ScaleOuts, e.scale.ScaleIns, e.scale.Peak
-}
-
-// elasticCell enqueues one elastic fleet simulation. Arrivals, the routing
-// policy and the scaler config are all constructed inside the cell, keeping
-// cells independent at any harness parallelism; conservation across every
-// scale-out and drain is checked before any number escapes.
-func elasticCell(s *sweep, mk func() []workloads.TaskDef, cfg runners.Config,
-	gen serve.Generator, mkScaler func() *autoscale.Config, mkPol func() cluster.Policy,
-	admit func() func(sim.Time, int) bool, sc runners.Scheme, slo sim.Time) *elasticOut {
-	out := new(elasticOut)
-	s.add(func() {
-		tasks := mk()
-		co := runners.ClusterOpenLoop{
-			Arrivals: gen.Times(len(tasks)),
-			Admit:    admit,
-			Scaler:   mkScaler(),
-		}
-		if mkPol != nil {
-			co.Policy = mkPol()
-		}
-		res, cr := sc.RunCluster(tasks, co, cfg)
-		if err := cr.CheckConservation(); err != nil {
-			panic(fmt.Sprintf("harness: elastic fleet leaked tasks: %v", err))
-		}
-		out.st = serve.Summarize(cr.Recs, slo)
-		out.views = cr.Views
-		out.scale = cr.Scale
-		out.elapsed = res.Elapsed
-	})
-	return out
-}
 
 // scalePolicies resolves the scaling-policy axis: every registered policy,
 // or just the one p.Autoscale names (the CLI validates the name; an unknown
@@ -158,10 +92,7 @@ func ClusterAutoscale(p Params) *Report {
 		{"aggressive", gentle.Aggressive()},
 	}
 
-	b, _ := workloads.ByName("MB")
-	mk := func() []workloads.TaskDef {
-		return b.Make(workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed})
-	}
+	mk := mbTasks(n, p.Seed)
 	admit := func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 32}.Admit }
 	cfg := p.runnerCfg()
 	schemes := p.gpuSchemes()
@@ -177,7 +108,7 @@ func ClusterAutoscale(p Params) *Report {
 	type asCell struct {
 		arr, pol, tun string
 		sc            runners.Scheme
-		out           *elasticOut
+		out           *fleetOut
 	}
 	s := newSweep(p)
 	var cells []asCell
@@ -186,8 +117,8 @@ func ClusterAutoscale(p Params) *Report {
 			for _, tn := range tunings {
 				mkSc := mkScalerFor(pol, tn.tu, min, max, asSweepInterval, asSweepWarmup, asSweepCooldown)
 				for _, sc := range schemes {
-					cells = append(cells, asCell{ak.key, pol, tn.key, sc,
-						elasticCell(s, mk, cfg, ak.gen, mkSc, p.clusterPolicy(), admit, sc, slo)})
+					cells = append(cells, asCell{ak.key, pol, tn.key, sc, s.fleet(fleetSpec{sc: sc, cfg: cfg,
+						mk: mk, gen: ak.gen, slo: slo, policy: p.clusterPolicy(), admit: admit, scaler: mkSc})})
 				}
 			}
 		}
@@ -204,14 +135,12 @@ func ClusterAutoscale(p Params) *Report {
 	traceTu := autoscale.DefaultTuning()
 	traceTu.SLO = slo
 	traceTu.PerNodeRate = perNode
-	mkTrace := func() []workloads.TaskDef {
-		return b.Make(workloads.Options{Tasks: p.Tasks, Threads: 128, Seed: p.Seed})
-	}
+	mkTrace := mbTasks(p.Tasks, p.Seed)
 	for _, pol := range policies {
 		mkSc := mkScalerFor(pol, traceTu, asTraceMin, asTraceMax, 0, autoscale.DefaultWarmup, 0)
 		for _, sc := range schemes {
-			cells = append(cells, asCell{"trace", pol, "default", sc,
-				elasticCell(s, mkTrace, cfg, traceGen, mkSc, p.clusterPolicy(), admit, sc, slo)})
+			cells = append(cells, asCell{"trace", pol, "default", sc, s.fleet(fleetSpec{sc: sc, cfg: cfg,
+				mk: mkTrace, gen: traceGen, slo: slo, policy: p.clusterPolicy(), admit: admit, scaler: mkSc})})
 		}
 	}
 	s.run()

@@ -22,58 +22,6 @@ func clusterTaskCount(p Params) int {
 	return p.Tasks
 }
 
-// clusterOut is one fleet cell's summary: the latency/goodput stats over the
-// whole fleet plus the per-node accounting the imbalance metric reads.
-type clusterOut struct {
-	st    serve.Stats
-	views []cluster.NodeView
-}
-
-// imbalance is max routed / ideal share — 1.00 means a perfectly even split,
-// 4.00 on a 4-node fleet means one node took everything.
-func (c clusterOut) imbalance() float64 {
-	total, max := 0, 0
-	for _, v := range c.views {
-		total += v.Routed
-		if v.Routed > max {
-			max = v.Routed
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(max) * float64(len(c.views)) / float64(total)
-}
-
-// clusterCell enqueues one fleet simulation. Arrivals are regenerated and
-// the routing policy and per-node admission are constructed inside the cell,
-// keeping cells independent at any harness parallelism; the conservation
-// invariant is checked before any number escapes the cell.
-func clusterCell(s *sweep, mk func() []workloads.TaskDef, classes []int, cfg runners.Config,
-	gen serve.Generator, nodes int, mkPol func() cluster.Policy,
-	admit func() func(sim.Time, int) bool, sc runners.Scheme, slo sim.Time) *clusterOut {
-	out := new(clusterOut)
-	s.add(func() {
-		tasks := mk()
-		co := runners.ClusterOpenLoop{
-			Arrivals: gen.Times(len(tasks)),
-			Classes:  classes,
-			Nodes:    nodes,
-			Admit:    admit,
-		}
-		if mkPol != nil {
-			co.Policy = mkPol()
-		}
-		_, cr := sc.RunCluster(tasks, co, cfg)
-		if err := cr.CheckConservation(); err != nil {
-			panic(fmt.Sprintf("harness: fleet leaked tasks: %v", err))
-		}
-		out.st = serve.Summarize(cr.Recs, slo)
-		out.views = cr.Views
-	})
-	return out
-}
-
 func (p Params) clusterPolicy() func() cluster.Policy {
 	mk, err := cluster.NewPolicy(p.Policy, p.Seed)
 	if err != nil {
@@ -107,16 +55,14 @@ func ClusterScaling(p Params) *Report {
 		header...)
 	r.setSeed(p.Seed)
 
-	b, _ := workloads.ByName("MB")
-	opt := workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed}
-	mk := func() []workloads.TaskDef { return b.Make(opt) }
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
 	type scalingCell struct {
 		sc    runners.Scheme
 		nodes int
 		rate  float64 // per-node offered rate
-		out   *clusterOut
+		out   *fleetOut
 	}
 	s := newSweep(p)
 	schemes := p.gpuSchemes()
@@ -125,8 +71,8 @@ func ClusterScaling(p Params) *Report {
 		for _, nodes := range nodeCounts {
 			for _, rate := range perNode {
 				gen := serve.Poisson{Rate: rate * float64(nodes), Seed: p.Seed}
-				cells = append(cells, scalingCell{sc, nodes, rate,
-					clusterCell(s, mk, nil, cfg, gen, nodes, p.clusterPolicy(), nil, sc, slo)})
+				cells = append(cells, scalingCell{sc, nodes, rate, s.fleet(fleetSpec{sc: sc, cfg: cfg,
+					mk: mk, gen: gen, slo: slo, nodes: nodes, policy: p.clusterPolicy()})})
 			}
 		}
 	}
@@ -138,7 +84,7 @@ func ClusterScaling(p Params) *Report {
 			row := []string{sc.Display, fmt.Sprint(nodes)}
 			offered := make([]float64, len(perNode))
 			ok := make([]bool, len(perNode))
-			var top *clusterOut
+			var top *fleetOut
 			for j, rate := range perNode {
 				c := cells[i]
 				i++
@@ -234,7 +180,7 @@ func ClusterPolicy(p Params) *Report {
 		arr    string
 		policy string
 		sc     runners.Scheme
-		out    *clusterOut
+		out    *fleetOut
 	}
 	s := newSweep(p)
 	var cells []policyCell
@@ -245,8 +191,8 @@ func ClusterPolicy(p Params) *Report {
 				panic(err)
 			}
 			for _, sc := range p.gpuSchemes() {
-				cells = append(cells, policyCell{ak.key, pname, sc,
-					clusterCell(s, mk, classes, cfg, ak.gen, nodes, mkPol, admit, sc, slo)})
+				cells = append(cells, policyCell{ak.key, pname, sc, s.fleet(fleetSpec{sc: sc, cfg: cfg,
+					mk: mk, gen: ak.gen, slo: slo, nodes: nodes, classes: classes, policy: mkPol, admit: admit})})
 			}
 		}
 	}

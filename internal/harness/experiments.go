@@ -135,52 +135,49 @@ func (p Params) gpuSchemes() []runners.Scheme {
 	return out
 }
 
-// Experiments lists every regenerable artifact (the paper's tables and
-// figures, the §6.2 CPU-scheme bake-off, and the open-loop serving sweeps).
+// experiments is every regenerable artifact in report order: the paper's
+// tables and figures, the §6.2 CPU-scheme bake-off, and the timed-arrival
+// sweeps (serving, tenancy, oversubscription, fleets).
+var experiments = []struct {
+	id  string
+	run func(Params) *Report
+}{
+	{"table3", Table3},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"table5", Table5},
+	{"cpuschemes", CPUSchemes},
+	{"serve_latency", ServeLatency},
+	{"serve_capacity", ServeCapacity},
+	{"tenant_qos", TenantQoS},
+	{"oversub_sweep", OversubSweep},
+	{"cluster_scaling", ClusterScaling},
+	{"cluster_policy", ClusterPolicy},
+	{"cluster_autoscale", ClusterAutoscale},
+}
+
+// Experiments lists every experiment ID in report order.
 func Experiments() []string {
-	return []string{"table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table5", "cpuschemes", "serve_latency", "serve_capacity", "tenant_qos", "oversub_sweep", "cluster_scaling", "cluster_policy", "cluster_autoscale"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run regenerates one experiment by ID.
 func Run(id string, p Params) (*Report, error) {
-	switch id {
-	case "fig5":
-		return Fig5(p), nil
-	case "fig6":
-		return Fig6(p), nil
-	case "fig7":
-		return Fig7(p), nil
-	case "fig8":
-		return Fig8(p), nil
-	case "fig9":
-		return Fig9(p), nil
-	case "fig10":
-		return Fig10(p), nil
-	case "fig11":
-		return Fig11(p), nil
-	case "table3":
-		return Table3(p), nil
-	case "table5":
-		return Table5(p), nil
-	case "cpuschemes":
-		return CPUSchemes(p), nil
-	case "serve_latency":
-		return ServeLatency(p), nil
-	case "serve_capacity":
-		return ServeCapacity(p), nil
-	case "tenant_qos":
-		return TenantQoS(p), nil
-	case "oversub_sweep":
-		return OversubSweep(p), nil
-	case "cluster_scaling":
-		return ClusterScaling(p), nil
-	case "cluster_policy":
-		return ClusterPolicy(p), nil
-	case "cluster_autoscale":
-		return ClusterAutoscale(p), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(p), nil
+		}
 	}
+	return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, Experiments())
 }
 
 // fig5Benchmarks are the Fig. 5 bars, in paper order (SLUD scaled by the

@@ -58,10 +58,12 @@ func OversubSweep(p Params) *Report {
 	// virtualization targets. Copies are off: this is an occupancy
 	// experiment, and the 1 MB/task PCIe traffic would drown it.
 	b, _ := workloads.ByName("DCT")
-	opt := workloads.Options{Tasks: n, Threads: 32, InputSize: 512, Seed: p.Seed, UseShared: true}
+	mk := func() []workloads.TaskDef {
+		return b.Make(workloads.Options{Tasks: n, Threads: 32, InputSize: 512, Seed: p.Seed, UseShared: true})
+	}
 
 	s := newSweep(p)
-	cells := make(map[float64][]*serve.Stats)
+	cells := make(map[float64][]*fleetOut)
 	for _, factor := range oversubFactors {
 		cfg := p.runnerCfg()
 		cfg.SMMs = oversubSMMs
@@ -69,7 +71,7 @@ func OversubSweep(p Params) *Report {
 		cfg.Oversub = gpu.UniformOversub(factor)
 		for _, rate := range oversubRates {
 			gen := serve.Poisson{Rate: rate, Seed: p.Seed}
-			cells[factor] = append(cells[factor], serveCell(s, b, opt, cfg, gen, nil, sc, slo))
+			cells[factor] = append(cells[factor], s.fleet(fleetSpec{sc: sc, cfg: cfg, mk: mk, gen: gen, slo: slo}))
 		}
 	}
 	s.run()
@@ -78,7 +80,7 @@ func OversubSweep(p Params) *Report {
 		row := []string{fmt.Sprintf("%.2f", factor)}
 		ok := make([]bool, len(oversubRates))
 		for i, rate := range oversubRates {
-			st := *cells[factor][i]
+			st := cells[factor][i].st
 			ok[i] = st.SLOSatisfied()
 			row = append(row, cond(ok[i], us(st.P99), us(st.P99)+"*"))
 			key := fmt.Sprintf("%.2f", factor)

@@ -33,42 +33,31 @@ func serveTaskCount(p Params) int {
 	return p.Tasks
 }
 
-// serveCell enqueues one open-loop simulation and returns the slot holding
-// its summary after run(). The policy is constructed inside the cell so
-// stateful policies (the token bucket) stay private to the run, and arrivals
-// are regenerated per cell (generators are pure values), keeping cells
-// independent at any harness parallelism. Only the GPU schemes are swept:
-// the CPU baselines have no spawn path to meter against virtual-time
-// arrivals.
-func serveCell(s *sweep, b workloads.Benchmark, opt workloads.Options, cfg runners.Config,
-	gen serve.Generator, pol func() serve.Policy, sc runners.Scheme, slo sim.Time) *serve.Stats {
-	out := new(serve.Stats)
-	s.add(func() {
-		tasks := b.Make(opt)
-		ol := runners.OpenLoop{Arrivals: gen.Times(len(tasks))}
-		if pol != nil {
-			ol.Admit = pol().Admit
-		}
-		_, recs := sc.RunOpenLoop(tasks, ol, cfg)
-		*out = serve.Summarize(recs, slo)
-	})
-	return out
+// mbTasks builds the timed-arrival sweeps' default task set: n Mandelbrot
+// tasks at 128 threads.
+func mbTasks(n int, seed int64) func() []workloads.TaskDef {
+	b, _ := workloads.ByName("MB")
+	return func() []workloads.TaskDef {
+		return b.Make(workloads.Options{Tasks: n, Threads: 128, Seed: seed})
+	}
 }
 
 // servePolicies is the admission-control cross for ServeLatency. The token
 // bucket is shaped to half the offered rate (burst 32) so its effect is
 // visible at every point of the ladder rather than only past saturation.
+// Each entry builds a fresh policy per node, so the stateful token bucket
+// stays private to its run.
 func servePolicies(rate float64) []struct {
 	label string
-	mk    func() serve.Policy
+	admit func() func(sim.Time, int) bool
 } {
 	return []struct {
 		label string
-		mk    func() serve.Policy
+		admit func() func(sim.Time, int) bool
 	}{
-		{"unbounded", func() serve.Policy { return serve.Unbounded{} }},
-		{"queue64", func() serve.Policy { return serve.BoundedQueue{Limit: 64} }},
-		{"token", func() serve.Policy { return serve.NewTokenBucket(rate/2, 32) }},
+		{"unbounded", func() func(sim.Time, int) bool { return serve.Unbounded{}.Admit }},
+		{"queue64", func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 64}.Admit }},
+		{"token", func() func(sim.Time, int) bool { return serve.NewTokenBucket(rate/2, 32).Admit }},
 	}
 }
 
@@ -89,15 +78,14 @@ func ServeLatency(p Params) *Report {
 		"wait(us)", "service(us)", "drops", "goodput")
 	r.setSeed(p.Seed)
 
-	b, _ := workloads.ByName("MB")
-	opt := workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed}
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
 	type latCell struct {
 		rate   float64
 		policy string
 		sc     runners.Scheme
-		st     *serve.Stats
+		out    *fleetOut
 	}
 	s := newSweep(p)
 	var cells []latCell
@@ -106,14 +94,14 @@ func ServeLatency(p Params) *Report {
 		for _, pol := range servePolicies(rate) {
 			for _, sc := range p.gpuSchemes() {
 				cells = append(cells, latCell{rate, pol.label, sc,
-					serveCell(s, b, opt, cfg, gen, pol.mk, sc, slo)})
+					s.fleet(fleetSpec{sc: sc, cfg: cfg, mk: mk, gen: gen, slo: slo, admit: pol.admit})})
 			}
 		}
 	}
 	s.run()
 
 	for _, c := range cells {
-		st := *c.st
+		st := c.out.st
 		r.addRow(fmt.Sprintf("%.0f", c.rate), c.policy, c.sc.Display,
 			us(st.P50), us(st.P90), us(st.P99), us(st.Max),
 			us(st.MeanWait), us(st.MeanService),
@@ -151,17 +139,16 @@ func ServeCapacity(p Params) *Report {
 		header...)
 	r.setSeed(p.Seed)
 
-	b, _ := workloads.ByName("MB")
-	opt := workloads.Options{Tasks: n, Threads: 128, Seed: p.Seed}
+	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
 	s := newSweep(p)
 	schemes := p.gpuSchemes()
-	cells := make(map[string][]*serve.Stats)
+	cells := make(map[string][]*fleetOut)
 	for _, sc := range schemes {
 		for _, rate := range rates {
 			gen := serve.Poisson{Rate: rate, Seed: p.Seed}
-			cells[sc.Key] = append(cells[sc.Key], serveCell(s, b, opt, cfg, gen, nil, sc, slo))
+			cells[sc.Key] = append(cells[sc.Key], s.fleet(fleetSpec{sc: sc, cfg: cfg, mk: mk, gen: gen, slo: slo}))
 		}
 	}
 	s.run()
@@ -171,7 +158,7 @@ func ServeCapacity(p Params) *Report {
 		row := []string{sc.Display}
 		ok := make([]bool, len(rates))
 		for i, rate := range rates {
-			st := *cells[sc.Key][i]
+			st := cells[sc.Key][i].st
 			ok[i] = st.SLOSatisfied()
 			row = append(row, cond(ok[i], us(st.P99), us(st.P99)+"*"))
 			r.set(fmt.Sprintf("%s/p99us/%.0f", sc.Key, rate), st.P99/1e3)

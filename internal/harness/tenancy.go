@@ -67,37 +67,26 @@ func TenantQoS(p Params) *Report {
 	classes := tenantClasses(p, n, slo)
 	counts := tenantCounts(n, p.Tenants)
 
+	mk := func() []workloads.TaskDef { return b.Make(workloads.Options{Tasks: n, Seed: p.Seed}) }
+
 	type qosCell struct {
 		policy string
 		sc     runners.Scheme
-		st     *[]tenancy.ClassStats
+		out    *fleetOut
 	}
 	s := newSweep(p)
 	var cells []qosCell
 	for _, policy := range tenancy.Kinds() {
+		mix := &tenantMix{policy: policy, classes: classes, counts: counts}
 		for _, sc := range p.gpuSchemes() {
-			policy, sc := policy, sc
-			out := new([]tenancy.ClassStats)
-			s.add(func() {
-				// Arrivals and the admission layer are rebuilt inside the
-				// cell: Merge is pure, and Admission is stateful per run.
-				arrivals, classOf := tenancy.Merge(classes, counts)
-				tasks := b.Make(workloads.Options{Tasks: len(arrivals), Seed: p.Seed})
-				adm := tenancy.NewAdmission(policy, classes, arrivals, classOf,
-					tenantAdmitLimit, policy != tenancy.AdmitNone)
-				_, recs := sc.RunOpenLoop(tasks, runners.OpenLoop{
-					Arrivals:  arrivals,
-					AdmitTask: adm.AdmitTask,
-				}, cfg)
-				*out = tenancy.SummarizeClasses(classes, classOf, recs, adm.Outcomes())
-			})
-			cells = append(cells, qosCell{policy, sc, out})
+			cells = append(cells, qosCell{policy, sc,
+				s.fleet(fleetSpec{sc: sc, cfg: cfg, mk: mk, slo: slo, tenants: mix})})
 		}
 	}
 	s.run()
 
 	for _, c := range cells {
-		for _, st := range *c.st {
+		for _, st := range c.out.classes {
 			r.addRow(c.policy, c.sc.Display, st.Class,
 				us(st.P99), f2(st.Goodput),
 				fmt.Sprint(st.Violations), fmt.Sprint(st.Shed), fmt.Sprint(st.Evicted))

@@ -100,12 +100,19 @@ func (p *Pool) WaitAll(host *sim.Proc) {
 // Pending returns queued + running task count.
 func (p *Pool) Pending() int { return p.pending }
 
-// SequentialTime returns the time the task set would take on one core with
-// no pool overhead — the sequential baseline for speedup computations.
-func SequentialTime(cfg Config, tasks []Task) sim.Time {
-	var total float64
-	for _, t := range tasks {
-		total += t.Cycles
-	}
-	return total / cfg.FreqGHz
+// Run is the one way every CPU scheme drives a Pool: a host process submits
+// every task, in order, to a fresh Pool on eng and waits for them all. It
+// runs the engine and returns the instant the last task completed and the
+// number of tasks run.
+func Run(eng *sim.Engine, cfg Config, tasks []Task) (end sim.Time, ran int) {
+	pool := NewPool(eng, cfg)
+	eng.Spawn("cpu-host", func(p *sim.Proc) {
+		for i := range tasks {
+			pool.Submit(p, tasks[i])
+		}
+		pool.WaitAll(p)
+		end = eng.Now()
+	})
+	eng.Run()
+	return end, pool.TasksRun
 }

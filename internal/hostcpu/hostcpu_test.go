@@ -74,14 +74,6 @@ func TestLoadImbalance(t *testing.T) {
 	}
 }
 
-func TestSequentialTime(t *testing.T) {
-	tasks := []Task{{Cycles: 100}, {Cycles: 200}, {Cycles: 300}}
-	got := SequentialTime(Config{Cores: 20, FreqGHz: 2}, tasks)
-	if math.Abs(got-300) > 1e-9 {
-		t.Fatalf("SequentialTime = %v, want 300", got)
-	}
-}
-
 func TestDispatchCostCharged(t *testing.T) {
 	eng := sim.New()
 	pool := NewPool(eng, Config{Cores: 1, FreqGHz: 1, DispatchCost: 50})

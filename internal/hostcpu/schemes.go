@@ -52,18 +52,8 @@ func RunOpenMP(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 // full parallelism, but kernel-level dispatch costs (thread creation,
 // context switches) per task dwarf the pool's.
 func RunOSSched(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
-	osCfg := cfg
-	osCfg.DispatchCost = 12_000 // ~12 us: clone + schedule + reap
-	pool := NewPool(eng, osCfg)
-	var end sim.Time
-	eng.Spawn("os-host", func(p *sim.Proc) {
-		for i := range tasks {
-			pool.Submit(p, tasks[i])
-		}
-		pool.WaitAll(p)
-		end = eng.Now()
-	})
-	eng.Run()
+	cfg.DispatchCost = 12_000 // ~12 us: clone + schedule + reap
+	end, _ := Run(eng, cfg, tasks)
 	return SchemeResult{Scheme: "OS-sched", Elapsed: end}
 }
 
@@ -96,16 +86,7 @@ func RunPythonPool(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 
 // RunPThreadsScheme wraps the Pool baseline in the same result shape.
 func RunPThreadsScheme(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
-	pool := NewPool(eng, cfg)
-	var end sim.Time
-	eng.Spawn("pt-host", func(p *sim.Proc) {
-		for i := range tasks {
-			pool.Submit(p, tasks[i])
-		}
-		pool.WaitAll(p)
-		end = eng.Now()
-	})
-	eng.Run()
+	end, _ := Run(eng, cfg, tasks)
 	return SchemeResult{Scheme: "PThreads", Elapsed: end}
 }
 

@@ -67,27 +67,28 @@ type ClusterOpenLoop struct {
 // normalize folds a disabled scaler into the fixed-fleet shape: Min == Max
 // means a fleet that can never scale, which is exactly Nodes = Min on a
 // static fleet — the delegation that makes "autoscaling off" reproduce
-// fixed-fleet records bit for bit.
-func (co ClusterOpenLoop) normalize() ClusterOpenLoop {
+// fixed-fleet records bit for bit. It defaults Nodes to 1, and folds the two
+// admission hooks into one factory that provisioning calls once per node:
+// the fleet-wide AdmitTask when set, else a fresh Admit per node.
+func (co ClusterOpenLoop) normalize() (ClusterOpenLoop, func() admitFunc) {
 	if co.Scaler != nil && !co.Scaler.Enabled() {
 		co.Nodes = co.Scaler.Min
 		co.Scaler = nil
 	}
-	return co
-}
-
-func (co ClusterOpenLoop) nodes() int {
 	if co.Nodes <= 0 {
-		return 1
+		co.Nodes = 1
 	}
-	return co.Nodes
-}
-
-func (co ClusterOpenLoop) nodeAdmit() func(sim.Time, int) bool {
-	if co.Admit == nil {
-		return nil
+	shared, perNode := co.AdmitTask, co.Admit
+	return co, func() admitFunc {
+		if shared != nil || perNode == nil {
+			return shared
+		}
+		admit := perNode()
+		if admit == nil {
+			return nil
+		}
+		return func(_ int, now sim.Time, inFlight int) bool { return admit(now, inFlight) }
 	}
-	return co.Admit()
 }
 
 // ClusterRun is the fleet-level outcome alongside the aggregate Result: the
@@ -203,7 +204,7 @@ func runClosedLoop(tasks []workloads.TaskDef, cfg Config, scheme string, newNode
 // the last node's drain.
 func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	scheme string, newNode nodeFactory) (Result, ClusterRun) {
-	co = co.normalize()
+	co, nodeAdmit := co.normalize()
 	elastic := co.Scaler.Enabled()
 	eng := sim.New()
 	defer eng.Close()
@@ -212,7 +213,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	var scaler *autoscale.Fleet
 	provision := func(id int) cluster.Node {
 		b := nodeBase{name: fmt.Sprintf("node%02d", id), tasks: tasks, recs: recs, cfg: cfg,
-			admit: co.nodeAdmit(), admitTask: co.AdmitTask, closedLoop: co.closedLoop}
+			admit: nodeAdmit(), closedLoop: co.closedLoop}
 		if elastic {
 			// Completions feed the scaler's rolling-p99 signal; recs[ti] is
 			// fully stamped before noteDone fires (the noteDone contract).
@@ -237,7 +238,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 		})
 		fleet = scaler
 	} else {
-		static := make([]cluster.Node, co.nodes())
+		static := make([]cluster.Node, co.Nodes)
 		for i := range static {
 			static[i] = provision(i)
 		}
@@ -269,18 +270,30 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 	return res, cr
 }
 
-// nodeBase carries the inputs, accounting and admission state every backend
-// shares. All fields are touched only under the engine baton.
+// admitFunc is a node's admission hook: the task, the instant the node
+// presents it, and the node's admitted-but-uncompleted count. False drops
+// the task.
+type admitFunc func(ti int, now sim.Time, inFlight int) bool
+
+// intake is one host thread's inbox: routed task indices, oldest first, and
+// the signal that wakes the thread when one arrives or the node closes.
+type intake struct {
+	tasks sim.FIFO[int]
+	more  sim.Signal
+}
+
+// nodeBase carries the inputs, intake, accounting and admission state every
+// backend shares. All fields are touched only under the engine baton.
 type nodeBase struct {
 	name       string
 	tasks      []workloads.TaskDef
 	recs       []serve.Record // fleet-wide, indexed by task
 	cfg        Config
 	view       cluster.NodeView
-	admit      func(sim.Time, int) bool
-	admitTask  func(int, sim.Time, int) bool // fleet-wide, takes precedence
-	onDone     func(ti int)                  // completion hook (elastic fleets)
-	closedLoop bool                          // stamp Submit at presentation
+	in         []intake     // one per host thread, filled by the backend
+	admit      admitFunc    // nil admits everything
+	onDone     func(ti int) // completion hook (elastic fleets)
+	closedLoop bool         // stamp Submit at presentation
 	admitted   int
 	completed  int
 	closed     bool
@@ -289,13 +302,56 @@ type nodeBase struct {
 func (n *nodeBase) Name() string           { return n.name }
 func (n *nodeBase) View() cluster.NodeView { return n.view }
 
-// admitNow consults the fleet-wide task-aware layer first, then the node's
-// own policy.
-func (n *nodeBase) admitNow(ti int, t sim.Time) bool {
-	if n.admitTask != nil {
-		return n.admitTask(ti, t, n.admitted-n.completed)
+// Submit deals routed tasks to the host threads' intakes round-robin in
+// routing order.
+func (n *nodeBase) Submit(_ *sim.Proc, ti int) {
+	f := n.view.Routed % len(n.in)
+	n.view.Routed++
+	n.push(f, ti)
+}
+
+func (n *nodeBase) push(f, ti int) {
+	n.in[f].tasks.Push(ti)
+	n.in[f].more.Broadcast()
+}
+
+// Close wakes every host thread to drain its intake and finish.
+func (n *nodeBase) Close() {
+	n.closed = true
+	for f := range n.in {
+		n.in[f].more.Broadcast()
 	}
-	return n.admit == nil || n.admit(t, n.admitted-n.completed)
+}
+
+// await parks p until intake f holds a task or the node is closed; false
+// means the intake is closed and drained.
+func (n *nodeBase) await(p *sim.Proc, f int) bool {
+	q := &n.in[f]
+	for q.tasks.Len() == 0 && !n.closed {
+		q.more.Wait(p)
+	}
+	return q.tasks.Len() > 0
+}
+
+// next pops intake f's oldest task, parking until there is one; false means
+// the intake is closed and drained.
+func (n *nodeBase) next(p *sim.Proc, f int) (int, bool) {
+	if !n.await(p, f) {
+		return 0, false
+	}
+	return n.in[f].tasks.Pop(), true
+}
+
+// admitOrDrop consults the admission hook for task ti at now: an admitted
+// task joins the node's in-flight count, a rejected one is recorded dropped.
+func (n *nodeBase) admitOrDrop(ti int, now sim.Time) bool {
+	if n.admit != nil && !n.admit(ti, now, n.admitted-n.completed) {
+		n.recs[ti].Dropped = true
+		n.view.Dropped++
+		return false
+	}
+	n.admitted++
+	return true
 }
 
 // noteDone records one task completion in the ledger; the scheme backend
@@ -323,9 +379,7 @@ type pagodaNode struct {
 	nodeBase
 	sys     *system
 	rt      *core.Runtime
-	queues  [][]int      // per-feeder FIFO, dealt by routing order
-	more    []sim.Signal // one wake signal per feeder
-	streams []*cuda.Stream
+	streams []*cuda.Stream // one per feeder
 
 	idxOf      map[core.TaskID]int
 	outBytes   map[core.TaskID]int
@@ -385,12 +439,7 @@ func newPagodaNode(eng *sim.Engine, b nodeBase) fleetNode {
 		})
 	}
 
-	spawners := n.cfg.Spawners
-	if spawners <= 0 {
-		spawners = 1
-	}
-	n.queues = make([][]int, spawners)
-	n.more = make([]sim.Signal, spawners)
+	n.in = make([]intake, spawners)
 	n.streams = make([]*cuda.Stream, spawners)
 	for f := 0; f < spawners; f++ {
 		f := f
@@ -400,38 +449,17 @@ func newPagodaNode(eng *sim.Engine, b nodeBase) fleetNode {
 	return n
 }
 
-func (n *pagodaNode) Submit(_ *sim.Proc, ti int) {
-	f := n.view.Routed % len(n.queues)
-	n.view.Routed++
-	n.queues[f] = append(n.queues[f], ti)
-	n.more[f].Broadcast()
-}
-
-func (n *pagodaNode) Close() {
-	n.closed = true
-	for f := range n.more {
-		n.more[f].Broadcast()
-	}
-}
-
 func (n *pagodaNode) feed(p *sim.Proc, f int) {
 	for {
-		for len(n.queues[f]) == 0 && !n.closed {
-			n.more[f].Wait(p)
-		}
-		if len(n.queues[f]) == 0 {
+		ti, ok := n.next(p, f)
+		if !ok {
 			break
 		}
-		ti := n.queues[f][0]
-		n.queues[f] = n.queues[f][1:]
-		td := &n.tasks[ti]
-		if !n.admitNow(ti, p.Now()) {
-			n.recs[ti].Dropped = true
-			n.view.Dropped++
+		if !n.admitOrDrop(ti, p.Now()) {
 			continue
 		}
-		n.admitted++
 		n.view.Started++
+		td := &n.tasks[ti]
 		if n.cfg.CopyData && td.InBytes > 0 {
 			n.streams[f].MemcpyH2DPipelined(p, td.InBytes, nil)
 		}
@@ -449,7 +477,7 @@ func (n *pagodaNode) feed(p *sim.Proc, f int) {
 		}
 	}
 	n.finished++
-	if n.finished < len(n.queues) {
+	if n.finished < len(n.in) {
 		return
 	}
 	// The last feeder to finish drains the node.
@@ -479,9 +507,7 @@ type hyperqNode struct {
 	nodeBase
 	sys     *system
 	streams []*cuda.Stream
-	queue   []int
 	seq     int // node-local arrival sequence, advanced per pop
-	more    sim.Signal
 	doneSig sim.Signal
 }
 
@@ -499,6 +525,7 @@ func newKernelPerTaskNode(eng *sim.Engine, b nodeBase, ov gpu.Oversub) *hyperqNo
 		sys:      newSystemOn(eng, b.cfg),
 		streams:  make([]*cuda.Stream, hyperqNodeStreams),
 	}
+	n.in = make([]intake, 1)
 	if ov.Enabled() {
 		n.sys.dev.Virtualize(ov)
 	}
@@ -509,17 +536,6 @@ func newKernelPerTaskNode(eng *sim.Engine, b nodeBase, ov gpu.Oversub) *hyperqNo
 	return n
 }
 
-func (n *hyperqNode) Submit(_ *sim.Proc, ti int) {
-	n.view.Routed++
-	n.queue = append(n.queue, ti)
-	n.more.Broadcast()
-}
-
-func (n *hyperqNode) Close() {
-	n.closed = true
-	n.more.Broadcast()
-}
-
 func (n *hyperqNode) finish(ti int) {
 	n.recs[ti].Done = n.sys.eng.Now()
 	n.noteDone(ti)
@@ -528,24 +544,17 @@ func (n *hyperqNode) finish(ti int) {
 
 func (n *hyperqNode) host(p *sim.Proc) {
 	for {
-		for len(n.queue) == 0 && !n.closed {
-			n.more.Wait(p)
-		}
-		if len(n.queue) == 0 {
+		ti, ok := n.next(p, 0)
+		if !ok {
 			break
 		}
-		ti := n.queue[0]
-		n.queue = n.queue[1:]
 		seq := n.seq
 		n.seq++
-		td := &n.tasks[ti]
-		if !n.admitNow(ti, p.Now()) {
-			n.recs[ti].Dropped = true
-			n.view.Dropped++
+		if !n.admitOrDrop(ti, p.Now()) {
 			continue
 		}
-		n.admitted++
 		n.view.Started++
+		td := &n.tasks[ti]
 		stream := n.streams[seq%hyperqNodeStreams]
 		if n.cfg.CopyData && td.InBytes > 0 {
 			stream.MemcpyH2D(p, td.InBytes, nil)
@@ -609,32 +618,22 @@ func (n *hyperqNode) devMetrics(sim.Time) (float64, float64) {
 // too, so a record's latency is its batch's round trip.
 type gemtcNode struct {
 	nodeBase
-	sys     *system
-	pending []int
-	more    sim.Signal
+	sys *system
 }
 
 func newGeMTCNode(eng *sim.Engine, b nodeBase) fleetNode {
 	n := &gemtcNode{nodeBase: b, sys: newSystemOn(eng, b.cfg)}
+	n.in = make([]intake, 1)
 	eng.Spawn(n.name+"-dispatch", n.dispatch)
 	return n
 }
 
+// Submit admits at the arrival instant; only admitted tasks join the intake.
 func (n *gemtcNode) Submit(p *sim.Proc, ti int) {
 	n.view.Routed++
-	if !n.admitNow(ti, p.Now()) {
-		n.recs[ti].Dropped = true
-		n.view.Dropped++
-		return
+	if n.admitOrDrop(ti, p.Now()) {
+		n.push(0, ti)
 	}
-	n.admitted++
-	n.pending = append(n.pending, ti)
-	n.more.Broadcast()
-}
-
-func (n *gemtcNode) Close() {
-	n.closed = true
-	n.more.Broadcast()
 }
 
 func (n *gemtcNode) dispatch(p *sim.Proc) {
@@ -664,19 +663,12 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 	warpTasks := make([]gpu.Task, workers*workerWarps)
 
 	stream := n.sys.ctx.NewStream()
-	for {
-		for len(n.pending) == 0 && !n.closed {
-			n.more.Wait(p)
+	pending := &n.in[0].tasks
+	for n.await(p, 0) {
+		batch := append([]int(nil), pending.Items()[:min(pending.Len(), batchCap)]...)
+		for range batch {
+			pending.Pop()
 		}
-		if len(n.pending) == 0 {
-			break
-		}
-		b := len(n.pending)
-		if b > batchCap {
-			b = batchCap
-		}
-		batch := append([]int(nil), n.pending[:b]...)
-		n.pending = n.pending[b:]
 		n.view.Started += len(batch)
 		launchStart := n.sys.eng.Now()
 

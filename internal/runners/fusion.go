@@ -6,6 +6,10 @@ import (
 	"repro/internal/workloads"
 )
 
+// fusedThreads is the uniform per-subtask thread count under static fusion
+// (paper: 256).
+const fusedThreads = 256
+
 // RunFusion executes the task set as a single statically fused kernel
 // (§6.3): every subtask becomes one threadblock of a monolithic launch with
 // a uniform thread count (paper: 256) and uniform resource allocation — the
@@ -18,10 +22,6 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 	sys := newSystem(cfg)
 	defer sys.eng.Close()
 
-	fusedThreads := cfg.FusedThreads
-	if fusedThreads <= 0 {
-		fusedThreads = 256
-	}
 	// Uniform resources: the hungriest subtask sets the allocation for all.
 	maxShared, maxRegs := 0, 32
 	for i := range tasks {

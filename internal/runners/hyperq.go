@@ -22,7 +22,7 @@ func RunHyperQ(tasks []workloads.TaskDef, cfg Config) Result {
 // runKernelPerTask is the shared kernel-per-task closed-loop engine: HyperQ
 // runs it on the static device (zero Oversub), zorua on a virtualized one —
 // the two schemes differ only in how the device admits threadblocks. Unlike
-// Pagoda's and GeMTC's it is not a one-node fleet: each of its Spawners
+// Pagoda's and GeMTC's it is not a one-node fleet: each of its spawners
 // hosts waits on its handles in order, so latency is host-observed
 // (DESIGN.md §7).
 func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Result {
@@ -37,10 +37,6 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Res
 		streams[i] = sys.ctx.NewStream()
 	}
 
-	spawners := cfg.Spawners
-	if spawners <= 0 {
-		spawners = 1
-	}
 	parts := splitRoundRobin(tasks, spawners)
 
 	lats := make([]sim.Time, 0, len(tasks))

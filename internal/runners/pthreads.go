@@ -9,41 +9,27 @@ import (
 // RunPThreads executes the task stream on the simulated 20-core CPU with a
 // PThreads-style worker pool — the paper's best-performing CPU scheme
 // ("PThreads obtained the best results"). No PCIe copies are involved.
-func RunPThreads(tasks []workloads.TaskDef, cfg Config) Result {
+func RunPThreads(tasks []workloads.TaskDef, _ Config) Result {
 	eng := sim.New()
 	defer eng.Close()
-	hcfg := hostcpu.Xeon20()
-	if cfg.CPUCores > 0 {
-		hcfg.Cores = cfg.CPUCores
+	cpu := make([]hostcpu.Task, len(tasks))
+	for i := range tasks {
+		cpu[i] = hostcpu.Task{Cycles: tasks[i].CPUCycles, Fn: tasks[i].CPURun}
 	}
-	pool := hostcpu.NewPool(eng, hcfg)
+	endTime, ran := hostcpu.Run(eng, hostcpu.Xeon20(), cpu)
 
+	// Mean latency under a work-conserving pool is approximated as half
+	// the makespan; the paper's latency figure (Fig. 10) compares only
+	// Pagoda and static fusion, so this bound is never plotted.
 	var latSum float64
 	var latMax sim.Time
-	var endTime sim.Time
-	eng.Spawn("pt-host", func(p *sim.Proc) {
-		for i := range tasks {
-			td := &tasks[i]
-			pool.Submit(p, hostcpu.Task{
-				Cycles: td.CPUCycles,
-				Fn:     td.CPURun,
-			})
+	for range tasks {
+		latSum += endTime / 2
+		if endTime > latMax {
+			latMax = endTime
 		}
-		pool.WaitAll(p)
-		endTime = eng.Now()
-		// Mean latency under a work-conserving pool is approximated as half
-		// the makespan; the paper's latency figure (Fig. 10) compares only
-		// Pagoda and static fusion, so this bound is never plotted.
-		for range tasks {
-			latSum += endTime / 2
-			if endTime > latMax {
-				latMax = endTime
-			}
-		}
-	})
-	eng.Run()
-
-	r := Result{Elapsed: endTime, MaxLatency: latMax, Tasks: pool.TasksRun}
+	}
+	r := Result{Elapsed: endTime, MaxLatency: latMax, Tasks: ran}
 	if len(tasks) > 0 {
 		r.AvgLatency = latSum / float64(len(tasks))
 		// The half-makespan approximation has no tail information; report it

@@ -32,17 +32,12 @@ import (
 // Config parameterizes a run.
 type Config struct {
 	SMMs     int  // device size (default 24)
-	Spawners int  // host threads feeding tasks (paper: 2)
 	CopyData bool // include per-task input/output PCIe copies
 
 	// GeMTCBatch is the FIFO batch size (tasks per SuperKernel launch). The
 	// SuperKernel's worker threadblock width is the widest task's thread
 	// count (the paper's "modified" GeMTC).
 	GeMTCBatch int
-
-	// FusedThreads is the uniform per-subtask thread count under static
-	// fusion (paper: 256).
-	FusedThreads int
 
 	// PagodaBatching enables the Fig. 11 ablation.
 	PagodaBatching bool
@@ -53,20 +48,18 @@ type Config struct {
 	// scheme default (gpu.DefaultOversub), while explicit unity factors
 	// make zorua admit exactly like the static hardware model.
 	Oversub gpu.Oversub
-
-	// CPUCores sizes the PThreads pool (paper: 20).
-	CPUCores int
 }
+
+// spawners is the number of host threads feeding tasks to the device
+// (paper: 2), for Pagoda's feeders and the kernel-per-task closed loop.
+const spawners = 2
 
 // DefaultConfig returns the paper's experimental setup.
 func DefaultConfig() Config {
 	return Config{
-		SMMs:         24,
-		Spawners:     2,
-		CopyData:     true,
-		GeMTCBatch:   384, // GeMTC's worker count at 128 threads/TB on 24 SMMs
-		FusedThreads: 256,
-		CPUCores:     20,
+		SMMs:       24,
+		CopyData:   true,
+		GeMTCBatch: 384, // GeMTC's worker count at 128 threads/TB on 24 SMMs
 	}
 }
 

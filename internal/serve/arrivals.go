@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/prng"
 	"repro/internal/sim"
 )
 
@@ -106,12 +107,12 @@ func (g Poisson) Validate() error { return rateErr("poisson arrival rate", g.Rat
 // Times implements Generator via inverse-CDF sampling: gap = -ln(1-u)/rate.
 func (g Poisson) Times(n int) []sim.Time {
 	mustValidate(g.Validate())
-	r := newRand(g.Seed)
+	r := prng.New(g.Seed)
 	gap := cyclesPerSecond / g.Rate
 	out := make([]sim.Time, n)
 	t := sim.Time(0)
 	for i := range out {
-		t += -math.Log(1-r.float01()) * gap
+		t += -math.Log(1-r.Float01()) * gap
 		out[i] = t
 	}
 	return out
@@ -225,6 +226,11 @@ func (g FlashCrowd) Name() string {
 	return fmt.Sprintf("flash@%g/s^%g/s@%gns+%gns", g.BaseRate, g.SpikeRate, g.SpikeAt, g.SpikeDur)
 }
 
+// maxFlashRatio bounds a flash crowd's max/min rate ratio. Thinning samples
+// candidates at the higher rate and keeps about one per ratio while the
+// lower rate holds, so the ratio is the cost per arrival.
+const maxFlashRatio = 1e3
+
 // Validate implements Generator.
 func (g FlashCrowd) Validate() error {
 	if err := rateErr("flash-crowd base rate", g.BaseRate); err != nil {
@@ -232,6 +238,10 @@ func (g FlashCrowd) Validate() error {
 	}
 	if err := rateErr("flash-crowd spike rate", g.SpikeRate); err != nil {
 		return err
+	}
+	if lo, hi := math.Min(g.BaseRate, g.SpikeRate), math.Max(g.BaseRate, g.SpikeRate); hi/lo > maxFlashRatio {
+		return fmt.Errorf("serve: flash-crowd rate ratio %g (base %g, spike %g tasks/second) exceeds %g: thinning draws about that many candidates per arrival",
+			hi/lo, g.BaseRate, g.SpikeRate, float64(maxFlashRatio))
 	}
 	if g.SpikeAt < 0 || math.IsNaN(g.SpikeAt) || math.IsInf(g.SpikeAt, 0) {
 		return fmt.Errorf("serve: flash-crowd onset %v is not a finite non-negative instant", g.SpikeAt)
@@ -261,13 +271,13 @@ func (g FlashCrowd) Times(n int) []sim.Time {
 // every iteration (peak is validated positive finite by the callers), so
 // the loop always terminates.
 func thinned(n int, seed int64, peak float64, rate func(sim.Time) float64) []sim.Time {
-	r := newRand(seed)
+	r := prng.New(seed)
 	gap := cyclesPerSecond / peak
 	out := make([]sim.Time, 0, n)
 	t := sim.Time(0)
 	for len(out) < n {
-		t += -math.Log(1-r.float01()) * gap
-		if r.float01()*peak < rate(t) {
+		t += -math.Log(1-r.Float01()) * gap
+		if r.Float01()*peak < rate(t) {
 			out = append(out, t)
 		}
 	}

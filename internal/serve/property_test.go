@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/prng"
 	"repro/internal/sim"
 )
 
@@ -11,18 +12,18 @@ import (
 // service intervals (plus a sprinkling of drops), the raw material for the
 // percentile property sweeps below.
 func randomRecords(n int, seed int64, dropEvery int) []Record {
-	rng := newRand(seed)
+	rng := prng.New(seed)
 	recs := make([]Record, n)
 	var clock sim.Time
 	for i := range recs {
-		clock += sim.Time(rng.float01() * 10_000)
+		clock += sim.Time(rng.Float01() * 10_000)
 		recs[i].Submit = clock
 		if dropEvery > 0 && i%dropEvery == dropEvery-1 {
 			recs[i].Dropped = true
 			continue
 		}
-		recs[i].Start = clock + sim.Time(rng.float01()*50_000)
-		recs[i].Done = recs[i].Start + sim.Time(1+rng.float01()*100_000)
+		recs[i].Start = clock + sim.Time(rng.Float01()*50_000)
+		recs[i].Done = recs[i].Start + sim.Time(1+rng.Float01()*100_000)
 	}
 	return recs
 }
@@ -103,11 +104,11 @@ func TestPercentileNearestRankExact(t *testing.T) {
 // TestPercentileMatchesSortRank cross-checks Percentile against a brute-force
 // re-derivation on randomized vectors: sort, index, compare.
 func TestPercentileMatchesSortRank(t *testing.T) {
-	rng := newRand(11)
+	rng := prng.New(11)
 	for n := 1; n <= 64; n++ {
 		v := make([]sim.Time, n)
 		for i := range v {
-			v[i] = sim.Time(rng.float01() * 1e6)
+			v[i] = sim.Time(rng.Float01() * 1e6)
 		}
 		sort.Float64s(v)
 		for _, q := range []float64{0.01, 0.25, 0.50, 0.90, 0.99, 1.0} {
@@ -132,13 +133,13 @@ func TestPercentileMatchesSortRank(t *testing.T) {
 func TestMaxSustainableMonotoneInSLO(t *testing.T) {
 	rates := DefaultRates()
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := newRand(seed)
+		rng := prng.New(seed)
 		// A latency curve that drifts upward with load, with noise: realistic
 		// enough to produce mixed verdict prefixes across the SLO ladder.
 		p99 := make([]float64, len(rates))
-		base := 5_000 + rng.float01()*20_000
+		base := 5_000 + rng.Float01()*20_000
 		for i := range p99 {
-			base += rng.float01() * 30_000
+			base += rng.Float01() * 30_000
 			p99[i] = base
 		}
 		slos := []float64{10_000, 25_000, 50_000, 100_000, 200_000, 1e9}

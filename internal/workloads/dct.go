@@ -1,6 +1,10 @@
 package workloads
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/prng"
+)
 
 // DCT8x8 (DCT): the CUDA SDK 8x8 discrete cosine transform applied to every
 // 8x8 block of a dim x dim image; one image per task ("online surveillance
@@ -77,7 +81,7 @@ func DCT8x8() Benchmark {
 }
 
 func makeDCT(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := prng.New(opt.Seed)
 	threads := opt.threads(64)
 	tasks := make([]TaskDef, opt.Tasks)
 	for i := range tasks {
@@ -86,7 +90,7 @@ func makeDCT(opt Options) []TaskDef {
 			dim = opt.InputSize
 		}
 		if opt.Irregular {
-			dim = 8 << uint(rng.rangeInt(2, 5)) // 32..256
+			dim = 8 << uint(rangeInt(rng, 2, 5)) // 32..256
 		}
 		pixels := dim * dim
 		blocks8 := (dim / 8) * (dim / 8)
@@ -96,7 +100,7 @@ func makeDCT(opt Options) []TaskDef {
 			in = make([]float32, pixels)
 			out = make([]float32, pixels)
 			for p := range in {
-				in[p] = float32(rng.float01()*255 - 128)
+				in[p] = float32(rng.Float01()*255 - 128)
 			}
 			want = dctRef(in, dim)
 		}

@@ -1,5 +1,7 @@
 package workloads
 
+import "repro/internal/prng"
+
 // Sparse LU Decomposition (SLUD), from the Barcelona OpenMP Task Suite: a
 // blocked sparse LU factorization using the multifrontal pattern. The matrix
 // is an NB x NB grid of BS x BS blocks with a sparse block population; every
@@ -128,12 +130,12 @@ func sludPlan(nb int, present [][]bool) []sludPlanOp {
 }
 
 // sludPattern builds the BOTS-style sparsity pattern.
-func sludPattern(nb int, density float64, rng *xorshift) [][]bool {
+func sludPattern(nb int, density float64, rng *prng.Xorshift) [][]bool {
 	p := make([][]bool, nb)
 	for i := range p {
 		p[i] = make([]bool, nb)
 		for j := range p[i] {
-			p[i][j] = i == j || rng.float01() < density
+			p[i][j] = i == j || rng.Float01() < density
 		}
 	}
 	return p
@@ -155,14 +157,14 @@ func SparseLU() Benchmark {
 }
 
 func makeSLUD(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := prng.New(opt.Seed)
 	threads := opt.threads(128)
 
 	// Grow the block matrix until the schedule covers the requested count.
 	nb := 8
 	var plan []sludPlanOp
 	for {
-		plan = sludPlan(nb, sludPattern(nb, 0.35, newRand(opt.Seed+int64(nb))))
+		plan = sludPlan(nb, sludPattern(nb, 0.35, prng.New(opt.Seed+int64(nb))))
 		if len(plan) >= opt.Tasks || nb >= 128 {
 			break
 		}
@@ -184,7 +186,7 @@ func makeSLUD(opt Options) []TaskDef {
 			mk := func() []float64 {
 				m := make([]float64, sludBS*sludBS)
 				for p := range m {
-					m[p] = rng.float01() + 0.5
+					m[p] = rng.Float01() + 0.5
 				}
 				for d := 0; d < sludBS; d++ {
 					m[d*sludBS+d] += float64(sludBS) // diagonally dominant

@@ -1,6 +1,10 @@
 package workloads
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/prng"
+)
 
 // ML inference microkernels (not part of the paper's Table 3): a
 // transformer-layer task (XFMR) and a GEMM-chain MLP task (GEMM), the
@@ -113,10 +117,10 @@ func xfmrMACs(s, d, f int) int {
 }
 
 // randMat fills an n-element float32 slice with values in (-scale, scale).
-func randMat(rng *xorshift, n int, scale float64) []float32 {
+func randMat(rng *prng.Xorshift, n int, scale float64) []float32 {
 	m := make([]float32, n)
 	for i := range m {
-		m[i] = float32((rng.float01()*2 - 1) * scale)
+		m[i] = float32((rng.Float01()*2 - 1) * scale)
 	}
 	return m
 }
@@ -135,7 +139,7 @@ func TransformerLayer() Benchmark {
 }
 
 func makeXFMR(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := prng.New(opt.Seed)
 	threads := opt.threads(128)
 	d, f := xfmrDModel, xfmrFFN
 	tasks := make([]TaskDef, opt.Tasks)
@@ -145,7 +149,7 @@ func makeXFMR(opt Options) []TaskDef {
 			s = opt.InputSize
 		}
 		if opt.Irregular {
-			s = 8 << uint(rng.rangeInt(0, 2)) // 8..32 tokens per request
+			s = 8 << uint(rangeInt(rng, 0, 2)) // 8..32 tokens per request
 		}
 		macs := xfmrMACs(s, d, f)
 
@@ -308,7 +312,7 @@ func GEMMChain() Benchmark {
 }
 
 func makeGEMMChain(opt Options) []TaskDef {
-	rng := newRand(opt.Seed)
+	rng := prng.New(opt.Seed)
 	threads := opt.threads(128)
 	tasks := make([]TaskDef, opt.Tasks)
 	for i := range tasks {
@@ -317,7 +321,7 @@ func makeGEMMChain(opt Options) []TaskDef {
 			m = opt.InputSize
 		}
 		if opt.Irregular {
-			m = 8 << uint(rng.rangeInt(0, 2)) // 8..32 rows
+			m = 8 << uint(rangeInt(rng, 0, 2)) // 8..32 rows
 		}
 		macs := gemmChainMACs(m)
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/pcie"
+	"repro/internal/prng"
 	"repro/internal/sim"
 )
 
@@ -66,9 +67,9 @@ func TestXfmrRefUniformAttention(t *testing.T) {
 	// closed form for the attention half of the reference.
 	s, d, f := 4, 8, 16
 	x := make([]float32, s*d)
-	rng := newRand(9)
+	rng := prng.New(9)
 	for i := range x {
-		x[i] = float32(rng.float01()*2 - 1)
+		x[i] = float32(rng.Float01()*2 - 1)
 	}
 	zero := make([]float32, d*d)
 	id := make([]float32, d*d)
@@ -109,9 +110,9 @@ func TestGemmChainRefIdentity(t *testing.T) {
 	// Identity-embedded weights pass non-negative inputs through unchanged.
 	m := 4
 	x := make([]float32, m*gemmChainDims[0])
-	rng := newRand(3)
+	rng := prng.New(3)
 	for i := range x {
-		x[i] = float32(rng.float01()) // non-negative: ReLU transparent
+		x[i] = float32(rng.Float01()) // non-negative: ReLU transparent
 	}
 	var ws [3][]float32
 	for l := 0; l < 3; l++ {
