@@ -12,8 +12,11 @@ check: lint vet test bench-module race perf-quick
 
 # lint runs the project's determinism & sim-safety analyzers: the per-file
 # checks plus the interprocedural taintflow pass (call-graph taint tracking
-# from nondeterminism sources into sim-time sinks) and floatorder
-# (order-unstable float accumulation). Any unsuppressed finding (e.g. a
+# from nondeterminism sources into sim-time sinks), floatorder
+# (order-unstable float accumulation) and unused (non-test functions that no
+# root reaches; roots are main and init, the root package's exported API,
+# bench/, the exported API of packages nothing imports, package-level var
+# initializers and interface-named methods — tests are not roots). Any unsuppressed finding (e.g. a
 # time.Now laundered through helper functions into Engine.Schedule) exits
 # nonzero and fails the gate; intentional exceptions are annotated in the
 # source with //pagoda:allow <check> <reason>, and a suppression that

@@ -15,7 +15,7 @@ import (
 // benchParams keeps one harness regeneration per benchmark iteration small
 // enough for testing.B. Shapes (who wins, crossovers) are preserved.
 func benchParams() harness.Params {
-	return harness.Params{Tasks: 96, SMMs: 8, Seed: 1}
+	return harness.Params{Tasks: 96, SMMs: 8, Seed: 1, Misbehave: 1}
 }
 
 func benchmarkExperiment(b *testing.B, id string) {

@@ -103,6 +103,15 @@ func run(out, errw io.Writer, args []string) int {
 		fmt.Fprintf(errw, "-tenants %d: need at least one tenant class\n", *tenants)
 		return 2
 	}
+	if *misbehave < -1 || *misbehave >= *tenants {
+		fmt.Fprintf(errw, "-misbehave %d: want a class index in [0, %d) or -1 for all honest\n", *misbehave, *tenants)
+		return 2
+	}
+	if *tasks < 0 || *smms < 0 || !(*slo >= 0) || *parallel < 0 {
+		fmt.Fprintf(errw, "-tasks %d -smms %d -slo %g -parallel %d: none may be negative (0 means the default)\n",
+			*tasks, *smms, *slo, *parallel)
+		return 2
+	}
 	p := harness.Params{Tasks: *tasks, SMMs: *smms, Seed: *seed, Parallel: *parallel,
 		SLOUs: *slo, Nodes: *nodes, Policy: *policy, Schemes: schemes, Oversub: *oversub,
 		Tenants: *tenants, Misbehave: *misbehave,

@@ -366,3 +366,57 @@ func TestAutoscaleFlagsReachExperiment(t *testing.T) {
 		t.Errorf("-autoscale predictive still ran reactive:\n%s", got)
 	}
 }
+
+// TestRunRejectsBadFlags pins the usage errors outside the fleet flags: a bad
+// value exits 2 with a message naming the flag, before any experiment runs,
+// and never falls back to a default.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative_tasks", []string{"-tasks", "-3"}, "-tasks -3"},
+		{"negative_smms", []string{"-smms", "-1"}, "-smms -1"},
+		{"negative_slo", []string{"-slo", "-5"}, "-slo -5"},
+		{"nan_slo", []string{"-slo", "NaN"}, "-slo NaN"},
+		{"negative_parallel", []string{"-parallel", "-2"}, "-parallel -2"},
+		{"misbehave_below_honest", []string{"-misbehave", "-2"}, "-misbehave -2"},
+		{"misbehave_past_tenants", []string{"-misbehave", "7", "-tenants", "3"}, "-misbehave 7"},
+		{"misbehave_at_tenants", []string{"-misbehave", "3", "-tenants", "3"}, "-misbehave 3"},
+		{"zero_tenants", []string{"-tenants", "0"}, "-tenants 0"},
+		{"undefined_flag", []string{"-bogus"}, "bogus"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errw strings.Builder
+			if code := run(&out, &errw, append([]string{"-exp", "tenant_qos"}, tc.args...)); code != 2 {
+				t.Fatalf("run(%v) = %d, want 2 (stderr %q)", tc.args, code, errw.String())
+			}
+			if !strings.Contains(errw.String(), tc.want) {
+				t.Errorf("stderr = %q, want mention of %q", errw.String(), tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("a rejected run printed a report:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// TestMisbehaveSelectsClass drives -misbehave end to end: class 0 (premium)
+// can be chosen, and -1 makes every class honest.
+func TestMisbehaveSelectsClass(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{
+		{"0", "class 0 at 10x contract"},
+		{"-1", "all classes honest"},
+	} {
+		var out, errw strings.Builder
+		code := run(&out, &errw, []string{"-exp", "tenant_qos", "-tasks", "48", "-smms", "4",
+			"-scheme", "gemtc", "-misbehave", tc.flag})
+		if code != 0 {
+			t.Fatalf("-misbehave %s: exit %d, stderr %q", tc.flag, code, errw.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("-misbehave %s: title lacks %q:\n%s", tc.flag, tc.want, out.String())
+		}
+	}
+}

@@ -3,7 +3,8 @@
 // order-dependent map iteration, order-unstable float accumulation, raw
 // goroutines, or OS synchronization in simulation code — plus the
 // interprocedural taintflow check, which traces nondeterminism sources
-// through the whole-module call graph into sim-time sinks. It type-checks
+// through the whole-module call graph into sim-time sinks, and the unused
+// check, which reports non-test functions no program can reach. It type-checks
 // the requested packages with the standard library's source importer — no
 // external dependencies, works offline — and exits nonzero on any
 // unsuppressed finding, which is how `make check` fails the build.

@@ -1,9 +1,9 @@
 // netencrypt: a network-router scenario after the paper's 3DES benchmark —
 // packets of 2K-64K bytes arrive continuously and each is encrypted with
-// Triple-DES as one narrow task. Encryption is real (FIPS 46-3 EDE3) and the
-// example decrypts a sample of packets afterwards to prove round-trip
-// correctness. It also contrasts Pagoda against the CUDA-HyperQ baseline on
-// the same packet trace.
+// Triple-DES as one narrow task. Encryption is real (FIPS 46-3 EDE3): every
+// packet's ciphertext is checked against one computed on the host when the
+// packets were built. It also contrasts Pagoda against the CUDA-HyperQ
+// baseline on a longer, timing-only packet trace.
 package main
 
 import (
@@ -17,7 +17,10 @@ import (
 )
 
 func main() {
-	const packets = 600
+	const (
+		verified = 48  // packets encrypted for real and checked
+		traced   = 600 // timing-only packets in the Pagoda vs HyperQ comparison
+	)
 
 	bench, err := workloads.ByName("3DES")
 	if err != nil {
@@ -25,7 +28,7 @@ func main() {
 	}
 
 	// Pagoda run through the public API, with real encryption.
-	tasks := bench.Make(workloads.Options{Tasks: packets, Verify: true, Seed: 42})
+	tasks := bench.Make(workloads.Options{Tasks: verified, Verify: true, Seed: 42})
 	sys := pagoda.New(pagoda.DefaultConfig())
 	endNs := sys.Run(func(h *pagoda.Host) {
 		for i := range tasks {
@@ -44,17 +47,18 @@ func main() {
 			log.Fatalf("packet %d failed verification: %v", i, err)
 		}
 	}
-	fmt.Printf("encrypted %d packets in %.2f ms simulated; %v\n", packets, endNs/1e6, sys.Stats())
+	fmt.Printf("encrypted %d packets in %.2f ms simulated; %v\n", verified, endNs/1e6, sys.Stats())
 
-	// The same trace under CUDA-HyperQ (timing-only), for comparison.
+	// A longer trace under Pagoda and CUDA-HyperQ (timing-only), for
+	// comparison.
 	mk := func() []workloads.TaskDef {
-		return bench.Make(workloads.Options{Tasks: packets, Seed: 42})
+		return bench.Make(workloads.Options{Tasks: traced, Seed: 42})
 	}
 	cfg := runners.DefaultConfig()
 	pg := runners.RunPagoda(mk(), cfg)
 	hq := runners.RunHyperQ(mk(), cfg)
-	fmt.Printf("router throughput: Pagoda %.2f ms vs CUDA-HyperQ %.2f ms (%.2fx)\n",
-		pg.Elapsed/1e6, hq.Elapsed/1e6, hq.Elapsed/pg.Elapsed)
+	fmt.Printf("router throughput over %d packets: Pagoda %.2f ms vs CUDA-HyperQ %.2f ms (%.2fx)\n",
+		traced, pg.Elapsed/1e6, hq.Elapsed/1e6, hq.Elapsed/pg.Elapsed)
 	fmt.Printf("per-packet latency: Pagoda %.1f us avg vs HyperQ %.1f us avg\n",
 		pg.AvgLatency/1e3, hq.AvgLatency/1e3)
 }

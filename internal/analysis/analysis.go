@@ -106,11 +106,6 @@ func NewModulePass(a *Analyzer, pkgs []*Package) *ModulePass {
 	return &ModulePass{Analyzer: a, Fset: fset, Pkgs: pkgs}
 }
 
-// Reportf records a finding at pos with no interprocedural path.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportPath(pos, nil, format, args...)
-}
-
 // ReportPath records a finding at pos carrying the source→sink chain that
 // produced it.
 func (p *ModulePass) ReportPath(pos token.Pos, path []string, format string, args ...any) {

@@ -53,8 +53,9 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 
 // RunModule loads the fixture module in dir (root files plus one package
 // per subdirectory), applies the whole-module analyzer a, applies
-// suppressions across every fixture file, and diffs the surviving findings
-// against the want comments of all files.
+// suppressions across every fixture file, reports the directives that
+// suppressed nothing as stale, and diffs the surviving findings against the
+// want comments of all files.
 func RunModule(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	pkgs, err := LoadFixtureModule(dir)
@@ -75,8 +76,10 @@ func RunModule(t *testing.T, a *analysis.Analyzer, dir string) {
 			src[name] = data
 		}
 	}
-	k, _ := analysis.Partition(mp.Findings(), sups, nil)
+	used := map[analysis.SupKey]bool{}
+	k, _ := analysis.Partition(mp.Findings(), sups, used)
 	kept = append(kept, k...)
+	kept = append(kept, analysis.StaleFindings(sups, used)...)
 	diffWants(t, kept, src)
 }
 
@@ -151,8 +154,9 @@ func loadFixture(a *analysis.Analyzer, dir string) (*analysis.Pass, error) {
 }
 
 // LoadFixtureModule loads a fixture directory as a miniature module: the
-// root's .go files become package "fixture", each subdirectory's files
-// become package "fixture/<subdir>", and fixture packages may import each
+// root's .go files become package "fixture" (module-relative path ""), each
+// subdirectory's files become package "fixture/<subdir>" (relative path
+// "<subdir>"), and fixture packages may import each
 // other by those paths (resolved in dependency order). All packages share
 // one FileSet, mirroring analysis.Load.
 func LoadFixtureModule(dir string) ([]*analysis.Package, error) {
@@ -214,7 +218,7 @@ func LoadFixtureModule(dir string) ([]*analysis.Package, error) {
 			}
 			imp.pkgs[r.path] = tpkg
 			pkgs = append(pkgs, &analysis.Package{
-				Path: r.path, RelPath: r.path, Dir: r.dir, Fset: fset,
+				Path: r.path, RelPath: strings.TrimPrefix(strings.TrimPrefix(r.path, "fixture"), "/"), Dir: r.dir, Fset: fset,
 				Files: r.files, Src: r.src, Types: tpkg, Info: info,
 			})
 		}

@@ -12,7 +12,7 @@ import (
 
 // All lists every analyzer in the order pagodavet runs them. Per-package
 // analyzers (Run set) execute once per loaded package; the interprocedural
-// ones (RunModule set, currently taintflow) execute once over the whole
+// ones (RunModule set: taintflow and unused) execute once over the whole
 // load set, after the per-package sweep.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
@@ -24,6 +24,7 @@ func All() []*analysis.Analyzer {
 		Syncprim,
 		Goroutine,
 		Taintflow,
+		Unused,
 	}
 }
 

@@ -24,6 +24,14 @@ func TestGoroutine(t *testing.T)  { analysistest.Run(t, checks.Goroutine, "testd
 // module: sources live one function and one package away from every sink.
 func TestTaintflow(t *testing.T) { analysistest.RunModule(t, checks.Taintflow, "testdata/taintflow") }
 
+// TestUnused runs the reachability check over a fixture module with one
+// package per root kind: the root package's API, main and init, an
+// un-imported package's API, bench/, package-level tables, interface
+// methods and implicit ones. Unreferenced functions and methods, and those
+// only a _test.go file uses, are reported; a suppression holds one back and
+// an allow that suppresses nothing is stale.
+func TestUnused(t *testing.T) { analysistest.RunModule(t, checks.Unused, "testdata/unused") }
+
 // TestTaintflowBeyondSyntacticChecks pins the tentpole claim: the per-file
 // analyzers find NOTHING in the taintflow fixture's sink package (no banned
 // call appears in that file), while the interprocedural check reports every
@@ -143,7 +151,7 @@ func TestAllRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"wallclock", "randsource", "maprange", "floatorder", "rawgo", "syncprim", "goroutine", "taintflow"} {
+	for _, want := range []string{"wallclock", "randsource", "maprange", "floatorder", "rawgo", "syncprim", "goroutine", "taintflow", "unused"} {
 		if !names[want] {
 			t.Errorf("analyzer %q missing from All()", want)
 		}

@@ -1,0 +1,10 @@
+// Package lonely is imported by no loaded package, as a test-support
+// package is: its exported API is a root.
+package lonely
+
+// API is reachable as un-imported package API.
+func API() { inner() }
+
+func inner() {}
+
+func hidden() {} // want `\[unused\] fixture/lonely\.hidden is reachable`

@@ -449,16 +449,6 @@ type Outcome struct {
 // capacity (1 cycle = 1 ns).
 func (o Outcome) NodeSeconds() float64 { return o.NodeCycles / 1e9 }
 
-// NodeSecondsPerMTask is the cost headline: node-seconds spent per million
-// tasks served. Zero served tasks yields 0 (an idle fleet has no unit cost
-// worth comparing).
-func (o Outcome) NodeSecondsPerMTask(served int) float64 {
-	if served <= 0 {
-		return 0
-	}
-	return o.NodeSeconds() / (float64(served) / 1e6)
-}
-
 // Outcome assembles the run summary; call after Finish.
 func (f *Fleet) Outcome() Outcome {
 	o := Outcome{

@@ -47,11 +47,11 @@ func TestPredictiveEWMAMonotoneConvergence(t *testing.T) {
 	for _, start := range []float64{0, 12e3, 200e3} {
 		p := NewPredictive(0.25, 64e3, 1.0)
 		p.Target(Signals{ArrivalRate: start, Provisioned: 1})
-		prevGap := math.Abs(target - p.Estimate())
+		prevGap := math.Abs(target - p.est)
 		lo, hi := math.Min(start, target), math.Max(start, target)
 		for i := 0; i < 64; i++ {
 			p.Target(Signals{ArrivalRate: target, Provisioned: 1})
-			est := p.Estimate()
+			est := p.est
 			if est < lo-1e-9 || est > hi+1e-9 {
 				t.Fatalf("start %v step %d: estimate %v left [%v, %v]", start, i, est, lo, hi)
 			}
@@ -65,7 +65,7 @@ func TestPredictiveEWMAMonotoneConvergence(t *testing.T) {
 			prevGap = gap
 		}
 		if prevGap > 1e-3*target {
-			t.Fatalf("start %v: estimate %v never converged to %v", start, p.Estimate(), target)
+			t.Fatalf("start %v: estimate %v never converged to %v", start, p.est, target)
 		}
 	}
 }
@@ -75,8 +75,8 @@ func TestPredictiveEWMAMonotoneConvergence(t *testing.T) {
 func TestPredictiveSeedsWithFirstObservation(t *testing.T) {
 	p := NewPredictive(0.1, 64e3, 1.0)
 	p.Target(Signals{ArrivalRate: 48e3, Provisioned: 1})
-	if p.Estimate() != 48e3 {
-		t.Fatalf("estimate after first observation = %v, want 48000", p.Estimate())
+	if p.est != 48e3 {
+		t.Fatalf("estimate after first observation = %v, want 48000", p.est)
 	}
 }
 
@@ -269,18 +269,11 @@ func TestFleetDrainRetiresOnlyWhenEmpty(t *testing.T) {
 }
 
 // TestOutcomeCostLedger checks the node-seconds arithmetic on a hand-built
-// outcome: 2 nodes x 1e9 cycles = 2 node-seconds; 4 node-seconds per Mtask
-// at half a million served.
+// outcome: 2 nodes x 1e9 cycles = 2 node-seconds.
 func TestOutcomeCostLedger(t *testing.T) {
 	o := Outcome{NodeCycles: 2e9}
 	if got := o.NodeSeconds(); got != 2 {
 		t.Errorf("NodeSeconds = %v, want 2", got)
-	}
-	if got := o.NodeSecondsPerMTask(500_000); got != 4 {
-		t.Errorf("NodeSecondsPerMTask(500k) = %v, want 4", got)
-	}
-	if got := o.NodeSecondsPerMTask(0); got != 0 {
-		t.Errorf("NodeSecondsPerMTask(0) = %v, want 0", got)
 	}
 }
 

@@ -99,9 +99,6 @@ func NewPredictive(alpha, perNode, headroom float64) *Predictive {
 // Name implements Policy.
 func (*Predictive) Name() string { return "predictive" }
 
-// Estimate returns the current EWMA arrival-rate estimate, tasks/second.
-func (p *Predictive) Estimate() float64 { return p.est }
-
 // Target implements Policy.
 func (p *Predictive) Target(s Signals) int {
 	if !p.seen {

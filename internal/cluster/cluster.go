@@ -13,8 +13,8 @@
 // scheme-backed implementations), a Fleet (StaticFleet, or
 // internal/autoscale's elastic one) supplies the dispatchable nodes, a Policy
 // picks a node per arrival from the dispatcher-visible NodeViews, and
-// per-node admission stays inside the node (reusing serve.Policy), at the
-// scheme's own presentation point. The single-device open loop is a one-node
+// per-node admission stays inside the node (reusing the serve admission
+// policies), at the scheme's own presentation point. The single-device open loop is a one-node
 // fleet over this same Dispatcher.
 //
 // Determinism rules: the only pseudo-randomness is the explicitly seeded

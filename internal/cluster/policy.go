@@ -18,7 +18,7 @@ type Task struct {
 // A Policy picks the node for one arriving task from the fleet's current
 // NodeViews. Policies may keep state (RoundRobin's cursor, PowerOfTwo's
 // RNG); a fresh policy must be constructed per run, exactly like
-// serve.Policy. Ties always break toward the lowest node index so choices
+// serve's admission policies. Ties always break toward the lowest node index so choices
 // are deterministic.
 type Policy interface {
 	Name() string

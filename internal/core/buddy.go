@@ -28,7 +28,9 @@ type Buddy struct {
 	// Free). A pending entry is only honoured if the node's generation still
 	// matches the one captured at MarkForDealloc time, so duplicate marks,
 	// mark-then-explicit-Free, and free-then-realloc races all become benign
-	// stale entries instead of panics in the scheduler warp path.
+	// stale entries instead of panics in the scheduler warp path. A node's
+	// generation is odd exactly while it is allocated as a block of its own;
+	// an even one means free, or marked only as part of another block.
 	gen     []uint32
 	pending []pendingFree // nodes marked for deferred deallocation
 	// inPending/pendingGen dedup MarkForDealloc calls per (node, generation)
@@ -68,15 +70,6 @@ func NewBuddy(arena, minBlock int) *Buddy {
 		pendingGen: make([]uint32, nodes),
 	}
 }
-
-// ArenaSize returns the managed bytes.
-func (b *Buddy) ArenaSize() int { return b.arena }
-
-// Allocated returns currently allocated bytes (not counting pending frees).
-func (b *Buddy) Allocated() int { return b.allocated }
-
-// PendingFrees returns the number of blocks awaiting DrainPending.
-func (b *Buddy) PendingFrees() int { return len(b.pending) }
 
 // levelFor returns the tree level whose block size is the smallest >= size,
 // or -1 if size exceeds the arena.
@@ -208,7 +201,7 @@ func (b *Buddy) DrainPending() int {
 	freed := 0
 	for _, pf := range b.pending {
 		b.inPending[pf.node] = false
-		if pf.gen != b.gen[pf.node] || !b.marked[pf.node] {
+		if pf.gen != b.gen[pf.node] || pf.gen&1 == 0 {
 			b.staleDeallocs++
 			continue
 		}
@@ -217,23 +210,4 @@ func (b *Buddy) DrainPending() int {
 	}
 	b.pending = b.pending[:0]
 	return freed
-}
-
-// StaleDeallocs returns how many deferred deallocations were dropped as
-// duplicates or superseded by an explicit Free (diagnostics).
-func (b *Buddy) StaleDeallocs() int { return b.staleDeallocs }
-
-// NumNodes returns the size of the node array including the unused slot 0
-// (128 for the paper's 32 KB / 512 B configuration).
-func (b *Buddy) NumNodes() int { return len(b.marked) }
-
-// invariantOK verifies "marked node implies marked parent" (used by property
-// tests).
-func (b *Buddy) invariantOK() bool {
-	for n := 2; n < len(b.marked); n++ {
-		if b.marked[n] && !b.marked[n/2] {
-			return false
-		}
-	}
-	return true
 }

@@ -205,3 +205,29 @@ func TestBuddyInvalidGeometryPanics(t *testing.T) {
 		}()
 	}
 }
+
+// The accessors below read allocator state for the tests.
+
+// Allocated returns currently allocated bytes (not counting pending frees).
+func (b *Buddy) Allocated() int { return b.allocated }
+
+// PendingFrees returns the number of blocks awaiting DrainPending.
+func (b *Buddy) PendingFrees() int { return len(b.pending) }
+
+// StaleDeallocs returns how many deferred deallocations were dropped as
+// duplicates or superseded by an explicit Free.
+func (b *Buddy) StaleDeallocs() int { return b.staleDeallocs }
+
+// NumNodes returns the size of the node array including the unused slot 0
+// (128 for the paper's 32 KB / 512 B configuration).
+func (b *Buddy) NumNodes() int { return len(b.marked) }
+
+// invariantOK verifies "marked node implies marked parent".
+func (b *Buddy) invariantOK() bool {
+	for n := 2; n < len(b.marked); n++ {
+		if b.marked[n] && !b.marked[n/2] {
+			return false
+		}
+	}
+	return true
+}

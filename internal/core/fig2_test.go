@@ -31,7 +31,7 @@ func TestFig2bStateSequence(t *testing.T) {
 	// Step the simulation in small increments, sampling the device-side
 	// entry states (the host proc assigns taID/tbID on its first steps).
 	var sawTBPointer, sawTAPromoted, sawTBCopied bool
-	for eng.Pending() > 0 && !eng.Stopped() {
+	for eng.Pending() > 0 {
 		eng.RunUntil(eng.Now() + 100)
 		if tbID < firstTaskID {
 			continue
@@ -52,7 +52,7 @@ func TestFig2bStateSequence(t *testing.T) {
 		if eng.Now() > 5e8 {
 			t.Fatal("run did not converge")
 		}
-		if rt.deviceCompleted == 2 && rt.MasterKernel().Finished() {
+		if rt.deviceCompleted == 2 && rt.kernel.EndTime > 0 {
 			break
 		}
 	}

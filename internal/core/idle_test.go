@@ -15,10 +15,10 @@ func TestIdleExecutorsStartParked(t *testing.T) {
 	eng, rt := testSystem(t, 2)
 	t.Cleanup(eng.Close)
 	eng.Run()
-	if got, want := eng.Stats().PeakRunning, int64(rt.NumMTBs()+1); got != want {
+	if got, want := eng.Stats().PeakRunning, int64(len(rt.mtbs)+1); got != want {
 		t.Fatalf("PeakRunning = %d after launch, want one scheduler warp per MTB and the spawn stream (%d)", got, want)
 	}
-	if got, want := len(eng.BlockedProcs()), rt.NumMTBs()*rt.Cfg.WarpsPerMTB+1; got != want {
+	if got, want := len(eng.BlockedProcs()), len(rt.mtbs)*rt.Cfg.WarpsPerMTB+1; got != want {
 		t.Fatalf("BlockedProcs = %d, want every MasterKernel warp and the spawn stream (%d)", got, want)
 	}
 	for _, m := range rt.mtbs {
@@ -34,16 +34,16 @@ func TestIdleExecutorsStartParked(t *testing.T) {
 	before := eng.Stats()
 	eng.Spawn("host", func(p *sim.Proc) { rt.Shutdown(p) })
 	eng.Run()
-	if !rt.MasterKernel().Finished() || eng.LiveProcs() != 1 {
+	if rt.kernel.EndTime == 0 || eng.LiveProcs() != 1 {
 		t.Fatalf("after Shutdown: MasterKernel finished = %v, LiveProcs = %d, want true and the spawn stream",
-			rt.MasterKernel().Finished(), eng.LiveProcs())
+			rt.kernel.EndTime > 0, eng.LiveProcs())
 	}
 	after := eng.Stats()
-	if handoffs, executors := after.Handoffs-before.Handoffs, int64(rt.NumMTBs()*rt.Cfg.ExecutorWarpsPerMTB()); handoffs >= executors {
+	if handoffs, executors := after.Handoffs-before.Handoffs, int64(len(rt.mtbs)*rt.Cfg.ExecutorWarpsPerMTB()); handoffs >= executors {
 		t.Fatalf("Shutdown took %d handoffs, want fewer than the %d executor warps", handoffs, executors)
 	}
-	if after.PeakRunning != int64(rt.NumMTBs()+2) {
-		t.Fatalf("PeakRunning = %d after Shutdown, want the schedulers, the spawn stream and the host (%d)", after.PeakRunning, rt.NumMTBs()+2)
+	if after.PeakRunning != int64(len(rt.mtbs)+2) {
+		t.Fatalf("PeakRunning = %d after Shutdown, want the schedulers, the spawn stream and the host (%d)", after.PeakRunning, len(rt.mtbs)+2)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestArenaAllocatedOnFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := dct.Make(workloads.Options{Tasks: 2, Verify: true, Seed: 3, InputSize: 64, UseShared: true})
-	used := make([]bool, rt.NumMTBs())
+	used := make([]bool, len(rt.mtbs))
 	runHost(t, eng, rt, func(p *sim.Proc) {
 		for i := range tasks {
 			td := &tasks[i]

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -160,33 +159,5 @@ func TestTraceRecordsTasks(t *testing.T) {
 	})
 	if tr.Len() != 7 {
 		t.Fatalf("trace spans = %d, want 7", tr.Len())
-	}
-}
-
-func TestDumpState(t *testing.T) {
-	eng, rt := testSystem(t, 1)
-	var mid, final strings.Builder
-	eng.Spawn("host", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			rt.TaskSpawn(p, TaskSpec{Threads: 64, Blocks: 1, SharedMem: 1024,
-				Kernel: func(tc *TaskCtx) { tc.Compute(200_000) }})
-		}
-		rt.WaitAll(p)
-		rt.Shutdown(p)
-	})
-	eng.RunUntil(150_000) // mid-flight
-	rt.DumpState(&mid)
-	eng.Run()
-	rt.DumpState(&final)
-	for _, want := range []string{"Pagoda runtime", "MTB", "dev{id="} {
-		if !strings.Contains(mid.String(), want) {
-			t.Fatalf("mid-flight dump missing %q:\n%s", want, mid.String())
-		}
-	}
-	if !strings.Contains(final.String(), "spawned=5 completed=5") {
-		t.Fatalf("final dump wrong:\n%s", final.String())
-	}
-	if strings.Contains(final.String(), "dev{") {
-		t.Fatalf("final dump should list no active entries:\n%s", final.String())
 	}
 }

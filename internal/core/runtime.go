@@ -132,12 +132,6 @@ func (rt *Runtime) launchMasterKernel() {
 	rt.kernel = rt.Ctx.LaunchPersistent(spec)
 }
 
-// MasterKernel returns the persistent kernel handle.
-func (rt *Runtime) MasterKernel() *gpu.Kernel { return rt.kernel }
-
-// NumMTBs returns the MTB (and TaskTable column) count.
-func (rt *Runtime) NumMTBs() int { return len(rt.mtbs) }
-
 func (rt *Runtime) entrySize(spec TaskSpec) int {
 	ab := spec.ArgBytes
 	if ab <= 0 {

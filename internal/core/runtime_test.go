@@ -34,7 +34,7 @@ func runHost(t *testing.T, eng *sim.Engine, rt *Runtime, body func(p *sim.Proc))
 		rt.Shutdown(p)
 	})
 	eng.Run()
-	if !rt.MasterKernel().Finished() {
+	if rt.kernel.EndTime == 0 {
 		t.Fatal("MasterKernel did not terminate after Shutdown")
 	}
 	return end

@@ -31,9 +31,6 @@ type Config struct {
 	// per-task cost when thousands of narrow kernels are launched (the
 	// effect Pagoda's 1-memcpy taskSpawn avoids).
 	LaunchCPUCost sim.Time
-	// DeviceMemBytes sizes the device heap for Malloc/Free (12 GB on the
-	// Titan X).
-	DeviceMemBytes int64
 	// CopyIssueGap is the minimum spacing between successive DMA transfers
 	// issued by one stream. Unlike plain MemcpyH2D, pipelined copies overlap
 	// their PCIe latency: the DMA engine issues the next transfer as soon as
@@ -49,7 +46,6 @@ func DefaultConfig() Config {
 		EnqueueCost:    600,  // ~0.6 us per async copy call
 		LaunchCPUCost:  1600, // ~1.6 us host-side per kernel launch
 		CopyIssueGap:   400,  // ~0.4 us between small pipelined DMA issues
-		DeviceMemBytes: 12 << 30,
 	}
 }
 
@@ -62,7 +58,6 @@ type Context struct {
 
 	hyperQ  *sim.Sem
 	streams []*Stream
-	mem     *allocator
 
 	// KernelsLaunched counts kernels that reached the device (diagnostics).
 	KernelsLaunched int
@@ -134,9 +129,6 @@ func (s *Stream) Sync(host *sim.Proc) {
 		s.idleSig.Wait(host)
 	}
 }
-
-// Busy reports whether the stream has queued or running commands.
-func (s *Stream) Busy() bool { return s.inFlight > 0 || s.pipelined > 0 }
 
 // MemcpyH2DPipelined enqueues a small host-to-device copy that overlaps its
 // PCIe latency with later copies on the same stream: the stream only
@@ -216,14 +208,9 @@ func (c *Context) MemcpyD2HSync(host *sim.Proc, bytes int) {
 
 // KernelHandle tracks a kernel launched through a stream.
 type KernelHandle struct {
-	spec     gpu.LaunchSpec
-	kernel   *gpu.Kernel // nil until dispatched
 	finished bool
 	doneSig  sim.Signal
 }
-
-// Finished reports completion.
-func (h *KernelHandle) Finished() bool { return h.finished }
 
 // Wait parks the host until the kernel completes (cudaEventSynchronize on a
 // post-kernel event).
@@ -232,9 +219,6 @@ func (h *KernelHandle) Wait(host *sim.Proc) {
 		h.doneSig.Wait(host)
 	}
 }
-
-// Kernel returns the device kernel once dispatched (nil before).
-func (h *KernelHandle) Kernel() *gpu.Kernel { return h.kernel }
 
 // Launch enqueues a kernel on the stream. The kernel consumes a HyperQ
 // connection from launch overhead until completion; at most MaxConnections
@@ -250,18 +234,18 @@ func (s *Stream) Launch(host *sim.Proc, spec gpu.LaunchSpec) *KernelHandle {
 // task's submit-to-complete time into queue wait and service. The hook runs
 // on the stream worker and must not block.
 func (s *Stream) LaunchHooked(host *sim.Proc, spec gpu.LaunchSpec, onDispatch func()) *KernelHandle {
-	h := &KernelHandle{spec: spec}
+	h := &KernelHandle{}
 	c := s.ctx
 	host.Sleep(c.Cfg.LaunchCPUCost - c.Cfg.EnqueueCost) // extra driver work vs a copy enqueue
 	s.enqueue(host, func(p *sim.Proc) {
 		c.hyperQ.Acquire(p)
 		p.Sleep(c.Cfg.LaunchOverhead)
-		h.kernel = c.Dev.Launch(spec)
+		k := c.Dev.Launch(spec)
 		c.KernelsLaunched++
 		if onDispatch != nil {
 			onDispatch()
 		}
-		h.kernel.WaitDone(p)
+		k.WaitDone(p)
 		c.hyperQ.Release()
 		h.finished = true
 		h.doneSig.Broadcast()
@@ -276,7 +260,3 @@ func (c *Context) LaunchPersistent(spec gpu.LaunchSpec) *gpu.Kernel {
 	c.KernelsLaunched++
 	return c.Dev.Launch(spec)
 }
-
-// ActiveKernelSlots returns how many HyperQ connections are free
-// (diagnostics).
-func (c *Context) ActiveKernelSlots() int { return c.hyperQ.Available() }

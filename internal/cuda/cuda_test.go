@@ -116,18 +116,31 @@ func TestLaunchOverheadApplied(t *testing.T) {
 	}
 }
 
+// TestLaunchPersistentBypassesHyperQ: with a single HyperQ connection, a
+// stream kernel still dispatches while a persistent daemon kernel runs, so
+// the daemon holds no connection.
 func TestLaunchPersistentBypassesHyperQ(t *testing.T) {
 	eng, ctx := newCtx(1)
+	ctx.hyperQ = sim.NewSem(1)
 	k := ctx.LaunchPersistent(gpu.LaunchSpec{
 		Name: "daemon", GridDim: 2, BlockThreads: 1024, RegsPerThread: 32,
-		Fn: func(c *gpu.Ctx) { c.Compute(1000) },
+		Fn: func(c *gpu.Ctx) { c.Compute(100000) },
 	})
-	if ctx.ActiveKernelSlots() != ctx.Cfg.MaxConnections {
-		t.Errorf("persistent launch consumed a HyperQ slot")
-	}
+	dispatched, daemonDone := sim.Time(-1), sim.Time(-1)
+	eng.Spawn("host", func(p *sim.Proc) {
+		ctx.NewStream().LaunchHooked(p, gpu.LaunchSpec{
+			Name: "k", GridDim: 1, BlockThreads: 32, Fn: func(c *gpu.Ctx) { c.Compute(100) },
+		},
+			func() { dispatched = eng.Now() })
+		k.WaitDone(p)
+		daemonDone = eng.Now()
+	})
 	eng.Run()
-	if !k.Finished() {
+	if daemonDone < 0 {
 		t.Fatal("persistent kernel did not finish")
+	}
+	if dispatched < 0 || dispatched >= daemonDone {
+		t.Fatalf("stream kernel dispatched at %v, want before the daemon finished at %v", dispatched, daemonDone)
 	}
 }
 

@@ -86,22 +86,3 @@ func TestPipelinedNilCallback(t *testing.T) {
 	})
 	eng.Run()
 }
-
-func TestBusyReflectsPipelined(t *testing.T) {
-	eng, ctx := newCtx(1)
-	eng.Spawn("host", func(p *sim.Proc) {
-		s := ctx.NewStream()
-		if s.Busy() {
-			t.Error("new stream is busy")
-		}
-		s.MemcpyH2DPipelined(p, 1<<16, nil)
-		if !s.Busy() {
-			t.Error("stream with in-flight pipelined copy not busy")
-		}
-		s.Sync(p)
-		if s.Busy() {
-			t.Error("stream busy after Sync")
-		}
-	})
-	eng.Run()
-}

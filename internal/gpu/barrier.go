@@ -16,13 +16,6 @@ type Barrier struct {
 	sig     sim.Signal
 }
 
-// NewBarrier creates a barrier for `need` participating warps.
-func NewBarrier(need int) *Barrier {
-	b := new(Barrier)
-	b.Reset(need)
-	return b
-}
-
 // Reset changes the participant count. Only legal while no warp is waiting
 // (Pagoda recycles the 16 named-barrier IDs between tasks).
 func (b *Barrier) Reset(need int) {

@@ -45,7 +45,6 @@ type Kernel struct {
 	tbsDone  int
 	finished bool
 	doneSig  sim.Signal
-	onDone   []func()
 
 	StartTime sim.Time // first threadblock dispatched
 	EndTime   sim.Time // last threadblock completed
@@ -68,24 +67,11 @@ func (k *Kernel) RetireParked(block, warp int) {
 	}
 }
 
-// Finished reports whether all threadblocks have completed.
-func (k *Kernel) Finished() bool { return k.finished }
-
 // WaitDone parks p until the kernel finishes.
 func (k *Kernel) WaitDone(p *sim.Proc) {
 	for !k.finished {
 		k.doneSig.Wait(p)
 	}
-}
-
-// OnDone registers fn to run (on the event loop) when the kernel finishes.
-// If the kernel already finished, fn runs immediately.
-func (k *Kernel) OnDone(fn func()) {
-	if k.finished {
-		fn()
-		return
-	}
-	k.onDone = append(k.onDone, fn)
 }
 
 // threadBlock is one block of a kernel pending dispatch or resident on an
@@ -382,10 +368,6 @@ func (d *Device) warpDone(tb *threadBlock) {
 			})
 		}
 		k.doneSig.Broadcast()
-		for _, fn := range k.onDone {
-			fn()
-		}
-		k.onDone = nil
 	}
 	d.tryDispatch()
 }

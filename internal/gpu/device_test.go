@@ -26,7 +26,7 @@ func TestKernelRunsAllWarps(t *testing.T) {
 		},
 	})
 	eng.Run()
-	if !k.Finished() {
+	if !k.finished {
 		t.Fatal("kernel did not finish")
 	}
 	if len(lanes) != 3*64 {
@@ -227,28 +227,21 @@ func TestLatencyHiding(t *testing.T) {
 	}
 }
 
-func TestKernelWaitDoneAndOnDone(t *testing.T) {
+func TestKernelWaitDone(t *testing.T) {
 	eng := sim.New()
 	dev := NewDevice(eng, testCfg())
 	k := dev.Launch(LaunchSpec{
 		Name: "k", GridDim: 1, BlockThreads: 32,
 		Fn: func(c *Ctx) { c.Compute(500) },
 	})
-	var cbTime, waitTime sim.Time
-	k.OnDone(func() { cbTime = eng.Now() })
+	var waitTime sim.Time
 	eng.Spawn("waiter", func(p *sim.Proc) {
 		k.WaitDone(p)
 		waitTime = eng.Now()
 	})
 	eng.Run()
-	if cbTime != 500 || waitTime != 500 {
-		t.Fatalf("cb=%v wait=%v, want 500", cbTime, waitTime)
-	}
-	// OnDone after completion fires immediately.
-	fired := false
-	k.OnDone(func() { fired = true })
-	if !fired {
-		t.Fatal("OnDone on finished kernel did not fire")
+	if waitTime != 500 {
+		t.Fatalf("wait=%v, want 500", waitTime)
 	}
 }
 

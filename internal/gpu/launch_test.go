@@ -55,7 +55,8 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 func TestBarrierGenerationAllocatesNothing(t *testing.T) {
 	eng := sim.New()
 	t.Cleanup(eng.Close)
-	b := NewBarrier(4)
+	b := new(Barrier)
+	b.Reset(4)
 	var gate sim.Signal
 	for i := 0; i < 4; i++ {
 		eng.Spawn("w", func(p *sim.Proc) {
@@ -171,7 +172,7 @@ func TestParkOnStartsWarpsParked(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if !k.Finished() || woke != [4]sim.Time{wakeAt, wakeAt, wakeAt, wakeAt} {
-		t.Fatalf("finished = %v, wake-up instants = %v, want all %v", k.Finished(), woke, wakeAt)
+	if !k.finished || woke != [4]sim.Time{wakeAt, wakeAt, wakeAt, wakeAt} {
+		t.Fatalf("finished = %v, wake-up instants = %v, want all %v", k.finished, woke, wakeAt)
 	}
 }

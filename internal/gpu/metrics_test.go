@@ -19,8 +19,9 @@ func TestMetricsMidRunLeavesRunBitIdentical(t *testing.T) {
 		eng := sim.New()
 		dev := NewDevice(eng, testCfg())
 		var done []sim.Time
-		finished := 0
+		warps := 0
 		for k := 0; k < kernels; k++ {
+			warps += (1 + k%6) * (1 + k%4)
 			eng.Schedule(float64(k*13)+0.25, func() {
 				dev.Launch(LaunchSpec{
 					Name: "mix", GridDim: 1 + k%6, BlockThreads: 32 * (1 + k%4),
@@ -31,14 +32,14 @@ func TestMetricsMidRunLeavesRunBitIdentical(t *testing.T) {
 						}
 						done = append(done, eng.Now())
 					},
-				}).OnDone(func() { finished++ })
+				})
 			})
 		}
 		// Both runs carry the sampler's sleeps, so they schedule the same
 		// events; only the Metrics reads differ.
 		samples := 0
 		eng.Spawn("sampler", func(p *sim.Proc) {
-			for i := 0; finished < kernels; i++ {
+			for i := 0; len(done) < warps; i++ {
 				p.Sleep(1 + math.Mod(float64(i)*61.73, 123.4567))
 				if sample {
 					dev.Metrics()

@@ -11,7 +11,7 @@ type Occupancy struct {
 
 // occCaps are the per-SMM capacities an occupancy computation (and the
 // threadblock dispatcher) admits against. TheoreticalOccupancy uses the
-// physical capacities; VirtualOccupancy scales them by the Oversub factors.
+// physical capacities; a Coordinator scales them by the Oversub factors.
 type occCaps struct {
 	tbs     int // threadblock slots
 	threads int // resident thread slots

@@ -89,7 +89,8 @@ func TestOccupancyTBSlotLimit(t *testing.T) {
 
 func TestBarrierReuseGenerations(t *testing.T) {
 	eng := sim.New()
-	b := NewBarrier(2)
+	b := new(Barrier)
+	b.Reset(2)
 	var order []int
 	for i := 0; i < 2; i++ {
 		i := i
@@ -113,7 +114,8 @@ func TestBarrierReuseGenerations(t *testing.T) {
 
 func TestBarrierResetPanicsWhileInUse(t *testing.T) {
 	eng := sim.New()
-	b := NewBarrier(2)
+	b := new(Barrier)
+	b.Reset(2)
 	eng.Spawn("w", func(p *sim.Proc) { b.Arrive(p) })
 	eng.Spawn("resetter", func(p *sim.Proc) {
 		p.Sleep(1)

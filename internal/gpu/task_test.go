@@ -98,7 +98,8 @@ func TestTaskSyncBlockCost(t *testing.T) {
 		task.Bind(c, 1, 0, nil)
 		task.SyncBlock()
 	})
-	bar := NewBarrier(2)
+	bar := new(Barrier)
+	bar.Reset(2)
 	named := syncRun(func(c *Ctx) {
 		var task Task
 		task.BindWarp(c, 64, 1, c.WarpInBlock, bar, nil)

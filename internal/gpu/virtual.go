@@ -76,16 +76,6 @@ func (o Oversub) caps(cfg Config) occCaps {
 	}
 }
 
-// VirtualOccupancy computes the occupancy of the spec when threadblocks are
-// admitted against the oversubscribed capacities instead of the physical
-// ones. With all factors <= 1 it reduces exactly to TheoreticalOccupancy.
-// Fraction keeps the physical warp capacity as its denominator, so values
-// above 1 mean more contexts are live than the hardware natively holds —
-// the coordinator time-multiplexes them at the spill price.
-func VirtualOccupancy(cfg Config, spec LaunchSpec, ov Oversub) Occupancy {
-	return occupancyAgainst(cfg, spec, ov.caps(cfg))
-}
-
 // Coordinator is the runtime piece of the virtualization model: it owns the
 // virtual capacities the dispatcher admits against and accounts the spill
 // traffic generated when live demand exceeds physical capacity. Install one
@@ -107,9 +97,6 @@ type Coordinator struct {
 func NewCoordinator(cfg Config, ov Oversub) *Coordinator {
 	return &Coordinator{ov: ov, caps: ov.caps(cfg)}
 }
-
-// Oversub returns the factors the coordinator was built with.
-func (c *Coordinator) Oversub() Oversub { return c.ov }
 
 // admit accounts one threadblock's placement on an SMM whose usage counters
 // already include it, returning the swap delay its warps must pay before

@@ -41,9 +41,9 @@ func TestInvalidOccupancyInputs(t *testing.T) {
 			if occ.LimitedBy != "invalid spec" {
 				t.Errorf("LimitedBy = %q, want %q", occ.LimitedBy, "invalid spec")
 			}
-			vocc := VirtualOccupancy(c.cfg, c.spec, DefaultOversub())
+			vocc := occupancyAgainst(c.cfg, c.spec, DefaultOversub().caps(c.cfg))
 			if vocc != occ {
-				t.Errorf("VirtualOccupancy = %+v, want %+v on invalid input", vocc, occ)
+				t.Errorf("virtual occupancy = %+v, want %+v on invalid input", vocc, occ)
 			}
 		})
 	}
@@ -76,7 +76,7 @@ func TestNarrowTaskOccupancyDegenerate(t *testing.T) {
 }
 
 // TestVirtualOccupancyReducesAtUnity is the acceptance pin: with all factors
-// at 1.0 (or the zero Oversub) VirtualOccupancy must equal
+// at 1.0 (or the zero Oversub) the virtual occupancy must equal
 // TheoreticalOccupancy exactly, field for field, across representative specs.
 func TestVirtualOccupancyReducesAtUnity(t *testing.T) {
 	cfg := TitanX()
@@ -94,9 +94,9 @@ func TestVirtualOccupancyReducesAtUnity(t *testing.T) {
 		}
 		for _, spec := range specs {
 			want := TheoreticalOccupancy(cfg, spec)
-			got := VirtualOccupancy(cfg, spec, ov)
+			got := occupancyAgainst(cfg, spec, ov.caps(cfg))
 			if got != want {
-				t.Errorf("spec %+v: VirtualOccupancy(%+v) = %+v, want TheoreticalOccupancy %+v",
+				t.Errorf("spec %+v: virtual occupancy(%+v) = %+v, want TheoreticalOccupancy %+v",
 					spec, ov, got, want)
 			}
 		}
@@ -110,7 +110,7 @@ func TestVirtualOccupancyOversubscribes(t *testing.T) {
 	cfg := TitanX()
 	// Shared-memory-bound spec: physically 4 TBs (96KB/24KB), 12.5% occupancy.
 	spec := LaunchSpec{BlockThreads: 64, SharedPerTB: 24 * 1024, RegsPerThread: 32}
-	occ := VirtualOccupancy(cfg, spec, UniformOversub(2.0))
+	occ := occupancyAgainst(cfg, spec, UniformOversub(2.0).caps(cfg))
 	if occ.TBsPerSMM != 8 || occ.LimitedBy != "shared memory" {
 		t.Fatalf("occ = %+v, want 8 TBs still limited by shared memory at 2x", occ)
 	}
@@ -121,7 +121,7 @@ func TestVirtualOccupancyOversubscribes(t *testing.T) {
 	// Thread-slot-bound spec at 1.5x: 2048*1.5/1024 = 3 TBs, 96 warps > the
 	// physical 64 contexts — Fraction exceeds 1.
 	wide := LaunchSpec{BlockThreads: 1024, RegsPerThread: 16}
-	occ = VirtualOccupancy(cfg, wide, UniformOversub(1.5))
+	occ = occupancyAgainst(cfg, wide, UniformOversub(1.5).caps(cfg))
 	if occ.TBsPerSMM != 3 || occ.WarpsPerSMM != 96 {
 		t.Fatalf("occ = %+v, want 3 TBs / 96 warps at 1.5x", occ)
 	}

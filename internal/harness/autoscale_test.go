@@ -29,11 +29,11 @@ func TestClusterAutoscaleShape(t *testing.T) {
 				for _, sc := range pf.gpuSchemes() {
 					key := fmt.Sprintf("%s/%s/%s/%s", arr, pol, tun, sc.Key)
 					for _, suffix := range suffixes {
-						if _, ok := r.Lookup(key + suffix); !ok {
+						if _, ok := r.Values[key+suffix]; !ok {
 							t.Errorf("missing value %s%s", key, suffix)
 						}
 					}
-					if peak := r.Get(key + "/peak"); peak < float64(pf.MinNodes) || peak > float64(pf.MaxNodes) {
+					if peak := r.Values[key+"/peak"]; peak < float64(pf.MinNodes) || peak > float64(pf.MaxNodes) {
 						t.Errorf("%s peak %v outside bounds %d..%d", key, peak, pf.MinNodes, pf.MaxNodes)
 					}
 				}
@@ -44,14 +44,14 @@ func TestClusterAutoscaleShape(t *testing.T) {
 		for _, sc := range pf.gpuSchemes() {
 			key := fmt.Sprintf("trace/%s/%s", pol, sc.Key)
 			for _, suffix := range suffixes {
-				if _, ok := r.Lookup(key + suffix); !ok {
+				if _, ok := r.Values[key+suffix]; !ok {
 					t.Errorf("missing value %s%s", key, suffix)
 				}
 			}
-			if peak := r.Get(key + "/peak"); peak < asTraceMin || peak > asTraceMax {
+			if peak := r.Values[key+"/peak"]; peak < asTraceMin || peak > asTraceMax {
 				t.Errorf("%s peak %v outside trace bounds %d..%d", key, peak, asTraceMin, asTraceMax)
 			}
-			if ns := r.Get(key + "/nodesec-mtask"); ns <= 0 {
+			if ns := r.Values[key+"/nodesec-mtask"]; ns <= 0 {
 				t.Errorf("%s node-seconds per Mtask %v, want > 0", key, ns)
 			}
 		}
@@ -74,7 +74,7 @@ func TestClusterAutoscalePolicyFilter(t *testing.T) {
 			t.Errorf("row scaler %q leaked past -autoscale predictive", row[1])
 		}
 	}
-	if _, ok := r.Lookup("trace/reactive/hyperq/nodesec-mtask"); ok {
+	if _, ok := r.Values["trace/reactive/hyperq/nodesec-mtask"]; ok {
 		t.Error("reactive values present despite -autoscale predictive")
 	}
 }

@@ -22,11 +22,11 @@ func TestClusterScalingShape(t *testing.T) {
 		for _, nodes := range []int{1, 2, 4, 8} {
 			key := fmt.Sprintf("%s/%d", sc.Key, nodes)
 			for _, suffix := range []string{"/max-rate", "/max-rate-node", "/imbalance"} {
-				if _, ok := r.Lookup(key + suffix); !ok {
+				if _, ok := r.Values[key+suffix]; !ok {
 					t.Errorf("missing value %s%s", key, suffix)
 				}
 			}
-			if imb := r.Get(key + "/imbalance"); imb < 1 {
+			if imb := r.Values[key+"/imbalance"]; imb < 1 {
 				t.Errorf("%s imbalance %v < 1 (max share cannot undercut the mean)", key, imb)
 			}
 		}
@@ -48,7 +48,7 @@ func TestClusterPolicyShape(t *testing.T) {
 			for _, sc := range p.gpuSchemes() {
 				key := fmt.Sprintf("%s/%s/%s", sc.Key, pname, arr)
 				for _, suffix := range []string{"/p99us", "/goodput", "/drops", "/imbalance"} {
-					if _, ok := r.Lookup(key + suffix); !ok {
+					if _, ok := r.Values[key+suffix]; !ok {
 						t.Errorf("missing value %s%s", key, suffix)
 					}
 				}
@@ -57,7 +57,7 @@ func TestClusterPolicyShape(t *testing.T) {
 	}
 	// Round-robin on a uniform stream splits the fleet evenly by construction.
 	for _, sc := range p.gpuSchemes() {
-		if imb := r.Get(sc.Key + "/rr/poisson/imbalance"); imb > 1.1 {
+		if imb := r.Values[sc.Key+"/rr/poisson/imbalance"]; imb > 1.1 {
 			t.Errorf("%s rr imbalance %v, want ~1.0", sc.Key, imb)
 		}
 	}

@@ -59,10 +59,9 @@ type Params struct {
 	// autoscale.PolicyNames); empty sweeps all of them.
 	Autoscale string
 
-	// Misbehave selects which tenant class offers 10x its contracted rate
-	// in tenant_qos: 0 (the zero value) means the default — the standard
-	// class, index 1 — a negative value disables misbehavior, and any
-	// other value is the class index itself.
+	// Misbehave is the index of the tenant class that offers 10x its
+	// contracted rate in tenant_qos (1 is the standard class); -1 makes
+	// every class honest.
 	Misbehave int
 }
 
@@ -89,18 +88,6 @@ func (p Params) fill() Params {
 		p.MaxNodes = 8
 	}
 	return p
-}
-
-// misbehaveIdx resolves the Misbehave convention to a class index (-1 for
-// an all-honest run).
-func (p Params) misbehaveIdx() int {
-	if p.Misbehave < 0 {
-		return -1
-	}
-	if p.Misbehave == 0 {
-		return 1
-	}
-	return p.Misbehave
 }
 
 func (p Params) runnerCfg() runners.Config {

@@ -7,11 +7,11 @@ import (
 )
 
 // mustGet returns the recorded value for key, failing the test if the key was
-// never set — Get's 0-for-missing would otherwise turn a typo'd key into a
-// bogus 0 or NaN ratio.
+// never set — reading Values' 0-for-missing would otherwise turn a typo'd key
+// into a bogus 0 or NaN ratio.
 func mustGet(t *testing.T, r *Report, key string) float64 {
 	t.Helper()
-	v, ok := r.Lookup(key)
+	v, ok := r.Values[key]
 	if !ok {
 		t.Fatalf("%s: value %q was never recorded (have %d keys)", r.ID, key, len(r.Values))
 	}
@@ -19,7 +19,7 @@ func mustGet(t *testing.T, r *Report, key string) float64 {
 }
 
 // testParams keeps harness runs quick while preserving shapes.
-func testParams() Params { return Params{Tasks: 192, SMMs: 8, Seed: 1} }
+func testParams() Params { return Params{Tasks: 192, SMMs: 8, Seed: 1, Misbehave: 1} }
 
 func TestGeomean(t *testing.T) {
 	if g := geomean([]float64{2, 8}); g != 4 {

@@ -48,7 +48,7 @@ func TestAllExperimentsDeterministicAndParallelSafe(t *testing.T) {
 	}
 	for _, id := range Experiments() {
 		t.Run(id, func(t *testing.T) {
-			p := Params{Tasks: 48, SMMs: 4, Seed: 1, Parallel: 1}
+			p := Params{Tasks: 48, SMMs: 4, Seed: 1, Parallel: 1, Misbehave: 1}
 			run := func(p Params) [len(formats)][]byte {
 				rep, err := Run(id, p)
 				if err != nil {

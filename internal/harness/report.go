@@ -51,17 +51,6 @@ func (r *Report) note(format string, args ...any) {
 
 func (r *Report) set(key string, v float64) { r.Values[key] = v }
 
-// Get returns a recorded value (0 when missing). Prefer Lookup anywhere a
-// missing key must be distinguishable from a recorded zero — a typo'd key
-// here silently reads as 0.
-func (r *Report) Get(key string) float64 { return r.Values[key] }
-
-// Lookup returns a recorded value and whether the key exists.
-func (r *Report) Lookup(key string) (float64, bool) {
-	v, ok := r.Values[key]
-	return v, ok
-}
-
 // Fprint renders the report as an aligned text table.
 func (r *Report) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", strings.ToUpper(r.ID), r.Title)

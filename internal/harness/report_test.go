@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestLookup(t *testing.T) {
-	r := newReport("figX", "Test", "A")
-	r.set("present", 0) // a recorded zero must be distinguishable from missing
-	if v, ok := r.Lookup("present"); !ok || v != 0 {
-		t.Errorf("Lookup(present) = %v, %v; want 0, true", v, ok)
-	}
-	if _, ok := r.Lookup("absent"); ok {
-		t.Error("Lookup(absent) reported ok for a key that was never set")
-	}
-	if v := r.Get("absent"); v != 0 {
-		t.Errorf("Get(absent) = %v, want 0", v)
-	}
-}
-
 // TestFprintAlignsRowsWiderThanHeader pins the column-width fix: rows with
 // more cells than the header must still print with every column aligned
 // (widths used to be sized only for header-length columns, leaving the

@@ -23,7 +23,7 @@ func TestFig6Structure(t *testing.T) {
 		t.Fatalf("fig6 rows = %d, want %d", len(r.Rows), want)
 	}
 	for _, key := range []string{"MB/pagoda/64", "DCT/hyperq/64", "MPE/gemtc/64", "MB/zorua/64"} {
-		if r.Get(key) <= 0 {
+		if r.Values[key] <= 0 {
 			t.Errorf("fig6 missing series point %s", key)
 		}
 	}
@@ -39,7 +39,7 @@ func TestFig7Structure(t *testing.T) {
 		t.Fatalf("fig7 rows = %d, want %d", len(r.Rows), want)
 	}
 	for _, key := range []string{"geomean128/pagoda-vs-hyperq", "geomean128/pagoda-vs-zorua"} {
-		if r.Get(key) <= 0 {
+		if r.Values[key] <= 0 {
 			t.Errorf("fig7 %s not recorded", key)
 		}
 	}
@@ -64,7 +64,7 @@ func TestFig8Structure(t *testing.T) {
 		t.Fatalf("fig8 rows = %d, want 8", len(r.Rows))
 	}
 	for _, key := range []string{"MM/256/16", "CONV/2048/256"} {
-		if r.Get(key) <= 0 {
+		if r.Values[key] <= 0 {
 			t.Errorf("fig8 missing point %s", key)
 		}
 	}
@@ -78,13 +78,13 @@ func TestFig9Structure(t *testing.T) {
 	if len(r.Rows) != 8 {
 		t.Fatalf("fig9 rows = %d, want 8", len(r.Rows))
 	}
-	if r.Get("geomean/pagoda-vs-fusion") <= 0 {
+	if r.Values["geomean/pagoda-vs-fusion"] <= 0 {
 		t.Error("fig9 geomean not recorded")
 	}
 	for _, row := range r.Rows {
 		name := row[0]
 		for _, scheme := range []string{"fusion", "pthreads", "hyperq", "pagoda"} {
-			if r.Get(name+"/"+scheme) <= 0 {
+			if r.Values[name+"/"+scheme] <= 0 {
 				t.Errorf("fig9 %s/%s missing", name, scheme)
 			}
 		}
@@ -102,7 +102,7 @@ func TestTable3Structure(t *testing.T) {
 	for _, row := range r.Rows {
 		name := row[0]
 		// copyfrac may legitimately be 0 (fully compute-bound), so a missing
-		// key is only distinguishable through Lookup.
+		// key is only distinguishable through mustGet.
 		f := mustGet(t, r, name+"/copyfrac")
 		if f < 0 || f > 1 {
 			t.Errorf("table3 %s copy fraction out of range: %v", name, f)
@@ -132,7 +132,7 @@ func TestCPUSchemesStructure(t *testing.T) {
 	for _, row := range r.Rows {
 		name := row[0]
 		for _, scheme := range []string{"OpenMP", "OS-sched", "Python-pool", "PThreads"} {
-			if r.Get(name+"/"+scheme) <= 0 {
+			if r.Values[name+"/"+scheme] <= 0 {
 				t.Errorf("cpuschemes %s/%s missing", name, scheme)
 			}
 		}
@@ -159,7 +159,7 @@ func TestServeLatencyStructure(t *testing.T) {
 		"gemtc/token/16000/drops",
 		"zorua/unbounded/16000/p99us",
 	} {
-		if _, ok := r.Lookup(key); !ok {
+		if _, ok := r.Values[key]; !ok {
 			t.Errorf("serve_latency missing value %s", key)
 		}
 	}

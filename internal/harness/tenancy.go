@@ -42,7 +42,7 @@ func tenantClasses(p Params, n int, slo sim.Time) []tenancy.Class {
 		perClass = 1
 	}
 	horizon := sim.Time(float64(perClass) / tenantRate * 1e9)
-	return tenancy.DefaultClasses(p.Tenants, tenantRate, slo, horizon, p.Seed, p.misbehaveIdx())
+	return tenancy.DefaultClasses(p.Tenants, tenantRate, slo, horizon, p.Seed, p.Misbehave)
 }
 
 // TenantQoS regenerates the multi-tenant QoS table: the transformer-layer
@@ -56,9 +56,13 @@ func TenantQoS(p Params) *Report {
 	n := serveTaskCount(p)
 	slo := p.sloCycles()
 
+	misbehave := fmt.Sprintf("class %d at 10x contract", p.Misbehave)
+	if p.Misbehave < 0 {
+		misbehave = "all classes honest"
+	}
 	r := newReport("tenant_qos",
-		fmt.Sprintf("Multi-tenant QoS (XFMR, %d tasks, %d classes, class %d at 10x contract, premium p99 SLO %.0fus)",
-			n, p.Tenants, p.misbehaveIdx(), slo/1e3),
+		fmt.Sprintf("Multi-tenant QoS (XFMR, %d tasks, %d classes, %s, premium p99 SLO %.0fus)",
+			n, p.Tenants, misbehave, slo/1e3),
 		"Policy", "Scheme", "Class", "p99(us)", "goodput", "viol", "shed", "evict")
 	r.setSeed(p.Seed)
 

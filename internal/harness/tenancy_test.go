@@ -65,7 +65,7 @@ func TestTenancyConservesTasksInRecords(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep")
 	}
-	p := Params{Tasks: 96, SMMs: 4, Seed: 1}.fill()
+	p := Params{Tasks: 96, SMMs: 4, Seed: 1, Misbehave: 1}.fill()
 	n := serveTaskCount(p)
 	classes := tenantClasses(p, n, p.sloCycles())
 	counts := tenantCounts(n, p.Tenants)

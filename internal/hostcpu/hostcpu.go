@@ -59,9 +59,6 @@ func NewPool(eng *sim.Engine, cfg Config) *Pool {
 	return p
 }
 
-// Config returns the pool's CPU description.
-func (p *Pool) Config() Config { return p.cfg }
-
 func (p *Pool) worker(proc *sim.Proc) {
 	for {
 		for len(p.queue) == 0 {
@@ -96,9 +93,6 @@ func (p *Pool) WaitAll(host *sim.Proc) {
 		p.idle.Wait(host)
 	}
 }
-
-// Pending returns queued + running task count.
-func (p *Pool) Pending() int { return p.pending }
 
 // Run is the one way every CPU scheme drives a Pool: a host process submits
 // every task, in order, to a fresh Pool on eng and waits for them all. It

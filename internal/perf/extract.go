@@ -83,3 +83,15 @@ func ExtractReportValue(out []byte, exp, key string) (float64, error) {
 	}
 	return 0, fmt.Errorf("perf: no report with id %q in output (%d documents)", exp, len(docs))
 }
+
+// ParseLastNumber reads the last non-empty line of a command's output as one
+// number.
+func ParseLastNumber(out []byte) (float64, error) {
+	text := strings.TrimSpace(string(out))
+	last := strings.TrimSpace(text[strings.LastIndexByte(text, '\n')+1:])
+	v, err := strconv.ParseFloat(last, 64)
+	if err != nil {
+		return 0, fmt.Errorf("perf: last output line %q is not a number", last)
+	}
+	return v, nil
+}

@@ -41,6 +41,9 @@ const (
 	// KindWallclock measures the command's own elapsed wall-clock seconds;
 	// its output is ignored.
 	KindWallclock = "wallclock"
+	// KindNumber reads the command's last non-empty stdout line as one
+	// number, e.g. the line count `make loc` prints.
+	KindNumber = "number"
 )
 
 // Suite is one baseline file: a named group of metrics measured together,
@@ -135,10 +138,10 @@ func (s *Suite) Validate() error {
 			if e.Key == "" {
 				return fmt.Errorf("perf: report metric %q names no values key", m.Name)
 			}
-		case KindWallclock:
+		case KindWallclock, KindNumber:
 		default:
-			return fmt.Errorf("perf: metric %q extract kind %q is not %q, %q or %q",
-				m.Name, e.Kind, KindBench, KindReport, KindWallclock)
+			return fmt.Errorf("perf: metric %q extract kind %q is not %q, %q, %q or %q",
+				m.Name, e.Kind, KindBench, KindReport, KindWallclock, KindNumber)
 		}
 	}
 	return nil

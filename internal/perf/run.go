@@ -115,6 +115,8 @@ func (r *Runner) Run(s *Suite) []Verdict {
 			v.Measured, err = ParseBench(c.res.Stdout, m.Extract.Bench, m.Extract.Field)
 		case KindReport:
 			v.Measured, err = ExtractReportValue(c.res.Stdout, m.Extract.Exp, m.Extract.Key)
+		case KindNumber:
+			v.Measured, err = ParseLastNumber(c.res.Stdout)
 		default: // KindWallclock; Validate rejected everything else
 			v.Measured = c.res.Seconds
 		}

@@ -235,6 +235,10 @@ func TestValidate(t *testing.T) {
 		{Suite: "s", Metrics: []*Metric{{Name: "m", Command: "c", Direction: Lower, Extract: Extract{Kind: KindBench, Bench: "B", Field: "furlongs/op"}}}}, // bad field
 		{Suite: "s", Metrics: []*Metric{{Name: "m", Command: "c", Direction: Lower, Extract: Extract{Kind: KindReport}}}},                                  // no key
 	}
+	number := &Suite{Suite: "s", Metrics: []*Metric{{Name: "m", Command: "c", Direction: Lower, Extract: Extract{Kind: KindNumber}}}}
+	if err := number.Validate(); err != nil {
+		t.Errorf("number metric rejected: %v", err)
+	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: Validate() = nil, want error: %+v", i, s)
@@ -242,5 +246,49 @@ func TestValidate(t *testing.T) {
 	}
 	if err := testSuite().Validate(); err != nil {
 		t.Errorf("healthy suite rejected: %v", err)
+	}
+}
+
+// TestRunnerNumberKind pins the number extract kind on a `make loc`-shaped
+// metric: the last non-empty stdout line is the measurement, a zero band
+// fails on one line more, and output that does not end in a number is an
+// error rather than a silent zero.
+func TestRunnerNumberKind(t *testing.T) {
+	s := &Suite{Suite: "loc", Metrics: []*Metric{{Name: "lines", Command: "make loc",
+		Extract: Extract{Kind: KindNumber}, Baseline: 17000, TolerancePct: 0, Direction: Lower}}}
+	for _, tc := range []struct {
+		out  string
+		want Status
+		v    float64
+	}{
+		{"17000\n", OK, 17000},
+		{"building\n 16990 \n\n", Improved, 16990},
+		{"17001\n", Fail, 17001},
+		{"", Error, 0},
+		{"17000\ndone\n", Error, 0},
+	} {
+		r := &Runner{Exec: func(string, []string) (ExecResult, error) {
+			return ExecResult{Stdout: []byte(tc.out)}, nil
+		}}
+		vs := r.Run(s)
+		if vs[0].Status != tc.want || vs[0].Measured != tc.v {
+			t.Errorf("output %q: status %v measured %v (err %v), want %v %v",
+				tc.out, vs[0].Status, vs[0].Measured, vs[0].Err, tc.want, tc.v)
+		}
+	}
+}
+
+// TestCommittedSuitesLoad validates every BENCH_*.json at the repo root, so a
+// baseline file with an unknown extract kind or a malformed metric fails
+// `go test`, not only `make perf`.
+func TestCommittedSuitesLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json at the repo root (%v)", err)
+	}
+	for _, p := range paths {
+		if _, err := Load(p); err != nil {
+			t.Error(err)
+		}
 	}
 }

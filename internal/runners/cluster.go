@@ -18,10 +18,10 @@ import (
 // ClusterOpenLoop generalizes OpenLoop over a fleet: N identical devices
 // (each with its own PCIe bus and scheme instance) share one engine and one
 // virtual clock, a front-end dispatcher consumes the arrival stream, and a
-// cluster.Policy routes each task to a node. Per-node admission reuses the
-// serve.Policy shape and is consulted at the scheme's presentation point —
-// the spawn point for Pagoda/HyperQ/zorua, arrival for GeMTC. The
-// single-device open loop is the one-node round-robin case
+// cluster.Policy routes each task to a node. Per-node admission has the
+// serve admission policies' Admit shape and is consulted at the scheme's
+// presentation point — the spawn point for Pagoda/HyperQ/zorua, arrival for
+// GeMTC. The single-device open loop is the one-node round-robin case
 // (Scheme.RunOpenLoop).
 type ClusterOpenLoop struct {
 	// Arrivals holds one nondecreasing virtual-cycle instant per task.
@@ -38,7 +38,7 @@ type ClusterOpenLoop struct {
 	// hand each run a freshly constructed one.
 	Policy cluster.Policy
 
-	// Admit builds one fresh admission policy per node (serve.Policy.Admit
+	// Admit builds one fresh admission policy per node (a serve policy's Admit
 	// satisfies the returned signature); nil admits everything. Fresh-per-
 	// node matters for stateful policies like the token bucket.
 	Admit func() func(now sim.Time, inFlight int) bool
@@ -113,18 +113,6 @@ type ClusterRun struct {
 // publish numbers.
 func (cr ClusterRun) CheckConservation() error {
 	return cluster.CheckConservation(cr.Views, len(cr.Recs))
-}
-
-// NodeRecords returns the records of the tasks routed to one node, in task
-// order — the per-node latency population.
-func (cr ClusterRun) NodeRecords(node int) []serve.Record {
-	var out []serve.Record
-	for ti, n := range cr.NodeOf {
-		if n == node {
-			out = append(out, cr.Recs[ti])
-		}
-	}
-	return out
 }
 
 // AddServeSpans exports each completed task's wait (Submit→Start) and service

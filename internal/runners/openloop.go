@@ -17,7 +17,7 @@ type OpenLoop struct {
 
 	// Admit, when non-nil, is consulted at each arrival with the current
 	// virtual time and the number of admitted-but-uncompleted tasks; a false
-	// return drops the task (serve.Policy.Admit satisfies this signature).
+	// return drops the task (a serve policy's Admit satisfies this signature).
 	Admit func(now sim.Time, inFlight int) bool
 
 	// AdmitTask, when non-nil, takes precedence over Admit and additionally

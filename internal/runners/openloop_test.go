@@ -178,7 +178,12 @@ func TestOpenLoopTraceSpans(t *testing.T) {
 			if want := 2 * res.Tasks; tr.Len() != want {
 				t.Fatalf("trace has %d spans, want %d", tr.Len(), want)
 			}
-			if got := tr.Tracks(); !slices.Equal(got, tc.want) {
+			var got []string
+			for track := range tr.SummaryByTrack() {
+				got = append(got, track)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, tc.want) {
 				t.Errorf("tracks = %v, want %v", got, tc.want)
 			}
 			track := tc.track

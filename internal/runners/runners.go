@@ -99,9 +99,6 @@ func (r *Result) fillLatencies(lats []sim.Time) {
 	r.MaxLatency = sorted[len(sorted)-1]
 }
 
-// Seconds converts the elapsed cycles to seconds.
-func (r Result) Seconds() float64 { return r.Elapsed / 1e9 }
-
 // system bundles the per-run simulation stack.
 type system struct {
 	eng *sim.Engine

@@ -12,7 +12,7 @@ import (
 // kernel-per-task HyperQ path unchanged — one kernel per narrow task over 32
 // streams — but the device admits threadblocks against oversubscribed
 // (virtual) resource budgets and a runtime coordinator spills the overflow
-// at a per-KB cycle price (gpu.VirtualOccupancy / Device.Virtualize).
+// at a per-KB cycle price (gpu.Oversub / Device.Virtualize).
 //
 // Because zorua and HyperQ share the host path exactly, the zorua-vs-HyperQ
 // delta isolates what dynamic resource virtualization alone buys: it helps

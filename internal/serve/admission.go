@@ -6,27 +6,24 @@ import (
 	"repro/internal/sim"
 )
 
-// A Policy decides, at a task's arrival instant, whether to admit it.
-// inFlight is the number of admitted tasks not yet completed (the system's
-// current backlog as the submitter knows it). Policies may keep state (the
-// token bucket does); a fresh policy must be constructed per run.
+// The admission policies below decide, at a task's arrival instant, whether
+// to admit it: Admit(now, inFlight), where inFlight is the number of admitted
+// tasks not yet completed (the system's current backlog as the submitter
+// knows it), and Name labels the policy in reports. Policies may keep state
+// (the token bucket does); a fresh policy must be constructed per run.
 //
 // Without admission control an open-loop system past saturation queues
 // without bound and every latency percentile diverges; these policies are
 // how overload degrades into bounded latency plus explicit drops instead.
-type Policy interface {
-	Name() string
-	Admit(now sim.Time, inFlight int) bool
-}
 
 // Unbounded admits everything — the pure open-loop measurement mode, where
 // past-saturation behavior shows up as unbounded queueing delay.
 type Unbounded struct{}
 
-// Name implements Policy.
+// Name labels the policy.
 func (Unbounded) Name() string { return "unbounded" }
 
-// Admit implements Policy.
+// Admit reports whether to admit a task arriving at now.
 func (Unbounded) Admit(sim.Time, int) bool { return true }
 
 // BoundedQueue admits a task only while fewer than Limit admitted tasks are
@@ -35,10 +32,10 @@ type BoundedQueue struct {
 	Limit int
 }
 
-// Name implements Policy.
+// Name labels the policy.
 func (p BoundedQueue) Name() string { return fmt.Sprintf("queue%d", p.Limit) }
 
-// Admit implements Policy.
+// Admit reports whether to admit a task arriving at now.
 func (p BoundedQueue) Admit(_ sim.Time, inFlight int) bool { return inFlight < p.Limit }
 
 // TokenBucket admits at a sustained Rate (tokens/second) with burst capacity
@@ -62,10 +59,10 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// Name implements Policy.
+// Name labels the policy.
 func (p *TokenBucket) Name() string { return fmt.Sprintf("token%g/s+%g", p.rate, p.burst) }
 
-// Admit implements Policy.
+// Admit reports whether to admit a task arriving at now.
 func (p *TokenBucket) Admit(now sim.Time, _ int) bool {
 	p.tokens += (now - p.last) * p.rate / cyclesPerSecond
 	if p.tokens > p.burst {

@@ -64,35 +64,6 @@ func TestTimerStopRemovesEntry(t *testing.T) {
 	}
 }
 
-// TestStopBeforeRunHonored: a Stop issued between runs (e.g. from a
-// completion hook after RunUntil returned) must halt the next run before any
-// event fires, and be consumed so the run after that proceeds.
-func TestStopBeforeRunHonored(t *testing.T) {
-	e := New()
-	ran := 0
-	e.Schedule(5, func() { ran++ })
-	e.Stop()
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
-	}
-	if end := e.Run(); end != 0 {
-		t.Fatalf("Run() = %v after pre-set Stop, want 0 (no event fires)", end)
-	}
-	if ran != 0 {
-		t.Fatalf("event fired despite pre-set Stop")
-	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() = false after halted run")
-	}
-	// The stop was consumed: the next run proceeds normally.
-	if end := e.Run(); end != 5 {
-		t.Fatalf("second Run() = %v, want 5", end)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d after second Run, want 1", ran)
-	}
-}
-
 // BenchmarkEngineSchedule measures the raw Schedule/pop cycle on a small
 // steady-state queue (the common case, unlike the giant one-shot queue of
 // BenchmarkEngineEventThroughput).

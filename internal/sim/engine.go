@@ -69,12 +69,6 @@ type Engine struct {
 	// pool recycles popped event structs; its high-water mark is the maximum
 	// number of simultaneously pending events, so it stays small.
 	pool []*event
-	// stopReq is a pending Stop request; the run loop consumes it (setting
-	// stopped) before firing the next event. A request left over from a
-	// drained run halts the next RunUntil before its first event.
-	stopReq bool
-	// stopped latches that the most recent run was halted by Stop.
-	stopped bool
 	// deadline is the active RunUntil bound, visible to whichever coroutine
 	// currently drives the event loop.
 	deadline Time
@@ -202,6 +196,8 @@ func (e *Engine) freeEvent(ev *event) {
 // Schedule arranges for fn to run at Now()+delay. A negative delay panics.
 // fn runs on the engine's event loop; it may resume processes but must not
 // block.
+//
+//pagoda:allow unused test support: tests in several packages inject events at a delay; a taintflow sink
 func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
@@ -211,6 +207,8 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 
 // ScheduleAt arranges for fn to run at absolute time at, which must not be in
 // the past.
+//
+//pagoda:allow unused test support: tests inject events at an absolute instant; a taintflow sink
 func (e *Engine) ScheduleAt(at Time, fn func()) {
 	e.newEvent(at).step = funcStep(fn)
 }
@@ -236,33 +234,16 @@ func (e *Engine) scheduleStep(p *Proc) {
 	ev.gen = p.wakeGen
 }
 
-// Stop makes Run return after the currently executing event completes. A Stop
-// issued while no run is active halts the next run before its first event.
-// Callable from inside event handlers and processes.
-func (e *Engine) Stop() { e.stopReq = true }
-
-// Stopped reports whether Stop has been called and not yet superseded by a
-// later run.
-func (e *Engine) Stopped() bool { return e.stopped || e.stopReq }
-
-// Run executes events until the queue drains or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the queue drains. It returns the final virtual
+// time.
 func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
 
 // RunUntil executes events with timestamps <= deadline, stopping earlier if
-// the queue drains or Stop is called. The clock is left at the time of the
-// last executed event (or at deadline if the deadline was reached with events
-// still pending). The clock never moves backward: a deadline before Now
-// fires nothing and leaves the clock where it is. A Stop issued before the
-// run starts (e.g. from a completion hook between two RunUntil calls) is
-// honored immediately: no event fires.
+// the queue drains. The clock is left at the time of the last executed event
+// (or at deadline if the deadline was reached with events still pending).
+// The clock never moves backward: a deadline before Now fires nothing and
+// leaves the clock where it is.
 func (e *Engine) RunUntil(deadline Time) Time {
-	if e.stopReq {
-		e.stopReq = false
-		e.stopped = true
-		return e.now
-	}
-	e.stopped = false
 	e.deadline = deadline
 	for r := e.dispatch(nil); r != runEnded; {
 		// The baton went to a process: run it until it hands off, ends the
@@ -279,8 +260,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 type dispatchResult int
 
 const (
-	// runEnded: queue drained, Stop consumed, or deadline reached; RunUntil
-	// returns.
+	// runEnded: queue drained or deadline reached; RunUntil returns.
 	runEnded dispatchResult = iota
 	// batonHandedOff: the next runnable event resumes e.current, a process
 	// other than the dispatcher; RunUntil's loop switches to it.
@@ -311,11 +291,6 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 		case len(e.queue) > 0:
 			ev, fromLane = e.queue[0], false
 		default:
-			return runEnded
-		}
-		if e.stopReq {
-			e.stopReq = false
-			e.stopped = true
 			return runEnded
 		}
 		if ev.at > e.deadline {
@@ -364,9 +339,13 @@ func (e *Engine) countFired(fromLane bool) {
 
 // Pending returns the number of queued events (diagnostics). Disarmed and
 // superseded timers do not linger in the queue, so this is O(live events).
+//
+//pagoda:allow unused test support: drain and leak checks read the queue length
 func (e *Engine) Pending() int { return len(e.queue) + e.lane.Len() }
 
 // LiveProcs returns the number of spawned processes that have not finished.
+//
+//pagoda:allow unused test support: leak checks count unfinished procs
 func (e *Engine) LiveProcs() int {
 	n := 0
 	for p := e.head; p != nil; p = p.next {
@@ -380,6 +359,8 @@ func (e *Engine) LiveProcs() int {
 // returns with the queue drained but BlockedProcs is non-empty, those
 // processes are deadlocked; the list is the first thing to print when
 // hunting one.
+//
+//pagoda:allow unused test support: leak and deadlock checks name parked procs
 func (e *Engine) BlockedProcs() []string {
 	var out []string
 	for p := e.head; p != nil; p = p.next {

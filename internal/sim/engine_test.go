@@ -73,25 +73,6 @@ func TestScheduleInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestStop(t *testing.T) {
-	e := New()
-	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (Stop should halt the loop)", ran)
-	}
-	if !e.Stopped() {
-		t.Error("Stopped() = false after Stop")
-	}
-	// Run again resumes with the remaining event.
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("ran = %d after second Run, want 2", ran)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time

@@ -155,9 +155,6 @@ func (p *Proc) finish() {
 // Name returns the diagnostic name: the body's String.
 func (p *Proc) Name() string { return p.run.String() }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 

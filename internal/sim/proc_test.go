@@ -230,7 +230,7 @@ func TestSpawnFromProc(t *testing.T) {
 	var trace []string
 	e.Spawn("parent", func(p *Proc) {
 		trace = append(trace, "parent")
-		p.Engine().Spawn("child", func(c *Proc) {
+		e.Spawn("child", func(c *Proc) {
 			c.Sleep(3)
 			trace = append(trace, "child")
 		})

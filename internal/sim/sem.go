@@ -22,20 +22,8 @@ func (s *Sem) Acquire(p *Proc) {
 	s.avail--
 }
 
-// TryAcquire takes a permit without blocking; it reports success.
-func (s *Sem) TryAcquire() bool {
-	if s.avail == 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
 // Release returns a permit and wakes one waiter.
 func (s *Sem) Release() {
 	s.avail++
 	s.sig.Pulse()
 }
-
-// Available returns the current permit count.
-func (s *Sem) Available() int { return s.avail }

@@ -14,8 +14,6 @@ type Timer struct {
 	eng *Engine
 	fn  func()
 	ev  *event // heap entry while armed, nil otherwise
-	at  Time
-	set bool
 }
 
 // NewTimer returns a timer that invokes fn on the engine's event loop when it
@@ -25,6 +23,8 @@ func NewTimer(e *Engine, fn func()) *Timer {
 }
 
 // Reset arms the timer to fire after delay, cancelling any earlier arming.
+//
+//pagoda:allow unused test support: event-order tests re-arm timers at a delay; a taintflow sink
 func (t *Timer) Reset(delay Time) { t.ResetAt(t.eng.now + delay) }
 
 // ResetForward is Reset for a timer that must move the clock: when delay is
@@ -49,8 +49,6 @@ func (t *Timer) ResetForward(delay Time) {
 // newly scheduled.
 func (t *Timer) ResetAt(at Time) {
 	e := t.eng
-	t.set = true
-	t.at = at
 	if t.ev != nil {
 		if at < e.now {
 			panic("sim: timer reset in the past")
@@ -72,14 +70,12 @@ func (t *Timer) ResetAt(at Time) {
 // left the queue.
 func (t *Timer) Step(uint64) {
 	t.ev = nil
-	t.set = false
 	t.fn()
 }
 
 // Stop disarms the timer, removing its queue entry. It is safe to call
 // whether or not the timer is armed.
 func (t *Timer) Stop() {
-	t.set = false
 	if t.ev != nil {
 		ev := t.ev
 		t.ev = nil
@@ -87,9 +83,3 @@ func (t *Timer) Stop() {
 		t.eng.freeEvent(ev)
 	}
 }
-
-// Armed reports whether the timer is set to fire.
-func (t *Timer) Armed() bool { return t.set }
-
-// Deadline returns the absolute fire time; meaningful only when Armed.
-func (t *Timer) Deadline() Time { return t.at }

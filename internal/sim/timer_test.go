@@ -10,14 +10,14 @@ func TestTimerFires(t *testing.T) {
 	fired := Time(-1)
 	tm := NewTimer(e, func() { fired = e.Now() })
 	tm.Reset(25)
-	if !tm.Armed() {
+	if tm.ev == nil {
 		t.Fatal("timer not armed after Reset")
 	}
 	e.Run()
 	if fired != 25 {
 		t.Fatalf("fired at %v, want 25", fired)
 	}
-	if tm.Armed() {
+	if tm.ev != nil {
 		t.Error("timer still armed after firing")
 	}
 }
@@ -94,10 +94,11 @@ func TestTimerResetForwardSubUlpDelay(t *testing.T) {
 
 func TestTimerDeadline(t *testing.T) {
 	e := New()
-	tm := NewTimer(e, func() {})
+	fired := Time(-1)
+	tm := NewTimer(e, func() { fired = e.Now() })
 	e.Schedule(7, func() { tm.Reset(13) })
-	e.RunUntil(8)
-	if tm.Deadline() != 20 {
-		t.Fatalf("Deadline = %v, want 20", tm.Deadline())
+	e.Run()
+	if fired != 20 {
+		t.Fatalf("fired at %v, want 20 (13 after the Reset at 7)", fired)
 	}
 }

@@ -146,7 +146,7 @@ func (t *Tracer) Summary() map[string]CatStats {
 
 // SummaryByTrack returns per-track, per-category aggregates — the grouping a
 // merged multi-node trace is read by (tracks are "node00/serve-pagoda", ...,
-// so sorting track names groups by node). Use Tracks for the stable order.
+// so sorting track names groups by node).
 func (t *Tracer) SummaryByTrack() map[string]map[string]CatStats {
 	sum := map[string]map[string]CatStats{}
 	for _, s := range t.spans {
@@ -161,21 +161,6 @@ func (t *Tracer) SummaryByTrack() map[string]map[string]CatStats {
 		per[s.Cat] = e
 	}
 	return sum
-}
-
-// Tracks returns the recorded track names sorted lexicographically — the
-// same stable order WriteChromeJSON assigns thread lanes in.
-func (t *Tracer) Tracks() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range t.spans {
-		if !seen[s.Track] {
-			seen[s.Track] = true
-			out = append(out, s.Track)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // SpanName formats a numbered span name.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -103,7 +104,12 @@ func TestChromeJSONByteDeterministic(t *testing.T) {
 	if err := json.Unmarshal(first, &arr); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range tr.Tracks() {
+	var tracks []string
+	for track := range tr.SummaryByTrack() {
+		tracks = append(tracks, track)
+	}
+	sort.Strings(tracks)
+	for i, want := range tracks {
 		meta := arr[i]
 		if meta["ph"] != "M" || meta["args"].(map[string]any)["name"] != want || meta["tid"].(float64) != float64(i+1) {
 			t.Errorf("metadata %d = %v, want thread_name %q with tid %d", i, meta, want, i+1)

@@ -183,18 +183,6 @@ func desBlock(block uint64, ks *[16]uint64, decrypt bool) uint64 {
 	return permute(uint64(r)<<32|uint64(l), 64, desFP[:])
 }
 
-// DESEncryptBlock encrypts one 64-bit block.
-func DESEncryptBlock(block, key uint64) uint64 {
-	ks := DESKeySchedule(key)
-	return desBlock(block, &ks, false)
-}
-
-// DESDecryptBlock decrypts one 64-bit block.
-func DESDecryptBlock(block, key uint64) uint64 {
-	ks := DESKeySchedule(key)
-	return desBlock(block, &ks, true)
-}
-
 // TripleDES holds an EDE3 key schedule.
 type TripleDES struct {
 	k1, k2, k3 [16]uint64
@@ -212,23 +200,9 @@ func (t *TripleDES) EncryptBlock(b uint64) uint64 {
 	return desBlock(b, &t.k3, false)
 }
 
-// DecryptBlock inverts EncryptBlock.
-func (t *TripleDES) DecryptBlock(b uint64) uint64 {
-	b = desBlock(b, &t.k3, true)
-	b = desBlock(b, &t.k2, false)
-	return desBlock(b, &t.k1, true)
-}
-
 // EncryptPacket encrypts an 8-byte-aligned packet in ECB mode, in place.
 func (t *TripleDES) EncryptPacket(p []uint64) {
 	for i := range p {
 		p[i] = t.EncryptBlock(p[i])
-	}
-}
-
-// DecryptPacket decrypts an ECB packet in place.
-func (t *TripleDES) DecryptPacket(p []uint64) {
-	for i := range p {
-		p[i] = t.DecryptBlock(p[i])
 	}
 }

@@ -131,3 +131,32 @@ func TestNetbenchPacketDistribution(t *testing.T) {
 		t.Fatalf("packet sizes not varied: %v", sizes)
 	}
 }
+
+// The single-DES block functions and the 3DES inverse below are the
+// reference implementations the tests check encryption against.
+
+// DESEncryptBlock encrypts one 64-bit block.
+func DESEncryptBlock(block, key uint64) uint64 {
+	ks := DESKeySchedule(key)
+	return desBlock(block, &ks, false)
+}
+
+// DESDecryptBlock decrypts one 64-bit block.
+func DESDecryptBlock(block, key uint64) uint64 {
+	ks := DESKeySchedule(key)
+	return desBlock(block, &ks, true)
+}
+
+// DecryptBlock inverts EncryptBlock.
+func (t *TripleDES) DecryptBlock(b uint64) uint64 {
+	b = desBlock(b, &t.k3, true)
+	b = desBlock(b, &t.k2, false)
+	return desBlock(b, &t.k1, true)
+}
+
+// DecryptPacket decrypts an ECB packet in place.
+func (t *TripleDES) DecryptPacket(p []uint64) {
+	for i := range p {
+		p[i] = t.DecryptBlock(p[i])
+	}
+}

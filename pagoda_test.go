@@ -159,9 +159,14 @@ func TestCustomDeviceGeometry(t *testing.T) {
 	if got := sys.Device.Cfg.NumSMMs; got != 1 {
 		t.Fatalf("NumSMMs = %d", got)
 	}
-	// MasterKernel should own the whole 1-SMM device: 2 MTBs.
-	if sys.Runtime.NumMTBs() != 2 {
-		t.Fatalf("NumMTBs = %d, want 2", sys.Runtime.NumMTBs())
+	// MasterKernel should own the whole 1-SMM device: 2 MTBs of 32 warps.
+	var resident int
+	sys.Run(func(h *Host) {
+		h.Sleep(1)
+		resident = sys.Device.Metrics().ResidentWarps
+	})
+	if resident != 64 {
+		t.Fatalf("%d warps resident, want the whole SMM's 64", resident)
 	}
 	occ := gpu.TheoreticalOccupancy(sys.Device.Cfg, gpu.LaunchSpec{
 		BlockThreads: 1024, SharedPerTB: 32 * 1024, RegsPerThread: 32,
