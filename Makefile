@@ -10,19 +10,21 @@ GO ?= go
 # anything expensive starts.
 check: lint vet test bench-module race perf-quick
 
-# lint runs the project's determinism & sim-safety analyzers: the per-file
-# checks plus the interprocedural taintflow pass (call-graph taint tracking
-# from nondeterminism sources into sim-time sinks), floatorder
-# (order-unstable float accumulation) and unused (non-test functions that no
-# root reaches; roots are main and init, the root package's exported API,
-# bench/, the exported API of packages nothing imports, package-level var
-# initializers and interface-named methods — tests are not roots). Any unsuppressed finding (e.g. a
-# time.Now laundered through helper functions into Engine.Schedule) exits
-# nonzero and fails the gate; intentional exceptions are annotated in the
-# source with //pagoda:allow <check> <reason>, and a suppression that
-# suppresses nothing is itself a finding. `pagodavet -json` emits the same
-# findings machine-readably for CI annotation. lint also fails when any
-# tracked Go file is not gofmt-clean.
+# lint runs the project's determinism & sim-safety analyzers over a tree
+# type-checked once per package: the per-file checks (floatorder, for
+# order-unstable float accumulation, among them) plus two whole-module
+# passes, taintflow (call-graph taint tracking from nondeterminism sources
+# into sim-time sinks) and unused (non-test functions that no root reaches;
+# roots are main and init, the root package's exported API, bench/, the
+# exported API of packages nothing imports, package-level var initializers
+# and interface-named methods — tests are not roots). Every check runs
+# through analysis.Check, the pipeline the analyzer fixture tests run too.
+# Any unsuppressed finding (e.g. a time.Now laundered through helper
+# functions into Engine.Schedule) exits nonzero and fails the gate;
+# intentional exceptions are annotated in the source with //pagoda:allow
+# <check> <reason>, and a suppression that suppresses nothing is itself a
+# finding. `pagodavet -json` emits the same findings machine-readably for CI
+# annotation. lint also fails when any tracked Go file is not gofmt-clean.
 lint:
 	$(GO) run ./cmd/pagodavet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
@@ -88,8 +90,9 @@ bench-serve:
 bench-cluster:
 	$(GO) test -bench=BenchmarkCluster -benchtime=1x -run='^$$' ./internal/runners/
 
-# loc prints the lines of non-test Go in tracked files outside bench/: the
-# code-size headline of ROADMAP.md, which CHANGES.md entries quote as
-# before -> after. Stage new files first; untracked ones are not counted.
+# loc prints the lines of non-test Go in tracked files outside bench/ and
+# testdata/ (analyzer fixtures no program builds): the code-size headline of
+# ROADMAP.md, which CHANGES.md entries quote as before -> after. Stage new
+# files first; untracked ones are not counted.
 loc:
-	@git ls-files '*.go' | grep -v -e '^bench/' -e '_test\.go$$' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v -e '^bench/' -e '/testdata/' -e '_test\.go$$' | xargs cat | wc -l

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -94,10 +95,13 @@ func run(out, errw io.Writer, args []string) int {
 			return 2
 		}
 	}
-	schemes, err := expandSchemes(*scheme)
-	if err != nil {
-		fmt.Fprintln(errw, err)
-		return 2
+	var schemes []string // empty -scheme means every scheme
+	if strings.TrimSpace(*scheme) != "" {
+		var err error
+		if schemes, err = expandList("scheme", "scheme", runners.SchemeKeys(), false, *scheme); err != nil {
+			fmt.Fprintln(errw, err)
+			return 2
+		}
 	}
 	if *tenants < 1 {
 		fmt.Fprintf(errw, "-tenants %d: need at least one tenant class\n", *tenants)
@@ -117,7 +121,7 @@ func run(out, errw io.Writer, args []string) int {
 		Tenants: *tenants, Misbehave: *misbehave,
 		MinNodes: *minNodes, MaxNodes: *maxNodes, Autoscale: *autoPol}
 
-	ids, err := expandExpIDs(*exp)
+	ids, err := expandList("exp", "experiment", harness.Experiments(), true, *exp)
 	if err != nil {
 		fmt.Fprintln(errw, err)
 		return 2
@@ -163,68 +167,35 @@ func run(out, errw io.Writer, args []string) int {
 	return 0
 }
 
-// expandSchemes resolves the -scheme flag against the runners scheme
-// registry the same way -exp resolves experiment ids: empty means every
-// scheme, entries are trimmed/deduped, and an unknown name fails up front
-// with the valid set.
-func expandSchemes(expr string) ([]string, error) {
-	if strings.TrimSpace(expr) == "" {
-		return nil, nil
-	}
-	valid := runners.SchemeKeys()
-	known := make(map[string]bool, len(valid))
-	for _, k := range valid {
-		known[k] = true
+// expandList resolves a comma-separated list flag against its valid set,
+// cleaned up the way a shell-assembled flag needs: surrounding whitespace
+// trimmed, empty entries (trailing or doubled commas) dropped, repeats
+// deduped keeping first position. With all set, "all" names the whole set.
+// An unknown name fails up front with the valid set, before any experiment
+// burns minutes of simulation.
+func expandList(flagName, noun string, valid []string, all bool, expr string) ([]string, error) {
+	list := strings.Join(valid, ", ")
+	if all {
+		if strings.TrimSpace(expr) == "all" {
+			return valid, nil
+		}
+		list = "all, " + list
 	}
 	seen := make(map[string]bool)
-	var keys []string
+	var out []string
 	for _, k := range strings.Split(expr, ",") {
 		k = strings.TrimSpace(k)
 		if k == "" || seen[k] {
 			continue
 		}
-		if !known[k] {
-			return nil, fmt.Errorf("unknown scheme %q (valid: %s)", k, strings.Join(valid, ", "))
+		if !slices.Contains(valid, k) {
+			return nil, fmt.Errorf("unknown %s %q (valid: %s)", noun, k, list)
 		}
 		seen[k] = true
-		keys = append(keys, k)
+		out = append(out, k)
 	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("-scheme %q names no schemes (valid: %s)", expr, strings.Join(valid, ", "))
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-%s %q names no %ss (valid: %s)", flagName, expr, noun, list)
 	}
-	return keys, nil
-}
-
-// expandExpIDs resolves the -exp flag into experiment ids: "all" means every
-// experiment; otherwise the comma-separated list is cleaned up the way a
-// shell-assembled flag needs — surrounding whitespace trimmed, empty entries
-// (trailing or doubled commas) dropped, repeats deduped keeping first
-// position. Unknown ids fail up front with the valid set, before any
-// experiment burns minutes of simulation.
-func expandExpIDs(expr string) ([]string, error) {
-	valid := harness.Experiments()
-	if strings.TrimSpace(expr) == "all" {
-		return valid, nil
-	}
-	known := make(map[string]bool, len(valid))
-	for _, id := range valid {
-		known[id] = true
-	}
-	seen := make(map[string]bool)
-	var ids []string
-	for _, id := range strings.Split(expr, ",") {
-		id = strings.TrimSpace(id)
-		if id == "" || seen[id] {
-			continue
-		}
-		if !known[id] {
-			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)", id, strings.Join(valid, ", "))
-		}
-		seen[id] = true
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("-exp %q names no experiments (valid: all, %s)", expr, strings.Join(valid, ", "))
-	}
-	return ids, nil
+	return out, nil
 }

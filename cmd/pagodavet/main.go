@@ -5,9 +5,10 @@
 // interprocedural taintflow check, which traces nondeterminism sources
 // through the whole-module call graph into sim-time sinks, and the unused
 // check, which reports non-test functions no program can reach. It type-checks
-// the requested packages with the standard library's source importer — no
-// external dependencies, works offline — and exits nonzero on any
-// unsuppressed finding, which is how `make check` fails the build.
+// each requested package once (analysis.Load; the standard library through
+// its source importer — no external dependencies, works offline), runs every
+// check through analysis.Check, and exits nonzero on any unsuppressed
+// finding, which is how `make check` fails the build.
 //
 // Usage:
 //
@@ -42,7 +43,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/checks"
@@ -70,58 +70,12 @@ func run(out, errw io.Writer, args []string) int {
 		fmt.Fprintln(errw, "pagodavet:", err)
 		return 2
 	}
-	pkgs, err := analysis.Load(cwd, patterns)
+	pkgs, err := analysis.Load(cwd, "", patterns)
 	if err != nil {
 		fmt.Fprintln(errw, "pagodavet:", err)
 		return 2
 	}
-
-	var perPkg, module []*analysis.Analyzer
-	for _, a := range checks.All() {
-		if a.RunModule != nil {
-			module = append(module, a)
-		} else {
-			perPkg = append(perPkg, a)
-		}
-	}
-
-	// Suppressions are parsed once per package (so malformed directives are
-	// reported exactly once) and threaded through every partition, so that
-	// directives no analyzer consumed can be flagged as stale afterwards.
-	var kept, suppressed []analysis.Finding
-	var allSups []analysis.Suppression
-	supsByPkg := map[*analysis.Package][]analysis.Suppression{}
-	used := map[analysis.SupKey]bool{}
-	for _, pkg := range pkgs {
-		sups, malformed := analysis.PackageSuppressions(pkg)
-		supsByPkg[pkg] = sups
-		allSups = append(allSups, sups...)
-		kept = append(kept, malformed...)
-	}
-
-	for _, pkg := range pkgs {
-		for _, a := range perPkg {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.RelPath) {
-				continue
-			}
-			pass := analysis.NewPass(a, pkg)
-			a.Run(pass)
-			k, s := analysis.Partition(pass.Findings(), supsByPkg[pkg], used)
-			kept = append(kept, k...)
-			suppressed = append(suppressed, s...)
-		}
-	}
-	for _, a := range module {
-		mp := analysis.NewModulePass(a, pkgs)
-		a.RunModule(mp)
-		k, s := analysis.Partition(dedupe(mp.Findings()), allSups, used)
-		kept = append(kept, k...)
-		suppressed = append(suppressed, s...)
-	}
-	kept = append(kept, analysis.StaleFindings(allSups, used)...)
-
-	sortFindings(kept)
-	sortFindings(suppressed)
+	kept, suppressed := analysis.Check(pkgs, checks.All())
 	if *asJSON {
 		if err := emitJSON(out, cwd, kept, suppressed, *verbose); err != nil {
 			fmt.Fprintln(errw, "pagodavet:", err)
@@ -179,41 +133,6 @@ func emitJSON(out io.Writer, cwd string, kept, suppressed []analysis.Finding, ve
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rows)
-}
-
-// dedupe drops repeated (position, check, msg) findings — an interprocedural
-// analyzer can rediscover the same flow through two summary routes.
-func dedupe(fs []analysis.Finding) []analysis.Finding {
-	type key struct {
-		file  string
-		line  int
-		check string
-		msg   string
-	}
-	seen := map[key]bool{}
-	out := fs[:0]
-	for _, f := range fs {
-		k := key{f.Pos.Filename, f.Pos.Line, f.Check, f.Msg}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, f)
-	}
-	return out
-}
-
-func sortFindings(fs []analysis.Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Check < b.Check
-	})
 }
 
 // relFinding prints the finding with a cwd-relative path, the shape editors

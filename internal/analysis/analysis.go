@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -44,51 +44,23 @@ func (f Finding) String() string {
 	return s
 }
 
-// An Analyzer is one named check. Per-package analyzers set Run and are
-// invoked once per loaded package; whole-module analyzers set RunModule and
-// are invoked once over the entire load set, which is what lets them follow
-// dataflow across package boundaries. Exactly one of Run/RunModule is set.
+// An Analyzer is one named check. Check runs it once over every loaded
+// package that AppliesTo admits, which lets an interprocedural check follow
+// dataflow across package boundaries and a per-file check simply loop over
+// the packages.
 type Analyzer struct {
 	Name string
 	Doc  string
-	// AppliesTo reports whether the check runs on the package with the given
+	// AppliesTo reports whether the check covers the package with the given
 	// module-relative import path ("internal/sim", "cmd/gpuinfo", "" for the
-	// module root). Fixture tests bypass this and call Run directly. Module
-	// analyzers leave it nil and scope themselves internally.
+	// module root). Nil admits every package; fixture tests clear it.
 	AppliesTo func(relPath string) bool
 	Run       func(*Pass)
-	RunModule func(*ModulePass)
 }
 
-// A Pass carries one type-checked package through one analyzer.
+// A Pass carries the admitted packages through one analyzer. All packages
+// share one FileSet (Load guarantees this).
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Src      map[string][]byte // filename -> source, for suppression placement
-	Pkg      *types.Package
-	Info     *types.Info
-	RelPath  string // module-relative import path
-
-	findings []Finding
-}
-
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.findings = append(p.findings, Finding{
-		Pos:   p.Fset.Position(pos),
-		Check: p.Analyzer.Name,
-		Msg:   fmt.Sprintf(format, args...),
-	})
-}
-
-// Findings returns everything reported so far, suppressions not yet applied.
-func (p *Pass) Findings() []Finding { return p.findings }
-
-// A ModulePass carries every loaded package through one whole-module
-// analyzer. Module analyzers see the full load set at once, so they can
-// resolve call edges that cross package boundaries.
-type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkgs     []*Package
@@ -96,19 +68,9 @@ type ModulePass struct {
 	findings []Finding
 }
 
-// NewModulePass binds a module analyzer to the full load set. All packages
-// share one FileSet (Load guarantees this).
-func NewModulePass(a *Analyzer, pkgs []*Package) *ModulePass {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	return &ModulePass{Analyzer: a, Fset: fset, Pkgs: pkgs}
-}
-
-// ReportPath records a finding at pos carrying the source→sink chain that
-// produced it.
-func (p *ModulePass) ReportPath(pos token.Pos, path []string, format string, args ...any) {
+// Reportf records a finding at pos. path, when non-nil, is the
+// interprocedural chain that produced it; per-file checks pass nil.
+func (p *Pass) Reportf(pos token.Pos, path []string, format string, args ...any) {
 	p.findings = append(p.findings, Finding{
 		Pos:   p.Fset.Position(pos),
 		Check: p.Analyzer.Name,
@@ -117,30 +79,96 @@ func (p *ModulePass) ReportPath(pos token.Pos, path []string, format string, arg
 	})
 }
 
-// Findings returns everything reported so far, suppressions not yet applied.
-func (p *ModulePass) Findings() []Finding { return p.findings }
+// Check runs every analyzer once over pkgs and applies the //pagoda:allow
+// directives: it parses them once per package (a malformed one is a kept
+// "pagoda" finding), drops repeated findings (an interprocedural analyzer can
+// rediscover one flow through two summary routes), partitions the rest into
+// kept and suppressed, and appends every directive that suppressed nothing as
+// a kept "suppression" finding. Both lists come back sorted by file, line,
+// check and message.
+func Check(pkgs []*Package, analyzers []*Analyzer) (kept, suppressed []Finding) {
+	var sups []suppression
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			name := pkg.Fset.Position(f.Pos()).Filename
+			sups = append(sups, parseSuppressions(pkg.Fset, f, pkg.Src[name], func(f Finding) {
+				kept = append(kept, f)
+			})...)
+		}
+	}
+	var found []Finding
+	for _, a := range analyzers {
+		pass := &Pass{Analyzer: a}
+		for _, pkg := range pkgs {
+			if a.AppliesTo == nil || a.AppliesTo(pkg.RelPath) {
+				pass.Fset = pkg.Fset
+				pass.Pkgs = append(pass.Pkgs, pkg)
+			}
+		}
+		a.Run(pass)
+		found = append(found, pass.findings...)
+	}
+
+	allowed := map[supKey]bool{}
+	for _, s := range sups {
+		allowed[s.supKey] = true
+	}
+	type dupKey struct {
+		supKey
+		msg string
+	}
+	used := map[supKey]bool{}
+	seen := map[dupKey]bool{}
+	for _, f := range found {
+		k := supKey{f.Pos.Filename, f.Pos.Line, f.Check}
+		if seen[dupKey{k, f.Msg}] {
+			continue
+		}
+		seen[dupKey{k, f.Msg}] = true
+		if allowed[k] {
+			suppressed = append(suppressed, f)
+			used[k] = true
+		} else {
+			kept = append(kept, f)
+		}
+	}
+	kept = append(kept, staleFindings(sups, used)...)
+	sortFindings(kept)
+	sortFindings(suppressed)
+	return kept, suppressed
+}
+
+func sortFindings(fs []Finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Msg < b.Msg
+	})
+}
 
 // allowPrefix introduces a suppression comment. The directive form (no space
 // after //) matches Go convention for machine-readable comments.
 const allowPrefix = "pagoda:allow"
 
-// A Suppression is one parsed //pagoda:allow directive.
-type Suppression struct {
-	File   string
-	Line   int // line the directive covers (its own, or the next for a standalone comment)
-	Check  string
-	Reason string
-	Pos    token.Position // where the directive itself sits, for stale reporting
+// A suppression is one parsed //pagoda:allow directive.
+type suppression struct {
+	supKey                // the coordinates it covers: its own line, or the next for a standalone comment
+	pos    token.Position // where the directive itself sits, for stale reporting
 }
 
-// Key identifies the finding coordinates a suppression covers.
-func (s Suppression) Key() SupKey { return SupKey{s.File, s.Line, s.Check} }
-
-// A SupKey is the (file, line, check) coordinate a suppression binds to.
-type SupKey struct {
-	File  string
-	Line  int
-	Check string
+// A supKey is the (file, line, check) coordinate a suppression binds to.
+type supKey struct {
+	file  string
+	line  int
+	check string
 }
 
 // parseSuppressions extracts every //pagoda:allow directive from a file. A
@@ -148,8 +176,8 @@ type SupKey struct {
 // comment covers the line below it. Malformed directives (missing check or
 // reason) are reported as findings under the "pagoda" pseudo-check so they
 // fail the build instead of silently suppressing nothing.
-func parseSuppressions(fset *token.FileSet, f *ast.File, src []byte, report func(Finding)) []Suppression {
-	var out []Suppression
+func parseSuppressions(fset *token.FileSet, f *ast.File, src []byte, report func(Finding)) []suppression {
+	var out []suppression
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
@@ -160,8 +188,7 @@ func parseSuppressions(fset *token.FileSet, f *ast.File, src []byte, report func
 			pos := fset.Position(c.Slash)
 			rest := strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
 			check, reason, _ := strings.Cut(rest, " ")
-			reason = strings.TrimSpace(reason)
-			if check == "" || reason == "" {
+			if check == "" || strings.TrimSpace(reason) == "" {
 				report(Finding{Pos: pos, Check: "pagoda",
 					Msg: "malformed suppression: want //pagoda:allow <check> <reason>"})
 				continue
@@ -170,68 +197,30 @@ func parseSuppressions(fset *token.FileSet, f *ast.File, src []byte, report func
 			if standaloneComment(src, pos) {
 				line++ // whole-line comment suppresses the line below
 			}
-			out = append(out, Suppression{File: pos.Filename, Line: line, Check: check, Reason: reason, Pos: pos})
+			out = append(out, suppression{supKey{pos.Filename, line, check}, pos})
 		}
 	}
 	return out
 }
 
-// PackageSuppressions parses every //pagoda:allow directive in pkg once,
-// returning the well-formed directives and the malformed ones as "pagoda"
-// findings. Drivers call this once per package (not once per analyzer) so a
-// malformed directive is reported exactly once.
-func PackageSuppressions(pkg *Package) (sups []Suppression, malformed []Finding) {
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		sups = append(sups, parseSuppressions(pkg.Fset, f, pkg.Src[name], func(f Finding) {
-			malformed = append(malformed, f)
-		})...)
-	}
-	return sups, malformed
-}
-
-// Partition splits findings into kept and suppressed according to sups,
-// recording every suppression that actually fired in used (keyed by
-// Suppression.Key). Drivers thread one used map through every partition so
-// stale directives — suppressions that fired for no analyzer — can be
-// reported afterwards via StaleFindings.
-func Partition(findings []Finding, sups []Suppression, used map[SupKey]bool) (kept, suppressed []Finding) {
-	allowed := map[SupKey]bool{}
-	for _, s := range sups {
-		allowed[s.Key()] = true
-	}
-	for _, f := range findings {
-		k := SupKey{f.Pos.Filename, f.Pos.Line, f.Check}
-		if allowed[k] {
-			suppressed = append(suppressed, f)
-			if used != nil {
-				used[k] = true
-			}
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	return kept, suppressed
-}
-
-// StaleFindings reports every suppression that fired for no finding as a
+// staleFindings reports every suppression that fired for no finding as a
 // finding of its own, under the "suppression" pseudo-check. A //pagoda:allow
 // that suppresses nothing is rot: either the offending code moved (so the
 // directive now covers the wrong line) or the exception no longer exists (so
 // the annotation is dead weight that would silently swallow a future real
 // finding on that line). Stale findings are not themselves suppressible.
-func StaleFindings(sups []Suppression, used map[SupKey]bool) []Finding {
+func staleFindings(sups []suppression, used map[supKey]bool) []Finding {
 	var out []Finding
 	for _, s := range sups {
-		if used[s.Key()] {
+		if used[s.supKey] {
 			continue
 		}
 		// The position prefix already names the directive's file; repeat only
 		// the base name for the covered line (which differs for a standalone
 		// comment: the line below the directive).
-		out = append(out, Finding{Pos: s.Pos, Check: "suppression",
+		out = append(out, Finding{Pos: s.pos, Check: "suppression",
 			Msg: fmt.Sprintf("stale //pagoda:allow %s: no %s finding on %s:%d; remove the directive or move it back onto the offending line",
-				s.Check, s.Check, filepath.Base(s.File), s.Line)})
+				s.check, s.check, filepath.Base(s.file), s.line)})
 	}
 	return out
 }
@@ -239,53 +228,10 @@ func StaleFindings(sups []Suppression, used map[SupKey]bool) []Finding {
 // standaloneComment reports whether only whitespace precedes the comment on
 // its line, i.e. it is not a trailing comment after code.
 func standaloneComment(src []byte, pos token.Position) bool {
-	if src == nil {
-		return false
-	}
 	for i := pos.Offset - pos.Column + 1; i < pos.Offset && i < len(src); i++ {
 		if src[i] != ' ' && src[i] != '\t' {
 			return false
 		}
 	}
 	return true
-}
-
-// ApplySuppressions partitions findings into kept and suppressed according to
-// the //pagoda:allow directives in the pass's files. Malformed directives are
-// appended to kept as "pagoda" findings. This is the single-pass convenience
-// used by fixture tests; cmd/pagodavet parses suppressions once per package
-// with PackageSuppressions and partitions with Partition so it can also
-// report stale directives.
-func ApplySuppressions(p *Pass, findings []Finding) (kept, suppressed []Finding) {
-	var sups []Suppression
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		sups = append(sups, parseSuppressions(p.Fset, f, p.Src[name], func(f Finding) {
-			kept = append(kept, f)
-		})...)
-	}
-	k, suppressed := Partition(findings, sups, nil)
-	kept = append(kept, k...)
-	return kept, suppressed
-}
-
-// TypeOf is a nil-tolerant shorthand for Pass.Info.TypeOf.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Info == nil {
-		return nil
-	}
-	return p.Info.TypeOf(e)
-}
-
-// UsedPackage resolves an identifier to the package it names (via an import),
-// or nil if it does not name one. Used to detect selector expressions like
-// time.Now without being fooled by local variables named "time".
-func (p *Pass) UsedPackage(id *ast.Ident) *types.Package {
-	if p.Info == nil {
-		return nil
-	}
-	if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
-		return pn.Imported()
-	}
-	return nil
 }

@@ -1,59 +1,62 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"strings"
 	"testing"
 )
 
-// parseOne parses src as a single-file pass for suppression tests.
-func parseOne(t *testing.T, src string) *Pass {
+// checkDemo loads src as the only file of a scratch package and runs
+// analysis.Check with a "demo" analyzer that reports one finding at the start
+// of each given line.
+func checkDemo(t *testing.T, src string, lines ...int) (kept, suppressed []Finding) {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fix.go", src, parser.ParseComments)
+	pkgs, err := Load(scratchModule(t, map[string]string{"p/fix.go": src}), "", []string{"./p"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Pass{
-		Analyzer: &Analyzer{Name: "demo"},
-		Fset:     fset,
-		Files:    []*ast.File{f},
-		Src:      map[string][]byte{"fix.go": []byte(src)},
-	}
+	demo := &Analyzer{Name: "demo", Run: func(pass *Pass) {
+		tf := pass.Fset.File(pass.Pkgs[0].Files[0].Pos())
+		for _, l := range lines {
+			pass.Reportf(tf.LineStart(l), nil, "m")
+		}
+	}}
+	return Check(pkgs, []*Analyzer{demo})
 }
 
-func findingAt(line int, check string) Finding {
-	return Finding{Pos: token.Position{Filename: "fix.go", Line: line}, Check: check, Msg: "m"}
+// checks lists the check names of fs, in order.
+func checks(fs []Finding) []string {
+	var out []string
+	for _, f := range fs {
+		out = append(out, f.Check)
+	}
+	return out
 }
 
 func TestTrailingSuppressionCoversItsOwnLine(t *testing.T) {
-	p := parseOne(t, "package p\n\nvar x = 1 //pagoda:allow demo trailing form\n")
-	kept, sup := ApplySuppressions(p, []Finding{findingAt(3, "demo")})
+	kept, sup := checkDemo(t, "package p\n\nvar x = 1 //pagoda:allow demo trailing form\n", 3)
 	if len(kept) != 0 || len(sup) != 1 {
 		t.Fatalf("kept=%v suppressed=%v, want 0 kept / 1 suppressed", kept, sup)
 	}
 }
 
 func TestStandaloneSuppressionCoversNextLine(t *testing.T) {
-	p := parseOne(t, "package p\n\n//pagoda:allow demo standalone form\nvar x = 1\n")
-	kept, sup := ApplySuppressions(p, []Finding{findingAt(4, "demo")})
+	const src = "package p\n\n//pagoda:allow demo standalone form\nvar x = 1\n"
+	kept, sup := checkDemo(t, src, 4)
 	if len(kept) != 0 || len(sup) != 1 {
 		t.Fatalf("kept=%v suppressed=%v, want 0 kept / 1 suppressed", kept, sup)
 	}
-	// ... and not its own line.
-	kept, sup = ApplySuppressions(p, []Finding{findingAt(3, "demo")})
-	if len(kept) != 1 || len(sup) != 0 {
-		t.Fatalf("kept=%v suppressed=%v, want 1 kept / 0 suppressed", kept, sup)
+	// ... and not its own line, which leaves the directive stale.
+	kept, sup = checkDemo(t, src, 3)
+	if got := checks(kept); len(got) != 2 || got[0] != "demo" || got[1] != "suppression" || len(sup) != 0 {
+		t.Fatalf("kept=%v suppressed=%v, want the demo finding and a stale directive kept", kept, sup)
 	}
 }
 
 func TestSuppressionIsCheckSpecific(t *testing.T) {
-	p := parseOne(t, "package p\n\nvar x = 1 //pagoda:allow other justified elsewhere\n")
-	kept, sup := ApplySuppressions(p, []Finding{findingAt(3, "demo")})
-	if len(kept) != 1 || len(sup) != 0 {
-		t.Fatalf("kept=%v suppressed=%v, want 1 kept / 0 suppressed", kept, sup)
+	kept, sup := checkDemo(t, "package p\n\nvar x = 1 //pagoda:allow other justified elsewhere\n", 3)
+	if got := checks(kept); len(got) != 2 || got[0] != "demo" || got[1] != "suppression" || len(sup) != 0 {
+		t.Fatalf("kept=%v suppressed=%v, want the demo finding and a stale directive kept", kept, sup)
 	}
 }
 
@@ -62,8 +65,7 @@ func TestMalformedSuppressionIsItselfAFinding(t *testing.T) {
 		"package p\n\nvar x = 1 //pagoda:allow\n",      // no check, no reason
 		"package p\n\nvar x = 1 //pagoda:allow demo\n", // no reason
 	} {
-		p := parseOne(t, src)
-		kept, _ := ApplySuppressions(p, nil)
+		kept, _ := checkDemo(t, src)
 		if len(kept) != 1 || kept[0].Check != "pagoda" ||
 			!strings.Contains(kept[0].Msg, "malformed suppression") {
 			t.Errorf("src %q: kept = %v, want one [pagoda] malformed-suppression finding", src, kept)
@@ -82,7 +84,7 @@ func TestFindingString(t *testing.T) {
 // directory: module discovery, parsing, and type checking with the source
 // importer, all offline.
 func TestLoadSelf(t *testing.T) {
-	pkgs, err := Load(".", []string{"."})
+	pkgs, err := Load(".", "", []string{"."})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,12 @@ import (
 // stable cross-package function identity (FuncID), static callee resolution
 // (CalleeOf), and a call graph over every function declared in the load set.
 //
-// Identity matters more than it looks: each package in the load set is
-// type-checked independently with the source importer, so the *types.Func
-// for repro/internal/sim.(*Engine).Schedule seen from internal/harness is a
-// DIFFERENT object than the one produced by type-checking internal/sim
-// itself. Object pointers therefore cannot key cross-package maps; FuncID
-// strings can.
+// Load type-checks each package once and hands that package to every
+// importer inside the matched set, so within it a *types.Func is one object.
+// Callees outside the set do not share that identity: the standard library,
+// and module packages a narrower pattern left to the source importer, are
+// checked apart from the set. FuncID strings name a function the same way
+// from every side, so they key cross-package maps.
 
 // A FuncID names a function or method unambiguously across the module:
 // "pkgpath.Name" for package-level functions, "pkgpath.Recv.Name" for
@@ -48,7 +48,7 @@ func IDOf(fn *types.Func) FuncID {
 // builtins resolve to nil — interprocedural checks treat those
 // conservatively at the call site.
 func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
 			return f
@@ -59,17 +59,6 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// unparen strips any number of enclosing parentheses.
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // A FuncDeclInfo is one function declaration in the load set, bundled with

@@ -2,37 +2,18 @@ package analysis
 
 import (
 	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
 	"testing"
 )
 
-// checkSnippet type-checks one in-memory file as package path "snip" and
-// returns it in Package form.
+// checkSnippet loads one file as the root package of a module named "snip".
 func checkSnippet(t *testing.T, src string) *Package {
 	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "snip.go", src, parser.ParseComments)
+	pkgs, err := Load(scratchModule(t, map[string]string{"snip.go": src}), "snip", []string{"."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Defs:  map[*ast.Ident]types.Object{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check("snip", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Package{
-		Path: "snip", RelPath: "snip", Fset: fset,
-		Files: []*ast.File{f}, Src: map[string][]byte{"snip.go": []byte(src)},
-		Types: tpkg, Info: info,
-	}
+	return pkgs[0]
 }
 
 const cgSrc = `package snip

@@ -10,10 +10,10 @@ import (
 	"repro/internal/analysis"
 )
 
-// All lists every analyzer in the order pagodavet runs them. Per-package
-// analyzers (Run set) execute once per loaded package; the interprocedural
-// ones (RunModule set: taintflow and unused) execute once over the whole
-// load set, after the per-package sweep.
+// All lists every analyzer in the order pagodavet runs them. Each runs once
+// over the packages its AppliesTo admits: the per-file checks loop over them,
+// and the interprocedural ones (taintflow and unused, AppliesTo nil) see the
+// whole load set.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Wallclock,

@@ -1,6 +1,7 @@
 package checks_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/analysis"
@@ -22,45 +23,41 @@ func TestGoroutine(t *testing.T)  { analysistest.Run(t, checks.Goroutine, "testd
 
 // TestTaintflow runs the interprocedural check over a multi-package fixture
 // module: sources live one function and one package away from every sink.
-func TestTaintflow(t *testing.T) { analysistest.RunModule(t, checks.Taintflow, "testdata/taintflow") }
+func TestTaintflow(t *testing.T) { analysistest.Run(t, checks.Taintflow, "testdata/taintflow") }
 
 // TestUnused runs the reachability check over a fixture module with one
 // package per root kind: the root package's API, main and init, an
 // un-imported package's API, bench/, package-level tables, interface
 // methods and implicit ones. Unreferenced functions and methods, and those
-// only a _test.go file uses, are reported; a suppression holds one back and
+// only a _test.go file uses (the loader skips tests), are reported; a suppression holds one back and
 // an allow that suppresses nothing is stale.
-func TestUnused(t *testing.T) { analysistest.RunModule(t, checks.Unused, "testdata/unused") }
+func TestUnused(t *testing.T) { analysistest.Run(t, checks.Unused, "testdata/unused") }
 
-// TestTaintflowBeyondSyntacticChecks pins the tentpole claim: the per-file
-// analyzers find NOTHING in the taintflow fixture's sink package (no banned
-// call appears in that file), while the interprocedural check reports every
-// multi-hop flow with a source→sink path at least three steps long.
+// TestTaintflowBeyondSyntacticChecks pins the tentpole claim: run through
+// analysis.Check over the whole fixture module, the per-file analyzers find
+// NOTHING in the taintflow fixture's sink package (no banned call appears in
+// that file), while the interprocedural check reports every multi-hop flow
+// with a source→sink path at least three steps long.
 func TestTaintflowBeyondSyntacticChecks(t *testing.T) {
-	pkgs, err := analysistest.LoadFixtureModule("testdata/taintflow")
+	pkgs, err := analysis.Load("testdata/taintflow", "fixture", []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var root *analysis.Package
-	for _, p := range pkgs {
-		if p.Path == "fixture" {
-			root = p
+	var as []*analysis.Analyzer
+	for _, a := range []*analysis.Analyzer{checks.Wallclock, checks.Randsource, checks.Maprange, checks.Taintflow} {
+		all := *a
+		all.AppliesTo = nil
+		as = append(as, &all)
+	}
+	kept, suppressed := analysis.Check(pkgs, as)
+	var findings []analysis.Finding
+	for _, f := range append(kept, suppressed...) {
+		if f.Check == "taintflow" {
+			findings = append(findings, f)
+		} else if filepath.Base(f.Pos.Filename) == "taint.go" {
+			t.Errorf("syntactic check %s unexpectedly catches the sink package: %v", f.Check, f)
 		}
 	}
-	if root == nil {
-		t.Fatal("fixture root package not loaded")
-	}
-	for _, a := range []*analysis.Analyzer{checks.Wallclock, checks.Randsource, checks.Maprange} {
-		pass := analysis.NewPass(a, root)
-		a.Run(pass)
-		if fs := pass.Findings(); len(fs) != 0 {
-			t.Errorf("syntactic check %s unexpectedly catches the sink package: %v", a.Name, fs)
-		}
-	}
-
-	mp := analysis.NewModulePass(checks.Taintflow, pkgs)
-	checks.Taintflow.RunModule(mp)
-	findings := mp.Findings()
 	if len(findings) < 5 {
 		t.Fatalf("taintflow reported %d findings on the fixture module, want >= 5:\n%v",
 			len(findings), findings)
@@ -130,21 +127,12 @@ func TestScopes(t *testing.T) {
 }
 
 // TestAllRegistered guards the registry against an analyzer being written but
-// never wired into the driver. Per-package analyzers carry Run + AppliesTo;
-// module analyzers carry RunModule; nothing carries both or neither.
+// never wired into the driver: every analyzer has a name, a doc and a Run.
 func TestAllRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range checks.All() {
-		if a.Name == "" || a.Doc == "" {
-			t.Errorf("analyzer %q missing name or doc", a.Name)
-		}
-		switch {
-		case a.Run != nil && a.RunModule != nil:
-			t.Errorf("analyzer %q sets both Run and RunModule", a.Name)
-		case a.Run == nil && a.RunModule == nil:
-			t.Errorf("analyzer %q sets neither Run nor RunModule", a.Name)
-		case a.Run != nil && a.AppliesTo == nil:
-			t.Errorf("per-package analyzer %q missing AppliesTo", a.Name)
+		if a.Name == "" || a.Doc == "" || a.Run == nil {
+			t.Errorf("analyzer %q missing name, doc or Run", a.Name)
 		}
 		if names[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)

@@ -40,27 +40,29 @@ var Floatorder = &analysis.Analyzer{
 		return inSimScope(relPath)
 	},
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.RangeStmt:
-					t := pass.TypeOf(n.X)
-					if t == nil {
-						return true
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.RangeStmt:
+						t := pkg.TypeOf(n.X)
+						if t == nil {
+							return true
+						}
+						switch t.Underlying().(type) {
+						case *types.Map:
+							reportFloatAccum(pass, pkg, n.Body, "range over map iterates in randomized order")
+						case *types.Chan:
+							reportFloatAccum(pass, pkg, n.Body, "range over channel folds in arrival order")
+						}
+					case *ast.GoStmt:
+						if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+							reportCapturedFloatAccum(pass, pkg, lit)
+						}
 					}
-					switch t.Underlying().(type) {
-					case *types.Map:
-						reportFloatAccum(pass, n.Body, "range over map iterates in randomized order")
-					case *types.Chan:
-						reportFloatAccum(pass, n.Body, "range over channel folds in arrival order")
-					}
-				case *ast.GoStmt:
-					if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-						reportCapturedFloatAccum(pass, lit)
-					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	},
 }
@@ -68,12 +70,12 @@ var Floatorder = &analysis.Analyzer{
 // floatAccumTarget returns the accumulated-into identifier if stmt is a
 // floating-point accumulation (x op= y, or x = x op ... mentioning x on the
 // right), else nil.
-func floatAccumTarget(pass *analysis.Pass, stmt *ast.AssignStmt) *ast.Ident {
+func floatAccumTarget(pkg *analysis.Package, stmt *ast.AssignStmt) *ast.Ident {
 	if len(stmt.Lhs) != 1 {
 		return nil
 	}
 	id, ok := stmt.Lhs[0].(*ast.Ident)
-	if !ok || !isFloat(pass.TypeOf(id)) {
+	if !ok || !isFloat(pkg.TypeOf(id)) {
 		return nil
 	}
 	switch stmt.Tok {
@@ -81,13 +83,13 @@ func floatAccumTarget(pass *analysis.Pass, stmt *ast.AssignStmt) *ast.Ident {
 		return id
 	case token.ASSIGN:
 		// x = x + ...: the target appears inside the RHS expression.
-		obj := pass.Info.Uses[id]
+		obj := pkg.Info.Uses[id]
 		if obj == nil {
 			return nil
 		}
 		found := false
 		ast.Inspect(stmt.Rhs[0], func(n ast.Node) bool {
-			if r, ok := n.(*ast.Ident); ok && pass.Info.Uses[r] == obj {
+			if r, ok := n.(*ast.Ident); ok && pkg.Info.Uses[r] == obj {
 				found = true
 			}
 			return !found
@@ -110,14 +112,14 @@ func isFloat(t types.Type) bool {
 // reportFloatAccum flags every float accumulation directly inside body
 // (nested range statements run their own check, so their bodies are skipped
 // to avoid double reports).
-func reportFloatAccum(pass *analysis.Pass, body *ast.BlockStmt, why string) {
+func reportFloatAccum(pass *analysis.Pass, pkg *analysis.Package, body *ast.BlockStmt, why string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
 			return false
 		case *ast.AssignStmt:
-			if id := floatAccumTarget(pass, n); id != nil {
-				pass.Reportf(n.Pos(),
+			if id := floatAccumTarget(pkg, n); id != nil {
+				pass.Reportf(n.Pos(), nil,
 					"float accumulation into %s under unordered iteration (%s); (a+b)+c != a+(b+c) in float64 — accumulate per key/worker and fold in sorted order",
 					id.Name, why)
 			}
@@ -129,21 +131,21 @@ func reportFloatAccum(pass *analysis.Pass, body *ast.BlockStmt, why string) {
 // reportCapturedFloatAccum flags float accumulation inside a goroutine body
 // when the target is declared outside the function literal — a shared
 // partial-sum merged in scheduler order.
-func reportCapturedFloatAccum(pass *analysis.Pass, lit *ast.FuncLit) {
+func reportCapturedFloatAccum(pass *analysis.Pass, pkg *analysis.Package, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
 		}
-		id := floatAccumTarget(pass, assign)
+		id := floatAccumTarget(pkg, assign)
 		if id == nil {
 			return true
 		}
-		obj := pass.Info.Uses[id]
+		obj := pkg.Info.Uses[id]
 		if obj == nil || (obj.Pos() >= lit.Pos() && obj.Pos() <= lit.End()) {
 			return true // declared inside the goroutine: private accumulator
 		}
-		pass.Reportf(assign.Pos(),
+		pass.Reportf(assign.Pos(), nil,
 			"float accumulation into captured %s inside a goroutine; partial sums merge in scheduler order — give each worker its own slot and fold deterministically",
 			id.Name)
 		return true

@@ -24,24 +24,26 @@ var Goroutine = &analysis.Analyzer{
 		return relPath != "internal/sim" && !strings.HasPrefix(relPath, "internal/sim/")
 	},
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			var stack []ast.Node
-			ast.Inspect(f, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				var stack []ast.Node
+				ast.Inspect(f, func(n ast.Node) bool {
+					if n == nil {
+						stack = stack[:len(stack)-1]
+						return true
+					}
+					stack = append(stack, n)
+					g, ok := n.(*ast.GoStmt)
+					if !ok {
+						return true
+					}
+					if fn := enclosingFunc(stack[:len(stack)-1]); fn == nil || !joinsWaitGroup(pkg, fn) {
+						pass.Reportf(g.Pos(), nil,
+							"goroutine is never joined in this function; pool spawns must sync.WaitGroup.Wait before returning (or justify with //pagoda:allow goroutine)")
+					}
 					return true
-				}
-				stack = append(stack, n)
-				g, ok := n.(*ast.GoStmt)
-				if !ok {
-					return true
-				}
-				if fn := enclosingFunc(stack[:len(stack)-1]); fn == nil || !joinsWaitGroup(pass, fn) {
-					pass.Reportf(g.Pos(),
-						"goroutine is never joined in this function; pool spawns must sync.WaitGroup.Wait before returning (or justify with //pagoda:allow goroutine)")
-				}
-				return true
-			})
+				})
+			}
 		}
 	},
 }
@@ -62,7 +64,7 @@ func enclosingFunc(path []ast.Node) *ast.BlockStmt {
 
 // joinsWaitGroup reports whether body contains a call to Wait on a
 // sync.WaitGroup (by value or pointer), anywhere in its subtree.
-func joinsWaitGroup(pass *analysis.Pass, body *ast.BlockStmt) bool {
+func joinsWaitGroup(pkg *analysis.Package, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -76,7 +78,7 @@ func joinsWaitGroup(pass *analysis.Pass, body *ast.BlockStmt) bool {
 		if !ok || sel.Sel.Name != "Wait" {
 			return true
 		}
-		if isWaitGroup(pass.TypeOf(sel.X)) {
+		if isWaitGroup(pkg.TypeOf(sel.X)) {
 			found = true
 			return false
 		}

@@ -26,26 +26,28 @@ var Maprange = &analysis.Analyzer{
 	Doc:       "forbid order-dependent bodies under range-over-map in simulation code",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					rs, ok := n.(*ast.RangeStmt)
+					if !ok {
+						return true
+					}
+					t := pkg.TypeOf(rs.X)
+					if t == nil {
+						return true
+					}
+					if _, isMap := t.Underlying().(*types.Map); !isMap {
+						return true
+					}
+					if sink := orderDependentSink(rs.Body); sink != "" {
+						pass.Reportf(rs.Pos(), nil,
+							"range over map with order-dependent body (%s): map iteration order is randomized; iterate a sorted slice of keys instead",
+							sink)
+					}
 					return true
-				}
-				t := pass.TypeOf(rs.X)
-				if t == nil {
-					return true
-				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				if sink := orderDependentSink(rs.Body); sink != "" {
-					pass.Reportf(rs.Pos(),
-						"range over map with order-dependent body (%s): map iteration order is randomized; iterate a sorted slice of keys instead",
-						sink)
-				}
-				return true
-			})
+				})
+			}
 		}
 	},
 }

@@ -24,15 +24,17 @@ var Randsource = &analysis.Analyzer{
 	Doc:       "forbid math/rand and crypto/rand in simulation code; draw from the seeded prng.Xorshift",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			for _, imp := range f.Imports {
-				path, err := strconv.Unquote(imp.Path.Value)
-				if err != nil || !randsourceBanned[path] {
-					continue
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				for _, imp := range f.Imports {
+					path, err := strconv.Unquote(imp.Path.Value)
+					if err != nil || !randsourceBanned[path] {
+						continue
+					}
+					pass.Reportf(imp.Pos(), nil,
+						"import of %s in simulation code; draw from an explicitly seeded prng.Xorshift (internal/prng)",
+						path)
 				}
-				pass.Reportf(imp.Pos(),
-					"import of %s in simulation code; draw from an explicitly seeded prng.Xorshift (internal/prng)",
-					path)
 			}
 		}
 	},

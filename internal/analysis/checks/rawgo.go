@@ -20,14 +20,16 @@ var Rawgo = &analysis.Analyzer{
 		return relPath != "internal/sim" && !strings.HasPrefix(relPath, "internal/sim/")
 	},
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(),
-						"go statement outside internal/sim races the engine's execution baton; express concurrency as a sim process (Engine.Spawn)")
-				}
-				return true
-			})
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						pass.Reportf(g.Pos(), nil,
+							"go statement outside internal/sim races the engine's execution baton; express concurrency as a sim process (Engine.Spawn)")
+					}
+					return true
+				})
+			}
 		}
 	},
 }

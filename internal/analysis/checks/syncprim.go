@@ -34,37 +34,39 @@ var Syncprim = &analysis.Analyzer{
 			relPath != "internal/sim" && !strings.HasPrefix(relPath, "internal/sim/")
 	},
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					id, ok := n.X.(*ast.Ident)
-					if !ok {
-						return true
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						id, ok := n.X.(*ast.Ident)
+						if !ok {
+							return true
+						}
+						if pkg := pkg.UsedPackage(id); pkg != nil && pkg.Path() == "sync" && syncprimBanned[n.Sel.Name] {
+							pass.Reportf(n.Pos(), nil,
+								"sync.%s blocks in OS-scheduler order; proc code must use the engine's primitives (sim.Sem / sim.Signal / sim.Timer)",
+								n.Sel.Name)
+						}
+					case *ast.SendStmt:
+						pass.Reportf(n.Pos(), nil,
+							"raw channel send bypasses the event loop; signal procs with sim.Signal or sim.Sem")
+					case *ast.UnaryExpr:
+						if n.Op == token.ARROW {
+							pass.Reportf(n.Pos(), nil,
+								"raw channel receive blocks outside virtual time; wait on sim.Signal / sim.Sem instead")
+						}
+					case *ast.ChanType:
+						pass.Reportf(n.Pos(), nil,
+							"channel type in proc code; hand data over under the baton and signal with sim primitives")
+						return false // the banned node is the chan type itself; don't descend
+					case *ast.SelectStmt:
+						pass.Reportf(n.Pos(), nil,
+							"select races its cases in runtime order; model alternatives with sim events or sim.Signal")
 					}
-					if pkg := pass.UsedPackage(id); pkg != nil && pkg.Path() == "sync" && syncprimBanned[n.Sel.Name] {
-						pass.Reportf(n.Pos(),
-							"sync.%s blocks in OS-scheduler order; proc code must use the engine's primitives (sim.Sem / sim.Signal / sim.Timer)",
-							n.Sel.Name)
-					}
-				case *ast.SendStmt:
-					pass.Reportf(n.Pos(),
-						"raw channel send bypasses the event loop; signal procs with sim.Signal or sim.Sem")
-				case *ast.UnaryExpr:
-					if n.Op == token.ARROW {
-						pass.Reportf(n.Pos(),
-							"raw channel receive blocks outside virtual time; wait on sim.Signal / sim.Sem instead")
-					}
-				case *ast.ChanType:
-					pass.Reportf(n.Pos(),
-						"channel type in proc code; hand data over under the baton and signal with sim primitives")
-					return false // the banned node is the chan type itself; don't descend
-				case *ast.SelectStmt:
-					pass.Reportf(n.Pos(),
-						"select races its cases in runtime order; model alternatives with sim events or sim.Signal")
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 	},
 }

@@ -48,9 +48,9 @@ import (
 var Taintflow = &analysis.Analyzer{
 	Name: "taintflow",
 	Doc:  "trace nondeterminism sources through the call graph into sim-time sinks (Engine.Schedule, Timer.Reset, Proc.Sleep)",
-	RunModule: func(mp *analysis.ModulePass) {
+	Run: func(pass *analysis.Pass) {
 		st := &tfState{
-			graph: analysis.BuildCallGraph(mp.Pkgs),
+			graph: analysis.BuildCallGraph(pass.Pkgs),
 			sums:  map[analysis.FuncID]*tfSummary{},
 		}
 		for _, id := range st.graph.Order {
@@ -73,7 +73,7 @@ var Taintflow = &analysis.Analyzer{
 		}
 		// Reporting pass over stable summaries.
 		for _, id := range st.graph.Order {
-			st.analyzeFunc(st.graph.Decls[id], mp)
+			st.analyzeFunc(st.graph.Decls[id], pass)
 		}
 	},
 }
@@ -181,10 +181,10 @@ func shortID(id analysis.FuncID) string {
 }
 
 // analyzeFunc runs the intra-procedural dataflow for one declared function.
-// With mp == nil it only grows the function's summary and reports whether it
-// changed; with mp set it re-evaluates against the (now stable) summaries
+// With pass == nil it only grows the function's summary and reports whether
+// it changed; with pass set it re-evaluates against the (now stable) summaries
 // and emits findings where taint meets a sink argument.
-func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, mp *analysis.ModulePass) bool {
+func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, pass *analysis.Pass) bool {
 	sum := st.sums[d.ID]
 	info := d.Pkg.Info
 	fset := d.Pkg.Fset
@@ -215,7 +215,7 @@ func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, mp *analysis.ModulePass
 	reporting := false // true only on the final walk, so findings aren't duplicated per pass
 
 	objectOf := func(e ast.Expr) types.Object {
-		id, ok := astUnparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
 			return nil
 		}
@@ -287,7 +287,7 @@ func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, mp *analysis.ModulePass
 	// struct holding one tainted field is a tainted value).
 	assign := func(lhs ast.Expr, t taint) {
 		for {
-			switch l := astUnparen(lhs).(type) {
+			switch l := ast.Unparen(lhs).(type) {
 			case *ast.SelectorExpr:
 				lhs = l.X
 				continue
@@ -326,7 +326,7 @@ func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, mp *analysis.ModulePass
 			t := eval(call.Args[argI])
 			if t.path != nil && reporting {
 				full := append(append([]string{}, t.path...), cont...)
-				mp.ReportPath(call.Args[argI].Pos(), full,
+				pass.Reportf(call.Args[argI].Pos(), full,
 					"nondeterministic value reaches a sim-time sink: %s -> %s",
 					t.path[0], full[len(full)-1])
 			}
@@ -397,7 +397,7 @@ func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, mp *analysis.ModulePass
 				// order, exactly like a map range.
 				if fn := analysis.CalleeOf(info, n); fn != nil && fn.Pkg() != nil &&
 					fn.Pkg().Path() == "sync" && fn.Name() == "Range" && len(n.Args) == 1 {
-					if lit, ok := astUnparen(n.Args[0]).(*ast.FuncLit); ok {
+					if lit, ok := ast.Unparen(n.Args[0]).(*ast.FuncLit); ok {
 						mt := taint{path: []string{
 							fmt.Sprintf("sync.Map iteration order (Range at %s)", at(n.Pos())),
 						}}
@@ -436,7 +436,7 @@ func (st *tfState) analyzeFunc(d *analysis.FuncDeclInfo, mp *analysis.ModulePass
 		localChanged = false
 		walk()
 	}
-	if mp != nil {
+	if pass != nil {
 		reporting = true
 		walk()
 	}
@@ -467,7 +467,7 @@ func (st *tfState) evalCall(d *analysis.FuncDeclInfo, call *ast.CallExpr,
 		}
 		// A method invoked on a tainted value yields tainted data
 		// (r.Latency() on a tainted record).
-		if sel, ok := astUnparen(call.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			out = mergeTaint(out, eval(sel.X))
 		}
 		return hop(out, fmt.Sprintf("through %s (%s)", label, at(call.Pos())))
@@ -477,7 +477,7 @@ func (st *tfState) evalCall(d *analysis.FuncDeclInfo, call *ast.CallExpr,
 		// Builtin or call through a function value. Constructors make no
 		// data of their own; everything else conservatively passes taint
 		// through from its arguments.
-		if id, ok := astUnparen(call.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			switch id.Name {
 			case "make", "new", "cap", "panic", "recover", "print", "println", "delete", "clear", "close":
 				return taint{}
@@ -550,16 +550,4 @@ func sourceOf(info *types.Info, call *ast.CallExpr) string {
 // string, for %p pointer-identity detection.
 var fmtFormatArg = map[string]int{
 	"Sprintf": 0, "Errorf": 0, "Appendf": 1, "Fprintf": 1, "Printf": 0,
-}
-
-// astUnparen strips parens (local copy; the analysis package keeps its own
-// unexported).
-func astUnparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -17,4 +17,8 @@ func (Square) Area() float64 { return 1 }
 // String is a name the standard library calls implicitly.
 func (Square) String() string { return "square" }
 
+// Import is a name go/types calls through types.Importer, an interface the
+// load set does not declare.
+func (Square) Import(path string) {}
+
 func (Square) Perimeter() float64 { return 4 } // want `\[unused\] fixture/lib\.Square\.Perimeter is reachable`

@@ -1,4 +1,5 @@
 package fixture
 
-// Test code is not a root: onlyTests stays unreachable.
+// The loader skips _test.go files, so test code is not a root: onlyTests
+// stays unreachable.
 func useFromTest() { onlyTests() }

@@ -22,24 +22,23 @@ import (
 //   - functions named in package-level var initializers;
 //   - methods named like a method of an interface declared in the load set,
 //     or like one the standard library calls implicitly (String, Error,
-//     sort.Interface, heap.Interface, ...).
+//     sort.Interface, heap.Interface, types.Importer, ...).
 //
-// Tests are not roots: non-test code that only _test.go files reach is a
-// capability no program uses. Keep it with //pagoda:allow unused <reason>
-// or move it into a _test.go file.
+// Tests are not roots (Load reads no _test.go file): non-test code that only
+// tests reach is a capability no program uses. Keep it with
+// //pagoda:allow unused <reason> or move it into a _test.go file.
 var Unused = &analysis.Analyzer{
-	Name:      "unused",
-	Doc:       "report functions and methods that no main, init, root-package API, bench/ program or un-imported package can reach",
-	RunModule: runUnused,
+	Name: "unused",
+	Doc:  "report functions and methods that no main, init, root-package API, bench/ program or un-imported package can reach",
+	Run:  runUnused,
 }
 
 // implicitMethods are the method names the standard library calls through
 // interfaces the load set does not declare.
-var implicitMethods = []string{"String", "Error", "Unwrap", "Format", "MarshalJSON", "Len", "Less", "Swap", "Push", "Pop"}
+var implicitMethods = []string{"String", "Error", "Unwrap", "Format", "MarshalJSON", "Len", "Less", "Swap", "Push", "Pop", "Import"}
 
-func runUnused(mp *analysis.ModulePass) {
-	g := analysis.BuildCallGraph(mp.Pkgs)
-	isTest := func(pos token.Pos) bool { return strings.HasSuffix(mp.Fset.Position(pos).Filename, "_test.go") }
+func runUnused(pass *analysis.Pass) {
+	g := analysis.BuildCallGraph(pass.Pkgs)
 
 	imported := map[string]bool{}
 	ifaceMethod := map[string]bool{}
@@ -58,7 +57,7 @@ func runUnused(mp *analysis.ModulePass) {
 		})
 		return out
 	}
-	for _, pkg := range mp.Pkgs {
+	for _, pkg := range pass.Pkgs {
 		for _, imp := range pkg.Types.Imports() {
 			imported[imp.Path()] = true
 		}
@@ -72,9 +71,6 @@ func runUnused(mp *analysis.ModulePass) {
 			}
 		}
 		for _, f := range pkg.Files {
-			if isTest(f.Pos()) {
-				continue
-			}
 			for _, d := range f.Decls {
 				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
 					work = append(work, uses(pkg.Info, gd)...)
@@ -86,9 +82,6 @@ func runUnused(mp *analysis.ModulePass) {
 	reached := map[analysis.FuncID]bool{}
 	for _, id := range g.Order {
 		d := g.Decls[id]
-		if isTest(d.Decl.Pos()) {
-			continue
-		}
 		name, rel := d.Decl.Name.Name, d.Pkg.RelPath
 		switch {
 		case d.Decl.Recv == nil && (name == "main" || name == "init"),
@@ -109,8 +102,8 @@ func runUnused(mp *analysis.ModulePass) {
 		work = append(work, uses(d.Pkg.Info, d.Decl.Body)...)
 	}
 	for _, id := range g.Order {
-		if d := g.Decls[id]; !reached[id] && !isTest(d.Decl.Pos()) {
-			mp.ReportPath(d.Decl.Name.Pos(), nil, "%s is reachable from no main, init, root-package API, bench/ program or un-imported package; delete it or keep it as test support", id)
+		if !reached[id] {
+			pass.Reportf(g.Decls[id].Decl.Name.Pos(), nil, "%s is reachable from no main, init, root-package API, bench/ program or un-imported package; delete it or keep it as test support", id)
 		}
 	}
 }

@@ -30,25 +30,27 @@ var Wallclock = &analysis.Analyzer{
 	Doc:       "forbid time.Now/Since/Sleep/timers in simulation code; use the sim engine's virtual clock",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
+		for _, pkg := range pass.Pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					id, ok := sel.X.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					pkg := pkg.UsedPackage(id)
+					if pkg == nil || pkg.Path() != "time" || !wallclockBanned[sel.Sel.Name] {
+						return true
+					}
+					pass.Reportf(sel.Pos(), nil,
+						"time.%s reads the wall clock; simulated time must come from the sim engine (Engine.Now / Proc.Sleep / sim.Timer)",
+						sel.Sel.Name)
 					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				pkg := pass.UsedPackage(id)
-				if pkg == nil || pkg.Path() != "time" || !wallclockBanned[sel.Sel.Name] {
-					return true
-				}
-				pass.Reportf(sel.Pos(),
-					"time.%s reads the wall clock; simulated time must come from the sim engine (Engine.Now / Proc.Sleep / sim.Timer)",
-					sel.Sel.Name)
-				return true
-			})
+				})
+			}
 		}
 	},
 }

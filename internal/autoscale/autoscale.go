@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -191,7 +192,6 @@ type Fleet struct {
 	outs, ins   int
 	peak        int
 	events      []Event
-	end         sim.Time
 
 	// rolling completion-latency window behind the p99 signal
 	win     []sim.Time
@@ -307,11 +307,7 @@ func (f *Fleet) rollingP99() sim.Time {
 	}
 	f.scratch = append(f.scratch[:0], f.win[:f.winLen]...)
 	sort.Float64s(f.scratch)
-	idx := int(math.Ceil(0.99 * float64(f.winLen)))
-	if idx < 1 {
-		idx = 1
-	}
-	return f.scratch[idx-1]
+	return serve.Percentile(f.scratch, 0.99)
 }
 
 // counts returns the provisioned (warming+active) and active node counts.
@@ -419,7 +415,6 @@ func (f *Fleet) Step(now sim.Time) {
 // draining (or never closed) retire with the run itself, so every node has a
 // complete provision-to-retire span for the cost ledger.
 func (f *Fleet) Finish(end sim.Time) {
-	f.end = end
 	for _, m := range f.nodes {
 		if m.span.State != Retired {
 			if m.span.State != Draining {

@@ -55,7 +55,7 @@ func newMTB(rt *Runtime, index int) *MTB {
 		buddy:    NewBuddy(cfg.SharedPerMTB, cfg.MinAllocBlock),
 		bars:     make([]*gpu.Barrier, cfg.NumBarriers),
 		barInUse: make([]bool, cfg.NumBarriers),
-		ctrSite:  gpu.NewAtomicSite(rt.Eng, rt.Ctx.Dev.Cfg.AtomicSharedLatency),
+		ctrSite:  gpu.NewAtomicSite(rt.Ctx.Dev.Cfg.AtomicSharedLatency),
 	}
 	// Entries, slots and barriers each live in one backing array per MTB.
 	entries := make([]deviceEntry, cfg.Rows)

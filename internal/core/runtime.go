@@ -37,7 +37,6 @@ type Runtime struct {
 	// Device-side completion accounting (read by the host only through
 	// copy-backs; exposed directly only in Stats, after the run).
 	deviceCompleted int
-	hostCompleted   int
 
 	latSum, schedDelaySum float64
 	latMax                sim.Time
@@ -272,11 +271,8 @@ func (rt *Runtime) applyCopyBack(c, r int, de *deviceEntry) {
 		return // the spawn copy has not arrived; the device view is stale
 	}
 	if de.id == he.id {
-		if he.ready != readyFree && de.ready == readyFree {
-			rt.hostCompleted++
-			if rt.OnHostObservedDone != nil {
-				rt.OnHostObservedDone(he.id)
-			}
+		if he.ready != readyFree && de.ready == readyFree && rt.OnHostObservedDone != nil {
+			rt.OnHostObservedDone(he.id)
 		}
 		he.ready = de.ready
 	}

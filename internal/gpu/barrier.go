@@ -53,7 +53,6 @@ func (b *Barrier) Arrive(p *sim.Proc) {
 // site for `service` cycles; concurrent requests queue FIFO, which is exactly
 // the contention the paper attributes to single-queue task schedulers.
 type AtomicSite struct {
-	eng     *sim.Engine
 	service sim.Time
 	busy    bool
 	queue   sim.Signal
@@ -62,8 +61,8 @@ type AtomicSite struct {
 }
 
 // NewAtomicSite creates a site with the given per-operation service time.
-func NewAtomicSite(eng *sim.Engine, service sim.Time) *AtomicSite {
-	return &AtomicSite{eng: eng, service: service}
+func NewAtomicSite(service sim.Time) *AtomicSite {
+	return &AtomicSite{service: service}
 }
 
 // Do performs one atomic operation, blocking p for queueing plus service

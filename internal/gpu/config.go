@@ -47,9 +47,6 @@ type Config struct {
 	// reuse through shared memory pay off — without a bandwidth cap,
 	// latency hiding would make redundant global traffic free.
 	MemBandwidth float64
-
-	// ClockGHz converts cycles to wall-clock time (1 cycle = 1/ClockGHz ns).
-	ClockGHz float64
 }
 
 // TitanX returns the Maxwell Titan X geometry used throughout the paper.
@@ -74,7 +71,6 @@ func TitanX() Config {
 		BarrierCost:         16,
 		CoalesceBytes:       128,
 		MemBandwidth:        300,
-		ClockGHz:            1.0,
 	}
 }
 
@@ -103,7 +99,6 @@ func TeslaK40() Config {
 		BarrierCost:         18,
 		CoalesceBytes:       128,
 		MemBandwidth:        240, // 288 GB/s peak, ~240 effective at 0.745->1 GHz norm
-		ClockGHz:            1.0,
 	}
 }
 

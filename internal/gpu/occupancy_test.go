@@ -131,7 +131,7 @@ func TestBarrierResetPanicsWhileInUse(t *testing.T) {
 
 func TestAtomicSiteSerializes(t *testing.T) {
 	eng := sim.New()
-	site := NewAtomicSite(eng, 100)
+	site := NewAtomicSite(100)
 	var finish []sim.Time
 	for i := 0; i < 4; i++ {
 		eng.Spawn("a", func(p *sim.Proc) {

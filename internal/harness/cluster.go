@@ -58,21 +58,15 @@ func ClusterScaling(p Params) *Report {
 	mk := mbTasks(n, p.Seed)
 	cfg := p.runnerCfg()
 
-	type scalingCell struct {
-		sc    runners.Scheme
-		nodes int
-		rate  float64 // per-node offered rate
-		out   *fleetOut
-	}
 	s := newSweep(p)
 	schemes := p.gpuSchemes()
-	var cells []scalingCell
+	var cells []*fleetOut
 	for _, sc := range schemes {
 		for _, nodes := range nodeCounts {
 			for _, rate := range perNode {
 				gen := serve.Poisson{Rate: rate * float64(nodes), Seed: p.Seed}
-				cells = append(cells, scalingCell{sc, nodes, rate, s.fleet(fleetSpec{sc: sc, cfg: cfg,
-					mk: mk, gen: gen, slo: slo, nodes: nodes, policy: p.clusterPolicy()})})
+				cells = append(cells, s.fleet(fleetSpec{sc: sc, cfg: cfg,
+					mk: mk, gen: gen, slo: slo, nodes: nodes, policy: p.clusterPolicy()}))
 			}
 		}
 	}
@@ -88,14 +82,14 @@ func ClusterScaling(p Params) *Report {
 			for j, rate := range perNode {
 				c := cells[i]
 				i++
-				st := c.out.st
+				st := c.st
 				offered[j] = rate * float64(nodes)
 				ok[j] = st.SLOSatisfied()
 				row = append(row, cond(ok[j], us(st.P99), us(st.P99)+"*"))
 				key := fmt.Sprintf("%s/%d", sc.Key, nodes)
 				r.set(fmt.Sprintf("%s/p99us/%.0f", key, rate), st.P99/1e3)
 				r.set(fmt.Sprintf("%s/goodput/%.0f", key, rate), st.Goodput)
-				top = c.out
+				top = c
 			}
 			max := serve.MaxSustainable(offered, ok)
 			key := fmt.Sprintf("%s/%d", sc.Key, nodes)

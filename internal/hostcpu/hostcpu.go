@@ -36,7 +36,6 @@ type Task struct {
 
 // Pool is a PThreads-style fixed worker pool.
 type Pool struct {
-	eng      *sim.Engine
 	cfg      Config
 	queue    []Task
 	notEmpty sim.Signal
@@ -52,7 +51,7 @@ func NewPool(eng *sim.Engine, cfg Config) *Pool {
 	if cfg.Cores <= 0 || cfg.FreqGHz <= 0 {
 		panic("hostcpu: invalid config")
 	}
-	p := &Pool{eng: eng, cfg: cfg}
+	p := &Pool{cfg: cfg}
 	for i := 0; i < cfg.Cores; i++ {
 		eng.Spawn(fmt.Sprintf("cpu-core%d", i), p.worker)
 	}

@@ -645,7 +645,7 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 		BlockThreads: workerThreads, RegsPerThread: 32,
 	})
 	workers := occ.TBsPerSMM * n.sys.dev.Cfg.NumSMMs
-	queueSite := gpu.NewAtomicSite(n.sys.eng, n.sys.dev.Cfg.AtomicGlobalLatency)
+	queueSite := gpu.NewAtomicSite(n.sys.dev.Cfg.AtomicGlobalLatency)
 	// One Task per worker warp, rebound for every task the warp claims.
 	workerWarps := taskWarps(workerThreads)
 	warpTasks := make([]gpu.Task, workers*workerWarps)
