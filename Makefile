@@ -17,7 +17,9 @@ check: lint vet test bench-module race perf-quick
 # into sim-time sinks) and unused (non-test functions that no root reaches;
 # roots are main and init, the root package's exported API, bench/, the
 # exported API of packages nothing imports, package-level var initializers
-# and interface-named methods — tests are not roots). Every check runs
+# and interface-named methods — and struct fields no non-test code reads;
+# tests are neither roots nor readers, so a field kept for a test carries an
+# allow naming that test). Every check runs
 # through analysis.Check, the pipeline the analyzer fixture tests run too.
 # Any unsuppressed finding (e.g. a time.Now laundered through helper
 # functions into Engine.Schedule) exits nonzero and fails the gate;
@@ -58,7 +60,8 @@ race-harness:
 # it re-runs every bench command recorded in BENCH_{sim,serve,cluster}.json,
 # extracts the declared metrics, and fails on drift past each tolerance band.
 # perf-quick runs only the metrics marked quick (the hot-path micro
-# benchmarks) and is part of `make check`; the full set re-runs the
+# benchmarks and the exact nontest_go_lines code-size ratchet) and is part
+# of `make check`; the full set re-runs the
 # experiment sweeps and takes minutes. perf-update re-measures everything and
 # ratchets the baselines with host/date/git-rev provenance — run it (on a
 # quiet machine) after an intentional perf change, and commit the diff.

@@ -76,7 +76,7 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("pagodatrace", flag.ContinueOnError)
 	benchName := fs.String("bench", "MB", "workload: MB, FB, BF, CONV, DCT, MM, SLUD, 3DES, MPE")
 	tasks := fs.Int("tasks", 256, "number of tasks")
-	threads := fs.Int("threads", 128, "threads per task")
+	threads := fs.Int("threads", 128, "threads per task (0 = the benchmark default)")
 	smms := fs.Int("smms", 8, "simulated SMMs")
 	seed := fs.Int64("seed", 1, "workload and arrival-stream seed")
 	nodes := fs.Int("nodes", 0, "cluster mode: fleet size (0 = single-device closed-loop trace)")
@@ -106,10 +106,12 @@ func run(w io.Writer, args []string) error {
 		return usagef("pagodatrace: -nodes %d and -tenants %d must not be negative", *nodes, *tenants)
 	case *tasks < 1:
 		return usagef("pagodatrace: -tasks %d: need at least one task", *tasks)
+	case *tenants > *tasks:
+		return usagef("pagodatrace: -tenants %d exceeds -tasks %d: a tenant with no task would trace an empty track", *tenants, *tasks)
 	case *smms < 1:
 		return usagef("pagodatrace: -smms %d: need at least one SMM", *smms)
-	case *threads > maxThreads:
-		return usagef("pagodatrace: -threads %d exceeds the %d executor lanes of an MTB", *threads, maxThreads)
+	case *threads < 0 || *threads > maxThreads:
+		return usagef("pagodatrace: -threads %d is outside 0..%d, the executor lanes of an MTB (0 = the benchmark default)", *threads, maxThreads)
 	}
 
 	b, err := workloads.ByName(*benchName)
@@ -143,7 +145,7 @@ func run(w io.Writer, args []string) error {
 		tu.PerNodeRate = *rate
 		mkPol, err := autoscale.NewPolicy(*autoPol, tu)
 		if err != nil {
-			return usagef("pagodatrace: %v (valid: %s)", err, strings.Join(autoscale.PolicyNames(), ", "))
+			return usagef("pagodatrace: %v", err)
 		}
 		// A diurnal wave whose mean sits mid-band, with a short control loop
 		// and warm-up so even small -tasks runs show scale events on the

@@ -66,6 +66,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative_tasks", []string{"-tasks", "-1"}},
 		{"zero_smms", []string{"-smms", "0"}},
 		{"threads_over_mtb", []string{"-threads", "5000"}},
+		{"negative_threads", []string{"-threads", "-3"}},
+		{"tenants_over_tasks", []string{"-tenants", "50", "-tasks", "10"}},
 		{"undefined_flag", []string{"-bogus"}},
 		{"cluster_zero_rate", []string{"-nodes", "2", "-rate", "0"}},
 		{"cluster_nan_rate", []string{"-nodes", "2", "-rate", "NaN"}},

@@ -50,7 +50,6 @@ func (f Finding) String() string {
 // the packages.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// AppliesTo reports whether the check covers the package with the given
 	// module-relative import path ("internal/sim", "cmd/gpuinfo", "" for the
 	// module root). Nil admits every package; fixture tests clear it.

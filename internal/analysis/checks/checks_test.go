@@ -29,8 +29,12 @@ func TestTaintflow(t *testing.T) { analysistest.Run(t, checks.Taintflow, "testda
 // package per root kind: the root package's API, main and init, an
 // un-imported package's API, bench/, package-level tables, interface
 // methods and implicit ones. Unreferenced functions and methods, and those
-// only a _test.go file uses (the loader skips tests), are reported; a suppression holds one back and
-// an allow that suppresses nothing is stale.
+// only a _test.go file uses (the loader skips tests), are reported; a
+// suppression holds one back and an allow that suppresses nothing is stale.
+// lib/fields.go covers the field rule: fields only assigned (=, op=),
+// incremented or set in a composite literal, or read only by a test, are
+// reported; json-tagged, generic, map-key, compared, embedded, bench-read
+// and root-API fields are not, and an allow holds one back.
 func TestUnused(t *testing.T) { analysistest.Run(t, checks.Unused, "testdata/unused") }
 
 // TestTaintflowBeyondSyntacticChecks pins the tentpole claim: run through
@@ -127,12 +131,12 @@ func TestScopes(t *testing.T) {
 }
 
 // TestAllRegistered guards the registry against an analyzer being written but
-// never wired into the driver: every analyzer has a name, a doc and a Run.
+// never wired into pagodavet: every analyzer has a name and a Run.
 func TestAllRegistered(t *testing.T) {
 	names := map[string]bool{}
 	for _, a := range checks.All() {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %q missing name, doc or Run", a.Name)
+		if a.Name == "" || a.Run == nil {
+			t.Errorf("analyzer %q missing name or Run", a.Name)
 		}
 		if names[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)

@@ -31,7 +31,6 @@ import (
 // order-insensitive (e.g. integral values below 2^53).
 var Floatorder = &analysis.Analyzer{
 	Name: "floatorder",
-	Doc:  "forbid order-unstable float accumulation (map/channel range, goroutine-merged sums); fold in a fixed order",
 	AppliesTo: func(relPath string) bool {
 		switch relPath {
 		case "internal/serve", "internal/harness", "internal/trace":

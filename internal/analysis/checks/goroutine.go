@@ -19,7 +19,6 @@ import (
 // happen in a caller need an explicit //pagoda:allow goroutine <reason>.
 var Goroutine = &analysis.Analyzer{
 	Name: "goroutine",
-	Doc:  "forbid unjoined go statements outside internal/sim; worker pools must WaitGroup-join in the spawning function",
 	AppliesTo: func(relPath string) bool {
 		return relPath != "internal/sim" && !strings.HasPrefix(relPath, "internal/sim/")
 	},

@@ -23,7 +23,6 @@ var orderSinkPrefixes = []string{
 // reproducible.
 var Maprange = &analysis.Analyzer{
 	Name:      "maprange",
-	Doc:       "forbid order-dependent bodies under range-over-map in simulation code",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
 		for _, pkg := range pass.Pkgs {

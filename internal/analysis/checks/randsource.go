@@ -21,7 +21,6 @@ var randsourceBanned = map[string]bool{
 // suppression there covers every use in the file.
 var Randsource = &analysis.Analyzer{
 	Name:      "randsource",
-	Doc:       "forbid math/rand and crypto/rand in simulation code; draw from the seeded prng.Xorshift",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
 		for _, pkg := range pass.Pkgs {

@@ -15,7 +15,6 @@ import (
 // (sim.Engine.Spawn).
 var Rawgo = &analysis.Analyzer{
 	Name: "rawgo",
-	Doc:  "forbid go statements outside internal/sim; concurrency routes through sim.Engine.Spawn",
 	AppliesTo: func(relPath string) bool {
 		return relPath != "internal/sim" && !strings.HasPrefix(relPath, "internal/sim/")
 	},

@@ -28,7 +28,6 @@ var syncprimBanned = map[string]bool{
 // mutex, and that is exactly where such code belongs.
 var Syncprim = &analysis.Analyzer{
 	Name: "syncprim",
-	Doc:  "forbid sync primitives and raw channel ops outside internal/sim; block on sim.Sem/sim.Signal/sim.Timer",
 	AppliesTo: func(relPath string) bool {
 		return inSimScope(relPath) &&
 			relPath != "internal/sim" && !strings.HasPrefix(relPath, "internal/sim/")

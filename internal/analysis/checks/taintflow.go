@@ -47,7 +47,6 @@ import (
 // source because nothing records it alongside the artifacts.
 var Taintflow = &analysis.Analyzer{
 	Name: "taintflow",
-	Doc:  "trace nondeterminism sources through the call graph into sim-time sinks (Engine.Schedule, Timer.Reset, Proc.Sleep)",
 	Run: func(pass *analysis.Pass) {
 		st := &tfState{
 			graph: analysis.BuildCallGraph(pass.Pkgs),

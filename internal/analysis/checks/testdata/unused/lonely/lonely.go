@@ -8,3 +8,6 @@ func API() { inner() }
 func inner() {}
 
 func hidden() {} // want `\[unused\] fixture/lonely\.hidden is reachable`
+
+// Config is un-imported package API, so its exported field is read.
+type Config struct{ Level int }

@@ -26,3 +26,10 @@ func onlyTests() {} // want `\[unused\] fixture\.onlyTests is reachable`
 
 //pagoda:allow unused an exception kept with its reason
 func kept() {}
+
+// Options is root-package API: callers outside the load set read its
+// exported fields, so only the unexported one is reported.
+type Options struct {
+	Verbose bool
+	secret  int // want `\[unused\] field fixture\.Options\.secret is never read`
+}

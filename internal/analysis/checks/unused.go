@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"strings"
 
 	"repro/internal/analysis"
@@ -24,12 +25,15 @@ import (
 //     or like one the standard library calls implicitly (String, Error,
 //     sort.Interface, heap.Interface, types.Importer, ...).
 //
-// Tests are not roots (Load reads no _test.go file): non-test code that only
-// tests reach is a capability no program uses. Keep it with
-// //pagoda:allow unused <reason> or move it into a _test.go file.
+// The same pass reports every struct field that no non-test code reads
+// (unreadFields has the rules).
+//
+// Tests are not roots or readers (Load reads no _test.go file): non-test
+// code or state that only tests reach is a capability no program uses. Keep
+// it with //pagoda:allow unused <reason>, naming the test that reads it, or
+// move it into a _test.go file.
 var Unused = &analysis.Analyzer{
 	Name: "unused",
-	Doc:  "report functions and methods that no main, init, root-package API, bench/ program or un-imported package can reach",
 	Run:  runUnused,
 }
 
@@ -79,6 +83,10 @@ func runUnused(pass *analysis.Pass) {
 		}
 	}
 
+	// rootAPI reports whether a package's exported API is a root.
+	rootAPI := func(p *analysis.Package) bool {
+		return p.RelPath == "" || p.Types.Name() != "main" && !imported[p.Path]
+	}
 	reached := map[analysis.FuncID]bool{}
 	for _, id := range g.Order {
 		d := g.Decls[id]
@@ -87,7 +95,7 @@ func runUnused(pass *analysis.Pass) {
 		case d.Decl.Recv == nil && (name == "main" || name == "init"),
 			d.Decl.Recv != nil && ifaceMethod[name],
 			rel == "bench" || strings.HasPrefix(rel, "bench/"),
-			ast.IsExported(name) && (rel == "" || d.Pkg.Types.Name() != "main" && !imported[d.Pkg.Path]):
+			ast.IsExported(name) && rootAPI(d.Pkg):
 			work = append(work, id)
 		}
 	}
@@ -104,6 +112,87 @@ func runUnused(pass *analysis.Pass) {
 	for _, id := range g.Order {
 		if !reached[id] {
 			pass.Reportf(g.Decls[id].Decl.Name.Pos(), nil, "%s is reachable from no main, init, root-package API, bench/ program or un-imported package; delete it or keep it as test support", id)
+		}
+	}
+	unreadFields(pass, rootAPI)
+}
+
+// unreadFields reports, at its name, every non-embedded field of a named
+// struct type that no non-test code (bench/ included) reads. Any use,
+// matched through Var.Origin so a generic type's instantiations count, is a
+// read except the whole left side of an assignment (=, op=) or inc/dec and a
+// composite-literal key. A json tag, a struct used as a map key or compared
+// with == or != (which reads every field, nested ones too), and an exported
+// field of an exported type in a package rootAPI admits count as reads.
+func unreadFields(pass *analysis.Pass, rootAPI func(*analysis.Package) bool) {
+	read := map[*types.Var]bool{}
+	var readAll func(t types.Type) // ends: a struct cannot contain itself by value
+	readAll = func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				read[st.Field(i).Origin()] = true
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	for _, pkg := range pass.Pkgs {
+		written := map[*ast.Ident]bool{}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						written[id] = true // a field key; other idents are not fields
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(pkg.TypeOf(n.X))
+					}
+				}
+				for _, e := range lhs {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						written[sel.Sel] = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range pkg.Info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+				read[v.Origin()] = true
+			}
+		}
+		for _, tv := range pkg.Info.Types {
+			if m, ok := tv.Type.(*types.Map); ok {
+				readAll(m.Key())
+			}
+		}
+	}
+
+	for _, pkg := range pass.Pkgs {
+		for _, obj := range pkg.Info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			exported := rootAPI(pkg) && tn.Exported() && tn.Parent() == pkg.Types.Scope()
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				_, json := reflect.StructTag(st.Tag(i)).Lookup("json")
+				if read[v] || v.Embedded() || v.Name() == "_" || json || exported && v.Exported() {
+					continue
+				}
+				pass.Reportf(v.Pos(), nil, "field %s.%s.%s is never read by non-test code; delete it or allow it naming the test that reads it", pkg.Path, tn.Name(), v.Name())
+			}
 		}
 	}
 }

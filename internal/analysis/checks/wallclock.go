@@ -27,7 +27,6 @@ var wallclockBanned = map[string]bool{
 // a single time.Now in a hot path makes golden runs irreproducible.
 var Wallclock = &analysis.Analyzer{
 	Name:      "wallclock",
-	Doc:       "forbid time.Now/Since/Sleep/timers in simulation code; use the sim engine's virtual clock",
 	AppliesTo: inSimScope,
 	Run: func(pass *analysis.Pass) {
 		for _, pkg := range pass.Pkgs {

@@ -142,15 +142,6 @@ func (s NodeState) String() string {
 	return fmt.Sprintf("NodeState(%d)", int(s))
 }
 
-// Event is one scale decision: the fleet moved from From to To provisioned
-// nodes at virtual instant At.
-type Event struct {
-	At     sim.Time
-	From   int
-	To     int
-	Reason string
-}
-
 // NodeSpan is one managed node's lifecycle timeline, for reports and trace
 // export. Once the run finished (Finish stamps stragglers) every node has
 // ProvisionedAt <= ClosedAt <= RetiredAt; ActiveAt sits between Provisioned
@@ -191,7 +182,6 @@ type Fleet struct {
 	lastOffered int
 	outs, ins   int
 	peak        int
-	events      []Event
 
 	// rolling completion-latency window behind the p99 signal
 	win     []sim.Time
@@ -310,29 +300,18 @@ func (f *Fleet) rollingP99() sim.Time {
 	return serve.Percentile(f.scratch, 0.99)
 }
 
-// counts returns the provisioned (warming+active) and active node counts.
-func (f *Fleet) counts() (provisioned, active int) {
-	for _, m := range f.nodes {
-		switch m.span.State {
-		case Warming:
-			provisioned++
-		case Active:
-			provisioned++
-			active++
-		}
-	}
-	return
-}
-
 // signals assembles one tick's policy input from the node ledgers.
-func (f *Fleet) signals(now sim.Time) Signals {
-	s := Signals{Now: now, Interval: f.cfg.Interval, P99: f.rollingP99()}
-	s.Provisioned, s.Active = f.counts()
+func (f *Fleet) signals() Signals {
+	s := Signals{P99: f.rollingP99()}
 	offered := 0
 	for _, m := range f.nodes {
 		v := m.n.View()
 		offered += v.Routed
-		if m.span.State == Active {
+		switch m.span.State {
+		case Warming:
+			s.Provisioned++
+		case Active:
+			s.Provisioned++
 			s.Backlog += v.Outstanding()
 		}
 	}
@@ -364,7 +343,7 @@ func (f *Fleet) Step(now sim.Time) {
 	if f.closed || f.pol == nil {
 		return
 	}
-	s := f.signals(now)
+	s := f.signals()
 	target := f.pol.Target(s)
 	if target < f.cfg.Min {
 		target = f.cfg.Min
@@ -405,8 +384,6 @@ func (f *Fleet) Step(now sim.Time) {
 		}
 		f.ins++
 	}
-	f.events = append(f.events, Event{At: now, From: s.Provisioned, To: target,
-		Reason: f.pol.Name()})
 	f.haveScaled = true
 	f.lastScaleAt = now
 }
@@ -426,11 +403,10 @@ func (f *Fleet) Finish(end sim.Time) {
 	}
 }
 
-// Outcome is the autoscaler's run summary: the scale-event log, each node's
-// lifecycle span, and the cost ledger the cost-vs-SLO report prices.
+// Outcome is the autoscaler's run summary: the scale-out/in counts, each
+// node's lifecycle span, and the cost ledger the cost-vs-SLO report prices.
 type Outcome struct {
-	Events []Event
-	Nodes  []NodeSpan
+	Nodes []NodeSpan
 
 	// NodeCycles is the summed provision-to-retire extent over all nodes,
 	// in virtual cycles — warm-up and drain time included.
@@ -447,7 +423,6 @@ func (o Outcome) NodeSeconds() float64 { return o.NodeCycles / 1e9 }
 // Outcome assembles the run summary; call after Finish.
 func (f *Fleet) Outcome() Outcome {
 	o := Outcome{
-		Events:    append([]Event(nil), f.events...),
 		Nodes:     make([]NodeSpan, len(f.nodes)),
 		ScaleOuts: f.outs,
 		ScaleIns:  f.ins,

@@ -87,15 +87,15 @@ func TestReactiveHysteresisBandHoldsSteady(t *testing.T) {
 	r := Reactive{High: 16, Low: 2, Step: 2}
 	for prov := 1; prov <= 32; prov++ {
 		for perNode := r.Low + 1; perNode < r.High; perNode++ {
-			s := Signals{Provisioned: prov, Active: prov, Backlog: perNode * prov}
+			s := Signals{Provisioned: prov, Backlog: perNode * prov}
 			if got := r.Target(s); got != prov {
 				t.Fatalf("prov %d backlog/node %d: target %d, want hold at %d", prov, perNode, got, prov)
 			}
 		}
-		if got := r.Target(Signals{Provisioned: prov, Active: prov, Backlog: r.High * prov}); got != prov+2 {
+		if got := r.Target(Signals{Provisioned: prov, Backlog: r.High * prov}); got != prov+2 {
 			t.Fatalf("prov %d at high watermark: target %d, want %d", prov, got, prov+2)
 		}
-		if got := r.Target(Signals{Provisioned: prov, Active: prov, Backlog: r.Low * prov}); got != prov-1 {
+		if got := r.Target(Signals{Provisioned: prov, Backlog: r.Low * prov}); got != prov-1 {
 			t.Fatalf("prov %d at low watermark: target %d, want %d", prov, got, prov-1)
 		}
 	}
@@ -105,7 +105,7 @@ func TestReactiveHysteresisBandHoldsSteady(t *testing.T) {
 // the fleet while the rolling p99 is above the SLO.
 func TestReactiveSLOGuardsScaleIn(t *testing.T) {
 	r := Reactive{High: 16, Low: 2, SLO: 1000e3, Step: 1}
-	s := Signals{Provisioned: 4, Active: 4, Backlog: 0, P99: 2000e3}
+	s := Signals{Provisioned: 4, Backlog: 0, P99: 2000e3}
 	if got := r.Target(s); got != 4 {
 		t.Fatalf("target %d under burning p99, want hold at 4", got)
 	}
@@ -122,7 +122,6 @@ type wildPolicy struct {
 	i   int
 }
 
-func (w *wildPolicy) Name() string { return "wild" }
 func (w *wildPolicy) Target(Signals) int {
 	v := w.seq[w.i%len(w.seq)]
 	w.i++
@@ -141,7 +140,16 @@ func TestFleetBoundsNeverViolated(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			p.Sleep(cfg.Interval)
 			f.Step(p.Now())
-			prov, active := f.counts()
+			prov, active := 0, 0
+			for _, m := range f.nodes {
+				switch m.span.State {
+				case Warming:
+					prov++
+				case Active:
+					prov++
+					active++
+				}
+			}
 			if prov < cfg.Min || prov > cfg.Max {
 				t.Errorf("tick %d: provisioned %d outside [%d, %d]", i, prov, cfg.Min, cfg.Max)
 			}
@@ -178,8 +186,8 @@ func TestFleetNoFlapInsideBand(t *testing.T) {
 	})
 	f.Finish(eng.Run())
 	o := f.Outcome()
-	if len(o.Events) != 0 || o.ScaleOuts != 0 || o.ScaleIns != 0 {
-		t.Fatalf("fleet flapped inside the hysteresis band: %+v", o.Events)
+	if o.ScaleOuts != 0 || o.ScaleIns != 0 {
+		t.Fatalf("fleet flapped inside the hysteresis band: %d scale-outs, %d scale-ins", o.ScaleOuts, o.ScaleIns)
 	}
 	if len(o.Nodes) != cfg.Min {
 		t.Fatalf("%d nodes ever provisioned, want the initial %d", len(o.Nodes), cfg.Min)
@@ -260,7 +268,7 @@ func TestFleetDrainRetiresOnlyWhenEmpty(t *testing.T) {
 	f.Finish(eng.Run())
 	o := f.Outcome()
 	if o.ScaleOuts != 1 || o.ScaleIns != 1 {
-		t.Fatalf("events: %+v", o.Events)
+		t.Fatalf("%d scale-outs, %d scale-ins, want 1 each", o.ScaleOuts, o.ScaleIns)
 	}
 	sp := o.Nodes[1]
 	if sp.RetiredAt <= sp.ClosedAt {
@@ -319,8 +327,8 @@ func TestNewPolicyFactory(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		p1, p2 := mk(), mk()
-		if p1.Name() != name {
-			t.Errorf("policy %q reports name %q", name, p1.Name())
+		if _, reactive := p1.(Reactive); reactive != (name == "reactive") {
+			t.Errorf("policy %q built a %T", name, p1)
 		}
 		if name == "predictive" && p1 == p2 {
 			// Stateful policies must not share their estimator across runs.
@@ -344,4 +352,49 @@ func TestTuningAggressive(t *testing.T) {
 	if x := (Tuning{Alpha: 0.8}).Aggressive(); x.Alpha != 1 {
 		t.Errorf("alpha not capped at 1: %v", x.Alpha)
 	}
+}
+
+// FuzzTuning: Validate never panics; NewPolicy fails exactly when Validate
+// does; and a tuning that passes gives a predictive policy whose target, for
+// finite signals, is at least 1 and provisions for the observed rate (or
+// saturates at maxTarget) instead of wrapping a +Inf node count to 1. The
+// seeds include the rates 0, -1 and NaN: unvalidated, each turns a 1e6
+// tasks/s signal into a one-node target.
+func FuzzTuning(f *testing.F) {
+	d := DefaultTuning()
+	f.Add(d.High, d.Low, d.Step, float64(d.SLO), d.Alpha, d.PerNodeRate, d.Headroom, 1e6, 2e6, 4)
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		f.Add(d.High, d.Low, d.Step, float64(d.SLO), d.Alpha, rate, d.Headroom, 1e6, 2e6, 4)
+	}
+	f.Add(1, 8, -1, -5.0, 0.0, 64e3, 0.5, 1e6, 0.0, 1)
+	f.Add(16, 2, 1, 0.0, 1.0, 1e-300, 1e300, 1e300, 1e6, 2)
+	f.Fuzz(func(t *testing.T, high, low, step int, slo, alpha, perNode, headroom, rate1, rate2 float64, prov int) {
+		tu := Tuning{High: high, Low: low, SLO: sim.Time(slo), Step: step, Alpha: alpha, PerNodeRate: perNode, Headroom: headroom}
+		verr := tu.Validate()
+		for _, name := range PolicyNames() {
+			if _, err := NewPolicy(name, tu); (err == nil) != (verr == nil) {
+				t.Fatalf("NewPolicy(%q) = %v, Validate = %v", name, err, verr)
+			}
+		}
+		if verr != nil {
+			return
+		}
+		for _, r := range []float64{rate1, rate2} {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return
+			}
+		}
+		mk, _ := NewPolicy("predictive", tu)
+		p := mk()
+		first := p.Target(Signals{Provisioned: prov, ArrivalRate: rate1})
+		if first < 1 {
+			t.Fatalf("%+v: target %d at %v tasks/s, want >= 1", tu, first, rate1)
+		}
+		if rate1 > 0 && first != maxTarget && !(float64(first)*perNode >= rate1*(1-1e-9)) {
+			t.Fatalf("%+v: %d nodes at %v tasks/s each cannot carry %v tasks/s", tu, first, perNode, rate1)
+		}
+		if got := p.Target(Signals{Provisioned: prov, ArrivalRate: rate2}); got < 1 {
+			t.Fatalf("%+v: second target %d, want >= 1", tu, got)
+		}
+	})
 }

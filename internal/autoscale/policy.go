@@ -12,11 +12,7 @@ import (
 // deterministic state (node ledgers and the rolling completion window), never
 // from the host, so identical runs see identical signal sequences.
 type Signals struct {
-	Now      sim.Time // tick instant, virtual cycles
-	Interval sim.Time // control-loop period, cycles
-
 	Provisioned int // nodes paying for capacity: warming + active
-	Active      int // nodes currently accepting dispatch
 
 	// Backlog is the routed-but-unfinished task count across active nodes —
 	// the queue-depth signal reactive scaling keys on.
@@ -37,7 +33,6 @@ type Signals struct {
 // keep state (Predictive's EWMA), so a fresh policy must be constructed per
 // run — Config carries a factory, exactly like cluster.Policy.
 type Policy interface {
-	Name() string
 	Target(s Signals) int
 }
 
@@ -51,9 +46,6 @@ type Reactive struct {
 	SLO  sim.Time // rolling-p99 scale-out trigger; 0 disables
 	Step int      // nodes added per scale-out decision (0 means 1)
 }
-
-// Name implements Policy.
-func (Reactive) Name() string { return "reactive" }
 
 // Target implements Policy.
 func (r Reactive) Target(s Signals) int {
@@ -96,9 +88,6 @@ func NewPredictive(alpha, perNode, headroom float64) *Predictive {
 	return &Predictive{Alpha: alpha, PerNode: perNode, Headroom: headroom}
 }
 
-// Name implements Policy.
-func (*Predictive) Name() string { return "predictive" }
-
 // Target implements Policy.
 func (p *Predictive) Target(s Signals) int {
 	if !p.seen {
@@ -106,12 +95,14 @@ func (p *Predictive) Target(s Signals) int {
 	} else {
 		p.est += p.Alpha * (s.ArrivalRate - p.est)
 	}
-	want := int(math.Ceil(p.est * p.Headroom / p.PerNode))
-	if want < 1 {
+	want := math.Min(math.Ceil(p.est*p.Headroom/p.PerNode), maxTarget) // int(+Inf) is no node count
+	if !(want >= 1) {
 		want = 1
 	}
-	return want
+	return int(want)
 }
+
+const maxTarget = math.MaxInt32 // far above any fleet's Max, which clamps it; an int everywhere
 
 // Tuning bundles the signal thresholds the built-in policies are constructed
 // from, so experiments can sweep "aggressiveness" as one knob instead of five.
@@ -123,6 +114,27 @@ type Tuning struct {
 	Alpha       float64 // predictive EWMA gain per tick
 	PerNodeRate float64 // predictive per-node capacity, tasks/second
 	Headroom    float64 // predictive capacity margin
+}
+
+// Validate rejects a tuning no policy can run on: a non-positive or
+// non-finite PerNodeRate (a target of +Inf nodes), Alpha outside (0, 1],
+// Headroom below 1 or non-finite, Low above High, or a negative Step or SLO.
+func (t Tuning) Validate() error {
+	switch {
+	case !(t.PerNodeRate > 0) || math.IsInf(t.PerNodeRate, 1):
+		return fmt.Errorf("autoscale: per-node rate %v is not a positive finite tasks/s", t.PerNodeRate)
+	case !(t.Alpha > 0 && t.Alpha <= 1):
+		return fmt.Errorf("autoscale: EWMA gain %v is outside (0, 1]", t.Alpha)
+	case !(t.Headroom >= 1) || math.IsInf(t.Headroom, 1):
+		return fmt.Errorf("autoscale: headroom %v is not a finite multiplier >= 1", t.Headroom)
+	case t.Low > t.High:
+		return fmt.Errorf("autoscale: low watermark %d above high watermark %d", t.Low, t.High)
+	case t.Step < 0:
+		return fmt.Errorf("autoscale: scale-out step %d is negative", t.Step)
+	case !(t.SLO >= 0):
+		return fmt.Errorf("autoscale: p99 trigger %v is not a non-negative cycle count", t.SLO)
+	}
+	return nil
 }
 
 // DefaultTuning is the gentle end of the sweep: wide watermarks, single-node
@@ -148,8 +160,11 @@ func (t Tuning) Aggressive() Tuning {
 func PolicyNames() []string { return []string{"reactive", "predictive"} }
 
 // NewPolicy returns a factory building a fresh policy per run for one of the
-// names in PolicyNames, parameterized by tu.
+// names in PolicyNames, parameterized by tu, or tu's Validate error.
 func NewPolicy(name string, tu Tuning) (func() Policy, error) {
+	if err := tu.Validate(); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "reactive":
 		return func() Policy {

@@ -122,7 +122,7 @@ func (d Dispatcher) Spawn(eng *sim.Engine, recs []serve.Record, nodeOf []int) {
 			for _, nd := range nodes {
 				views = append(views, nd.View())
 			}
-			t := Task{Index: ti}
+			var t Task
 			if d.Classes != nil {
 				t.Class = d.Classes[ti]
 			}

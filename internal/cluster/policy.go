@@ -8,10 +8,9 @@ import (
 )
 
 // Task is the arrival-time information a dispatch policy may inspect: the
-// task's index in the run and its class (workload family), which
-// ClassAffinity keys on. Class is 0 for single-workload runs.
+// task's class (workload family), which ClassAffinity keys on. Class is 0
+// for single-workload runs.
 type Task struct {
-	Index int
 	Class int
 }
 

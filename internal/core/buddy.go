@@ -39,9 +39,9 @@ type Buddy struct {
 	inPending  []bool
 	pendingGen []uint32
 	// allocated tracks currently allocated bytes (diagnostics/tests).
-	allocated int
+	allocated int //pagoda:allow unused FuzzBuddy, the dealloc tests and the runtime leak checks read it through Allocated
 	// staleDeallocs counts pending entries skipped as stale (diagnostics).
-	staleDeallocs int
+	staleDeallocs int //pagoda:allow unused TestBuddyDoubleMarkDeduped and TestBuddyMarkInvalidNode read it through StaleDeallocs
 }
 
 // pendingFree is one deferred deallocation: the node plus the allocation

@@ -58,9 +58,6 @@ type Context struct {
 
 	hyperQ  *sim.Sem
 	streams []*Stream
-
-	// KernelsLaunched counts kernels that reached the device (diagnostics).
-	KernelsLaunched int
 }
 
 // NewContext assembles a runtime over the given device and bus.
@@ -241,7 +238,6 @@ func (s *Stream) LaunchHooked(host *sim.Proc, spec gpu.LaunchSpec, onDispatch fu
 		c.hyperQ.Acquire(p)
 		p.Sleep(c.Cfg.LaunchOverhead)
 		k := c.Dev.Launch(spec)
-		c.KernelsLaunched++
 		if onDispatch != nil {
 			onDispatch()
 		}
@@ -257,6 +253,5 @@ func (s *Stream) LaunchHooked(host *sim.Proc, spec gpu.LaunchSpec, onDispatch fu
 // streams and the HyperQ pool. This is how a daemon kernel such as Pagoda's
 // MasterKernel takes ownership of the whole device.
 func (c *Context) LaunchPersistent(spec gpu.LaunchSpec) *gpu.Kernel {
-	c.KernelsLaunched++
 	return c.Dev.Launch(spec)
 }

@@ -56,8 +56,6 @@ type AtomicSite struct {
 	service sim.Time
 	busy    bool
 	queue   sim.Signal
-	// Ops counts completed operations (diagnostics).
-	Ops int
 }
 
 // NewAtomicSite creates a site with the given per-operation service time.
@@ -74,6 +72,5 @@ func (s *AtomicSite) Do(p *sim.Proc) {
 	s.busy = true
 	p.Sleep(s.service)
 	s.busy = false
-	s.Ops++
 	s.queue.Pulse()
 }

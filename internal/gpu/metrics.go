@@ -1,14 +1,11 @@
 package gpu
 
-import "repro/internal/sim"
-
 // Metrics is a point-in-time snapshot of device utilization since device
 // creation.
 type Metrics struct {
-	Elapsed       sim.Time // cycles covered by this snapshot
-	IssueUtil     float64  // fraction of issue slots busy, device-wide
-	AvgOccupancy  float64  // mean resident warps / total warp capacity
-	ResidentWarps int      // instantaneous resident warps
+	IssueUtil     float64 // fraction of issue slots busy, device-wide
+	AvgOccupancy  float64 // mean resident warps / total warp capacity
+	ResidentWarps int     //pagoda:allow unused instantaneous; TestMetricsOccupancy's leak check and pagoda's TestCustomDeviceGeometry (the MasterKernel holds every warp) read it
 }
 
 // Metrics gathers a utilization snapshot across all SMMs. It only reads
@@ -16,7 +13,7 @@ type Metrics struct {
 func (d *Device) Metrics() Metrics {
 	now := d.Eng.Now()
 	elapsed := now - d.createdAt
-	m := Metrics{Elapsed: elapsed}
+	var m Metrics
 	if elapsed <= 0 {
 		return m
 	}

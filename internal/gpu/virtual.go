@@ -85,12 +85,12 @@ type Coordinator struct {
 	caps occCaps
 
 	// SpilledTBs counts threadblocks admitted past physical capacity.
-	SpilledTBs int
+	SpilledTBs int //pagoda:allow unused the zorua spill tests (TestVirtualizeAdmitsPastPhysicalAndChargesSpill) read it; a future probe
 	// SpillBytes is the total register+shared state moved to the backing
 	// store on their behalf.
-	SpillBytes int
+	SpillBytes int //pagoda:allow unused TestVirtualizeAdmitsPastPhysicalAndChargesSpill reads it; a future probe
 	// SpillCycles is the total swap delay charged, in cycles.
-	SpillCycles float64
+	SpillCycles float64 //pagoda:allow unused TestVirtualizeAdmitsPastPhysicalAndChargesSpill reads it; a future probe
 }
 
 // NewCoordinator builds a coordinator for the given geometry and factors.

@@ -105,7 +105,7 @@ type ClusterRun struct {
 	Scale *autoscale.Outcome
 
 	// Engine is the shared engine's work: events fired and proc resumes.
-	Engine sim.Stats
+	Engine sim.Stats //pagoda:allow unused TestEngineStatsPinned's window on the fleet engine's event counts
 }
 
 // CheckConservation verifies submitted = done + dropped per node and

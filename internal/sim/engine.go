@@ -92,28 +92,28 @@ type Engine struct {
 type Stats struct {
 	// Events counts fired queue entries: callbacks, timer expiries and
 	// process resumes. Stale wake-ups are dropped, not fired.
-	Events int64
+	Events int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Handoffs counts resumes that switched coroutines: the baton moved to
 	// a process other than the one driving the event loop.
-	Handoffs int64
+	Handoffs int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// SelfResumes counts resumes of the yielding process itself, which
 	// return without any switch.
-	SelfResumes int64
+	SelfResumes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakRunning is the most procs that were ever started but not
 	// finished at once: the peak number of coroutines the engine held. A
 	// proc parked by StartOn and never woken does not count.
 	PeakRunning int64
 	// LaneEvents counts the fired events that came from the same-instant
 	// lane rather than the heap.
-	LaneEvents int64
+	LaneEvents int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// HeapPushes counts entries inserted into the event heap: events
 	// scheduled for a later instant and timers armed from rest.
-	HeapPushes int64
+	HeapPushes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Rekeys counts timer re-arms that moved an armed timer's heap entry
 	// in place.
-	Rekeys int64
+	Rekeys int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Steps counts fired stages of chained processes (Proc.Chain).
-	Steps int64
+	Steps int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakPending is the most events ever queued at once, heap and lane
 	// together.
 	PeakPending int64

@@ -31,11 +31,8 @@ func bfRef(sig []float32, wRe, wIm []float32, n int) []float32 {
 // BeamFormer returns the BF benchmark.
 func BeamFormer() Benchmark {
 	return Benchmark{
-		Name:           "BF",
-		Full:           "BeamFormer (StreamIt)",
-		DefaultThreads: 256,
-		DefaultTasks:   32 * 1024,
-		Make:           makeBF,
+		Name: "BF",
+		Make: makeBF,
 	}
 }
 

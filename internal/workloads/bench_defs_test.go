@@ -44,8 +44,12 @@ func TestTable3Characteristics(t *testing.T) {
 		if b.SupportsShared != want.shared {
 			t.Errorf("%s SupportsShared = %v, want %v", b.Name, b.SupportsShared, want.shared)
 		}
-		if b.NeedsSync != want.sync {
-			t.Errorf("%s NeedsSync = %v, want %v", b.Name, b.NeedsSync, want.sync)
+		// "Requires threadblock synchronization" is a property of the tasks
+		// Make returns.
+		for i, task := range b.Make(Options{Tasks: 4, Seed: 1}) {
+			if task.Sync != want.sync {
+				t.Errorf("%s task %d Sync = %v, want %v", b.Name, i, task.Sync, want.sync)
+			}
 		}
 	}
 }

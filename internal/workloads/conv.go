@@ -74,11 +74,8 @@ func convPixel(in []float32, dim, idx int) float32 {
 // Convolution returns the CONV benchmark.
 func Convolution() Benchmark {
 	return Benchmark{
-		Name:           "CONV",
-		Full:           "Image Convolution (CUDA SDK)",
-		DefaultThreads: 128,
-		DefaultTasks:   32 * 1024,
-		Make:           makeConv,
+		Name: "CONV",
+		Make: makeConv,
 	}
 }
 

@@ -71,11 +71,7 @@ func dctRef(in []float32, dim int) []float32 {
 func DCT8x8() Benchmark {
 	return Benchmark{
 		Name:           "DCT",
-		Full:           "DCT8x8 (CUDA SDK)",
-		DefaultThreads: 64,
-		DefaultTasks:   32 * 1024,
 		SupportsShared: true,
-		NeedsSync:      true,
 		Make:           makeDCT,
 	}
 }

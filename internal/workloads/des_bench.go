@@ -24,12 +24,8 @@ func netbenchPacketBytes(rng *prng.Xorshift) int {
 // TripleDESBench returns the 3DES benchmark.
 func TripleDESBench() Benchmark {
 	return Benchmark{
-		Name:           "3DES",
-		Full:           "Triple-DES packet encryption (NIST FIPS 46-3)",
-		DefaultThreads: 128,
-		DefaultTasks:   32 * 1024,
-		Irregular:      true,
-		Make:           make3DES,
+		Name: "3DES",
+		Make: make3DES,
 	}
 }
 
@@ -97,11 +93,6 @@ func make3DES(opt Options) []TaskDef {
 func MPEBench() Benchmark {
 	return Benchmark{
 		Name:           "MPE",
-		Full:           "Multi-Programmed Environment (3DES + MB + FB + MM)",
-		DefaultThreads: 128,
-		DefaultTasks:   32 * 1024,
-		Irregular:      true,
-		NeedsSync:      true,
 		SupportsShared: true,
 		Make:           makeMPE,
 	}

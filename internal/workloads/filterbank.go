@@ -42,12 +42,8 @@ func fbRef(sig, h, f []float32) []float32 {
 // FilterBank returns the FB benchmark.
 func FilterBank() Benchmark {
 	return Benchmark{
-		Name:           "FB",
-		Full:           "FilterBank (StreamIt)",
-		DefaultThreads: 256,
-		DefaultTasks:   32 * 1024,
-		NeedsSync:      true,
-		Make:           makeFB,
+		Name: "FB",
+		Make: makeFB,
 	}
 }
 

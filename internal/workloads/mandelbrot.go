@@ -48,12 +48,8 @@ func mbTileIters(x0, y0, step float64, dim, maxIter int) int {
 // Mandelbrot returns the MB benchmark.
 func Mandelbrot() Benchmark {
 	return Benchmark{
-		Name:           "MB",
-		Full:           "Mandelbrot (Quinn)",
-		DefaultThreads: 128,
-		DefaultTasks:   32 * 1024,
-		Irregular:      true,
-		Make:           makeMB,
+		Name: "MB",
+		Make: makeMB,
 	}
 }
 

@@ -30,11 +30,7 @@ func mmRef(a, b []float32, n int) []float32 {
 func MatrixMul() Benchmark {
 	return Benchmark{
 		Name:           "MM",
-		Full:           "MatrixMul (CUDA SDK)",
-		DefaultThreads: 256,
-		DefaultTasks:   32 * 1024,
 		SupportsShared: true,
-		NeedsSync:      true,
 		Make:           makeMM,
 	}
 }

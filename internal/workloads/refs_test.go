@@ -199,7 +199,35 @@ func TestSLUDFactorsMatrix(t *testing.T) {
 			present[i][j] = true
 		}
 	}
-	for _, op := range sludPlan(nb, present) {
+	// The dense right-looking elimination order, with the block coordinates
+	// the plan leaves out: sludPlan must emit its op kinds in this order.
+	type step struct {
+		kind    sludOpKind
+		i, j, k int
+	}
+	var steps []step
+	for k := 0; k < nb; k++ {
+		steps = append(steps, step{sludLU0, k, k, k})
+		for j := k + 1; j < nb; j++ {
+			steps = append(steps, step{sludFWD, k, j, k})
+		}
+		for i := k + 1; i < nb; i++ {
+			steps = append(steps, step{sludBDIV, i, k, k})
+		}
+		for i := k + 1; i < nb; i++ {
+			for j := k + 1; j < nb; j++ {
+				steps = append(steps, step{sludBMOD, i, j, k})
+			}
+		}
+	}
+	plan := sludPlan(nb, present)
+	if len(plan) != len(steps) {
+		t.Fatalf("sludPlan emitted %d ops on a dense %dx%d pattern, want %d", len(plan), nb, nb, len(steps))
+	}
+	for s, op := range steps {
+		if plan[s] != op.kind {
+			t.Fatalf("sludPlan op %d = %v, want %v", s, plan[s], op.kind)
+		}
 		switch op.kind {
 		case sludLU0:
 			sludLU0Ref(blk[op.k][op.k])
@@ -249,8 +277,8 @@ func TestSLUDPlanHasFillIn(t *testing.T) {
 	nb := 16
 	plan := sludPlan(nb, sludPattern(nb, 0.35, rng))
 	kinds := map[sludOpKind]int{}
-	for _, op := range plan {
-		kinds[op.kind]++
+	for _, kind := range plan {
+		kinds[kind]++
 	}
 	if kinds[sludLU0] != nb {
 		t.Fatalf("lu0 count = %d, want %d", kinds[sludLU0], nb)

@@ -89,28 +89,21 @@ func sludOpUnits(kind sludOpKind) int {
 	}
 }
 
-// sludPlanOp is one task in the elimination schedule.
-type sludPlanOp struct {
-	kind sludOpKind
-	// block coordinates (diagnostics only).
-	i, j, k int
-}
-
 // sludPlan generates the BOTS multifrontal task schedule for an NB x NB block
 // matrix with the given sparsity pattern (true = block present). New blocks
 // materialize as elimination proceeds (fill-in), so the op count is dynamic.
-func sludPlan(nb int, present [][]bool) []sludPlanOp {
-	var ops []sludPlanOp
+func sludPlan(nb int, present [][]bool) []sludOpKind {
+	var ops []sludOpKind
 	for k := 0; k < nb; k++ {
-		ops = append(ops, sludPlanOp{sludLU0, k, k, k})
+		ops = append(ops, sludLU0)
 		for j := k + 1; j < nb; j++ {
 			if present[k][j] {
-				ops = append(ops, sludPlanOp{sludFWD, k, j, k})
+				ops = append(ops, sludFWD)
 			}
 		}
 		for i := k + 1; i < nb; i++ {
 			if present[i][k] {
-				ops = append(ops, sludPlanOp{sludBDIV, i, k, k})
+				ops = append(ops, sludBDIV)
 			}
 		}
 		for i := k + 1; i < nb; i++ {
@@ -122,7 +115,7 @@ func sludPlan(nb int, present [][]bool) []sludPlanOp {
 					continue
 				}
 				present[i][j] = true // fill-in
-				ops = append(ops, sludPlanOp{sludBMOD, i, j, k})
+				ops = append(ops, sludBMOD)
 			}
 		}
 	}
@@ -147,12 +140,8 @@ func sludPattern(nb int, density float64, rng *prng.Xorshift) [][]bool {
 // of Table 3.
 func SparseLU() Benchmark {
 	return Benchmark{
-		Name:           "SLUD",
-		Full:           "Sparse LU Decomposition (BOTS)",
-		DefaultThreads: 128,
-		DefaultTasks:   273 * 1024,
-		Irregular:      true,
-		Make:           makeSLUD,
+		Name: "SLUD",
+		Make: makeSLUD,
 	}
 }
 
@@ -162,7 +151,7 @@ func makeSLUD(opt Options) []TaskDef {
 
 	// Grow the block matrix until the schedule covers the requested count.
 	nb := 8
-	var plan []sludPlanOp
+	var plan []sludOpKind
 	for {
 		plan = sludPlan(nb, sludPattern(nb, 0.35, prng.New(opt.Seed+int64(nb))))
 		if len(plan) >= opt.Tasks || nb >= 128 {
@@ -175,8 +164,8 @@ func makeSLUD(opt Options) []TaskDef {
 	}
 
 	tasks := make([]TaskDef, len(plan))
-	for i, op := range plan {
-		units := sludOpUnits(op.kind)
+	for i, kind := range plan {
+		units := sludOpUnits(kind)
 
 		// Verify mode: run each block op on private random data against the
 		// reference (the arithmetic is validated; the fill-in schedule itself
@@ -196,7 +185,7 @@ func makeSLUD(opt Options) []TaskDef {
 			a, b = mk(), mk()
 			cblk = mk()
 			want = make([]float64, sludBS*sludBS)
-			switch op.kind {
+			switch kind {
 			case sludLU0:
 				copy(want, cblk)
 				sludLU0Ref(want)
@@ -212,7 +201,6 @@ func makeSLUD(opt Options) []TaskDef {
 			}
 		}
 
-		kind := op.kind
 		t := TaskDef{
 			Name:      "SLUD-" + kind.String(),
 			Threads:   opt.threads(threads),

@@ -129,12 +129,8 @@ func randMat(rng *prng.Xorshift, n int, scale float64) []float32 {
 // layer per task over a short token sequence.
 func TransformerLayer() Benchmark {
 	return Benchmark{
-		Name:           "XFMR",
-		Full:           "Transformer layer inference (attention + softmax + FFN)",
-		DefaultThreads: 128,
-		DefaultTasks:   32 * 1024,
-		NeedsSync:      true,
-		Make:           makeXFMR,
+		Name: "XFMR",
+		Make: makeXFMR,
 	}
 }
 
@@ -302,12 +298,8 @@ func gemmChainMACs(m int) int {
 // per task (small GEMMs back to back, the non-attention half of ML serving).
 func GEMMChain() Benchmark {
 	return Benchmark{
-		Name:           "GEMM",
-		Full:           "GEMM-chain MLP inference (3 layers, ReLU)",
-		DefaultThreads: 128,
-		DefaultTasks:   32 * 1024,
-		NeedsSync:      true,
-		Make:           makeGEMMChain,
+		Name: "GEMM",
+		Make: makeGEMMChain,
 	}
 }
 

@@ -101,12 +101,7 @@ func (o Options) threads(def int) int {
 // Benchmark describes one paper workload.
 type Benchmark struct {
 	Name           string // Table 3 abbreviation
-	Full           string
-	DefaultThreads int
-	SupportsShared bool // "May benefit from Shared Memory"
-	NeedsSync      bool // "Requires threadblock synchronization"
-	Irregular      bool // irregular task type per Table 3
-	DefaultTasks   int
+	SupportsShared bool   // "May benefit from Shared Memory"
 	Make           func(opt Options) []TaskDef
 }
 
