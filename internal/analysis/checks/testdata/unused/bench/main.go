@@ -11,6 +11,7 @@ func notCalled() {}
 // report drives the field fixture; FromBench is read nowhere else.
 func report(c lib.Counter) int {
 	if lib.Seen(1, 2) {
+		lib.Bump(&lib.Tally{}, 0)
 		return lib.Unbox(lib.Box[int]{}) + lib.Count(&c, 1)
 	}
 	return c.FromBench

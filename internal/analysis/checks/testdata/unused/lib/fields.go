@@ -50,5 +50,24 @@ func Seen(a, b int) bool {
 	return seen[key{p: pair{x: b}}] || point{x: a} == point{y: b}
 }
 
+// Tally's fields exercise element writes: writing an element of an array
+// field writes the field, since no other holder sees that storage; writing
+// through a slice or map element reaches storage others share, so it reads
+// the field.
+type Tally struct {
+	perDir [2]int    // want `\[unused\] field fixture/lib\.Tally\.perDir is never read`
+	grid   [2][2]int // want `\[unused\] field fixture/lib\.Tally\.grid is never read`
+	shared []int
+	byName map[string]int
+}
+
+// Bump writes every field of t through an element.
+func Bump(t *Tally, d int) {
+	t.perDir[d]++
+	(t.grid[d])[d] += 2
+	t.shared[d]++
+	t.byName["x"] = d
+}
+
 // settings is an anonymous struct type, out of the field rule's scope.
 var settings = []struct{ name string }{{name: "a"}}

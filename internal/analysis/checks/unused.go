@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -21,9 +22,10 @@ import (
 //   - the exported API of any loaded non-main package that no other loaded
 //     package imports (test-support packages such as internal/golden);
 //   - functions named in package-level var initializers;
-//   - methods named like a method of an interface declared in the load set,
-//     or like one the standard library calls implicitly (String, Error,
-//     sort.Interface, heap.Interface, types.Importer, ...).
+//   - methods whose receiver type (or a pointer to it) implements an
+//     interface declared in the load set that declares the method, and
+//     methods named like one the standard library calls implicitly (String,
+//     Error, sort.Interface, heap.Interface, types.Importer, ...).
 //
 // The same pass reports every struct field that no non-test code reads
 // (unreadFields has the rules).
@@ -45,10 +47,8 @@ func runUnused(pass *analysis.Pass) {
 	g := analysis.BuildCallGraph(pass.Pkgs)
 
 	imported := map[string]bool{}
-	ifaceMethod := map[string]bool{}
-	for _, m := range implicitMethods {
-		ifaceMethod[m] = true
-	}
+	// ifaces lists the load-set interfaces that declare each method name.
+	ifaces := map[string][]*types.Interface{}
 	var work []analysis.FuncID // the roots, then everything they reach
 	uses := func(info *types.Info, n ast.Node) (out []analysis.FuncID) {
 		ast.Inspect(n, func(n ast.Node) bool {
@@ -69,7 +69,8 @@ func runUnused(pass *analysis.Pass) {
 			if tn, ok := obj.(*types.TypeName); ok {
 				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 					for i := 0; i < it.NumMethods(); i++ {
-						ifaceMethod[it.Method(i).Name()] = true
+						name := it.Method(i).Name()
+						ifaces[name] = append(ifaces[name], it)
 					}
 				}
 			}
@@ -87,13 +88,28 @@ func runUnused(pass *analysis.Pass) {
 	rootAPI := func(p *analysis.Package) bool {
 		return p.RelPath == "" || p.Types.Name() != "main" && !imported[p.Path]
 	}
+	// implements reports whether a method's receiver type, or a pointer to
+	// it, implements a load-set interface that declares the method. The
+	// pointer's method set holds the value's, so one check covers both.
+	implements := func(d *analysis.FuncDeclInfo) bool {
+		recv := d.Pkg.Info.Defs[d.Decl.Name].Type().(*types.Signature).Recv().Type()
+		if _, ok := recv.(*types.Pointer); !ok {
+			recv = types.NewPointer(recv)
+		}
+		for _, it := range ifaces[d.Decl.Name.Name] {
+			if types.Implements(recv, it) {
+				return true
+			}
+		}
+		return false
+	}
 	reached := map[analysis.FuncID]bool{}
 	for _, id := range g.Order {
 		d := g.Decls[id]
 		name, rel := d.Decl.Name.Name, d.Pkg.RelPath
 		switch {
 		case d.Decl.Recv == nil && (name == "main" || name == "init"),
-			d.Decl.Recv != nil && ifaceMethod[name],
+			d.Decl.Recv != nil && (slices.Contains(implicitMethods, name) || implements(d)),
 			rel == "bench" || strings.HasPrefix(rel, "bench/"),
 			ast.IsExported(name) && rootAPI(d.Pkg):
 			work = append(work, id)
@@ -155,7 +171,7 @@ func unreadFields(pass *analysis.Pass, rootAPI func(*analysis.Package) bool) {
 					}
 				}
 				for _, e := range lhs {
-					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					if sel, ok := writtenField(pkg, e); ok {
 						written[sel.Sel] = true
 					}
 				}
@@ -195,4 +211,24 @@ func unreadFields(pass *analysis.Pass, rootAPI func(*analysis.Package) bool) {
 			}
 		}
 	}
+}
+
+// writtenField returns the field selector an assignment or inc/dec target
+// writes: x.f itself, or x.f[i] (x.f[i][j], ...) when f is an array, whose
+// elements no other holder can see. Writing through a slice or map element
+// reaches storage that other values share, so it reads the field.
+func writtenField(pkg *analysis.Package, e ast.Expr) (*ast.SelectorExpr, bool) {
+	e = ast.Unparen(e)
+	for {
+		ix, ok := e.(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		if _, ok := pkg.TypeOf(ix.X).Underlying().(*types.Array); !ok {
+			break
+		}
+		e = ast.Unparen(ix.X)
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	return sel, ok
 }

@@ -54,18 +54,15 @@ type Config struct {
 	Interval sim.Time
 
 	// Warmup is the provision-to-dispatchable cost in cycles (GPU init +
-	// first-batch latency); negative means 0... use >= 0. The initial Min
-	// nodes are pre-provisioned before traffic and pay no warm-up.
+	// first-batch latency); 0 makes a scale-out node dispatchable at once,
+	// and Validate rejects a negative value. The initial Min nodes are
+	// pre-provisioned before traffic and pay no warm-up.
 	Warmup sim.Time
 
 	// Cooldown is the minimum spacing between scale events in cycles; 0
 	// means DefaultCooldown. It is the fleet-level hysteresis that keeps a
 	// policy oscillating around a threshold from flapping nodes.
 	Cooldown sim.Time
-
-	// Window sizes the rolling completion window behind the p99 signal; 0
-	// means DefaultWindow.
-	Window int
 }
 
 // Enabled reports whether the config asks for actual elasticity: a nil
@@ -93,9 +90,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("autoscale: %s %v is not a finite non-negative cycle count", d.what, d.v)
 		}
 	}
-	if c.Window < 0 {
-		return fmt.Errorf("autoscale: window %d is negative", c.Window)
-	}
 	return nil
 }
 
@@ -105,9 +99,6 @@ func (c Config) fill() Config {
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = DefaultCooldown
-	}
-	if c.Window == 0 {
-		c.Window = DefaultWindow
 	}
 	return c
 }
@@ -184,7 +175,7 @@ type Fleet struct {
 	peak        int
 
 	// rolling completion-latency window behind the p99 signal
-	win     []sim.Time
+	win     [DefaultWindow]sim.Time
 	winNext int
 	winLen  int
 	scratch []sim.Time
@@ -210,8 +201,7 @@ func NewFleet(eng *sim.Engine, cfg Config, spawn func(id int) cluster.Node) (*Fl
 		cfg:     cfg,
 		spawn:   spawn,
 		peak:    cfg.Min,
-		win:     make([]sim.Time, cfg.Window),
-		scratch: make([]sim.Time, 0, cfg.Window),
+		scratch: make([]sim.Time, 0, DefaultWindow),
 	}
 	if cfg.Policy != nil {
 		f.pol = cfg.Policy()
@@ -279,9 +269,6 @@ func (f *Fleet) CloseAll() {
 // rolling window behind the p99 signal. Runners call it from the node
 // completion hook, under the engine baton.
 func (f *Fleet) NoteLatency(lat sim.Time) {
-	if len(f.win) == 0 {
-		return
-	}
 	f.win[f.winNext] = lat
 	f.winNext = (f.winNext + 1) % len(f.win)
 	if f.winLen < len(f.win) {

@@ -298,7 +298,6 @@ func TestConfigValidate(t *testing.T) {
 		{"elastic without policy", Config{Min: 1, Max: 4}, "need a scaling policy"},
 		{"negative warmup", Config{Min: 1, Max: 4, Policy: pol, Warmup: -1}, "warmup"},
 		{"nan interval", Config{Min: 1, Max: 4, Policy: pol, Interval: math.NaN()}, "interval"},
-		{"negative window", Config{Min: 1, Max: 4, Policy: pol, Window: -1}, "window"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

@@ -23,7 +23,7 @@ type Signals struct {
 	ArrivalRate float64
 
 	// P99 is the rolling p99 latency over the most recent completions
-	// (Config.Window of them); 0 until anything has completed.
+	// (DefaultWindow of them); 0 until anything has completed.
 	P99 sim.Time
 }
 

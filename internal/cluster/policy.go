@@ -101,29 +101,20 @@ func (p *PowerOfTwo) Pick(_ sim.Time, _ Task, nodes []NodeView) int {
 
 // ClassAffinity pins each task class to a home node (class mod N), the
 // locality-first policy: every task of a class lands where its kernel and
-// working set are already resident. Spill, when positive, caps how deep the
-// home inbox may grow before an arrival overflows to the least-outstanding
-// node; 0 never spills, making single-class workloads the policy's worst
-// case (the whole fleet collapses onto one node — the "where dispatch policy
-// breaks scaling" point of the cluster_scaling experiment).
-type ClassAffinity struct{ Spill int }
+// working set are already resident. It never spills to another node, however
+// deep the home inbox grows, which makes single-class workloads the policy's
+// worst case (the whole fleet collapses onto one node — the "where dispatch
+// policy breaks scaling" point of the cluster_scaling experiment).
+type ClassAffinity struct{}
 
 // Name implements Policy.
-func (p ClassAffinity) Name() string {
-	if p.Spill > 0 {
-		return fmt.Sprintf("affinity+spill%d", p.Spill)
-	}
-	return "affinity"
-}
+func (ClassAffinity) Name() string { return "affinity" }
 
 // Pick implements Policy.
-func (p ClassAffinity) Pick(_ sim.Time, t Task, nodes []NodeView) int {
+func (ClassAffinity) Pick(_ sim.Time, t Task, nodes []NodeView) int {
 	home := t.Class % len(nodes)
 	if home < 0 {
 		home += len(nodes)
-	}
-	if p.Spill > 0 && nodes[home].Queued() >= p.Spill {
-		return argmin(nodes, NodeView.Queued)
 	}
 	return home
 }

@@ -102,21 +102,14 @@ func TestPowerOfTwoSeededDeterministicAndLoadAware(t *testing.T) {
 	}
 }
 
-func TestClassAffinityHomesAndSpills(t *testing.T) {
-	pure := ClassAffinity{}
+// TestClassAffinityPinsHomes: every class lands on its home node (class mod
+// N), even when that node's inbox is the deepest in the fleet.
+func TestClassAffinityPinsHomes(t *testing.T) {
 	vs := views(50, 0, 0, 0)
 	for class := 0; class < 8; class++ {
-		if got, want := pure.Pick(0, Task{Class: class}, vs), class%4; got != want {
+		if got, want := (ClassAffinity{}).Pick(0, Task{Class: class}, vs), class%4; got != want {
 			t.Errorf("class %d -> node %d, want %d", class, got, want)
 		}
-	}
-	// With a spill bound, a deep home inbox overflows to the shortest queue.
-	spill := ClassAffinity{Spill: 8}
-	if got := spill.Pick(0, Task{Class: 0}, vs); got != 1 {
-		t.Errorf("spill pick = %d, want 1", got)
-	}
-	if got := spill.Pick(0, Task{Class: 1}, vs); got != 1 {
-		t.Errorf("under-bound home abandoned: pick = %d, want 1", got)
 	}
 }
 

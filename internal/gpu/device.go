@@ -231,13 +231,14 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 }
 
 // Virtualize installs a dynamic-resource virtualization coordinator:
-// subsequent threadblock dispatch admits against the oversubscribed
-// capacities and pays the coordinator's spill cost whenever live demand
-// exceeds physical capacity. With factors <= 1 this is a no-op (admission
-// stays physical). It returns the coordinator for spill accounting.
-func (d *Device) Virtualize(ov Oversub) *Coordinator {
-	d.Virt = NewCoordinator(d.Cfg, ov)
-	d.caps = d.Virt.caps
+// subsequent threadblock dispatch admits against every per-SMM capacity
+// scaled by factor and pays the coordinator's spill cost whenever live
+// demand exceeds physical capacity. With factor <= 1 admission stays
+// physical and no spill is ever charged. It returns the coordinator for
+// spill accounting.
+func (d *Device) Virtualize(factor float64) *Coordinator {
+	d.Virt = &Coordinator{}
+	d.caps = virtualCaps(d.Cfg, factor)
 	return d.Virt
 }
 

@@ -130,7 +130,7 @@ func TestParkOnStartsWarpsParked(t *testing.T) {
 	eng := sim.New()
 	t.Cleanup(eng.Close)
 	dev := NewDevice(eng, cfg)
-	co := dev.Virtualize(Oversub{SharedMem: 2.0, SpillCyclesPerKB: DefaultSpillCyclesPerKB})
+	co := dev.Virtualize(2)
 	var sigs [4]sim.Signal
 	var woke [4]sim.Time
 	open := false

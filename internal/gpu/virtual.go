@@ -17,73 +17,35 @@ import "repro/internal/sim"
 // in the mid-hundreds of cycles per KB.
 const DefaultSpillCyclesPerKB = 512.0
 
-// Oversub holds the per-resource oversubscription factors of the virtualized
-// occupancy model. Each factor multiplies the physical per-SMM capacity when
-// the coordinator admits threadblocks; values <= 1 (including the zero value)
-// leave that resource at its physical size, so the zero Oversub is exactly
-// the static hardware model.
-type Oversub struct {
-	TBSlots     float64 // threadblock slots per SMM
-	ThreadSlots float64 // thread/warp contexts per SMM
-	Registers   float64 // register file
-	SharedMem   float64 // shared memory
+// DefaultOversub is the zorua scheme's default oversubscription factor: 1.5x
+// on every virtualized resource, matching the moderate-oversubscription
+// regime the Zorua papers evaluate.
+const DefaultOversub = 1.5
 
-	// SpillCyclesPerKB is the cycle cost charged to a threadblock per KB of
-	// register/shared state it was admitted beyond physical capacity.
-	SpillCyclesPerKB float64
-}
-
-// Enabled reports whether any resource is actually oversubscribed.
-func (o Oversub) Enabled() bool {
-	return o.TBSlots > 1 || o.ThreadSlots > 1 || o.Registers > 1 || o.SharedMem > 1
-}
-
-// UniformOversub oversubscribes every virtualized resource by the same
-// factor, with the default spill price.
-func UniformOversub(f float64) Oversub {
-	return Oversub{
-		TBSlots:          f,
-		ThreadSlots:      f,
-		Registers:        f,
-		SharedMem:        f,
-		SpillCyclesPerKB: DefaultSpillCyclesPerKB,
-	}
-}
-
-// DefaultOversub is the zorua scheme's default operating point: 1.5x on
-// every virtualized resource, matching the moderate-oversubscription regime
-// the Zorua papers evaluate.
-func DefaultOversub() Oversub { return UniformOversub(1.5) }
-
-func scaleCap(phys int, f float64) int {
-	if f <= 1 {
-		return phys
-	}
-	return int(float64(phys) * f)
-}
-
-// caps returns the virtual per-SMM capacities: physical scaled by the
-// factors. ThreadSlots scales both the thread and warp-context limits (they
-// are two views of the same execution contexts).
-func (o Oversub) caps(cfg Config) occCaps {
+// virtualCaps returns the virtual per-SMM capacities: every physical
+// capacity scaled by factor (thread slots scale both the thread and
+// warp-context limits, two views of the same execution contexts). A factor
+// <= 1 leaves the capacities physical.
+func virtualCaps(cfg Config, factor float64) occCaps {
 	p := physCaps(cfg)
+	if factor <= 1 {
+		return p
+	}
+	scale := func(phys int) int { return int(float64(phys) * factor) }
 	return occCaps{
-		tbs:     scaleCap(p.tbs, o.TBSlots),
-		threads: scaleCap(p.threads, o.ThreadSlots),
-		warps:   scaleCap(p.warps, o.ThreadSlots),
-		shared:  scaleCap(p.shared, o.SharedMem),
-		regs:    scaleCap(p.regs, o.Registers),
+		tbs:     scale(p.tbs),
+		threads: scale(p.threads),
+		warps:   scale(p.warps),
+		shared:  scale(p.shared),
+		regs:    scale(p.regs),
 	}
 }
 
-// Coordinator is the runtime piece of the virtualization model: it owns the
-// virtual capacities the dispatcher admits against and accounts the spill
-// traffic generated when live demand exceeds physical capacity. Install one
-// on a Device with Virtualize.
+// Coordinator is the runtime piece of the virtualization model: it accounts
+// the spill traffic generated when live demand exceeds physical capacity.
+// Device.Virtualize installs one together with the virtual capacities the
+// dispatcher admits against.
 type Coordinator struct {
-	ov   Oversub
-	caps occCaps
-
 	// SpilledTBs counts threadblocks admitted past physical capacity.
 	SpilledTBs int //pagoda:allow unused the zorua spill tests (TestVirtualizeAdmitsPastPhysicalAndChargesSpill) read it; a future probe
 	// SpillBytes is the total register+shared state moved to the backing
@@ -93,15 +55,10 @@ type Coordinator struct {
 	SpillCycles float64 //pagoda:allow unused TestVirtualizeAdmitsPastPhysicalAndChargesSpill reads it; a future probe
 }
 
-// NewCoordinator builds a coordinator for the given geometry and factors.
-func NewCoordinator(cfg Config, ov Oversub) *Coordinator {
-	return &Coordinator{ov: ov, caps: ov.caps(cfg)}
-}
-
 // admit accounts one threadblock's placement on an SMM whose usage counters
 // already include it, returning the swap delay its warps must pay before
-// executing: SpillCyclesPerKB per KB of register/shared state beyond the
-// physical capacity attributable to this threadblock.
+// executing: DefaultSpillCyclesPerKB per KB of register/shared state beyond
+// the physical capacity attributable to this threadblock.
 func (c *Coordinator) admit(m *SMM, spec LaunchSpec, warps int) sim.Time {
 	cfg := m.dev.Cfg
 	regs := spec.RegsPerThread * warps * cfg.ThreadsPerWarp
@@ -112,7 +69,7 @@ func (c *Coordinator) admit(m *SMM, spec LaunchSpec, warps int) sim.Time {
 	}
 	c.SpilledTBs++
 	c.SpillBytes += bytes
-	d := sim.Time(c.ov.SpillCyclesPerKB * float64(bytes) / 1024)
+	d := sim.Time(DefaultSpillCyclesPerKB * float64(bytes) / 1024)
 	c.SpillCycles += float64(d)
 	return d
 }

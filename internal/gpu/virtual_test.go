@@ -41,7 +41,7 @@ func TestInvalidOccupancyInputs(t *testing.T) {
 			if occ.LimitedBy != "invalid spec" {
 				t.Errorf("LimitedBy = %q, want %q", occ.LimitedBy, "invalid spec")
 			}
-			vocc := occupancyAgainst(c.cfg, c.spec, DefaultOversub().caps(c.cfg))
+			vocc := occupancyAgainst(c.cfg, c.spec, virtualCaps(c.cfg, DefaultOversub))
 			if vocc != occ {
 				t.Errorf("virtual occupancy = %+v, want %+v on invalid input", vocc, occ)
 			}
@@ -75,8 +75,8 @@ func TestNarrowTaskOccupancyDegenerate(t *testing.T) {
 	}
 }
 
-// TestVirtualOccupancyReducesAtUnity is the acceptance pin: with all factors
-// at 1.0 (or the zero Oversub) the virtual occupancy must equal
+// TestVirtualOccupancyReducesAtUnity is the acceptance pin: at factor 1.0
+// (or 0) the virtual occupancy must equal
 // TheoreticalOccupancy exactly, field for field, across representative specs.
 func TestVirtualOccupancyReducesAtUnity(t *testing.T) {
 	cfg := TitanX()
@@ -88,16 +88,13 @@ func TestVirtualOccupancyReducesAtUnity(t *testing.T) {
 		{BlockThreads: 32, RegsPerThread: 16},                           // TB-slot bound
 		{BlockThreads: 128, RegsPerThread: 32},                          // the narrow-task shape
 	}
-	for _, ov := range []Oversub{{}, UniformOversub(1.0)} {
-		if ov.Enabled() {
-			t.Fatalf("Oversub %+v reports Enabled, want disabled at unity", ov)
-		}
+	for _, factor := range []float64{0, 1} {
 		for _, spec := range specs {
 			want := TheoreticalOccupancy(cfg, spec)
-			got := occupancyAgainst(cfg, spec, ov.caps(cfg))
+			got := occupancyAgainst(cfg, spec, virtualCaps(cfg, factor))
 			if got != want {
-				t.Errorf("spec %+v: virtual occupancy(%+v) = %+v, want TheoreticalOccupancy %+v",
-					spec, ov, got, want)
+				t.Errorf("spec %+v: virtual occupancy(%v) = %+v, want TheoreticalOccupancy %+v",
+					spec, factor, got, want)
 			}
 		}
 	}
@@ -110,7 +107,7 @@ func TestVirtualOccupancyOversubscribes(t *testing.T) {
 	cfg := TitanX()
 	// Shared-memory-bound spec: physically 4 TBs (96KB/24KB), 12.5% occupancy.
 	spec := LaunchSpec{BlockThreads: 64, SharedPerTB: 24 * 1024, RegsPerThread: 32}
-	occ := occupancyAgainst(cfg, spec, UniformOversub(2.0).caps(cfg))
+	occ := occupancyAgainst(cfg, spec, virtualCaps(cfg, 2.0))
 	if occ.TBsPerSMM != 8 || occ.LimitedBy != "shared memory" {
 		t.Fatalf("occ = %+v, want 8 TBs still limited by shared memory at 2x", occ)
 	}
@@ -121,7 +118,7 @@ func TestVirtualOccupancyOversubscribes(t *testing.T) {
 	// Thread-slot-bound spec at 1.5x: 2048*1.5/1024 = 3 TBs, 96 warps > the
 	// physical 64 contexts — Fraction exceeds 1.
 	wide := LaunchSpec{BlockThreads: 1024, RegsPerThread: 16}
-	occ = occupancyAgainst(cfg, wide, UniformOversub(1.5).caps(cfg))
+	occ = occupancyAgainst(cfg, wide, virtualCaps(cfg, 1.5))
 	if occ.TBsPerSMM != 3 || occ.WarpsPerSMM != 96 {
 		t.Fatalf("occ = %+v, want 3 TBs / 96 warps at 1.5x", occ)
 	}
@@ -132,7 +129,7 @@ func TestVirtualOccupancyOversubscribes(t *testing.T) {
 
 // TestVirtualizeAdmitsPastPhysicalAndChargesSpill runs a real device: a
 // latency-bound kernel whose blocks each claim 48KB shared memory fits 2 per
-// SMM physically; at 2x shared oversubscription all 4 are admitted at once
+// SMM physically; at 2x oversubscription all 4 are admitted at once
 // and the coordinator charges spill for the overflow. Because the warps
 // spend their time stalled on global memory (idle issue slots), the extra
 // residency hides latency and the oversubscribed run finishes strictly
@@ -140,12 +137,12 @@ func TestVirtualOccupancyOversubscribes(t *testing.T) {
 func TestVirtualizeAdmitsPastPhysicalAndChargesSpill(t *testing.T) {
 	cfg := TitanX()
 	cfg.NumSMMs = 1
-	run := func(ov Oversub) (sim.Time, *Coordinator) {
+	run := func(factor float64) (sim.Time, *Coordinator) {
 		eng := sim.New()
 		dev := NewDevice(eng, cfg)
 		var co *Coordinator
-		if ov.Enabled() {
-			co = dev.Virtualize(ov)
+		if factor > 1 {
+			co = dev.Virtualize(factor)
 		}
 		spec := LaunchSpec{
 			Name: "sh", GridDim: 4, BlockThreads: 64, SharedPerTB: 48 * 1024,
@@ -160,8 +157,8 @@ func TestVirtualizeAdmitsPastPhysicalAndChargesSpill(t *testing.T) {
 		eng.Run()
 		return k.EndTime, co
 	}
-	baseEnd, _ := run(Oversub{})
-	virtEnd, co := run(Oversub{SharedMem: 2.0, SpillCyclesPerKB: DefaultSpillCyclesPerKB})
+	baseEnd, _ := run(1)
+	virtEnd, co := run(2)
 	if virtEnd >= baseEnd {
 		t.Errorf("virtualized end %v not earlier than static end %v", virtEnd, baseEnd)
 	}
@@ -177,7 +174,7 @@ func TestVirtualizeAdmitsPastPhysicalAndChargesSpill(t *testing.T) {
 }
 
 // TestVirtualizeAtUnityIsInert pins that installing a coordinator with
-// factors <= 1 changes nothing: admission stays physical and no spill is
+// factor 1 changes nothing: admission stays physical and no spill is
 // ever charged.
 func TestVirtualizeAtUnityIsInert(t *testing.T) {
 	cfg := TitanX()
@@ -187,7 +184,7 @@ func TestVirtualizeAtUnityIsInert(t *testing.T) {
 		dev := NewDevice(eng, cfg)
 		var co *Coordinator
 		if virtualize {
-			co = dev.Virtualize(UniformOversub(1.0))
+			co = dev.Virtualize(1)
 		}
 		k := dev.Launch(LaunchSpec{
 			Name: "u", GridDim: 16, BlockThreads: 128, RegsPerThread: 32,

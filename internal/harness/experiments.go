@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/gpu"
 	"repro/internal/runners"
 	"repro/internal/workloads"
 )
@@ -41,8 +40,8 @@ type Params struct {
 	// The figure experiments have fixed per-scheme columns and ignore it.
 	Schemes []string
 
-	// Oversub overrides the zorua scheme's oversubscription factor
-	// (uniform across all four resources); 0 means the scheme default,
+	// Oversub overrides the zorua scheme's oversubscription factor (one
+	// factor for every virtualized resource); 0 means the scheme default,
 	// 1 means physical admission. Other schemes ignore it.
 	Oversub float64
 
@@ -94,7 +93,7 @@ func (p Params) runnerCfg() runners.Config {
 	cfg := runners.DefaultConfig()
 	cfg.SMMs = p.SMMs
 	if p.Oversub > 0 {
-		cfg.Oversub = gpu.UniformOversub(p.Oversub)
+		cfg.Oversub = p.Oversub
 	}
 	return cfg
 }

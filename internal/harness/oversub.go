@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/gpu"
 	"repro/internal/runners"
 	"repro/internal/serve"
 	"repro/internal/workloads"
@@ -68,7 +67,7 @@ func OversubSweep(p Params) *Report {
 		cfg := p.runnerCfg()
 		cfg.SMMs = oversubSMMs
 		cfg.CopyData = false
-		cfg.Oversub = gpu.UniformOversub(factor)
+		cfg.Oversub = factor
 		for _, rate := range oversubRates {
 			gen := serve.Poisson{Rate: rate, Seed: p.Seed}
 			cells[factor] = append(cells[factor], s.fleet(fleetSpec{sc: sc, cfg: cfg, mk: mk, gen: gen, slo: slo}))

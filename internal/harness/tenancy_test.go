@@ -33,10 +33,12 @@ func TestSingleTenantReducesToOpenLoop(t *testing.T) {
 	for _, sc := range runners.Schemes() {
 		arrivals, classOf := tenancy.Merge(cl, []int{n})
 		adm := tenancy.NewAdmission(tenancy.AdmitNone, cl, arrivals, classOf, 0, false)
-		_, got := sc.RunOpenLoop(b.Make(opt), runners.OpenLoop{
+		_, cr := sc.RunCluster(b.Make(opt), runners.ClusterOpenLoop{
 			Arrivals:  arrivals,
+			Nodes:     1,
 			AdmitTask: adm.AdmitTask,
 		}, cfg)
+		got := cr.Recs
 
 		_, want := sc.RunOpenLoop(b.Make(opt), runners.OpenLoop{Arrivals: gen.Times(n)}, cfg)
 
@@ -76,8 +78,9 @@ func TestTenancyConservesTasksInRecords(t *testing.T) {
 		for _, sc := range runners.Schemes() {
 			arrivals, classOf := tenancy.Merge(classes, counts)
 			adm := tenancy.NewAdmission(kind, classes, arrivals, classOf, tenantAdmitLimit, true)
-			_, recs := sc.RunOpenLoop(b.Make(workloads.Options{Tasks: len(arrivals), Seed: p.Seed}),
-				runners.OpenLoop{Arrivals: arrivals, AdmitTask: adm.AdmitTask}, cfg)
+			_, cr := sc.RunCluster(b.Make(workloads.Options{Tasks: len(arrivals), Seed: p.Seed}),
+				runners.ClusterOpenLoop{Arrivals: arrivals, Nodes: 1, AdmitTask: adm.AdmitTask}, cfg)
+			recs := cr.Recs
 
 			outcomes := adm.Outcomes()
 			for i, r := range recs {

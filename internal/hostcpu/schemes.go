@@ -18,20 +18,17 @@ type SchemeResult struct {
 	Elapsed sim.Time
 }
 
-// openMPConfig models fork-join data parallelism: every task is spread over
-// all cores, paying a fork-join barrier per task. Narrow tasks parallelize
-// poorly this way — per-task work / cores is small next to the barrier.
-type openMPConfig struct {
-	Config
-	ForkJoinCost sim.Time // per-task team fork + barrier join
-	// Efficiency < 1: cache-line sharing and uneven chunking inside one
-	// small task.
-	Efficiency float64
-}
-
-// RunOpenMP executes each task as a data-parallel loop over the cores.
+// RunOpenMP executes each task as a data-parallel loop over the cores: the
+// fork-join model, where every task is spread over all cores and pays a
+// fork-join barrier. Narrow tasks parallelize poorly this way — per-task
+// work / cores is small next to the barrier.
 func RunOpenMP(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
-	oc := openMPConfig{Config: cfg, ForkJoinCost: 2600, Efficiency: 0.75}
+	const (
+		forkJoinCost = sim.Time(2600) // per-task team fork + barrier join
+		// efficiency < 1: cache-line sharing and uneven chunking inside
+		// one small task.
+		efficiency = 0.75
+	)
 	var end sim.Time
 	eng.Spawn("omp-host", func(p *sim.Proc) {
 		for i := range tasks {
@@ -39,8 +36,8 @@ func RunOpenMP(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 			if t.Fn != nil {
 				t.Fn()
 			}
-			per := t.Cycles / (float64(oc.Cores) * oc.Efficiency)
-			p.Sleep(oc.ForkJoinCost + per/oc.FreqGHz)
+			per := t.Cycles / (float64(cfg.Cores) * efficiency)
+			p.Sleep(forkJoinCost + per/cfg.FreqGHz)
 		}
 		end = eng.Now()
 	})

@@ -54,15 +54,6 @@ type Bus struct {
 	eng *sim.Engine
 	cfg Config
 	bw  [2]*sim.Share
-
-	// Transfers and BytesMoved count completed transactions (diagnostics and
-	// handshake accounting in experiments). Started and BytesRequested count
-	// transaction starts, so mid-run sampling sees in-flight traffic too:
-	// Started-Transfers is the number of transactions currently on the wire.
-	Transfers      [2]int
-	BytesMoved     [2]int64
-	Started        [2]int
-	BytesRequested [2]int64
 }
 
 // New creates a bus on the engine.
@@ -81,20 +72,13 @@ func New(eng *sim.Engine, cfg Config) *Bus {
 }
 
 // Transfer moves `bytes` in direction d, blocking the calling process for
-// the transaction latency plus bandwidth-shared transfer time. The start is
-// counted before the process blocks and the completion after, so diagnostics
-// sampled mid-run (e.g. handshake counts taken before quiesce) see in-flight
-// transactions rather than undercounting them.
+// the transaction latency plus bandwidth-shared transfer time.
 func (b *Bus) Transfer(p *sim.Proc, d Dir, bytes int) {
 	if bytes < 0 {
 		panic("pcie: negative transfer size")
 	}
-	b.Started[d]++
-	b.BytesRequested[d] += int64(bytes)
 	p.Sleep(b.cfg.Latency)
 	b.bw[d].Acquire(p, float64(bytes))
-	b.Transfers[d]++
-	b.BytesMoved[d] += int64(bytes)
 }
 
 // TransferAsync starts a transfer and invokes onDone (on the event loop)

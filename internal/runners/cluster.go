@@ -47,8 +47,11 @@ type ClusterOpenLoop struct {
 	// one fleet-wide class-aware admission layer (internal/tenancy) shared
 	// by all nodes, so per-class contracts and token buckets police the
 	// fleet's aggregate intake rather than N independent copies. Nodes call
-	// it at their own presentation point with node-local inFlight, exactly
-	// where they would consult Admit.
+	// it exactly once per task at their own presentation point with
+	// node-local inFlight, exactly where they would consult Admit. Under
+	// Pagoda's multi-spawner host path calls are NOT guaranteed to arrive in
+	// task-index order, only at nondecreasing per-spawner instants —
+	// implementations must key on the index argument, never on call order.
 	AdmitTask func(ti int, now sim.Time, inFlight int) bool
 
 	// Scaler, when it asks for elasticity (Max > Min), replaces the fixed
@@ -502,20 +505,20 @@ type hyperqNode struct {
 const hyperqNodeStreams = 32
 
 func newHyperQNode(eng *sim.Engine, b nodeBase) fleetNode {
-	return newKernelPerTaskNode(eng, b, gpu.Oversub{})
+	return newKernelPerTaskNode(eng, b, 1)
 }
 
 // newKernelPerTaskNode builds one kernel-per-task node: a static device for
-// HyperQ (zero Oversub), a virtualized one for zorua.
-func newKernelPerTaskNode(eng *sim.Engine, b nodeBase, ov gpu.Oversub) *hyperqNode {
+// HyperQ (factor 1), one virtualized by oversub > 1 for zorua.
+func newKernelPerTaskNode(eng *sim.Engine, b nodeBase, oversub float64) *hyperqNode {
 	n := &hyperqNode{
 		nodeBase: b,
 		sys:      newSystemOn(eng, b.cfg),
 		streams:  make([]*cuda.Stream, hyperqNodeStreams),
 	}
 	n.in = make([]intake, 1)
-	if ov.Enabled() {
-		n.sys.dev.Virtualize(ov)
+	if oversub > 1 {
+		n.sys.dev.Virtualize(oversub)
 	}
 	for i := range n.streams {
 		n.streams[i] = n.sys.ctx.NewStream()

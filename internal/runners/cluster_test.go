@@ -118,20 +118,24 @@ func TestClusterOneNodeMatchesOpenLoop(t *testing.T) {
 	classes := tenancy.DefaultClasses(3, rate/3, 200_000, horizon, 1, 1)
 	tenantArrivals, classOf := tenancy.Merge(classes, counts)
 
+	openLoop := func(mk func() OpenLoop) func(Scheme) (Result, []serve.Record) {
+		return func(s Scheme) (Result, []serve.Record) { return s.RunOpenLoop(tasks, mk(), cfg) }
+	}
 	admissions := []struct {
 		name string
-		ol   func() OpenLoop
+		run  func(Scheme) (Result, []serve.Record)
 	}{
-		{"unbounded", func() OpenLoop { return OpenLoop{Arrivals: arrivals} }},
-		{"queue8", func() OpenLoop {
+		{"unbounded", openLoop(func() OpenLoop { return OpenLoop{Arrivals: arrivals} })},
+		{"queue8", openLoop(func() OpenLoop {
 			return OpenLoop{Arrivals: arrivals, Admit: serve.BoundedQueue{Limit: 8}.Admit}
-		}},
-		{"token", func() OpenLoop {
+		})},
+		{"token", openLoop(func() OpenLoop {
 			return OpenLoop{Arrivals: arrivals, Admit: serve.NewTokenBucket(rate/2, 4).Admit}
-		}},
-		{"wfq", func() OpenLoop {
+		})},
+		{"wfq", func(s Scheme) (Result, []serve.Record) {
 			adm := tenancy.NewAdmission(tenancy.AdmitWFQ, classes, tenantArrivals, classOf, 8, true)
-			return OpenLoop{Arrivals: tenantArrivals, AdmitTask: adm.AdmitTask}
+			res, cr := s.RunCluster(tasks, ClusterOpenLoop{Arrivals: tenantArrivals, Nodes: 1, AdmitTask: adm.AdmitTask}, cfg)
+			return res, cr.Recs
 		}},
 	}
 
@@ -139,7 +143,7 @@ func TestClusterOneNodeMatchesOpenLoop(t *testing.T) {
 		for _, ad := range admissions {
 			key := s.Key + "/" + ad.name
 			t.Run(key, func(t *testing.T) {
-				res, recs := s.RunOpenLoop(tasks, ad.ol(), cfg)
+				res, recs := ad.run(s)
 				if len(recs) != n {
 					t.Fatalf("%d records for %d tasks", len(recs), n)
 				}

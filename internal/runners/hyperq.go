@@ -16,20 +16,21 @@ import (
 // hardware schedules at threadblock granularity and a narrow task's kernel
 // occupies very little of the device.
 func RunHyperQ(tasks []workloads.TaskDef, cfg Config) Result {
-	return runKernelPerTask(tasks, cfg, gpu.Oversub{})
+	return runKernelPerTask(tasks, cfg, 1)
 }
 
 // runKernelPerTask is the shared kernel-per-task closed-loop engine: HyperQ
-// runs it on the static device (zero Oversub), zorua on a virtualized one —
-// the two schemes differ only in how the device admits threadblocks. Unlike
+// runs it on the static device (factor 1), zorua on one virtualized by
+// oversub > 1 — the two schemes differ only in how the device admits
+// threadblocks. Unlike
 // Pagoda's and GeMTC's it is not a one-node fleet: each of its spawners
 // hosts waits on its handles in order, so latency is host-observed
 // (DESIGN.md §7).
-func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, ov gpu.Oversub) Result {
+func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Result {
 	sys := newSystem(cfg)
 	defer sys.eng.Close()
-	if ov.Enabled() {
-		sys.dev.Virtualize(ov)
+	if oversub > 1 {
+		sys.dev.Virtualize(oversub)
 	}
 	const numStreams = 32
 	streams := make([]*cuda.Stream, numStreams)

@@ -3,7 +3,6 @@ package runners
 import (
 	"testing"
 
-	"repro/internal/gpu"
 	"repro/internal/serve"
 	"repro/internal/workloads"
 )
@@ -67,7 +66,7 @@ func TestGateListsCoverEveryScheme(t *testing.T) {
 }
 
 // TestZoruaAtUnityMatchesHyperQ pins the reduction property end to end: with
-// explicit unity oversubscription factors the zorua scheme is bit-for-bit
+// an explicit oversubscription factor of 1 the zorua scheme is bit-for-bit
 // the HyperQ baseline — same host path, same (physical) admission.
 func TestZoruaAtUnityMatchesHyperQ(t *testing.T) {
 	b, err := workloads.ByName("MB")
@@ -79,7 +78,7 @@ func TestZoruaAtUnityMatchesHyperQ(t *testing.T) {
 	cfg.SMMs = 4
 
 	unity := cfg
-	unity.Oversub = gpu.UniformOversub(1.0)
+	unity.Oversub = 1
 	if rz, rh := RunZorua(tasks, unity), RunHyperQ(tasks, cfg); rz != rh {
 		t.Errorf("closed loop diverged at unity:\n zorua  %+v\n hyperq %+v", rz, rh)
 	}

@@ -42,12 +42,11 @@ type Config struct {
 	// PagodaBatching enables the Fig. 11 ablation.
 	PagodaBatching bool
 
-	// Oversub parameterizes the zorua scheme's dynamic resource
-	// virtualization (per-resource oversubscription factors and spill
-	// price). Only the zorua runners read it; the zero value means the
-	// scheme default (gpu.DefaultOversub), while explicit unity factors
-	// make zorua admit exactly like the static hardware model.
-	Oversub gpu.Oversub
+	// Oversub is the zorua scheme's oversubscription factor, applied to
+	// every virtualized resource. Only the zorua runners read it; 0 means
+	// the scheme default (gpu.DefaultOversub), while 1 makes zorua admit
+	// exactly like the static hardware model.
+	Oversub float64
 }
 
 // spawners is the number of host threads feeding tasks to the device

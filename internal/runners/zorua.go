@@ -12,7 +12,7 @@ import (
 // kernel-per-task HyperQ path unchanged — one kernel per narrow task over 32
 // streams — but the device admits threadblocks against oversubscribed
 // (virtual) resource budgets and a runtime coordinator spills the overflow
-// at a per-KB cycle price (gpu.Oversub / Device.Virtualize).
+// at a per-KB cycle price (Device.Virtualize).
 //
 // Because zorua and HyperQ share the host path exactly, the zorua-vs-HyperQ
 // delta isolates what dynamic resource virtualization alone buys: it helps
@@ -20,13 +20,13 @@ import (
 // kernels) and does nothing for the spawn-path bottleneck Pagoda attacks —
 // the design-space point §2 of the paper argues around.
 
-// zoruaOversub resolves the run's oversubscription factors: an unset
+// zoruaOversub resolves the run's oversubscription factor: an unset
 // Config.Oversub means the scheme default (1.5x on every virtualized
-// resource); an explicit value — including explicit unity factors, which
-// make zorua behave exactly like HyperQ — is used as given.
-func zoruaOversub(cfg Config) gpu.Oversub {
-	if cfg.Oversub == (gpu.Oversub{}) {
-		return gpu.DefaultOversub()
+// resource); an explicit value — including 1, which makes zorua behave
+// exactly like HyperQ — is used as given.
+func zoruaOversub(cfg Config) float64 {
+	if cfg.Oversub == 0 {
+		return gpu.DefaultOversub
 	}
 	return cfg.Oversub
 }

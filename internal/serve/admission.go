@@ -1,16 +1,12 @@
 package serve
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // The admission policies below decide, at a task's arrival instant, whether
 // to admit it: Admit(now, inFlight), where inFlight is the number of admitted
 // tasks not yet completed (the system's current backlog as the submitter
-// knows it), and Name labels the policy in reports. Policies may keep state
-// (the token bucket does); a fresh policy must be constructed per run.
+// knows it). Policies may keep state (the token bucket does); a fresh policy
+// must be constructed per run.
 //
 // Without admission control an open-loop system past saturation queues
 // without bound and every latency percentile diverges; these policies are
@@ -20,9 +16,6 @@ import (
 // past-saturation behavior shows up as unbounded queueing delay.
 type Unbounded struct{}
 
-// Name labels the policy.
-func (Unbounded) Name() string { return "unbounded" }
-
 // Admit reports whether to admit a task arriving at now.
 func (Unbounded) Admit(sim.Time, int) bool { return true }
 
@@ -31,9 +24,6 @@ func (Unbounded) Admit(sim.Time, int) bool { return true }
 type BoundedQueue struct {
 	Limit int
 }
-
-// Name labels the policy.
-func (p BoundedQueue) Name() string { return fmt.Sprintf("queue%d", p.Limit) }
 
 // Admit reports whether to admit a task arriving at now.
 func (p BoundedQueue) Admit(_ sim.Time, inFlight int) bool { return inFlight < p.Limit }
@@ -58,9 +48,6 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 	}
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
-
-// Name labels the policy.
-func (p *TokenBucket) Name() string { return fmt.Sprintf("token%g/s+%g", p.rate, p.burst) }
 
 // Admit reports whether to admit a task arriving at now.
 func (p *TokenBucket) Admit(now sim.Time, _ int) bool {

@@ -62,8 +62,8 @@ const (
 func Kinds() []string { return []string{AdmitNone, AdmitStrict, AdmitWFQ} }
 
 // Admission is a class-aware admission layer for one open-loop run. Plug
-// its AdmitTask method into runners.OpenLoop.AdmitTask; construct a fresh
-// value per run (it is stateful, like serve.TokenBucket).
+// its AdmitTask method into runners.ClusterOpenLoop.AdmitTask; construct a
+// fresh value per run (it is stateful, like serve.TokenBucket).
 //
 // At each task's presentation instant the layer first polices the task's
 // class against its contracted rate (a failed bucket check is a Shed — the
@@ -89,7 +89,7 @@ type Admission struct {
 }
 
 // NewAdmission builds the admission layer for one run over the merged
-// arrival sequence (from Merge). limit bounds the admitted-but-uncompleted
+// arrival sequence (from Merge), which must be nondecreasing. limit bounds the admitted-but-uncompleted
 // backlog for the strict and wfq policies; police enables the per-class
 // token buckets at each class's contracted Rate/Burst (AdmitNone ignores
 // both — it is the pure pass-through baseline).
@@ -124,13 +124,13 @@ func NewAdmission(kind string, classes []Class, arrivals []sim.Time, classOf []i
 		if c < 0 || c >= len(classes) {
 			panic(fmt.Sprintf("tenancy: task %d names class %d of %d", ti, c, len(classes)))
 		}
+		if ti > 0 && arrivals[ti] < arrivals[ti-1] {
+			panic(fmt.Sprintf("tenancy: arrivals decrease at %d: %v < %v", ti, arrivals[ti], arrivals[ti-1]))
+		}
 		a.posOf[ti] = len(a.at[c])
 		a.at[c] = append(a.at[c], arrivals[ti])
 	}
 	for c := range classes {
-		if !sort.Float64sAreSorted(a.at[c]) {
-			a.at[c] = sortedTimes(a.at[c])
-		}
 		a.seen[c] = make([]bool, len(a.at[c]))
 		if police {
 			a.buckets[c] = serve.NewTokenBucket(classes[c].Rate, classes[c].Burst)
@@ -139,14 +139,11 @@ func NewAdmission(kind string, classes []Class, arrivals []sim.Time, classOf []i
 	return a
 }
 
-// Name labels the layer for reports.
-func (a *Admission) Name() string { return a.kind }
-
 // Outcomes returns the per-task outcome vector (parallel to the merged task
 // order). Valid after the run; tasks still Pending were never presented.
 func (a *Admission) Outcomes() []Outcome { return a.outcomes }
 
-// AdmitTask implements the runners.OpenLoop.AdmitTask contract: called
+// AdmitTask implements the runners.ClusterOpenLoop.AdmitTask contract: called
 // exactly once per task at its presentation instant, with the global
 // admitted-but-uncompleted backlog.
 func (a *Admission) AdmitTask(ti int, now sim.Time, inFlight int) bool {
@@ -186,11 +183,12 @@ func (a *Admission) present(c, pos int) {
 // waiting counts class c's tasks that have arrived by now but have not yet
 // been presented. Every presented task has arrival <= its presentation
 // instant (the runners sleep to the arrival first), so the count is exactly
-// arrived-up-to-now minus presented.
+// arrived-up-to-now minus presented. Every position below head is presented,
+// so the scan starts there.
 func (a *Admission) waiting(c int, now sim.Time) int {
 	arrived := sort.SearchFloat64s(a.at[c], math.Nextafter(now, math.Inf(1)))
-	presented := 0
-	for pos := 0; pos < arrived; pos++ {
+	presented := min(a.head[c], arrived)
+	for pos := presented; pos < arrived; pos++ {
 		if a.seen[c][pos] {
 			presented++
 		}

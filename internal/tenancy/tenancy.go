@@ -6,16 +6,15 @@
 // The package deliberately owns no scheduler. It composes with the existing
 // seams: a Merge of per-class serve.Generator streams produces the single
 // nondecreasing arrival sequence the runners consume, and an Admission value
-// plugs into runners.OpenLoop.AdmitTask to police, prioritize and preempt at
-// each task's presentation instant. Per-class outcomes are recorded so the
-// conservation identities (offered = shed + admitted; admitted = served +
-// evicted) are checkable after every run.
+// plugs into runners.ClusterOpenLoop.AdmitTask to police, prioritize and
+// preempt at each task's presentation instant. Per-class outcomes are
+// recorded so the conservation identities (offered = shed + admitted;
+// admitted = served + evicted) are checkable after every run.
 package tenancy
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -212,14 +211,5 @@ func SummarizeClasses(classes []Class, classOf []int, recs []serve.Record, outco
 		out[c].Stats = serve.Summarize(byClass[c], classes[c].SLO)
 		out[c].Violations = out[c].Completed - out[c].SLOMet
 	}
-	return out
-}
-
-// sortedTimes returns a sorted copy (Merge already emits per-class
-// subsequences in order, but Admission does not rely on that).
-func sortedTimes(ts []sim.Time) []sim.Time {
-	out := make([]sim.Time, len(ts))
-	copy(out, ts)
-	sort.Float64s(out)
 	return out
 }

@@ -2,6 +2,7 @@ package tenancy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/prng"
@@ -374,4 +375,18 @@ func TestAdmissionRejectsBadConfig(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestAdmissionRejectsDecreasingArrivals: the merged sequence must be
+// nondecreasing (what Merge emits and the dispatcher requires). A class
+// whose arrivals go backwards would leave posOf pointing at the wrong
+// positions, so NewAdmission panics instead of reordering them.
+func TestAdmissionRejectsDecreasingArrivals(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "arrivals decrease at 1") {
+			t.Fatalf("panic = %q, want an arrivals-decrease panic", msg)
+		}
+	}()
+	NewAdmission(AdmitWFQ, twoClasses(1e6), []sim.Time{10, 5, 20}, []int{0, 0, 1}, 8, false)
 }

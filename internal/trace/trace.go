@@ -21,17 +21,16 @@ type Span struct {
 	Args  map[string]string // extra attributes
 }
 
-// Tracer accumulates spans; the zero value is a disabled tracer.
+// Tracer accumulates spans; a nil *Tracer is the disabled tracer.
 type Tracer struct {
-	enabled bool
-	spans   []Span
+	spans []Span
 }
 
 // New returns an enabled tracer.
-func New() *Tracer { return &Tracer{enabled: true} }
+func New() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer records (nil-safe).
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
+// Enabled reports whether the tracer records: every non-nil tracer does.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // Add records a completed span (nil-safe no-op when disabled).
 func (t *Tracer) Add(s Span) {
