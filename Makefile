@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint test vet bench-module race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster loc
+.PHONY: check lint test vet bench-module race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster loc traffic
 
 # check is the pre-merge gate, in order: the determinism analyzers
 # (pagodavet), go vet, the full test suite, the bench/ module's tests, race
@@ -99,3 +99,31 @@ bench-cluster:
 # files first; untracked ones are not counted.
 loc:
 	@git ls-files '*.go' | grep -v -e '^bench/' -e '/testdata/' -e '_test\.go$$' | xargs cat | wc -l
+
+# traffic measures which code the documented programs execute: it builds
+# pagodabench, pagodatrace, gpuinfo, the four examples and the bench/ binary
+# with coverage over every repro package, runs what the repo documents
+# (pagodabench -exp all, pagodatrace's four modes, the examples, gpuinfo and
+# every bench workload for 3 s), then prints the per-package statement
+# coverage and every non-test block whose merged count is 0. A zero count is
+# a candidate for deletion, never proof (DESIGN.md §5). Binaries, counters
+# and traces go to a mktemp -d directory, never into the repo; the run takes
+# about 10 minutes on 2 CPUs. Not part of check.
+traffic:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf '$$d EXIT; mkdir -p $$d/cov; \
+	cover="-cover -coverpkg=repro/..."; \
+	for c in pagodabench pagodatrace gpuinfo; do $(GO) build $$cover -o $$d/$$c ./cmd/$$c; done; \
+	for x in quickstart multiprog imagepipeline netencrypt; do $(GO) build $$cover -o $$d/$$x ./examples/$$x; done; \
+	$(GO) -C bench build $$cover -o $$d/pagoda-bench .; \
+	export GOCOVERDIR=$$d/cov; \
+	$$d/pagodabench -exp all -tasks 2048 > /dev/null; \
+	$$d/pagodatrace -bench MB -o $$d/plain.json > /dev/null; \
+	$$d/pagodatrace -bench MB -nodes 3 -o $$d/nodes.json > /dev/null; \
+	$$d/pagodatrace -bench XFMR -tenants 3 -tasks 96 -rate 192e3 -o $$d/tenants.json > /dev/null; \
+	$$d/pagodatrace -bench MB -autoscale reactive -minnodes 1 -maxnodes 4 -tasks 128 -o $$d/autoscale.json > /dev/null; \
+	for x in quickstart multiprog imagepipeline netencrypt gpuinfo; do $$d/$$x > /dev/null; done; \
+	for w in closed_batch serve_poisson fleet_autoscale tenant_fleet; do \
+		$$d/pagoda-bench --workload $$w --seconds 3 --trace 0 > /dev/null; done; \
+	$(GO) tool covdata percent -i=$$d/cov; \
+	$(GO) tool covdata textfmt -i=$$d/cov -o $$d/cov.txt; \
+	awk 'NR > 1 { n[$$1] += $$3 } END { for (b in n) if (n[b] == 0) print b }' $$d/cov.txt | sort -V

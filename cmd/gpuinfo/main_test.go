@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -20,5 +22,24 @@ func TestRenderSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q; got:\n%s", want, out)
 		}
+	}
+}
+
+// TestHelpExitsZero runs main in a child copy of the test binary with -h:
+// gpuinfo takes no flags, so -h must print the report and exit 0.
+func TestHelpExitsZero(t *testing.T) {
+	if os.Getenv("GPUINFO_RUN_MAIN") == "1" {
+		os.Args = []string{"gpuinfo", "-h"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+	cmd.Env = append(os.Environ(), "GPUINFO_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("gpuinfo -h: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "Simulated device") {
+		t.Errorf("gpuinfo -h printed no report:\n%s", out)
 	}
 }

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,6 +60,9 @@ func run(out, errw io.Writer, args []string) int {
 	format := fs.String("format", "text", "output format: text, csv, json")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h printed the usage
+		}
 		return 2
 	}
 

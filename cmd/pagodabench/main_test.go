@@ -402,6 +402,18 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestHelpExitsZero pins -h as a request, not a usage error: it prints the
+// flags and exits 0 without running an experiment.
+func TestHelpExitsZero(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run(&out, &errw, []string{"-h"}); code != 0 {
+		t.Fatalf("run(-h) = %d, want 0 (stderr %q)", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "-exp") || out.Len() != 0 {
+		t.Errorf("-h printed stdout %q, stderr %q; want the usage on stderr only", out.String(), errw.String())
+	}
+}
+
 // TestMisbehaveSelectsClass drives -misbehave end to end: class 0 (premium)
 // can be chosen, and -1 makes every class honest.
 func TestMisbehaveSelectsClass(t *testing.T) {

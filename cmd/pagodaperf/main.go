@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,6 +45,9 @@ func run(out, errw io.Writer, args []string) int {
 	update := fs.Bool("update", false, "re-measure every metric and rewrite the baselines with fresh provenance")
 	dir := fs.String("C", ".", "directory to run the recorded commands in (the repo root)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h printed the usage
+		}
 		return 2
 	}
 	if *quick && *update {

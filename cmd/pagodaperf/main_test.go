@@ -98,6 +98,18 @@ func TestQuickUpdateConflict(t *testing.T) {
 	}
 }
 
+// TestHelpExitsZero pins -h as a request, not a usage error: it prints the
+// flags and exits 0 without running the gate.
+func TestHelpExitsZero(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run(&out, &errw, []string{"-h"}); code != 0 {
+		t.Fatalf("run(-h) = %d, want 0 (stderr %q)", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "-quick") || out.Len() != 0 {
+		t.Errorf("-h printed stdout %q, stderr %q; want the usage on stderr only", out.String(), errw.String())
+	}
+}
+
 func TestUnreadableBaselineFile(t *testing.T) {
 	var out, errw strings.Builder
 	if code := run(&out, &errw, []string{filepath.Join(t.TempDir(), "missing.json")}); code != 2 {

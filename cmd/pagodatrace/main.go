@@ -54,13 +54,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
-		fmt.Fprintln(os.Stderr, err)
-		if errors.As(err, new(usageError)) {
-			os.Exit(2)
-		}
-		os.Exit(1)
+	os.Exit(exitCode(os.Stderr, run(os.Stdout, os.Args[1:])))
+}
+
+// exitCode reports run's error on errw and maps it to the exit status: 0 on
+// success or -h, 2 on a usage error, 1 on any other failure.
+func exitCode(errw io.Writer, err error) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	fmt.Fprintln(errw, err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
 // usageError marks an error caused by the command line; main exits 2 on it.
@@ -74,7 +81,7 @@ func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format
 // drive the command with small flags and inspect the written trace.
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("pagodatrace", flag.ContinueOnError)
-	benchName := fs.String("bench", "MB", "workload: MB, FB, BF, CONV, DCT, MM, SLUD, 3DES, MPE")
+	benchName := fs.String("bench", "MB", "workload: MB, FB, BF, CONV, DCT, MM, SLUD, 3DES, MPE, XFMR")
 	tasks := fs.Int("tasks", 256, "number of tasks")
 	threads := fs.Int("threads", 128, "threads per task (0 = the benchmark default)")
 	smms := fs.Int("smms", 8, "simulated SMMs")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +86,30 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			}
 			if _, statErr := os.Stat(out); statErr == nil {
 				t.Error("a rejected run wrote a trace file")
+			}
+		})
+	}
+}
+
+// TestExitCodes pins main's exit status: 0 on success and on -h, 2 on a
+// usage error, 1 on any other failure (here an unwritable -o).
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"help", []string{"-h"}, 0},
+		{"ok", []string{"-o", filepath.Join(dir, "t.json")}, 0},
+		{"usage", []string{"-tasks", "-1"}, 2},
+		{"unwritable", []string{"-o", filepath.Join(dir, "missing", "t.json")}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sb strings.Builder
+			err := run(&sb, append([]string{"-tasks", "16", "-smms", "4"}, tc.args...))
+			if got := exitCode(io.Discard, err); got != tc.want {
+				t.Fatalf("exit code for %v = %d (err %v), want %d", tc.args, got, err, tc.want)
 			}
 		})
 	}

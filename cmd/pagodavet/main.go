@@ -38,6 +38,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +59,9 @@ func run(out, errw io.Writer, args []string) int {
 	verbose := fs.Bool("v", false, "also report suppressed findings and per-check totals")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array (suppressed ones included with -v)")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h printed the usage
+		}
 		return 2
 	}
 	patterns := fs.Args()

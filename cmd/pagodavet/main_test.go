@@ -247,6 +247,18 @@ func TestExitCodeLoadError(t *testing.T) {
 	}
 }
 
+// TestHelpExitsZero pins -h as a request, not a usage error: it prints the
+// flags and exits 0 without loading a package.
+func TestHelpExitsZero(t *testing.T) {
+	var out, errw strings.Builder
+	if code := run(&out, &errw, []string{"-h"}); code != 0 {
+		t.Fatalf("run(-h) = %d, want 0 (stderr %q)", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "-json") || out.Len() != 0 {
+		t.Errorf("-h printed stdout %q, stderr %q; want the usage on stderr only", out.String(), errw.String())
+	}
+}
+
 // TestExitCodeClean pins exit 0 for a module with nothing to report.
 func TestExitCodeClean(t *testing.T) {
 	scratch(t, map[string]string{

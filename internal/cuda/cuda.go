@@ -169,21 +169,16 @@ func (s *Stream) deliver(seq int64, fn func()) {
 	}
 }
 
-// MemcpyH2D enqueues an async host-to-device copy of `bytes`; onDone (may be
-// nil) runs when the copy completes, before any later command in the stream
-// starts. The callback is where callers flip device-visible state, giving
-// exactly the CUDA-streams guarantee Pagoda's TaskTable relies on: data from
-// an earlier copy is device-visible before a later copy's effects.
-func (s *Stream) MemcpyH2D(host *sim.Proc, bytes int, onDone func()) {
+// MemcpyH2D enqueues an async host-to-device copy of `bytes`; the copy
+// completes before any later command in the stream starts.
+func (s *Stream) MemcpyH2D(host *sim.Proc, bytes int) {
 	s.enqueue(host, func(p *sim.Proc) {
 		s.ctx.Bus.Transfer(p, pcie.HostToDevice, bytes)
-		if onDone != nil {
-			onDone()
-		}
 	})
 }
 
-// MemcpyD2H enqueues an async device-to-host copy.
+// MemcpyD2H enqueues an async device-to-host copy; onDone (may be nil) runs
+// when the copy completes, before any later command in the stream starts.
 func (s *Stream) MemcpyD2H(host *sim.Proc, bytes int, onDone func()) {
 	s.enqueue(host, func(p *sim.Proc) {
 		s.ctx.Bus.Transfer(p, pcie.DeviceToHost, bytes)

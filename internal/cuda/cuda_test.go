@@ -22,7 +22,7 @@ func TestStreamFIFO(t *testing.T) {
 	var order []string
 	eng.Spawn("host", func(p *sim.Proc) {
 		s := ctx.NewStream()
-		s.MemcpyH2D(p, 1024, func() { order = append(order, "copy1") })
+		s.MemcpyD2H(p, 1024, func() { order = append(order, "copy1") })
 		s.Launch(p, gpu.LaunchSpec{
 			Name: "k", GridDim: 1, BlockThreads: 32,
 			Fn: func(c *gpu.Ctx) { c.Compute(100); order = append(order, "kernel") },

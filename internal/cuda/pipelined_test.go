@@ -17,7 +17,7 @@ func TestPipelinedCopiesOverlapLatency(t *testing.T) {
 				if pipelined {
 					s.MemcpyH2DPipelined(p, 192, nil)
 				} else {
-					s.MemcpyH2D(p, 192, nil)
+					s.MemcpyH2D(p, 192)
 				}
 			}
 			s.Sync(p)

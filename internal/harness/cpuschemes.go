@@ -23,15 +23,14 @@ func CPUSchemes(p Params) *Report {
 	results := make([][]hostcpu.SchemeResult, len(names))
 	for i, name := range names {
 		b, _ := workloads.ByName(name)
-		mk := func() []hostcpu.Task {
+		s.add(func() {
 			defs := b.Make(workloads.Options{Tasks: p.Tasks, Threads: 128, Seed: p.Seed})
-			tasks := make([]hostcpu.Task, len(defs))
+			cycles := make([]float64, len(defs))
 			for j := range defs {
-				tasks[j] = hostcpu.Task{Cycles: defs[j].CPUCycles}
+				cycles[j] = defs[j].CPUCycles
 			}
-			return tasks
-		}
-		s.add(func() { results[i] = hostcpu.CompareCPUSchemes(hostcpu.Xeon20(), mk) })
+			results[i] = hostcpu.CompareCPUSchemes(hostcpu.Xeon20(), cycles)
+		})
 	}
 	s.run()
 

@@ -25,19 +25,10 @@ func Xeon20() Config {
 	return Config{Cores: 20, FreqGHz: 2.6, DispatchCost: 900}
 }
 
-// Task is one unit of CPU work.
-type Task struct {
-	// Cycles is the task's cost in CPU cycles on one core.
-	Cycles float64
-	// Fn optionally performs the task's real computation (host-side, zero
-	// simulated cost beyond Cycles).
-	Fn func()
-}
-
 // Pool is a PThreads-style fixed worker pool.
 type Pool struct {
 	cfg      Config
-	queue    []Task
+	queue    []float64 // queued tasks' costs in CPU cycles on one core
 	notEmpty sim.Signal
 	pending  int // queued + running tasks
 	idle     sim.Signal
@@ -63,12 +54,9 @@ func (p *Pool) worker(proc *sim.Proc) {
 		for len(p.queue) == 0 {
 			p.notEmpty.Wait(proc)
 		}
-		t := p.queue[0]
+		cycles := p.queue[0]
 		p.queue = p.queue[1:]
-		if t.Fn != nil {
-			t.Fn()
-		}
-		proc.Sleep(t.Cycles / p.cfg.FreqGHz)
+		proc.Sleep(cycles / p.cfg.FreqGHz)
 		p.TasksRun++
 		p.pending--
 		if p.pending == 0 {
@@ -77,11 +65,11 @@ func (p *Pool) worker(proc *sim.Proc) {
 	}
 }
 
-// Submit enqueues a task from the given host process, charging dispatch
-// overhead to the submitter.
-func (p *Pool) Submit(host *sim.Proc, t Task) {
+// Submit enqueues a task costing cycles CPU cycles on one core from the
+// given host process, charging dispatch overhead to the submitter.
+func (p *Pool) Submit(host *sim.Proc, cycles float64) {
 	host.Sleep(p.cfg.DispatchCost)
-	p.queue = append(p.queue, t)
+	p.queue = append(p.queue, cycles)
 	p.pending++
 	p.notEmpty.Broadcast()
 }
@@ -94,10 +82,10 @@ func (p *Pool) WaitAll(host *sim.Proc) {
 }
 
 // Run is the one way every CPU scheme drives a Pool: a host process submits
-// every task, in order, to a fresh Pool on eng and waits for them all. It
-// runs the engine and returns the instant the last task completed and the
-// number of tasks run.
-func Run(eng *sim.Engine, cfg Config, tasks []Task) (end sim.Time, ran int) {
+// every task (its cost in CPU cycles), in order, to a fresh Pool on eng and
+// waits for them all. It runs the engine and returns the instant the last
+// task completed and the number of tasks run.
+func Run(eng *sim.Engine, cfg Config, tasks []float64) (end sim.Time, ran int) {
 	pool := NewPool(eng, cfg)
 	eng.Spawn("cpu-host", func(p *sim.Proc) {
 		for i := range tasks {

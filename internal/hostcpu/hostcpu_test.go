@@ -13,7 +13,7 @@ func TestPoolParallelism(t *testing.T) {
 	pool := NewPool(eng, cfg)
 	eng.Spawn("host", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			pool.Submit(p, Task{Cycles: 100})
+			pool.Submit(p, 100)
 		}
 		pool.WaitAll(p)
 	})
@@ -31,7 +31,7 @@ func TestFrequencyScaling(t *testing.T) {
 	eng := sim.New()
 	pool := NewPool(eng, Config{Cores: 1, FreqGHz: 2.6, DispatchCost: 0})
 	eng.Spawn("host", func(p *sim.Proc) {
-		pool.Submit(p, Task{Cycles: 2600})
+		pool.Submit(p, 2600)
 		pool.WaitAll(p)
 	})
 	end := eng.Run()
@@ -40,31 +40,14 @@ func TestFrequencyScaling(t *testing.T) {
 	}
 }
 
-func TestTaskFnRuns(t *testing.T) {
-	eng := sim.New()
-	pool := NewPool(eng, Xeon20())
-	sum := 0
-	eng.Spawn("host", func(p *sim.Proc) {
-		for i := 1; i <= 5; i++ {
-			i := i
-			pool.Submit(p, Task{Cycles: 10, Fn: func() { sum += i }})
-		}
-		pool.WaitAll(p)
-	})
-	eng.Run()
-	if sum != 15 {
-		t.Fatalf("sum = %d, want 15", sum)
-	}
-}
-
 func TestLoadImbalance(t *testing.T) {
 	// One long task dominates: makespan = long task, not average.
 	eng := sim.New()
 	pool := NewPool(eng, Config{Cores: 2, FreqGHz: 1, DispatchCost: 0})
 	eng.Spawn("host", func(p *sim.Proc) {
-		pool.Submit(p, Task{Cycles: 1000})
+		pool.Submit(p, 1000)
 		for i := 0; i < 10; i++ {
-			pool.Submit(p, Task{Cycles: 10})
+			pool.Submit(p, 10)
 		}
 		pool.WaitAll(p)
 	})
@@ -79,7 +62,7 @@ func TestDispatchCostCharged(t *testing.T) {
 	pool := NewPool(eng, Config{Cores: 1, FreqGHz: 1, DispatchCost: 50})
 	var submitted sim.Time
 	eng.Spawn("host", func(p *sim.Proc) {
-		pool.Submit(p, Task{Cycles: 0})
+		pool.Submit(p, 0)
 		submitted = eng.Now()
 		pool.WaitAll(p)
 	})

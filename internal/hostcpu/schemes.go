@@ -22,7 +22,7 @@ type SchemeResult struct {
 // fork-join model, where every task is spread over all cores and pays a
 // fork-join barrier. Narrow tasks parallelize poorly this way — per-task
 // work / cores is small next to the barrier.
-func RunOpenMP(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
+func RunOpenMP(eng *sim.Engine, cfg Config, tasks []float64) SchemeResult {
 	const (
 		forkJoinCost = sim.Time(2600) // per-task team fork + barrier join
 		// efficiency < 1: cache-line sharing and uneven chunking inside
@@ -31,12 +31,8 @@ func RunOpenMP(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 	)
 	var end sim.Time
 	eng.Spawn("omp-host", func(p *sim.Proc) {
-		for i := range tasks {
-			t := &tasks[i]
-			if t.Fn != nil {
-				t.Fn()
-			}
-			per := t.Cycles / (float64(cfg.Cores) * efficiency)
+		for _, cycles := range tasks {
+			per := cycles / (float64(cfg.Cores) * efficiency)
 			p.Sleep(forkJoinCost + per/cfg.FreqGHz)
 		}
 		end = eng.Now()
@@ -48,7 +44,7 @@ func RunOpenMP(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 // RunOSSched models scheduling each task as a short-lived OS thread/process:
 // full parallelism, but kernel-level dispatch costs (thread creation,
 // context switches) per task dwarf the pool's.
-func RunOSSched(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
+func RunOSSched(eng *sim.Engine, cfg Config, tasks []float64) SchemeResult {
 	cfg.DispatchCost = 12_000 // ~12 us: clone + schedule + reap
 	end, _ := Run(eng, cfg, tasks)
 	return SchemeResult{Scheme: "OS-sched", Elapsed: end}
@@ -57,7 +53,7 @@ func RunOSSched(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 // RunPythonPool models a CPython thread pool: cheap dispatch, but the GIL
 // serializes execution — only a small fraction of each task (native
 // extensions releasing the lock) overlaps.
-func RunPythonPool(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
+func RunPythonPool(eng *sim.Engine, cfg Config, tasks []float64) SchemeResult {
 	const (
 		interpreterOverhead = 8.0  // interpreted-loop slowdown on task cycles
 		parallelFraction    = 0.15 // work done outside the GIL
@@ -65,12 +61,8 @@ func RunPythonPool(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 	var end sim.Time
 	eng.Spawn("py-host", func(p *sim.Proc) {
 		var serial, parallel float64
-		for i := range tasks {
-			t := &tasks[i]
-			if t.Fn != nil {
-				t.Fn()
-			}
-			cyc := t.Cycles * interpreterOverhead
+		for _, cycles := range tasks {
+			cyc := cycles * interpreterOverhead
 			serial += cyc * (1 - parallelFraction)
 			parallel += cyc * parallelFraction
 		}
@@ -82,22 +74,22 @@ func RunPythonPool(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
 }
 
 // RunPThreadsScheme wraps the Pool baseline in the same result shape.
-func RunPThreadsScheme(eng *sim.Engine, cfg Config, tasks []Task) SchemeResult {
+func RunPThreadsScheme(eng *sim.Engine, cfg Config, tasks []float64) SchemeResult {
 	end, _ := Run(eng, cfg, tasks)
 	return SchemeResult{Scheme: "PThreads", Elapsed: end}
 }
 
-// CompareCPUSchemes runs a task set under all four CPU schemes (each on a
-// fresh engine) and returns the results in the paper's order. The caller
-// passes a generator so each scheme gets an identical, independent task set.
-func CompareCPUSchemes(cfg Config, mkTasks func() []Task) []SchemeResult {
-	runs := []func(*sim.Engine, Config, []Task) SchemeResult{
+// CompareCPUSchemes runs a task set (each task's cost in CPU cycles) under
+// all four CPU schemes, each on a fresh engine, and returns the results in
+// the paper's order.
+func CompareCPUSchemes(cfg Config, tasks []float64) []SchemeResult {
+	runs := []func(*sim.Engine, Config, []float64) SchemeResult{
 		RunOpenMP, RunOSSched, RunPythonPool, RunPThreadsScheme,
 	}
 	out := make([]SchemeResult, 0, len(runs))
 	for _, run := range runs {
 		eng := sim.New()
-		out = append(out, run(eng, cfg, mkTasks()))
+		out = append(out, run(eng, cfg, tasks))
 		eng.Close()
 	}
 	return out

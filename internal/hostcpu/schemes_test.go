@@ -4,10 +4,10 @@ import "testing"
 
 // narrowTasks builds a paper-like narrow task stream: thousands of tasks of
 // tens of microseconds each.
-func narrowTasks(n int) []Task {
-	out := make([]Task, n)
+func narrowTasks(n int) []float64 {
+	out := make([]float64, n)
 	for i := range out {
-		out[i] = Task{Cycles: float64(40_000 + (i%7)*9_000)} // 15-35 us at 2.6 GHz
+		out[i] = float64(40_000 + (i%7)*9_000) // 15-35 us at 2.6 GHz
 	}
 	return out
 }
@@ -15,7 +15,7 @@ func narrowTasks(n int) []Task {
 func TestPThreadsWinsTheCPUBakeOff(t *testing.T) {
 	// §6.2: "PThreads obtained the best results" — the property the paper
 	// used to select its CPU baseline.
-	results := CompareCPUSchemes(Xeon20(), func() []Task { return narrowTasks(2000) })
+	results := CompareCPUSchemes(Xeon20(), narrowTasks(2000))
 	if len(results) != 4 {
 		t.Fatalf("got %d schemes, want 4", len(results))
 	}
@@ -40,7 +40,7 @@ func TestPThreadsWinsTheCPUBakeOff(t *testing.T) {
 
 func TestPythonPoolSerializedByGIL(t *testing.T) {
 	// The GIL model must make the Python pool far slower than PThreads.
-	results := CompareCPUSchemes(Xeon20(), func() []Task { return narrowTasks(500) })
+	results := CompareCPUSchemes(Xeon20(), narrowTasks(500))
 	byName := map[string]SchemeResult{}
 	for _, r := range results {
 		byName[r.Scheme] = r
@@ -53,15 +53,11 @@ func TestPythonPoolSerializedByGIL(t *testing.T) {
 
 func TestOSSchedDispatchBound(t *testing.T) {
 	// With tiny tasks, OS-level dispatch dominates and loses to the pool.
-	tiny := make([]Task, 1000)
+	tiny := make([]float64, 1000)
 	for i := range tiny {
-		tiny[i] = Task{Cycles: 5000} // ~2 us of work each
+		tiny[i] = 5000 // ~2 us of work each
 	}
-	results := CompareCPUSchemes(Xeon20(), func() []Task {
-		out := make([]Task, len(tiny))
-		copy(out, tiny)
-		return out
-	})
+	results := CompareCPUSchemes(Xeon20(), tiny)
 	byName := map[string]SchemeResult{}
 	for _, r := range results {
 		byName[r.Scheme] = r
@@ -74,7 +70,7 @@ func TestOSSchedDispatchBound(t *testing.T) {
 
 func TestOpenMPBarrierBound(t *testing.T) {
 	// Fork-join per narrow task: the barrier dominates per-task time.
-	results := CompareCPUSchemes(Xeon20(), func() []Task { return narrowTasks(500) })
+	results := CompareCPUSchemes(Xeon20(), narrowTasks(500))
 	byName := map[string]SchemeResult{}
 	for _, r := range results {
 		byName[r.Scheme] = r

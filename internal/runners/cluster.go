@@ -144,18 +144,13 @@ func (cr ClusterRun) AddServeSpans(tr *trace.Tracer, track func(ti int) string) 
 	}
 }
 
-// openLoopResult assembles the timing aggregates of a timed-arrival run:
-// elapsed plus exact latency statistics over the completed records.
-func openLoopResult(end sim.Time, recs []serve.Record) Result {
-	lats := make([]sim.Time, 0, len(recs))
-	for _, r := range recs {
-		if !r.Dropped {
-			lats = append(lats, r.Latency())
-		}
-	}
-	res := Result{Elapsed: end, Tasks: len(lats)}
-	res.fillLatencies(lats)
-	return res
+// recordsResult assembles a run's timing aggregates from its per-task
+// records: elapsed plus serve.Summarize's exact latency statistics over the
+// completed records, which also panics on a record stamped out of order.
+func recordsResult(end sim.Time, recs []serve.Record) Result {
+	st := serve.Summarize(recs, 0)
+	return Result{Elapsed: end, Tasks: st.Completed, AvgLatency: st.Mean, MaxLatency: st.Max,
+		P50Latency: st.P50, P90Latency: st.P90, P99Latency: st.P99}
 }
 
 // fleetNode is the contract a scheme-backed node offers the fleet runner
@@ -240,7 +235,7 @@ func runFleet(tasks []workloads.TaskDef, co ClusterOpenLoop, cfg Config,
 		Spawn(eng, recs, nodeOf)
 	end := eng.Run()
 
-	res := openLoopResult(end, recs)
+	res := recordsResult(end, recs)
 	cr := ClusterRun{Recs: recs, NodeOf: nodeOf, Engine: eng.Stats(),
 		Views: make([]cluster.NodeView, len(nodes)), Names: make([]string, len(nodes))}
 	var occ, iu float64
@@ -548,7 +543,7 @@ func (n *hyperqNode) host(p *sim.Proc) {
 		td := &n.tasks[ti]
 		stream := n.streams[seq%hyperqNodeStreams]
 		if n.cfg.CopyData && td.InBytes > 0 {
-			stream.MemcpyH2D(p, td.InBytes, nil)
+			stream.MemcpyH2D(p, td.InBytes)
 		}
 		h := stream.LaunchHooked(p, hyperqSpec(td), func() {
 			n.recs[ti].Start = n.sys.eng.Now()
@@ -670,7 +665,7 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 				in += n.tasks[ti].InBytes
 			}
 		}
-		stream.MemcpyH2D(p, desc+in, nil)
+		stream.MemcpyH2D(p, desc+in)
 
 		next := 0                       // single FIFO queue head
 		claimed := make([]int, workers) // per-worker claimed batch position

@@ -54,7 +54,7 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 			}
 		}
 		if in > 0 {
-			stream.MemcpyH2D(p, in, nil)
+			stream.MemcpyH2D(p, in)
 		}
 		h := stream.Launch(p, gpu.LaunchSpec{
 			Name:          "fused",

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -40,7 +41,7 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Re
 
 	parts := splitRoundRobin(tasks, spawners)
 
-	lats := make([]sim.Time, 0, len(tasks))
+	recs := make([]serve.Record, 0, len(tasks))
 
 	for s := 0; s < spawners; s++ {
 		s := s
@@ -52,7 +53,7 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Re
 				stream := streams[ti%numStreams]
 				spawnTimes = append(spawnTimes, sys.eng.Now())
 				if cfg.CopyData && td.InBytes > 0 {
-					stream.MemcpyH2D(p, td.InBytes, nil)
+					stream.MemcpyH2D(p, td.InBytes)
 				}
 				h := stream.Launch(p, hyperqSpec(td))
 				if cfg.CopyData && td.OutBytes > 0 {
@@ -62,7 +63,7 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Re
 			}
 			for i, h := range handles {
 				h.Wait(p)
-				lats = append(lats, sys.eng.Now()-spawnTimes[i])
+				recs = append(recs, serve.Record{Submit: spawnTimes[i], Start: spawnTimes[i], Done: sys.eng.Now()})
 			}
 			for _, st := range streams {
 				st.Sync(p)
@@ -72,13 +73,8 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Re
 	end := sys.eng.Run()
 
 	m := sys.dev.Metrics()
-	r := Result{
-		Elapsed:   end,
-		Occupancy: m.AvgOccupancy,
-		IssueUtil: m.IssueUtil,
-		Tasks:     len(lats),
-	}
-	r.fillLatencies(lats)
+	r := recordsResult(end, recs)
+	r.Occupancy, r.IssueUtil = m.AvgOccupancy, m.IssueUtil
 	return r
 }
 
@@ -91,16 +87,12 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 	if td.SharedMem > 0 {
 		shared = make([]byte, td.Blocks*td.SharedMem)
 	}
-	regs := td.Regs
-	if regs <= 0 {
-		regs = 32
-	}
 	return gpu.LaunchSpec{
 		Name:          "hq-" + td.Name,
 		GridDim:       td.Blocks,
 		BlockThreads:  td.Threads,
 		SharedPerTB:   td.SharedMem,
-		RegsPerThread: regs,
+		RegsPerThread: td.Regs,
 		Fn: func(c *gpu.Ctx) {
 			var sh []byte
 			if shared != nil {

@@ -12,11 +12,11 @@ import (
 func RunPThreads(tasks []workloads.TaskDef, _ Config) Result {
 	eng := sim.New()
 	defer eng.Close()
-	cpu := make([]hostcpu.Task, len(tasks))
+	cycles := make([]float64, len(tasks))
 	for i := range tasks {
-		cpu[i] = hostcpu.Task{Cycles: tasks[i].CPUCycles, Fn: tasks[i].CPURun}
+		cycles[i] = tasks[i].CPUCycles
 	}
-	endTime, ran := hostcpu.Run(eng, hostcpu.Xeon20(), cpu)
+	endTime, ran := hostcpu.Run(eng, hostcpu.Xeon20(), cycles)
 
 	// Mean latency under a work-conserving pool is approximated as half
 	// the makespan; the paper's latency figure (Fig. 10) compares only
@@ -47,9 +47,6 @@ func RunSequential(tasks []workloads.TaskDef) Result {
 	var total float64
 	cfg := hostcpu.Xeon20()
 	for i := range tasks {
-		if tasks[i].CPURun != nil {
-			tasks[i].CPURun()
-		}
 		total += tasks[i].CPUCycles
 	}
 	elapsed := total / cfg.FreqGHz

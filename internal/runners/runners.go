@@ -19,12 +19,9 @@
 package runners
 
 import (
-	"sort"
-
 	"repro/internal/cuda"
 	"repro/internal/gpu"
 	"repro/internal/pcie"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -76,26 +73,6 @@ type Result struct {
 	Occupancy  float64 // mean resident-warp occupancy over the run
 	IssueUtil  float64 // fraction of issue slots used
 	Tasks      int
-}
-
-// fillLatencies computes the latency aggregates — mean, max and the exact
-// p50/p90/p99 order statistics — from a per-task latency vector. The input
-// is not mutated (a copy is sorted). No-op on an empty vector.
-func (r *Result) fillLatencies(lats []sim.Time) {
-	if len(lats) == 0 {
-		return
-	}
-	sorted := append([]sim.Time(nil), lats...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, l := range sorted {
-		sum += l
-	}
-	r.AvgLatency = sum / float64(len(sorted))
-	r.P50Latency = serve.Percentile(sorted, 0.50)
-	r.P90Latency = serve.Percentile(sorted, 0.90)
-	r.P99Latency = serve.Percentile(sorted, 0.99)
-	r.MaxLatency = sorted[len(sorted)-1]
 }
 
 // system bundles the per-run simulation stack.

@@ -3,6 +3,7 @@ package runners
 import (
 	"testing"
 
+	"repro/internal/hostcpu"
 	"repro/internal/workloads"
 )
 
@@ -71,13 +72,21 @@ func TestFusionRunCorrect(t *testing.T) {
 	checkAll(t, "fusion", tasks)
 }
 
+// TestPThreadsRunCorrect checks that the CPU pool runs every task and
+// charges its cycles: the makespan lies between the ideal 20-core split of
+// the sequential time and the sequential time plus every task's dispatch.
+// The CPU baselines run no kernel, so there is no result to Check.
 func TestPThreadsRunCorrect(t *testing.T) {
 	tasks := verifyTasks(t, "CONV", 40)
 	r := RunPThreads(tasks, smallCfg())
 	if r.Tasks != 40 {
 		t.Fatalf("completed %d, want 40", r.Tasks)
 	}
-	checkAll(t, "pthreads", tasks)
+	cpu := hostcpu.Xeon20()
+	seq := RunSequential(tasks).Elapsed
+	if lo, hi := seq/float64(cpu.Cores), seq+40*cpu.DispatchCost; r.Elapsed < lo || r.Elapsed > hi {
+		t.Fatalf("PThreads makespan %v outside [%v, %v]", r.Elapsed, lo, hi)
+	}
 }
 
 func TestSequentialSlowerByCoreCount(t *testing.T) {

@@ -45,25 +45,6 @@ func TestPendingBoundedUnderTimerChurn(t *testing.T) {
 	}
 }
 
-// TestTimerStopRemovesEntry checks Stop removes the heap entry outright.
-func TestTimerStopRemovesEntry(t *testing.T) {
-	e := New()
-	timers := make([]*Timer, 64)
-	for i := range timers {
-		timers[i] = NewTimer(e, func() {})
-		timers[i].Reset(Time(10 + i))
-	}
-	for _, tm := range timers {
-		tm.Stop()
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after stopping all timers, want 0", got)
-	}
-	if end := e.Run(); end != 0 {
-		t.Fatalf("Run() advanced to %v over a queue of stopped timers, want 0", end)
-	}
-}
-
 // BenchmarkEngineSchedule measures the raw Schedule/pop cycle on a small
 // steady-state queue (the common case, unlike the giant one-shot queue of
 // BenchmarkEngineEventThroughput).

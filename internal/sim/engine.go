@@ -337,8 +337,9 @@ func (e *Engine) countFired(fromLane bool) {
 	}
 }
 
-// Pending returns the number of queued events (diagnostics). Disarmed and
-// superseded timers do not linger in the queue, so this is O(live events).
+// Pending returns the number of queued events (diagnostics). A re-armed
+// timer re-keys its one entry and a fired timer's entry has left the queue,
+// so this is O(live events).
 //
 //pagoda:allow unused test support: drain and leak checks read the queue length
 func (e *Engine) Pending() int { return len(e.queue) + e.lane.Len() }

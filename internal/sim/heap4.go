@@ -7,8 +7,8 @@ package sim
 // comparisons on the sift-up path (the common case: most events are
 // scheduled near the clock and popped soon after) and keeps sibling keys on
 // one cache line. Every entry carries its own position (event.idx), so armed
-// timers can be re-keyed or removed in place instead of abandoning stale
-// entries in the queue.
+// timers can be re-keyed in place instead of abandoning stale entries in the
+// queue.
 
 const heapArity = 4
 
@@ -42,25 +42,6 @@ func (e *Engine) heapPopHead() *event {
 	}
 	root.idx = -1
 	return root
-}
-
-// heapRemove deletes the entry at index i (used by Timer.Stop).
-func (e *Engine) heapRemove(i int) {
-	h := e.queue
-	n := len(h) - 1
-	removed := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].idx = i
-	}
-	h[n] = nil
-	e.queue = h[:n]
-	if i < n {
-		if !e.siftDown(i) {
-			e.siftUp(i)
-		}
-	}
-	removed.idx = -1
 }
 
 // heapFix restores order after the key of the entry at index i changed

@@ -6,7 +6,7 @@ import (
 )
 
 // TestEventOrderProperty drives seeded random programs that mix
-// Schedule(0)/Schedule(d), Timer.Reset(0)/Reset(d)/ResetAt(Now)/Stop,
+// Schedule(0)/Schedule(d), Timer.Reset(0)/Reset(d)/ResetAt(Now),
 // Sleep(0)/Sleep(d), Block with Wakeup (doubled at times), Signal.Wait with
 // Pulse, and RunUntil deadlines that fall before, at and after the clock. It
 // asserts that every callback and resume fires exactly when it was
@@ -105,7 +105,7 @@ func (m *orderModel) delay() Time {
 // an event callback, a process body or the driver between runs.
 func (m *orderModel) act() {
 	for n := m.rng.Intn(4); n > 0 && m.budget > 0; n-- {
-		switch m.rng.Intn(8) {
+		switch m.rng.Intn(7) {
 		case 0, 1:
 			m.schedule(m.delay())
 		case 2:
@@ -116,12 +116,8 @@ func (m *orderModel) act() {
 		case 4:
 			m.resetTimer(func(mt *modelTimer) { mt.tm.ResetAt(m.e.Now()) }, 0)
 		case 5:
-			mt := m.timers[m.rng.Intn(len(m.timers))]
-			mt.tm.Stop()
-			mt.armed = false
-		case 6:
 			m.wakeup()
-		case 7:
+		case 6:
 			if len(m.waiting) > 0 {
 				mp := m.waiting[0]
 				m.waiting = m.waiting[1:]

@@ -81,9 +81,10 @@ func (s *Share) settle() {
 }
 
 // rearm schedules the completion timer for the earliest-finishing request.
+// With no request left there is nothing to arm, and the timer is already
+// disarmed: only onTimer empties reqs, and it runs because the timer fired.
 func (s *Share) rearm() {
 	if len(s.reqs) == 0 {
-		s.timer.Stop()
 		return
 	}
 	minRem := s.reqs[s.min].remaining

@@ -186,7 +186,6 @@ func (s *scanShare) settle() {
 
 func (s *scanShare) rearm() {
 	if len(s.reqs) == 0 {
-		s.timer.Stop()
 		return
 	}
 	minRem := math.Inf(1)

@@ -2,14 +2,13 @@ package sim
 
 import "math"
 
-// Timer is a cancellable, re-armable one-shot timer. Unlike raw Schedule
-// calls, a Timer can be Stopped or re-Reset before it fires. The timer owns a
-// single indexed entry in the engine's event heap, even when armed for the
-// current instant: ResetAt re-keys that entry in place and Stop removes it,
-// so rearm-heavy users (Share, which re-arms on every arrival and
-// completion) leave no stale events behind and Engine.Pending stays
-// proportional to live timers, not total Resets. A Timer is the Step its
-// entry carries.
+// Timer is a re-armable one-shot timer. Unlike raw Schedule calls, a Timer
+// can be re-Reset before it fires. The timer owns a single indexed entry in
+// the engine's event heap, even when armed for the current instant: ResetAt
+// re-keys that entry in place, so rearm-heavy users (Share, which re-arms on
+// every arrival and completion) leave no stale events behind and
+// Engine.Pending stays proportional to live timers, not total Resets. A
+// Timer is the Step its entry carries.
 type Timer struct {
 	eng *Engine
 	fn  func()
@@ -71,15 +70,4 @@ func (t *Timer) ResetAt(at Time) {
 func (t *Timer) Step(uint64) {
 	t.ev = nil
 	t.fn()
-}
-
-// Stop disarms the timer, removing its queue entry. It is safe to call
-// whether or not the timer is armed.
-func (t *Timer) Stop() {
-	if t.ev != nil {
-		ev := t.ev
-		t.ev = nil
-		t.eng.heapRemove(ev.idx)
-		t.eng.freeEvent(ev)
-	}
 }

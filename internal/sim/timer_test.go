@@ -22,18 +22,6 @@ func TestTimerFires(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	e := New()
-	fired := false
-	tm := NewTimer(e, func() { fired = true })
-	tm.Reset(10)
-	tm.Stop()
-	e.Run()
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-}
-
 func TestTimerResetSupersedes(t *testing.T) {
 	e := New()
 	var fires []Time

@@ -96,7 +96,6 @@ func makeBF(opt Options) []TaskDef {
 			chargeWarp(c, units, bfCyclesPerMAC*2, width*4, width*4, 3)
 		}
 		if opt.Verify {
-			t.CPURun = func() { copy(out, bfRef(sig, wRe, wIm, width)) }
 			t.Check = func() error { return approxEqual32("BF", out, want, 1e-3) }
 		}
 		tasks[i] = t

@@ -173,26 +173,6 @@ func TestVerifyModeThroughPagoda(t *testing.T) {
 	}
 }
 
-// TestCPURunMatchesCheck validates the CPU-baseline path computes the same
-// results.
-func TestCPURunMatchesCheck(t *testing.T) {
-	for _, b := range All() {
-		opts := Options{Tasks: 6, Verify: true, Seed: 4}
-		if b.Name == "CONV" || b.Name == "DCT" {
-			opts.InputSize = 32
-		}
-		for i, td := range b.Make(opts) {
-			if td.CPURun == nil {
-				t.Fatalf("%s task %d has no CPURun in verify mode", b.Name, i)
-			}
-			td.CPURun()
-			if err := td.Check(); err != nil {
-				t.Errorf("%s task %d: %v", b.Name, i, err)
-			}
-		}
-	}
-}
-
 func TestGenerationDeterministic(t *testing.T) {
 	for _, b := range All() {
 		a := b.Make(Options{Tasks: 10, Irregular: true, Seed: 77})

@@ -125,11 +125,6 @@ func makeConv(opt Options) []TaskDef {
 			chargeWarp(c, pixels, convCyclesPerPixel, pixels*4, pixels*4, 4)
 		}
 		if opt.Verify {
-			t.CPURun = func() {
-				for p := 0; p < pixels; p++ {
-					out[p] = convPixel(in, dim, p)
-				}
-			}
 			t.Check = func() error {
 				return approxEqual32("CONV", out, want, 1e-4)
 			}

@@ -46,7 +46,7 @@ const (
 	desCyclesPerBlock    = 260.0
 	desCPUCyclesPerBlock = 480.0
 
-	// Transformer layer (XFMR) and GEMM chain (GEMM): the attention and
+	// Transformer layer (XFMR): the attention and
 	// feed-forward projections run on the same multiply-add engine as MM, so
 	// they share its per-MAC cost; softmax pays a transcendental (exp) plus a
 	// running max/sum per score element, which vectorizes poorly on the CPU.

@@ -152,7 +152,6 @@ func makeDCT(opt Options) []TaskDef {
 			}
 		}
 		if opt.Verify {
-			t.CPURun = func() { copy(out, dctRef(in, dim)) }
 			t.Check = func() error { return approxEqual32("DCT", out, want, 1e-3) }
 		}
 		tasks[i] = t

@@ -199,10 +199,3 @@ func (t *TripleDES) EncryptBlock(b uint64) uint64 {
 	b = desBlock(b, &t.k2, true)
 	return desBlock(b, &t.k3, false)
 }
-
-// EncryptPacket encrypts an 8-byte-aligned packet in ECB mode, in place.
-func (t *TripleDES) EncryptPacket(p []uint64) {
-	for i := range p {
-		p[i] = t.EncryptBlock(p[i])
-	}
-}

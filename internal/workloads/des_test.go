@@ -132,8 +132,9 @@ func TestNetbenchPacketDistribution(t *testing.T) {
 	}
 }
 
-// The single-DES block functions and the 3DES inverse below are the
-// reference implementations the tests check encryption against.
+// The single-DES block functions, the 3DES packet helper and the 3DES
+// inverse below are the reference implementations the tests check
+// encryption against.
 
 // DESEncryptBlock encrypts one 64-bit block.
 func DESEncryptBlock(block, key uint64) uint64 {
@@ -145,6 +146,13 @@ func DESEncryptBlock(block, key uint64) uint64 {
 func DESDecryptBlock(block, key uint64) uint64 {
 	ks := DESKeySchedule(key)
 	return desBlock(block, &ks, true)
+}
+
+// EncryptPacket encrypts an 8-byte-aligned packet in ECB mode, in place.
+func (t *TripleDES) EncryptPacket(p []uint64) {
+	for i := range p {
+		p[i] = t.EncryptBlock(p[i])
+	}
 }
 
 // DecryptBlock inverts EncryptBlock.

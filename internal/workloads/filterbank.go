@@ -146,7 +146,6 @@ func makeFB(opt Options) []TaskDef {
 			chargeWarp(c, width*fbTaps, fbCyclesPerTap, 0, width*4, 2)
 		}
 		if opt.Verify {
-			t.CPURun = func() { copy(out, fbRef(sig, h, f)) }
 			t.Check = func() error { return approxEqual32("FB", out, want, 1e-3) }
 		}
 		tasks[i] = t

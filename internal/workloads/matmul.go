@@ -121,7 +121,6 @@ func makeMM(opt Options) []TaskDef {
 			}
 		}
 		if opt.Verify {
-			t.CPURun = func() { copy(out, mmRef(a, b, n)) }
 			t.Check = func() error { return approxEqual32("MM", out, want, 1e-2) }
 		}
 		tasks[i] = t

@@ -229,21 +229,6 @@ func makeSLUD(opt Options) []TaskDef {
 			chargeWarp(c, units, sludCyclesPerUnit, sludBS*sludBS*8, sludBS*sludBS*8, 3)
 		}
 		if opt.Verify {
-			t.CPURun = func() {
-				tmp := make([]float64, len(cblk))
-				copy(tmp, cblk)
-				switch kind {
-				case sludLU0:
-					sludLU0Ref(tmp)
-				case sludFWD:
-					sludFWDRef(a, tmp)
-				case sludBDIV:
-					sludBDIVRef(a, tmp)
-				case sludBMOD:
-					sludBMODRef(a, b, tmp)
-				}
-				copy(cblk, tmp)
-			}
 			t.Check = func() error { return approxEqual64("SLUD-"+kind.String(), cblk, want, 1e-9) }
 		}
 		tasks[i] = t

@@ -6,16 +6,16 @@ import (
 	"repro/internal/prng"
 )
 
-// ML inference microkernels (not part of the paper's Table 3): a
-// transformer-layer task (XFMR) and a GEMM-chain MLP task (GEMM), the
-// narrow-task shapes of production ML serving ("Analyzing Machine Learning
-// Workloads Using a Detailed GPU Simulator", arXiv 1811.08933). One task is
-// one request's worth of inference — a single layer over a short token
-// sequence — so a serving experiment can offer millions of them per second
-// against tenant SLOs. Cost charging follows the costs.go methodology: the
-// GEMM stages share MM's per-MAC price, softmax pays a per-element
-// transcendental price, and every stage streams its operands through
-// chargeWarp at segmentCycles granularity.
+// ML inference microkernel (not part of the paper's Table 3): a
+// transformer-layer task (XFMR), the narrow-task shape of production ML
+// serving ("Analyzing Machine Learning Workloads Using a Detailed GPU
+// Simulator", arXiv 1811.08933). One task is one request's worth of
+// inference — a single layer over a short token sequence — so a serving
+// experiment can offer millions of them per second against tenant SLOs.
+// Cost charging follows the costs.go methodology: the matmul stages share
+// MM's per-MAC price, softmax pays a per-element transcendental price, and
+// every stage streams its operands through chargeWarp at segmentCycles
+// granularity.
 
 // xfmrDModel is the model width d; xfmrFFN the feed-forward hidden width.
 // Table-style defaults: d=64, ffn=4d, seq=16 tokens per request.
@@ -256,126 +256,7 @@ func makeXFMR(opt Options) []TaskDef {
 			c.SyncBlock()
 		}
 		if opt.Verify {
-			t.CPURun = func() { copy(out, xfmrRef(x, wq, wk, wv, wo, w1, w2, s, d, f)) }
 			t.Check = func() error { return approxEqual32("XFMR", out, want, 1e-2) }
-		}
-		tasks[i] = t
-	}
-	return tasks
-}
-
-// gemmChainDims are the MLP chain's layer widths: a batch of token rows
-// passes 64 -> 128 -> 128 -> 64 with ReLU between layers.
-var gemmChainDims = [4]int{64, 128, 128, 64}
-
-// gemmChainRef runs the host reference: out = relu(relu(x·W0)·W1)·W2.
-func gemmChainRef(x []float32, ws [3][]float32, m int) []float32 {
-	cur := x
-	for l := 0; l < 3; l++ {
-		k, n := gemmChainDims[l], gemmChainDims[l+1]
-		next := make([]float32, m*n)
-		for i := 0; i < m; i++ {
-			gemmRow(cur, ws[l], i, k, n, next)
-		}
-		if l < 2 {
-			reluRows(next, 0, m, n)
-		}
-		cur = next
-	}
-	return cur
-}
-
-// gemmChainMACs returns the chain's multiply-add count for an m-row batch.
-func gemmChainMACs(m int) int {
-	macs := 0
-	for l := 0; l < 3; l++ {
-		macs += m * gemmChainDims[l] * gemmChainDims[l+1]
-	}
-	return macs
-}
-
-// GEMMChain returns the GEMM benchmark: a three-layer MLP inference chain
-// per task (small GEMMs back to back, the non-attention half of ML serving).
-func GEMMChain() Benchmark {
-	return Benchmark{
-		Name: "GEMM",
-		Make: makeGEMMChain,
-	}
-}
-
-func makeGEMMChain(opt Options) []TaskDef {
-	rng := prng.New(opt.Seed)
-	threads := opt.threads(128)
-	tasks := make([]TaskDef, opt.Tasks)
-	for i := range tasks {
-		m := xfmrSeq // batch rows per request
-		if opt.InputSize > 0 {
-			m = opt.InputSize
-		}
-		if opt.Irregular {
-			m = 8 << uint(rangeInt(rng, 0, 2)) // 8..32 rows
-		}
-		macs := gemmChainMACs(m)
-
-		var x []float32
-		var ws [3][]float32
-		var out, want []float32
-		if opt.Verify {
-			x = randMat(rng, m*gemmChainDims[0], 1)
-			for l := 0; l < 3; l++ {
-				ws[l] = randMat(rng, gemmChainDims[l]*gemmChainDims[l+1], 1/math.Sqrt(float64(gemmChainDims[l])))
-			}
-			out = make([]float32, m*gemmChainDims[3])
-			want = gemmChainRef(x, ws, m)
-		}
-
-		t := TaskDef{
-			Name:      "GEMM",
-			Threads:   opt.pickThreads(threads, m*gemmChainDims[0], xfmrSeq*gemmChainDims[0]),
-			Blocks:    1,
-			Sync:      true,
-			ArgBytes:  48,
-			Regs:      30,
-			InBytes:   m * gemmChainDims[0] * 4,
-			OutBytes:  m * gemmChainDims[3] * 4,
-			CPUCycles: float64(macs) * xfmrCPUCyclesPerMAC,
-		}
-		t.Kernel = func(c DeviceCtx) {
-			verify := x != nil
-			var acts [4][]float32
-			if verify {
-				acts[0] = x
-				for l := 1; l < 4; l++ {
-					acts[l] = make([]float32, m*gemmChainDims[l])
-				}
-			}
-			for l := 0; l < 3; l++ {
-				k, n := gemmChainDims[l], gemmChainDims[l+1]
-				if verify {
-					l := l
-					c.ForEachLane(func(tid int) {
-						lo, hi := laneUnits(c, m, tid)
-						for i := lo; i < hi; i++ {
-							gemmRow(acts[l], ws[l], i, k, n, acts[l+1])
-						}
-						if l < 2 {
-							reluRows(acts[l+1], lo, hi, n)
-						}
-					})
-				}
-				chargeWarp(c, m*k*n, xfmrCyclesPerMAC, m*k*4+k*n*4, m*n*4, 1)
-				c.SyncBlock()
-			}
-			if verify {
-				c.ForEachLane(func(tid int) {
-					lo, hi := laneUnits(c, m, tid)
-					copy(out[lo*gemmChainDims[3]:hi*gemmChainDims[3]], acts[3][lo*gemmChainDims[3]:hi*gemmChainDims[3]])
-				})
-			}
-		}
-		if opt.Verify {
-			t.CPURun = func() { copy(out, gemmChainRef(x, ws, m)) }
-			t.Check = func() error { return approxEqual32("GEMM", out, want, 1e-2) }
 		}
 		tasks[i] = t
 	}

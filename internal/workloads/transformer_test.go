@@ -13,25 +13,13 @@ import (
 )
 
 func TestMLBenchmarksListed(t *testing.T) {
-	names := []string{"XFMR", "GEMM"}
-	ml := ML()
-	if len(ml) != len(names) {
-		t.Fatalf("ML() returned %d benchmarks, want %d", len(ml), len(names))
+	if b, err := ByName("XFMR"); err != nil || b.Name != "XFMR" {
+		t.Fatalf("ByName(XFMR) = %s, %v", b.Name, err)
 	}
-	for i, b := range ml {
-		if b.Name != names[i] {
-			t.Errorf("ML()[%d] = %s, want %s", i, b.Name, names[i])
-		}
-		if _, err := ByName(b.Name); err != nil {
-			t.Errorf("ByName(%s): %v", b.Name, err)
-		}
-	}
-	// All() stays the Table 3 set: the ML kernels must not leak into it.
+	// All() stays the Table 3 set: the ML kernel must not leak into it.
 	for _, b := range All() {
-		for _, name := range names {
-			if b.Name == name {
-				t.Errorf("ML benchmark %s leaked into All()", name)
-			}
+		if b.Name == "XFMR" {
+			t.Errorf("ML benchmark XFMR leaked into All()")
 		}
 	}
 }
@@ -106,122 +94,77 @@ func TestXfmrRefUniformAttention(t *testing.T) {
 	}
 }
 
-func TestGemmChainRefIdentity(t *testing.T) {
-	// Identity-embedded weights pass non-negative inputs through unchanged.
-	m := 4
-	x := make([]float32, m*gemmChainDims[0])
-	rng := prng.New(3)
-	for i := range x {
-		x[i] = float32(rng.Float01()) // non-negative: ReLU transparent
-	}
-	var ws [3][]float32
-	for l := 0; l < 3; l++ {
-		k, n := gemmChainDims[l], gemmChainDims[l+1]
-		ws[l] = make([]float32, k*n)
-		for i := 0; i < k && i < n; i++ {
-			ws[l][i*n+i] = 1
-		}
-	}
-	got := gemmChainRef(x, ws, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < gemmChainDims[3]; j++ {
-			if math.Abs(float64(got[i*gemmChainDims[3]+j]-x[i*gemmChainDims[0]+j])) > 1e-6 {
-				t.Fatalf("chain altered element (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-// TestMLVerifyModeThroughPagoda runs both ML benchmarks end-to-end through
+// TestMLVerifyModeThroughPagoda runs the ML benchmark end-to-end through
 // the real Pagoda runtime in verify mode, like TestVerifyModeThroughPagoda
 // does for the Table 3 set: scheduler, barriers and the staged row-parallel
 // kernels all in one.
 func TestMLVerifyModeThroughPagoda(t *testing.T) {
-	for _, b := range ML() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			eng := sim.New()
-			gcfg := gpu.TitanX()
-			gcfg.NumSMMs = 2
-			dev := gpu.NewDevice(eng, gcfg)
-			bus := pcie.New(eng, pcie.Default())
-			ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
-			rt := core.NewRuntime(ctx, core.DefaultConfig())
+	t.Run("XFMR", func(t *testing.T) {
+		eng := sim.New()
+		gcfg := gpu.TitanX()
+		gcfg.NumSMMs = 2
+		dev := gpu.NewDevice(eng, gcfg)
+		bus := pcie.New(eng, pcie.Default())
+		ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
+		rt := core.NewRuntime(ctx, core.DefaultConfig())
 
-			tasks := b.Make(Options{Tasks: 8, Verify: true, Seed: 3})
-			eng.Spawn("host", func(p *sim.Proc) {
-				for i := range tasks {
-					td := tasks[i]
-					rt.TaskSpawn(p, core.TaskSpec{
-						Threads:   td.Threads,
-						Blocks:    td.Blocks,
-						SharedMem: td.SharedMem,
-						Sync:      td.Sync,
-						ArgBytes:  td.ArgBytes,
-						Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
-					})
-				}
-				rt.WaitAll(p)
-				rt.Shutdown(p)
-			})
-			eng.Run()
-
-			for i, td := range tasks {
-				if td.Check == nil {
-					t.Fatalf("task %d has no Check in verify mode", i)
-				}
-				if err := td.Check(); err != nil {
-					t.Fatalf("task %d: %v", i, err)
-				}
+		tasks := makeXFMR(Options{Tasks: 8, Verify: true, Seed: 3})
+		eng.Spawn("host", func(p *sim.Proc) {
+			for i := range tasks {
+				td := tasks[i]
+				rt.TaskSpawn(p, core.TaskSpec{
+					Threads:   td.Threads,
+					Blocks:    td.Blocks,
+					SharedMem: td.SharedMem,
+					Sync:      td.Sync,
+					ArgBytes:  td.ArgBytes,
+					Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
+				})
 			}
+			rt.WaitAll(p)
+			rt.Shutdown(p)
 		})
-	}
-}
+		eng.Run()
 
-func TestMLCPURunMatchesCheck(t *testing.T) {
-	for _, b := range ML() {
-		for i, td := range b.Make(Options{Tasks: 4, Verify: true, Seed: 5}) {
-			if td.CPURun == nil {
-				t.Fatalf("%s task %d has no CPURun in verify mode", b.Name, i)
+		for i, td := range tasks {
+			if td.Check == nil {
+				t.Fatalf("task %d has no Check in verify mode", i)
 			}
-			td.CPURun()
 			if err := td.Check(); err != nil {
-				t.Errorf("%s task %d: %v", b.Name, i, err)
+				t.Fatalf("task %d: %v", i, err)
 			}
 		}
-	}
+	})
 }
 
 func TestMLGenerationProperties(t *testing.T) {
-	for _, b := range ML() {
-		tasks := b.Make(Options{Tasks: 16, Seed: 1})
-		if len(tasks) != 16 {
-			t.Fatalf("%s: Make produced %d tasks, want 16", b.Name, len(tasks))
+	tasks := makeXFMR(Options{Tasks: 16, Seed: 1})
+	if len(tasks) != 16 {
+		t.Fatalf("Make produced %d tasks, want 16", len(tasks))
+	}
+	for i, td := range tasks {
+		if td.Kernel == nil || td.CPUCycles <= 0 || td.InBytes <= 0 || td.OutBytes <= 0 {
+			t.Errorf("task %d is malformed: %+v", i, td)
 		}
-		for i, td := range tasks {
-			if td.Kernel == nil || td.CPUCycles <= 0 || td.InBytes <= 0 || td.OutBytes <= 0 {
-				t.Errorf("%s task %d is malformed: %+v", b.Name, i, td)
-			}
-			if !td.Sync {
-				t.Errorf("%s task %d must require barriers (staged kernel)", b.Name, i)
-			}
+		if !td.Sync {
+			t.Errorf("task %d must require barriers (staged kernel)", i)
 		}
-		// Irregular mode varies request sizes.
-		irr := b.Make(Options{Tasks: 64, Irregular: true, Seed: 9})
-		sizes := map[int]bool{}
-		for _, td := range irr {
-			sizes[td.InBytes] = true
-		}
-		if len(sizes) < 2 {
-			t.Errorf("%s: irregular mode produced only %d distinct input sizes", b.Name, len(sizes))
-		}
-		// Deterministic generation.
-		a := b.Make(Options{Tasks: 10, Irregular: true, Seed: 77})
-		c := b.Make(Options{Tasks: 10, Irregular: true, Seed: 77})
-		for i := range a {
-			if a[i].InBytes != c[i].InBytes || a[i].Threads != c[i].Threads || a[i].CPUCycles != c[i].CPUCycles {
-				t.Errorf("%s: task %d differs across identical seeds", b.Name, i)
-			}
+	}
+	// Irregular mode varies request sizes.
+	irr := makeXFMR(Options{Tasks: 64, Irregular: true, Seed: 9})
+	sizes := map[int]bool{}
+	for _, td := range irr {
+		sizes[td.InBytes] = true
+	}
+	if len(sizes) < 2 {
+		t.Errorf("irregular mode produced only %d distinct input sizes", len(sizes))
+	}
+	// Deterministic generation.
+	a := makeXFMR(Options{Tasks: 10, Irregular: true, Seed: 77})
+	c := makeXFMR(Options{Tasks: 10, Irregular: true, Seed: 77})
+	for i := range a {
+		if a[i].InBytes != c[i].InBytes || a[i].Threads != c[i].Threads || a[i].CPUCycles != c[i].CPUCycles {
+			t.Errorf("task %d differs across identical seeds", i)
 		}
 	}
 }

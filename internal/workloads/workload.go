@@ -1,7 +1,8 @@
 // Package workloads implements the eight benchmarks of the Pagoda paper
 // (Table 3/4): Mandelbrot (MB), FilterBank (FB), BeamFormer (BF), Image
 // Convolution (CONV), DCT8x8 (DCT), MatrixMul (MM), Sparse LU Decomposition
-// (SLUD) and 3DES, plus the Multi-Programmed Environment (MPE) mix.
+// (SLUD) and 3DES, plus the Multi-Programmed Environment (MPE) mix and one
+// ML inference microkernel outside Table 3, the transformer layer (XFMR).
 //
 // Each benchmark produces a stream of narrow tasks. Kernels are written
 // against the scheduler-neutral DeviceCtx interface so the same kernel code
@@ -12,7 +13,9 @@
 //     the task's input size and thread count ("the amount of work per task
 //     remains constant in all thread configurations", Fig. 7); and
 //   - optionally perform the real computation on Go slices (Options.Verify),
-//     validated against the host reference implementations in tests.
+//     which TaskDef.Check compares with the host reference implementation.
+//
+// The CPU baselines run no kernel: they charge each task's CPUCycles.
 package workloads
 
 import (
@@ -67,8 +70,6 @@ type TaskDef struct {
 
 	// CPUCycles is the task's cost on one CPU core (PThreads baseline).
 	CPUCycles float64
-	// CPURun optionally performs the real computation for the CPU baseline.
-	CPURun func()
 	// Check verifies results after the run (Options.Verify only).
 	Check func() error
 }
@@ -119,28 +120,17 @@ func All() []Benchmark {
 	}
 }
 
-// ML returns the ML inference microkernels (transformer layer and GEMM
-// chain). They are listed separately from All() — which stays the paper's
-// Table 3 set — and are reachable through ByName like every other benchmark.
-func ML() []Benchmark {
-	return []Benchmark{
-		TransformerLayer(),
-		GEMMChain(),
-	}
-}
-
 // ByName looks a benchmark up by its Table 3 abbreviation (MB, FB, BF, CONV,
-// DCT, MM, SLUD, 3DES), MPE, or an ML microkernel name (XFMR, GEMM).
+// DCT, MM, SLUD, 3DES), MPE, or XFMR, the transformer-layer microkernel that
+// stays outside All() (the paper's Table 3 set).
 func ByName(name string) (Benchmark, error) {
-	if name == "MPE" {
+	switch name {
+	case "MPE":
 		return MPEBench(), nil
+	case "XFMR":
+		return TransformerLayer(), nil
 	}
 	for _, b := range All() {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	for _, b := range ML() {
 		if b.Name == name {
 			return b, nil
 		}
