@@ -4,6 +4,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -12,11 +14,35 @@ import (
 )
 
 func main() {
-	render(os.Stdout)
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-// render writes the full report; split from main so the smoke test can run
-// the command end to end without capturing the process's stdout.
+// run parses the (flagless) command line and writes the report; split from
+// main so the tests can drive the command without spawning a process. -h
+// prints the usage and exits 0; an undefined flag or a stray argument is a
+// usage error, exit 2.
+func run(out, errw io.Writer, args []string) int {
+	fs := flag.NewFlagSet("gpuinfo", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	fs.Usage = func() {
+		fmt.Fprintln(errw, "usage: gpuinfo\n\nPrints the simulated device geometry and the paper's §2 occupancy arithmetic; it takes no flags or arguments.")
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0 // -h printed the usage
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(errw, "gpuinfo: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
+	render(out)
+	return 0
+}
+
+// render writes the full report.
 func render(w io.Writer) {
 	cfg := gpu.TitanX()
 	fmt.Fprintln(w, "Simulated device: NVIDIA Maxwell Titan X")

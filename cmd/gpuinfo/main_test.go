@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 )
@@ -25,21 +23,33 @@ func TestRenderSmoke(t *testing.T) {
 	}
 }
 
-// TestHelpExitsZero runs main in a child copy of the test binary with -h:
-// gpuinfo takes no flags, so -h must print the report and exit 0.
+// TestHelpExitsZero pins -h as a request, not a usage error: it prints the
+// usage on stderr and exits 0 without printing the report.
 func TestHelpExitsZero(t *testing.T) {
-	if os.Getenv("GPUINFO_RUN_MAIN") == "1" {
-		os.Args = []string{"gpuinfo", "-h"}
-		main()
-		return
+	var out, errw strings.Builder
+	if code := run(&out, &errw, []string{"-h"}); code != 0 {
+		t.Fatalf("run(-h) = %d, want 0 (stderr %q)", code, errw.String())
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
-	cmd.Env = append(os.Environ(), "GPUINFO_RUN_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("gpuinfo -h: %v\n%s", err, out)
+	if !strings.Contains(errw.String(), "usage: gpuinfo") || out.Len() != 0 {
+		t.Errorf("-h printed stdout %q, stderr %q; want the usage on stderr only", out.String(), errw.String())
 	}
-	if !strings.Contains(string(out), "Simulated device") {
-		t.Errorf("gpuinfo -h printed no report:\n%s", out)
+}
+
+// TestRejectsBadArgs: gpuinfo takes no flags and no arguments, so an
+// undefined flag or a stray argument exits 2 with the usage on stderr and
+// no report, while no arguments at all print the report and exit 0.
+func TestRejectsBadArgs(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"extra"}, {"--", "extra"}} {
+		var out, errw strings.Builder
+		if code := run(&out, &errw, args); code != 2 {
+			t.Errorf("run(%q) = %d, want 2", args, code)
+		}
+		if !strings.Contains(errw.String(), "usage: gpuinfo") || out.Len() != 0 {
+			t.Errorf("run(%q) printed stdout %q, stderr %q; want the usage on stderr only", args, out.String(), errw.String())
+		}
+	}
+	var out, errw strings.Builder
+	if code := run(&out, &errw, nil); code != 0 || !strings.Contains(out.String(), "Simulated device") || errw.Len() != 0 {
+		t.Errorf("run() = %d, stdout %q, stderr %q; want the report and exit 0", code, out.String(), errw.String())
 	}
 }

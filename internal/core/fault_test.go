@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cuda"
@@ -25,7 +27,11 @@ func faultSystem(t *testing.T) (*sim.Engine, *Runtime) {
 func TestFaultyKernelIsolated(t *testing.T) {
 	eng, rt := faultSystem(t)
 	var faults []TaskID
-	rt.OnTaskFault = func(id TaskID, v any) { faults = append(faults, id) }
+	var faultAt sim.Time
+	rt.OnTaskFault = func(id TaskID, v any) {
+		faults = append(faults, id)
+		faultAt = eng.Now()
+	}
 	healthy := 0
 	var badID TaskID
 	runHost(t, eng, rt, func(p *sim.Proc) {
@@ -59,6 +65,12 @@ func TestFaultyKernelIsolated(t *testing.T) {
 	}
 	if len(faults) != 1 || faults[0] != badID {
 		t.Fatalf("fault hook got %v, want [%d]", faults, badID)
+	}
+	// The instant the hook fires, recorded when every cost op blocked its
+	// warp as it was called: the faulty kernel's Compute(200) is charged
+	// before the fault is counted.
+	if want := 17889.319999999996; math.Float64bits(faultAt) != math.Float64bits(want) {
+		t.Fatalf("fault hook fired at %v, want %v", faultAt, want)
 	}
 }
 
@@ -124,5 +136,53 @@ func TestCloseIsNotATaskFault(t *testing.T) {
 	}
 	if faults != 0 || rt.Stats().Failed != 0 {
 		t.Fatalf("Close counted as a task fault: hook calls %d, Stats.Failed %d", faults, rt.Stats().Failed)
+	}
+}
+
+// TestCloseMidTapeLeavesNoGoroutine cuts a Pagoda run while task warps are
+// replaying their tapes (their bodies have run, their tasks have not
+// finished) and closes the engine: every warp unwinds and returns its
+// coroutine, so after a warm-up run fills the pool, further runs start no
+// goroutine and leave none behind.
+func TestCloseMidTapeLeavesNoGoroutine(t *testing.T) {
+	run := func() {
+		eng, rt := faultSystem(t)
+		started, done := 0, 0
+		rt.OnTaskDone = func(TaskID, sim.Time, sim.Time, sim.Time) { done++ }
+		eng.Spawn("host", func(p *sim.Proc) {
+			for i := 0; i < 8; i++ {
+				rt.TaskSpawn(p, TaskSpec{
+					Threads: 128, Blocks: 1, Sync: true,
+					Kernel: func(tc *TaskCtx) {
+						if tc.WarpInBlock() == 0 {
+							started++
+						}
+						for j := 0; j < 40; j++ {
+							tc.Compute(50)
+							tc.GlobalRead(512)
+						}
+						tc.SyncBlock()
+						tc.SharedWrite(256)
+					},
+				})
+			}
+			rt.WaitAll(p)
+		})
+		eng.RunUntil(20000)
+		if started <= done {
+			t.Fatalf("%d task bodies started and %d tasks done at the cut; the check needs warps mid-tape", started, done)
+		}
+		eng.Close()
+		if n := eng.LiveProcs(); n != 0 {
+			t.Fatalf("%d procs live after Close", n)
+		}
+	}
+	run()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d after five closed runs, %d after the warm-up", after, before)
 	}
 }

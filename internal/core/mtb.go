@@ -311,14 +311,17 @@ func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID
 	}
 }
 
-// runTaskKernel invokes the task kernel, optionally isolating panics: a
-// faulty task kernel is recorded and its warps retire normally instead of
-// taking down the whole runtime — the software analogue of a kernel fault
-// killing one grid, not the GPU context.
+// runTaskKernel invokes the task kernel and charges what it recorded,
+// optionally isolating panics: a faulty task kernel is recorded and its
+// warps retire normally instead of taking down the whole runtime — the
+// software analogue of a kernel fault killing one grid, not the GPU
+// context. The ops a faulty kernel recorded before it panicked are charged
+// first, so the fault is counted at the instant the panic would have struck.
 func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 	rt := m.rt
 	if !rt.Cfg.IsolateKernelPanics {
 		e.spec.Kernel(tc)
+		tc.Drain()
 		return
 	}
 	defer func() {
@@ -326,6 +329,7 @@ func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 			if sim.Unwinding(r) {
 				panic(r) // Engine.Close, not a task fault
 			}
+			tc.Drain()
 			rt.failedTasks++
 			if rt.OnTaskFault != nil {
 				rt.OnTaskFault(e.id, r)
@@ -333,6 +337,7 @@ func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 		}
 	}()
 	e.spec.Kernel(tc)
+	tc.Drain()
 }
 
 // ---------------------------------------------------------------------------

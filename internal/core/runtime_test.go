@@ -313,32 +313,41 @@ func TestMultiThreadblockTask(t *testing.T) {
 }
 
 func TestWarpLevelSchedulingOverlapsTasks(t *testing.T) {
-	// Two tasks of 8 warps each on a tiny device: Pagoda interleaves their
-	// warps in one MTB, so both are in flight concurrently.
+	// Six tasks of 8 warps each on a tiny device: Pagoda interleaves their
+	// warps in one MTB, so several are in flight at once. A kernel body
+	// runs ahead of its charges, so the overlap is read from the runtime's
+	// (sched, end) instants, not from inside the bodies: at the peak, more
+	// than one task has been scheduled and not yet finished.
 	eng, rt := testSystem(t, 1)
-	concurrent, maxConcurrent := 0, 0
+	type span struct{ sched, end sim.Time }
+	var spans []span
+	rt.OnTaskDone = func(_ TaskID, _, sched, end sim.Time) { spans = append(spans, span{sched, end}) }
 	runHost(t, eng, rt, func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {
 			rt.TaskSpawn(p, TaskSpec{
 				Threads: 256, Blocks: 1,
 				Kernel: func(tc *TaskCtx) {
-					if tc.WarpInBlock() == 0 {
-						concurrent++
-						if concurrent > maxConcurrent {
-							maxConcurrent = concurrent
-						}
-					}
 					tc.Compute(5000)
 					tc.GlobalRead(1024)
 					tc.Compute(5000)
-					if tc.WarpInBlock() == 0 {
-						concurrent--
-					}
 				},
 			})
 		}
 		rt.WaitAll(p)
 	})
+	if len(spans) != 6 {
+		t.Fatalf("%d tasks finished, want 6", len(spans))
+	}
+	maxConcurrent := 0
+	for _, s := range spans {
+		n := 0
+		for _, o := range spans {
+			if o.sched <= s.sched && s.sched < o.end {
+				n++
+			}
+		}
+		maxConcurrent = max(maxConcurrent, n)
+	}
 	if maxConcurrent < 2 {
 		t.Fatalf("maxConcurrent = %d; warp-level scheduling should overlap tasks", maxConcurrent)
 	}

@@ -106,6 +106,7 @@ func (w *warp) Run(p *sim.Proc) {
 		p.Sleep(tb.spillDelay)
 	}
 	tb.kernel.Spec.Fn(&w.ctx)
+	w.ctx.assertDrained()
 	tb.kernel.dev.warpDone(tb)
 }
 
@@ -211,6 +212,11 @@ type Device struct {
 	caps occCaps
 
 	createdAt sim.Time
+
+	// rec is the task tape being recorded, nil when none is (tape.go), and
+	// recID its slab handle. Only the warp whose body runs records.
+	rec   *tape
+	recID uint32
 }
 
 // NewDevice builds a device on the given engine.

@@ -80,17 +80,24 @@ func (t *Task) ForEachLane(fn func(tid int)) {
 }
 
 // The cost ops charge the warp that runs the task, as the Ctx ops of the
-// same names do.
-func (t *Task) Compute(cycles float64) { t.c.Compute(cycles) }
-func (t *Task) GlobalRead(n int)       { t.c.GlobalRead(n) }
-func (t *Task) GlobalWrite(n int)      { t.c.GlobalWrite(n) }
-func (t *Task) SharedRead(n int)       { t.c.SharedRead(n) }
-func (t *Task) SharedWrite(n int)      { t.c.SharedWrite(n) }
+// same names do, but are recorded on the warp's tape (tape.go) rather than
+// charged as they are called: the kernel body runs ahead of its charges.
+func (t *Task) Compute(cycles float64) { t.c.recordCompute(cycles) }
+func (t *Task) GlobalRead(n int)       { t.c.recordMem(opGlobalRead, n) }
+func (t *Task) GlobalWrite(n int)      { t.c.recordMem(opGlobalWrite, n) }
+func (t *Task) SharedRead(n int)       { t.c.recordMem(opSharedRead, n) }
+func (t *Task) SharedWrite(n int)      { t.c.recordMem(opSharedWrite, n) }
+
+// Drain charges every cost op the task has recorded, blocking the warp until
+// they are served. A runtime calls it when the task kernel returns, and
+// before it counts a kernel that panicked.
+func (t *Task) Drain() { t.c.drain() }
 
 // SyncBlock is syncBlock(): a barrier over the task's threadblock, costing
 // what a bar.sync arrival costs. A block of one warp runs in lockstep, so it
 // is free there; a multi-warp task bound without a barrier (a Pagoda task
-// spawned without the sync flag) panics.
+// spawned without the sync flag) panics. The tape drains before the warp
+// arrives, so warps see each other's effects across a SyncBlock.
 func (t *Task) SyncBlock() {
 	if int(t.threads) <= t.c.dev.Cfg.ThreadsPerWarp {
 		return
@@ -98,7 +105,9 @@ func (t *Task) SyncBlock() {
 	if t.bar == nil {
 		panic("gpu: SyncBlock on a multi-warp task without a barrier (spawned without sync?)")
 	}
-	t.c.NamedBarrier(t.bar)
+	t.c.recordCompute(t.c.dev.Cfg.BarrierCost)
+	t.c.drain()
+	t.bar.Arrive(t.c.proc)
 }
 
 // HasShared reports whether the task has shared memory.

@@ -694,6 +694,7 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 					t := &warpTasks[c.BlockIdx*workerWarps+c.WarpInBlock]
 					t.Bind(c, 1, 0, nil)
 					td.Kernel(t)
+					t.Drain()
 					c.SyncBlock()
 				}
 			},

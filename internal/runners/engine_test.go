@@ -13,9 +13,10 @@ import (
 // cell and one single-device open-loop cell. The counts are deterministic,
 // so a change that adds events or coroutine switches shows up here as a
 // number, not as noise in a wall-clock gate. Re-capture them only for an
-// intentional change to how the model schedules work, and say why. The
-// memory ops run their stages as chained steps, so a warp resumes once per
-// op; LaneEvents + HeapPushes counts every event queued.
+// intentional change to how the model schedules work, and say why. A task
+// kernel's cost ops are recorded on a tape and replayed as chained steps,
+// so a task warp resumes once per tape (per SyncBlock segment), not once
+// per op; LaneEvents + HeapPushes counts every event queued.
 func TestEngineStatsPinned(t *testing.T) {
 	mb, _ := workloads.ByName("MB")
 	cfg := DefaultConfig()
@@ -23,16 +24,16 @@ func TestEngineStatsPinned(t *testing.T) {
 	tasks := mb.Make(workloads.Options{Tasks: 256, Threads: 128, Seed: 1})
 	_, closed := runFleet(tasks, ClusterOpenLoop{Arrivals: make([]sim.Time, len(tasks)), closedLoop: true},
 		cfg, "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 549083, Handoffs: 176973, SelfResumes: 4560, PeakRunning: 488,
-		LaneEvents: 229309, HeapPushes: 319774, Rekeys: 157213, Steps: 141776, PeakPending: 412}); closed.Engine != want {
+	if want := (sim.Stats{Events: 549083, Handoffs: 51917, SelfResumes: 9232, PeakRunning: 488,
+		LaneEvents: 229309, HeapPushes: 319774, Rekeys: 157213, Steps: 262160, PeakPending: 412}); closed.Engine != want {
 		t.Errorf("fig5 MB Pagoda cell: Stats = %#v, want %#v", closed.Engine, want)
 	}
 
 	ol := olTasks(t, 48)
 	arr := serve.Poisson{Rate: 50e3, Seed: 3}.Times(len(ol))
 	_, open := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 85466, Handoffs: 24923, SelfResumes: 1161, PeakRunning: 73,
-		LaneEvents: 36583, HeapPushes: 48883, Rekeys: 18867, Steps: 23604, PeakPending: 58}); open.Engine != want {
+	if want := (sim.Stats{Events: 85466, Handoffs: 2964, SelfResumes: 1544, PeakRunning: 73,
+		LaneEvents: 36583, HeapPushes: 48883, Rekeys: 18867, Steps: 45180, PeakPending: 58}); open.Engine != want {
 		t.Errorf("open-loop Pagoda cell: Stats = %#v, want %#v", open.Engine, want)
 	}
 }

@@ -73,6 +73,7 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 				t := new(gpu.Task)
 				t.Bind(c, 1, 0, shared)
 				td.Kernel(t)
+				t.Drain()
 			},
 		})
 		h.Wait(p)

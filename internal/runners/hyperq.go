@@ -102,6 +102,7 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 			t := &tasks[c.BlockIdx*warps+c.WarpInBlock]
 			t.Bind(c, td.Blocks, c.BlockIdx, sh)
 			td.Kernel(t)
+			t.Drain()
 		},
 	}
 }

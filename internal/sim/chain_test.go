@@ -104,6 +104,106 @@ func TestChainMatchesBlockingStages(t *testing.T) {
 	}
 }
 
+// taper runs a list of ops, each a request on its share (work > 0) or a
+// sleep (work <= 0, for -work), over several rounds. Chained, each round
+// is one Chain: StepAfter and Share.Chain link the ops, and the last one
+// ends the chain with ResumeAfter or Share.ChainEnd.
+type taper struct {
+	proc    Proc
+	s       *Share
+	ops     []float64
+	pos     int
+	rounds  int
+	chained bool
+	done    []Time
+}
+
+func (c *taper) Run(p *Proc) {
+	for i := 0; i < c.rounds; i++ {
+		if c.chained {
+			c.pos = 0
+			p.Chain(atS1, 0)
+		} else {
+			for _, w := range c.ops {
+				if w > 0 {
+					c.s.Acquire(p, w)
+				} else {
+					p.Sleep(-w)
+				}
+			}
+		}
+		c.done = append(c.done, p.Now())
+	}
+}
+
+func (c *taper) String() string { return "taper" }
+
+func (c *taper) Step(uint64) {
+	w, last := c.ops[c.pos], c.pos == len(c.ops)-1
+	switch {
+	case w > 0 && last:
+		c.s.ChainEnd(&c.proc, w)
+	case w > 0:
+		c.pos++
+		c.s.Chain(&c.proc, w, atS1)
+	case last:
+		c.proc.ResumeAfter(-w)
+	default:
+		c.pos++
+		c.proc.StepAfter(-w, atS1)
+	}
+}
+
+// taperRun runs six contending tapers whose op lists end in a request or in
+// a sleep, including zero-length sleeps.
+func taperRun(chained bool) ([][]Time, Stats) {
+	e := New()
+	defer e.Close()
+	s := NewShare(e, 3, 1)
+	var cs []*taper
+	for i := 0; i < 6; i++ {
+		ops := []float64{float64(1 + i%3), -float64(i % 2), 2.5, -4}
+		if i%2 == 0 {
+			ops = append(ops, 0.75+float64(i))
+		}
+		c := &taper{s: s, ops: ops, rounds: 4, chained: chained}
+		e.Schedule(Time(i)/4, func() { e.Start(&c.proc, c) })
+		cs = append(cs, c)
+	}
+	e.Run()
+	var done [][]Time
+	for _, c := range cs {
+		done = append(done, c.done)
+	}
+	return done, e.Stats()
+}
+
+// TestStepAfterAndChainEndMatchBlockingOps: a chain of several ops, linked
+// by StepAfter and ended by ChainEnd or ResumeAfter, finishes each round at
+// exactly the instant the ops charged one blocking call at a time would,
+// queueing the same events in the same slots; every resume between two ops
+// becomes a step.
+func TestStepAfterAndChainEndMatchBlockingOps(t *testing.T) {
+	got, chained := taperRun(true)
+	want, blocking := taperRun(false)
+	for i := range want {
+		if !slices.EqualFunc(got[i], want[i], sameBits) {
+			t.Fatalf("taper %d done at %v, blocking ops at %v", i, got[i], want[i])
+		}
+	}
+	same := func(s Stats) Stats {
+		s.Handoffs, s.SelfResumes, s.Steps = 0, 0, 0
+		return s
+	}
+	if same(chained) != same(blocking) {
+		t.Errorf("Stats = %+v chained, %+v blocking: only resumes may become steps", chained, blocking)
+	}
+	moves := func(s Stats) int64 { return s.Handoffs + s.SelfResumes + s.Steps }
+	if moves(chained) != moves(blocking) || chained.Steps == 0 {
+		t.Errorf("resumes+steps = %d chained (%d steps), %d blocking", moves(chained), chained.Steps, moves(blocking))
+	}
+}
+
 // TestChainPendingStageIsNotBlocked: a chained proc is listed by
 // BlockedProcs while it waits in a share, and not once its next stage is
 // queued. Two chainers finish their s1 work together; while the first

@@ -224,11 +224,14 @@ func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
 	ev.gen = gen
 }
 
-// scheduleStep queues the next stage of p's chain now, in the queue slot a
-// Wakeup would take: p's Runner runs it with the generation p is blocked
-// under.
-func (e *Engine) scheduleStep(p *Proc) {
-	ev := e.newEvent(e.now)
+// scheduleStep queues the next stage of p's chain after delay, in the queue
+// slot a resume of p after delay would take (a Wakeup's when delay is 0):
+// p's Runner runs it with the generation p is blocked under.
+func (e *Engine) scheduleStep(delay Time, p *Proc) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	ev := e.newEvent(e.now + delay)
 	ev.step = p.run.(Step)
 	ev.proc = p
 	ev.gen = p.wakeGen

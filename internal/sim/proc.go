@@ -225,8 +225,9 @@ func (p *Proc) Wakeup() {
 // wake generation p blocked under, the first one inline here, and reads the
 // chain's stage and operand with Stage. A stage either queues a request with
 // Share.Chain, whose completion queues the next stage in the queue slot a
-// Wakeup of p would take, or ends the chain with ResumeAfter, p's single
-// resume. stage must not be zero.
+// Wakeup of p would take, queues the next stage after a delay with
+// StepAfter, or ends the chain: with ResumeAfter, or with Share.ChainEnd,
+// whose completion is p's single resume. stage must not be zero.
 func (p *Proc) Chain(stage uint8, operand uint32) {
 	if stage == 0 {
 		panic(fmt.Sprintf("sim: proc %q chained at stage 0", p.Name()))
@@ -235,6 +236,7 @@ func (p *Proc) Chain(stage uint8, operand uint32) {
 	gen := p.arm()
 	p.run.(Step).Step(gen)
 	p.yield()
+	p.parked = false // a chain ended by Share.ChainEnd resumes parked
 }
 
 // Stage returns the stage and operand of the chain p is blocked in; the
@@ -252,6 +254,18 @@ func (p *Proc) ResumeAfter(d Time) {
 	p.eng.scheduleProc(d, p, p.wakeGen)
 }
 
+// StepAfter queues the next stage of p's chain after d, in the queue slot
+// that ResumeAfter(d) would take: a chain of several ops runs the next op
+// where p would have resumed to start it.
+func (p *Proc) StepAfter(d Time, next uint8) {
+	if p.stage == 0 || next == 0 {
+		panic(fmt.Sprintf("sim: proc %q stepped outside a chain or to stage 0", p.Name()))
+	}
+	p.stage = next
+	p.parked = false
+	p.eng.scheduleStep(d, p)
+}
+
 // shareDone is a Share's completion of p's request. A chained proc's next
 // stage is queued; any other proc is woken. Either takes the same queue
 // slot.
@@ -264,7 +278,7 @@ func (p *Proc) shareDone() {
 		return
 	}
 	p.parked = false
-	p.eng.scheduleStep(p)
+	p.eng.scheduleStep(0, p)
 }
 
 // unwind is the private panic value Engine.Close raises inside a parked

@@ -152,6 +152,22 @@ func (s *Share) Chain(p *Proc, work float64, next uint8) bool {
 	return true
 }
 
+// ChainEnd ends p's chain (Proc.Chain) with a request for `work` units:
+// p resumes once they are served, exactly as from an Acquire of the same
+// work. work must be positive (or NaN, which Acquire also queues): an end
+// with nothing to serve is ResumeAfter(0), which takes an event of its own.
+func (s *Share) ChainEnd(p *Proc, work float64) {
+	if p.stage == 0 {
+		panic(fmt.Sprintf("sim: proc %q ended a chain it is not in", p.Name()))
+	}
+	if work <= 0 {
+		panic(fmt.Sprintf("sim: proc %q ended its chain with %v work", p.Name(), work))
+	}
+	p.stage = 0
+	p.parked = true
+	s.push(p, work)
+}
+
 // Integrals returns the busy integral up to now: capacity-time in use,
 // ∫ min(n·perFlow, capacity) dt; divide by capacity·elapsed for
 // utilization. It is a pure read: it settles nothing and leaves the

@@ -27,6 +27,12 @@ import (
 // DeviceCtx is the device-side API a task kernel needs. gpu.Task, which
 // every scheme hands its task kernels (core.TaskCtx under Pagoda), is the
 // implementation.
+//
+// It has no clock, so a kernel body runs ahead of its charges: the cost ops
+// are recorded as they are called and charged when the warp reaches its
+// next SyncBlock or returns, at the simulated instants charging them one by
+// one would give. A kernel therefore sees other warps' effects (shared
+// memory, captured state) only across SyncBlock, as a CUDA kernel does.
 type DeviceCtx interface {
 	// Geometry.
 	Threads() int     // threads per threadblock
