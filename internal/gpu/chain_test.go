@@ -165,6 +165,18 @@ func TestCtxSize(t *testing.T) {
 	}
 }
 
+// TestWarpSize pins a resident warp: its proc, its Ctx and its threadblock.
+// A launch allocates its warps a threadblock at a time, so every byte here
+// is paid once per warp of every launch.
+func TestWarpSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(warp{}); got != 136 {
+		t.Errorf("sizeof(warp) = %d, want 136", got)
+	}
+}
+
 // TestTaskSize pins a task's view of its warp, which HyperQ and GeMTC
 // allocate one of per task warp and Pagoda one of per WarpTable slot.
 func TestTaskSize(t *testing.T) {
