@@ -100,6 +100,9 @@ func run(w io.Writer, args []string) error {
 		return usageError{err}
 	}
 	maxThreads := core.DefaultConfig().ExecutorWarpsPerMTB() * 32
+	// maxRate is one arrival per simulated cycle: every mode scales -rate
+	// (by fleet size, or a tenant's spike) to values that stay finite.
+	const maxRate = 1e9
 	switch {
 	case *nodes > 0 && *tenants > 0:
 		return usagef("pagodatrace: -nodes and -tenants are mutually exclusive modes")
@@ -119,6 +122,8 @@ func run(w io.Writer, args []string) error {
 		return usagef("pagodatrace: -smms %d: need at least one SMM", *smms)
 	case *threads < 0 || *threads > maxThreads:
 		return usagef("pagodatrace: -threads %d is outside 0..%d, the executor lanes of an MTB (0 = the benchmark default)", *threads, maxThreads)
+	case !(*rate > 0 && *rate <= maxRate):
+		return usagef("pagodatrace: -rate %v is outside (0, %g] tasks/s, at most one arrival per simulated cycle", *rate, float64(maxRate))
 	}
 
 	b, err := workloads.ByName(*benchName)

@@ -56,25 +56,31 @@ func TestRunRejectsUnknownBench(t *testing.T) {
 
 // TestRunRejectsBadFlags pins input validation: every bad flag combination
 // returns a usage error (main exits 2 on it) before anything runs, never a
-// panic and never a silent fall-back to another mode.
+// panic and never a silent fall-back to another mode. A bad -rate is named
+// as typed, not as a mode scaled it.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
+		want string // in the message, when set
 	}{
-		{"negative_nodes", []string{"-nodes", "-3"}},
-		{"negative_tenants", []string{"-tenants", "-1"}},
-		{"negative_tasks", []string{"-tasks", "-1"}},
-		{"zero_smms", []string{"-smms", "0"}},
-		{"threads_over_mtb", []string{"-threads", "5000"}},
-		{"negative_threads", []string{"-threads", "-3"}},
-		{"tenants_over_tasks", []string{"-tenants", "50", "-tasks", "10"}},
-		{"undefined_flag", []string{"-bogus"}},
-		{"cluster_zero_rate", []string{"-nodes", "2", "-rate", "0"}},
-		{"cluster_nan_rate", []string{"-nodes", "2", "-rate", "NaN"}},
-		{"autoscale_zero_rate", []string{"-autoscale", "reactive", "-rate", "0"}},
-		{"autoscale_equal_bounds", []string{"-autoscale", "reactive", "-minnodes", "2", "-maxnodes", "2"}},
-		{"tenant_negative_rate", []string{"-tenants", "3", "-rate", "-5"}},
+		{"negative_nodes", []string{"-nodes", "-3"}, ""},
+		{"negative_tenants", []string{"-tenants", "-1"}, ""},
+		{"negative_tasks", []string{"-tasks", "-1"}, ""},
+		{"zero_smms", []string{"-smms", "0"}, ""},
+		{"threads_over_mtb", []string{"-threads", "5000"}, ""},
+		{"negative_threads", []string{"-threads", "-3"}, ""},
+		{"tenants_over_tasks", []string{"-tenants", "50", "-tasks", "10"}, ""},
+		{"undefined_flag", []string{"-bogus"}, ""},
+		{"cluster_zero_rate", []string{"-nodes", "2", "-rate", "0"}, "-rate 0 "},
+		{"cluster_nan_rate", []string{"-nodes", "2", "-rate", "NaN"}, "-rate NaN "},
+		{"autoscale_zero_rate", []string{"-autoscale", "reactive", "-rate", "0"}, "-rate 0 "},
+		{"autoscale_equal_bounds", []string{"-autoscale", "reactive", "-minnodes", "2", "-maxnodes", "2"}, ""},
+		{"tenant_negative_rate", []string{"-tenants", "3", "-rate", "-5"}, "-rate -5 "},
+		{"cluster_negative_rate", []string{"-nodes", "2", "-rate", "-1"}, "-rate -1 "},
+		{"cluster_overflowing_rate", []string{"-nodes", "2", "-rate", "1e308"}, "-rate 1e+308 "},
+		{"tenant_overflowing_rate", []string{"-tenants", "2", "-rate", "1e308"}, "-rate 1e+308 "},
+		{"autoscale_infinite_rate", []string{"-autoscale", "reactive", "-rate", "+Inf"}, "-rate +Inf "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "t.json")
@@ -83,6 +89,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			var ue usageError
 			if !errors.As(err, &ue) {
 				t.Fatalf("run(%v) = %v, want a usage error", tc.args, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%v) = %q, want it to name %q", tc.args, err, tc.want)
 			}
 			if _, statErr := os.Stat(out); statErr == nil {
 				t.Error("a rejected run wrote a trace file")

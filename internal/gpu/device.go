@@ -31,6 +31,17 @@ type LaunchSpec struct {
 	// waiting at once. A nil result, or a block the virtualization
 	// coordinator charges a swap-in delay, starts the warp normally.
 	ParkOn func(block, warp int) *sim.Signal
+
+	// Resume, when set, makes the launch stepped: every warp is a stepped
+	// proc (sim.Engine.StartStepped) that runs Resume on the event loop at
+	// its start and at each wake-up after, and borrows a coroutine only to
+	// run Fn. Resume must not block: it charges with the non-blocking ops
+	// (ComputeThen, SyncIssueThen, SyncArriveThen, AtomicSite.Enter and
+	// Leave) and returns false once one of them has armed the warp's
+	// wake-up. It returns true to run Fn, after which it runs again, and
+	// false with nothing armed to end the warp. ParkOn is not consulted, and
+	// a device with a virtualization coordinator rejects the launch.
+	Resume func(c *Ctx) bool
 }
 
 // WarpsPerTB returns the number of warps a threadblock occupies.
@@ -99,15 +110,37 @@ type warp struct {
 }
 
 // Run is the warp's process body: the coordinator's swap-in delay, if any,
-// then the kernel function.
+// then the kernel function. A stepped warp's Run is Fn alone: its Resume
+// starts and ends the warp.
 func (w *warp) Run(p *sim.Proc) {
 	tb := w.tb
+	if tb.kernel.Spec.Resume != nil {
+		tb.kernel.Spec.Fn(&w.ctx)
+		return
+	}
 	if tb.spillDelay > 0 {
 		p.Sleep(tb.spillDelay)
 	}
 	tb.kernel.Spec.Fn(&w.ctx)
+	w.exit()
+}
+
+// Resume runs a stepped warp's LaunchSpec.Resume, and ends the warp when
+// it arms nothing and asks for no Run.
+func (w *warp) Resume(p *sim.Proc) bool {
+	if w.tb.kernel.Spec.Resume(&w.ctx) {
+		return true
+	}
+	if !p.Armed() {
+		w.exit()
+	}
+	return false
+}
+
+// exit leaves the warp's threadblock once its kernel is done with it.
+func (w *warp) exit() {
 	w.ctx.assertDrained()
-	tb.kernel.dev.warpDone(tb)
+	w.tb.kernel.dev.warpDone(w.tb)
 }
 
 // String names the warp "<kernel>/tb<block>/w<warp>" for diagnostics; it is
@@ -261,6 +294,10 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 	if spec.SharedPerTB > d.Cfg.MaxSharedPerTB {
 		panic(fmt.Sprintf("gpu: launch %q: %d B shared/TB exceeds limit %d", spec.Name, spec.SharedPerTB, d.Cfg.MaxSharedPerTB))
 	}
+	if spec.Resume != nil && d.Virt != nil {
+		// A stepped warp has nowhere to keep a swap-in delay's progress.
+		panic(fmt.Sprintf("gpu: stepped launch %q on a virtualized device", spec.Name))
+	}
 	if spec.RegsPerThread <= 0 {
 		spec.RegsPerThread = 32
 	}
@@ -340,6 +377,10 @@ func (d *Device) startWarps(tb *threadBlock) {
 			BlockDim:    spec.BlockThreads,
 			WarpInBlock: i,
 			blockBar:    bar,
+		}
+		if spec.Resume != nil {
+			d.Eng.StartStepped(&w.proc, w)
+			continue
 		}
 		if spec.ParkOn != nil && tb.spillDelay == 0 {
 			if sig := spec.ParkOn(tb.blockIdx, i); sig != nil {

@@ -177,7 +177,9 @@ func TestSyncBlock(t *testing.T) {
 		Fn: func(c *Ctx) {
 			c.Compute(float64(10 * (c.WarpInBlock + 1)))
 			phase1++
-			c.SyncBlock()
+			var task Task
+			task.Bind(c, 1, 0, nil)
+			task.SyncBlock()
 			if phase1 != warps {
 				errs++
 			}
@@ -194,7 +196,11 @@ func TestSyncBlockSingleWarpNoop(t *testing.T) {
 	dev := NewDevice(eng, testCfg())
 	dev.Launch(LaunchSpec{
 		Name: "single", GridDim: 1, BlockThreads: 32,
-		Fn: func(c *Ctx) { c.SyncBlock() }, // must not panic or hang
+		Fn: func(c *Ctx) { // must not panic or hang
+			var task Task
+			task.Bind(c, 1, 0, nil)
+			task.SyncBlock()
+		},
 	})
 	eng.Run()
 }

@@ -34,7 +34,9 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 			spec.Fn = func(c *Ctx) {
 				c.Compute(4)
 				if tc.sync {
-					c.SyncBlock()
+					var task Task
+					task.Bind(c, 1, 0, nil)
+					task.SyncBlock()
 				}
 			}
 			got := testing.AllocsPerRun(20, func() {
@@ -108,7 +110,8 @@ func TestWarpNames(t *testing.T) {
 			if c.WarpInBlock == 1 {
 				// Arm the parked warp a second time from the event loop.
 				eng2.Schedule(1, func() { c.Proc().Sleep(1) })
-				c.Proc().Block()
+				var never sim.Signal
+				never.Wait(c.Proc())
 			}
 		},
 	})

@@ -67,17 +67,22 @@ func (c *Ctx) record(op uint8, arg float64) {
 	}
 }
 
-// recordCompute records Compute(cycles). cycles <= 0 records nothing, as
-// an Acquire of no work returns at once. NaN cycles panic: a request that
-// can never be served would stall the issue share's timer at a NaN instant.
+// recordCompute records Compute(cycles).
 func (c *Ctx) recordCompute(cycles float64) {
-	if cycles <= 0 {
-		return
+	if issues(cycles) {
+		c.record(opCompute, cycles)
 	}
+}
+
+// issues reports whether Compute(cycles) has any issue to charge: cycles
+// <= 0 charges nothing, as an Acquire of no work returns at once. NaN cycles
+// panic: a request that can never be served would stall the issue share's
+// timer at a NaN instant.
+func issues(cycles float64) bool {
 	if math.IsNaN(cycles) {
 		panic("gpu: Compute of NaN cycles")
 	}
-	c.record(opCompute, cycles)
+	return cycles > 0
 }
 
 // recordMem records a memory op on n bytes. A negative n moves no bytes, as
@@ -112,7 +117,7 @@ func putTape(id uint32) {
 }
 
 // assertDrained panics unless the device's tape is empty. Every Ctx op
-// that blocks checks it: runtime code runs between task kernels, so a tape
+// that charges checks it: runtime code runs between task kernels, so a tape
 // left undrained means a missed Task.Drain, which would reorder the run.
 func (c *Ctx) assertDrained() {
 	if c.dev.rec != nil {

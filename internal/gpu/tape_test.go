@@ -119,7 +119,7 @@ func runTapeProgram(pr tapeProgram, taped bool) tapeRunResult {
 				Fn: func(c *Ctx) {
 					var t Task
 					t.Bind(c, len(blocks), c.BlockIdx, nil)
-					var w costOps = c
+					var w costOps = opByOp{c}
 					if taped {
 						w = &t
 					}
@@ -151,7 +151,8 @@ func runTapeProgram(pr tapeProgram, taped bool) tapeRunResult {
 	return res
 }
 
-// costOps is what Ctx and Task have in common: the cost ops and SyncBlock.
+// costOps is what a Task and opByOp have in common: the cost ops and
+// SyncBlock.
 type costOps interface {
 	Compute(cycles float64)
 	GlobalRead(n int)
@@ -159,6 +160,23 @@ type costOps interface {
 	SharedRead(n int)
 	SharedWrite(n int)
 	SyncBlock()
+}
+
+// opByOp charges a warp's ops through its Ctx one at a time: the reference
+// a taped Task must match.
+type opByOp struct{ *Ctx }
+
+func (o opByOp) SyncBlock() { syncThreads(o.Ctx) }
+
+// syncThreads is __syncthreads() charged through the warp's Ctx: its
+// non-blocking halves, each followed by the wait it arms.
+func syncThreads(c *Ctx) {
+	if c.SyncIssueThen() {
+		c.proc.Await()
+	}
+	if c.SyncArriveThen() {
+		c.proc.Await()
+	}
 }
 
 func chargeTapeOp(c costOps, o tapeOp) {

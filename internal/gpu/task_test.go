@@ -92,7 +92,7 @@ func TestTaskSyncBlockCost(t *testing.T) {
 		})
 		return left
 	}
-	physical := syncRun((*Ctx).SyncBlock)
+	physical := syncRun(syncThreads)
 	bound := syncRun(func(c *Ctx) {
 		var task Task
 		task.Bind(c, 1, 0, nil)
@@ -106,7 +106,7 @@ func TestTaskSyncBlockCost(t *testing.T) {
 		task.SyncBlock()
 	})
 	if physical[0] != physical[1] || bound != physical || named != physical {
-		t.Fatalf("warps leave SyncBlock at %v (block barrier) and %v (named), want %v as Ctx.SyncBlock", bound, named, physical)
+		t.Fatalf("warps leave SyncBlock at %v (block barrier) and %v (named), want %v as __syncthreads()", bound, named, physical)
 	}
 	free := launchRun(1, 32, func(c *Ctx) {
 		var task Task

@@ -33,14 +33,22 @@ func (c *Ctx) WarpSize() int { return c.dev.Cfg.ThreadsPerWarp }
 
 // --- cost-charging operations ---
 //
-// Each one is a one-entry tape (tape.go), drained at once.
+// Each memory op is a one-entry tape (tape.go), drained at once.
 
 // Compute charges `cycles` of instruction issue under processor sharing with
 // the other ready warps on this SMM.
 func (c *Ctx) Compute(cycles float64) {
+	if c.ComputeThen(cycles) {
+		c.proc.Await()
+	}
+}
+
+// ComputeThen is Compute's non-blocking half, for a stepped warp: it queues
+// `cycles` of issue and arms the warp's wake-up for when they are served. It
+// reports false, arming nothing, when there is nothing to issue.
+func (c *Ctx) ComputeThen(cycles float64) bool {
 	c.assertDrained()
-	c.recordCompute(cycles)
-	c.drain()
+	return issues(cycles) && c.smm.issue.AcquireThen(c.proc, cycles)
 }
 
 // GlobalRead models a warp-wide coalesced read of n bytes from device
@@ -73,12 +81,6 @@ func (c *Ctx) AtomicShared(site *AtomicSite) {
 	site.Do(c.proc)
 }
 
-// AtomicGlobal performs one global-memory atomic through the given site.
-func (c *Ctx) AtomicGlobal(site *AtomicSite) {
-	c.Compute(1)
-	site.Do(c.proc)
-}
-
 // Threadfence charges the cost of __threadfence() (device-wide visibility).
 func (c *Ctx) Threadfence() {
 	c.Compute(1)
@@ -91,19 +93,17 @@ func (c *Ctx) ThreadfenceBlock() {
 	c.proc.Sleep(c.dev.Cfg.FenceBlockCost)
 }
 
-// SyncBlock is __syncthreads(): synchronizes all warps of the CUDA
-// threadblock. Panics when used from a runtime (like Pagoda's MasterKernel)
-// whose blocks must not block-sync; such runtimes provide their own
-// sub-threadblock barriers.
-func (c *Ctx) SyncBlock() {
-	if c.blockBar == nil {
-		if c.BlockDim <= c.dev.Cfg.ThreadsPerWarp {
-			return // single-warp block: lockstep already synchronizes
-		}
-		panic("gpu: SyncBlock on a block without a barrier")
-	}
-	c.Compute(c.dev.Cfg.BarrierCost)
-	c.blockBar.Arrive(c.proc)
+// SyncIssueThen and SyncArriveThen are __syncthreads() as two
+// non-blocking halves, for a stepped warp: issuing the bar.sync, then
+// arriving at the threadblock's barrier. Each arms the warp's wake-up and
+// reports true when it has to wait. A single-warp block runs in lockstep
+// and has no barrier, so both are free there.
+func (c *Ctx) SyncIssueThen() bool {
+	return c.blockBar != nil && c.ComputeThen(c.dev.Cfg.BarrierCost)
+}
+
+func (c *Ctx) SyncArriveThen() bool {
+	return c.blockBar != nil && c.blockBar.arrive(c.proc)
 }
 
 // WarpVoteAll models the _all() warp vote: lockstep lanes need only a couple

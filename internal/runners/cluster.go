@@ -643,10 +643,23 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 		BlockThreads: workerThreads, RegsPerThread: 32,
 	})
 	workers := occ.TBsPerSMM * n.sys.dev.Cfg.NumSMMs
-	queueSite := gpu.NewAtomicSite(n.sys.dev.Cfg.AtomicGlobalLatency)
-	// One Task per worker warp, rebound for every task the warp claims.
 	workerWarps := taskWarps(workerThreads)
-	warpTasks := make([]gpu.Task, workers*workerWarps)
+	k := &superKernel{
+		n:       n,
+		site:    gpu.NewAtomicSite(n.sys.dev.Cfg.AtomicGlobalLatency),
+		claimed: make([]int, workers),
+		warps:   workerWarps,
+		tasks:   make([]gpu.Task, workers*workerWarps),
+		states:  make([]uint8, workers*workerWarps),
+	}
+	spec := gpu.LaunchSpec{
+		Name:          "SuperKernel",
+		GridDim:       workers,
+		BlockThreads:  workerThreads,
+		RegsPerThread: 32,
+		Resume:        k.resume,
+		Fn:            k.run,
+	}
 
 	stream := n.sys.ctx.NewStream()
 	pending := &n.in[0].tasks
@@ -667,38 +680,9 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 		}
 		stream.MemcpyH2D(p, desc+in)
 
-		next := 0                       // single FIFO queue head
-		claimed := make([]int, workers) // per-worker claimed batch position
-		h := stream.Launch(p, gpu.LaunchSpec{
-			Name:          "SuperKernel",
-			GridDim:       workers,
-			BlockThreads:  workerThreads,
-			RegsPerThread: 32,
-			Fn: func(c *gpu.Ctx) {
-				for {
-					if c.WarpInBlock == 0 {
-						c.AtomicGlobal(queueSite)
-						if next < len(batch) {
-							claimed[c.BlockIdx] = next
-							next++
-						} else {
-							claimed[c.BlockIdx] = -1
-						}
-					}
-					c.SyncBlock()
-					idx := claimed[c.BlockIdx]
-					if idx < 0 {
-						return
-					}
-					td := &n.tasks[batch[idx]]
-					t := &warpTasks[c.BlockIdx*workerWarps+c.WarpInBlock]
-					t.Bind(c, 1, 0, nil)
-					td.Kernel(t)
-					t.Drain()
-					c.SyncBlock()
-				}
-			},
-		})
+		k.batch, k.next = batch, 0
+		clear(k.states)
+		h := stream.Launch(p, spec)
 		h.Wait(p)
 
 		out := 0
@@ -726,4 +710,97 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 func (n *gemtcNode) devMetrics(sim.Time) (float64, float64) {
 	m := n.sys.dev.Metrics()
 	return m.AvgOccupancy, m.IssueUtil
+}
+
+// superKernel is the state a GeMTC node's SuperKernel launches share: the
+// batch, its single FIFO queue (the head next and the head's atomic site),
+// each worker's claimed batch position, and per worker warp its Task,
+// rebound for every task the warp claims, and its place in the worker loop.
+type superKernel struct {
+	n       *gemtcNode
+	batch   []int
+	next    int
+	site    *gpu.AtomicSite
+	claimed []int
+	warps   int // per worker
+	tasks   []gpu.Task
+	states  []uint8
+}
+
+// A worker warp's place in its loop (superKernel.resume): each is a point
+// at which the warp waits.
+const (
+	gemtcPop        uint8 = iota // the top: warp 0 pops the queue, the rest go to the barrier
+	gemtcEnter                   // warp 0 takes the queue head's atomic site
+	gemtcClaim                   // warp 0 holds the site for its service time, then claims
+	gemtcSync                    // the barrier after the pop: its issue
+	gemtcArrive                  // and its arrival
+	gemtcClaimed                 // past it: run the claimed task, or end on an empty queue
+	gemtcTaskSync                // the barrier after the task: its issue
+	gemtcTaskArrive              // and its arrival, then back to the top
+)
+
+// resume runs a worker warp's loop on the event loop, from where it last
+// waited: warp 0 pops the queue with one global atomic, the worker's block
+// crosses its barrier, and a claimed task runs (run, on a borrowed
+// coroutine) before the block crosses the barrier again and loops. A warp
+// whose worker found the queue empty ends.
+func (k *superKernel) resume(c *gpu.Ctx) bool {
+	st := &k.states[c.BlockIdx*k.warps+c.WarpInBlock]
+	for {
+		switch *st {
+		case gemtcPop:
+			if c.WarpInBlock != 0 {
+				*st = gemtcSync
+				continue
+			}
+			*st = gemtcEnter
+			if c.ComputeThen(1) {
+				return false
+			}
+		case gemtcEnter:
+			if k.site.Enter(c.Proc()) {
+				*st = gemtcClaim
+			}
+			return false
+		case gemtcClaim:
+			k.site.Leave()
+			k.claimed[c.BlockIdx] = -1
+			if k.next < len(k.batch) {
+				k.claimed[c.BlockIdx] = k.next
+				k.next++
+			}
+			*st = gemtcSync
+		case gemtcSync, gemtcTaskSync:
+			*st++
+			if c.SyncIssueThen() {
+				return false
+			}
+		case gemtcArrive:
+			*st = gemtcClaimed
+			if c.SyncArriveThen() {
+				return false
+			}
+		case gemtcClaimed:
+			if k.claimed[c.BlockIdx] < 0 {
+				return false
+			}
+			*st = gemtcTaskSync
+			return true
+		case gemtcTaskArrive:
+			*st = gemtcPop
+			if c.SyncArriveThen() {
+				return false
+			}
+		}
+	}
+}
+
+// run is the claimed task's kernel on a worker warp: GeMTC runs it as a
+// one-block task on the worker's threadblock, without shared memory.
+func (k *superKernel) run(c *gpu.Ctx) {
+	t := &k.tasks[c.BlockIdx*k.warps+c.WarpInBlock]
+	t.Bind(c, 1, 0, nil)
+	k.n.tasks[k.batch[k.claimed[c.BlockIdx]]].Kernel(t)
+	t.Drain()
 }

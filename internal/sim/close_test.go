@@ -18,7 +18,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	deferred := func(name string) { unwound = append(unwound, name) }
 	e.Spawn("blocked", func(p *Proc) {
 		defer deferred("blocked")
-		p.Block()
+		block(p)
 		t.Error("blocked proc resumed")
 	})
 	e.Spawn("waiter", func(p *Proc) {
@@ -75,7 +75,7 @@ func TestCloseUnwindsThroughRecover(t *testing.T) {
 			p.Sleep(1) // must not run the simulation while Close unwinds
 			t.Error("deferred sleep returned during Close")
 		}()
-		p.Block()
+		block(p)
 	})
 	e.Run()
 	e.Close()
@@ -96,7 +96,7 @@ func TestCloseUnwindsThroughRecover(t *testing.T) {
 func TestBodyPanicSurfacesFromRun(t *testing.T) {
 	e := New()
 	boom := errors.New("boom")
-	e.Spawn("parked", func(p *Proc) { p.Block() })
+	e.Spawn("parked", func(p *Proc) { block(p) })
 	e.Spawn("faulty", func(p *Proc) {
 		p.Sleep(3)
 		panic(boom)

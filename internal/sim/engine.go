@@ -82,7 +82,8 @@ type Engine struct {
 	// head and tail link every spawned, unfinished process in spawn order,
 	// for LiveProcs, BlockedProcs and Close.
 	head, tail *Proc
-	// running counts started, unfinished procs: the coroutines held.
+	// running counts the coroutines held: started, unfinished procs,
+	// less stepped procs between Runs.
 	running int64
 	stats   Stats
 }
@@ -94,14 +95,16 @@ type Stats struct {
 	// process resumes. Stale wake-ups are dropped, not fired.
 	Events int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Handoffs counts resumes that switched coroutines: the baton moved to
-	// a process other than the one driving the event loop.
+	// a process other than the one driving the event loop, or a stepped
+	// proc took a coroutine for its Run.
 	Handoffs int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// SelfResumes counts resumes of the yielding process itself, which
 	// return without any switch.
 	SelfResumes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakRunning is the most procs that were ever started but not
 	// finished at once: the peak number of coroutines the engine held. A
-	// proc parked by StartOn and never woken does not count.
+	// proc parked by StartOn and never woken does not count, nor does a
+	// stepped proc between Runs.
 	PeakRunning int64
 	// LaneEvents counts the fired events that came from the same-instant
 	// lane rather than the heap.
@@ -112,7 +115,8 @@ type Stats struct {
 	// Rekeys counts timer re-arms that moved an armed timer's heap entry
 	// in place.
 	Rekeys int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
-	// Steps counts fired stages of chained processes (Proc.Chain).
+	// Steps counts fired stages of chained processes (Proc.Chain) and
+	// resumes of stepped procs run on the event loop (StartStepped).
 	Steps int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakPending is the most events ever queued at once, heap and lane
 	// together.
@@ -272,8 +276,9 @@ const (
 	// it simply continues, with no switch at all (the common Sleep/rearm
 	// ping-pong).
 	selfResumed
-	// procExited: a process body returned (or was unwound) and its
-	// coroutine switched back to RunUntil, which resumes dispatch.
+	// procExited: a process body returned (or was unwound), or a stepped
+	// proc waits again after its Run, and its coroutine switched back to
+	// RunUntil, which resumes dispatch.
 	procExited
 )
 
@@ -317,6 +322,10 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 			if step == nil {
 				e.countFired(fromLane)
 				p.armed = false
+				p.parked = false
+				if p.stepped && p.w == nil && !e.resume(p) {
+					continue
+				}
 				if p == self {
 					e.stats.SelfResumes++
 					return selfResumed
@@ -330,6 +339,21 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 		e.countFired(fromLane)
 		step.Step(gen)
 	}
+}
+
+// resume runs a stepped proc that holds no coroutine in the event that
+// resumes it, counted as a step, and reports whether its Resume asked for
+// its Run, which takes the baton, and a coroutine, as a handoff. A Resume
+// that arms nothing ends the proc.
+func (e *Engine) resume(p *Proc) bool {
+	if p.run.(Stepper).Resume(p) {
+		return true
+	}
+	e.stats.Steps++
+	if !p.armed {
+		p.finish()
+	}
+	return false
 }
 
 // countFired counts one fired event.
@@ -359,9 +383,9 @@ func (e *Engine) LiveProcs() int {
 }
 
 // BlockedProcs returns the names of live processes that have no pending
-// wake-up — the ones parked on a Signal or Block — in spawn order. When Run
-// returns with the queue drained but BlockedProcs is non-empty, those
-// processes are deadlocked; the list is the first thing to print when
+// wake-up — the ones parked on a Signal or in a Share — in spawn order.
+// When Run returns with the queue drained but BlockedProcs is non-empty,
+// those processes are deadlocked; the list is the first thing to print when
 // hunting one.
 //
 //pagoda:allow unused test support: leak and deadlock checks name parked procs

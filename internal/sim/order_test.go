@@ -185,7 +185,7 @@ func (m *orderModel) body(mp *modelProc) func(*Proc) {
 				p.Sleep(d)
 			case 2:
 				mp.state = blocked
-				p.Block()
+				block(p)
 			case 3:
 				mp.state = waiting
 				m.waiting = append(m.waiting, mp)

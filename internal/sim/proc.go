@@ -17,12 +17,17 @@ import (
 // switches back to the dispatch loop in RunUntil, which resumes the next
 // process's coroutine. Exactly one Proc (or the dispatch loop) runs at any
 // instant, which makes all simulation state single-threaded.
+//
+// A stepped proc (StartStepped) holds no coroutine while it waits: the
+// event that resumes it runs its Stepper's Resume on the event loop, and it
+// borrows a worker only for the code Resume hands to Run.
 type Proc struct {
 	eng *Engine
 	// run is the body, which also names the proc.
 	run Runner
 	// w is the worker coroutine running the body; nil until the first
-	// resume and again once the body has returned.
+	// resume and again once the body has returned, and nil while a stepped
+	// proc waits between Runs.
 	w *worker
 	// wakeGen guards against double wake-ups: a blocked proc records the
 	// generation it is waiting on, and stale resume events are dropped.
@@ -40,9 +45,11 @@ type Proc struct {
 	// armed reports whether some event/signal is due to resume this proc.
 	armed bool
 	// parked reports the proc is blocked with no scheduled wake-up event
-	// (Block/Signal.Wait, or a chain waiting in a Share) — only an explicit
-	// Wakeup or a Share completion can resume it.
+	// (on a Signal, or waiting in a Share) — only an explicit Wakeup or a
+	// Share completion can resume it.
 	parked bool
+	// stepped marks a proc begun with StartStepped.
+	stepped bool
 }
 
 // Spawn creates a process executing body and schedules it to start at the
@@ -85,8 +92,28 @@ type Runner interface {
 // not reused, so a stale Wakeup stays a no-op on a dead proc).
 func (e *Engine) Start(p *Proc, r Runner) {
 	e.register(p, r)
-	gen := p.arm()
-	e.scheduleProc(0, p, gen)
+	p.WakeAfter(0)
+}
+
+// Stepper is a Runner whose proc can run stepped. Resume runs on the event
+// loop, in the event that would have handed the proc the baton (its start
+// and every wake-up after), and must not block. It either arms the proc's
+// next wake-up with a non-blocking half (Proc.WakeAfter, Signal.Park,
+// Share.AcquireThen) and returns false, or returns false with nothing armed,
+// which ends the proc, or returns true to run Run on a borrowed coroutine.
+// Run may block; when it returns, Resume runs again on that coroutine, and
+// once Resume waits the coroutine goes back to the pool.
+type Stepper interface {
+	Runner
+	Resume(p *Proc) bool
+}
+
+// StartStepped runs r as a stepped proc, queueing the same start event
+// Start does: the proc takes a coroutine only while r's Run runs. p must be
+// a zero Proc, as for Start.
+func (e *Engine) StartStepped(p *Proc, r Stepper) {
+	p.stepped = true
+	e.Start(p, r)
 }
 
 // StartOn registers r as the body of a caller-owned process that is already
@@ -98,9 +125,7 @@ func (e *Engine) Start(p *Proc, r Runner) {
 // Start; Close finishes a proc that was never woken without starting it.
 func (e *Engine) StartOn(sig *Signal, p *Proc, r Runner) {
 	e.register(p, r)
-	sig.enqueue(p)
-	p.arm()
-	p.parked = true
+	sig.Park(p)
 }
 
 // Retire finishes a proc begun with StartOn whose body has not started, so
@@ -169,16 +194,32 @@ func (p *Proc) arm() uint64 {
 	return p.wakeGen
 }
 
-// yield releases the baton and blocks until resumed. The caller must have
-// armed a wake-up beforehand. The yielding coroutine runs the event loop
+// Armed reports whether p has a wake-up armed: it is blocked, or its
+// Stepper's Resume armed one rather than ending it.
+func (p *Proc) Armed() bool { return p.armed }
+
+// park arms p with no wake-up event: only a Wakeup or a Share completion
+// resumes it.
+func (p *Proc) park() {
+	p.arm()
+	p.parked = true
+}
+
+// Await blocks p until the wake-up it armed fires: the blocking half of
+// every primitive, whose other half (WakeAfter, Signal.Park,
+// Share.AcquireThen) arms it. The waiting coroutine runs the event loop
 // itself; only when the baton moves to another process (or the run ends)
-// does it switch back to RunUntil's loop, parking until that loop resumes it.
-func (p *Proc) yield() {
+// does it switch back to RunUntil's loop, parking until that loop resumes
+// it. A stepped proc may block only inside its Run.
+func (p *Proc) Await() {
 	if !p.armed {
 		panic(fmt.Sprintf("sim: proc %q yielding with no pending wake-up", p.Name()))
 	}
 	if p.killed {
 		panic(unwind{}) // a deferred call blocking again while Close unwinds
+	}
+	if p.w == nil {
+		panic(fmt.Sprintf("sim: proc %q blocked on the event loop, outside its Run", p.Name()))
 	}
 	e := p.eng
 	r := e.dispatch(p)
@@ -192,26 +233,22 @@ func (p *Proc) yield() {
 	}
 }
 
+// WakeAfter is Sleep's non-blocking half: it arms p's wake-up d from now.
+func (p *Proc) WakeAfter(d Time) {
+	gen := p.arm()
+	p.eng.scheduleProc(d, p, gen)
+}
+
 // Sleep blocks the process for d time units. d == 0 yields the baton and
 // resumes after already-queued events at the current time.
 func (p *Proc) Sleep(d Time) {
-	gen := p.arm()
-	p.eng.scheduleProc(d, p, gen)
-	p.yield()
+	p.WakeAfter(d)
+	p.Await()
 }
 
-// Block parks the process indefinitely until another party calls Wakeup.
-// Prefer Signal for most uses.
-func (p *Proc) Block() {
-	p.arm()
-	p.parked = true
-	p.yield()
-	p.parked = false
-}
-
-// Wakeup resumes a process parked with Block. It must be called from the
-// event loop or another process; the wake-up takes effect via a zero-delay
-// event so ordering stays deterministic.
+// Wakeup resumes a parked process: one on a Signal, or in a Share. It must
+// be called from the event loop or another process; the wake-up takes effect
+// via a zero-delay event so ordering stays deterministic.
 func (p *Proc) Wakeup() {
 	if !p.armed || p.dead {
 		return
@@ -235,8 +272,7 @@ func (p *Proc) Chain(stage uint8, operand uint32) {
 	p.stage, p.operand = stage, operand
 	gen := p.arm()
 	p.run.(Step).Step(gen)
-	p.yield()
-	p.parked = false // a chain ended by Share.ChainEnd resumes parked
+	p.Await()
 }
 
 // Stage returns the stage and operand of the chain p is blocked in; the
@@ -319,19 +355,29 @@ func (w *worker) loop(yield func(struct{}) bool) {
 
 // run executes w.p's body to its end, recovering both Close's unwind and a
 // body panic; the latter is handed to switchTo, which re-raises it on the
-// RunUntil goroutine.
+// RunUntil goroutine. A stepped proc's Run is followed by its Resume, and
+// the worker is done with the proc once Resume waits instead of asking for
+// another Run.
 func (w *worker) run() {
 	p := w.p
 	e := p.eng
 	defer func() {
-		r := recover()
-		p.finish()
 		e.yielded = procExited
+		r := recover()
+		if r == nil && p.stepped && p.armed {
+			return // a stepped proc waits again, holding no coroutine
+		}
+		p.finish()
 		if r != nil && !Unwinding(r) {
 			e.panicked = r
 		}
 	}()
 	p.run.Run(p)
+	if p.stepped {
+		for s := p.run.(Stepper); s.Resume(p); {
+			p.run.Run(p)
+		}
+	}
 }
 
 // maxWorkers bounds the idle worker pool; coroutines returned beyond it end
@@ -377,17 +423,17 @@ func putWorker(w *worker) {
 	}
 }
 
-// switchTo runs p's coroutine (starting one on the first resume) until it
-// switches back to the RunUntil goroutine, leaving the reason in e.yielded. A
-// finished body's worker goes back to the pool, and a body panic is re-raised
-// here with its original value.
+// switchTo runs p's coroutine (starting one on the first resume, or on a
+// stepped proc's Run) until it switches back to the RunUntil goroutine,
+// leaving the reason in e.yielded. The worker of a finished body, or of a
+// stepped proc that waits again, goes back to the pool, and a body panic is
+// re-raised here with its original value.
 func (e *Engine) switchTo(p *Proc) {
 	w := p.w
 	if w == nil {
 		w = getWorker()
 		w.p = p
 		p.w = w
-		p.parked = false // a StartOn proc leaves its signal by starting
 		if e.running++; e.running > e.stats.PeakRunning {
 			e.stats.PeakRunning = e.running
 		}
@@ -405,10 +451,11 @@ func (e *Engine) switchTo(p *Proc) {
 	}
 }
 
-// Close unwinds every process that has not finished — parked in Block or
-// Signal.Wait, sleeping past the end of the run, or never started — in spawn
+// Close unwinds every process that has not finished — parked on a Signal
+// or in a Share, sleeping past the end of the run, or never started — in spawn
 // order, and returns their coroutines to the pool, so a finished simulation
-// leaves no goroutine behind. Each started body unwinds through its deferred
+// leaves no goroutine behind. A stepped proc waiting between Runs holds no
+// coroutine and is finished in place; one blocked inside its Run unwinds. Each started body unwinds through its deferred
 // calls; recover sites inside bodies must re-panic values for which
 // Unwinding reports true. Close is a no-op on an engine with no live
 // process. It must not be called while the engine is running, and the
@@ -416,7 +463,7 @@ func (e *Engine) switchTo(p *Proc) {
 func (e *Engine) Close() {
 	for p := e.head; p != nil; p = e.head {
 		if p.w == nil {
-			p.finish() // never started
+			p.finish() // never started, or stepped between Runs
 			continue
 		}
 		p.killed = true

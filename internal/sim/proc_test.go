@@ -170,12 +170,18 @@ func TestProducerConsumer(t *testing.T) {
 	}
 }
 
+// block parks p with no wake-up of its own: only a Wakeup resumes it.
+func block(p *Proc) {
+	p.park()
+	p.Await()
+}
+
 func TestBlockWakeup(t *testing.T) {
 	e := New()
 	var blocked *Proc
 	done := false
 	blocked = e.Spawn("blocked", func(p *Proc) {
-		p.Block()
+		block(p)
 		done = true
 	})
 	e.Spawn("waker", func(p *Proc) {
@@ -206,7 +212,7 @@ func TestDoubleWakeupSuppressed(t *testing.T) {
 	count := 0
 	var target *Proc
 	target = e.Spawn("t", func(p *Proc) {
-		p.Block()
+		block(p)
 		count++
 		p.Sleep(100) // arm a new wake-up; stale wakeups must not hit this
 		count++
@@ -276,7 +282,7 @@ type namedRunner struct {
 	strings int
 }
 
-func (r *namedRunner) Run(p *Proc) { p.Block() }
+func (r *namedRunner) Run(p *Proc) { block(p) }
 
 func (r *namedRunner) String() string {
 	r.strings++

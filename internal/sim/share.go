@@ -127,11 +127,21 @@ func (s *Share) push(p *Proc, work float64) {
 // Acquire blocks p until `work` units of service have been delivered under
 // fair sharing. work <= 0 returns immediately.
 func (s *Share) Acquire(p *Proc, work float64) {
+	if s.AcquireThen(p, work) {
+		p.Await()
+	}
+}
+
+// AcquireThen is Acquire's non-blocking half: it queues `work` units for p
+// and arms p's wake-up for when they are served. It reports false, arming
+// nothing, when work <= 0.
+func (s *Share) AcquireThen(p *Proc, work float64) bool {
 	if work <= 0 {
-		return
+		return false
 	}
 	s.push(p, work)
-	p.Block()
+	p.park()
+	return true
 }
 
 // Chain is Acquire as one stage of p's chain (Proc.Chain): it queues `work`

@@ -221,7 +221,7 @@ func (s *scanShare) Acquire(p *Proc, work float64) {
 	s.settle()
 	s.reqs = append(s.reqs, shareReq{remaining: work, proc: p})
 	s.rearm()
-	p.Block()
+	block(p)
 }
 
 func (s *scanShare) Integrals() float64 {

@@ -26,8 +26,15 @@ type Signal struct {
 // not occur, but because other waiters may run first, predicates must be
 // re-checked.
 func (s *Signal) Wait(p *Proc) {
+	s.Park(p)
+	p.Await()
+}
+
+// Park is Wait's non-blocking half: it queues p and arms its wake-up for
+// the Pulse or Broadcast that reaches it.
+func (s *Signal) Park(p *Proc) {
 	s.enqueue(p)
-	p.Block()
+	p.park()
 }
 
 // enqueue appends p to the waiters.

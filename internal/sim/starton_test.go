@@ -176,7 +176,7 @@ func TestRetireParked(t *testing.T) {
 	idle := startOn(e, &sig, "idle", func(p *Proc) { t.Error("retired proc ran") })
 	woken := startOn(e, &sig, "woken", func(p *Proc) { t.Error("retired proc ran") })
 	running := startOn(e, &other, "running", func(p *Proc) { other.Wait(p) })
-	spawned := e.Spawn("spawned", func(p *Proc) { p.Block() })
+	spawned := e.Spawn("spawned", func(p *Proc) { block(p) })
 	other.Broadcast()
 	e.Run()
 	sig.Broadcast() // queues wake-ups for idle and woken
