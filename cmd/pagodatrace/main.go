@@ -103,6 +103,11 @@ func run(w io.Writer, args []string) error {
 	// maxRate is one arrival per simulated cycle: every mode scales -rate
 	// (by fleet size, or a tenant's spike) to values that stay finite.
 	const maxRate = 1e9
+	// horizon is tenant mode's arrival window, one tenant's share of -tasks
+	// at -rate. A class's flash-crowd spike lasts a fifth of it and must
+	// span a whole cycle, so the window needs minHorizon cycles.
+	const minHorizon = 5
+	horizon := sim.Time(float64(*tasks) / float64(max(*tenants, 1)) / *rate * 1e9)
 	switch {
 	case *nodes > 0 && *tenants > 0:
 		return usagef("pagodatrace: -nodes and -tenants are mutually exclusive modes")
@@ -124,6 +129,9 @@ func run(w io.Writer, args []string) error {
 		return usagef("pagodatrace: -threads %d is outside 0..%d, the executor lanes of an MTB (0 = the benchmark default)", *threads, maxThreads)
 	case !(*rate > 0 && *rate <= maxRate):
 		return usagef("pagodatrace: -rate %v is outside (0, %g] tasks/s, at most one arrival per simulated cycle", *rate, float64(maxRate))
+	case *tenants > 0 && horizon < minHorizon:
+		return usagef("pagodatrace: -tasks %d over -tenants %d at -rate %v arrive within %.3g cycles, under the %d a tenant's arrival pattern needs",
+			*tasks, *tenants, *rate, horizon, minHorizon)
 	}
 
 	b, err := workloads.ByName(*benchName)
@@ -203,7 +211,6 @@ func run(w io.Writer, args []string) error {
 			return usagef("pagodatrace: unknown admission policy %q (valid: %s)", *admit, strings.Join(tenancy.Kinds(), ", "))
 		}
 		const slo = sim.Time(1000e3) // 1000us premium p99 bound
-		horizon := sim.Time(float64(*tasks) / float64(*tenants) / *rate * 1e9)
 		classes := tenancy.DefaultClasses(*tenants, *rate, slo, horizon, *seed, 1)
 		counts := make([]int, *tenants)
 		tracks := make([]string, *tenants)

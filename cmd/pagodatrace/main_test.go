@@ -81,6 +81,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"cluster_overflowing_rate", []string{"-nodes", "2", "-rate", "1e308"}, "-rate 1e+308 "},
 		{"tenant_overflowing_rate", []string{"-tenants", "2", "-rate", "1e308"}, "-rate 1e+308 "},
 		{"autoscale_infinite_rate", []string{"-autoscale", "reactive", "-rate", "+Inf"}, "-rate +Inf "},
+		{"tenant_short_horizon", []string{"-tenants", "3", "-tasks", "3", "-rate", "1e9"}, "-tasks 3 over -tenants 3 at -rate 1e+09 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "t.json")

@@ -91,14 +91,14 @@ func TestFaultsDoNotLeakResources(t *testing.T) {
 	if st := rt.Stats(); st.Failed != 30 || st.Completed != 30 {
 		t.Fatalf("stats = %+v, want 30 failed and 30 retired", rt.Stats())
 	}
-	for _, m := range rt.mtbs {
+	for col, m := range rt.mtbs {
 		m.buddy.DrainPending()
 		if m.buddy.Allocated() != 0 {
-			t.Fatalf("MTB %d leaked %d bytes after faults", m.index, m.buddy.Allocated())
+			t.Fatalf("MTB %d leaked %d bytes after faults", col, m.buddy.Allocated())
 		}
 		for id, used := range m.barInUse {
 			if used {
-				t.Fatalf("MTB %d leaked barrier %d", m.index, id)
+				t.Fatalf("MTB %d leaked barrier %d", col, id)
 			}
 		}
 	}

@@ -7,30 +7,33 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestIdleExecutorsStartParked: launching the MasterKernel starts only the
-// scheduler warps. Every executor warp sits parked on its WarpTable slot
-// without a coroutine until the scheduler fills the slot, so an idle runtime
-// holds one coroutine per MTB, plus its spawn stream's worker.
+// TestIdleExecutorsStartParked: the MasterKernel is a stepped launch, so
+// an executor warp's start runs on the event loop and parks it on its
+// WarpTable slot without a coroutine. An idle runtime holds one coroutine
+// per MTB, its scheduler warp, plus its spawn stream's worker, and
+// Shutdown ends the idle executors on the event loop too.
 func TestIdleExecutorsStartParked(t *testing.T) {
 	eng, rt := testSystem(t, 2)
 	t.Cleanup(eng.Close)
 	eng.Run()
+	executors := int64(len(rt.mtbs) * rt.Cfg.ExecutorWarpsPerMTB())
 	if got, want := eng.Stats().PeakRunning, int64(len(rt.mtbs)+1); got != want {
 		t.Fatalf("PeakRunning = %d after launch, want one scheduler warp per MTB and the spawn stream (%d)", got, want)
+	}
+	if got := eng.Stats().Steps; got < executors {
+		t.Fatalf("Steps = %d after launch, want at least one per executor warp (%d)", got, executors)
 	}
 	if got, want := len(eng.BlockedProcs()), len(rt.mtbs)*rt.Cfg.WarpsPerMTB+1; got != want {
 		t.Fatalf("BlockedProcs = %d, want every MasterKernel warp and the spawn stream (%d)", got, want)
 	}
-	for _, m := range rt.mtbs {
+	for col, m := range rt.mtbs {
 		for i, s := range m.slots {
 			if s.sig.Waiting() != 1 {
-				t.Fatalf("MTB %d slot %d: %d waiters, want its executor warp", m.index, i, s.sig.Waiting())
+				t.Fatalf("MTB %d slot %d: %d waiters, want its executor warp", col, i, s.sig.Waiting())
 			}
 		}
 	}
 
-	// Shutdown retires the executors, none of which ran a task, without
-	// starting them: no resume of theirs fires.
 	before := eng.Stats()
 	eng.Spawn("host", func(p *sim.Proc) { rt.Shutdown(p) })
 	eng.Run()
@@ -39,11 +42,42 @@ func TestIdleExecutorsStartParked(t *testing.T) {
 			rt.kernel.EndTime > 0, eng.LiveProcs())
 	}
 	after := eng.Stats()
-	if handoffs, executors := after.Handoffs-before.Handoffs, int64(len(rt.mtbs)*rt.Cfg.ExecutorWarpsPerMTB()); handoffs >= executors {
-		t.Fatalf("Shutdown took %d handoffs, want fewer than the %d executor warps", handoffs, executors)
+	if steps := after.Steps - before.Steps; steps < executors {
+		t.Fatalf("Shutdown took %d steps, want at least one per executor warp (%d)", steps, executors)
 	}
 	if after.PeakRunning != int64(len(rt.mtbs)+2) {
 		t.Fatalf("PeakRunning = %d after Shutdown, want the schedulers, the spawn stream and the host (%d)", after.PeakRunning, len(rt.mtbs)+2)
+	}
+}
+
+// TestShutdownTakesNoExecutorHandoff: after a run in which executor warps
+// ran tasks, Shutdown wakes every executor, and each sees the flag on the
+// event loop and ends without taking a coroutine. So Shutdown takes no
+// more handoffs than it does on a runtime that never ran a task: those of
+// the host and of the scheduler warps, each blocked inside its loop.
+func TestShutdownTakesNoExecutorHandoff(t *testing.T) {
+	shutdownHandoffs := func(tasks int) int64 {
+		eng, rt := testSystem(t, 2)
+		t.Cleanup(eng.Close)
+		var before sim.Stats
+		runHost(t, eng, rt, func(p *sim.Proc) {
+			for i := 0; i < tasks; i++ {
+				rt.TaskSpawn(p, TaskSpec{
+					Threads: 64, Blocks: 2,
+					Kernel: func(tc *TaskCtx) { tc.Compute(500) },
+				})
+			}
+			rt.WaitAll(p)
+			before = eng.Stats()
+		})
+		if s := rt.Stats(); s.Completed != tasks {
+			t.Fatalf("completed %d tasks, want %d", s.Completed, tasks)
+		}
+		return eng.Stats().Handoffs - before.Handoffs
+	}
+	idle := shutdownHandoffs(0)
+	if busy := shutdownHandoffs(256); busy > idle {
+		t.Fatalf("Shutdown took %d handoffs after 256 tasks, %d on an idle runtime: executor warps took a coroutine to end", busy, idle)
 	}
 }
 
@@ -67,9 +101,9 @@ func TestArenasStayNilWithoutSharedMemory(t *testing.T) {
 	if s := rt.Stats(); s.Completed != 64 {
 		t.Fatalf("completed %d tasks, want 64", s.Completed)
 	}
-	for _, m := range rt.mtbs {
+	for col, m := range rt.mtbs {
 		if m.arena != nil {
-			t.Fatalf("MTB %d allocated a %d-byte arena with no shared-memory task", m.index, len(m.arena))
+			t.Fatalf("MTB %d allocated a %d-byte arena with no shared-memory task", col, len(m.arena))
 		}
 	}
 }
@@ -108,14 +142,14 @@ func TestArenaAllocatedOnFirstUse(t *testing.T) {
 		}
 	}
 	idle := 0
-	for _, m := range rt.mtbs {
-		if got := m.arena != nil; got != used[m.index] {
-			t.Fatalf("MTB %d: arena allocated = %v, ran a shared-memory task = %v", m.index, got, used[m.index])
+	for col, m := range rt.mtbs {
+		if got := m.arena != nil; got != used[col] {
+			t.Fatalf("MTB %d: arena allocated = %v, ran a shared-memory task = %v", col, got, used[col])
 		}
 		if m.arena == nil {
 			idle++
 		} else if len(m.arena) != rt.Cfg.SharedPerMTB {
-			t.Fatalf("MTB %d arena is %d bytes, want %d", m.index, len(m.arena), rt.Cfg.SharedPerMTB)
+			t.Fatalf("MTB %d arena is %d bytes, want %d", col, len(m.arena), rt.Cfg.SharedPerMTB)
 		}
 	}
 	if idle == 0 {

@@ -25,8 +25,7 @@ type warpSlot struct {
 // a WarpTable, a 32 KB shared-memory arena with its buddy allocator, and a
 // pool of 16 named barriers. Each MTB owns one TaskTable column.
 type MTB struct {
-	rt    *Runtime
-	index int
+	rt *Runtime
 
 	entries []*deviceEntry // this MTB's TaskTable column (device side)
 	slots   []*warpSlot
@@ -51,7 +50,6 @@ func newMTB(rt *Runtime, index int) *MTB {
 	cfg := rt.Cfg
 	m := &MTB{
 		rt:       rt,
-		index:    index,
 		buddy:    NewBuddy(cfg.SharedPerMTB, cfg.MinAllocBlock),
 		bars:     make([]*gpu.Barrier, cfg.NumBarriers),
 		barInUse: make([]bool, cfg.NumBarriers),
@@ -78,17 +76,14 @@ func newMTB(rt *Runtime, index int) *MTB {
 	return m
 }
 
-// wakeAll releases every parked warp of this MTB (used at shutdown). An
-// executor warp that never ran a task is retired without starting: woken,
-// it would only see the shutdown flag and return. Waking a retired warp is
-// a no-op.
+// wakeAll releases every parked warp of this MTB (used at shutdown). A
+// woken executor warp sees the shutdown flag on the event loop and ends.
 func (m *MTB) wakeAll() {
 	m.activity.Broadcast()
 	m.warpFreed.Broadcast()
 	m.smemFreed.Broadcast()
 	m.barFreed.Broadcast()
-	for i, s := range m.slots {
-		m.rt.kernel.RetireParked(m.index, i+1)
+	for _, s := range m.slots {
 		s.sig.Broadcast()
 	}
 }
@@ -344,58 +339,49 @@ func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 // Executor warps: Algorithm 1, lines 29-43.
 // ---------------------------------------------------------------------------
 
-func (m *MTB) executorLoop(c *gpu.Ctx, slotIdx int) {
+// execute runs the task in the executor warp's WarpTable slot s, which the
+// scheduler warp has filled; the warp waits for its slot on the event loop
+// (the MasterKernel's Resume) and borrows a coroutine only for this.
+func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 	rt := m.rt
-	s := m.slots[slotIdx]
-	for {
-		for !s.exec {
-			if rt.shutdown {
-				return
-			}
-			s.sig.Wait(c.Proc())
-		}
-		if rt.shutdown {
-			return
-		}
-		c.SharedRead(32) // read the WarpTable slot
-		e := m.entries[s.eNum]
-		c.GlobalRead(32) // fetch the task's kernel pointer and arguments
+	c.SharedRead(32) // read the WarpTable slot
+	e := m.entries[s.eNum]
+	c.GlobalRead(32) // fetch the task's kernel pointer and arguments
 
-		var bar *gpu.Barrier
-		if s.barID >= 0 {
-			bar = m.bars[s.barID]
-		}
-		tc := &s.tc
-		tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, s.warpID, bar, e.spec.Args)
-		if s.smSize > 0 {
-			tc.UseArena(&m.arena, rt.Cfg.SharedPerMTB, s.smOffset, s.smSize)
-		}
-		m.runTaskKernel(tc, e) // the warp executes the task as a subroutine
-
-		// Epilogue (lines 34-43), performed by one thread per warp.
-		wpt := e.spec.warpsPerTB(c.WarpSize())
-		lastInBlock := (s.warpID+1)%wpt == 0
-		if lastInBlock {
-			if s.smNode != 0 {
-				m.buddy.MarkForDealloc(s.smNode)
-				c.SharedWrite(8)
-				m.smemFreed.Pulse()
-			}
-			if s.barID >= 0 {
-				m.releaseBarrier(c, s.barID)
-			}
-		}
-		c.ThreadfenceBlock()
-		c.AtomicShared(m.ctrSite) // atomicDec(doneCtr)
-		e.doneCtr--
-		if e.doneCtr == 0 {
-			e.ready = readyFree // free the task entry
-			c.GlobalWrite(8)
-			e.endTime = c.Now()
-			rt.taskFinished(e)
-		}
-		s.exec = false
-		rt.busyWarpIntegral += c.Now() - s.execSince
-		m.warpFreed.Pulse()
+	var bar *gpu.Barrier
+	if s.barID >= 0 {
+		bar = m.bars[s.barID]
 	}
+	tc := &s.tc
+	tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, s.warpID, bar, e.spec.Args)
+	if s.smSize > 0 {
+		tc.UseArena(&m.arena, rt.Cfg.SharedPerMTB, s.smOffset, s.smSize)
+	}
+	m.runTaskKernel(tc, e) // the warp executes the task as a subroutine
+
+	// Epilogue (lines 34-43), performed by one thread per warp.
+	wpt := e.spec.warpsPerTB(c.WarpSize())
+	lastInBlock := (s.warpID+1)%wpt == 0
+	if lastInBlock {
+		if s.smNode != 0 {
+			m.buddy.MarkForDealloc(s.smNode)
+			c.SharedWrite(8)
+			m.smemFreed.Pulse()
+		}
+		if s.barID >= 0 {
+			m.releaseBarrier(c, s.barID)
+		}
+	}
+	c.ThreadfenceBlock()
+	c.AtomicShared(m.ctrSite) // atomicDec(doneCtr)
+	e.doneCtr--
+	if e.doneCtr == 0 {
+		e.ready = readyFree // free the task entry
+		c.GlobalWrite(8)
+		e.endTime = c.Now()
+		rt.taskFinished(e)
+	}
+	s.exec = false
+	rt.busyWarpIntegral += c.Now() - s.execSince
+	m.warpFreed.Pulse()
 }

@@ -96,7 +96,10 @@ func NewRuntime(ctx *cuda.Context, cfg Config) *Runtime {
 
 // launchMasterKernel starts the daemon kernel: MTBsPerSMM x NumSMMs
 // threadblocks of 32 warps each, 32 KB static shared memory, registers
-// capped for 100% occupancy.
+// capped for 100% occupancy. The launch is stepped: an executor warp waits
+// for its WarpTable slot on the event loop and borrows a coroutine only to
+// run the task the scheduler warp put there, so an idle executor holds
+// none. The scheduler warp runs its loop on a coroutine until shutdown.
 func (rt *Runtime) launchMasterKernel() {
 	cfg := rt.Cfg
 	spec := gpu.LaunchSpec{
@@ -105,23 +108,27 @@ func (rt *Runtime) launchMasterKernel() {
 		BlockThreads:  cfg.WarpsPerMTB * rt.Ctx.Dev.Cfg.ThreadsPerWarp,
 		SharedPerTB:   cfg.SharedPerMTB,
 		RegsPerThread: cfg.RegsPerThread,
+		Resume: func(c *gpu.Ctx) bool {
+			if rt.shutdown {
+				return false
+			}
+			if c.WarpInBlock == 0 {
+				return true
+			}
+			s := rt.mtbs[c.BlockIdx].slots[c.WarpInBlock-1]
+			if !s.exec {
+				s.sig.Park(c.Proc())
+				return false
+			}
+			return true
+		},
 		Fn: func(c *gpu.Ctx) {
 			m := rt.mtbs[c.BlockIdx]
 			if c.WarpInBlock == 0 {
 				m.schedulerLoop(c)
 			} else {
-				m.executorLoop(c, c.WarpInBlock-1)
+				m.execute(c, m.slots[c.WarpInBlock-1])
 			}
-		},
-		// An executor warp waits for its WarpTable slot before anything
-		// else, re-checking exec at the top of executorLoop, so it starts
-		// parked on the slot's signal: an idle executor costs no event
-		// and no coroutine.
-		ParkOn: func(b, w int) *sim.Signal {
-			if w == 0 {
-				return nil // the scheduler warp
-			}
-			return &rt.mtbs[b].slots[w-1].sig
 		},
 	}
 	occ := gpu.TheoreticalOccupancy(rt.Ctx.Dev.Cfg, spec)

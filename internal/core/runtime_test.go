@@ -186,10 +186,10 @@ func TestSharedMemoryContention(t *testing.T) {
 		t.Fatalf("tasks run = %d, want %d", ran, tasks)
 	}
 	// All arenas drained after completion.
-	for _, m := range rt.mtbs {
+	for col, m := range rt.mtbs {
 		m.buddy.DrainPending()
 		if m.buddy.Allocated() != 0 {
-			t.Fatalf("MTB %d leaked %d bytes of shared memory", m.index, m.buddy.Allocated())
+			t.Fatalf("MTB %d leaked %d bytes of shared memory", col, m.buddy.Allocated())
 		}
 	}
 }
@@ -265,10 +265,10 @@ func TestBarrierIDRecycling(t *testing.T) {
 	if ran != tasks {
 		t.Fatalf("sync tasks completed = %d, want %d", ran, tasks)
 	}
-	for _, m := range rt.mtbs {
+	for col, m := range rt.mtbs {
 		for id, used := range m.barInUse {
 			if used {
-				t.Errorf("MTB %d barrier %d leaked", m.index, id)
+				t.Errorf("MTB %d barrier %d leaked", col, id)
 			}
 		}
 	}

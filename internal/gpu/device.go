@@ -21,26 +21,15 @@ type LaunchSpec struct {
 	RegsPerThread int // register budget per thread (occupancy input)
 	Fn            KernelFunc
 
-	// ParkOn, when set, may return a signal for a warp to start parked on
-	// instead of starting at dispatch (sim.Engine.StartOn): the warp's
-	// process takes no start event and no coroutine until the signal wakes
-	// it, and Fn then runs from the top. This is sound only for a warp
-	// whose Fn begins as a Mesa-style waiter on that signal, re-checking
-	// its predicate before it charges any cost or touches any other state,
-	// so that starting parked is indistinguishable from starting and
-	// waiting at once. A nil result, or a block the virtualization
-	// coordinator charges a swap-in delay, starts the warp normally.
-	ParkOn func(block, warp int) *sim.Signal
-
 	// Resume, when set, makes the launch stepped: every warp is a stepped
 	// proc (sim.Engine.StartStepped) that runs Resume on the event loop at
 	// its start and at each wake-up after, and borrows a coroutine only to
 	// run Fn. Resume must not block: it charges with the non-blocking ops
 	// (ComputeThen, SyncIssueThen, SyncArriveThen, AtomicSite.Enter and
-	// Leave) and returns false once one of them has armed the warp's
-	// wake-up. It returns true to run Fn, after which it runs again, and
-	// false with nothing armed to end the warp. ParkOn is not consulted, and
-	// a device with a virtualization coordinator rejects the launch.
+	// Leave, or Signal.Park on c.Proc()) and returns false once one of them
+	// has armed the warp's wake-up. It returns true to run Fn, after which it runs again, and
+	// false with nothing armed to end the warp. A device with a
+	// virtualization coordinator rejects the launch.
 	Resume func(c *Ctx) bool
 }
 
@@ -67,17 +56,6 @@ type Kernel struct {
 	one [1]threadBlock
 }
 
-// RetireParked retires a warp that ParkOn started parked and that no
-// wake-up has started yet: its Fn never runs, and it leaves its threadblock
-// at once, as a warp whose Fn returns immediately would. A warp that is not
-// resident, or has started, is left alone.
-func (k *Kernel) RetireParked(block, warp int) {
-	tb := &k.tbs[block]
-	if tb.warps != nil && tb.warps[warp].proc.Retire() {
-		k.dev.warpDone(tb)
-	}
-}
-
 // WaitDone parks p until the kernel finishes.
 func (k *Kernel) WaitDone(p *sim.Proc) {
 	for !k.finished {
@@ -97,7 +75,6 @@ type threadBlock struct {
 	barrier    Barrier
 	placedAt   sim.Time
 	spillDelay sim.Time // coordinator swap-in cost before warps may execute
-	warps      []warp   // the resident warps, nil until the block is placed
 }
 
 // warp is one resident warp: the process that runs it, the Ctx its kernel
@@ -365,7 +342,6 @@ func (d *Device) startWarps(tb *threadBlock) {
 		bar = &tb.barrier
 	}
 	ws := make([]warp, spec.WarpsPerTB(d.Cfg))
-	tb.warps = ws
 	for i := range ws {
 		w := &ws[i]
 		w.tb = tb
@@ -381,12 +357,6 @@ func (d *Device) startWarps(tb *threadBlock) {
 		if spec.Resume != nil {
 			d.Eng.StartStepped(&w.proc, w)
 			continue
-		}
-		if spec.ParkOn != nil && tb.spillDelay == 0 {
-			if sig := spec.ParkOn(tb.blockIdx, i); sig != nil {
-				d.Eng.StartOn(sig, &w.proc, w)
-				continue
-			}
 		}
 		d.Eng.Start(&w.proc, w)
 	}

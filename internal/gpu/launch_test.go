@@ -122,60 +122,3 @@ func TestWarpNames(t *testing.T) {
 	}()
 	eng2.Run()
 }
-
-// TestParkOnStartsWarpsParked: a warp whose ParkOn returns a signal takes no
-// coroutine until the signal wakes it, then runs its Fn from the top at the
-// wake-up instant. A block the coordinator charges a swap-in delay starts
-// its warps normally instead, so the delay is never paid after a wake-up.
-func TestParkOnStartsWarpsParked(t *testing.T) {
-	cfg := TitanX()
-	cfg.NumSMMs = 1
-	eng := sim.New()
-	t.Cleanup(eng.Close)
-	dev := NewDevice(eng, cfg)
-	co := dev.Virtualize(2)
-	var sigs [4]sim.Signal
-	var woke [4]sim.Time
-	open := false
-	k := dev.Launch(LaunchSpec{
-		Name: "park", GridDim: 4, BlockThreads: 64, SharedPerTB: 48 * 1024, RegsPerThread: 32,
-		ParkOn: func(b, w int) *sim.Signal {
-			if w == 1 {
-				return &sigs[b]
-			}
-			return nil
-		},
-		Fn: func(c *Ctx) {
-			if c.WarpInBlock == 0 {
-				c.Compute(4)
-				return
-			}
-			for !open {
-				sigs[c.BlockIdx].Wait(c.Proc())
-			}
-			woke[c.BlockIdx] = c.Now()
-		},
-	})
-	eng.Run()
-	const wakeAt = 1e6
-	if co.SpilledTBs != 2 || eng.Now() >= wakeAt {
-		t.Fatalf("SpilledTBs = %d, Now = %v; want blocks 2 and 3 spilled and parked before %v", co.SpilledTBs, eng.Now(), wakeAt)
-	}
-	if got := eng.BlockedProcs(); len(got) != 4 {
-		t.Fatalf("BlockedProcs = %v, want warp 1 of every block", got)
-	}
-	// All four warp 0s, and warp 1 of the two spilled blocks, started.
-	if got := eng.Stats().PeakRunning; got != 6 {
-		t.Fatalf("PeakRunning = %d, want 6", got)
-	}
-	eng.ScheduleAt(wakeAt, func() {
-		open = true
-		for i := range sigs {
-			sigs[i].Broadcast()
-		}
-	})
-	eng.Run()
-	if !k.finished || woke != [4]sim.Time{wakeAt, wakeAt, wakeAt, wakeAt} {
-		t.Fatalf("finished = %v, wake-up instants = %v, want all %v", k.finished, woke, wakeAt)
-	}
-}

@@ -116,32 +116,6 @@ func (e *Engine) StartStepped(p *Proc, r Stepper) {
 	e.Start(p, r)
 }
 
-// StartOn registers r as the body of a caller-owned process that is already
-// parked on sig, exactly as if the body's first act had been sig.Wait(p): it
-// queues no start event and takes no coroutine. When sig wakes the proc, the
-// body starts from the top, in the queue slot that Wakeup takes. The body
-// must therefore begin the way a Mesa-style waiter resumes, re-checking the
-// predicate it waits on before anything else. p must be a zero Proc, as for
-// Start; Close finishes a proc that was never woken without starting it.
-func (e *Engine) StartOn(sig *Signal, p *Proc, r Runner) {
-	e.register(p, r)
-	sig.Park(p)
-}
-
-// Retire finishes a proc begun with StartOn whose body has not started, so
-// that the body never runs, and reports whether it did. A wake-up already
-// queued for it is dropped. A proc whose body has started, or that was
-// begun with Start, is left alone. The retired proc stays queued on its
-// signal, where waking it is a no-op, so a Pulse there could be spent on
-// it: retire only the waiters of a signal that is not pulsed afterwards.
-func (p *Proc) Retire() bool {
-	if p.w != nil || !p.parked {
-		return false
-	}
-	p.finish()
-	return true
-}
-
 // register links a zero Proc into the engine's live list with r as its body.
 func (e *Engine) register(p *Proc, r Runner) {
 	if p.eng != nil {
@@ -381,8 +355,9 @@ func (w *worker) run() {
 }
 
 // maxWorkers bounds the idle worker pool; coroutines returned beyond it end
-// instead of staying parked. It sits above the ~50k processes a 32-node
-// Pagoda fleet keeps live at its peak, so such runs reuse every coroutine.
+// instead of staying parked. It sits far above one run's peak (2,287 for
+// a 32-node elastic Pagoda fleet, the most of any scheme), so a harness
+// running many such cells at once still reuses every coroutine.
 const maxWorkers = 1 << 16
 
 // workers is the process-wide idle worker pool, shared by every engine (the
