@@ -71,7 +71,9 @@ func (c *Config) Enabled() bool { return c != nil && c.Max > c.Min }
 
 // Validate reports a descriptive error for bounds or lifecycle parameters
 // that cannot run: Min < 1, Max < Min, a missing policy on an elastic
-// config, or non-finite/negative times.
+// config, non-finite/negative times, or a non-zero interval under one
+// cycle, the sim clock's resolution (its control loop would tick without
+// end).
 func (c Config) Validate() error {
 	if c.Min < 1 {
 		return fmt.Errorf("autoscale: min fleet size %d is not positive", c.Min)
@@ -89,6 +91,9 @@ func (c Config) Validate() error {
 		if d.v < 0 || math.IsNaN(d.v) || math.IsInf(d.v, 0) {
 			return fmt.Errorf("autoscale: %s %v is not a finite non-negative cycle count", d.what, d.v)
 		}
+	}
+	if c.Interval > 0 && c.Interval < 1 {
+		return fmt.Errorf("autoscale: interval %v is under the sim clock's resolution of 1 cycle", c.Interval)
 	}
 	return nil
 }

@@ -298,6 +298,7 @@ func TestConfigValidate(t *testing.T) {
 		{"elastic without policy", Config{Min: 1, Max: 4}, "need a scaling policy"},
 		{"negative warmup", Config{Min: 1, Max: 4, Policy: pol, Warmup: -1}, "warmup"},
 		{"nan interval", Config{Min: 1, Max: 4, Policy: pol, Interval: math.NaN()}, "interval"},
+		{"sub-cycle interval", Config{Min: 1, Max: 4, Policy: pol, Interval: 1e-9}, "interval"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -394,6 +395,35 @@ func FuzzTuning(f *testing.F) {
 		}
 		if got := p.Target(Signals{Provisioned: prov, ArrivalRate: rate2}); got < 1 {
 			t.Fatalf("%+v: second target %d, want >= 1", tu, got)
+		}
+	})
+}
+
+// FuzzAutoscaleConfig: Validate never panics, and a config it accepts fills
+// to a control interval of at least one cycle, inside finite non-negative
+// lifecycle times and bounds 1 <= Min <= Max. The seeds include a sub-cycle
+// interval, whose control loop never finished before Validate rejected it.
+func FuzzAutoscaleConfig(f *testing.F) {
+	f.Add(1, 2, true, 1e-9, 0.0, 0.0)
+	f.Add(1, 2, true, 0.0, float64(DefaultWarmup), 0.0)
+	f.Add(8, 32, true, 50e3, 200e3, 100e3)
+	f.Add(2, 2, false, 1.0, -1.0, math.Inf(1))
+	f.Add(0, 4, true, math.NaN(), 0.0, 0.5)
+	f.Fuzz(func(t *testing.T, lo, hi int, policy bool, interval, warmup, cooldown float64) {
+		cfg := Config{Min: lo, Max: hi, Interval: interval, Warmup: warmup, Cooldown: cooldown}
+		if policy {
+			cfg.Policy = func() Policy { return Reactive{High: 4, Low: 1} }
+		}
+		if cfg.Validate() != nil {
+			return
+		}
+		got := cfg.fill()
+		if !(got.Interval >= 1) || math.IsInf(got.Interval, 0) {
+			t.Fatalf("%+v fills to interval %v, want a finite one of at least 1 cycle", cfg, got.Interval)
+		}
+		if got.Min < 1 || got.Max < got.Min || !(got.Warmup >= 0) || !(got.Cooldown > 0) ||
+			math.IsInf(got.Warmup, 0) || math.IsInf(got.Cooldown, 0) {
+			t.Fatalf("%+v accepted, fills to %+v", cfg, got)
 		}
 	})
 }

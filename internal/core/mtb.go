@@ -18,7 +18,6 @@ type warpSlot struct {
 	execSince sim.Time
 
 	sig sim.Signal // wakes the parked executor warp
-	tc  TaskCtx    // the context of the task the warp runs, reset per task
 }
 
 // MTB is one MasterKernel threadblock: a scheduler warp, 31 executor warps,
@@ -352,7 +351,7 @@ func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 	if s.barID >= 0 {
 		bar = m.bars[s.barID]
 	}
-	tc := &s.tc
+	tc := c.Task()
 	tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, s.warpID, bar, e.spec.Args)
 	if s.smSize > 0 {
 		tc.UseArena(&m.arena, rt.Cfg.SharedPerMTB, s.smOffset, s.smSize)

@@ -29,9 +29,10 @@ const (
 type TaskKernel func(tc *TaskCtx)
 
 // TaskCtx is the device-side API a task kernel sees (the GPU rows of Table
-// 1): the gpu.Task every scheme hands its task kernels. Each executor warp
-// slot rebinds one for every task it runs, so a kernel that keeps the
-// pointer (in a scheduled closure, a map, ...) later sees another task.
+// 1): the gpu.Task every scheme hands its task kernels. It is the executor
+// warp's own (gpu.Ctx.Task), rebound for every task the warp runs, so a
+// kernel that keeps the pointer (in a scheduled closure, a map, ...) later
+// sees another task.
 type TaskCtx = gpu.Task
 
 // TaskSpec mirrors the taskSpawn arguments of Table 1: threads per

@@ -155,30 +155,33 @@ func TestChainedWarpBlockedProcs(t *testing.T) {
 }
 
 // TestCtxSize pins the per-warp context: a chained op keeps its stage on the
-// warp's proc, not in Ctx, so a threadblock's warp array does not grow.
+// warp's proc, not in Ctx. Ctx names its warp and threadblock, from which
+// it derives its proc, SMM and barrier, and holds the warp's own Task
+// (88 B), which every scheme binds instead of allocating one per task warp.
 func TestCtxSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Ctx{}); got != 56 {
-		t.Errorf("sizeof(Ctx) = %d, want 56", got)
+	if got := unsafe.Sizeof(Ctx{}); got != 136 {
+		t.Errorf("sizeof(Ctx) = %d, want 136", got)
 	}
 }
 
-// TestWarpSize pins a resident warp: its proc, its Ctx and its threadblock.
-// A launch allocates its warps a threadblock at a time, so every byte here
-// is paid once per warp of every launch.
+// TestWarpSize pins a resident warp: its proc and its Ctx. A device reuses
+// the warps of finished threadblocks, so these bytes are paid once per warp
+// of the device's peak, not once per warp launched. A Pagoda MTB's 32 warps
+// (6,656 B plus the 8-byte header of a large object with pointers) take the
+// 6,784-byte allocation size class; 8 B more per warp would take 8,192.
 func TestWarpSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(warp{}); got != 136 {
-		t.Errorf("sizeof(warp) = %d, want 136", got)
+	if got := unsafe.Sizeof(warp{}); got != 208 {
+		t.Errorf("sizeof(warp) = %d, want 208", got)
 	}
 }
 
-// TestTaskSize pins a task's view of its warp, which HyperQ and GeMTC
-// allocate one of per task warp and Pagoda one of per WarpTable slot.
+// TestTaskSize pins a task's view of its warp, which every warp's Ctx holds.
 func TestTaskSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")

@@ -41,7 +41,6 @@ func (s LaunchSpec) WarpsPerTB(cfg Config) int {
 // Kernel is an in-flight (or finished) kernel launch.
 type Kernel struct {
 	Spec     LaunchSpec
-	dev      *Device
 	tbsDone  int
 	finished bool
 	doneSig  sim.Signal
@@ -51,7 +50,9 @@ type Kernel struct {
 	started   bool
 
 	// tbs are the kernel's threadblocks; one holds the threadblock of a
-	// single-block launch, which then needs no allocation of its own.
+	// single-block launch, which then needs no allocation of its own. A
+	// wider grid takes the device's spare array when it fits and hands its
+	// own back when it finishes.
 	tbs []threadBlock
 	one [1]threadBlock
 }
@@ -77,20 +78,23 @@ type threadBlock struct {
 	spillDelay sim.Time // coordinator swap-in cost before warps may execute
 }
 
-// warp is one resident warp: the process that runs it, the Ctx its kernel
-// function sees, and its threadblock. A threadblock's warps are allocated
-// together when it is placed, so a warp costs no allocation of its own.
+// warp is one resident warp: the process that runs it and the Ctx its
+// kernel function sees, which names its threadblock. A warp that exits goes
+// to its device's free list, and a later threadblock's warp reuses it;
+// warps are allocated only when the list runs short, a threadblock's
+// shortfall in one array. startWarps rewrites the whole Ctx, so while the
+// warp is free its ctx.w, otherwise the warp itself, links the next free
+// warp, and the list costs no storage of its own.
 type warp struct {
 	proc sim.Proc
 	ctx  Ctx
-	tb   *threadBlock
 }
 
 // Run is the warp's process body: the coordinator's swap-in delay, if any,
 // then the kernel function. A stepped warp's Run is Fn alone: its Resume
 // starts and ends the warp.
 func (w *warp) Run(p *sim.Proc) {
-	tb := w.tb
+	tb := w.ctx.tb
 	if tb.kernel.Spec.Resume != nil {
 		tb.kernel.Spec.Fn(&w.ctx)
 		return
@@ -105,7 +109,7 @@ func (w *warp) Run(p *sim.Proc) {
 // Resume runs a stepped warp's LaunchSpec.Resume, and ends the warp when
 // it arms nothing and asks for no Run.
 func (w *warp) Resume(p *sim.Proc) bool {
-	if w.tb.kernel.Spec.Resume(&w.ctx) {
+	if w.ctx.tb.kernel.Spec.Resume(&w.ctx) {
 		return true
 	}
 	if !p.Armed() {
@@ -114,16 +118,21 @@ func (w *warp) Resume(p *sim.Proc) bool {
 	return false
 }
 
-// exit leaves the warp's threadblock once its kernel is done with it.
+// exit leaves the warp's threadblock once its kernel is done with it, and
+// frees the warp for reuse. It joins the free list only after warpDone, so
+// the threadblocks that call places take none but finished warps: nothing
+// runs between exit's return and the end of the warp's proc.
 func (w *warp) exit() {
 	w.ctx.assertDrained()
-	w.tb.kernel.dev.warpDone(w.tb)
+	d := w.ctx.dev
+	d.warpDone(w.ctx.tb)
+	w.ctx.w, d.free = d.free, w
 }
 
 // String names the warp "<kernel>/tb<block>/w<warp>" for diagnostics; it is
 // formatted only when read.
 func (w *warp) String() string {
-	return fmt.Sprintf("%s/tb%d/w%d", w.tb.kernel.Spec.Name, w.tb.blockIdx, w.ctx.WarpInBlock)
+	return fmt.Sprintf("%s/tb%d/w%d", w.ctx.tb.kernel.Spec.Name, w.ctx.BlockIdx, w.ctx.WarpInBlock)
 }
 
 // SMM is one streaming multiprocessor: an issue engine plus resource
@@ -227,6 +236,15 @@ type Device struct {
 	// recID its slab handle. Only the warp whose body runs records.
 	rec   *tape
 	recID uint32
+
+	// free heads the list of exited warps whose procs have finished, for
+	// startWarps to reuse. A warp is allocated only when it runs short, so
+	// the list never holds more than the device's peak resident warps plus
+	// the one exiting while warpDone places the next threadblock.
+	free *warp
+	// spareTBs is the threadblock array of a finished multi-block kernel,
+	// kept for the next launch whose grid fits in it.
+	spareTBs []threadBlock
 }
 
 // NewDevice builds a device on the given engine.
@@ -281,16 +299,23 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 	if spec.RegsPerThread > d.Cfg.MaxRegsPerThread {
 		spec.RegsPerThread = d.Cfg.MaxRegsPerThread
 	}
-	k := &Kernel{Spec: spec, dev: d}
+	k := &Kernel{Spec: spec}
 	warpsPerTB := spec.WarpsPerTB(d.Cfg)
-	k.tbs = k.one[:]
-	if spec.GridDim > 1 {
+	switch {
+	case spec.GridDim == 1:
+		k.tbs = k.one[:]
+	case cap(d.spareTBs) >= spec.GridDim:
+		k.tbs, d.spareTBs = d.spareTBs[:spec.GridDim], nil
+	default:
 		k.tbs = make([]threadBlock, spec.GridDim)
 	}
 	for b := range k.tbs {
 		tb := &k.tbs[b]
-		tb.kernel, tb.blockIdx, tb.warpsLeft = k, b, warpsPerTB
-		tb.barrier.need = warpsPerTB
+		// A reused barrier has no waiters and keeps their storage.
+		*tb = threadBlock{
+			kernel: k, blockIdx: b, warpsLeft: warpsPerTB,
+			barrier: Barrier{need: warpsPerTB, sig: tb.barrier.sig},
+		}
 		d.pending.Push(tb)
 	}
 	d.tryDispatch()
@@ -334,25 +359,29 @@ func (d *Device) pickSMM(spec LaunchSpec) *SMM {
 	return best
 }
 
-// startWarps starts one simulation process per warp of the threadblock.
+// startWarps starts one simulation process per warp of the threadblock,
+// on warps from the free list, topped up with new ones.
 func (d *Device) startWarps(tb *threadBlock) {
 	spec := tb.kernel.Spec
-	var bar *Barrier
-	if spec.BlockThreads > d.Cfg.ThreadsPerWarp {
-		bar = &tb.barrier
-	}
-	ws := make([]warp, spec.WarpsPerTB(d.Cfg))
-	for i := range ws {
-		w := &ws[i]
-		w.tb = tb
+	n := spec.WarpsPerTB(d.Cfg)
+	var fresh []warp
+	for i := 0; i < n; i++ {
+		w := d.free
+		if w != nil {
+			d.free = w.ctx.w
+		} else {
+			if len(fresh) == 0 {
+				fresh = make([]warp, n-i)
+			}
+			w, fresh = &fresh[0], fresh[1:]
+		}
 		w.ctx = Ctx{
 			dev:         d,
-			smm:         tb.smm,
-			proc:        &w.proc,
+			w:           w,
+			tb:          tb,
 			BlockIdx:    tb.blockIdx,
 			BlockDim:    spec.BlockThreads,
 			WarpInBlock: i,
-			blockBar:    bar,
 		}
 		if spec.Resume != nil {
 			d.Eng.StartStepped(&w.proc, w)
@@ -379,6 +408,9 @@ func (d *Device) warpDone(tb *threadBlock) {
 	if k.tbsDone == k.Spec.GridDim {
 		k.finished = true
 		k.EndTime = d.Eng.Now()
+		if k.Spec.GridDim > 1 && cap(k.tbs) > cap(d.spareTBs) {
+			d.spareTBs, k.tbs = k.tbs, nil
+		}
 		if d.Trace.Enabled() {
 			d.Trace.Add(trace.Span{
 				Name: k.Spec.Name, Cat: "kernel", Track: "kernels",

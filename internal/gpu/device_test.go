@@ -301,7 +301,7 @@ func TestDispatchBalancesAcrossSMMs(t *testing.T) {
 		Name: "bal", GridDim: 8, BlockThreads: 256,
 		Fn: func(c *Ctx) {
 			if c.WarpInBlock == 0 {
-				smms[c.smm.ID]++
+				smms[c.tb.smm.ID]++
 			}
 			c.Compute(100)
 		},

@@ -9,22 +9,23 @@ import (
 )
 
 // TestLaunchAllocationsPinned pins what a kernel launch allocates once the
-// engine's event pool and the worker coroutines are warm: the Kernel (which
-// holds a single threadblock inline), the threadblock array of a wider grid,
-// one warp array per threadblock (each warp's Proc and Ctx live in it), and
-// for a block that syncs, its barrier's waiter storage, sized once.
+// engine's event pool, the worker coroutines and the device's free lists are
+// warm: the Kernel, which holds a single threadblock inline, and for that
+// block, if it syncs, its barrier's waiter storage, sized once. The warps
+// (each warp's Proc and Ctx) are the last launch's, and a wider grid reuses
+// the last one's threadblock array, barriers' waiter storage included.
 func TestLaunchAllocationsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		grid, threads int
 		sync          bool
 		want          float64
 	}{
-		{grid: 1, threads: 32, want: 2},              // Kernel + warps
-		{grid: 1, threads: 128, want: 2},             // 4 warps, still one array
-		{grid: 1, threads: 64, sync: true, want: 2},  // 2 warps: the waiter is held inline
-		{grid: 1, threads: 128, sync: true, want: 3}, // + barrier waiters
-		{grid: 4, threads: 128, want: 6},             // + threadblock array, 4 warp arrays
-		{grid: 4, threads: 128, sync: true, want: 10},
+		{grid: 1, threads: 32, want: 1},              // Kernel
+		{grid: 1, threads: 128, want: 1},             // 4 warps, all reused
+		{grid: 1, threads: 64, sync: true, want: 1},  // 2 warps: the waiter is held inline
+		{grid: 1, threads: 128, sync: true, want: 2}, // + barrier waiters
+		{grid: 4, threads: 128, want: 1},             // threadblock array reused
+		{grid: 4, threads: 128, sync: true, want: 1}, // and its barriers' waiters
 	} {
 		t.Run(fmt.Sprintf("grid%d_threads%d_sync%v", tc.grid, tc.threads, tc.sync), func(t *testing.T) {
 			eng := sim.New()
@@ -34,7 +35,7 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 			spec.Fn = func(c *Ctx) {
 				c.Compute(4)
 				if tc.sync {
-					var task Task
+					task := c.Task()
 					task.Bind(c, 1, 0, nil)
 					task.SyncBlock()
 				}
@@ -50,6 +51,85 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRelaunchReusesWarpsAndThreadblocks: a launch after a finished one of
+// the same shape on the same device runs on the first launch's warps and
+// threadblock array, allocating neither, and ends each warp at the instant
+// the same launch ends it on a fresh device. Each warp's Ctx, and so the
+// Task it binds, lives in the warp, so its address names the warp. The
+// grid is wider than the device holds at once, so the first launch already
+// reuses the warps of its own early blocks.
+func TestRelaunchReusesWarpsAndThreadblocks(t *testing.T) {
+	type run struct {
+		ctxs []*Ctx
+		ends []sim.Time
+	}
+	launch := func(dev *Device, r *run) *Kernel {
+		spec := LaunchSpec{Name: "again", GridDim: 6, BlockThreads: 96, SharedPerTB: 40 << 10}
+		spec.Fn = func(c *Ctx) {
+			r.ctxs = append(r.ctxs, c)
+			task := c.Task()
+			task.Bind(c, 1, 0, nil)
+			task.Compute(float64(10*c.BlockIdx + 3*c.WarpInBlock))
+			task.SyncBlock()
+			task.GlobalRead(256)
+			task.Drain()
+			r.ends = append(r.ends, c.Now())
+		}
+		return dev.Launch(spec)
+	}
+	eng := sim.New()
+	t.Cleanup(eng.Close)
+	dev := NewDevice(eng, testCfg())
+	var first, second run
+	launch(dev, &first)
+	eng.Run()
+	warps := make(map[*Ctx]bool)
+	for _, c := range first.ctxs {
+		warps[c] = true
+	}
+	if len(warps) >= len(first.ctxs) {
+		t.Fatalf("the first launch ran %d warps on %d, want fewer: its blocks did not queue", len(first.ctxs), len(warps))
+	}
+	if n := freeWarps(dev); n != len(warps) || dev.spareTBs == nil {
+		t.Fatalf("%d warps and threadblock array %v spare after the first launch, want %d and one",
+			n, dev.spareTBs != nil, len(warps))
+	}
+	spare := &dev.spareTBs[0]
+	start := eng.Now()
+	k := launch(dev, &second)
+	if &k.tbs[0] != spare {
+		t.Error("the second launch allocated a threadblock array")
+	}
+	eng.Run()
+	for _, c := range second.ctxs {
+		if !warps[c] {
+			t.Fatalf("the second launch allocated a warp (its Ctx at %p)", c)
+		}
+	}
+	if n := freeWarps(dev); n != len(warps) {
+		t.Fatalf("%d warps free after the second launch, want %d", n, len(warps))
+	}
+
+	fresh := sim.New()
+	t.Cleanup(fresh.Close)
+	freshDev := NewDevice(fresh, testCfg())
+	var want run
+	fresh.ScheduleAt(start, func() { launch(freshDev, &want) })
+	fresh.Run()
+	if !slices.Equal(second.ends, want.ends) {
+		t.Fatalf("warps end at %v on reused warps, %v on a fresh device", second.ends, want.ends)
+	}
+}
+
+// freeWarps counts the device's free list.
+func freeWarps(d *Device) int {
+	n := 0
+	for w := d.free; w != nil; w = w.ctx.w {
+		n++
+	}
+	return n
 }
 
 // TestBarrierGenerationAllocatesNothing: a reused Barrier keeps its waiter

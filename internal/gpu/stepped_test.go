@@ -81,21 +81,41 @@ type stepRunResult struct {
 	done  [][][]sim.Time // per launch, block, warp: the warp's end
 	issue []float64
 	membw float64
-	stats sim.Stats
+	// stats are the program's: a warm run's counts less the warm-up's,
+	// whose peaks are in warm.
+	stats, warm sim.Stats
 	// At the deadline, inBody warps are running a task body and waiting
 	// warps are not; unwound counts the bodies Close unwound, and live the
 	// procs left after it.
 	inBody, waiting, unwound int
 	live                     int
+	// recycled counts the program's warps that ran the warm-up first.
+	recycled int
 }
 
 // runStepProgram runs pr until deadline, every warp stepped or blocking,
-// then closes the engine.
-func runStepProgram(pr stepProgram, stepped bool, deadline sim.Time) stepRunResult {
+// then closes the engine. A warm run first runs, at instant 0, a launch of
+// the first launch's shape whose warps end at once, so the program runs on
+// its warps and threadblocks.
+func runStepProgram(pr stepProgram, stepped, warm bool, deadline sim.Time) stepRunResult {
 	eng := sim.New()
 	dev := NewDevice(eng, testCfg())
 	site := NewAtomicSite(dev.Cfg.AtomicSharedLatency)
 	var res stepRunResult
+	warmWarps, warps := make(map[*Ctx]bool), make(map[*Ctx]bool)
+	if warm {
+		spec := LaunchSpec{Name: "warm", GridDim: len(pr.segs[0]), BlockThreads: pr.threads, SharedPerTB: pr.shared}
+		spec.Fn = func(c *Ctx) { warmWarps[c] = true }
+		if stepped {
+			spec.Resume = func(c *Ctx) bool {
+				warmWarps[c] = true
+				return false
+			}
+		}
+		dev.Launch(spec)
+		eng.Run()
+		res.warm = eng.Stats()
+	}
 	for k, start := range pr.starts {
 		blocks := pr.segs[k]
 		done := make([][]sim.Time, len(blocks))
@@ -127,13 +147,17 @@ func runStepProgram(pr stepProgram, stepped bool, deadline sim.Time) stepRunResu
 		}
 		spec := LaunchSpec{Name: "step", GridDim: len(blocks), BlockThreads: pr.threads, SharedPerTB: pr.shared}
 		if stepped {
-			spec.Resume = func(c *Ctx) bool { return stepResume(c, site, blocks, pcs, done) }
+			spec.Resume = func(c *Ctx) bool {
+				warps[c] = true
+				return stepResume(c, site, blocks, pcs, done)
+			}
 			spec.Fn = func(c *Ctx) {
 				pc := pcs[c.BlockIdx][c.WarpInBlock]
 				body(c, blocks[c.BlockIdx][c.WarpInBlock][pc.seg][pc.op-1])
 			}
 		} else {
 			spec.Fn = func(c *Ctx) {
+				warps[c] = true
 				var t Task
 				t.Bind(c, len(blocks), c.BlockIdx, nil)
 				for s, ops := range blocks[c.BlockIdx][c.WarpInBlock] {
@@ -161,7 +185,20 @@ func runStepProgram(pr stepProgram, stepped bool, deadline sim.Time) stepRunResu
 		res.issue = append(res.issue, m.issue.Integrals())
 	}
 	res.membw = dev.membw.Integrals()
+	for c := range warps {
+		if warmWarps[c] {
+			res.recycled++
+		}
+	}
 	res.stats = eng.Stats()
+	for _, c := range []struct{ n, warm *int64 }{
+		{&res.stats.Events, &res.warm.Events}, {&res.stats.Handoffs, &res.warm.Handoffs},
+		{&res.stats.SelfResumes, &res.warm.SelfResumes}, {&res.stats.LaneEvents, &res.warm.LaneEvents},
+		{&res.stats.HeapPushes, &res.warm.HeapPushes}, {&res.stats.Rekeys, &res.warm.Rekeys},
+		{&res.stats.Steps, &res.warm.Steps},
+	} {
+		*c.n -= *c.warm
+	}
 	inBody := res.inBody
 	res.waiting = eng.LiveProcs() - inBody
 	eng.Close()
@@ -214,7 +251,7 @@ func stepResume(c *Ctx, site *AtomicSite, blocks [][][][]tapeOp, pcs [][]stepWar
 				return false
 			}
 		case pc.phase == 1:
-			if site.Enter(c.proc) {
+			if site.Enter(c.Proc()) {
 				pc.phase = 2
 			}
 			return false
@@ -231,44 +268,57 @@ func stepResume(c *Ctx, site *AtomicSite, blocks [][][][]tapeOp, pcs [][]stepWar
 // coroutine only for task bodies, end every warp at the same instant, to
 // the bit, as the same programs run as blocking Fns; the shares' busy
 // integrals and the engine's event counts are the same too, every resume
-// saved becomes a step, and no proc outlives the run.
+// saved becomes a step, and no proc outlives the run. Both kinds run each
+// program on a fresh device and on a warm one, whose warps are recycled,
+// with the same result.
 func TestSteppedMatchesBlockingWarps(t *testing.T) {
 	rng := prng.New(31)
 	for trial := 0; trial < 80; trial++ {
 		pr := genStepProgram(rng)
-		want := runStepProgram(pr, false, sim.Infinity)
-		got := runStepProgram(pr, true, sim.Infinity)
-		for k := range want.done {
-			for b := range want.done[k] {
-				for w, at := range want.done[k][b] {
-					if g := got.done[k][b][w]; math.Float64bits(g) != math.Float64bits(at) || at < 0 {
-						t.Fatalf("trial %d: launch %d tb%d w%d ends at %v stepped, %v blocking", trial, k, b, w, g, at)
+		want := runStepProgram(pr, false, false, sim.Infinity)
+		for _, run := range []struct {
+			name          string
+			stepped, warm bool
+		}{{"stepped", true, false}, {"warm blocking", false, true}, {"warm stepped", true, true}} {
+			got := runStepProgram(pr, run.stepped, run.warm, sim.Infinity)
+			if run.warm && got.recycled == 0 {
+				t.Fatalf("trial %d: the %s run reused none of the warm-up's warps", trial, run.name)
+			}
+			for k := range want.done {
+				for b := range want.done[k] {
+					for w, at := range want.done[k][b] {
+						if g := got.done[k][b][w]; math.Float64bits(g) != math.Float64bits(at) || at < 0 {
+							t.Fatalf("trial %d: launch %d tb%d w%d ends at %v %s, %v blocking", trial, k, b, w, g, run.name, at)
+						}
 					}
 				}
 			}
-		}
-		for i := range want.issue {
-			if math.Float64bits(got.issue[i]) != math.Float64bits(want.issue[i]) {
-				t.Errorf("trial %d: SMM %d issue integral %v stepped, %v blocking", trial, i, got.issue[i], want.issue[i])
+			for i := range want.issue {
+				if math.Float64bits(got.issue[i]) != math.Float64bits(want.issue[i]) {
+					t.Errorf("trial %d: SMM %d issue integral %v %s, %v blocking", trial, i, got.issue[i], run.name, want.issue[i])
+				}
 			}
-		}
-		if math.Float64bits(got.membw) != math.Float64bits(want.membw) {
-			t.Errorf("trial %d: membw integral %v stepped, %v blocking", trial, got.membw, want.membw)
-		}
-		g, w := got.stats, want.stats
-		if g.Events != w.Events || g.LaneEvents != w.LaneEvents || g.HeapPushes != w.HeapPushes ||
-			g.Rekeys != w.Rekeys || g.PeakPending != w.PeakPending {
-			t.Errorf("trial %d: Stats %+v stepped, %+v blocking", trial, g, w)
-		}
-		if g.Handoffs+g.SelfResumes+g.Steps != w.Handoffs+w.SelfResumes+w.Steps {
-			t.Errorf("trial %d: resumes+steps %d stepped, %d blocking", trial,
-				g.Handoffs+g.SelfResumes+g.Steps, w.Handoffs+w.SelfResumes+w.Steps)
-		}
-		if g.PeakRunning > w.PeakRunning {
-			t.Errorf("trial %d: PeakRunning %d stepped, %d blocking", trial, g.PeakRunning, w.PeakRunning)
-		}
-		if got.live != 0 || want.live != 0 {
-			t.Errorf("trial %d: %d procs live after the stepped run, %d after the blocking one", trial, got.live, want.live)
+			if math.Float64bits(got.membw) != math.Float64bits(want.membw) {
+				t.Errorf("trial %d: membw integral %v %s, %v blocking", trial, got.membw, run.name, want.membw)
+			}
+			g, w := got.stats, want.stats
+			if g.Events != w.Events || g.LaneEvents != w.LaneEvents || g.HeapPushes != w.HeapPushes ||
+				g.Rekeys != w.Rekeys || g.PeakPending != max(w.PeakPending, got.warm.PeakPending) {
+				t.Errorf("trial %d: Stats %+v %s, %+v blocking", trial, g, run.name, w)
+			}
+			if g.Handoffs+g.SelfResumes+g.Steps != w.Handoffs+w.SelfResumes+w.Steps {
+				t.Errorf("trial %d: resumes+steps %d %s, %d blocking", trial,
+					g.Handoffs+g.SelfResumes+g.Steps, run.name, w.Handoffs+w.SelfResumes+w.Steps)
+			}
+			if !run.stepped && (g.Handoffs != w.Handoffs || g.PeakRunning != max(w.PeakRunning, got.warm.PeakRunning)) {
+				t.Errorf("trial %d: Stats %+v %s, %+v blocking", trial, g, run.name, w)
+			}
+			if g.PeakRunning > max(w.PeakRunning, got.warm.PeakRunning) {
+				t.Errorf("trial %d: PeakRunning %d %s, %d blocking", trial, g.PeakRunning, run.name, w.PeakRunning)
+			}
+			if got.live != 0 || want.live != 0 {
+				t.Errorf("trial %d: %d procs live after the %s run, %d after the blocking one", trial, got.live, run.name, want.live)
+			}
 		}
 	}
 }
@@ -282,7 +332,7 @@ func TestCloseMidSteppedLaunch(t *testing.T) {
 	cuts, withBoth := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		pr := genStepProgram(rng)
-		full := runStepProgram(pr, true, sim.Infinity)
+		full := runStepProgram(pr, true, false, sim.Infinity)
 		var end sim.Time
 		for _, launch := range full.done {
 			for _, block := range launch {
@@ -292,7 +342,7 @@ func TestCloseMidSteppedLaunch(t *testing.T) {
 			}
 		}
 		for _, frac := range []float64{0.25, 0.5, 0.75} {
-			res := runStepProgram(pr, true, end*frac)
+			res := runStepProgram(pr, true, false, end*frac)
 			cuts++
 			if res.live != 0 {
 				t.Fatalf("trial %d: %d procs live after Close at %v of %v", trial, res.live, end*frac, end)

@@ -106,7 +106,7 @@ func (c *Ctx) drain() {
 	id := d.recID
 	d.rec = nil
 	defer putTape(id)
-	c.proc.Chain(stageIssue, id)
+	c.Proc().Chain(stageIssue, id)
 }
 
 // putTape empties a tape and returns it to the slab.
@@ -137,14 +137,14 @@ func (w *warp) Step(uint64) {
 	case stageIssue:
 		if op == opCompute {
 			if last {
-				c.smm.issue.ChainEnd(p, arg)
+				c.tb.smm.issue.ChainEnd(p, arg)
 				return
 			}
 			t.pos++
-			c.smm.issue.Chain(p, arg, stageIssue)
+			c.tb.smm.issue.Chain(p, arg, stageIssue)
 			return
 		}
-		if c.smm.issue.Chain(p, c.transactions(arg), stageMem) {
+		if c.tb.smm.issue.Chain(p, c.transactions(arg), stageMem) {
 			return
 		}
 		fallthrough

@@ -172,10 +172,10 @@ func (o opByOp) SyncBlock() { syncThreads(o.Ctx) }
 // non-blocking halves, each followed by the wait it arms.
 func syncThreads(c *Ctx) {
 	if c.SyncIssueThen() {
-		c.proc.Await()
+		c.Proc().Await()
 	}
 	if c.SyncArriveThen() {
-		c.proc.Await()
+		c.Proc().Await()
 	}
 }
 

@@ -6,8 +6,9 @@ package gpu
 // however the task was scheduled. The task's geometry may differ from the
 // physical launch: a fused or GeMTC subtask is a one-block task on physical
 // block b, and a Pagoda task runs on executor warps of a MasterKernel
-// threadblock. A Task is rebound for every task its warp runs, so a kernel
-// that keeps the pointer past its own call later sees another task.
+// threadblock. Each warp owns one (Ctx.Task), rebound for every task the
+// warp runs, so a kernel that keeps the pointer past its own call later
+// sees another task, or another kernel's once the warp is reused.
 type Task struct {
 	c    *Ctx
 	args any
@@ -32,7 +33,7 @@ type Task struct {
 // barrier, and shared (nil for none) as the block's shared memory.
 func (t *Task) Bind(c *Ctx, blocks, blockIdx int, shared []byte) {
 	*t = Task{
-		c: c, bar: c.blockBar, shared: shared, smSize: int32(len(shared)),
+		c: c, bar: c.blockBar(), shared: shared, smSize: int32(len(shared)),
 		blocks: int32(blocks), blockIdx: int32(blockIdx),
 		threads: int16(c.BlockDim), warpInBlock: int16(c.WarpInBlock),
 	}
@@ -107,7 +108,7 @@ func (t *Task) SyncBlock() {
 	}
 	t.c.recordCompute(t.c.dev.Cfg.BarrierCost)
 	t.c.drain()
-	t.bar.Arrive(t.c.proc)
+	t.bar.Arrive(t.c.Proc())
 }
 
 // HasShared reports whether the task has shared memory.

@@ -8,22 +8,28 @@ import "repro/internal/sim"
 //
 // A kernel function runs warp-synchronously: it is invoked once per warp.
 // Task kernels see the warp through a Task, which adds the task's own
-// geometry and per-lane iteration.
+// geometry and per-lane iteration; the warp owns the one every scheme binds.
 type Ctx struct {
-	dev  *Device
-	smm  *SMM
-	proc *sim.Proc
+	dev *Device
+	// w is the warp the Ctx belongs to (the next free one while the warp
+	// is free), and tb its threadblock, which names its SMM and barrier.
+	w  *warp
+	tb *threadBlock
 
 	BlockIdx    int // blockIdx.x
 	BlockDim    int // blockDim.x (threads per block)
 	WarpInBlock int // warp index within the block
 
-	blockBar *Barrier
+	task Task
 }
 
 // Proc exposes the underlying simulation process (for runtime systems built
 // on top of raw warps, e.g. Pagoda's MasterKernel).
-func (c *Ctx) Proc() *sim.Proc { return c.proc }
+func (c *Ctx) Proc() *sim.Proc { return &c.w.proc }
+
+// Task returns the warp's own Task, for a scheme to bind to each task the
+// warp runs. It is unbound until then.
+func (c *Ctx) Task() *Task { return &c.task }
 
 // Now returns the current simulated time in cycles.
 func (c *Ctx) Now() sim.Time { return c.dev.Eng.Now() }
@@ -39,7 +45,7 @@ func (c *Ctx) WarpSize() int { return c.dev.Cfg.ThreadsPerWarp }
 // the other ready warps on this SMM.
 func (c *Ctx) Compute(cycles float64) {
 	if c.ComputeThen(cycles) {
-		c.proc.Await()
+		c.Proc().Await()
 	}
 }
 
@@ -48,7 +54,7 @@ func (c *Ctx) Compute(cycles float64) {
 // reports false, arming nothing, when there is nothing to issue.
 func (c *Ctx) ComputeThen(cycles float64) bool {
 	c.assertDrained()
-	return issues(cycles) && c.smm.issue.AcquireThen(c.proc, cycles)
+	return issues(cycles) && c.tb.smm.issue.AcquireThen(c.Proc(), cycles)
 }
 
 // GlobalRead models a warp-wide coalesced read of n bytes from device
@@ -78,19 +84,19 @@ func (c *Ctx) chargeMem(op uint8, n int) {
 // serializing with other warps using the same site.
 func (c *Ctx) AtomicShared(site *AtomicSite) {
 	c.Compute(1)
-	site.Do(c.proc)
+	site.Do(c.Proc())
 }
 
 // Threadfence charges the cost of __threadfence() (device-wide visibility).
 func (c *Ctx) Threadfence() {
 	c.Compute(1)
-	c.proc.Sleep(c.dev.Cfg.FenceCost)
+	c.Proc().Sleep(c.dev.Cfg.FenceCost)
 }
 
 // ThreadfenceBlock charges the cost of __threadfence_block().
 func (c *Ctx) ThreadfenceBlock() {
 	c.Compute(1)
-	c.proc.Sleep(c.dev.Cfg.FenceBlockCost)
+	c.Proc().Sleep(c.dev.Cfg.FenceBlockCost)
 }
 
 // SyncIssueThen and SyncArriveThen are __syncthreads() as two
@@ -99,11 +105,21 @@ func (c *Ctx) ThreadfenceBlock() {
 // reports true when it has to wait. A single-warp block runs in lockstep
 // and has no barrier, so both are free there.
 func (c *Ctx) SyncIssueThen() bool {
-	return c.blockBar != nil && c.ComputeThen(c.dev.Cfg.BarrierCost)
+	return c.blockBar() != nil && c.ComputeThen(c.dev.Cfg.BarrierCost)
 }
 
 func (c *Ctx) SyncArriveThen() bool {
-	return c.blockBar != nil && c.blockBar.arrive(c.proc)
+	b := c.blockBar()
+	return b != nil && b.arrive(c.Proc())
+}
+
+// blockBar returns the threadblock's __syncthreads() barrier, or nil for a
+// block of one warp.
+func (c *Ctx) blockBar() *Barrier {
+	if c.BlockDim <= c.dev.Cfg.ThreadsPerWarp {
+		return nil
+	}
+	return &c.tb.barrier
 }
 
 // WarpVoteAll models the _all() warp vote: lockstep lanes need only a couple
@@ -114,5 +130,5 @@ func (c *Ctx) WarpVoteAll() { c.Compute(2) }
 // issue bandwidth (used for modelled waits such as poll back-off).
 func (c *Ctx) Sleep(cycles float64) {
 	c.assertDrained()
-	c.proc.Sleep(cycles)
+	c.Proc().Sleep(cycles)
 }

@@ -649,7 +649,6 @@ func (n *gemtcNode) dispatch(p *sim.Proc) {
 		site:    gpu.NewAtomicSite(n.sys.dev.Cfg.AtomicGlobalLatency),
 		claimed: make([]int, workers),
 		warps:   workerWarps,
-		tasks:   make([]gpu.Task, workers*workerWarps),
 		states:  make([]uint8, workers*workerWarps),
 	}
 	spec := gpu.LaunchSpec{
@@ -714,8 +713,8 @@ func (n *gemtcNode) devMetrics(sim.Time) (float64, float64) {
 
 // superKernel is the state a GeMTC node's SuperKernel launches share: the
 // batch, its single FIFO queue (the head next and the head's atomic site),
-// each worker's claimed batch position, and per worker warp its Task,
-// rebound for every task the warp claims, and its place in the worker loop.
+// each worker's claimed batch position, and per worker warp its place in the
+// worker loop.
 type superKernel struct {
 	n       *gemtcNode
 	batch   []int
@@ -723,7 +722,6 @@ type superKernel struct {
 	site    *gpu.AtomicSite
 	claimed []int
 	warps   int // per worker
-	tasks   []gpu.Task
 	states  []uint8
 }
 
@@ -799,7 +797,7 @@ func (k *superKernel) resume(c *gpu.Ctx) bool {
 // run is the claimed task's kernel on a worker warp: GeMTC runs it as a
 // one-block task on the worker's threadblock, without shared memory.
 func (k *superKernel) run(c *gpu.Ctx) {
-	t := &k.tasks[c.BlockIdx*k.warps+c.WarpInBlock]
+	t := c.Task()
 	t.Bind(c, 1, 0, nil)
 	k.n.tasks[k.batch[k.claimed[c.BlockIdx]]].Kernel(t)
 	t.Drain()

@@ -70,7 +70,7 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 				}
 				// The fused kernel gives every subtask the same, fixed
 				// thread count regardless of its input size.
-				t := new(gpu.Task)
+				t := c.Task()
 				t.Bind(c, 1, 0, shared)
 				td.Kernel(t)
 				t.Drain()

@@ -78,11 +78,9 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Re
 	return r
 }
 
-// hyperqSpec builds the per-task kernel launch. The task's warps and its
-// per-block shared memory are each one allocation per task.
+// hyperqSpec builds the per-task kernel launch. The task's per-block shared
+// memory is one allocation per task; each warp binds its own Task.
 func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
-	warps := taskWarps(td.Threads)
-	tasks := make([]gpu.Task, td.Blocks*warps)
 	var shared []byte
 	if td.SharedMem > 0 {
 		shared = make([]byte, td.Blocks*td.SharedMem)
@@ -99,7 +97,7 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 				lo, hi := c.BlockIdx*td.SharedMem, (c.BlockIdx+1)*td.SharedMem
 				sh = shared[lo:hi:hi]
 			}
-			t := &tasks[c.BlockIdx*warps+c.WarpInBlock]
+			t := c.Task()
 			t.Bind(c, td.Blocks, c.BlockIdx, sh)
 			td.Kernel(t)
 			t.Drain()

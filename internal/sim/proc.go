@@ -88,10 +88,14 @@ type Runner interface {
 }
 
 // Start runs r as the body of a caller-owned process, scheduled to start at
-// the current time. p must be a zero Proc, never started before (procs are
-// not reused, so a stale Wakeup stays a no-op on a dead proc).
+// the current time. p must be a zero Proc or one of e's procs that has
+// finished: a restarted proc keeps its wake generation, so a wake-up queued
+// in its last life carries an older one and is dropped as stale. A Wakeup
+// called on it later reaches the new life, so whoever restarts a proc must
+// hold the only reference to it. Starting a live proc, or one of another
+// engine, panics.
 func (e *Engine) Start(p *Proc, r Runner) {
-	e.register(p, r)
+	e.register(p, r, false)
 	p.WakeAfter(0)
 }
 
@@ -110,18 +114,23 @@ type Stepper interface {
 
 // StartStepped runs r as a stepped proc, queueing the same start event
 // Start does: the proc takes a coroutine only while r's Run runs. p must be
-// a zero Proc, as for Start.
+// a zero or finished Proc, as for Start.
 func (e *Engine) StartStepped(p *Proc, r Stepper) {
-	p.stepped = true
-	e.Start(p, r)
+	e.register(p, r, true)
+	p.WakeAfter(0)
 }
 
-// register links a zero Proc into the engine's live list with r as its body.
-func (e *Engine) register(p *Proc, r Runner) {
+// register links p into the engine's live list with r as its body. A
+// finished proc of e is zeroed first, all but its wake generation.
+func (e *Engine) register(p *Proc, r Runner, stepped bool) {
 	if p.eng != nil {
-		panic(fmt.Sprintf("sim: proc %q started twice", p.Name()))
+		if p.eng != e || !p.dead || p.w != nil {
+			panic(fmt.Sprintf("sim: proc %q started twice", p.Name()))
+		}
+		*p = Proc{wakeGen: p.wakeGen}
 	}
 	p.run = r
+	p.stepped = stepped
 	p.eng = e
 	p.prev = e.tail
 	if e.tail != nil {

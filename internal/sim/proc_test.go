@@ -311,3 +311,69 @@ func TestStartNamesOnDemand(t *testing.T) {
 	}()
 	e.Start(&r.proc, r)
 }
+
+// lifeRunner is a Runner whose body can be swapped between the lives of its
+// one Proc.
+type lifeRunner struct {
+	proc Proc
+	body func(p *Proc)
+}
+
+func (r *lifeRunner) Run(p *Proc)    { r.body(p) }
+func (r *lifeRunner) String() string { return "life" }
+
+// TestRestartFinishedProc: a finished proc starts again and runs its new
+// body. A wake-up queued in its last life is dropped as stale, even where a
+// fresh proc's wake generation would match it, and fires no event.
+// Starting the proc while it lives, or on another engine, still panics.
+func TestRestartFinishedProc(t *testing.T) {
+	e := New()
+	t.Cleanup(e.Close)
+	r := &lifeRunner{}
+	firstEnd, woke := Time(-1), Time(-1)
+	r.body = func(p *Proc) {
+		p.WakeAfter(10) // generation 2: the start event was generation 1
+		p.Await()
+		firstEnd = p.Now()
+	}
+	e.Start(&r.proc, r)
+	// Resume it at 1, so it finishes with its wake-up at 10 still queued.
+	e.Schedule(1, func() { r.proc.Wakeup() })
+	e.Schedule(2, func() {
+		r.body = func(p *Proc) {
+			p.Sleep(100) // a zeroed generation would sleep under 2 as well
+			woke = p.Now()
+		}
+		e.Start(&r.proc, r)
+	})
+	e.Run()
+	if firstEnd != 1 || woke != 102 {
+		t.Fatalf("first life ended at %v, second woke at %v; want 1 and 102", firstEnd, woke)
+	}
+	// Two starts, two resumes, two callbacks; the stale wake-up at 10 fires
+	// nothing.
+	if got := e.Stats().Events; got != 6 {
+		t.Errorf("Events = %d, want 6", got)
+	}
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("%d procs live after the run, want 0", n)
+	}
+
+	var never Signal
+	r.body = func(p *Proc) { never.Wait(p) }
+	e.Start(&r.proc, r)
+	e.Run()
+	startPanic := func(eng *Engine) (v any) {
+		defer func() { v = recover() }()
+		eng.Start(&r.proc, r)
+		return nil
+	}
+	want := `sim: proc "life" started twice`
+	if got := startPanic(e); got != want {
+		t.Errorf("Start of a parked proc: panic %v, want %q", got, want)
+	}
+	e.Close()
+	if got := startPanic(New()); got != want {
+		t.Errorf("Start of a finished proc on another engine: panic %v, want %q", got, want)
+	}
+}
