@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: check lint test vet bench-module race race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster loc traffic
+.PHONY: check lint test vet bench-module race race-core race-harness perf perf-quick perf-update bench-engine bench-serve bench-cluster loc traffic
 
 # check is the pre-merge gate, in order: the determinism analyzers
 # (pagodavet), go vet, the full test suite, the bench/ module's tests, race
-# detection across the internal tree, and the quick tier of the
-# perf-regression gate (pagodaperf against the BENCH_*.json baselines). lint
-# runs first so a wall-clock read or stray goroutine fails the build before
-# anything expensive starts.
-check: lint vet test bench-module race perf-quick
+# detection on the engine, GPU and runtime packages and then across the
+# internal tree, and the quick tier of the perf-regression gate (pagodaperf
+# against the BENCH_*.json baselines). lint runs first so a wall-clock read
+# or stray goroutine fails the build before anything expensive starts.
+check: lint vet test bench-module race-core race perf-quick
 
 # lint runs the project's determinism & sim-safety analyzers over a tree
 # type-checked once per package: the per-file checks (floatorder, for
@@ -50,6 +50,12 @@ bench-module:
 # a small box — from tripping go test's 10-minute default.
 race:
 	$(GO) test -race -timeout 30m ./internal/...
+
+# race-core runs the race detector over the engine, the GPU model and the
+# Pagoda runtime alone, where warps start, stop and are recycled (about 25 s
+# on 2 CPUs); CI runs it in place of the full race sweep.
+race-core:
+	$(GO) test -race ./internal/sim ./internal/gpu ./internal/core
 
 # race-harness is the focused version of the above for quick iteration on
 # the cell scheduler.

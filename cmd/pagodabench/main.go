@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
+	"repro/internal/gpu"
 	"repro/internal/harness"
 	"repro/internal/runners"
 )
@@ -79,6 +80,10 @@ func run(out, errw io.Writer, args []string) int {
 	}
 	if *nodes < 1 {
 		fmt.Fprintf(errw, "-nodes %d: a cluster needs at least one node\n", *nodes)
+		return 2
+	}
+	if err := gpu.TitanX().CheckOversub(*oversub); err != nil {
+		fmt.Fprintf(errw, "-oversub %g: %s\n", *oversub, err)
 		return 2
 	}
 	if *oversub != 0 && *oversub < 1.0 {

@@ -385,6 +385,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"misbehave_past_tenants", []string{"-misbehave", "7", "-tenants", "3"}, "-misbehave 7"},
 		{"misbehave_at_tenants", []string{"-misbehave", "3", "-tenants", "3"}, "-misbehave 3"},
 		{"zero_tenants", []string{"-tenants", "0"}, "-tenants 0"},
+		{"nan_oversub", []string{"-oversub", "NaN"}, "-oversub NaN"},
+		{"inf_oversub", []string{"-oversub", "Inf"}, "-oversub +Inf"},
+		{"negative_inf_oversub", []string{"-oversub", "-Inf"}, "-oversub -Inf"},
+		{"overflowing_oversub", []string{"-oversub", "1e300"}, "past the largest int"},
 		{"undefined_flag", []string{"-bogus"}, "bogus"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -54,7 +54,7 @@ type pendingFree struct {
 // NewBuddy builds an allocator over an arena of the given size. arena and
 // minBlock must be powers of two with arena >= minBlock.
 func NewBuddy(arena, minBlock int) *Buddy {
-	if arena <= 0 || minBlock <= 0 || arena&(arena-1) != 0 || minBlock&(minBlock-1) != 0 || arena < minBlock {
+	if !buddyShapeOK(arena, minBlock) {
 		panic("core: buddy arena and min block must be powers of two, arena >= minBlock")
 	}
 	levels := 0
@@ -69,6 +69,11 @@ func NewBuddy(arena, minBlock int) *Buddy {
 		inPending:  make([]bool, nodes),
 		pendingGen: make([]uint32, nodes),
 	}
+}
+
+// buddyShapeOK reports whether NewBuddy accepts arena and minBlock.
+func buddyShapeOK(arena, minBlock int) bool {
+	return arena > 0 && minBlock > 0 && arena&(arena-1) == 0 && minBlock&(minBlock-1) == 0 && arena >= minBlock
 }
 
 // levelFor returns the tree level whose block size is the smallest >= size,

@@ -121,5 +121,8 @@ func (c Config) validate() {
 		panic("core: need at least one named barrier")
 	case c.SharedPerMTB < c.MinAllocBlock:
 		panic("core: shared arena smaller than allocation granularity")
+	case !buddyShapeOK(c.SharedPerMTB, c.MinAllocBlock):
+		// Checked here because an MTB builds its allocator on first use.
+		panic("core: buddy arena and min block must be powers of two, arena >= minBlock")
 	}
 }

@@ -7,54 +7,83 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestIdleExecutorsStartParked: the MasterKernel is a stepped launch, so
-// an executor warp's start runs on the event loop and parks it on its
-// WarpTable slot without a coroutine. An idle runtime holds one coroutine
-// per MTB, its scheduler warp, plus its spawn stream's worker, and
-// Shutdown ends the idle executors on the event loop too.
-func TestIdleExecutorsStartParked(t *testing.T) {
+// TestExecutorWarpsLiveOnlyWhileBusy: the MasterKernel is an OnDemand
+// launch, so an executor warp exists only while its WarpTable slot holds a
+// task. The launch queues one start per MTB, its scheduler warp's, and
+// none for an executor; an idle runtime holds those warps and the spawn
+// stream's proc; in a run, the executor warps alive at each sampled
+// instant are exactly the busy slots, so the peaks match; and after
+// Shutdown only the spawn stream is left.
+func TestExecutorWarpsLiveOnlyWhileBusy(t *testing.T) {
 	eng, rt := testSystem(t, 2)
 	t.Cleanup(eng.Close)
+	base := len(rt.mtbs) + 1 // the scheduler warps and the spawn stream
+	if got := eng.Pending(); got != base {
+		t.Fatalf("launch queued %d events, want a start per scheduler warp and the spawn stream's (%d)", got, base)
+	}
 	eng.Run()
-	executors := int64(len(rt.mtbs) * rt.Cfg.ExecutorWarpsPerMTB())
-	if got, want := eng.Stats().PeakRunning, int64(len(rt.mtbs)+1); got != want {
-		t.Fatalf("PeakRunning = %d after launch, want one scheduler warp per MTB and the spawn stream (%d)", got, want)
-	}
-	if got := eng.Stats().Steps; got < executors {
-		t.Fatalf("Steps = %d after launch, want at least one per executor warp (%d)", got, executors)
-	}
-	if got, want := len(eng.BlockedProcs()), len(rt.mtbs)*rt.Cfg.WarpsPerMTB+1; got != want {
-		t.Fatalf("BlockedProcs = %d, want every MasterKernel warp and the spawn stream (%d)", got, want)
-	}
-	for col, m := range rt.mtbs {
-		for i, s := range m.slots {
-			if s.sig.Waiting() != 1 {
-				t.Fatalf("MTB %d slot %d: %d waiters, want its executor warp", col, i, s.sig.Waiting())
-			}
-		}
+	if got := eng.LiveProcs(); got != base {
+		t.Fatalf("an idle runtime holds %d procs, want its %d scheduler warps and the spawn stream", got, len(rt.mtbs))
 	}
 
-	before := eng.Stats()
-	eng.Spawn("host", func(p *sim.Proc) { rt.Shutdown(p) })
-	eng.Run()
-	if rt.kernel.EndTime == 0 || eng.LiveProcs() != 1 {
-		t.Fatalf("after Shutdown: MasterKernel finished = %v, LiveProcs = %d, want true and the spawn stream",
-			rt.kernel.EndTime > 0, eng.LiveProcs())
+	// Sample every microsecond while no spawn copy is in flight: then the
+	// live procs are the base, the host and the executor warps.
+	const tasks = 256
+	var samples, peakWarps, peakBusy, mismatches int
+	var sample func()
+	sample = func() {
+		copying, busy := false, 0
+		for _, he := range rt.host {
+			copying = copying || he.h2dInFlight
+		}
+		for i := range rt.mtbs {
+			for _, s := range rt.mtbs[i].slots {
+				if s.exec {
+					busy++
+				}
+			}
+		}
+		if !copying {
+			warps := eng.LiveProcs() - base - 1
+			if warps != busy {
+				mismatches++
+			}
+			samples++
+			peakWarps, peakBusy = max(peakWarps, warps), max(peakBusy, busy)
+		}
+		if rt.Stats().Completed < tasks {
+			eng.Schedule(1000, sample)
+		}
 	}
-	after := eng.Stats()
-	if steps := after.Steps - before.Steps; steps < executors {
-		t.Fatalf("Shutdown took %d steps, want at least one per executor warp (%d)", steps, executors)
+	eng.Schedule(0, sample)
+	runHost(t, eng, rt, func(p *sim.Proc) {
+		for i := 0; i < tasks; i++ {
+			rt.TaskSpawn(p, TaskSpec{
+				Threads: 96, Blocks: 1 + i%3,
+				Kernel: func(tc *TaskCtx) { tc.Compute(float64(20000 + 100*i)) },
+			})
+		}
+		rt.WaitAll(p)
+	})
+	if s := rt.Stats(); s.Completed != tasks {
+		t.Fatalf("completed %d tasks, want %d", s.Completed, tasks)
 	}
-	if after.PeakRunning != int64(len(rt.mtbs)+2) {
-		t.Fatalf("PeakRunning = %d after Shutdown, want the schedulers, the spawn stream and the host (%d)", after.PeakRunning, len(rt.mtbs)+2)
+	if mismatches > 0 || peakWarps != peakBusy {
+		t.Fatalf("executor warps differ from busy slots at %d of %d samples; peaks %d and %d",
+			mismatches, samples, peakWarps, peakBusy)
+	}
+	if peakBusy <= rt.Cfg.ExecutorWarpsPerMTB() {
+		t.Fatalf("peak busy slots %d over %d samples: the run never kept more than one MTB's executors busy", peakBusy, samples)
+	}
+	if got := eng.LiveProcs(); got != 1 {
+		t.Fatalf("after Shutdown %d procs are live, want the spawn stream's alone", got)
 	}
 }
 
-// TestShutdownTakesNoExecutorHandoff: after a run in which executor warps
-// ran tasks, Shutdown wakes every executor, and each sees the flag on the
-// event loop and ends without taking a coroutine. So Shutdown takes no
-// more handoffs than it does on a runtime that never ran a task: those of
-// the host and of the scheduler warps, each blocked inside its loop.
+// TestShutdownTakesNoExecutorHandoff: an executor warp ends with its task,
+// so after a run Shutdown finds no executor to end, and takes no more
+// handoffs than it does on a runtime that never ran a task: those of the
+// host and of the scheduler warps, each blocked inside its loop.
 func TestShutdownTakesNoExecutorHandoff(t *testing.T) {
 	shutdownHandoffs := func(tasks int) int64 {
 		eng, rt := testSystem(t, 2)
@@ -155,4 +184,20 @@ func TestArenaAllocatedOnFirstUse(t *testing.T) {
 	if idle == 0 {
 		t.Fatal("every MTB ran a task; the test needs an idle one")
 	}
+}
+
+// TestNewRuntimeRejectsBadArena: an MTB builds its buddy allocator on its
+// first shared-memory task, so NewRuntime itself refuses an arena the
+// allocator would refuse, before any task runs.
+func TestNewRuntimeRejectsBadArena(t *testing.T) {
+	eng, rt := testSystem(t, 1)
+	t.Cleanup(eng.Close)
+	cfg := DefaultConfig()
+	cfg.SharedPerMTB = 3000
+	defer func() {
+		if r := recover(); r != "core: buddy arena and min block must be powers of two, arena >= minBlock" {
+			t.Fatalf("panic = %v, want the buddy allocator's shape check", r)
+		}
+	}()
+	NewRuntime(rt.Ctx, cfg)
 }

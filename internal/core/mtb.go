@@ -6,7 +6,9 @@ import (
 )
 
 // warpSlot is one WarpTable entry (Table 2): bookkeeping for one executor
-// warp, stored in the MTB's shared memory.
+// warp, stored in the MTB's shared memory. The executor warp exists only
+// while its slot is filled: the scheduler warp starts it on filling the
+// slot, and it ends when it clears exec.
 type warpSlot struct {
 	warpID    int // warp ID within the current task (drives getTid)
 	eNum      int // TaskTable row being executed
@@ -16,25 +18,26 @@ type warpSlot struct {
 	barID     int // named-barrier ID, -1 when the task needs no sync
 	exec      bool
 	execSince sim.Time
-
-	sig sim.Signal // wakes the parked executor warp
 }
 
 // MTB is one MasterKernel threadblock: a scheduler warp, 31 executor warps,
 // a WarpTable, a 32 KB shared-memory arena with its buddy allocator, and a
-// pool of 16 named barriers. Each MTB owns one TaskTable column.
+// pool of 16 named barriers. Each MTB owns one TaskTable column. Its column
+// and WarpTable are sub-slices of one array per kind (NewRuntime); its
+// buddy allocator, barriers and arena are made on first use, as most MTBs
+// of a lightly loaded runtime never need them.
 type MTB struct {
 	rt *Runtime
 
-	entries []*deviceEntry // this MTB's TaskTable column (device side)
-	slots   []*warpSlot
+	entries []deviceEntry // this MTB's TaskTable column (device side)
+	slots   []warpSlot
 
-	buddy *Buddy
+	buddy *Buddy // made by the first allocSM
 	// arena is the real backing store for getSMPtr, allocated zeroed on
 	// first use: most tasks never touch shared memory.
 	arena []byte
 
-	bars     []*gpu.Barrier
+	bars     []gpu.Barrier // made, with barInUse, by the first allocBarrier
 	barInUse []bool
 
 	activity  sim.Signal // new work for the scheduler warp
@@ -42,49 +45,16 @@ type MTB struct {
 	smemFreed sim.Signal // a block was marked for deallocation
 	barFreed  sim.Signal // a named barrier was released
 
-	ctrSite *gpu.AtomicSite // shared-memory warp/done counters
+	ctrSite gpu.AtomicSite // shared-memory warp/done counters
 }
 
-func newMTB(rt *Runtime, index int) *MTB {
-	cfg := rt.Cfg
-	m := &MTB{
-		rt:       rt,
-		buddy:    NewBuddy(cfg.SharedPerMTB, cfg.MinAllocBlock),
-		bars:     make([]*gpu.Barrier, cfg.NumBarriers),
-		barInUse: make([]bool, cfg.NumBarriers),
-		ctrSite:  gpu.NewAtomicSite(rt.Ctx.Dev.Cfg.AtomicSharedLatency),
-	}
-	// Entries, slots and barriers each live in one backing array per MTB.
-	entries := make([]deviceEntry, cfg.Rows)
-	m.entries = make([]*deviceEntry, cfg.Rows)
-	for r := range m.entries {
-		entries[r] = deviceEntry{col: index, row: r}
-		m.entries[r] = &entries[r]
-	}
-	slots := make([]warpSlot, cfg.ExecutorWarpsPerMTB())
-	m.slots = make([]*warpSlot, len(slots))
-	for i := range m.slots {
-		slots[i].barID = -1
-		m.slots[i] = &slots[i]
-	}
-	bars := make([]gpu.Barrier, cfg.NumBarriers)
-	for i := range m.bars {
-		bars[i].Reset(1)
-		m.bars[i] = &bars[i]
-	}
-	return m
-}
-
-// wakeAll releases every parked warp of this MTB (used at shutdown). A
-// woken executor warp sees the shutdown flag on the event loop and ends.
+// wakeAll releases the scheduler warp of this MTB wherever it waits (used
+// at shutdown); it sees the shutdown flag and ends.
 func (m *MTB) wakeAll() {
 	m.activity.Broadcast()
 	m.warpFreed.Broadcast()
 	m.smemFreed.Broadcast()
 	m.barFreed.Broadcast()
-	for _, s := range m.slots {
-		s.sig.Broadcast()
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -109,8 +79,8 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 		// ready field holds a TaskID proves that task's parameters arrived
 		// in an earlier memcpy transaction, so the previous task may now be
 		// marked schedulable.
-		for _, e := range m.entries {
-			if e.ready > 1 {
+		for i := range m.entries {
+			if e := &m.entries[i]; e.ready > 1 {
 				if m.resolvePointer(c, e) {
 					acted = true
 				} else {
@@ -120,11 +90,11 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 		}
 
 		// Phase 2 (lines 14-28): schedule entries whose sched flag is set.
-		for i, e := range m.entries {
+		for i := range m.entries {
 			if rt.shutdown {
 				return
 			}
-			if e.sched {
+			if e := &m.entries[i]; e.sched {
 				m.scheduleTask(c, i, e)
 				acted = true
 			}
@@ -155,7 +125,7 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 func (m *MTB) resolvePointer(c *gpu.Ctx, e *deviceEntry) bool {
 	rt := m.rt
 	prevRef := slotForTaskID(TaskID(e.ready), rt.Cfg.Rows, rt.totalEntries)
-	prev := rt.mtbs[prevRef.col].entries[prevRef.row]
+	prev := &rt.mtbs[prevRef.col].entries[prevRef.row]
 	switch {
 	case prev.id == TaskID(e.ready) && prev.ready == readyCopied:
 		// S2 sets the previous task's state to (1, 1)...
@@ -223,6 +193,10 @@ func (m *MTB) scheduleTask(c *gpu.Ctx, row int, e *deviceEntry) {
 // allocBarrier finds a free named-barrier ID and sizes it for wpt warps,
 // blocking until one of the 16 IDs is recycled. Returns -1 on shutdown.
 func (m *MTB) allocBarrier(c *gpu.Ctx, wpt int) int {
+	if m.bars == nil {
+		m.bars = make([]gpu.Barrier, m.rt.Cfg.NumBarriers)
+		m.barInUse = make([]bool, len(m.bars))
+	}
 	for {
 		if m.rt.shutdown {
 			return -1
@@ -250,6 +224,9 @@ func (m *MTB) releaseBarrier(c *gpu.Ctx, id int) {
 // allocSM implements lines 20-24: drain blocks marked for deallocation, then
 // try the buddy allocator, blocking on smemFreed until space appears.
 func (m *MTB) allocSM(c *gpu.Ctx, size int) (node, offset int, ok bool) {
+	if m.buddy == nil {
+		m.buddy = NewBuddy(m.rt.Cfg.SharedPerMTB, m.rt.Cfg.MinAllocBlock)
+	}
 	for {
 		if m.rt.shutdown {
 			return 0, 0, false
@@ -272,7 +249,8 @@ func (m *MTB) allocSM(c *gpu.Ctx, size int) (node, offset int, ok bool) {
 
 // pSched is Algorithm 2: the scheduler warp's threads claim free executor
 // warps in parallel until `count` warps are scheduled, synchronizing each
-// sweep with a warp vote (_all) rather than __syncthreads.
+// sweep with a warp vote (_all) rather than __syncthreads. Filling a slot
+// starts its executor warp.
 func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID, count int) {
 	scheduled := 0
 	for scheduled < count {
@@ -280,10 +258,11 @@ func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID
 			return
 		}
 		c.Compute(4) // 32 threads scan the 31 slots' exec flags
-		for _, s := range m.slots {
+		for i := range m.slots {
 			if scheduled == count {
 				break
 			}
+			s := &m.slots[i]
 			if s.exec {
 				continue
 			}
@@ -295,7 +274,7 @@ func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID
 			c.ThreadfenceBlock()
 			s.exec = true
 			s.execSince = c.Now()
-			s.sig.Broadcast()
+			m.rt.kernel.StartWarp(c.BlockIdx, i+1)
 			scheduled++
 		}
 		c.WarpVoteAll() // synchronize the scheduler warp's threads
@@ -339,17 +318,17 @@ func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 // ---------------------------------------------------------------------------
 
 // execute runs the task in the executor warp's WarpTable slot s, which the
-// scheduler warp has filled; the warp waits for its slot on the event loop
-// (the MasterKernel's Resume) and borrows a coroutine only for this.
+// scheduler warp filled before starting the warp; the warp borrows a
+// coroutine only for this, and ends when it returns.
 func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 	rt := m.rt
 	c.SharedRead(32) // read the WarpTable slot
-	e := m.entries[s.eNum]
+	e := &m.entries[s.eNum]
 	c.GlobalRead(32) // fetch the task's kernel pointer and arguments
 
 	var bar *gpu.Barrier
 	if s.barID >= 0 {
-		bar = m.bars[s.barID]
+		bar = &m.bars[s.barID]
 	}
 	tc := c.Task()
 	tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, s.warpID, bar, e.spec.Args)
@@ -372,7 +351,7 @@ func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 		}
 	}
 	c.ThreadfenceBlock()
-	c.AtomicShared(m.ctrSite) // atomicDec(doneCtr)
+	c.AtomicShared(&m.ctrSite) // atomicDec(doneCtr)
 	e.doneCtr--
 	if e.doneCtr == 0 {
 		e.ready = readyFree // free the task entry

@@ -16,9 +16,9 @@ type Runtime struct {
 	Ctx *cuda.Context
 	Cfg Config
 
-	mtbs         []*MTB
-	host         [][]hostEntry // CPU TaskTable mirror [col][row]
-	gens         []int64       // per-slot generation counters (TaskID construction)
+	mtbs         []MTB
+	host         []hostEntry // CPU TaskTable mirror, by entryRef.globalIndex
+	gens         []int64     // per-slot generation counters (TaskID construction)
 	totalEntries int
 
 	spawnStream *cuda.Stream // pipelined per-entry parameter copies
@@ -76,18 +76,31 @@ type Runtime struct {
 
 // NewRuntime builds the runtime and launches the MasterKernel, which
 // acquires every warp of the device (§4.1). One MTB column of the TaskTable
-// is created per MTB.
+// is created per MTB; the columns and the WarpTables are sub-slices of one
+// array each.
 func NewRuntime(ctx *cuda.Context, cfg Config) *Runtime {
 	cfg.validate()
 	rt := &Runtime{Eng: ctx.Eng, Ctx: ctx, Cfg: cfg}
 	numMTBs := cfg.MTBsPerSMM * ctx.Dev.Cfg.NumSMMs
 	rt.totalEntries = numMTBs * cfg.Rows
-	rt.mtbs = make([]*MTB, numMTBs)
-	rt.host = make([][]hostEntry, numMTBs)
+	rt.mtbs = make([]MTB, numMTBs)
+	rt.host = make([]hostEntry, rt.totalEntries)
 	rt.gens = make([]int64, rt.totalEntries)
+	entries := make([]deviceEntry, rt.totalEntries)
+	warps := cfg.ExecutorWarpsPerMTB()
+	slots := make([]warpSlot, numMTBs*warps)
+	site := gpu.NewAtomicSite(ctx.Dev.Cfg.AtomicSharedLatency)
 	for i := range rt.mtbs {
-		rt.mtbs[i] = newMTB(rt, i)
-		rt.host[i] = make([]hostEntry, cfg.Rows)
+		m := &rt.mtbs[i]
+		m.rt, m.ctrSite = rt, *site
+		m.entries = entries[i*cfg.Rows : (i+1)*cfg.Rows : (i+1)*cfg.Rows]
+		for r := range m.entries {
+			m.entries[r].col, m.entries[r].row = i, r
+		}
+		m.slots = slots[i*warps : (i+1)*warps : (i+1)*warps]
+		for j := range m.slots {
+			m.slots[j].barID = -1
+		}
 	}
 	rt.spawnStream = ctx.NewStream()
 	rt.launchMasterKernel()
@@ -96,10 +109,12 @@ func NewRuntime(ctx *cuda.Context, cfg Config) *Runtime {
 
 // launchMasterKernel starts the daemon kernel: MTBsPerSMM x NumSMMs
 // threadblocks of 32 warps each, 32 KB static shared memory, registers
-// capped for 100% occupancy. The launch is stepped: an executor warp waits
-// for its WarpTable slot on the event loop and borrows a coroutine only to
-// run the task the scheduler warp put there, so an idle executor holds
-// none. The scheduler warp runs its loop on a coroutine until shutdown.
+// capped for 100% occupancy. The launch is stepped and OnDemand: placement
+// starts each block's scheduler warp, which runs its loop on a coroutine
+// until shutdown, and the scheduler starts an executor warp when it fills
+// the warp's WarpTable slot. The executor borrows a coroutine to run that
+// task and then ends, so an idle executor is no warp at all; the block
+// holds every warp's residency throughout, as on the device.
 func (rt *Runtime) launchMasterKernel() {
 	cfg := rt.Cfg
 	spec := gpu.LaunchSpec{
@@ -108,26 +123,19 @@ func (rt *Runtime) launchMasterKernel() {
 		BlockThreads:  cfg.WarpsPerMTB * rt.Ctx.Dev.Cfg.ThreadsPerWarp,
 		SharedPerTB:   cfg.SharedPerMTB,
 		RegsPerThread: cfg.RegsPerThread,
+		OnDemand:      true,
 		Resume: func(c *gpu.Ctx) bool {
 			if rt.shutdown {
 				return false
 			}
-			if c.WarpInBlock == 0 {
-				return true
-			}
-			s := rt.mtbs[c.BlockIdx].slots[c.WarpInBlock-1]
-			if !s.exec {
-				s.sig.Park(c.Proc())
-				return false
-			}
-			return true
+			return c.WarpInBlock == 0 || rt.mtbs[c.BlockIdx].slots[c.WarpInBlock-1].exec
 		},
 		Fn: func(c *gpu.Ctx) {
-			m := rt.mtbs[c.BlockIdx]
+			m := &rt.mtbs[c.BlockIdx]
 			if c.WarpInBlock == 0 {
 				m.schedulerLoop(c)
 			} else {
-				m.execute(c, m.slots[c.WarpInBlock-1])
+				m.execute(c, &m.slots[c.WarpInBlock-1])
 			}
 		},
 	}
@@ -181,7 +189,7 @@ func (rt *Runtime) TaskSpawn(host *sim.Proc, spec TaskSpec) TaskID {
 	id := taskIDFor(rt.gens[g], g, rt.totalEntries)
 	rt.gens[g]++
 
-	he := &rt.host[ref.col][ref.row]
+	he := &rt.host[g]
 	he.id = id
 	he.h2dInFlight = true
 	if rt.nextTaskSeq == 0 {
@@ -198,7 +206,7 @@ func (rt *Runtime) TaskSpawn(host *sim.Proc, spec TaskSpec) TaskID {
 	spawnTime := rt.Eng.Now()
 	host.Sleep(200) // host-side work: fill the CPU entry, bump stream
 
-	dst := rt.mtbs[ref.col].entries[ref.row]
+	dst := &rt.mtbs[ref.col].entries[ref.row]
 	rt.spawnStream.MemcpyH2DPipelined(host, rt.entrySize(spec), func() {
 		// The entry materializes in device memory: parameters plus state.
 		dst.id = id
@@ -226,7 +234,7 @@ func (rt *Runtime) findFreeEntry(host *sim.Proc) entryRef {
 		for i := 0; i < rt.totalEntries; i++ {
 			s := (rt.rrCursor + i) % rt.totalEntries
 			ref := entryRef{col: s % cols, row: s / cols}
-			he := &rt.host[ref.col][ref.row]
+			he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
 			if he.ready == readyFree && !he.h2dInFlight {
 				rt.rrCursor = (s + 1) % rt.totalEntries
 				return ref
@@ -242,12 +250,9 @@ func (rt *Runtime) findFreeEntry(host *sim.Proc) entryRef {
 }
 
 func (rt *Runtime) anyFree() bool {
-	for c := range rt.host {
-		for r := range rt.host[c] {
-			he := &rt.host[c][r]
-			if he.ready == readyFree && !he.h2dInFlight {
-				return true
-			}
+	for i := range rt.host {
+		if he := &rt.host[i]; he.ready == readyFree && !he.h2dInFlight {
+			return true
 		}
 	}
 	return false
@@ -258,9 +263,10 @@ func (rt *Runtime) anyFree() bool {
 func (rt *Runtime) copyBackAll(host *sim.Proc) {
 	rt.Ctx.MemcpyD2HSync(host, rt.totalEntries*rt.Cfg.EntryBytes)
 	rt.CopyBacks++
-	for c, col := range rt.mtbs {
-		for r, de := range col.entries {
-			rt.applyCopyBack(c, r, de)
+	for c := range rt.mtbs {
+		col := rt.mtbs[c].entries
+		for r := range col {
+			rt.applyCopyBack(entryRef{c, r}, &col[r])
 		}
 	}
 }
@@ -269,11 +275,11 @@ func (rt *Runtime) copyBackAll(host *sim.Proc) {
 func (rt *Runtime) copyBackEntry(host *sim.Proc, ref entryRef) {
 	rt.Ctx.MemcpyD2HSync(host, rt.Cfg.EntryBytes)
 	rt.CopyBacks++
-	rt.applyCopyBack(ref.col, ref.row, rt.mtbs[ref.col].entries[ref.row])
+	rt.applyCopyBack(ref, &rt.mtbs[ref.col].entries[ref.row])
 }
 
-func (rt *Runtime) applyCopyBack(c, r int, de *deviceEntry) {
-	he := &rt.host[c][r]
+func (rt *Runtime) applyCopyBack(ref entryRef, de *deviceEntry) {
+	he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
 	if he.h2dInFlight {
 		return // the spawn copy has not arrived; the device view is stale
 	}
@@ -299,11 +305,11 @@ func (rt *Runtime) flushLast(host *sim.Proc) {
 		return
 	}
 	ref := slotForTaskID(target, rt.Cfg.Rows, rt.totalEntries)
-	he := &rt.host[ref.col][ref.row]
+	he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
 	if he.h2dInFlight || he.id != target {
 		return
 	}
-	de := rt.mtbs[ref.col].entries[ref.row]
+	de := &rt.mtbs[ref.col].entries[ref.row]
 	rt.Ctx.MemcpyD2HSync(host, rt.Cfg.EntryBytes)
 	rt.CopyBacks++
 	switch {
@@ -324,14 +330,14 @@ func (rt *Runtime) flushLast(host *sim.Proc) {
 		// The entry still holds its pipelining pointer (ready = prev TaskID):
 		// the GPU scheduler has not resolved it yet. Retry on the next flush.
 	}
-	rt.applyCopyBack(ref.col, ref.row, de)
+	rt.applyCopyBack(ref, de)
 }
 
 // taskDone consults only the CPU mirror (the host cannot see device memory
 // without a copy).
 func (rt *Runtime) taskDone(id TaskID) bool {
 	ref := slotForTaskID(id, rt.Cfg.Rows, rt.totalEntries)
-	he := &rt.host[ref.col][ref.row]
+	he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
 	if he.id != id {
 		return true // the entry was recycled: the task completed long ago
 	}
@@ -389,12 +395,9 @@ func (rt *Runtime) WaitAll(host *sim.Proc) {
 }
 
 func (rt *Runtime) allIdle() bool {
-	for c := range rt.host {
-		for r := range rt.host[c] {
-			he := &rt.host[c][r]
-			if he.ready != readyFree || he.h2dInFlight {
-				return false
-			}
+	for i := range rt.host {
+		if he := &rt.host[i]; he.ready != readyFree || he.h2dInFlight {
+			return false
 		}
 	}
 	return true
@@ -429,8 +432,8 @@ func (rt *Runtime) Shutdown(host *sim.Proc) {
 	rt.spawnStream.Sync(host)
 	rt.Ctx.MemcpyH2DSync(host, 8)
 	rt.shutdown = true
-	for _, m := range rt.mtbs {
-		m.wakeAll()
+	for i := range rt.mtbs {
+		rt.mtbs[i].wakeAll()
 	}
 	rt.kernel.WaitDone(host)
 }

@@ -31,6 +31,11 @@ type LaunchSpec struct {
 	// false with nothing armed to end the warp. A device with a
 	// virtualization coordinator rejects the launch.
 	Resume func(c *Ctx) bool
+	// OnDemand starts only warp 0 of a block when the block is placed; the
+	// launcher starts each other warp with Kernel.StartWarp when it has
+	// work for it. The block holds its full residency all the same, and
+	// stays resident until the last warp it started has exited.
+	OnDemand bool
 }
 
 // WarpsPerTB returns the number of warps a threadblock occupies.
@@ -64,12 +69,42 @@ func (k *Kernel) WaitDone(p *sim.Proc) {
 	}
 }
 
+// StartWarp starts warp warpInBlock of a resident block of an OnDemand
+// kernel, on a warp from the device's free list, as placement starts warp
+// 0; the block counts it among its live warps until it exits. It panics
+// for a kernel launched without OnDemand, for warp 0 or an index out of
+// range, and for a block outside the grid, queued or done.
+func (k *Kernel) StartWarp(block, warpInBlock int) {
+	if !k.Spec.OnDemand {
+		panic(fmt.Sprintf("gpu: StartWarp on kernel %q, launched without OnDemand", k.Spec.Name))
+	}
+	var tb *threadBlock
+	if !k.finished && block >= 0 && block < k.Spec.GridDim {
+		tb = &k.tbs[block]
+	}
+	if tb == nil || tb.smm == nil || tb.warpsLeft == 0 {
+		panic(fmt.Sprintf("gpu: StartWarp on block %d of kernel %q, which is not resident", block, k.Spec.Name))
+	}
+	d := tb.smm.dev
+	if n := k.Spec.WarpsPerTB(d.Cfg); warpInBlock <= 0 || warpInBlock >= n {
+		panic(fmt.Sprintf("gpu: StartWarp on warp %d of kernel %q: placement starts warp 0 of %d", warpInBlock, k.Spec.Name, n))
+	}
+	tb.warpsLeft++
+	w := d.popFree()
+	if w == nil {
+		w = new(warp)
+	}
+	d.startWarp(w, tb, warpInBlock)
+}
+
 // threadBlock is one block of a kernel pending dispatch or resident on an
 // SMM.
 type threadBlock struct {
-	kernel    *Kernel
-	blockIdx  int
-	smm       *SMM
+	kernel   *Kernel
+	blockIdx int
+	smm      *SMM
+	// warpsLeft counts the block's live warps: all of them from placement,
+	// or, for an OnDemand kernel, warp 0 and those StartWarp started.
 	warpsLeft int
 	// barrier is the __syncthreads() barrier, used only when the block has
 	// more than one warp.
@@ -269,8 +304,11 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 // scaled by factor and pays the coordinator's spill cost whenever live
 // demand exceeds physical capacity. With factor <= 1 admission stays
 // physical and no spill is ever charged. It returns the coordinator for
-// spill accounting.
+// spill accounting, and panics on a factor Config.CheckOversub refuses.
 func (d *Device) Virtualize(factor float64) *Coordinator {
+	if err := d.Cfg.CheckOversub(factor); err != nil {
+		panic("gpu: Virtualize: " + err.Error())
+	}
 	d.Virt = &Coordinator{}
 	d.caps = virtualCaps(d.Cfg, factor)
 	return d.Virt
@@ -301,6 +339,10 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 	}
 	k := &Kernel{Spec: spec}
 	warpsPerTB := spec.WarpsPerTB(d.Cfg)
+	live := warpsPerTB
+	if spec.OnDemand {
+		live = 1
+	}
 	switch {
 	case spec.GridDim == 1:
 		k.tbs = k.one[:]
@@ -313,7 +355,7 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 		tb := &k.tbs[b]
 		// A reused barrier has no waiters and keeps their storage.
 		*tb = threadBlock{
-			kernel: k, blockIdx: b, warpsLeft: warpsPerTB,
+			kernel: k, blockIdx: b, warpsLeft: live,
 			barrier: Barrier{need: warpsPerTB, sig: tb.barrier.sig},
 		}
 		d.pending.Push(tb)
@@ -359,36 +401,49 @@ func (d *Device) pickSMM(spec LaunchSpec) *SMM {
 	return best
 }
 
-// startWarps starts one simulation process per warp of the threadblock,
-// on warps from the free list, topped up with new ones.
+// startWarps starts one simulation process per live warp of a placed
+// threadblock (warp 0 alone for an OnDemand kernel), on warps from the free
+// list, topped up with new ones.
 func (d *Device) startWarps(tb *threadBlock) {
-	spec := tb.kernel.Spec
-	n := spec.WarpsPerTB(d.Cfg)
+	n := tb.warpsLeft
 	var fresh []warp
 	for i := 0; i < n; i++ {
-		w := d.free
-		if w != nil {
-			d.free = w.ctx.w
-		} else {
+		w := d.popFree()
+		if w == nil {
 			if len(fresh) == 0 {
 				fresh = make([]warp, n-i)
 			}
 			w, fresh = &fresh[0], fresh[1:]
 		}
-		w.ctx = Ctx{
-			dev:         d,
-			w:           w,
-			tb:          tb,
-			BlockIdx:    tb.blockIdx,
-			BlockDim:    spec.BlockThreads,
-			WarpInBlock: i,
-		}
-		if spec.Resume != nil {
-			d.Eng.StartStepped(&w.proc, w)
-			continue
-		}
-		d.Eng.Start(&w.proc, w)
+		d.startWarp(w, tb, i)
 	}
+}
+
+// popFree takes the head of the free list, or nil when it is empty.
+func (d *Device) popFree() *warp {
+	w := d.free
+	if w != nil {
+		d.free = w.ctx.w
+	}
+	return w
+}
+
+// startWarp runs w as warp i of tb.
+func (d *Device) startWarp(w *warp, tb *threadBlock, i int) {
+	spec := &tb.kernel.Spec
+	w.ctx = Ctx{
+		dev:         d,
+		w:           w,
+		tb:          tb,
+		BlockIdx:    tb.blockIdx,
+		BlockDim:    spec.BlockThreads,
+		WarpInBlock: i,
+	}
+	if spec.Resume != nil {
+		d.Eng.StartStepped(&w.proc, w)
+		return
+	}
+	d.Eng.Start(&w.proc, w)
 }
 
 func (d *Device) warpDone(tb *threadBlock) {

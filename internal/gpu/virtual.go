@@ -1,6 +1,11 @@
 package gpu
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/sim"
+)
 
 // This file models Zorua-style dynamic resource virtualization (Vijaykumar
 // et al., "Zorua: A Holistic Approach to Resource Virtualization in GPUs",
@@ -39,6 +44,21 @@ func virtualCaps(cfg Config, factor float64) occCaps {
 		shared:  scale(p.shared),
 		regs:    scale(p.regs),
 	}
+}
+
+// CheckOversub reports why factor cannot scale cfg's per-SMM capacities:
+// it is not finite, or a capacity scaled by it overflows int.
+func (cfg Config) CheckOversub(factor float64) error {
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return fmt.Errorf("oversubscription factor %g is not finite", factor)
+	}
+	p := physCaps(cfg)
+	for _, c := range []int{p.tbs, p.threads, p.warps, p.shared, p.regs} {
+		if float64(c)*factor >= math.MaxInt {
+			return fmt.Errorf("oversubscription factor %g scales a capacity of %d past the largest int", factor, c)
+		}
+	}
+	return nil
 }
 
 // Coordinator is the runtime piece of the virtualization model: it accounts

@@ -200,3 +200,19 @@ func TestVirtualizeAtUnityIsInert(t *testing.T) {
 		t.Errorf("unity-virtualized end %v != static end %v", b, a)
 	}
 }
+
+// TestVirtualizeRejectsUnscalableFactor: a factor that is not finite, or
+// that scales a per-SMM capacity past the largest int (where the float to
+// int conversion is implementation-defined, and read -2^63 on amd64),
+// panics naming Virtualize and the factor; a large finite one is admitted.
+func TestVirtualizeRejectsUnscalableFactor(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		dev := NewDevice(sim.New(), testCfg())
+		mustPanic(t, "gpu: Virtualize: oversubscription factor", func() { dev.Virtualize(f) })
+	}
+	dev := NewDevice(sim.New(), testCfg())
+	dev.Virtualize(1e6)
+	if dev.caps.regs != dev.Cfg.RegsPerSMM*1e6 {
+		t.Errorf("a 1e6 factor scaled registers to %d, want %d", dev.caps.regs, dev.Cfg.RegsPerSMM*1e6)
+	}
+}

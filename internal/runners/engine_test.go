@@ -23,9 +23,10 @@ import (
 // every event queued. The MasterKernel and the GeMTC SuperKernel are
 // stepped launches: a warp waits on the event loop, counted as steps, and
 // takes a coroutine (a handoff) only to run a task's body or, for
-// Pagoda's scheduler warp, its loop. Every executor warp's start is an
-// event, and so is its wake at Shutdown; that is the price of an idle
-// executor holding no coroutine (PeakRunning).
+// Pagoda's scheduler warp, its loop. The MasterKernel is also OnDemand:
+// an executor warp is started, one event, only when its scheduler fills
+// its WarpTable slot, and ends with its task, so an idle executor costs no
+// event at launch or at Shutdown.
 func TestEngineStatsPinned(t *testing.T) {
 	mb, _ := workloads.ByName("MB")
 	cfg := DefaultConfig()
@@ -33,16 +34,16 @@ func TestEngineStatsPinned(t *testing.T) {
 	tasks := mb.Make(workloads.Options{Tasks: 256, Threads: 128, Seed: 1})
 	_, closed := runFleet(tasks, ClusterOpenLoop{Arrivals: make([]sim.Time, len(tasks)), closedLoop: true},
 		cfg, "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 549680, Handoffs: 51522, SelfResumes: 9232, PeakRunning: 468,
-		LaneEvents: 229906, HeapPushes: 319774, Rekeys: 157213, Steps: 263152, PeakPending: 519}); closed.Engine != want {
+	if want := (sim.Stats{Events: 548688, Handoffs: 51522, SelfResumes: 9232, PeakRunning: 468,
+		LaneEvents: 228914, HeapPushes: 319774, Rekeys: 157213, Steps: 262160, PeakPending: 164}); closed.Engine != want {
 		t.Errorf("fig5 MB Pagoda cell: Stats = %#v, want %#v", closed.Engine, want)
 	}
 
 	ol := olTasks(t, 48)
 	arr := serve.Poisson{Rate: 50e3, Seed: 3}.Times(len(ol))
 	_, open := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 85914, Handoffs: 2916, SelfResumes: 1544, PeakRunning: 43,
-		LaneEvents: 37031, HeapPushes: 48883, Rekeys: 18867, Steps: 45676, PeakPending: 263}); open.Engine != want {
+	if want := (sim.Stats{Events: 85418, Handoffs: 2916, SelfResumes: 1544, PeakRunning: 43,
+		LaneEvents: 36535, HeapPushes: 48883, Rekeys: 18867, Steps: 45180, PeakPending: 25}); open.Engine != want {
 		t.Errorf("open-loop Pagoda cell: Stats = %#v, want %#v", open.Engine, want)
 	}
 
@@ -71,8 +72,8 @@ func TestEngineStatsPinned(t *testing.T) {
 		Scaler: &autoscale.Config{Min: 8, Max: 32, Policy: scaler,
 			Interval: 50_000, Warmup: 200_000, Cooldown: 100_000},
 	}, DefaultConfig(), "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 1263909, Handoffs: 53465, SelfResumes: 10962, PeakRunning: 2287,
-		LaneEvents: 601266, HeapPushes: 662643, Rekeys: 238969, Steps: 715536, PeakPending: 37120}); elastic.Engine != want {
+	if want := (sim.Stats{Events: 1162725, Handoffs: 53465, SelfResumes: 10962, PeakRunning: 2287,
+		LaneEvents: 500082, HeapPushes: 662643, Rekeys: 238969, Steps: 614352, PeakPending: 1408}); elastic.Engine != want {
 		t.Errorf("elastic Pagoda fleet: Stats = %#v, want %#v", elastic.Engine, want)
 	}
 }
@@ -80,7 +81,7 @@ func TestEngineStatsPinned(t *testing.T) {
 // TestClosedFleetsLeaveNoGoroutines: runners close their engine, so after
 // one warm-up run fills the coroutine pool, further one-node Pagoda and
 // GeMTC fleets, and elastic Pagoda and GeMTC fleets whose drained nodes
-// retire with idle stepped warps (MasterKernel executors, SuperKernel
+// retire with idle warps (MasterKernel schedulers, stepped SuperKernel
 // workers), neither start nor strand a goroutine. (The count may drop: an
 // earlier test's goroutines can still be exiting when it is first read.)
 func TestClosedFleetsLeaveNoGoroutines(t *testing.T) {

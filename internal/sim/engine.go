@@ -103,8 +103,9 @@ type Stats struct {
 	SelfResumes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakRunning is the most procs that were ever started but not
 	// finished at once: the peak number of coroutines the engine held. A
-	// stepped proc between Runs does not count: a 32-node Pagoda fleet
-	// has ~49k warps live but peaks at 2,287 (TestEngineStatsPinned).
+	// stepped proc between Runs does not count. A 32-node Pagoda fleet
+	// peaks at 2,287 (TestEngineStatsPinned), which is also its peak of
+	// live procs: its idle executor warps are not procs at all.
 	PeakRunning int64
 	// LaneEvents counts the fired events that came from the same-instant
 	// lane rather than the heap.
