@@ -21,6 +21,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/gpu"
 	"repro/internal/sim"
 )
@@ -119,6 +121,8 @@ func (c Config) validate() {
 		panic("core: invalid Pagoda geometry")
 	case c.NumBarriers <= 0:
 		panic("core: need at least one named barrier")
+	case c.NumBarriers > math.MaxInt8:
+		panic("core: more named barriers than a WarpTable slot can name")
 	case c.SharedPerMTB < c.MinAllocBlock:
 		panic("core: shared arena smaller than allocation granularity")
 	case !buddyShapeOK(c.SharedPerMTB, c.MinAllocBlock):

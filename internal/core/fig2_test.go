@@ -38,8 +38,8 @@ func TestFig2bStateSequence(t *testing.T) {
 		}
 		taRef := slotForTaskID(taID, rt.Cfg.Rows, rt.totalEntries)
 		tbRef := slotForTaskID(tbID, rt.Cfg.Rows, rt.totalEntries)
-		ta := rt.mtbs[taRef.col].entries[taRef.row]
-		tb := rt.mtbs[tbRef.col].entries[tbRef.row]
+		ta := rt.slot(taRef).dev
+		tb := rt.slot(tbRef).dev
 		if tb.id == tbID && tb.ready == int64(taID) {
 			sawTBPointer = true // TB(TA, 0) on the device
 		}
@@ -76,8 +76,8 @@ func TestFig2bStateSequence(t *testing.T) {
 	// Final state: both entries free, Fig. 2b's "TA(0,0)".
 	taRef := slotForTaskID(taID, rt.Cfg.Rows, rt.totalEntries)
 	tbRef := slotForTaskID(tbID, rt.Cfg.Rows, rt.totalEntries)
-	ta := rt.mtbs[taRef.col].entries[taRef.row]
-	tb := rt.mtbs[tbRef.col].entries[tbRef.row]
+	ta := rt.slot(taRef).dev
+	tb := rt.slot(tbRef).dev
 	if ta.ready != readyFree || tb.ready != readyFree {
 		t.Fatalf("entries not freed: TA.ready=%d TB.ready=%d", ta.ready, tb.ready)
 	}

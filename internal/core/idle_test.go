@@ -33,8 +33,10 @@ func TestExecutorWarpsLiveOnlyWhileBusy(t *testing.T) {
 	var sample func()
 	sample = func() {
 		copying, busy := false, 0
-		for _, he := range rt.host {
-			copying = copying || he.h2dInFlight
+		for _, row := range rt.rows {
+			for _, te := range row {
+				copying = copying || te.host.h2dInFlight
+			}
 		}
 		for i := range rt.mtbs {
 			for _, s := range rt.mtbs[i].slots {

@@ -10,27 +10,27 @@ import (
 // while its slot is filled: the scheduler warp starts it on filling the
 // slot, and it ends when it clears exec.
 type warpSlot struct {
-	warpID    int // warp ID within the current task (drives getTid)
-	eNum      int // TaskTable row being executed
-	smNode    int // buddy-allocator handle (0 = no shared memory)
-	smOffset  int // shared-memory start for this threadblock (SMindex)
-	smSize    int
-	barID     int // named-barrier ID, -1 when the task needs no sync
-	exec      bool
 	execSince sim.Time
+	warpID    int32 // warp ID within the current task (drives getTid)
+	eNum      int32 // TaskTable row being executed
+	smNode    int32 // buddy-allocator handle (0 = no shared memory)
+	smOffset  int32 // shared-memory start for this threadblock (SMindex)
+	smSize    int32
+	barID     int8 // named-barrier ID, -1 when the task needs no sync
+	exec      bool
 }
 
 // MTB is one MasterKernel threadblock: a scheduler warp, 31 executor warps,
 // a WarpTable, a 32 KB shared-memory arena with its buddy allocator, and a
-// pool of 16 named barriers. Each MTB owns one TaskTable column. Its column
-// and WarpTable are sub-slices of one array per kind (NewRuntime); its
-// buddy allocator, barriers and arena are made on first use, as most MTBs
-// of a lightly loaded runtime never need them.
+// pool of 16 named barriers. Each MTB owns one TaskTable column, the
+// column of its index (gpu.Ctx.BlockIdx) in every row made so far. Its
+// WarpTable is a sub-slice of one array (NewRuntime); its buddy allocator,
+// barriers and arena are made on first use, as most MTBs of a lightly
+// loaded runtime never need them.
 type MTB struct {
 	rt *Runtime
 
-	entries []deviceEntry // this MTB's TaskTable column (device side)
-	slots   []warpSlot
+	slots []warpSlot
 
 	buddy *Buddy // made by the first allocSM
 	// arena is the real backing store for getSMPtr, allocated zeroed on
@@ -69,9 +69,11 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 		}
 		// One sweep over the column. The 32 scheduler-warp threads scan in
 		// parallel; we charge an aggregated scan cost plus one coalesced
-		// read of the column's state words.
+		// read of the column's state words. The sweeps visit only the rows
+		// made so far, the rest being free, and re-read their count at each
+		// step: a spawn may make one while this warp blocks.
 		c.Compute(rt.Cfg.ScanCost)
-		c.GlobalRead(len(m.entries) * 8)
+		c.GlobalRead(rt.Cfg.Rows * 8)
 		acted := false
 		unresolved := false
 
@@ -79,8 +81,8 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 		// ready field holds a TaskID proves that task's parameters arrived
 		// in an earlier memcpy transaction, so the previous task may now be
 		// marked schedulable.
-		for i := range m.entries {
-			if e := &m.entries[i]; e.ready > 1 {
+		for r := 0; r < len(rt.rows); r++ {
+			if e := &rt.rows[r][c.BlockIdx].dev; e.ready > 1 {
 				if m.resolvePointer(c, e) {
 					acted = true
 				} else {
@@ -90,12 +92,12 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 		}
 
 		// Phase 2 (lines 14-28): schedule entries whose sched flag is set.
-		for i := range m.entries {
+		for r := 0; r < len(rt.rows); r++ {
 			if rt.shutdown {
 				return
 			}
-			if e := &m.entries[i]; e.sched {
-				m.scheduleTask(c, i, e)
+			if e := &rt.rows[r][c.BlockIdx].dev; e.sched {
+				m.scheduleTask(c, r, e)
 				acted = true
 			}
 		}
@@ -125,7 +127,7 @@ func (m *MTB) schedulerLoop(c *gpu.Ctx) {
 func (m *MTB) resolvePointer(c *gpu.Ctx, e *deviceEntry) bool {
 	rt := m.rt
 	prevRef := slotForTaskID(TaskID(e.ready), rt.Cfg.Rows, rt.totalEntries)
-	prev := &rt.mtbs[prevRef.col].entries[prevRef.row]
+	prev := &rt.slot(prevRef).dev
 	switch {
 	case prev.id == TaskID(e.ready) && prev.ready == readyCopied:
 		// S2 sets the previous task's state to (1, 1)...
@@ -158,7 +160,7 @@ func (m *MTB) scheduleTask(c *gpu.Ctx, row int, e *deviceEntry) {
 	c.GlobalWrite(8)
 	e.schedTime = c.Now()
 	wpt := e.spec.warpsPerTB(warpSize)
-	e.doneCtr = e.spec.totalWarps(warpSize)
+	e.doneCtr = int32(e.spec.totalWarps(warpSize))
 
 	if e.spec.SharedMem > 0 || e.spec.Sync {
 		// Schedule warps per threadblock, allocating shared memory and a
@@ -167,7 +169,7 @@ func (m *MTB) scheduleTask(c *gpu.Ctx, row int, e *deviceEntry) {
 			if rt.shutdown {
 				return
 			}
-			barID := -1
+			barID := int8(-1)
 			if e.spec.Sync && wpt > 1 {
 				barID = m.allocBarrier(c, wpt)
 				if barID < 0 {
@@ -192,7 +194,7 @@ func (m *MTB) scheduleTask(c *gpu.Ctx, row int, e *deviceEntry) {
 
 // allocBarrier finds a free named-barrier ID and sizes it for wpt warps,
 // blocking until one of the 16 IDs is recycled. Returns -1 on shutdown.
-func (m *MTB) allocBarrier(c *gpu.Ctx, wpt int) int {
+func (m *MTB) allocBarrier(c *gpu.Ctx, wpt int) int8 {
 	if m.bars == nil {
 		m.bars = make([]gpu.Barrier, m.rt.Cfg.NumBarriers)
 		m.barInUse = make([]bool, len(m.bars))
@@ -208,14 +210,14 @@ func (m *MTB) allocBarrier(c *gpu.Ctx, wpt int) int {
 				m.barInUse[id] = true
 				m.bars[id].Reset(wpt)
 				c.SharedWrite(8)
-				return id
+				return int8(id)
 			}
 		}
 		m.barFreed.Wait(c.Proc())
 	}
 }
 
-func (m *MTB) releaseBarrier(c *gpu.Ctx, id int) {
+func (m *MTB) releaseBarrier(c *gpu.Ctx, id int8) {
 	m.barInUse[id] = false
 	c.SharedWrite(8)
 	m.barFreed.Pulse()
@@ -251,7 +253,7 @@ func (m *MTB) allocSM(c *gpu.Ctx, size int) (node, offset int, ok bool) {
 // warps in parallel until `count` warps are scheduled, synchronizing each
 // sweep with a warp vote (_all) rather than __syncthreads. Filling a slot
 // starts its executor warp.
-func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID, count int) {
+func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize int, barID int8, count int) {
 	scheduled := 0
 	for scheduled < count {
 		if m.rt.shutdown {
@@ -267,9 +269,9 @@ func (m *MTB) pSched(c *gpu.Ctx, baseWarp, eNum, smNode, smOffset, smSize, barID
 				continue
 			}
 			c.Compute(2) // atomicDec(warpCtr) in shared memory + slot fill
-			s.warpID = baseWarp + scheduled
-			s.eNum = eNum
-			s.smNode, s.smOffset, s.smSize = smNode, smOffset, smSize
+			s.warpID = int32(baseWarp + scheduled)
+			s.eNum = int32(eNum)
+			s.smNode, s.smOffset, s.smSize = int32(smNode), int32(smOffset), int32(smSize)
 			s.barID = barID
 			c.ThreadfenceBlock()
 			s.exec = true
@@ -323,7 +325,7 @@ func (m *MTB) runTaskKernel(tc *TaskCtx, e *deviceEntry) {
 func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 	rt := m.rt
 	c.SharedRead(32) // read the WarpTable slot
-	e := &m.entries[s.eNum]
+	e := &rt.rows[s.eNum][c.BlockIdx].dev
 	c.GlobalRead(32) // fetch the task's kernel pointer and arguments
 
 	var bar *gpu.Barrier
@@ -331,18 +333,18 @@ func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 		bar = &m.bars[s.barID]
 	}
 	tc := c.Task()
-	tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, s.warpID, bar, e.spec.Args)
+	tc.BindWarp(c, e.spec.Threads, e.spec.Blocks, int(s.warpID), bar, e.spec.Args)
 	if s.smSize > 0 {
-		tc.UseArena(&m.arena, rt.Cfg.SharedPerMTB, s.smOffset, s.smSize)
+		tc.UseArena(&m.arena, rt.Cfg.SharedPerMTB, int(s.smOffset), int(s.smSize))
 	}
 	m.runTaskKernel(tc, e) // the warp executes the task as a subroutine
 
 	// Epilogue (lines 34-43), performed by one thread per warp.
 	wpt := e.spec.warpsPerTB(c.WarpSize())
-	lastInBlock := (s.warpID+1)%wpt == 0
+	lastInBlock := (int(s.warpID)+1)%wpt == 0
 	if lastInBlock {
 		if s.smNode != 0 {
-			m.buddy.MarkForDealloc(s.smNode)
+			m.buddy.MarkForDealloc(int(s.smNode))
 			c.SharedWrite(8)
 			m.smemFreed.Pulse()
 		}
@@ -357,7 +359,7 @@ func (m *MTB) execute(c *gpu.Ctx, s *warpSlot) {
 		e.ready = readyFree // free the task entry
 		c.GlobalWrite(8)
 		e.endTime = c.Now()
-		rt.taskFinished(e)
+		rt.taskFinished(c.BlockIdx, e)
 	}
 	s.exec = false
 	rt.busyWarpIntegral += c.Now() - s.execSince

@@ -73,8 +73,7 @@ func TestProtocolInvariantUnderRandomLoad(t *testing.T) {
 			}
 			ref := rt.findFreeEntry(p)
 			// Invariant: the entry the CPU chose is not running on the GPU.
-			de := rt.mtbs[ref.col].entries[ref.row]
-			he := rt.host[ref.globalIndex(rt.Cfg.Rows)]
+			de, he := rt.slot(ref).dev, rt.slot(ref).host
 			if he.id != 0 && de.id == he.id && de.ready != readyFree {
 				violations++
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -16,9 +17,14 @@ type Runtime struct {
 	Ctx *cuda.Context
 	Cfg Config
 
-	mtbs         []MTB
-	host         []hostEntry // CPU TaskTable mirror, by entryRef.globalIndex
-	gens         []int64     // per-slot generation counters (TaskID construction)
+	mtbs []MTB
+	// rows are the TaskTable rows a spawn has reached, each made when
+	// findFreeEntry first reaches it and never moved, as scheduler warps
+	// and spawn copies hold its entries across blocking calls. The scan is
+	// row-major and stops at the first free entry, so they are always rows
+	// 0 to len(rows)-1; a row not made yet holds free entries only, and
+	// every reader treats it so. Modelled costs charge the full table.
+	rows         [][]tableEntry
 	totalEntries int
 
 	spawnStream *cuda.Stream // pipelined per-entry parameter copies
@@ -75,28 +81,21 @@ type Runtime struct {
 }
 
 // NewRuntime builds the runtime and launches the MasterKernel, which
-// acquires every warp of the device (§4.1). One MTB column of the TaskTable
-// is created per MTB; the columns and the WarpTables are sub-slices of one
-// array each.
+// acquires every warp of the device (§4.1). Each MTB owns one column of
+// the TaskTable, whose rows are made as spawns reach them; the WarpTables
+// are sub-slices of one array.
 func NewRuntime(ctx *cuda.Context, cfg Config) *Runtime {
 	cfg.validate()
 	rt := &Runtime{Eng: ctx.Eng, Ctx: ctx, Cfg: cfg}
 	numMTBs := cfg.MTBsPerSMM * ctx.Dev.Cfg.NumSMMs
 	rt.totalEntries = numMTBs * cfg.Rows
 	rt.mtbs = make([]MTB, numMTBs)
-	rt.host = make([]hostEntry, rt.totalEntries)
-	rt.gens = make([]int64, rt.totalEntries)
-	entries := make([]deviceEntry, rt.totalEntries)
 	warps := cfg.ExecutorWarpsPerMTB()
 	slots := make([]warpSlot, numMTBs*warps)
 	site := gpu.NewAtomicSite(ctx.Dev.Cfg.AtomicSharedLatency)
 	for i := range rt.mtbs {
 		m := &rt.mtbs[i]
 		m.rt, m.ctrSite = rt, *site
-		m.entries = entries[i*cfg.Rows : (i+1)*cfg.Rows : (i+1)*cfg.Rows]
-		for r := range m.entries {
-			m.entries[r].col, m.entries[r].row = i, r
-		}
 		m.slots = slots[i*warps : (i+1)*warps : (i+1)*warps]
 		for j := range m.slots {
 			m.slots[j].barID = -1
@@ -164,6 +163,8 @@ func (rt *Runtime) validateSpec(spec TaskSpec) {
 		panic(fmt.Sprintf("core: TaskSpawn with threads=%d blocks=%d", spec.Threads, spec.Blocks))
 	case spec.Threads > maxThreads:
 		panic(fmt.Sprintf("core: task threadblock of %d threads exceeds the %d executor lanes of an MTB", spec.Threads, maxThreads))
+	case spec.Blocks > math.MaxInt32/spec.warpsPerTB(warpSize):
+		panic(fmt.Sprintf("core: task of %d threadblocks exceeds the warps a TaskTable entry can count", spec.Blocks))
 	case spec.SharedMem < 0 || spec.SharedMem > rt.Cfg.SharedPerMTB:
 		panic(fmt.Sprintf("core: task shared memory %d exceeds the %d-byte MTB arena", spec.SharedMem, rt.Cfg.SharedPerMTB))
 	}
@@ -185,11 +186,12 @@ func (rt *Runtime) TaskSpawn(host *sim.Proc, spec TaskSpec) TaskID {
 	}
 
 	ref := rt.findFreeEntry(host)
-	g := ref.globalIndex(rt.Cfg.Rows)
-	id := taskIDFor(rt.gens[g], g, rt.totalEntries)
-	rt.gens[g]++
-
-	he := &rt.host[g]
+	te := rt.slot(ref)
+	he := &te.host
+	id := taskIDFor(0, ref.globalIndex(rt.Cfg.Rows), rt.totalEntries)
+	if he.id != 0 {
+		id = he.id + TaskID(rt.totalEntries) // the slot's next generation
+	}
 	he.id = id
 	he.h2dInFlight = true
 	if rt.nextTaskSeq == 0 {
@@ -206,7 +208,7 @@ func (rt *Runtime) TaskSpawn(host *sim.Proc, spec TaskSpec) TaskID {
 	spawnTime := rt.Eng.Now()
 	host.Sleep(200) // host-side work: fill the CPU entry, bump stream
 
-	dst := &rt.mtbs[ref.col].entries[ref.row]
+	dst := &te.dev
 	rt.spawnStream.MemcpyH2DPipelined(host, rt.entrySize(spec), func() {
 		// The entry materializes in device memory: parameters plus state.
 		dst.id = id
@@ -227,14 +229,19 @@ func (rt *Runtime) TaskSpawn(host *sim.Proc, spec TaskSpec) TaskID {
 // leave most of the MasterKernel idle at low task counts). When all CPU-side
 // ready fields are non-zero it forces the lazy aggregate copy-back of the
 // whole table (§4.2, "Lazy Aggregate TaskTable Updates") and retries,
-// sleeping between attempts while the GPU catches up.
+// sleeping between attempts while the GPU catches up. Every entry the scan
+// passes is busy, so the first row not made yet is the next one: the scan
+// makes it on reaching it.
 func (rt *Runtime) findFreeEntry(host *sim.Proc) entryRef {
 	cols := len(rt.mtbs)
 	for {
 		for i := 0; i < rt.totalEntries; i++ {
 			s := (rt.rrCursor + i) % rt.totalEntries
 			ref := entryRef{col: s % cols, row: s / cols}
-			he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
+			if ref.row == len(rt.rows) {
+				rt.rows = append(rt.rows, make([]tableEntry, cols))
+			}
+			he := &rt.rows[ref.row][ref.col].host
 			if he.ready == readyFree && !he.h2dInFlight {
 				rt.rrCursor = (s + 1) % rt.totalEntries
 				return ref
@@ -249,10 +256,24 @@ func (rt *Runtime) findFreeEntry(host *sim.Proc) entryRef {
 	}
 }
 
+// slot returns the entry ref names, or nil while no spawn has reached its
+// row.
+func (rt *Runtime) slot(ref entryRef) *tableEntry {
+	if ref.row >= len(rt.rows) {
+		return nil
+	}
+	return &rt.rows[ref.row][ref.col]
+}
+
 func (rt *Runtime) anyFree() bool {
-	for i := range rt.host {
-		if he := &rt.host[i]; he.ready == readyFree && !he.h2dInFlight {
-			return true
+	if len(rt.rows) < rt.Cfg.Rows {
+		return true // a row not made yet is free
+	}
+	for _, row := range rt.rows {
+		for c := range row {
+			if he := &row[c].host; he.ready == readyFree && !he.h2dInFlight {
+				return true
+			}
 		}
 	}
 	return false
@@ -263,10 +284,9 @@ func (rt *Runtime) anyFree() bool {
 func (rt *Runtime) copyBackAll(host *sim.Proc) {
 	rt.Ctx.MemcpyD2HSync(host, rt.totalEntries*rt.Cfg.EntryBytes)
 	rt.CopyBacks++
-	for c := range rt.mtbs {
-		col := rt.mtbs[c].entries
-		for r := range col {
-			rt.applyCopyBack(entryRef{c, r}, &col[r])
+	for _, row := range rt.rows {
+		for c := range row {
+			rt.applyCopyBack(&row[c])
 		}
 	}
 }
@@ -275,11 +295,11 @@ func (rt *Runtime) copyBackAll(host *sim.Proc) {
 func (rt *Runtime) copyBackEntry(host *sim.Proc, ref entryRef) {
 	rt.Ctx.MemcpyD2HSync(host, rt.Cfg.EntryBytes)
 	rt.CopyBacks++
-	rt.applyCopyBack(ref, &rt.mtbs[ref.col].entries[ref.row])
+	rt.applyCopyBack(rt.slot(ref))
 }
 
-func (rt *Runtime) applyCopyBack(ref entryRef, de *deviceEntry) {
-	he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
+func (rt *Runtime) applyCopyBack(te *tableEntry) {
+	he, de := &te.host, &te.dev
 	if he.h2dInFlight {
 		return // the spawn copy has not arrived; the device view is stale
 	}
@@ -305,11 +325,11 @@ func (rt *Runtime) flushLast(host *sim.Proc) {
 		return
 	}
 	ref := slotForTaskID(target, rt.Cfg.Rows, rt.totalEntries)
-	he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
+	te := rt.slot(ref)
+	he, de := &te.host, &te.dev
 	if he.h2dInFlight || he.id != target {
 		return
 	}
-	de := &rt.mtbs[ref.col].entries[ref.row]
 	rt.Ctx.MemcpyD2HSync(host, rt.Cfg.EntryBytes)
 	rt.CopyBacks++
 	switch {
@@ -330,17 +350,17 @@ func (rt *Runtime) flushLast(host *sim.Proc) {
 		// The entry still holds its pipelining pointer (ready = prev TaskID):
 		// the GPU scheduler has not resolved it yet. Retry on the next flush.
 	}
-	rt.applyCopyBack(ref, de)
+	rt.applyCopyBack(te)
 }
 
 // taskDone consults only the CPU mirror (the host cannot see device memory
 // without a copy).
 func (rt *Runtime) taskDone(id TaskID) bool {
-	ref := slotForTaskID(id, rt.Cfg.Rows, rt.totalEntries)
-	he := &rt.host[ref.globalIndex(rt.Cfg.Rows)]
-	if he.id != id {
-		return true // the entry was recycled: the task completed long ago
+	te := rt.slot(slotForTaskID(id, rt.Cfg.Rows, rt.totalEntries))
+	if te == nil || te.host.id != id {
+		return true // the entry was recycled (the task completed long ago) or never used
 	}
+	he := &te.host
 	return he.ready == readyFree && !he.h2dInFlight
 }
 
@@ -395,22 +415,24 @@ func (rt *Runtime) WaitAll(host *sim.Proc) {
 }
 
 func (rt *Runtime) allIdle() bool {
-	for i := range rt.host {
-		if he := &rt.host[i]; he.ready != readyFree || he.h2dInFlight {
-			return false
+	for _, row := range rt.rows {
+		for c := range row {
+			if he := &row[c].host; he.ready != readyFree || he.h2dInFlight {
+				return false
+			}
 		}
 	}
 	return true
 }
 
 // taskFinished records completion metrics; called by the last executor warp
-// of a task.
-func (rt *Runtime) taskFinished(e *deviceEntry) {
+// of a task, which runs on the MTB owning column col.
+func (rt *Runtime) taskFinished(col int, e *deviceEntry) {
 	rt.deviceCompleted++
 	if rt.Trace.Enabled() {
 		rt.Trace.Add(trace.Span{
 			Name: trace.SpanName("task", int64(e.id)), Cat: "task",
-			Track: fmt.Sprintf("MTB%02d", e.col),
+			Track: fmt.Sprintf("MTB%02d", col),
 			Start: e.spawnTime, End: e.endTime,
 			Args: map[string]string{"sched_delay_ns": fmt.Sprintf("%.0f", e.schedTime-e.spawnTime)},
 		})

@@ -13,13 +13,22 @@ import (
 // CUDA context and runtime.
 func testSystem(t *testing.T, smms int) (*sim.Engine, *Runtime) {
 	t.Helper()
+	return testSystemCfg(t, smms, func(*Config) {})
+}
+
+// testSystemCfg is testSystem with the runtime's DefaultConfig edited by
+// edit.
+func testSystemCfg(t *testing.T, smms int, edit func(*Config)) (*sim.Engine, *Runtime) {
+	t.Helper()
 	eng := sim.New()
 	gcfg := gpu.TitanX()
 	gcfg.NumSMMs = smms
 	dev := gpu.NewDevice(eng, gcfg)
 	bus := pcie.New(eng, pcie.Default())
 	ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
-	rt := NewRuntime(ctx, DefaultConfig())
+	cfg := DefaultConfig()
+	edit(&cfg)
+	rt := NewRuntime(ctx, cfg)
 	return eng, rt
 }
 

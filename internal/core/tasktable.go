@@ -62,18 +62,16 @@ func (s TaskSpec) totalWarps(warpSize int) int {
 // directly; it learns its state through explicit copy-backs (the mirrors may
 // disagree at any instant, exactly as in Fig. 2b).
 type deviceEntry struct {
-	col, row int
-
 	ready int64
-	sched bool
 	id    TaskID
 	spec  TaskSpec
-
-	doneCtr int // remaining warps; the last one frees the entry
 
 	spawnTime sim.Time
 	schedTime sim.Time
 	endTime   sim.Time
+
+	doneCtr int32 // remaining warps; the last one frees the entry
+	sched   bool
 }
 
 // hostEntry is the CPU-side mirror of one entry.
@@ -81,6 +79,14 @@ type hostEntry struct {
 	ready       int64
 	id          TaskID
 	h2dInFlight bool // spawn copy enqueued but not yet delivered
+}
+
+// tableEntry is one TaskTable slot: the device entry and its CPU mirror.
+// The runtime makes them a row at a time, one entry per MTB column, when a
+// spawn first reaches the row (Runtime.findFreeEntry).
+type tableEntry struct {
+	dev  deviceEntry
+	host hostEntry
 }
 
 // entryRef addresses one TaskTable slot.
@@ -91,7 +97,9 @@ func (r entryRef) globalIndex(rows int) int { return r.col*rows + r.row }
 
 // taskIDFor builds a TaskID for generation gen of the given slot. The slot
 // index is recoverable as (id-2) mod totalEntries, which is how the GPU
-// scheduler resolves the pipelining pointer without a side table.
+// scheduler resolves the pipelining pointer without a side table, and a
+// slot's next generation is its last TaskID plus totalEntries, so the CPU
+// mirror's id is the slot's generation counter.
 func taskIDFor(gen int64, global, totalEntries int) TaskID {
 	return firstTaskID + TaskID(gen*int64(totalEntries)+int64(global))
 }
@@ -103,5 +111,5 @@ func slotForTaskID(id TaskID, rows, totalEntries int) entryRef {
 }
 
 func (e *deviceEntry) String() string {
-	return fmt.Sprintf("entry[%d,%d]{id=%d ready=%d sched=%v}", e.col, e.row, e.id, e.ready, e.sched)
+	return fmt.Sprintf("entry{id=%d ready=%d sched=%v}", e.id, e.ready, e.sched)
 }

@@ -169,9 +169,8 @@ func TestCtxSize(t *testing.T) {
 
 // TestWarpSize pins a resident warp: its proc and its Ctx. A device reuses
 // the warps of finished threadblocks, so these bytes are paid once per warp
-// of the device's peak, not once per warp launched. A Pagoda MTB's 32 warps
-// (6,656 B plus the 8-byte header of a large object with pointers) take the
-// 6,784-byte allocation size class; 8 B more per warp would take 8,192.
+// of the device's peak, not once per warp launched; the warps one dispatch
+// adds are one array.
 func TestWarpSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")

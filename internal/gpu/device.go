@@ -116,8 +116,8 @@ type threadBlock struct {
 // warp is one resident warp: the process that runs it and the Ctx its
 // kernel function sees, which names its threadblock. A warp that exits goes
 // to its device's free list, and a later threadblock's warp reuses it;
-// warps are allocated only when the list runs short, a threadblock's
-// shortfall in one array. startWarps rewrites the whole Ctx, so while the
+// warps are allocated only when the list runs short, a dispatch's
+// shortfall in one array. startWarp rewrites the whole Ctx, so while the
 // warp is free its ctx.w, otherwise the warp itself, links the next free
 // warp, and the list costs no storage of its own.
 type warp struct {
@@ -273,7 +273,7 @@ type Device struct {
 	recID uint32
 
 	// free heads the list of exited warps whose procs have finished, for
-	// startWarps to reuse. A warp is allocated only when it runs short, so
+	// startWarp to reuse. A warp is allocated only when it runs short, so
 	// the list never holds more than the device's peak resident warps plus
 	// the one exiting while warpDone places the next threadblock.
 	free *warp
@@ -367,14 +367,16 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 // tryDispatch places queued threadblocks in FIFO order until the head no
 // longer fits anywhere (head-of-line blocking, matching the hardware
 // threadblock scheduler the paper contrasts with warp-level scheduling).
+// It then starts the placed blocks' live warps (warp 0 alone for an
+// OnDemand kernel) block by block, on warps from the free list topped up
+// with one new array for the whole shortfall.
 func (d *Device) tryDispatch() {
-	for d.pending.Len() > 0 {
-		tb := d.pending.Peek()
+	placed, live := 0, 0
+	for _, tb := range d.pending.Items() {
 		smm := d.pickSMM(tb.kernel.Spec)
 		if smm == nil {
-			return
+			break
 		}
-		d.pending.Pop()
 		smm.place(tb)
 		tb.placedAt = d.Eng.Now()
 		k := tb.kernel
@@ -382,7 +384,23 @@ func (d *Device) tryDispatch() {
 			k.started = true
 			k.StartTime = d.Eng.Now()
 		}
-		d.startWarps(tb)
+		placed++
+		live += tb.warpsLeft
+	}
+	var fresh []warp
+	for ; placed > 0; placed-- {
+		tb := d.pending.Pop()
+		for i := 0; i < tb.warpsLeft; i++ {
+			w := d.popFree()
+			if w == nil {
+				if len(fresh) == 0 {
+					fresh = make([]warp, live)
+				}
+				w, fresh = &fresh[0], fresh[1:]
+			}
+			d.startWarp(w, tb, i)
+			live--
+		}
 	}
 }
 
@@ -399,24 +417,6 @@ func (d *Device) pickSMM(spec LaunchSpec) *SMM {
 		}
 	}
 	return best
-}
-
-// startWarps starts one simulation process per live warp of a placed
-// threadblock (warp 0 alone for an OnDemand kernel), on warps from the free
-// list, topped up with new ones.
-func (d *Device) startWarps(tb *threadBlock) {
-	n := tb.warpsLeft
-	var fresh []warp
-	for i := 0; i < n; i++ {
-		w := d.popFree()
-		if w == nil {
-			if len(fresh) == 0 {
-				fresh = make([]warp, n-i)
-			}
-			w, fresh = &fresh[0], fresh[1:]
-		}
-		d.startWarp(w, tb, i)
-	}
 }
 
 // popFree takes the head of the free list, or nil when it is empty.

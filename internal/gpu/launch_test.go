@@ -14,11 +14,18 @@ import (
 // block, if it syncs, its barrier's waiter storage, sized once. The warps
 // (each warp's Proc and Ctx) are the last launch's, and a wider grid reuses
 // the last one's threadblock array, barriers' waiter storage included.
+//
+// A cold launch, the first on a fresh device, also allocates its
+// threadblock array, the device's dispatch queue and the SMMs' issue-share
+// request storage, and its warps: one array for every warp the dispatch
+// starts, however many blocks it places (a block per array would cost the
+// 32-block grid 31 more allocations and the OnDemand grid 3 more).
 func TestLaunchAllocationsPinned(t *testing.T) {
 	for _, tc := range []struct {
-		grid, threads int
-		sync          bool
-		want          float64
+		grid, threads  int
+		sync, onDemand bool
+		cold           bool
+		want           float64
 	}{
 		{grid: 1, threads: 32, want: 1},              // Kernel
 		{grid: 1, threads: 128, want: 1},             // 4 warps, all reused
@@ -26,12 +33,22 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 		{grid: 1, threads: 128, sync: true, want: 2}, // + barrier waiters
 		{grid: 4, threads: 128, want: 1},             // threadblock array reused
 		{grid: 4, threads: 128, sync: true, want: 1}, // and its barriers' waiters
+		{grid: 4, threads: 128, cold: true, want: 14},
+		{grid: 32, threads: 128, cold: true, want: 23},                 // 128 warps in one array
+		{grid: 4, threads: 1024, onDemand: true, cold: true, want: 10}, // warp 0 of each block
 	} {
-		t.Run(fmt.Sprintf("grid%d_threads%d_sync%v", tc.grid, tc.threads, tc.sync), func(t *testing.T) {
+		name := fmt.Sprintf("grid%d_threads%d_sync%v", tc.grid, tc.threads, tc.sync)
+		if tc.onDemand {
+			name += "_ondemand"
+		}
+		if tc.cold {
+			name += "_cold"
+		}
+		t.Run(name, func(t *testing.T) {
 			eng := sim.New()
 			t.Cleanup(eng.Close)
 			dev := NewDevice(eng, testCfg())
-			spec := LaunchSpec{Name: "pin", GridDim: tc.grid, BlockThreads: tc.threads}
+			spec := LaunchSpec{Name: "pin", GridDim: tc.grid, BlockThreads: tc.threads, OnDemand: tc.onDemand}
 			spec.Fn = func(c *Ctx) {
 				c.Compute(4)
 				if tc.sync {
@@ -40,10 +57,19 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 					task.SyncBlock()
 				}
 			}
-			got := testing.AllocsPerRun(20, func() {
-				dev.Launch(spec)
-				eng.Run()
-			})
+			var got float64
+			if tc.cold {
+				device := testing.AllocsPerRun(20, func() { NewDevice(eng, testCfg()) })
+				got = testing.AllocsPerRun(20, func() {
+					NewDevice(eng, testCfg()).Launch(spec)
+					eng.Run()
+				}) - device
+			} else {
+				got = testing.AllocsPerRun(20, func() {
+					dev.Launch(spec)
+					eng.Run()
+				})
+			}
 			if got != tc.want {
 				warps := tc.grid * spec.WarpsPerTB(dev.Cfg)
 				t.Errorf("launch allocates %v (%.2f per warp over %d warps), want %v",

@@ -150,9 +150,7 @@ func (e *Engine) newEvent(at Time) *event {
 
 // allocEvent takes a pooled entry keyed (at, next seq) without queueing it.
 func (e *Engine) allocEvent(at Time) *event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule in the past: %v < %v", at, e.now))
-	}
+	e.checkAt(at)
 	if len(e.pool) == 0 {
 		chunk := make([]event, eventChunk)
 		for i := range chunk {
@@ -167,6 +165,18 @@ func (e *Engine) allocEvent(at Time) *event {
 	ev.at = at
 	ev.seq = e.seq
 	return ev
+}
+
+// checkAt panics unless at is an instant an event may take: not before
+// now, and not NaN. A NaN key compares false with every other, so it would
+// break the heap's order and fire out of turn.
+func (e *Engine) checkAt(at Time) {
+	if !(at >= e.now) {
+		if at != at {
+			panic(fmt.Sprintf("sim: schedule at NaN (now %v)", e.now))
+		}
+		panic(fmt.Sprintf("sim: schedule in the past: %v < %v", at, e.now))
+	}
 }
 
 // notePending records a new high-water mark of queued events.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -71,6 +73,81 @@ func TestScheduleInPastPanics(t *testing.T) {
 		e.ScheduleAt(5, func() {})
 	})
 	e.Run()
+}
+
+// nanStepper chains one stage whose StepAfter delay is NaN.
+type nanStepper struct {
+	proc Proc
+	got  any
+}
+
+func (s *nanStepper) Run(p *Proc) {
+	defer func() { s.got = recover() }()
+	p.Chain(1, 0)
+}
+
+func (s *nanStepper) Step(uint64) { s.proc.StepAfter(Time(math.NaN()), 1) }
+
+func (s *nanStepper) String() string { return "nan-stepper" }
+
+// TestNaNInstantsPanic: an event keyed at NaN would compare false with
+// every other, fire out of turn and leave the clock at NaN, so every way
+// to queue one panics naming it: Schedule, Timer.ResetAt (armed or not),
+// Proc.Sleep and WakeAfter, a chain's StepAfter, and Share.Acquire of NaN
+// work, whose completion instant is NaN.
+func TestNaNInstantsPanic(t *testing.T) {
+	nan := Time(math.NaN())
+	inProc := func(body func(e *Engine, p *Proc)) func(e *Engine) any {
+		return func(e *Engine) (got any) {
+			e.Spawn("nan", func(p *Proc) {
+				defer func() { got = recover() }()
+				body(e, p)
+			})
+			e.Run()
+			return got
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine) any
+	}{
+		{"Schedule", func(e *Engine) (got any) {
+			defer func() { got = recover() }()
+			e.Schedule(5, func() {})
+			e.Schedule(nan, func() {})
+			return nil
+		}},
+		{"TimerResetAt", func(e *Engine) (got any) {
+			defer func() { got = recover() }()
+			NewTimer(e, func() {}).ResetAt(nan)
+			return nil
+		}},
+		{"ArmedTimerResetAt", func(e *Engine) (got any) {
+			defer func() { got = recover() }()
+			tm := NewTimer(e, func() {})
+			tm.ResetAt(3)
+			tm.ResetAt(nan)
+			return nil
+		}},
+		{"Sleep", inProc(func(_ *Engine, p *Proc) { p.Sleep(nan) })},
+		{"WakeAfter", inProc(func(_ *Engine, p *Proc) { p.WakeAfter(nan) })},
+		{"StepAfter", func(e *Engine) any {
+			s := &nanStepper{}
+			e.Start(&s.proc, s)
+			e.Run()
+			return s.got
+		}},
+		{"ShareAcquire", inProc(func(e *Engine, p *Proc) { NewShare(e, 1, 1).Acquire(p, math.NaN()) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			defer e.Close()
+			got, _ := tc.run(e).(string)
+			if !strings.HasPrefix(got, "sim: schedule at NaN") {
+				t.Fatalf("panic %q, want one naming a schedule at NaN", got)
+			}
+		})
+	}
 }
 
 func TestRunUntil(t *testing.T) {

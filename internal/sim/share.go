@@ -164,8 +164,10 @@ func (s *Share) Chain(p *Proc, work float64, next uint8) bool {
 
 // ChainEnd ends p's chain (Proc.Chain) with a request for `work` units:
 // p resumes once they are served, exactly as from an Acquire of the same
-// work. work must be positive (or NaN, which Acquire also queues): an end
-// with nothing to serve is ResumeAfter(0), which takes an event of its own.
+// work. work must be positive: an end with nothing to serve is
+// ResumeAfter(0), which takes an event of its own. NaN work passes this
+// check, as it passes Acquire's, and panics once the share's timer is
+// armed for it (Engine.checkAt).
 func (s *Share) ChainEnd(p *Proc, work float64) {
 	if p.stage == 0 {
 		panic(fmt.Sprintf("sim: proc %q ended a chain it is not in", p.Name()))

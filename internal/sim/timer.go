@@ -49,9 +49,7 @@ func (t *Timer) ResetForward(delay Time) {
 func (t *Timer) ResetAt(at Time) {
 	e := t.eng
 	if t.ev != nil {
-		if at < e.now {
-			panic("sim: timer reset in the past")
-		}
+		e.checkAt(at)
 		e.seq++
 		t.ev.at = at
 		t.ev.seq = e.seq
