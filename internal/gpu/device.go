@@ -286,6 +286,12 @@ type Device struct {
 func NewDevice(eng *sim.Engine, cfg Config) *Device {
 	cfg.Validate()
 	d := &Device{Eng: eng, Cfg: cfg, caps: physCaps(cfg), createdAt: eng.Now()}
+	// The fixed latencies a warp waits (Ctx.latency's four, and the two
+	// atomic sites' service times) get lanes of their own in the engine.
+	for _, lat := range [...]float64{cfg.GlobalLatency, cfg.GlobalLatency / 8, cfg.SharedLatency,
+		cfg.SharedLatency / 2, cfg.AtomicGlobalLatency, cfg.AtomicSharedLatency} {
+		eng.RegisterDelay(lat)
+	}
 	d.membw = sim.NewShare(eng, cfg.MemBandwidth, math.Inf(1))
 	d.SMMs = make([]*SMM, cfg.NumSMMs)
 	for i := range d.SMMs {

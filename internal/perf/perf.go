@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 )
 
 // Directions: whether a larger measured value is better or worse.
@@ -32,7 +33,8 @@ const (
 const (
 	// KindBench parses `go test -bench` output: Extract.Bench names the
 	// benchmark (sub-benchmarks as "BenchmarkOpenLoop/pagoda") and
-	// Extract.Field the column ("ns/op" default, "allocs/op", "B/op").
+	// Extract.Field the column ("ns/op" default, "allocs/op", "B/op", or a
+	// per-task count a benchmark reports, such as "events/task").
 	KindBench = "bench"
 	// KindReport parses pagodabench -format json output (one document or an
 	// array): Extract.Exp selects the report by id ("" accepts a single
@@ -132,7 +134,9 @@ func (s *Suite) Validate() error {
 			switch e.Field {
 			case "", "ns/op", "allocs/op", "B/op":
 			default:
-				return fmt.Errorf("perf: bench metric %q field %q is not ns/op, allocs/op or B/op", m.Name, e.Field)
+				if !strings.HasSuffix(e.Field, "/task") {
+					return fmt.Errorf("perf: bench metric %q field %q is not ns/op, allocs/op, B/op or a per-task count", m.Name, e.Field)
+				}
 			}
 		case KindReport:
 			if e.Key == "" {

@@ -239,6 +239,11 @@ func TestValidate(t *testing.T) {
 	if err := number.Validate(); err != nil {
 		t.Errorf("number metric rejected: %v", err)
 	}
+	perTask := &Suite{Suite: "s", Metrics: []*Metric{{Name: "m", Command: "c", Direction: Lower,
+		Extract: Extract{Kind: KindBench, Bench: "B/shape", Field: "events/task"}}}}
+	if err := perTask.Validate(); err != nil {
+		t.Errorf("per-task bench metric rejected: %v", err)
+	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: Validate() = nil, want error: %+v", i, s)

@@ -19,39 +19,72 @@ import (
 // Re-capture them only for an intentional change to how the model
 // schedules work, and say why. A task kernel's cost ops are recorded on a
 // tape and replayed as chained steps, so a task warp resumes once per tape
-// (per SyncBlock segment), not once per op; LaneEvents + HeapPushes counts
-// every event queued. The MasterKernel and the GeMTC SuperKernel are
-// stepped launches: a warp waits on the event loop, counted as steps, and
-// takes a coroutine (a handoff) only to run a task's body or, for
-// Pagoda's scheduler warp, its loop. The MasterKernel is also OnDemand:
-// an executor warp is started, one event, only when its scheduler fills
-// its WarpTable slot, and ends with its task, so an idle executor costs no
-// event at launch or at Shutdown.
+// (per SyncBlock segment), not once per op; LaneEvents + HeapPushes +
+// DelayPushes counts every event queued. The GPU model's fixed latencies
+// have fixed-delay lanes (sim.Engine.RegisterDelay), so HeapPushes +
+// DelayPushes is exactly the HeapPushes of an engine without them, and
+// every other count is the same. The MasterKernel and the GeMTC
+// SuperKernel are stepped launches: a warp waits on the event loop,
+// counted as steps, and takes a coroutine (a handoff) only to run a task's
+// body or, for Pagoda's scheduler warp, its loop. The MasterKernel is also
+// OnDemand: an executor warp is started, one event, only when its
+// scheduler fills its WarpTable slot, and ends with its task, so an idle
+// executor costs no event at launch or at Shutdown.
 func TestEngineStatsPinned(t *testing.T) {
+	for _, sh := range engineShapes(t) {
+		if got := sh.run(); got != sh.want {
+			t.Errorf("%s: Stats = %#v, want %#v", sh.name, got, sh.want)
+		}
+	}
+}
+
+// BenchmarkEngineCounts reports the engine's work per task in three of
+// TestEngineStatsPinned's shapes (the fig5 Pagoda cell, the open-loop
+// Pagoda cell and the elastic fleet), so pagodaperf can gate the counts
+// beside its timings:
+//
+//	go test -bench=BenchmarkEngineCounts -benchtime=1x -run='^$' ./internal/runners/
+func BenchmarkEngineCounts(b *testing.B) {
+	for _, sh := range engineShapes(b) {
+		if sh.name == "gemtc_open_loop" {
+			continue
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			var st sim.Stats
+			for i := 0; i < b.N; i++ {
+				st = sh.run()
+			}
+			n := float64(sh.tasks)
+			for _, m := range []struct {
+				v    int64
+				unit string
+			}{
+				{st.Events, "events/task"}, {st.HeapPushes, "heap_pushes/task"},
+				{st.DelayPushes, "delay_pushes/task"}, {st.LaneEvents, "lane_events/task"},
+				{st.Rekeys, "rekeys/task"}, {st.Steps, "steps/task"}, {st.Handoffs, "handoffs/task"},
+			} {
+				b.ReportMetric(float64(m.v)/n, m.unit)
+			}
+		})
+	}
+}
+
+// engineShape is one fleet run whose engine counts are pinned.
+type engineShape struct {
+	name  string
+	tasks int
+	run   func() sim.Stats
+	want  sim.Stats
+}
+
+func engineShapes(tb testing.TB) []engineShape {
 	mb, _ := workloads.ByName("MB")
 	cfg := DefaultConfig()
 	cfg.SMMs = 8
-	tasks := mb.Make(workloads.Options{Tasks: 256, Threads: 128, Seed: 1})
-	_, closed := runFleet(tasks, ClusterOpenLoop{Arrivals: make([]sim.Time, len(tasks)), closedLoop: true},
-		cfg, "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 548688, Handoffs: 51522, SelfResumes: 9232, PeakRunning: 468,
-		LaneEvents: 228914, HeapPushes: 319774, Rekeys: 157213, Steps: 262160, PeakPending: 164}); closed.Engine != want {
-		t.Errorf("fig5 MB Pagoda cell: Stats = %#v, want %#v", closed.Engine, want)
-	}
+	closed := mb.Make(workloads.Options{Tasks: 256, Threads: 128, Seed: 1})
 
-	ol := olTasks(t, 48)
+	ol := olTasks(tb, 48)
 	arr := serve.Poisson{Rate: 50e3, Seed: 3}.Times(len(ol))
-	_, open := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 85418, Handoffs: 2916, SelfResumes: 1544, PeakRunning: 43,
-		LaneEvents: 36535, HeapPushes: 48883, Rekeys: 18867, Steps: 45180, PeakPending: 25}); open.Engine != want {
-		t.Errorf("open-loop Pagoda cell: Stats = %#v, want %#v", open.Engine, want)
-	}
-
-	_, gemtc := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "gemtc", newGeMTCNode)
-	if want := (sim.Stats{Events: 61527, Handoffs: 785, SelfResumes: 67, PeakRunning: 63,
-		LaneEvents: 40646, HeapPushes: 20881, Rekeys: 31909, Steps: 51590, PeakPending: 257}); gemtc.Engine != want {
-		t.Errorf("open-loop GeMTC cell: Stats = %#v, want %#v", gemtc.Engine, want)
-	}
 
 	const n = 600
 	el := mb.Make(workloads.Options{Tasks: n, Threads: 128, Seed: 1})
@@ -59,22 +92,42 @@ func TestEngineStatsPinned(t *testing.T) {
 	tu.SLO = 1000e3
 	scaler, err := autoscale.NewPolicy("predictive", tu)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	route, err := cluster.NewPolicy("rr", 1)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	_, elastic := runFleet(el, ClusterOpenLoop{
-		Arrivals: serve.Diurnal{MeanRate: 1.28e6, Swing: 0.6, Period: 400_000, Seed: 1}.Times(n),
-		Policy:   route(),
-		Admit:    func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 32}.Admit },
-		Scaler: &autoscale.Config{Min: 8, Max: 32, Policy: scaler,
-			Interval: 50_000, Warmup: 200_000, Cooldown: 100_000},
-	}, DefaultConfig(), "pagoda", newPagodaNode)
-	if want := (sim.Stats{Events: 1162725, Handoffs: 53465, SelfResumes: 10962, PeakRunning: 2287,
-		LaneEvents: 500082, HeapPushes: 662643, Rekeys: 238969, Steps: 614352, PeakPending: 1408}); elastic.Engine != want {
-		t.Errorf("elastic Pagoda fleet: Stats = %#v, want %#v", elastic.Engine, want)
+	elastic := func() sim.Stats {
+		_, cr := runFleet(el, ClusterOpenLoop{
+			Arrivals: serve.Diurnal{MeanRate: 1.28e6, Swing: 0.6, Period: 400_000, Seed: 1}.Times(n),
+			Policy:   route(),
+			Admit:    func() func(sim.Time, int) bool { return serve.BoundedQueue{Limit: 32}.Admit },
+			Scaler: &autoscale.Config{Min: 8, Max: 32, Policy: scaler,
+				Interval: 50_000, Warmup: 200_000, Cooldown: 100_000},
+		}, DefaultConfig(), "pagoda", newPagodaNode)
+		return cr.Engine
+	}
+
+	return []engineShape{
+		{"pagoda_fig5", len(closed), func() sim.Stats {
+			_, cr := runFleet(closed, ClusterOpenLoop{Arrivals: make([]sim.Time, len(closed)), closedLoop: true},
+				cfg, "pagoda", newPagodaNode)
+			return cr.Engine
+		}, sim.Stats{Events: 548688, Handoffs: 51522, SelfResumes: 9232, PeakRunning: 468,
+			LaneEvents: 228914, HeapPushes: 245302, DelayPushes: 74472, Rekeys: 157213, Steps: 262160, PeakPending: 164}},
+		{"pagoda_open_loop", len(ol), func() sim.Stats {
+			_, cr := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "pagoda", newPagodaNode)
+			return cr.Engine
+		}, sim.Stats{Events: 85418, Handoffs: 2916, SelfResumes: 1544, PeakRunning: 43,
+			LaneEvents: 36535, HeapPushes: 36409, DelayPushes: 12474, Rekeys: 18867, Steps: 45180, PeakPending: 25}},
+		{"gemtc_open_loop", len(ol), func() sim.Stats {
+			_, cr := runFleet(ol, ClusterOpenLoop{Arrivals: arr}, olConfig(), "gemtc", newGeMTCNode)
+			return cr.Engine
+		}, sim.Stats{Events: 61527, Handoffs: 785, SelfResumes: 67, PeakRunning: 63,
+			LaneEvents: 40646, HeapPushes: 9189, DelayPushes: 11692, Rekeys: 31909, Steps: 51590, PeakPending: 257}},
+		{"pagoda_elastic", n, elastic, sim.Stats{Events: 1162725, Handoffs: 53465, SelfResumes: 10962, PeakRunning: 2287,
+			LaneEvents: 500082, HeapPushes: 493453, DelayPushes: 169190, Rekeys: 238969, Steps: 614352, PeakPending: 1408}},
 	}
 }
 

@@ -142,8 +142,11 @@ func TestDeadlockThenClose(t *testing.T) {
 }
 
 // parkedRun runs one engine whose processes all end parked, then closes it.
+// Its sleeps of 1 and 2 take delay lanes, whose arrays Close recycles.
 func parkedRun(n int) {
 	e := New()
+	e.RegisterDelay(1)
+	e.RegisterDelay(2)
 	var sig Signal
 	for i := 0; i < n; i++ {
 		e.Spawn("w", func(p *Proc) {
@@ -170,7 +173,8 @@ func TestCloseReturnsCoroutines(t *testing.T) {
 }
 
 // TestEnginesShareWorkerPool runs closed engines on several goroutines at
-// once, as the harness's parallel cells do; run it under -race.
+// once, as the harness's parallel cells do, sharing the worker pool and the
+// lane arrays; run it under -race.
 func TestEnginesShareWorkerPool(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -185,11 +189,41 @@ func TestEnginesShareWorkerPool(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCloseRecyclesLaneArrays: Close gives back the arrays of its empty
+// delay lanes, last lane first, so the next engine to register the same
+// delays in the same order gets the array each lane grew.
+func TestCloseRecyclesLaneArrays(t *testing.T) {
+	e := New()
+	e.RegisterDelay(3)
+	e.RegisterDelay(5)
+	for i := 0; i < 40; i++ {
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(3)
+			p.Sleep(5)
+		})
+	}
+	e.Run()
+	first, second := &e.dlanes[0].items[:1][0], &e.dlanes[1].items[:1][0]
+	if c := cap(e.dlanes[0].items); c < 40 {
+		t.Fatalf("lane 3 grew to %d, want room for 40", c)
+	}
+	e.Close()
+	if cap(e.dlanes[0].items) != 0 {
+		t.Fatal("a closed engine kept its lane array")
+	}
+	next := New()
+	next.RegisterDelay(3)
+	next.RegisterDelay(5)
+	if &next.dlanes[0].items[:1][0] != first || &next.dlanes[1].items[:1][0] != second {
+		t.Fatal("the next engine's lanes did not get the closed engine's arrays")
+	}
+}
+
 // TestStatsCounts pins the counters of a small run: one start handoff per
 // process, then every Sleep of a lone process resumes itself; PeakRunning
 // counts the procs holding a coroutine at once. A start is scheduled for
 // the current instant, so it fires from the lane; later wakes go through
-// the heap.
+// the heap, or a delay lane when their delay is registered.
 func TestStatsCounts(t *testing.T) {
 	e := New()
 	e.Spawn("solo", func(p *Proc) {
@@ -202,6 +236,23 @@ func TestStatsCounts(t *testing.T) {
 	if got, want := e.Stats(), (Stats{Events: 5, Handoffs: 1, SelfResumes: 3, PeakRunning: 1,
 		LaneEvents: 1, HeapPushes: 4, PeakPending: 2}); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+
+	// The same run with its sleep registered as a fixed delay: the three
+	// wakes go to the delay lane, so HeapPushes + DelayPushes is the
+	// HeapPushes above, and every other count is unchanged.
+	e = New()
+	e.RegisterDelay(1)
+	e.Spawn("solo", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.Schedule(10, func() {})
+	e.Run()
+	if got, want := e.Stats(), (Stats{Events: 5, Handoffs: 1, SelfResumes: 3, PeakRunning: 1,
+		LaneEvents: 1, HeapPushes: 1, DelayPushes: 3, PeakPending: 2}); got != want {
+		t.Fatalf("delay-lane Stats = %+v, want %+v", got, want)
 	}
 
 	// Two processes sleeping in lockstep hand the baton over on every wake.

@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Time is the virtual clock type, in cycles. Fractional cycles arise from
@@ -64,8 +65,18 @@ type Engine struct {
 	// lane holds the non-timer events scheduled for the instant at which
 	// they were scheduled, oldest first. The clock cannot pass an entry
 	// while it waits, so the lane is in (at, seq) order by construction and
-	// dispatch merges its head with the heap's.
+	// dispatch merges its head with the heap's and the delay lanes'.
 	lane FIFO[*event]
+	// delays are the fixed delays registered with RegisterDelay, and
+	// dlanes[i] holds the non-timer events scheduled delays[i] after the
+	// instant at which they were scheduled, oldest first (see heap4.go for
+	// why each is in order). delayed counts their entries, and while it is
+	// positive dhead indexes the lane whose head is earliest.
+	delays  [maxDelayLanes]Time
+	dlanes  [maxDelayLanes]FIFO[*event]
+	ndelays int
+	delayed int
+	dhead   int
 	// pool recycles popped event structs; its high-water mark is the maximum
 	// number of simultaneously pending events, so it stays small.
 	pool []*event
@@ -108,18 +119,22 @@ type Stats struct {
 	// live procs: its idle executor warps are not procs at all.
 	PeakRunning int64
 	// LaneEvents counts the fired events that came from the same-instant
-	// lane rather than the heap.
+	// lane rather than the heap or a delay lane.
 	LaneEvents int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// HeapPushes counts entries inserted into the event heap: events
-	// scheduled for a later instant and timers armed from rest.
+	// scheduled for a later instant at no registered delay, and timers
+	// armed from rest.
 	HeapPushes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
+	// DelayPushes counts events queued in a fixed-delay lane
+	// (RegisterDelay): without the lanes each would be a heap push.
+	DelayPushes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Rekeys counts timer re-arms that moved an armed timer's heap entry
 	// in place.
 	Rekeys int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Steps counts fired stages of chained processes (Proc.Chain) and
 	// resumes of stepped procs run on the event loop (StartStepped).
 	Steps int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
-	// PeakPending is the most events ever queued at once, heap and lane
+	// PeakPending is the most events ever queued at once, heap and lanes
 	// together.
 	PeakPending int64
 }
@@ -181,7 +196,7 @@ func (e *Engine) checkAt(at Time) {
 
 // notePending records a new high-water mark of queued events.
 func (e *Engine) notePending() {
-	if n := int64(len(e.queue) + e.lane.Len()); n > e.stats.PeakPending {
+	if n := int64(e.Pending()); n > e.stats.PeakPending {
 		e.stats.PeakPending = n
 	}
 }
@@ -228,13 +243,125 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	e.newEvent(at).step = funcStep(fn)
 }
 
-// scheduleProc queues a resume of p at Now()+delay without allocating a
-// closure (the hot Sleep/Wakeup path).
-func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
+// maxDelayLanes bounds the fixed-delay lanes of an engine: a delay
+// registered past it uses the heap.
+const maxDelayLanes = 8
+
+// RegisterDelay gives the fixed delay d a lane of its own: a process
+// resume or chained stage scheduled d from now (Sleep, WakeAfter,
+// ResumeAfter, StepAfter) then skips the heap, firing in exactly the order
+// it would have fired from there. Registering the delays a model waits
+// most often makes its runs cheaper and changes nothing else. A d that is
+// not positive and finite, or already registered, is ignored, as is one
+// past the maxDelayLanes bound; timers and Schedule callbacks always use
+// the heap.
+func (e *Engine) RegisterDelay(d Time) {
+	if !(d > 0) || math.IsInf(d, 1) || e.ndelays == maxDelayLanes {
+		return
+	}
+	for _, v := range e.delays[:e.ndelays] {
+		if v == d {
+			return
+		}
+	}
+	e.delays[e.ndelays] = d
+	e.dlanes[e.ndelays].items = getLaneArray()
+	e.ndelays++
+}
+
+// laneArrays is the process-wide free list of delay-lane backing arrays,
+// shared by every engine as the coroutine pool is: RegisterDelay takes one
+// for each new lane and Close gives back its empty lanes', so a sequence of
+// short simulations stops growing lane arrays once one has reached its
+// peak. A lane starts without an array only when the list is empty, so the
+// list never holds more arrays than the most lanes ever open at once. It is
+// a LIFO and Close returns the last lane's first, so an engine that
+// registers delays in the order its predecessor did gets back the arrays
+// that predecessor's lanes grew.
+var laneArrays struct {
+	sync.Mutex
+	free [][]*event
+}
+
+// getLaneArray takes an idle lane array, or nil when there is none.
+func getLaneArray() []*event {
+	laneArrays.Lock()
+	defer laneArrays.Unlock()
+	n := len(laneArrays.free)
+	if n == 0 {
+		return nil
+	}
+	a := laneArrays.free[n-1]
+	laneArrays.free[n-1] = nil
+	laneArrays.free = laneArrays.free[:n-1]
+	return a
+}
+
+// putLaneArrays returns the arrays of e's empty delay lanes to the free
+// list; the lanes keep none.
+func (e *Engine) putLaneArrays() {
+	laneArrays.Lock()
+	defer laneArrays.Unlock()
+	for i := e.ndelays - 1; i >= 0; i-- {
+		q := &e.dlanes[i]
+		if q.Len() == 0 && cap(q.items) > 0 {
+			laneArrays.free = append(laneArrays.free, q.items[:0])
+			*q = FIFO[*event]{}
+		}
+	}
+}
+
+// queueAfter queues a non-timer event delay from now: in the lane
+// registered for delay when there is one and the delay moves the clock,
+// wherever newEvent puts it otherwise.
+func (e *Engine) queueAfter(delay Time) *event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	ev := e.newEvent(e.now + delay)
+	at := e.now + delay
+	if delay > 0 && at != e.now {
+		for i, v := range e.delays[:e.ndelays] {
+			if v == delay {
+				ev := e.allocEvent(at)
+				e.delayPush(i, ev)
+				return ev
+			}
+		}
+	}
+	return e.newEvent(at)
+}
+
+// delayPush appends ev to delay lane i. Only a push into an empty lane can
+// change which lane's head is earliest.
+func (e *Engine) delayPush(i int, ev *event) {
+	q := &e.dlanes[i]
+	if q.Len() == 0 && (e.delayed == 0 || eventLess(ev, e.dlanes[e.dhead].Peek())) {
+		e.dhead = i
+	}
+	q.Push(ev)
+	e.delayed++
+	e.stats.DelayPushes++
+	e.notePending()
+}
+
+// delayPop removes the earliest delay-lane head and finds the next one.
+func (e *Engine) delayPop() {
+	e.dlanes[e.dhead].Pop()
+	if e.delayed--; e.delayed == 0 {
+		return
+	}
+	var head *event
+	for i := range e.dlanes[:e.ndelays] {
+		if q := &e.dlanes[i]; q.Len() > 0 && (head == nil || eventLess(q.Peek(), head)) {
+			head, e.dhead = q.Peek(), i
+		}
+	}
+}
+
+// scheduleProc queues a resume of p at Now()+delay without allocating a
+// closure (the hot Sleep/Wakeup path).
+func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
+	ev := e.queueAfter(delay)
 	ev.proc = p
 	ev.gen = gen
 }
@@ -243,10 +370,7 @@ func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
 // slot a resume of p after delay would take (a Wakeup's when delay is 0):
 // p's Runner runs it with the generation p is blocked under.
 func (e *Engine) scheduleStep(delay Time, p *Proc) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	ev := e.newEvent(e.now + delay)
+	ev := e.queueAfter(delay)
 	ev.step = p.run.(Step)
 	ev.proc = p
 	ev.gen = p.wakeGen
@@ -293,6 +417,15 @@ const (
 	procExited
 )
 
+// eventSource names the queue an event is popped from.
+type eventSource uint8
+
+const (
+	fromHeap eventSource = iota
+	fromLane
+	fromDelay
+)
+
 // dispatch drives the event loop on the calling coroutine until the run ends
 // or the baton moves. self is the process driving the loop from its yield
 // point (nil when called from RunUntil): resuming self short-circuits
@@ -300,16 +433,24 @@ const (
 // loop, two coroutine switches away.
 func (e *Engine) dispatch(self *Proc) dispatchResult {
 	for {
-		// The next event is the lane's head or the heap's, whichever is
-		// earlier in (at, seq).
+		// The next event is the earliest in (at, seq) of three heads: the
+		// same-instant lane's, the heap's and the earliest delay lane's.
 		var ev *event
-		fromLane := e.lane.Len() > 0
-		switch {
-		case fromLane && (len(e.queue) == 0 || eventLess(e.lane.Peek(), e.queue[0])):
-			ev = e.lane.Peek()
-		case len(e.queue) > 0:
-			ev, fromLane = e.queue[0], false
-		default:
+		src := fromHeap
+		if len(e.queue) > 0 {
+			ev = e.queue[0]
+		}
+		if e.delayed > 0 {
+			if h := e.dlanes[e.dhead].Peek(); ev == nil || eventLess(h, ev) {
+				ev, src = h, fromDelay
+			}
+		}
+		if e.lane.Len() > 0 {
+			if h := e.lane.Peek(); ev == nil || eventLess(h, ev) {
+				ev, src = h, fromLane
+			}
+		}
+		if ev == nil {
 			return runEnded
 		}
 		if ev.at > e.deadline {
@@ -318,12 +459,17 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 			}
 			return runEnded
 		}
-		if fromLane {
+		switch src {
+		case fromLane:
 			e.lane.Pop()
-		} else {
+		case fromHeap:
 			e.heapPopHead()
 			e.now = ev.at
+		default:
+			e.delayPop()
+			e.now = ev.at
 		}
+		lane := src == fromLane
 		step, p, gen := ev.step, ev.proc, ev.gen
 		e.freeEvent(ev)
 		if p != nil {
@@ -331,7 +477,7 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 				continue // stale wake-up
 			}
 			if step == nil {
-				e.countFired(fromLane)
+				e.countFired(lane)
 				p.armed = false
 				p.parked = false
 				if p.stepped && p.w == nil && !e.resume(p) {
@@ -347,7 +493,7 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 			}
 			e.stats.Steps++
 		}
-		e.countFired(fromLane)
+		e.countFired(lane)
 		step.Step(gen)
 	}
 }
@@ -375,12 +521,10 @@ func (e *Engine) countFired(fromLane bool) {
 	}
 }
 
-// Pending returns the number of queued events (diagnostics). A re-armed
-// timer re-keys its one entry and a fired timer's entry has left the queue,
-// so this is O(live events).
-//
-//pagoda:allow unused test support: drain and leak checks read the queue length
-func (e *Engine) Pending() int { return len(e.queue) + e.lane.Len() }
+// Pending returns the number of queued events. A re-armed timer re-keys
+// its one entry and a fired timer's entry has left the queue, so this is
+// O(live events).
+func (e *Engine) Pending() int { return len(e.queue) + e.lane.Len() + e.delayed }
 
 // LiveProcs returns the number of spawned processes that have not finished.
 //

@@ -93,8 +93,9 @@ func (s *nanStepper) String() string { return "nan-stepper" }
 // TestNaNInstantsPanic: an event keyed at NaN would compare false with
 // every other, fire out of turn and leave the clock at NaN, so every way
 // to queue one panics naming it: Schedule, Timer.ResetAt (armed or not),
-// Proc.Sleep and WakeAfter, a chain's StepAfter, and Share.Acquire of NaN
-// work, whose completion instant is NaN.
+// Proc.Sleep and WakeAfter, and a chain's StepAfter. Share.Acquire of NaN
+// work, whose completion instant would be NaN, panics at the call, naming
+// the NaN work (TestNaNWorkPanicsAtCall).
 func TestNaNInstantsPanic(t *testing.T) {
 	nan := Time(math.NaN())
 	inProc := func(body func(e *Engine, p *Proc)) func(e *Engine) any {
@@ -107,44 +108,47 @@ func TestNaNInstantsPanic(t *testing.T) {
 			return got
 		}
 	}
+	const atNaN = "sim: schedule at NaN"
 	for _, tc := range []struct {
 		name string
 		run  func(e *Engine) any
+		want string
 	}{
 		{"Schedule", func(e *Engine) (got any) {
 			defer func() { got = recover() }()
 			e.Schedule(5, func() {})
 			e.Schedule(nan, func() {})
 			return nil
-		}},
+		}, atNaN},
 		{"TimerResetAt", func(e *Engine) (got any) {
 			defer func() { got = recover() }()
 			NewTimer(e, func() {}).ResetAt(nan)
 			return nil
-		}},
+		}, atNaN},
 		{"ArmedTimerResetAt", func(e *Engine) (got any) {
 			defer func() { got = recover() }()
 			tm := NewTimer(e, func() {})
 			tm.ResetAt(3)
 			tm.ResetAt(nan)
 			return nil
-		}},
-		{"Sleep", inProc(func(_ *Engine, p *Proc) { p.Sleep(nan) })},
-		{"WakeAfter", inProc(func(_ *Engine, p *Proc) { p.WakeAfter(nan) })},
+		}, atNaN},
+		{"Sleep", inProc(func(_ *Engine, p *Proc) { p.Sleep(nan) }), atNaN},
+		{"WakeAfter", inProc(func(_ *Engine, p *Proc) { p.WakeAfter(nan) }), atNaN},
 		{"StepAfter", func(e *Engine) any {
 			s := &nanStepper{}
 			e.Start(&s.proc, s)
 			e.Run()
 			return s.got
-		}},
-		{"ShareAcquire", inProc(func(e *Engine, p *Proc) { NewShare(e, 1, 1).Acquire(p, math.NaN()) })},
+		}, atNaN},
+		{"ShareAcquire", inProc(func(e *Engine, p *Proc) { NewShare(e, 1, 1).Acquire(p, math.NaN()) }),
+			`sim: proc "nan" requested NaN work`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New()
 			defer e.Close()
 			got, _ := tc.run(e).(string)
-			if !strings.HasPrefix(got, "sim: schedule at NaN") {
-				t.Fatalf("panic %q, want one naming a schedule at NaN", got)
+			if !strings.HasPrefix(got, tc.want) {
+				t.Fatalf("panic %q, want one starting %q", got, tc.want)
 			}
 		})
 	}

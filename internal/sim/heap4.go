@@ -1,9 +1,28 @@
 package sim
 
 // The event queue is a 4-ary min-heap ordered by (at, seq), stored 0-based in
-// Engine.queue, beside the same-instant lane (Engine.lane) that takes
-// non-timer events scheduled for the current instant without any sifting. A
-// 4-ary layout halves the tree depth of a binary heap, which cuts
+// Engine.queue, beside two kinds of FIFO lane that take non-timer events
+// without any sifting:
+//
+//   - the same-instant lane (Engine.lane), for events scheduled at the
+//     current instant;
+//   - one fixed-delay lane per delay registered with RegisterDelay
+//     (Engine.dlanes), for process resumes and chained stages scheduled
+//     that delay d from now, when now+d moves the clock. The GPU model
+//     registers its memory latencies, which end most warp ops.
+//
+// Each lane is in (at, seq) order by construction. An entry of lane d is
+// keyed at = now+d: the clock never runs backward, float addition rounds
+// monotonically, so a later entry's at is never smaller, and seq only
+// grows. dispatch fires the earliest of the three heads (the same-instant
+// lane's, the heap's and that of the delay lane dhead names), which is the
+// event the heap alone would have popped: order, counts other than
+// HeapPushes and DelayPushes, and every instant are unchanged
+// (TestDelayLanesKeepOrder). A push changes dhead only when it fills an
+// empty lane, and a pop rescans at most maxDelayLanes heads. Timers stay
+// in the heap, because they re-key in place.
+//
+// A 4-ary layout halves the tree depth of a binary heap, which cuts
 // comparisons on the sift-up path (the common case: most events are
 // scheduled near the clock and popped soon after) and keeps sibling keys on
 // one cache line. Every entry carries its own position (event.idx), so armed

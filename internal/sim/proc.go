@@ -438,12 +438,14 @@ func (e *Engine) switchTo(p *Proc) {
 // Close unwinds every process that has not finished — parked on a Signal
 // or in a Share, sleeping past the end of the run, or never started — in spawn
 // order, and returns their coroutines to the pool, so a finished simulation
-// leaves no goroutine behind. A stepped proc waiting between Runs holds no
-// coroutine and is finished in place; one blocked inside its Run unwinds. Each started body unwinds through its deferred
-// calls; recover sites inside bodies must re-panic values for which
-// Unwinding reports true. Close is a no-op on an engine with no live
-// process. It must not be called while the engine is running, and the
-// engine must not be run afterwards.
+// leaves no goroutine behind. It also gives the arrays of its empty delay
+// lanes to the next engine that registers delays (RegisterDelay). A stepped
+// proc waiting between Runs holds no coroutine and is finished in place;
+// one blocked inside its Run unwinds. Each started body unwinds through its
+// deferred calls; recover sites inside bodies must re-panic values for which
+// Unwinding reports true. On an engine with no live process Close only
+// gives back the lane arrays. It must not be called while the engine is
+// running, and the engine must not be run afterwards.
 func (e *Engine) Close() {
 	for p := e.head; p != nil; p = e.head {
 		if p.w == nil {
@@ -454,4 +456,5 @@ func (e *Engine) Close() {
 		p.armed = false // resumed, as dispatch would
 		e.switchTo(p)
 	}
+	e.putLaneArrays()
 }

@@ -124,8 +124,22 @@ func (s *Share) push(p *Proc, work float64) {
 	s.rearm()
 }
 
+// needsService reports whether a request of work units needs serving:
+// false for work <= 0. NaN work panics here, at the call: queued, it would
+// take a share of the rate from every other request and fail only later,
+// from the share's timer.
+func needsService(p *Proc, work float64) bool {
+	if work > 0 {
+		return true
+	}
+	if work != work {
+		panic(fmt.Sprintf("sim: proc %q requested NaN work", p.Name()))
+	}
+	return false
+}
+
 // Acquire blocks p until `work` units of service have been delivered under
-// fair sharing. work <= 0 returns immediately.
+// fair sharing. work <= 0 returns immediately; NaN work panics.
 func (s *Share) Acquire(p *Proc, work float64) {
 	if s.AcquireThen(p, work) {
 		p.Await()
@@ -134,9 +148,9 @@ func (s *Share) Acquire(p *Proc, work float64) {
 
 // AcquireThen is Acquire's non-blocking half: it queues `work` units for p
 // and arms p's wake-up for when they are served. It reports false, arming
-// nothing, when work <= 0.
+// nothing, when work <= 0, and panics on NaN work.
 func (s *Share) AcquireThen(p *Proc, work float64) bool {
-	if work <= 0 {
+	if !needsService(p, work) {
 		return false
 	}
 	s.push(p, work)
@@ -148,9 +162,9 @@ func (s *Share) AcquireThen(p *Proc, work float64) bool {
 // units for p, which stays blocked, and sets p's stage to next, which p's
 // Runner runs once the work is served. It reports false, changing nothing,
 // when work <= 0; the caller then runs the next stage itself, as the proc
-// would have continued past an Acquire of no work.
+// would have continued past an Acquire of no work. NaN work panics.
 func (s *Share) Chain(p *Proc, work float64, next uint8) bool {
-	if work <= 0 {
+	if !needsService(p, work) {
 		return false
 	}
 	if next == 0 {
@@ -165,14 +179,13 @@ func (s *Share) Chain(p *Proc, work float64, next uint8) bool {
 // ChainEnd ends p's chain (Proc.Chain) with a request for `work` units:
 // p resumes once they are served, exactly as from an Acquire of the same
 // work. work must be positive: an end with nothing to serve is
-// ResumeAfter(0), which takes an event of its own. NaN work passes this
-// check, as it passes Acquire's, and panics once the share's timer is
-// armed for it (Engine.checkAt).
+// ResumeAfter(0), which takes an event of its own; zero, negative or NaN
+// work panics.
 func (s *Share) ChainEnd(p *Proc, work float64) {
 	if p.stage == 0 {
 		panic(fmt.Sprintf("sim: proc %q ended a chain it is not in", p.Name()))
 	}
-	if work <= 0 {
+	if !(work > 0) {
 		panic(fmt.Sprintf("sim: proc %q ended its chain with %v work", p.Name(), work))
 	}
 	p.stage = 0

@@ -285,3 +285,39 @@ func TestShareMatchesScanningRearm(t *testing.T) {
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestNaNWorkPanicsAtCall: a request of NaN work panics at the Share call
+// that makes it, before it takes any of the rate from the requests in
+// service: p's 100 units on a rate-1 share still finish at t=100.
+func TestNaNWorkPanicsAtCall(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  func(s *Share, q *Proc)
+	}{
+		{"Acquire", func(s *Share, q *Proc) { s.Acquire(q, math.NaN()) }},
+		{"Chain", func(s *Share, q *Proc) { s.Chain(q, math.NaN(), 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			defer e.Close()
+			s := NewShare(e, 1, 1)
+			var done Time
+			var got any
+			e.Spawn("p", func(p *Proc) {
+				s.Acquire(p, 100)
+				done = p.Now()
+			})
+			e.Spawn("q", func(q *Proc) {
+				defer func() { got = recover() }()
+				tc.req(s, q)
+			})
+			e.Run()
+			if msg, _ := got.(string); msg != `sim: proc "q" requested NaN work` {
+				t.Fatalf("panic %v, want one naming q's NaN work", got)
+			}
+			if done != 100 {
+				t.Fatalf("p finished at %v, want 100", done)
+			}
+		})
+	}
+}
