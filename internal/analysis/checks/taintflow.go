@@ -36,7 +36,7 @@ import (
 // Sinks (where a value starts steering simulated time, and therefore every
 // published number derived from it): the delay/deadline arguments of
 // sim.Engine.Schedule/ScheduleAt, sim.Timer.Reset/ResetAt/ResetForward and
-// sim.Proc.Sleep/ResumeAfter. Every golden virtual time, latency percentile
+// sim.Proc.Sleep/WakeAfter. Every golden virtual time, latency percentile
 // and capacity headline is a pure function of the times entering the event
 // heap, so these entry points are the chokepoint for "feeds published
 // output". Matching is by package base name ("sim"), receiver and method,
@@ -141,7 +141,7 @@ var baseSinks = []struct {
 	{"Timer", "ResetAt", 0, "sim.Timer.ResetAt deadline"},
 	{"Timer", "ResetForward", 0, "sim.Timer.ResetForward delay"},
 	{"Proc", "Sleep", 0, "sim.Proc.Sleep duration"},
-	{"Proc", "ResumeAfter", 0, "sim.Proc.ResumeAfter delay"},
+	{"Proc", "WakeAfter", 0, "sim.Proc.WakeAfter delay"},
 }
 
 // baseSinkOf matches a resolved callee against the sink table.

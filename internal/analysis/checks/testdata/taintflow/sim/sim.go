@@ -23,4 +23,5 @@ func (t *Timer) ResetAt(at Time) { t.at = at }
 // Proc mirrors the engine process handle.
 type Proc struct{}
 
-func (p *Proc) Sleep(d Time) {}
+func (p *Proc) Sleep(d Time)     {}
+func (p *Proc) WakeAfter(d Time) {}

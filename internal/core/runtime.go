@@ -108,12 +108,13 @@ func NewRuntime(ctx *cuda.Context, cfg Config) *Runtime {
 
 // launchMasterKernel starts the daemon kernel: MTBsPerSMM x NumSMMs
 // threadblocks of 32 warps each, 32 KB static shared memory, registers
-// capped for 100% occupancy. The launch is stepped and OnDemand: placement
-// starts each block's scheduler warp, which runs its loop on a coroutine
-// until shutdown, and the scheduler starts an executor warp when it fills
-// the warp's WarpTable slot. The executor borrows a coroutine to run that
-// task and then ends, so an idle executor is no warp at all; the block
-// holds every warp's residency throughout, as on the device.
+// capped for 100% occupancy. The launch has its own Resume and is
+// OnDemand: placement starts each block's scheduler warp, which runs its
+// loop on a coroutine until shutdown, and the scheduler starts an executor
+// warp when it fills the warp's WarpTable slot. The executor borrows a
+// coroutine to run that task and then ends, so an idle executor is no warp
+// at all; the block holds every warp's residency throughout, as on the
+// device.
 func (rt *Runtime) launchMasterKernel() {
 	cfg := rt.Cfg
 	spec := gpu.LaunchSpec{

@@ -54,8 +54,9 @@ func mixedOpsRun() ([3][3][3]sim.Time, Metrics) {
 
 // TestChainedCostOpsMatchGolden pins the warp finish instants and final
 // Metrics of mixedOpsRun to the values recorded when every memory op blocked
-// its warp once per stage (issue, bandwidth, latency). Chaining the stages
-// on the event loop must move none of them by a single bit.
+// its warp once per stage (issue, bandwidth, latency). Replaying the stages
+// from the warp's Resume on the event loop must move none of them by a
+// single bit.
 func TestChainedCostOpsMatchGolden(t *testing.T) {
 	done, m := mixedOpsRun()
 	want := [3][3][3]sim.Time{
@@ -79,9 +80,10 @@ func TestChainedCostOpsMatchGolden(t *testing.T) {
 }
 
 // TestCloseMidChainLeavesNoGoroutine cuts a run of 16 warps looping over
-// GlobalRead and SharedWrite while they are blocked mid-chain, some waiting
-// in a share and some with a stage or resume queued, and closes the engine: every warp unwinds and returns
-// its coroutine, so repeated runs start no goroutine and leave none behind.
+// GlobalRead and SharedWrite while they are blocked mid-replay, some waiting
+// in a share and some with a wake-up queued, and closes the engine: every
+// warp unwinds and returns its coroutine, so repeated runs start no
+// goroutine and leave none behind.
 func TestCloseMidChainLeavesNoGoroutine(t *testing.T) {
 	run := func() {
 		eng := sim.New()
@@ -154,10 +156,11 @@ func TestChainedWarpBlockedProcs(t *testing.T) {
 	}
 }
 
-// TestCtxSize pins the per-warp context: a chained op keeps its stage on the
-// warp's proc, not in Ctx. Ctx names its warp and threadblock, from which
-// it derives its proc, SMM and barrier, and holds the warp's own Task
-// (88 B), which every scheme binds instead of allocating one per task warp.
+// TestCtxSize pins the per-warp context: a replaying tape's handle and
+// stage live in the warp, not in Ctx. Ctx names its warp and threadblock,
+// from which it derives its proc, SMM and barrier, and holds the warp's own
+// Task (88 B), which every scheme binds instead of allocating one per task
+// warp.
 func TestCtxSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -167,10 +170,11 @@ func TestCtxSize(t *testing.T) {
 	}
 }
 
-// TestWarpSize pins a resident warp: its proc and its Ctx. A device reuses
-// the warps of finished threadblocks, so these bytes are paid once per warp
-// of the device's peak, not once per warp launched; the warps one dispatch
-// adds are one array.
+// TestWarpSize pins a resident warp: its proc, its Ctx, and the tape
+// handle, replay stage and phase its Resume reads, which fit in what would
+// otherwise be padding. A device reuses the warps of finished threadblocks,
+// so these bytes are paid once per warp of the device's peak, not once per
+// warp launched; the warps one dispatch adds are one array.
 func TestWarpSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")

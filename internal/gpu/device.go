@@ -21,15 +21,17 @@ type LaunchSpec struct {
 	RegsPerThread int // register budget per thread (occupancy input)
 	Fn            KernelFunc
 
-	// Resume, when set, makes the launch stepped: every warp is a stepped
-	// proc (sim.Engine.StartStepped) that runs Resume on the event loop at
-	// its start and at each wake-up after, and borrows a coroutine only to
-	// run Fn. Resume must not block: it charges with the non-blocking ops
-	// (ComputeThen, SyncIssueThen, SyncArriveThen, AtomicSite.Enter and
-	// Leave, or Signal.Park on c.Proc()) and returns false once one of them
-	// has armed the warp's wake-up. It returns true to run Fn, after which it runs again, and
-	// false with nothing armed to end the warp. A device with a
-	// virtualization coordinator rejects the launch.
+	// Resume runs on the event loop at the start of each of the launch's
+	// warps and at each wake-up after, except those of a running Fn: every
+	// warp is a stepped proc (sim.Engine.StartStepped) that borrows a
+	// coroutine only to run Fn. Resume must not block: it charges with the
+	// non-blocking ops (ComputeThen, SyncIssueThen, SyncArriveThen,
+	// AtomicSite.Enter and Leave, or Signal.Park on c.Proc()) and returns
+	// false once one of them has armed the warp's wake-up. It returns true
+	// to run Fn, after which it runs again, and false with nothing armed to
+	// end the warp. Left nil, it runs Fn once and then ends the warp. A
+	// device with a virtualization coordinator rejects a launch that sets
+	// it: only Fn's run sleeps off the swap-in delay.
 	Resume func(c *Ctx) bool
 	// OnDemand starts only warp 0 of a block when the block is placed; the
 	// launcher starts each other warp with Kernel.StartWarp when it has
@@ -113,38 +115,56 @@ type threadBlock struct {
 	spillDelay sim.Time // coordinator swap-in cost before warps may execute
 }
 
-// warp is one resident warp: the process that runs it and the Ctx its
-// kernel function sees, which names its threadblock. A warp that exits goes
-// to its device's free list, and a later threadblock's warp reuses it;
-// warps are allocated only when the list runs short, a dispatch's
-// shortfall in one array. startWarp rewrites the whole Ctx, so while the
-// warp is free its ctx.w, otherwise the warp itself, links the next free
-// warp, and the list costs no storage of its own.
+// warp is one resident warp: the process that runs it, the Ctx its kernel
+// function sees, which names its threadblock, and the state its Resume
+// reads. A warp that exits goes to its device's free list, and a later
+// threadblock's warp reuses it; warps are allocated only when the list runs
+// short, a dispatch's shortfall in one array. startWarp rewrites the whole
+// Ctx, so while the warp is free its ctx.w, otherwise the warp itself,
+// links the next free warp, and the list costs no storage of its own.
 type warp struct {
 	proc sim.Proc
 	ctx  Ctx
+	// tape is the slab handle of the tape the warp is replaying while stage
+	// is not zero (tape.go).
+	tape  uint32
+	stage uint8
+	// phase is where the warp is in its kernel function.
+	phase uint8
 }
 
-// Run is the warp's process body: the coordinator's swap-in delay, if any,
-// then the kernel function. A stepped warp's Run is Fn alone: its Resume
-// starts and ends the warp.
+// A warp's phase: Fn not yet run, or between two runs of it; Fn running,
+// perhaps blocked; Fn returned.
+const (
+	phaseStart uint8 = iota
+	phaseFn
+	phaseRan
+)
+
+// Run is the warp's Fn, after the coordinator's swap-in delay on a
+// virtualized device.
 func (w *warp) Run(p *sim.Proc) {
 	tb := w.ctx.tb
-	if tb.kernel.Spec.Resume != nil {
-		tb.kernel.Spec.Fn(&w.ctx)
-		return
-	}
+	w.phase = phaseFn
 	if tb.spillDelay > 0 {
 		p.Sleep(tb.spillDelay)
 	}
 	tb.kernel.Spec.Fn(&w.ctx)
-	w.exit()
+	w.phase = phaseRan
 }
 
-// Resume runs a stepped warp's LaunchSpec.Resume, and ends the warp when
-// it arms nothing and asks for no Run.
+// Resume runs at the warp's start and at every wake-up: it replays the
+// next stage of a draining tape, continues a blocked Fn, or else runs the
+// launch's Resume, and ends the warp when that arms nothing and asks for no
+// Run.
 func (w *warp) Resume(p *sim.Proc) bool {
-	if w.ctx.tb.kernel.Spec.Resume(&w.ctx) {
+	switch {
+	case w.stage != 0:
+		w.replay()
+		return false
+	case w.phase == phaseFn:
+		return true
+	case w.ctx.tb.kernel.Spec.Resume(&w.ctx):
 		return true
 	}
 	if !p.Armed() {
@@ -152,6 +172,10 @@ func (w *warp) Resume(p *sim.Proc) bool {
 	}
 	return false
 }
+
+// runOnce is the Resume of a launch that sets none: run Fn once, then end
+// the warp.
+func runOnce(c *Ctx) bool { return c.w.phase == phaseStart }
 
 // exit leaves the warp's threadblock once its kernel is done with it, and
 // frees the warp for reuse. It joins the free list only after warpDone, so
@@ -334,8 +358,12 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 		panic(fmt.Sprintf("gpu: launch %q: %d B shared/TB exceeds limit %d", spec.Name, spec.SharedPerTB, d.Cfg.MaxSharedPerTB))
 	}
 	if spec.Resume != nil && d.Virt != nil {
-		// A stepped warp has nowhere to keep a swap-in delay's progress.
-		panic(fmt.Sprintf("gpu: stepped launch %q on a virtualized device", spec.Name))
+		// Only Fn's first run pays the swap-in delay, which a Resume that
+		// charges before it would skip.
+		panic(fmt.Sprintf("gpu: launch %q with a Resume on a virtualized device", spec.Name))
+	}
+	if spec.Resume == nil {
+		spec.Resume = runOnce
 	}
 	if spec.RegsPerThread <= 0 {
 		spec.RegsPerThread = 32
@@ -445,11 +473,8 @@ func (d *Device) startWarp(w *warp, tb *threadBlock, i int) {
 		BlockDim:    spec.BlockThreads,
 		WarpInBlock: i,
 	}
-	if spec.Resume != nil {
-		d.Eng.StartStepped(&w.proc, w)
-		return
-	}
-	d.Eng.Start(&w.proc, w)
+	w.phase = phaseStart
+	d.Eng.StartStepped(&w.proc, w)
 }
 
 func (d *Device) warpDone(tb *threadBlock) {

@@ -9,20 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// runOnce is a stepped Resume that runs Fn once per warp start and then
-// ends the warp.
-func runOnce() func(*Ctx) bool {
-	ran := map[*Ctx]bool{}
-	return func(c *Ctx) bool {
-		if ran[c] {
-			delete(ran, c)
-			return false
-		}
-		ran[c] = true
-		return true
-	}
-}
-
 // TestOnDemandStartsWarpZero: an OnDemand launch starts warp 0 of each
 // block and no other, while each block holds the residency of all its
 // warps.
@@ -32,7 +18,7 @@ func TestOnDemandStartsWarpZero(t *testing.T) {
 	dev := NewDevice(eng, testCfg())
 	var ran [][2]int
 	k := dev.Launch(LaunchSpec{
-		Name: "od", GridDim: 3, BlockThreads: 128, OnDemand: true, Resume: runOnce(),
+		Name: "od", GridDim: 3, BlockThreads: 128, OnDemand: true,
 		Fn: func(c *Ctx) {
 			ran = append(ran, [2]int{c.BlockIdx, c.WarpInBlock})
 			c.Compute(50)
@@ -68,7 +54,7 @@ func TestStartWarpReusesFreedWarpAndHoldsBlock(t *testing.T) {
 		resident int
 	)
 	k = dev.Launch(LaunchSpec{
-		Name: "od", GridDim: 1, BlockThreads: 128, OnDemand: true, Resume: runOnce(),
+		Name: "od", GridDim: 1, BlockThreads: 128, OnDemand: true,
 		Fn: func(c *Ctx) {
 			i := c.WarpInBlock
 			ctxs[i] = c
@@ -114,7 +100,7 @@ func TestStartWarpPanics(t *testing.T) {
 	// Two 48 KiB blocks fill an SMM, so blocks 4 and 5 queue.
 	od := dev.Launch(LaunchSpec{
 		Name: "od", GridDim: 6, BlockThreads: 128, SharedPerTB: 48 << 10, OnDemand: true,
-		Resume: runOnce(), Fn: func(c *Ctx) { c.Compute(10) },
+		Fn: func(c *Ctx) { c.Compute(10) },
 	})
 	for _, tc := range []struct {
 		k            *Kernel

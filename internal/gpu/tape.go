@@ -9,17 +9,19 @@ import (
 
 // A task kernel has no clock, so its body runs ahead of its charges: each
 // cost op appends (op, cycles or bytes) to a tape, and the warp blocks once
-// per tape, with one sim.Proc.Chain, when the tape drains. warp.Step then
-// replays the ops on the event loop, each op starting in the event where
-// the previous one ended, the instant and queue slot at which the warp
-// would have resumed to call it. So a tape takes exactly the virtual time,
-// and queues exactly the events, of charging its ops one by one; only the
-// coroutine switches between them are gone.
+// per tape when the tape drains. The warp's Resume then replays the ops on
+// the event loop, each op starting in the event where the previous one
+// ended, the instant and queue slot at which the warp would have resumed to
+// call it: a share's service is Share.AcquireThen and a latency
+// Proc.WakeAfter, and the wake-up after the last op resumes the warp's Run.
+// So a tape takes exactly the virtual time, and queues exactly the events,
+// of charging its ops one by one; only the coroutine switches between them
+// are gone.
 //
 // A tape drains at the task's SyncBlock, when the kernel returns (Task.Drain),
 // and when it fills. Only the warp running its body records, so the tape
 // being recorded hangs off the Device. A draining tape is held in a
-// process-wide Slab, and its handle rides in the chain's operand.
+// process-wide Slab, and the warp keeps its handle.
 
 // tapeCap is the most ops a tape holds; a full tape drains early, which
 // charges exactly what a later drain would.
@@ -44,9 +46,9 @@ const (
 	opSharedWrite
 )
 
-// The stages of a tape's chain: the op at pos has its issue slots next, a
+// The stages of a tape's replay: the op at pos has its issue slots next, a
 // global access's share of device-memory bandwidth next, or its latency
-// next.
+// next. Stage zero is no replay.
 const (
 	stageIssue uint8 = iota + 1
 	stageMem
@@ -96,17 +98,19 @@ func (c *Ctx) recordMem(op uint8, n int) {
 }
 
 // drain charges the recorded tape, blocking the warp until its last op
-// ends. The tape goes back to the slab when the warp resumes, or when
+// ends: it arms the first op's wait here and leaves the rest to the warp's
+// Resume. The tape goes back to the slab when the warp resumes, or when
 // Engine.Close unwinds it mid-replay.
 func (c *Ctx) drain() {
-	d := c.dev
+	d, w := c.dev, c.w
 	if d.rec == nil {
 		return
 	}
-	id := d.recID
+	w.tape, w.stage = d.recID, stageIssue
 	d.rec = nil
-	defer putTape(id)
-	c.Proc().Chain(stageIssue, id)
+	defer putTape(w.tape)
+	w.replay()
+	c.Proc().Await()
 }
 
 // putTape empties a tape and returns it to the slab.
@@ -125,41 +129,46 @@ func (c *Ctx) assertDrained() {
 	}
 }
 
-// Step runs the next stage of the tape the warp is draining. A stage with
-// no work falls through to the next one at once.
-func (w *warp) Step(uint64) {
+// replay arms the warp's wait for the next stage of the tape it is
+// draining, falling through a stage with no work at once. The last op's
+// last wait leaves the stage at zero, so its wake-up resumes the warp's
+// Run. A recorded Compute always has cycles to issue and a memory op at
+// least one transaction, so every call arms a wait.
+func (w *warp) replay() {
 	c, p := &w.ctx, &w.proc
-	stage, id := p.Stage()
-	t := tapes.At(id)
+	t := tapes.At(w.tape)
 	op, arg := t.ops[t.pos], t.args[t.pos]
-	last := t.pos+1 == t.n
-	switch stage {
+	switch w.stage {
 	case stageIssue:
 		if op == opCompute {
-			if last {
-				c.tb.smm.issue.ChainEnd(p, arg)
-				return
-			}
-			t.pos++
-			c.tb.smm.issue.Chain(p, arg, stageIssue)
+			w.endOp(t)
+			c.tb.smm.issue.AcquireThen(p, arg)
 			return
 		}
-		if c.tb.smm.issue.Chain(p, c.transactions(arg), stageMem) {
+		w.stage = stageMem
+		if c.tb.smm.issue.AcquireThen(p, c.transactions(arg)) {
 			return
 		}
 		fallthrough
 	case stageMem:
-		if (op == opGlobalRead || op == opGlobalWrite) && c.dev.membw.Chain(p, arg, stageLatency) {
+		w.stage = stageLatency
+		if (op == opGlobalRead || op == opGlobalWrite) && c.dev.membw.AcquireThen(p, arg) {
 			return
 		}
 	}
-	lat := c.latency(op)
-	if last {
-		p.ResumeAfter(lat)
+	w.endOp(t)
+	p.WakeAfter(c.latency(op))
+}
+
+// endOp moves the replay past the op at t.pos, whose last wait is being
+// armed: to the next op's issue, or to stage zero after the tape's last op.
+func (w *warp) endOp(t *tape) {
+	if t.pos+1 == t.n {
+		w.stage = 0
 		return
 	}
 	t.pos++
-	p.StepAfter(lat, stageIssue)
+	w.stage = stageIssue
 }
 
 // transactions returns the number of coalesced memory transactions for a

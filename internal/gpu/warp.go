@@ -49,7 +49,7 @@ func (c *Ctx) Compute(cycles float64) {
 	}
 }
 
-// ComputeThen is Compute's non-blocking half, for a stepped warp: it queues
+// ComputeThen is Compute's non-blocking half, for LaunchSpec.Resume: it queues
 // `cycles` of issue and arms the warp's wake-up for when they are served. It
 // reports false, arming nothing, when there is nothing to issue.
 func (c *Ctx) ComputeThen(cycles float64) bool {
@@ -100,7 +100,7 @@ func (c *Ctx) ThreadfenceBlock() {
 }
 
 // SyncIssueThen and SyncArriveThen are __syncthreads() as two
-// non-blocking halves, for a stepped warp: issuing the bar.sync, then
+// non-blocking halves, for LaunchSpec.Resume: issuing the bar.sync, then
 // arriving at the threadblock's barrier. Each arms the warp's wake-up and
 // reports true when it has to wait. A single-warp block runs in lockstep
 // and has no barrier, so both are free there.

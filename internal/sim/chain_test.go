@@ -8,8 +8,9 @@ import (
 )
 
 // chainer is a process that repeats one three-stage op: w1 units on s1, w2
-// units on s2, then a sleep of lat. Chained, it blocks once per op in
-// Proc.Chain and its Step runs the stages; otherwise it blocks per stage.
+// units on s2, then a sleep of lat. Chained, it is a stepped proc whose Run
+// arms the first stage and blocks once per op, and whose Resume runs the
+// stages on the event loop; otherwise it blocks per stage.
 type chainer struct {
 	proc    Proc
 	s1, s2  *Share
@@ -17,7 +18,11 @@ type chainer struct {
 	lat     Time
 	rounds  int
 	chained bool
-	done    []Time
+	// stage is the chained op's next stage, zero outside one; ran is set
+	// once Run has returned.
+	stage uint8
+	ran   bool
+	done  []Time
 	// onStep, when set, runs at the start of every chained stage.
 	onStep func()
 }
@@ -29,10 +34,21 @@ const (
 	atLat
 )
 
+// start starts the chainer on e: stepped when chained.
+func (c *chainer) start(e *Engine) {
+	if c.chained {
+		e.StartStepped(&c.proc, c)
+	} else {
+		e.Start(&c.proc, c)
+	}
+}
+
 func (c *chainer) Run(p *Proc) {
 	for i := 0; i < c.rounds; i++ {
 		if c.chained {
-			p.Chain(atS1, 0)
+			c.stage = atS1
+			c.step()
+			p.Await()
 		} else {
 			c.s1.Acquire(p, c.w1)
 			c.s2.Acquire(p, c.w2)
@@ -40,27 +56,42 @@ func (c *chainer) Run(p *Proc) {
 		}
 		c.done = append(c.done, p.Now())
 	}
+	c.ran = true
 }
 
 func (c *chainer) String() string { return "chainer" }
 
-func (c *chainer) Step(uint64) {
+// Resume runs the next stage of a chained op, and otherwise starts or
+// continues Run, ending the proc once Run has returned.
+func (c *chainer) Resume(*Proc) bool {
+	if c.stage != 0 {
+		c.step()
+		return false
+	}
+	return !c.ran
+}
+
+// step arms the wait of the op's next stage, falling through a stage with
+// no work; the last one's wake-up, at stage zero, returns to Run.
+func (c *chainer) step() {
 	if c.onStep != nil {
 		c.onStep()
 	}
-	stage, _ := c.proc.Stage()
-	switch stage {
+	switch c.stage {
 	case atS1:
-		if c.s1.Chain(&c.proc, c.w1, atS2) {
+		c.stage = atS2
+		if c.s1.AcquireThen(&c.proc, c.w1) {
 			return
 		}
 		fallthrough
 	case atS2:
-		if c.s2.Chain(&c.proc, c.w2, atLat) {
+		c.stage = atLat
+		if c.s2.AcquireThen(&c.proc, c.w2) {
 			return
 		}
 	}
-	c.proc.ResumeAfter(c.lat)
+	c.stage = 0
+	c.proc.WakeAfter(c.lat)
 }
 
 // chainRun runs eight contending chainers, including zero-work stages, and
@@ -73,7 +104,7 @@ func chainRun(chained bool) ([][]Time, Stats) {
 	for i := 0; i < 8; i++ {
 		c := &chainer{s1: s1, s2: s2, w1: float64(1 + i%3), w2: float64(i%4) * 2.5,
 			lat: Time(i%2) * 3, rounds: 5, chained: chained}
-		e.Schedule(Time(i)/3, func() { e.Start(&c.proc, c) })
+		e.Schedule(Time(i)/3, func() { c.start(e) })
 		cs = append(cs, c)
 	}
 	e.Run()
@@ -84,9 +115,10 @@ func chainRun(chained bool) ([][]Time, Stats) {
 	return done, e.Stats()
 }
 
-// TestChainMatchesBlockingStages: a chained op completes at exactly the
-// instant the same stages charged one blocking call at a time would, firing
-// the same events, with one resume per op instead of one per stage.
+// TestChainMatchesBlockingStages: an op whose stages a stepped proc's Resume
+// chains on the event loop completes at exactly the instant the same stages
+// charged one blocking call at a time would, firing the same events, with
+// one resume per op instead of one per stage.
 func TestChainMatchesBlockingStages(t *testing.T) {
 	got, chained := chainRun(true)
 	want, blocking := chainRun(false)
@@ -105,9 +137,9 @@ func TestChainMatchesBlockingStages(t *testing.T) {
 }
 
 // taper runs a list of ops, each a request on its share (work > 0) or a
-// sleep (work <= 0, for -work), over several rounds. Chained, each round
-// is one Chain: StepAfter and Share.Chain link the ops, and the last one
-// ends the chain with ResumeAfter or Share.ChainEnd.
+// sleep (work <= 0, for -work), over several rounds. Chained, it is a
+// stepped proc whose Run arms the first op and blocks once per round, and
+// whose Resume arms each later one with WakeAfter or Share.AcquireThen.
 type taper struct {
 	proc    Proc
 	s       *Share
@@ -115,14 +147,18 @@ type taper struct {
 	pos     int
 	rounds  int
 	chained bool
-	done    []Time
+	// replaying is set while Resume has ops of the round left to arm; ran
+	// once Run has returned.
+	replaying, ran bool
+	done           []Time
 }
 
 func (c *taper) Run(p *Proc) {
 	for i := 0; i < c.rounds; i++ {
 		if c.chained {
 			c.pos = 0
-			p.Chain(atS1, 0)
+			c.step()
+			p.Await()
 		} else {
 			for _, w := range c.ops {
 				if w > 0 {
@@ -134,23 +170,28 @@ func (c *taper) Run(p *Proc) {
 		}
 		c.done = append(c.done, p.Now())
 	}
+	c.ran = true
 }
 
 func (c *taper) String() string { return "taper" }
 
-func (c *taper) Step(uint64) {
-	w, last := c.ops[c.pos], c.pos == len(c.ops)-1
-	switch {
-	case w > 0 && last:
-		c.s.ChainEnd(&c.proc, w)
-	case w > 0:
-		c.pos++
-		c.s.Chain(&c.proc, w, atS1)
-	case last:
-		c.proc.ResumeAfter(-w)
-	default:
-		c.pos++
-		c.proc.StepAfter(-w, atS1)
+func (c *taper) Resume(*Proc) bool {
+	if c.replaying {
+		c.step()
+		return false
+	}
+	return !c.ran
+}
+
+// step arms the next op's wait; the last op's wake-up returns to Run.
+func (c *taper) step() {
+	w := c.ops[c.pos]
+	c.pos++
+	c.replaying = c.pos < len(c.ops)
+	if w > 0 {
+		c.s.AcquireThen(&c.proc, w)
+	} else {
+		c.proc.WakeAfter(-w)
 	}
 }
 
@@ -167,7 +208,13 @@ func taperRun(chained bool) ([][]Time, Stats) {
 			ops = append(ops, 0.75+float64(i))
 		}
 		c := &taper{s: s, ops: ops, rounds: 4, chained: chained}
-		e.Schedule(Time(i)/4, func() { e.Start(&c.proc, c) })
+		e.Schedule(Time(i)/4, func() {
+			if chained {
+				e.StartStepped(&c.proc, c)
+			} else {
+				e.Start(&c.proc, c)
+			}
+		})
 		cs = append(cs, c)
 	}
 	e.Run()
@@ -178,12 +225,12 @@ func taperRun(chained bool) ([][]Time, Stats) {
 	return done, e.Stats()
 }
 
-// TestStepAfterAndChainEndMatchBlockingOps: a chain of several ops, linked
-// by StepAfter and ended by ChainEnd or ResumeAfter, finishes each round at
-// exactly the instant the ops charged one blocking call at a time would,
-// queueing the same events in the same slots; every resume between two ops
-// becomes a step.
-func TestStepAfterAndChainEndMatchBlockingOps(t *testing.T) {
+// TestSteppedOpsMatchBlockingOps: a round of several ops, each armed by a
+// stepped proc's Resume with WakeAfter or Share.AcquireThen, the last one
+// waking Run, finishes at exactly the instant the ops charged one blocking
+// call at a time would, queueing the same events in the same slots; every
+// resume between two ops becomes a step.
+func TestSteppedOpsMatchBlockingOps(t *testing.T) {
 	got, chained := taperRun(true)
 	want, blocking := taperRun(false)
 	for i := range want {
@@ -205,9 +252,10 @@ func TestStepAfterAndChainEndMatchBlockingOps(t *testing.T) {
 }
 
 // TestChainPendingStageIsNotBlocked: a chained proc is listed by
-// BlockedProcs while it waits in a share, and not once its next stage is
-// queued. Two chainers finish their s1 work together; while the first
-// one's stage runs, the second's is queued.
+// BlockedProcs while it waits in a share, as an Acquire waiter is, and not
+// once the wake-up that runs its next stage is queued. Two chainers finish
+// their s1 work together; while the first one's stage runs, the second's
+// wake-up is queued.
 func TestChainPendingStageIsNotBlocked(t *testing.T) {
 	e := New()
 	t.Cleanup(e.Close)
@@ -217,14 +265,14 @@ func TestChainPendingStageIsNotBlocked(t *testing.T) {
 	for i := range cs {
 		cs[i] = &chainer{s1: s1, s2: s2, w1: 2, w2: 1, rounds: 1, chained: true}
 		cs[i].onStep = func() { seen = append(seen, e.BlockedProcs()) }
-		e.Start(&cs[i].proc, cs[i])
+		cs[i].start(e)
 	}
 	e.RunUntil(1)
 	if got := e.BlockedProcs(); !slices.Equal(got, []string{"chainer", "chainer"}) {
 		t.Fatalf("waiting in s1: BlockedProcs = %v, want both chainers", got)
 	}
 	e.Run()
-	// The first stages run inline in Chain, the second chainer's while the
+	// The first stages run inline in Run, the second chainer's while the
 	// first waits in s1. s1 serves both at t=2: the first one's stage runs
 	// with the second's still queued, and the second's while the first
 	// waits in s2. s2 serves both at t=4: neither stage runs while the
@@ -236,8 +284,8 @@ func TestChainPendingStageIsNotBlocked(t *testing.T) {
 }
 
 // TestHotStructSizes pins the engine's per-event, per-proc and per-request
-// structs: a chain's stage lives in Proc's padding and the event payload is
-// one interface, so neither grew.
+// structs: the event payload is one interface, and a proc keeps no staged
+// wait's state, which its Stepper holds.
 func TestHotStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -247,7 +295,7 @@ func TestHotStructSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"event", unsafe.Sizeof(event{}), 56},
-		{"Proc", unsafe.Sizeof(Proc{}), 72},
+		{"Proc", unsafe.Sizeof(Proc{}), 64},
 		{"shareReq", unsafe.Sizeof(shareReq{}), 16},
 	} {
 		if c.got != c.want {

@@ -270,11 +270,12 @@ func TestStatsCounts(t *testing.T) {
 		t.Fatalf("ping-pong Stats = %+v, want %+v", got, want)
 	}
 
-	// A chained op fires each stage as a step and resumes its proc once; a
-	// timer re-armed while armed moves its heap entry in place.
+	// A chained op's Resume runs each later stage as a step and its proc's
+	// Run resumes once; a timer re-armed while armed moves its heap entry
+	// in place.
 	e = New()
 	c := &chainer{s1: NewShare(e, 1, 1), s2: NewShare(e, 1, 1), w1: 1, w2: 2, lat: 3, rounds: 1, chained: true}
-	e.Start(&c.proc, c)
+	c.start(e)
 	tm := NewTimer(e, func() {})
 	tm.Reset(1)
 	tm.Reset(5)

@@ -10,8 +10,9 @@ import (
 // TestDelayLanesKeepOrder runs seeded random programs twice, once with
 // fixed delays registered and once without, and requires the same fired
 // sequence of (at, seq, payload) and the same Stats, but for heap pushes
-// moving to DelayPushes one for one. The programs mix Sleep, chains
-// (StepAfter, Share.Chain, ResumeAfter), Schedule, timers, Share requests
+// moving to DelayPushes one for one. The programs mix Sleep, staged waits
+// that a stepped Resume arms (WakeAfter, Share.AcquireThen, and WakeAfter
+// again back into Run), Schedule, timers, Share requests
 // and stale wake-ups (a sleeping proc woken early leaves its lane entry
 // behind), and run under RunUntil deadlines that fall between lane heads.
 // Their delays include zero and one far below the clock's ulp, which must
@@ -76,6 +77,9 @@ type delayProc struct {
 	m     *delayProgram
 	id    int
 	state procState
+	// stage is the staged wait the proc's Resume arms next; zero outside
+	// one.
+	stage uint8
 }
 
 func runDelayProgram(seed int64, lanes bool) *delayProgram {
@@ -99,7 +103,7 @@ func runDelayProgram(seed int64, lanes bool) *delayProgram {
 	for i := 0; i < 4; i++ {
 		dp := &delayProc{m: m, id: i}
 		m.procs = append(m.procs, dp)
-		m.e.Start(&dp.proc, dp)
+		m.e.StartStepped(&dp.proc, dp)
 	}
 	for m.e.Pending() > 0 {
 		// A deadline off the grid of the drawn delays falls between lane
@@ -171,7 +175,9 @@ func (dp *delayProc) Run(p *Proc) {
 				p.Await()
 			}
 		case 4:
-			p.Chain(1, 0)
+			dp.stage = 1
+			dp.step()
+			p.Await()
 		}
 	}
 	dp.state = exited
@@ -179,25 +185,37 @@ func (dp *delayProc) Run(p *Proc) {
 
 func (dp *delayProc) String() string { return "delay-proc" }
 
-// Step runs a chain: a delay, a share request, and a resume after a delay.
-// The first stage runs inline in Chain, not from an event.
-func (dp *delayProc) Step(uint64) {
+// Resume runs the next stage of a staged wait, and otherwise starts or
+// continues Run, ending the proc once Run has returned.
+func (dp *delayProc) Resume(*Proc) bool {
+	if dp.stage != 0 {
+		dp.step()
+		return false
+	}
+	return dp.state != exited
+}
+
+// step arms the next wait of a staged one: a delay, a share request, and a
+// delay back into Run. Run arms the first inline, not from an event.
+func (dp *delayProc) step() {
 	m, p := dp.m, &dp.proc
-	stage, _ := p.Stage()
-	if stage != 1 {
+	if dp.stage != 1 {
 		m.record(10 + dp.id)
 	}
 	m.act()
-	switch stage {
+	switch dp.stage {
 	case 1:
-		p.StepAfter(m.delay(), 2)
+		dp.stage = 2
+		p.WakeAfter(m.delay())
 	case 2:
-		if m.share.Chain(p, float64(m.rng.Intn(3)), 3) {
+		dp.stage = 3
+		if m.share.AcquireThen(p, float64(m.rng.Intn(3))) {
 			return
 		}
 		fallthrough
 	default:
-		p.ResumeAfter(m.delay())
+		dp.stage = 0
+		p.WakeAfter(m.delay())
 	}
 }
 

@@ -27,34 +27,31 @@ type Time = float64
 const Infinity Time = math.MaxFloat64
 
 // event is a pooled queue entry. It carries one of two payloads: a process
-// resume (proc with its wake generation in gen, step nil) or a step, run
-// with gen as its argument. A step event that also names proc is a stage of
-// that process's chain (Proc.Chain) and is dropped, like a resume, once the
-// proc is no longer blocked under gen. idx is the entry's position in the
-// queue heap, maintained by the sift routines so timers can re-key or remove
-// their entry in place.
+// resume (proc with its wake generation in gen, step nil), dropped as stale
+// once the proc is no longer blocked under gen, or a step (proc nil). idx is
+// the entry's position in the queue heap, maintained by the sift routines so
+// timers can re-key or remove their entry in place.
 type event struct {
 	at   Time
 	seq  int64
 	idx  int
-	step Step
+	step step
 	proc *Proc
 	gen  uint64
 }
 
-// Step is the payload of every queued event other than a process resume: a
-// continuation run on the event loop with the argument it was queued with.
-// A Schedule callback, an armed Timer and a chained process stage are all
-// steps. A step must not block.
-type Step interface {
-	Step(arg uint64)
+// step is the payload of every queued event other than a process resume: a
+// continuation run on the event loop. A Schedule callback and an armed Timer
+// are steps. A step must not block.
+type step interface {
+	fire()
 }
 
-// funcStep is a Schedule callback as a Step. A func value is pointer-shaped,
+// funcStep is a Schedule callback as a step. A func value is pointer-shaped,
 // so converting one to the interface does not allocate.
 type funcStep func()
 
-func (f funcStep) Step(uint64) { f() }
+func (f funcStep) fire() { f() }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // New.
@@ -131,8 +128,9 @@ type Stats struct {
 	// Rekeys counts timer re-arms that moved an armed timer's heap entry
 	// in place.
 	Rekeys int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
-	// Steps counts fired stages of chained processes (Proc.Chain) and
-	// resumes of stepped procs run on the event loop (StartStepped).
+	// Steps counts the resumes of stepped procs (StartStepped) that ran
+	// their Resume on the event loop and went on waiting, without taking
+	// the baton.
 	Steps int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakPending is the most events ever queued at once, heap and lanes
 	// together.
@@ -248,13 +246,12 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 const maxDelayLanes = 8
 
 // RegisterDelay gives the fixed delay d a lane of its own: a process
-// resume or chained stage scheduled d from now (Sleep, WakeAfter,
-// ResumeAfter, StepAfter) then skips the heap, firing in exactly the order
-// it would have fired from there. Registering the delays a model waits
-// most often makes its runs cheaper and changes nothing else. A d that is
-// not positive and finite, or already registered, is ignored, as is one
-// past the maxDelayLanes bound; timers and Schedule callbacks always use
-// the heap.
+// resume scheduled d from now (Sleep, WakeAfter) then skips the heap,
+// firing in exactly the order it would have fired from there. Registering
+// the delays a model waits most often makes its runs cheaper and changes
+// nothing else. A d that is not positive and finite, or already
+// registered, is ignored, as is one past the maxDelayLanes bound; timers
+// and Schedule callbacks always use the heap.
 func (e *Engine) RegisterDelay(d Time) {
 	if !(d > 0) || math.IsInf(d, 1) || e.ndelays == maxDelayLanes {
 		return
@@ -366,16 +363,6 @@ func (e *Engine) scheduleProc(delay Time, p *Proc, gen uint64) {
 	ev.gen = gen
 }
 
-// scheduleStep queues the next stage of p's chain after delay, in the queue
-// slot a resume of p after delay would take (a Wakeup's when delay is 0):
-// p's Runner runs it with the generation p is blocked under.
-func (e *Engine) scheduleStep(delay Time, p *Proc) {
-	ev := e.queueAfter(delay)
-	ev.step = p.run.(Step)
-	ev.proc = p
-	ev.gen = p.wakeGen
-}
-
 // Run executes events until the queue drains. It returns the final virtual
 // time.
 func (e *Engine) Run() Time { return e.RunUntil(Infinity) }
@@ -470,47 +457,36 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 			e.now = ev.at
 		}
 		lane := src == fromLane
-		step, p, gen := ev.step, ev.proc, ev.gen
+		s, p, gen := ev.step, ev.proc, ev.gen
 		e.freeEvent(ev)
-		if p != nil {
-			if p.dead || gen != p.wakeGen || !p.armed {
-				continue // stale wake-up
-			}
-			if step == nil {
-				e.countFired(lane)
-				p.armed = false
-				p.parked = false
-				if p.stepped && p.w == nil && !e.resume(p) {
-					continue
-				}
-				if p == self {
-					e.stats.SelfResumes++
-					return selfResumed
-				}
-				e.stats.Handoffs++
-				e.current = p
-				return batonHandedOff
-			}
-			e.stats.Steps++
+		if p == nil {
+			e.countFired(lane)
+			s.fire()
+			continue
+		}
+		if p.dead || gen != p.wakeGen || !p.armed {
+			continue // stale wake-up
 		}
 		e.countFired(lane)
-		step.Step(gen)
+		p.armed = false
+		p.parked = false
+		// A stepped proc's Resume runs here. One that waits again is a
+		// step; one that asks for its Run hands it the baton below.
+		if p.stepped && !p.run.(Stepper).Resume(p) {
+			e.stats.Steps++
+			if !p.armed {
+				p.end()
+			}
+			continue
+		}
+		if p == self {
+			e.stats.SelfResumes++
+			return selfResumed
+		}
+		e.stats.Handoffs++
+		e.current = p
+		return batonHandedOff
 	}
-}
-
-// resume runs a stepped proc that holds no coroutine in the event that
-// resumes it, counted as a step, and reports whether its Resume asked for
-// its Run, which takes the baton, and a coroutine, as a handoff. A Resume
-// that arms nothing ends the proc.
-func (e *Engine) resume(p *Proc) bool {
-	if p.run.(Stepper).Resume(p) {
-		return true
-	}
-	e.stats.Steps++
-	if !p.armed {
-		p.finish()
-	}
-	return false
 }
 
 // countFired counts one fired event.

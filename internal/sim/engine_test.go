@@ -75,25 +75,24 @@ func TestScheduleInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-// nanStepper chains one stage whose StepAfter delay is NaN.
-type nanStepper struct {
-	proc Proc
-	got  any
-}
+// nanStepper is a stepped proc whose Resume arms a wake-up at a NaN delay,
+// on the event loop.
+type nanStepper struct{ proc Proc }
 
-func (s *nanStepper) Run(p *Proc) {
-	defer func() { s.got = recover() }()
-	p.Chain(1, 0)
-}
+func (s *nanStepper) Run(*Proc) {}
 
-func (s *nanStepper) Step(uint64) { s.proc.StepAfter(Time(math.NaN()), 1) }
+func (s *nanStepper) Resume(p *Proc) bool {
+	p.WakeAfter(Time(math.NaN()))
+	return false
+}
 
 func (s *nanStepper) String() string { return "nan-stepper" }
 
 // TestNaNInstantsPanic: an event keyed at NaN would compare false with
 // every other, fire out of turn and leave the clock at NaN, so every way
 // to queue one panics naming it: Schedule, Timer.ResetAt (armed or not),
-// Proc.Sleep and WakeAfter, and a chain's StepAfter. Share.Acquire of NaN
+// Proc.Sleep and WakeAfter, and WakeAfter from a stepped proc's Resume on
+// the event loop. Share.Acquire of NaN
 // work, whose completion instant would be NaN, panics at the call, naming
 // the NaN work (TestNaNWorkPanicsAtCall).
 func TestNaNInstantsPanic(t *testing.T) {
@@ -134,11 +133,12 @@ func TestNaNInstantsPanic(t *testing.T) {
 		}, atNaN},
 		{"Sleep", inProc(func(_ *Engine, p *Proc) { p.Sleep(nan) }), atNaN},
 		{"WakeAfter", inProc(func(_ *Engine, p *Proc) { p.WakeAfter(nan) }), atNaN},
-		{"StepAfter", func(e *Engine) any {
+		{"SteppedWakeAfter", func(e *Engine) (got any) {
+			defer func() { got = recover() }()
 			s := &nanStepper{}
-			e.Start(&s.proc, s)
+			e.StartStepped(&s.proc, s)
 			e.Run()
-			return s.got
+			return nil
 		}, atNaN},
 		{"ShareAcquire", inProc(func(e *Engine, p *Proc) { NewShare(e, 1, 1).Acquire(p, math.NaN()) }),
 			`sim: proc "nan" requested NaN work`},

@@ -7,9 +7,9 @@ package sim
 //   - the same-instant lane (Engine.lane), for events scheduled at the
 //     current instant;
 //   - one fixed-delay lane per delay registered with RegisterDelay
-//     (Engine.dlanes), for process resumes and chained stages scheduled
-//     that delay d from now, when now+d moves the clock. The GPU model
-//     registers its memory latencies, which end most warp ops.
+//     (Engine.dlanes), for process resumes scheduled that delay d from
+//     now, when now+d moves the clock. The GPU model registers its memory
+//     latencies, which end most warp ops.
 //
 // Each lane is in (at, seq) order by construction. An entry of lane d is
 // keyed at = now+d: the clock never runs backward, float addition rounds

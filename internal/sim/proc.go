@@ -18,7 +18,7 @@ import (
 // process's coroutine. Exactly one Proc (or the dispatch loop) runs at any
 // instant, which makes all simulation state single-threaded.
 //
-// A stepped proc (StartStepped) holds no coroutine while it waits: the
+// A stepped proc (StartStepped) holds no coroutine while it waits: every
 // event that resumes it runs its Stepper's Resume on the event loop, and it
 // borrows a worker only for the code Resume hands to Run.
 type Proc struct {
@@ -34,12 +34,7 @@ type Proc struct {
 	wakeGen uint64
 	// prev and next link the engine's live processes in spawn order.
 	prev, next *Proc
-	// operand and stage describe the chain the proc is blocked in (Chain);
-	// stage is zero outside a chain. They sit in what would otherwise be
-	// padding, so a chain costs the proc no space.
-	operand uint32
-	stage   uint8
-	dead    bool
+	dead       bool
 	// killed asks the parked body to unwind (Engine.Close).
 	killed bool
 	// armed reports whether some event/signal is due to resume this proc.
@@ -100,13 +95,17 @@ func (e *Engine) Start(p *Proc, r Runner) {
 }
 
 // Stepper is a Runner whose proc can run stepped. Resume runs on the event
-// loop, in the event that would have handed the proc the baton (its start
-// and every wake-up after), and must not block. It either arms the proc's
-// next wake-up with a non-blocking half (Proc.WakeAfter, Signal.Park,
-// Share.AcquireThen) and returns false, or returns false with nothing armed,
-// which ends the proc, or returns true to run Run on a borrowed coroutine.
-// Run may block; when it returns, Resume runs again on that coroutine, and
-// once Resume waits the coroutine goes back to the pool.
+// loop, in every event that would have handed the proc the baton: its start
+// and each wake-up after, including the wake-ups of a Run that is blocked.
+// It must not block. It either arms the proc's next wake-up with a
+// non-blocking half (Proc.WakeAfter, Signal.Park, Share.AcquireThen) and
+// returns false, or returns true to start Run on a borrowed coroutine or to
+// continue the blocked one. Between Runs it may also return false with
+// nothing armed, which ends the proc. Run may block; when it returns,
+// Resume runs again on that coroutine, and once Resume waits the coroutine
+// goes back to the pool. A Run can thus hand a stretch of waits to Resume:
+// it arms the first itself, with the state Resume reads to arm the rest,
+// and blocks once in Await until Resume returns true.
 type Stepper interface {
 	Runner
 	Resume(p *Proc) bool
@@ -158,6 +157,15 @@ func (p *Proc) finish() {
 		e.tail = p.prev
 	}
 	p.prev, p.next = nil, nil
+}
+
+// end finishes a stepped proc whose Resume armed nothing, which it may do
+// only between Runs: a blocked Run could never go on.
+func (p *Proc) end() {
+	if p.w != nil {
+		panic(fmt.Sprintf("sim: proc %q armed no wake-up while its Run is blocked", p.Name()))
+	}
+	p.finish()
 }
 
 // Name returns the diagnostic name: the body's String.
@@ -231,73 +239,14 @@ func (p *Proc) Sleep(d Time) {
 
 // Wakeup resumes a parked process: one on a Signal, or in a Share. It must
 // be called from the event loop or another process; the wake-up takes effect
-// via a zero-delay event so ordering stays deterministic.
+// via a zero-delay event so ordering stays deterministic, and from then on
+// the proc is no longer parked.
 func (p *Proc) Wakeup() {
 	if !p.armed || p.dead {
 		return
 	}
+	p.parked = false
 	p.eng.scheduleProc(0, p, p.wakeGen)
-}
-
-// Chain blocks p once for a chain of stages that run on the event loop
-// rather than in p's body, saving the coroutine switches of blocking once
-// per stage. p's Runner must implement Step: it runs every stage with the
-// wake generation p blocked under, the first one inline here, and reads the
-// chain's stage and operand with Stage. A stage either queues a request with
-// Share.Chain, whose completion queues the next stage in the queue slot a
-// Wakeup of p would take, queues the next stage after a delay with
-// StepAfter, or ends the chain: with ResumeAfter, or with Share.ChainEnd,
-// whose completion is p's single resume. stage must not be zero.
-func (p *Proc) Chain(stage uint8, operand uint32) {
-	if stage == 0 {
-		panic(fmt.Sprintf("sim: proc %q chained at stage 0", p.Name()))
-	}
-	p.stage, p.operand = stage, operand
-	gen := p.arm()
-	p.run.(Step).Step(gen)
-	p.Await()
-}
-
-// Stage returns the stage and operand of the chain p is blocked in; the
-// stage is zero outside a chain.
-func (p *Proc) Stage() (stage uint8, operand uint32) { return p.stage, p.operand }
-
-// ResumeAfter ends p's chain: p resumes after d, from the Chain call that
-// blocked it, exactly as if it had slept for d.
-func (p *Proc) ResumeAfter(d Time) {
-	if p.stage == 0 {
-		panic(fmt.Sprintf("sim: proc %q resumed outside a chain", p.Name()))
-	}
-	p.stage = 0
-	p.parked = false
-	p.eng.scheduleProc(d, p, p.wakeGen)
-}
-
-// StepAfter queues the next stage of p's chain after d, in the queue slot
-// that ResumeAfter(d) would take: a chain of several ops runs the next op
-// where p would have resumed to start it.
-func (p *Proc) StepAfter(d Time, next uint8) {
-	if p.stage == 0 || next == 0 {
-		panic(fmt.Sprintf("sim: proc %q stepped outside a chain or to stage 0", p.Name()))
-	}
-	p.stage = next
-	p.parked = false
-	p.eng.scheduleStep(d, p)
-}
-
-// shareDone is a Share's completion of p's request. A chained proc's next
-// stage is queued; any other proc is woken. Either takes the same queue
-// slot.
-func (p *Proc) shareDone() {
-	if p.stage == 0 {
-		p.Wakeup()
-		return
-	}
-	if !p.armed || p.dead {
-		return
-	}
-	p.parked = false
-	p.eng.scheduleStep(0, p)
 }
 
 // unwind is the private panic value Engine.Close raises inside a parked

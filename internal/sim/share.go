@@ -102,7 +102,7 @@ func (s *Share) onTimer() {
 	s.min = 0
 	for _, r := range s.reqs {
 		if r.remaining <= shareEps {
-			r.proc.shareDone()
+			r.proc.Wakeup()
 			continue
 		}
 		if len(kept) > 0 && r.remaining < kept[s.min].remaining {
@@ -156,41 +156,6 @@ func (s *Share) AcquireThen(p *Proc, work float64) bool {
 	s.push(p, work)
 	p.park()
 	return true
-}
-
-// Chain is Acquire as one stage of p's chain (Proc.Chain): it queues `work`
-// units for p, which stays blocked, and sets p's stage to next, which p's
-// Runner runs once the work is served. It reports false, changing nothing,
-// when work <= 0; the caller then runs the next stage itself, as the proc
-// would have continued past an Acquire of no work. NaN work panics.
-func (s *Share) Chain(p *Proc, work float64, next uint8) bool {
-	if !needsService(p, work) {
-		return false
-	}
-	if next == 0 {
-		panic(fmt.Sprintf("sim: proc %q chained to stage 0", p.Name()))
-	}
-	p.stage = next
-	p.parked = true
-	s.push(p, work)
-	return true
-}
-
-// ChainEnd ends p's chain (Proc.Chain) with a request for `work` units:
-// p resumes once they are served, exactly as from an Acquire of the same
-// work. work must be positive: an end with nothing to serve is
-// ResumeAfter(0), which takes an event of its own; zero, negative or NaN
-// work panics.
-func (s *Share) ChainEnd(p *Proc, work float64) {
-	if p.stage == 0 {
-		panic(fmt.Sprintf("sim: proc %q ended a chain it is not in", p.Name()))
-	}
-	if !(work > 0) {
-		panic(fmt.Sprintf("sim: proc %q ended its chain with %v work", p.Name(), work))
-	}
-	p.stage = 0
-	p.parked = true
-	s.push(p, work)
 }
 
 // Integrals returns the busy integral up to now: capacity-time in use,

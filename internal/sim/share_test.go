@@ -295,7 +295,7 @@ func TestNaNWorkPanicsAtCall(t *testing.T) {
 		req  func(s *Share, q *Proc)
 	}{
 		{"Acquire", func(s *Share, q *Proc) { s.Acquire(q, math.NaN()) }},
-		{"Chain", func(s *Share, q *Proc) { s.Chain(q, math.NaN(), 1) }},
+		{"AcquireThen", func(s *Share, q *Proc) { s.AcquireThen(q, math.NaN()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New()

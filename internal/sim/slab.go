@@ -11,8 +11,8 @@ const (
 
 // Slab is a process-wide store of T values behind stable uint32 handles,
 // shared by every engine (the harness runs engines on several goroutines at
-// once). A handle fits where a pointer does not, such as a chained proc's
-// operand (Proc.Chain). Get and Put go through a mutex; At does not, since
+// once). A handle fits where a pointer does not: a tape's four bytes in a
+// GPU warp keep the warp within its size pin. Get and Put go through a mutex; At does not, since
 // a chunk never moves once made and a handle reaches its holder only
 // through Get. Like the worker pool, a Slab is a free list rather than a
 // sync.Pool, so values outlive a GC and a steady state allocates nothing.

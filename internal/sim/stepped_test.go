@@ -18,9 +18,11 @@ type looper struct {
 	d, w    float64
 	rounds  int
 	stepped bool
-	// i is the round and state the point in it of the stepped loop.
+	// i is the round and state the point in it of the stepped loop; inRun
+	// is set while the opaque body runs, blocked or not.
 	i     int
 	state uint8
+	inRun bool
 	done  []Time
 	// unwound records that Close unwound the opaque body.
 	unwound bool
@@ -45,7 +47,9 @@ func (l *looper) String() string { return "looper" }
 
 func (l *looper) Run(p *Proc) {
 	if l.stepped {
+		l.inRun = true
 		l.opaque(p)
+		l.inRun = false
 		return
 	}
 	for i := 0; i < l.rounds; i++ {
@@ -74,6 +78,9 @@ func (l *looper) opaque(p *Proc) {
 }
 
 func (l *looper) Resume(p *Proc) bool {
+	if l.inRun {
+		return true // a wake-up of the blocked opaque body
+	}
 	for {
 		switch l.state {
 		case lpSleep:
@@ -240,5 +247,29 @@ func TestSteppedResumeMayNotBlock(t *testing.T) {
 	}()
 	b := new(blocker)
 	e.StartStepped(&b.proc, b)
+	e.Run()
+}
+
+// dropper is a stepped proc whose Resume arms nothing while its Run is
+// blocked, which it may not do: the Run could never resume.
+type dropper struct{ proc Proc }
+
+func (d *dropper) String() string      { return "dropper" }
+func (d *dropper) Run(p *Proc)         { p.Sleep(1) }
+func (d *dropper) Resume(p *Proc) bool { return p.Now() == 0 }
+
+// TestSteppedResumeMustArmWhileRunBlocked: a Resume that returns false
+// with nothing armed while its proc's Run is blocked panics with the
+// proc's name.
+func TestSteppedResumeMustArmWhileRunBlocked(t *testing.T) {
+	e := New()
+	defer func() {
+		r, _ := recover().(string)
+		if !strings.Contains(r, `proc "dropper" armed no wake-up while its Run is blocked`) {
+			t.Errorf("panic %q, want the stepped proc named", r)
+		}
+	}()
+	d := new(dropper)
+	e.StartStepped(&d.proc, d)
 	e.Run()
 }

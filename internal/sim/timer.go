@@ -8,7 +8,7 @@ import "math"
 // re-keys that entry in place, so rearm-heavy users (Share, which re-arms on
 // every arrival and completion) leave no stale events behind and
 // Engine.Pending stays proportional to live timers, not total Resets. A
-// Timer is the Step its entry carries.
+// Timer is the step its entry carries.
 type Timer struct {
 	eng *Engine
 	fn  func()
@@ -63,9 +63,9 @@ func (t *Timer) ResetAt(at Time) {
 	t.ev = ev
 }
 
-// Step is the timer's firing, run by the engine once the timer's entry has
+// fire is the timer's firing, run by the engine once the timer's entry has
 // left the queue.
-func (t *Timer) Step(uint64) {
+func (t *Timer) fire() {
 	t.ev = nil
 	t.fn()
 }
