@@ -51,7 +51,7 @@ func rearm(t *sim.Timer, jitter map[int]sim.Time) {
 }
 
 // wakeEach arms a proc's wake-up from map-range values: the Proc.WakeAfter
-// sink, Sleep's non-blocking half, which a stepped proc's Resume arms.
+// sink, Sleep's non-blocking half, which a proc's Resume arms.
 func wakeEach(p *sim.Proc, delays map[int]sim.Time) {
 	for _, d := range delays {
 		p.WakeAfter(d) // want `\[taintflow\] nondeterministic value reaches a sim-time sink: .*map iteration order`

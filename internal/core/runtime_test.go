@@ -123,13 +123,15 @@ func TestManyTasksAllComplete(t *testing.T) {
 	}
 }
 
+// TestTaskTableRecycling: more tasks than TaskTable entries forces
+// recycling and the lazy aggregate copy-back path. The copy-back count and
+// the instant the last task is waited for are pinned exactly, so a change
+// to the protocol's steady state shows up as a number.
 func TestTaskTableRecycling(t *testing.T) {
-	// More tasks than TaskTable entries forces recycling and the lazy
-	// aggregate copy-back path.
 	eng, rt := testSystem(t, 1) // 2 MTBs x 32 rows = 64 entries
 	total := rt.totalEntries * 4
 	count := 0
-	runHost(t, eng, rt, func(p *sim.Proc) {
+	end := runHost(t, eng, rt, func(p *sim.Proc) {
 		for i := 0; i < total; i++ {
 			rt.TaskSpawn(p, TaskSpec{
 				Threads: 32, Blocks: 1,
@@ -141,8 +143,11 @@ func TestTaskTableRecycling(t *testing.T) {
 	if count != total {
 		t.Fatalf("tasks run = %d, want %d", count, total)
 	}
-	if rt.CopyBacks == 0 {
-		t.Error("expected forced copy-backs when the table fills")
+	if rt.CopyBacks != 7 {
+		t.Errorf("CopyBacks = %d, want 7 forced copy-backs as the table fills", rt.CopyBacks)
+	}
+	if end != 292917.3333333333 {
+		t.Errorf("last task waited for at %v, want 292917.3333333333", end)
 	}
 }
 

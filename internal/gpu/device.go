@@ -22,16 +22,17 @@ type LaunchSpec struct {
 	Fn            KernelFunc
 
 	// Resume runs on the event loop at the start of each of the launch's
-	// warps and at each wake-up after, except those of a running Fn: every
-	// warp is a stepped proc (sim.Engine.StartStepped) that borrows a
-	// coroutine only to run Fn. Resume must not block: it charges with the
-	// non-blocking ops (ComputeThen, SyncIssueThen, SyncArriveThen,
-	// AtomicSite.Enter and Leave, or Signal.Park on c.Proc()) and returns
-	// false once one of them has armed the warp's wake-up. It returns true
-	// to run Fn, after which it runs again, and false with nothing armed to
-	// end the warp. Left nil, it runs Fn once and then ends the warp. A
-	// device with a virtualization coordinator rejects a launch that sets
-	// it: only Fn's run sleeps off the swap-in delay.
+	// warps and at each wake-up after, except those of a running Fn and of
+	// a cost tape the warp replays: a warp is a sim proc that borrows a
+	// coroutine only to run Fn. A warp of a threadblock the virtualization
+	// coordinator spilled first waits out the block's swap-in delay, so
+	// its first Resume runs that long after placement. Resume must not
+	// block: it charges with the non-blocking ops (ComputeThen,
+	// SyncIssueThen, SyncArriveThen, AtomicSite.Enter and Leave, or
+	// Signal.Park on c.Proc()) and returns false once one of them has armed
+	// the warp's wake-up. It returns true to run Fn, after which it runs
+	// again, and false with nothing armed to end the warp. Left nil, it
+	// runs Fn once and then ends the warp.
 	Resume func(c *Ctx) bool
 	// OnDemand starts only warp 0 of a block when the block is placed; the
 	// launcher starts each other warp with Kernel.StartWarp when it has
@@ -133,34 +134,41 @@ type warp struct {
 	phase uint8
 }
 
-// A warp's phase: Fn not yet run, or between two runs of it; Fn running,
-// perhaps blocked; Fn returned.
+// A warp's phase: the coordinator's swap-in delay not yet waited; Fn not
+// yet run, or between two runs of it; Fn running, perhaps blocked; Fn
+// returned.
 const (
-	phaseStart uint8 = iota
+	phaseSwapIn uint8 = iota
+	phaseStart
 	phaseFn
 	phaseRan
 )
 
-// Run is the warp's Fn, after the coordinator's swap-in delay on a
-// virtualized device.
+// Run runs the warp's Fn, and runs it again for as long as the warp's
+// Resume, called on this coroutine once Fn returns, asks for it.
 func (w *warp) Run(p *sim.Proc) {
-	tb := w.ctx.tb
-	w.phase = phaseFn
-	if tb.spillDelay > 0 {
-		p.Sleep(tb.spillDelay)
+	for {
+		w.phase = phaseFn
+		w.ctx.tb.kernel.Spec.Fn(&w.ctx)
+		w.phase = phaseRan
+		if !w.Resume(p) {
+			return
+		}
 	}
-	tb.kernel.Spec.Fn(&w.ctx)
-	w.phase = phaseRan
 }
 
-// Resume runs at the warp's start and at every wake-up: it replays the
-// next stage of a draining tape, continues a blocked Fn, or else runs the
-// launch's Resume, and ends the warp when that arms nothing and asks for no
-// Run.
+// Resume runs at the warp's start and at every wake-up: it waits out the
+// swap-in delay of a spilled threadblock, replays the next stage of a
+// draining tape, continues a blocked Fn, or else runs the launch's Resume,
+// and ends the warp when that arms nothing and asks for no Run.
 func (w *warp) Resume(p *sim.Proc) bool {
 	switch {
 	case w.stage != 0:
 		w.replay()
+		return false
+	case w.phase == phaseSwapIn:
+		w.phase = phaseStart
+		p.WakeAfter(w.ctx.tb.spillDelay)
 		return false
 	case w.phase == phaseFn:
 		return true
@@ -357,11 +365,6 @@ func (d *Device) Launch(spec LaunchSpec) *Kernel {
 	if spec.SharedPerTB > d.Cfg.MaxSharedPerTB {
 		panic(fmt.Sprintf("gpu: launch %q: %d B shared/TB exceeds limit %d", spec.Name, spec.SharedPerTB, d.Cfg.MaxSharedPerTB))
 	}
-	if spec.Resume != nil && d.Virt != nil {
-		// Only Fn's first run pays the swap-in delay, which a Resume that
-		// charges before it would skip.
-		panic(fmt.Sprintf("gpu: launch %q with a Resume on a virtualized device", spec.Name))
-	}
 	if spec.Resume == nil {
 		spec.Resume = runOnce
 	}
@@ -474,7 +477,10 @@ func (d *Device) startWarp(w *warp, tb *threadBlock, i int) {
 		WarpInBlock: i,
 	}
 	w.phase = phaseStart
-	d.Eng.StartStepped(&w.proc, w)
+	if tb.spillDelay > 0 {
+		w.phase = phaseSwapIn
+	}
+	d.Eng.Start(&w.proc, w)
 }
 
 func (d *Device) warpDone(tb *threadBlock) {

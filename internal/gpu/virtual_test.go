@@ -173,6 +173,56 @@ func TestVirtualizeAdmitsPastPhysicalAndChargesSpill(t *testing.T) {
 	}
 }
 
+// TestVirtualizedSteppedLaunchWaitsOutSpill: a launch with a Resume runs on
+// a virtualized device. A warp of a threadblock the coordinator spilled
+// runs its first Resume exactly the block's swap-in delay after placement,
+// and a warp of a block that fits runs it at placement. Every warp then
+// computes, runs Fn once and ends.
+func TestVirtualizedSteppedLaunchWaitsOutSpill(t *testing.T) {
+	cfg := TitanX()
+	cfg.NumSMMs = 1
+	eng := sim.New()
+	defer eng.Close()
+	dev := NewDevice(eng, cfg)
+	co := dev.Virtualize(2)
+	steps := map[*Ctx]int{}
+	waited := map[sim.Time]int{} // first Resume's delay after placement, by warp count
+	ran := 0
+	k := dev.Launch(LaunchSpec{
+		Name: "st", GridDim: 4, BlockThreads: 64, SharedPerTB: 48 * 1024, RegsPerThread: 32,
+		Fn: func(*Ctx) { ran++ },
+		Resume: func(c *Ctx) bool {
+			steps[c]++
+			switch steps[c] {
+			case 1:
+				d := eng.Now() - c.tb.placedAt
+				if d != c.tb.spillDelay {
+					t.Errorf("block %d warp %d: first Resume %v after placement, want its swap-in delay %v",
+						c.BlockIdx, c.WarpInBlock, d, c.tb.spillDelay)
+				}
+				waited[d]++
+				if !c.ComputeThen(100) {
+					t.Fatal("ComputeThen(100) armed nothing")
+				}
+				return false
+			case 2:
+				return true
+			}
+			return false
+		},
+	})
+	eng.Run()
+	if !k.finished || ran != 8 || len(steps) != 8 {
+		t.Fatalf("finished %v, Fn ran %d times in %d warps; want 8 in 8", k.finished, ran, len(steps))
+	}
+	if co.SpilledTBs != 2 {
+		t.Fatalf("SpilledTBs = %d, want 2 (blocks 3 and 4 overflow the 96KB SMM)", co.SpilledTBs)
+	}
+	if spill := sim.Time(DefaultSpillCyclesPerKB * 48); waited[0] != 4 || waited[spill] != 4 {
+		t.Errorf("first Resumes by delay after placement %v, want 4 at 0 and 4 at %v", waited, spill)
+	}
+}
+
 // TestVirtualizeAtUnityIsInert pins that installing a coordinator with
 // factor 1 changes nothing: admission stays physical and no spill is
 // ever charged.

@@ -105,6 +105,9 @@ func (x *xfer) Run(p *sim.Proc) {
 	}
 }
 
+// Resume hands every wake-up to Run, which blocks for each stage.
+func (x *xfer) Resume(*sim.Proc) bool { return true }
+
 func (x *xfer) String() string { return "pcie-xfer" }
 
 // MinTransferTime returns the uncontended time to move `bytes` (latency +

@@ -8,9 +8,9 @@ import (
 )
 
 // chainer is a process that repeats one three-stage op: w1 units on s1, w2
-// units on s2, then a sleep of lat. Chained, it is a stepped proc whose Run
-// arms the first stage and blocks once per op, and whose Resume runs the
-// stages on the event loop; otherwise it blocks per stage.
+// units on s2, then a sleep of lat. Chained, its Run arms the first stage
+// and blocks once per op, and its Resume runs the stages on the event loop;
+// otherwise it blocks per stage.
 type chainer struct {
 	proc    Proc
 	s1, s2  *Share
@@ -18,10 +18,8 @@ type chainer struct {
 	lat     Time
 	rounds  int
 	chained bool
-	// stage is the chained op's next stage, zero outside one; ran is set
-	// once Run has returned.
+	// stage is the chained op's next stage, zero outside one.
 	stage uint8
-	ran   bool
 	done  []Time
 	// onStep, when set, runs at the start of every chained stage.
 	onStep func()
@@ -33,15 +31,6 @@ const (
 	atS2
 	atLat
 )
-
-// start starts the chainer on e: stepped when chained.
-func (c *chainer) start(e *Engine) {
-	if c.chained {
-		e.StartStepped(&c.proc, c)
-	} else {
-		e.Start(&c.proc, c)
-	}
-}
 
 func (c *chainer) Run(p *Proc) {
 	for i := 0; i < c.rounds; i++ {
@@ -56,19 +45,18 @@ func (c *chainer) Run(p *Proc) {
 		}
 		c.done = append(c.done, p.Now())
 	}
-	c.ran = true
 }
 
 func (c *chainer) String() string { return "chainer" }
 
 // Resume runs the next stage of a chained op, and otherwise starts or
-// continues Run, ending the proc once Run has returned.
+// continues Run.
 func (c *chainer) Resume(*Proc) bool {
 	if c.stage != 0 {
 		c.step()
 		return false
 	}
-	return !c.ran
+	return true
 }
 
 // step arms the wait of the op's next stage, falling through a stage with
@@ -104,7 +92,7 @@ func chainRun(chained bool) ([][]Time, Stats) {
 	for i := 0; i < 8; i++ {
 		c := &chainer{s1: s1, s2: s2, w1: float64(1 + i%3), w2: float64(i%4) * 2.5,
 			lat: Time(i%2) * 3, rounds: 5, chained: chained}
-		e.Schedule(Time(i)/3, func() { c.start(e) })
+		e.Schedule(Time(i)/3, func() { e.Start(&c.proc, c) })
 		cs = append(cs, c)
 	}
 	e.Run()
@@ -115,8 +103,8 @@ func chainRun(chained bool) ([][]Time, Stats) {
 	return done, e.Stats()
 }
 
-// TestChainMatchesBlockingStages: an op whose stages a stepped proc's Resume
-// chains on the event loop completes at exactly the instant the same stages
+// TestChainMatchesBlockingStages: an op whose stages a proc's Resume chains
+// on the event loop completes at exactly the instant the same stages
 // charged one blocking call at a time would, firing the same events, with
 // one resume per op instead of one per stage.
 func TestChainMatchesBlockingStages(t *testing.T) {
@@ -137,9 +125,9 @@ func TestChainMatchesBlockingStages(t *testing.T) {
 }
 
 // taper runs a list of ops, each a request on its share (work > 0) or a
-// sleep (work <= 0, for -work), over several rounds. Chained, it is a
-// stepped proc whose Run arms the first op and blocks once per round, and
-// whose Resume arms each later one with WakeAfter or Share.AcquireThen.
+// sleep (work <= 0, for -work), over several rounds. Chained, its Run arms
+// the first op and blocks once per round, and its Resume arms each later
+// one with WakeAfter or Share.AcquireThen.
 type taper struct {
 	proc    Proc
 	s       *Share
@@ -147,10 +135,9 @@ type taper struct {
 	pos     int
 	rounds  int
 	chained bool
-	// replaying is set while Resume has ops of the round left to arm; ran
-	// once Run has returned.
-	replaying, ran bool
-	done           []Time
+	// replaying is set while Resume has ops of the round left to arm.
+	replaying bool
+	done      []Time
 }
 
 func (c *taper) Run(p *Proc) {
@@ -170,7 +157,6 @@ func (c *taper) Run(p *Proc) {
 		}
 		c.done = append(c.done, p.Now())
 	}
-	c.ran = true
 }
 
 func (c *taper) String() string { return "taper" }
@@ -180,7 +166,7 @@ func (c *taper) Resume(*Proc) bool {
 		c.step()
 		return false
 	}
-	return !c.ran
+	return true
 }
 
 // step arms the next op's wait; the last op's wake-up returns to Run.
@@ -208,13 +194,7 @@ func taperRun(chained bool) ([][]Time, Stats) {
 			ops = append(ops, 0.75+float64(i))
 		}
 		c := &taper{s: s, ops: ops, rounds: 4, chained: chained}
-		e.Schedule(Time(i)/4, func() {
-			if chained {
-				e.StartStepped(&c.proc, c)
-			} else {
-				e.Start(&c.proc, c)
-			}
-		})
+		e.Schedule(Time(i)/4, func() { e.Start(&c.proc, c) })
 		cs = append(cs, c)
 	}
 	e.Run()
@@ -226,7 +206,7 @@ func taperRun(chained bool) ([][]Time, Stats) {
 }
 
 // TestSteppedOpsMatchBlockingOps: a round of several ops, each armed by a
-// stepped proc's Resume with WakeAfter or Share.AcquireThen, the last one
+// proc's Resume with WakeAfter or Share.AcquireThen, the last one
 // waking Run, finishes at exactly the instant the ops charged one blocking
 // call at a time would, queueing the same events in the same slots; every
 // resume between two ops becomes a step.
@@ -265,7 +245,7 @@ func TestChainPendingStageIsNotBlocked(t *testing.T) {
 	for i := range cs {
 		cs[i] = &chainer{s1: s1, s2: s2, w1: 2, w2: 1, rounds: 1, chained: true}
 		cs[i].onStep = func() { seen = append(seen, e.BlockedProcs()) }
-		cs[i].start(e)
+		e.Start(&cs[i].proc, cs[i])
 	}
 	e.RunUntil(1)
 	if got := e.BlockedProcs(); !slices.Equal(got, []string{"chainer", "chainer"}) {
@@ -285,7 +265,7 @@ func TestChainPendingStageIsNotBlocked(t *testing.T) {
 
 // TestHotStructSizes pins the engine's per-event, per-proc and per-request
 // structs: the event payload is one interface, and a proc keeps no staged
-// wait's state, which its Stepper holds.
+// wait's state, which its Runner holds.
 func TestHotStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")

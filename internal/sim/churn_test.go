@@ -3,24 +3,24 @@ package sim
 import "testing"
 
 // TestPendingBoundedUnderTimerChurn is the regression test for the stale
-// timer-event leak: every Timer.Reset used to push a fresh closure into the
+// timer-event leak: every timer re-arm used to push a fresh closure into the
 // event heap and leave the superseded one behind until its original deadline,
-// so Pending() grew O(total Resets). An armed timer now owns exactly one
-// indexed heap entry that Reset re-keys in place.
+// so Pending() grew O(total re-arms). An armed timer now owns exactly one
+// indexed heap entry that ResetAt re-keys in place.
 func TestPendingBoundedUnderTimerChurn(t *testing.T) {
 	e := New()
 	fired := 0
 	tm := NewTimer(e, func() { fired++ })
 	const resets = 100_000
 	for i := 0; i < resets; i++ {
-		tm.Reset(Time(1000 + i%97))
+		tm.ResetAt(e.Now() + Time(1000+i%97))
 	}
 	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d after %d Resets, want 1 (one live timer entry)", got, resets)
+		t.Fatalf("Pending() = %d after %d re-arms, want 1 (one live timer entry)", got, resets)
 	}
 	e.Run()
 	if fired != 1 {
-		t.Fatalf("timer fired %d times, want 1 (only the last Reset counts)", fired)
+		t.Fatalf("timer fired %d times, want 1 (only the last re-arm counts)", fired)
 	}
 
 	// Churn interleaved with running: a rearm-on-fire pattern (Share's
@@ -31,11 +31,11 @@ func TestPendingBoundedUnderTimerChurn(t *testing.T) {
 	tm2 = NewTimer(e2, func() {
 		n++
 		if n < 10_000 {
-			tm2.Reset(3)
-			tm2.Reset(1) // supersede immediately, as settle/rearm does
+			tm2.ResetAt(e2.Now() + 3)
+			tm2.ResetAt(e2.Now() + 1) // supersede immediately, as settle/rearm does
 		}
 	})
-	tm2.Reset(1)
+	tm2.ResetAt(e2.Now() + 1)
 	e2.Run()
 	if n != 10_000 {
 		t.Fatalf("rearm chain fired %d times, want 10000", n)
@@ -81,7 +81,7 @@ func BenchmarkEngineSleep(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineTimerChurn measures Reset-heavy rearming, the dominant
+// BenchmarkEngineTimerChurn measures ResetAt-heavy rearming, the dominant
 // timer operation of Share.
 func BenchmarkEngineTimerChurn(b *testing.B) {
 	e := New()
@@ -90,14 +90,14 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	tm = NewTimer(e, func() {
 		fired++
 		if fired < b.N {
-			tm.Reset(5)
-			tm.Reset(2)
-			tm.Reset(7) // three re-keys per fire, as settle/rearm churn does
+			tm.ResetAt(e.Now() + 5)
+			tm.ResetAt(e.Now() + 2)
+			tm.ResetAt(e.Now() + 7) // three re-keys per fire, as settle/rearm churn does
 		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	tm.Reset(1)
+	tm.ResetAt(e.Now() + 1)
 	e.Run()
 	if fired != b.N {
 		b.Fatalf("fired %d of %d", fired, b.N)

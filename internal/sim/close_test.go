@@ -275,10 +275,10 @@ func TestStatsCounts(t *testing.T) {
 	// in place.
 	e = New()
 	c := &chainer{s1: NewShare(e, 1, 1), s2: NewShare(e, 1, 1), w1: 1, w2: 2, lat: 3, rounds: 1, chained: true}
-	c.start(e)
+	e.Start(&c.proc, c)
 	tm := NewTimer(e, func() {})
-	tm.Reset(1)
-	tm.Reset(5)
+	tm.ResetAt(1)
+	tm.ResetAt(5)
 	e.Run()
 	if got, want := e.Stats(), (Stats{Events: 7, Handoffs: 1, SelfResumes: 1, PeakRunning: 1,
 		LaneEvents: 3, HeapPushes: 4, Rekeys: 1, Steps: 2, PeakPending: 2}); got != want {

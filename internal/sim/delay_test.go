@@ -11,7 +11,7 @@ import (
 // fixed delays registered and once without, and requires the same fired
 // sequence of (at, seq, payload) and the same Stats, but for heap pushes
 // moving to DelayPushes one for one. The programs mix Sleep, staged waits
-// that a stepped Resume arms (WakeAfter, Share.AcquireThen, and WakeAfter
+// that a proc's Resume arms (WakeAfter, Share.AcquireThen, and WakeAfter
 // again back into Run), Schedule, timers, Share requests
 // and stale wake-ups (a sleeping proc woken early leaves its lane entry
 // behind), and run under RunUntil deadlines that fall between lane heads.
@@ -103,7 +103,7 @@ func runDelayProgram(seed int64, lanes bool) *delayProgram {
 	for i := 0; i < 4; i++ {
 		dp := &delayProc{m: m, id: i}
 		m.procs = append(m.procs, dp)
-		m.e.StartStepped(&dp.proc, dp)
+		m.e.Start(&dp.proc, dp)
 	}
 	for m.e.Pending() > 0 {
 		// A deadline off the grid of the drawn delays falls between lane
@@ -136,7 +136,7 @@ func (m *delayProgram) act() {
 			id := 200 + m.rng.Intn(50)
 			m.e.Schedule(m.delay(), func() { m.record(id); m.act() })
 		case 2:
-			m.timers[m.rng.Intn(len(m.timers))].Reset(m.delay())
+			m.timers[m.rng.Intn(len(m.timers))].ResetAt(m.e.Now() + m.delay())
 		case 3:
 			// Waking a sleeper early leaves its sleep's entry stale.
 			dp := m.procs[m.rng.Intn(len(m.procs))]
@@ -186,13 +186,13 @@ func (dp *delayProc) Run(p *Proc) {
 func (dp *delayProc) String() string { return "delay-proc" }
 
 // Resume runs the next stage of a staged wait, and otherwise starts or
-// continues Run, ending the proc once Run has returned.
+// continues Run.
 func (dp *delayProc) Resume(*Proc) bool {
 	if dp.stage != 0 {
 		dp.step()
 		return false
 	}
-	return dp.state != exited
+	return true
 }
 
 // step arms the next wait of a staged one: a delay, a share request, and a

@@ -2,12 +2,14 @@
 //
 // The engine owns a virtual clock measured in abstract time units (this
 // repository uses GPU cycles, 1 cycle = 1 ns at 1 GHz) and an event queue.
-// Concurrency is expressed with coroutine-style processes (Proc): each body
-// runs on a pooled iter.Pull coroutine, and the engine runs exactly one
-// process at a time, resuming coroutines from one dispatch loop in RunUntil,
-// so simulations are fully deterministic and free of data races even though
-// every process has its own stack. Close unwinds the processes still parked
-// when a simulation ends.
+// Concurrency is expressed with processes (Proc), each with one body, a
+// Runner: every wake-up runs the body's Resume on the event loop, which
+// either arms the next wake-up or hands the process the baton to run the
+// body's Run on a pooled iter.Pull coroutine. The engine runs exactly one
+// process at a time, resuming coroutines from one dispatch loop in
+// RunUntil, so simulations are fully deterministic and free of data races
+// even though a running process has its own stack. Close unwinds the
+// processes still parked when a simulation ends.
 //
 // Events scheduled for the same timestamp fire in the order they were
 // scheduled (a monotonically increasing sequence number breaks ties).
@@ -90,8 +92,7 @@ type Engine struct {
 	// head and tail link every spawned, unfinished process in spawn order,
 	// for LiveProcs, BlockedProcs and Close.
 	head, tail *Proc
-	// running counts the coroutines held: started, unfinished procs,
-	// less stepped procs between Runs.
+	// running counts the coroutines held: the procs inside a Run.
 	running int64
 	stats   Stats
 }
@@ -103,17 +104,17 @@ type Stats struct {
 	// process resumes. Stale wake-ups are dropped, not fired.
 	Events int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// Handoffs counts resumes that switched coroutines: the baton moved to
-	// a process other than the one driving the event loop, or a stepped
-	// proc took a coroutine for its Run.
+	// a process other than the one driving the event loop, to continue its
+	// blocked Run or to start one on a coroutine from the pool.
 	Handoffs int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// SelfResumes counts resumes of the yielding process itself, which
 	// return without any switch.
 	SelfResumes int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
-	// PeakRunning is the most procs that were ever started but not
-	// finished at once: the peak number of coroutines the engine held. A
-	// stepped proc between Runs does not count. A 32-node Pagoda fleet
-	// peaks at 2,287 (TestEngineStatsPinned), which is also its peak of
-	// live procs: its idle executor warps are not procs at all.
+	// PeakRunning is the most procs that were ever inside a Run at once:
+	// the peak number of coroutines the engine held. A proc waiting
+	// between Runs does not count. A 32-node Pagoda fleet peaks at 2,287
+	// (TestEngineStatsPinned): its idle executor warps are not procs at
+	// all.
 	PeakRunning int64
 	// LaneEvents counts the fired events that came from the same-instant
 	// lane rather than the heap or a delay lane.
@@ -128,9 +129,9 @@ type Stats struct {
 	// Rekeys counts timer re-arms that moved an armed timer's heap entry
 	// in place.
 	Rekeys int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
-	// Steps counts the resumes of stepped procs (StartStepped) that ran
-	// their Resume on the event loop and went on waiting, without taking
-	// the baton.
+	// Steps counts the resumes whose Runner's Resume armed the next
+	// wake-up, or ended the proc, on the event loop without taking the
+	// baton.
 	Steps int64 //pagoda:allow unused TestEngineStatsPinned and TestStatsCounts pin it exactly; a moved count flags a changed event order
 	// PeakPending is the most events ever queued at once, heap and lanes
 	// together.
@@ -398,9 +399,8 @@ const (
 	// it simply continues, with no switch at all (the common Sleep/rearm
 	// ping-pong).
 	selfResumed
-	// procExited: a process body returned (or was unwound), or a stepped
-	// proc waits again after its Run, and its coroutine switched back to
-	// RunUntil, which resumes dispatch.
+	// procExited: a process's Run returned (or was unwound), and its
+	// coroutine switched back to RunUntil, which resumes dispatch.
 	procExited
 )
 
@@ -470,9 +470,9 @@ func (e *Engine) dispatch(self *Proc) dispatchResult {
 		e.countFired(lane)
 		p.armed = false
 		p.parked = false
-		// A stepped proc's Resume runs here. One that waits again is a
+		// The proc's Resume runs here. One that waits again, or ends, is a
 		// step; one that asks for its Run hands it the baton below.
-		if p.stepped && !p.run.(Stepper).Resume(p) {
+		if !p.run.Resume(p) {
 			e.stats.Steps++
 			if !p.armed {
 				p.end()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -75,8 +76,8 @@ func TestScheduleInPastPanics(t *testing.T) {
 	e.Run()
 }
 
-// nanStepper is a stepped proc whose Resume arms a wake-up at a NaN delay,
-// on the event loop.
+// nanStepper is a proc whose Resume arms a wake-up at a NaN delay, on the
+// event loop.
 type nanStepper struct{ proc Proc }
 
 func (s *nanStepper) Run(*Proc) {}
@@ -91,8 +92,9 @@ func (s *nanStepper) String() string { return "nan-stepper" }
 // TestNaNInstantsPanic: an event keyed at NaN would compare false with
 // every other, fire out of turn and leave the clock at NaN, so every way
 // to queue one panics naming it: Schedule, Timer.ResetAt (armed or not),
-// Proc.Sleep and WakeAfter, and WakeAfter from a stepped proc's Resume on
-// the event loop. Share.Acquire of NaN
+// Proc.Sleep and WakeAfter, and WakeAfter from a proc's Resume on
+// the event loop. A Spawn body that recovers the panic and returns still
+// ends its proc: the refused wake-up armed nothing. Share.Acquire of NaN
 // work, whose completion instant would be NaN, panics at the call, naming
 // the NaN work (TestNaNWorkPanicsAtCall).
 func TestNaNInstantsPanic(t *testing.T) {
@@ -104,6 +106,9 @@ func TestNaNInstantsPanic(t *testing.T) {
 				body(e, p)
 			})
 			e.Run()
+			if n := e.LiveProcs(); n != 0 {
+				return fmt.Sprintf("%d procs live after the body recovered %v", n, got)
+			}
 			return got
 		}
 	}
@@ -136,7 +141,7 @@ func TestNaNInstantsPanic(t *testing.T) {
 		{"SteppedWakeAfter", func(e *Engine) (got any) {
 			defer func() { got = recover() }()
 			s := &nanStepper{}
-			e.StartStepped(&s.proc, s)
+			e.Start(&s.proc, s)
 			e.Run()
 			return nil
 		}, atNaN},

@@ -6,7 +6,7 @@ import (
 )
 
 // TestEventOrderProperty drives seeded random programs that mix
-// Schedule(0)/Schedule(d), Timer.Reset(0)/Reset(d)/ResetAt(Now),
+// Schedule(0)/Schedule(d), Timer.ResetAt(Now)/ResetAt(Now+d),
 // Sleep(0)/Sleep(d), Block with Wakeup (doubled at times), Signal.Wait with
 // Pulse, and RunUntil deadlines that fall before, at and after the clock. It
 // asserts that every callback and resume fires exactly when it was
@@ -108,13 +108,11 @@ func (m *orderModel) act() {
 		switch m.rng.Intn(7) {
 		case 0, 1:
 			m.schedule(m.delay())
-		case 2:
-			m.resetTimer(func(mt *modelTimer) { mt.tm.Reset(0) }, 0)
+		case 2, 4:
+			m.resetTimer(func(mt *modelTimer) { mt.tm.ResetAt(m.e.Now()) }, 0)
 		case 3:
 			d := m.delay()
-			m.resetTimer(func(mt *modelTimer) { mt.tm.Reset(d) }, d)
-		case 4:
-			m.resetTimer(func(mt *modelTimer) { mt.tm.ResetAt(m.e.Now()) }, 0)
+			m.resetTimer(func(mt *modelTimer) { mt.tm.ResetAt(m.e.Now() + d) }, d)
 		case 5:
 			m.wakeup()
 		case 6:

@@ -8,26 +8,24 @@ import (
 	"sync"
 )
 
-// Proc is a coroutine-style simulation process. Its body runs on a pooled
-// worker coroutine (iter.Pull) and only while it holds the engine's execution
-// baton. When it blocks on a simulation primitive (Sleep, Wait, ...) the
-// blocking coroutine itself keeps driving the event loop (Engine.dispatch):
-// if the next runnable event is its own resume it simply returns, with no
-// switch at all. Only a handoff to another process, or the end of the run,
-// switches back to the dispatch loop in RunUntil, which resumes the next
-// process's coroutine. Exactly one Proc (or the dispatch loop) runs at any
-// instant, which makes all simulation state single-threaded.
-//
-// A stepped proc (StartStepped) holds no coroutine while it waits: every
-// event that resumes it runs its Stepper's Resume on the event loop, and it
-// borrows a worker only for the code Resume hands to Run.
+// Proc is a simulation process. Every event that resumes it runs its
+// Runner's Resume on the event loop, which either arms the next wake-up
+// itself, so the proc waits holding no coroutine, or hands the proc the
+// engine's execution baton to start or continue its Run. Run executes on a
+// pooled worker coroutine (iter.Pull) and only while it holds the baton.
+// When it blocks on a simulation primitive (Sleep, Wait, ...) the blocking
+// coroutine itself keeps driving the event loop (Engine.dispatch): if the
+// next runnable event is its own resume it simply returns, with no switch at
+// all. Only a handoff to another process, or the end of the run, switches
+// back to the dispatch loop in RunUntil, which resumes the next process's
+// coroutine. Exactly one Proc (or the dispatch loop) runs at any instant,
+// which makes all simulation state single-threaded.
 type Proc struct {
 	eng *Engine
 	// run is the body, which also names the proc.
 	run Runner
-	// w is the worker coroutine running the body; nil until the first
-	// resume and again once the body has returned, and nil while a stepped
-	// proc waits between Runs.
+	// w is the worker coroutine running the body's Run; nil while the proc
+	// waits between Runs.
 	w *worker
 	// wakeGen guards against double wake-ups: a blocked proc records the
 	// generation it is waiting on, and stale resume events are dropped.
@@ -43,8 +41,6 @@ type Proc struct {
 	// (on a Signal, or waiting in a Share) — only an explicit Wakeup or a
 	// Share completion can resume it.
 	parked bool
-	// stepped marks a proc begun with StartStepped.
-	stepped bool
 }
 
 // Spawn creates a process executing body and schedules it to start at the
@@ -64,12 +60,19 @@ type spawned struct {
 }
 
 // Run runs the body, first dropping the reference to it so a dead proc
-// keeps nothing the closure captured alive.
+// keeps nothing the closure captured alive. The proc ends when the body
+// returns, even if the body armed a wake-up it never waited for: that
+// wake-up is dropped as stale.
 func (s *spawned) Run(p *Proc) {
 	body := s.body
 	s.body = nil
 	body(p)
+	p.armed = false
 }
+
+// Resume hands every wake-up to the body: to start it, then to continue it
+// where it blocked.
+func (s *spawned) Resume(*Proc) bool { return true }
 
 func (s *spawned) String() string { return s.name }
 
@@ -77,51 +80,34 @@ func (s *spawned) String() string { return s.name }
 // running it starts with Engine.Start, so one allocation covers both, and
 // its String is formatted only when the name is read: by Proc.Name,
 // BlockedProcs and the engine's panic messages.
+//
+// Resume runs on the event loop at every event that resumes the proc: its
+// start and each wake-up after, including the wake-ups of a Run that is
+// blocked. It must not block. It either arms the proc's next wake-up with a
+// non-blocking half (Proc.WakeAfter, Signal.Park, Share.AcquireThen) and
+// returns false, or returns true to start Run on a borrowed coroutine or to
+// continue the blocked one. Between Runs it may also return false with
+// nothing armed, which ends the proc. Run may block. When it returns, the
+// proc waits if Run armed a wake-up and ends otherwise, and the coroutine
+// goes back to the pool either way; a Run that would go on stepping calls
+// Resume itself before it returns. A Run can thus hand a stretch of waits
+// to Resume: it arms the first itself, with the state Resume reads to arm
+// the rest, and blocks once in Await until Resume returns true. A body that
+// only ever blocks in Run answers every Resume with true.
 type Runner interface {
 	Run(p *Proc)
+	Resume(p *Proc) bool
 	String() string
 }
 
 // Start runs r as the body of a caller-owned process, scheduled to start at
-// the current time. p must be a zero Proc or one of e's procs that has
-// finished: a restarted proc keeps its wake generation, so a wake-up queued
-// in its last life carries an older one and is dropped as stale. A Wakeup
-// called on it later reaches the new life, so whoever restarts a proc must
-// hold the only reference to it. Starting a live proc, or one of another
-// engine, panics.
+// the current time: the start event runs r's Resume. p must be a zero Proc
+// or one of e's procs that has finished: a restarted proc keeps its wake
+// generation, so a wake-up queued in its last life carries an older one and
+// is dropped as stale. A Wakeup called on it later reaches the new life, so
+// whoever restarts a proc must hold the only reference to it. Starting a
+// live proc, or one of another engine, panics.
 func (e *Engine) Start(p *Proc, r Runner) {
-	e.register(p, r, false)
-	p.WakeAfter(0)
-}
-
-// Stepper is a Runner whose proc can run stepped. Resume runs on the event
-// loop, in every event that would have handed the proc the baton: its start
-// and each wake-up after, including the wake-ups of a Run that is blocked.
-// It must not block. It either arms the proc's next wake-up with a
-// non-blocking half (Proc.WakeAfter, Signal.Park, Share.AcquireThen) and
-// returns false, or returns true to start Run on a borrowed coroutine or to
-// continue the blocked one. Between Runs it may also return false with
-// nothing armed, which ends the proc. Run may block; when it returns,
-// Resume runs again on that coroutine, and once Resume waits the coroutine
-// goes back to the pool. A Run can thus hand a stretch of waits to Resume:
-// it arms the first itself, with the state Resume reads to arm the rest,
-// and blocks once in Await until Resume returns true.
-type Stepper interface {
-	Runner
-	Resume(p *Proc) bool
-}
-
-// StartStepped runs r as a stepped proc, queueing the same start event
-// Start does: the proc takes a coroutine only while r's Run runs. p must be
-// a zero or finished Proc, as for Start.
-func (e *Engine) StartStepped(p *Proc, r Stepper) {
-	e.register(p, r, true)
-	p.WakeAfter(0)
-}
-
-// register links p into the engine's live list with r as its body. A
-// finished proc of e is zeroed first, all but its wake generation.
-func (e *Engine) register(p *Proc, r Runner, stepped bool) {
 	if p.eng != nil {
 		if p.eng != e || !p.dead || p.w != nil {
 			panic(fmt.Sprintf("sim: proc %q started twice", p.Name()))
@@ -129,7 +115,6 @@ func (e *Engine) register(p *Proc, r Runner, stepped bool) {
 		*p = Proc{wakeGen: p.wakeGen}
 	}
 	p.run = r
-	p.stepped = stepped
 	p.eng = e
 	p.prev = e.tail
 	if e.tail != nil {
@@ -138,6 +123,7 @@ func (e *Engine) register(p *Proc, r Runner, stepped bool) {
 		e.head = p
 	}
 	e.tail = p
+	p.WakeAfter(0)
 }
 
 // finish retires p: it is dead to stale wake-ups and leaves the live list.
@@ -159,8 +145,8 @@ func (p *Proc) finish() {
 	p.prev, p.next = nil, nil
 }
 
-// end finishes a stepped proc whose Resume armed nothing, which it may do
-// only between Runs: a blocked Run could never go on.
+// end finishes a proc whose Resume armed nothing, which it may do only
+// between Runs: a blocked Run could never go on.
 func (p *Proc) end() {
 	if p.w != nil {
 		panic(fmt.Sprintf("sim: proc %q armed no wake-up while its Run is blocked", p.Name()))
@@ -186,7 +172,7 @@ func (p *Proc) arm() uint64 {
 }
 
 // Armed reports whether p has a wake-up armed: it is blocked, or its
-// Stepper's Resume armed one rather than ending it.
+// Resume armed one rather than ending it.
 func (p *Proc) Armed() bool { return p.armed }
 
 // park arms p with no wake-up event: only a Wakeup or a Share completion
@@ -201,7 +187,7 @@ func (p *Proc) park() {
 // Share.AcquireThen) arms it. The waiting coroutine runs the event loop
 // itself; only when the baton moves to another process (or the run ends)
 // does it switch back to RunUntil's loop, parking until that loop resumes
-// it. A stepped proc may block only inside its Run.
+// it. A proc may block only inside its Run.
 func (p *Proc) Await() {
 	if !p.armed {
 		panic(fmt.Sprintf("sim: proc %q yielding with no pending wake-up", p.Name()))
@@ -225,9 +211,12 @@ func (p *Proc) Await() {
 }
 
 // WakeAfter is Sleep's non-blocking half: it arms p's wake-up d from now.
+// The event is queued before p is armed, so a delay the engine refuses
+// leaves p unarmed.
 func (p *Proc) WakeAfter(d Time) {
-	gen := p.arm()
-	p.eng.scheduleProc(d, p, gen)
+	ev := p.eng.queueAfter(d)
+	ev.proc = p
+	ev.gen = p.arm()
 }
 
 // Sleep blocks the process for d time units. d == 0 yields the baton and
@@ -285,19 +274,18 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	}
 }
 
-// run executes w.p's body to its end, recovering both Close's unwind and a
+// run executes w.p's Run to its end, recovering both Close's unwind and a
 // body panic; the latter is handed to switchTo, which re-raises it on the
-// RunUntil goroutine. A stepped proc's Run is followed by its Resume, and
-// the worker is done with the proc once Resume waits instead of asking for
-// another Run.
+// RunUntil goroutine. A proc whose Run armed a wake-up waits, holding no
+// coroutine; any other ends.
 func (w *worker) run() {
 	p := w.p
 	e := p.eng
 	defer func() {
 		e.yielded = procExited
 		r := recover()
-		if r == nil && p.stepped && p.armed {
-			return // a stepped proc waits again, holding no coroutine
+		if r == nil && p.armed {
+			return
 		}
 		p.finish()
 		if r != nil && !Unwinding(r) {
@@ -305,11 +293,6 @@ func (w *worker) run() {
 		}
 	}()
 	p.run.Run(p)
-	if p.stepped {
-		for s := p.run.(Stepper); s.Resume(p); {
-			p.run.Run(p)
-		}
-	}
 }
 
 // maxWorkers bounds the idle worker pool; coroutines returned beyond it end
@@ -356,11 +339,10 @@ func putWorker(w *worker) {
 	}
 }
 
-// switchTo runs p's coroutine (starting one on the first resume, or on a
-// stepped proc's Run) until it switches back to the RunUntil goroutine,
-// leaving the reason in e.yielded. The worker of a finished body, or of a
-// stepped proc that waits again, goes back to the pool, and a body panic is
-// re-raised here with its original value.
+// switchTo runs p's coroutine (taking one from the pool to start its Run)
+// until it switches back to the RunUntil goroutine, leaving the reason in
+// e.yielded. The worker of a Run that returned goes back to the pool, and a
+// body panic is re-raised here with its original value.
 func (e *Engine) switchTo(p *Proc) {
 	w := p.w
 	if w == nil {
@@ -388,9 +370,9 @@ func (e *Engine) switchTo(p *Proc) {
 // or in a Share, sleeping past the end of the run, or never started — in spawn
 // order, and returns their coroutines to the pool, so a finished simulation
 // leaves no goroutine behind. It also gives the arrays of its empty delay
-// lanes to the next engine that registers delays (RegisterDelay). A stepped
-// proc waiting between Runs holds no coroutine and is finished in place;
-// one blocked inside its Run unwinds. Each started body unwinds through its
+// lanes to the next engine that registers delays (RegisterDelay). A proc
+// waiting between Runs holds no coroutine and is finished in place; one
+// blocked inside its Run unwinds. Each started body unwinds through its
 // deferred calls; recover sites inside bodies must re-panic values for which
 // Unwinding reports true. On an engine with no live process Close only
 // gives back the lane arrays. It must not be called while the engine is
@@ -398,7 +380,7 @@ func (e *Engine) switchTo(p *Proc) {
 func (e *Engine) Close() {
 	for p := e.head; p != nil; p = e.head {
 		if p.w == nil {
-			p.finish() // never started, or stepped between Runs
+			p.finish() // never started, or between Runs
 			continue
 		}
 		p.killed = true

@@ -252,6 +252,25 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
+// TestSpawnBodyEndsWhenItReturns: a Spawn body that arms a wake-up and
+// returns without waiting for it ends its proc; the wake-up fires as
+// stale and the body does not run again.
+func TestSpawnBodyEndsWhenItReturns(t *testing.T) {
+	e := New()
+	runs := 0
+	e.Spawn("armer", func(p *Proc) {
+		runs++
+		p.WakeAfter(5)
+	})
+	e.Run()
+	if runs != 1 || e.LiveProcs() != 0 {
+		t.Fatalf("body ran %d times, %d procs live; want 1 run and none live", runs, e.LiveProcs())
+	}
+	if st := e.Stats(); st.Events != 1 {
+		t.Errorf("%d events fired, want only the start (the armed wake-up is stale)", st.Events)
+	}
+}
+
 func TestManyProcsDeterministic(t *testing.T) {
 	run := func() []int {
 		e := New()
@@ -282,7 +301,8 @@ type namedRunner struct {
 	strings int
 }
 
-func (r *namedRunner) Run(p *Proc) { block(p) }
+func (r *namedRunner) Run(p *Proc)       { block(p) }
+func (r *namedRunner) Resume(*Proc) bool { return true }
 
 func (r *namedRunner) String() string {
 	r.strings++
@@ -319,8 +339,9 @@ type lifeRunner struct {
 	body func(p *Proc)
 }
 
-func (r *lifeRunner) Run(p *Proc)    { r.body(p) }
-func (r *lifeRunner) String() string { return "life" }
+func (r *lifeRunner) Run(p *Proc)       { r.body(p) }
+func (r *lifeRunner) Resume(*Proc) bool { return true }
+func (r *lifeRunner) String() string    { return "life" }
 
 // TestRestartFinishedProc: a finished proc starts again and runs its new
 // body. A wake-up queued in its last life is dropped as stale, even where a

@@ -9,9 +9,10 @@ import (
 
 // looper is a process that repeats one round: a sleep, a request on a
 // share, and a token taken from a gate, then, every third round, an opaque
-// body that blocks twice. Blocking, its Run is the whole loop. Stepped, its
-// Resume runs the round on the event loop with the primitives'
-// non-blocking halves, and its Run is the opaque body alone.
+// body that blocks twice. Blocking, its Run is the whole loop and its
+// Resume hands it every wake-up. Stepped, its Resume runs the round on the
+// event loop with the primitives' non-blocking halves, and its Run is the
+// opaque body, after which it calls Resume itself to go on stepping.
 type looper struct {
 	proc    Proc
 	env     *loopEnv
@@ -47,10 +48,14 @@ func (l *looper) String() string { return "looper" }
 
 func (l *looper) Run(p *Proc) {
 	if l.stepped {
-		l.inRun = true
-		l.opaque(p)
-		l.inRun = false
-		return
+		for {
+			l.inRun = true
+			l.opaque(p)
+			l.inRun = false
+			if !l.Resume(p) {
+				return
+			}
+		}
 	}
 	for i := 0; i < l.rounds; i++ {
 		p.Sleep(l.d)
@@ -78,8 +83,8 @@ func (l *looper) opaque(p *Proc) {
 }
 
 func (l *looper) Resume(p *Proc) bool {
-	if l.inRun {
-		return true // a wake-up of the blocked opaque body
+	if !l.stepped || l.inRun {
+		return true // a wake-up of the blocked loop or opaque body
 	}
 	for {
 		switch l.state {
@@ -129,13 +134,7 @@ func loopRun(stepped bool, deadline Time) (*Engine, []*looper, loopResult) {
 	for i := 0; i < 8; i++ {
 		l := &looper{env: env, d: float64(1+i%4) * 1.5, w: float64(i%3) * 2,
 			rounds: 7, stepped: stepped}
-		e.Schedule(Time(i)/4, func() {
-			if stepped {
-				e.StartStepped(&l.proc, l)
-			} else {
-				e.Start(&l.proc, l)
-			}
-		})
+		e.Schedule(Time(i)/4, func() { e.Start(&l.proc, l) })
 		ls = append(ls, l)
 	}
 	e.Spawn("feeder", func(p *Proc) {
@@ -153,12 +152,12 @@ func loopRun(stepped bool, deadline Time) (*Engine, []*looper, loopResult) {
 	return e, ls, res
 }
 
-// TestSteppedMatchesBlocking: procs that run their loop stepped, on the
-// event loop, and borrow a coroutine only for an opaque body end every round
-// at the same instant, to the bit, as the same loop blocking on a coroutine
-// of its own; the share's busy integral and the event counts are the same
-// too, every resume the steps save becomes a step, and the stepped run holds
-// fewer coroutines at its peak. Every proc finishes.
+// TestSteppedMatchesBlocking: procs that run their loop stepped, in their
+// Resume on the event loop, and borrow a coroutine only for an opaque body
+// end every round at the same instant, to the bit, as the same loop
+// blocking in its Run; the share's busy integral and the event counts are
+// the same too, every resume the steps save becomes a step, and the stepped
+// run holds fewer coroutines at its peak. Every proc finishes.
 func TestSteppedMatchesBlocking(t *testing.T) {
 	eb, _, want := loopRun(false, Infinity)
 	es, _, got := loopRun(true, Infinity)
@@ -228,30 +227,30 @@ func TestCloseFinishesSteppedProcs(t *testing.T) {
 	}
 }
 
-// blocker is a stepped proc whose Resume blocks, which it may not do.
+// blocker is a proc whose Resume blocks, which it may not do.
 type blocker struct{ proc Proc }
 
 func (b *blocker) String() string      { return "blocker" }
 func (b *blocker) Run(*Proc)           {}
 func (b *blocker) Resume(p *Proc) bool { p.Sleep(1); return false }
 
-// TestSteppedResumeMayNotBlock: a stepped proc that blocks in its Resume,
-// on the event loop, panics with its name.
+// TestSteppedResumeMayNotBlock: a proc that blocks in its Resume, on the
+// event loop, panics with its name.
 func TestSteppedResumeMayNotBlock(t *testing.T) {
 	e := New()
 	defer func() {
 		r, _ := recover().(string)
 		if !strings.Contains(r, `proc "blocker" blocked on the event loop`) {
-			t.Errorf("panic %q, want the stepped proc named", r)
+			t.Errorf("panic %q, want the proc named", r)
 		}
 	}()
 	b := new(blocker)
-	e.StartStepped(&b.proc, b)
+	e.Start(&b.proc, b)
 	e.Run()
 }
 
-// dropper is a stepped proc whose Resume arms nothing while its Run is
-// blocked, which it may not do: the Run could never resume.
+// dropper is a proc whose Resume arms nothing while its Run is blocked,
+// which it may not do: the Run could never resume.
 type dropper struct{ proc Proc }
 
 func (d *dropper) String() string      { return "dropper" }
@@ -266,10 +265,10 @@ func TestSteppedResumeMustArmWhileRunBlocked(t *testing.T) {
 	defer func() {
 		r, _ := recover().(string)
 		if !strings.Contains(r, `proc "dropper" armed no wake-up while its Run is blocked`) {
-			t.Errorf("panic %q, want the stepped proc named", r)
+			t.Errorf("panic %q, want the proc named", r)
 		}
 	}()
 	d := new(dropper)
-	e.StartStepped(&d.proc, d)
+	e.Start(&d.proc, d)
 	e.Run()
 }

@@ -3,7 +3,7 @@ package sim
 import "math"
 
 // Timer is a re-armable one-shot timer. Unlike raw Schedule calls, a Timer
-// can be re-Reset before it fires. The timer owns a single indexed entry in
+// can be re-armed before it fires. The timer owns a single indexed entry in
 // the engine's event heap, even when armed for the current instant: ResetAt
 // re-keys that entry in place, so rearm-heavy users (Share, which re-arms on
 // every arrival and completion) leave no stale events behind and
@@ -21,17 +21,13 @@ func NewTimer(e *Engine, fn func()) *Timer {
 	return &Timer{eng: e, fn: fn}
 }
 
-// Reset arms the timer to fire after delay, cancelling any earlier arming.
-//
-//pagoda:allow unused test support: event-order tests re-arm timers at a delay; a taintflow sink
-func (t *Timer) Reset(delay Time) { t.ResetAt(t.eng.now + delay) }
-
-// ResetForward is Reset for a timer that must move the clock: when delay is
-// below the clock's float64 ulp (now+delay == now), it fires at the next
-// representable instant instead of now. Share rearms with it —
-// far into a run a tiny residual drain delay would otherwise re-fire at one
-// instant forever, each settle seeing dt=0 and draining nothing; one ulp's
-// drain exceeds the residue, so the flow completes there.
+// ResetForward arms the timer to fire after delay, cancelling any earlier
+// arming, and always moves the clock: when delay is below the clock's
+// float64 ulp (now+delay == now), it fires at the next representable
+// instant instead of now. Share rearms with it — far into a run a tiny
+// residual drain delay would otherwise re-fire at one instant forever, each
+// settle seeing dt=0 and draining nothing; one ulp's drain exceeds the
+// residue, so the flow completes there.
 func (t *Timer) ResetForward(delay Time) {
 	now := t.eng.now
 	if at := now + delay; at != now {

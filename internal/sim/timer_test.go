@@ -9,9 +9,9 @@ func TestTimerFires(t *testing.T) {
 	e := New()
 	fired := Time(-1)
 	tm := NewTimer(e, func() { fired = e.Now() })
-	tm.Reset(25)
+	tm.ResetAt(e.Now() + 25)
 	if tm.ev == nil {
-		t.Fatal("timer not armed after Reset")
+		t.Fatal("timer not armed after ResetAt")
 	}
 	e.Run()
 	if fired != 25 {
@@ -26,8 +26,8 @@ func TestTimerResetSupersedes(t *testing.T) {
 	e := New()
 	var fires []Time
 	tm := NewTimer(e, func() { fires = append(fires, e.Now()) })
-	tm.Reset(10)
-	tm.Reset(30) // cancels the 10-cycle arming
+	tm.ResetAt(e.Now() + 10)
+	tm.ResetAt(e.Now() + 30) // cancels the 10-cycle arming
 	e.Run()
 	if len(fires) != 1 || fires[0] != 30 {
 		t.Fatalf("fires = %v, want [30]", fires)
@@ -41,10 +41,10 @@ func TestTimerRearmAfterFire(t *testing.T) {
 	tm = NewTimer(e, func() {
 		fires = append(fires, e.Now())
 		if len(fires) < 3 {
-			tm.Reset(5)
+			tm.ResetAt(e.Now() + 5)
 		}
 	})
-	tm.Reset(5)
+	tm.ResetAt(e.Now() + 5)
 	e.Run()
 	if len(fires) != 3 || fires[2] != 15 {
 		t.Fatalf("fires = %v, want [5 10 15]", fires)
@@ -53,7 +53,7 @@ func TestTimerRearmAfterFire(t *testing.T) {
 
 // TestTimerResetForwardSubUlpDelay: with the clock far enough out that
 // now+delay == now, ResetForward fires one representable instant later
-// instead of at now; a delay the clock can resolve fires exactly as Reset.
+// instead of at now; a delay the clock can resolve fires exactly as ResetAt(now+delay).
 func TestTimerResetForwardSubUlpDelay(t *testing.T) {
 	const far = Time(1 << 60) // float64 ulp here is 256 cycles
 	e := New()
@@ -84,9 +84,9 @@ func TestTimerDeadline(t *testing.T) {
 	e := New()
 	fired := Time(-1)
 	tm := NewTimer(e, func() { fired = e.Now() })
-	e.Schedule(7, func() { tm.Reset(13) })
+	e.Schedule(7, func() { tm.ResetAt(e.Now() + 13) })
 	e.Run()
 	if fired != 20 {
-		t.Fatalf("fired at %v, want 20 (13 after the Reset at 7)", fired)
+		t.Fatalf("fired at %v, want 20 (13 after the re-arm at 7)", fired)
 	}
 }

@@ -134,6 +134,15 @@ func TransformerLayer() Benchmark {
 	}
 }
 
+// xfmrData is a verify-mode task's data: its input, the layer's weights,
+// its output and its intermediates. The intermediates are task-scoped, like
+// FB's vh and vu: rows are spread over the task's warps, and a later stage
+// reads rows another warp wrote.
+type xfmrData struct {
+	x, wq, wk, wv, wo, w1, w2, out []float32
+	q, k, v, att, ctx, o, hid      []float32
+}
+
 func makeXFMR(opt Options) []TaskDef {
 	rng := prng.New(opt.Seed)
 	threads := opt.threads(128)
@@ -149,18 +158,21 @@ func makeXFMR(opt Options) []TaskDef {
 		}
 		macs := xfmrMACs(s, d, f)
 
-		var x, wq, wk, wv, wo, w1, w2, out, want []float32
+		var m *xfmrData // nil in a timing-only run
+		var want []float32
 		if opt.Verify {
 			scale := 1 / math.Sqrt(float64(d))
-			x = randMat(rng, s*d, 1)
-			wq = randMat(rng, d*d, scale)
-			wk = randMat(rng, d*d, scale)
-			wv = randMat(rng, d*d, scale)
-			wo = randMat(rng, d*d, scale)
-			w1 = randMat(rng, d*f, scale)
-			w2 = randMat(rng, f*d, scale)
-			out = make([]float32, s*d)
-			want = xfmrRef(x, wq, wk, wv, wo, w1, w2, s, d, f)
+			m = &xfmrData{
+				x:  randMat(rng, s*d, 1),
+				wq: randMat(rng, d*d, scale), wk: randMat(rng, d*d, scale),
+				wv: randMat(rng, d*d, scale), wo: randMat(rng, d*d, scale),
+				w1: randMat(rng, d*f, scale), w2: randMat(rng, f*d, scale),
+				out: make([]float32, s*d),
+				q:   make([]float32, s*d), k: make([]float32, s*d), v: make([]float32, s*d),
+				att: make([]float32, s*s), ctx: make([]float32, s*d), o: make([]float32, s*d),
+				hid: make([]float32, s*f),
+			}
+			want = xfmrRef(m.x, m.wq, m.wk, m.wv, m.wo, m.w1, m.w2, s, d, f)
 		}
 
 		t := TaskDef{
@@ -175,26 +187,16 @@ func makeXFMR(opt Options) []TaskDef {
 			CPUCycles: float64(macs)*xfmrCPUCyclesPerMAC + float64(s*s)*softmaxCPUCyclesPerElem,
 		}
 		t.Kernel = func(c DeviceCtx) {
-			verify := x != nil
-			var q, k, v, att, ctx, o, hid []float32
-			if verify {
-				q = make([]float32, s*d)
-				k = make([]float32, s*d)
-				v = make([]float32, s*d)
-				att = make([]float32, s*s)
-				ctx = make([]float32, s*d)
-				o = make([]float32, s*d)
-				hid = make([]float32, s*f)
-			}
+			verify := m != nil
 			// Q/K/V projections: read the request activations plus the three
 			// resident projection matrices.
 			if verify {
 				c.ForEachLane(func(tid int) {
 					lo, hi := laneUnits(c, s, tid)
 					for i := lo; i < hi; i++ {
-						gemmRow(x, wq, i, d, d, q)
-						gemmRow(x, wk, i, d, d, k)
-						gemmRow(x, wv, i, d, d, v)
+						gemmRow(m.x, m.wq, i, d, d, m.q)
+						gemmRow(m.x, m.wk, i, d, d, m.k)
+						gemmRow(m.x, m.wv, i, d, d, m.v)
 					}
 				})
 			}
@@ -209,11 +211,11 @@ func makeXFMR(opt Options) []TaskDef {
 						for j := 0; j < s; j++ {
 							var acc float32
 							for p := 0; p < d; p++ {
-								acc += q[i*d+p] * k[j*d+p]
+								acc += m.q[i*d+p] * m.k[j*d+p]
 							}
-							att[i*s+j] = acc * scale
+							m.att[i*s+j] = acc * scale
 						}
-						softmaxRow(att, i, s)
+						softmaxRow(m.att, i, s)
 					}
 				})
 			}
@@ -225,8 +227,8 @@ func makeXFMR(opt Options) []TaskDef {
 				c.ForEachLane(func(tid int) {
 					lo, hi := laneUnits(c, s, tid)
 					for i := lo; i < hi; i++ {
-						gemmRow(att, v, i, s, d, ctx)
-						gemmRow(ctx, wo, i, d, d, o)
+						gemmRow(m.att, m.v, i, s, d, m.ctx)
+						gemmRow(m.ctx, m.wo, i, d, d, m.o)
 					}
 				})
 			}
@@ -238,15 +240,15 @@ func makeXFMR(opt Options) []TaskDef {
 				c.ForEachLane(func(tid int) {
 					lo, hi := laneUnits(c, s, tid)
 					for i := lo; i < hi; i++ {
-						gemmRow(o, w1, i, d, f, hid)
+						gemmRow(m.o, m.w1, i, d, f, m.hid)
 					}
-					reluRows(hid, lo, hi, f)
+					reluRows(m.hid, lo, hi, f)
 				})
 				c.SyncBlock()
 				c.ForEachLane(func(tid int) {
 					lo, hi := laneUnits(c, s, tid)
 					for i := lo; i < hi; i++ {
-						gemmRow(hid, w2, i, f, d, out)
+						gemmRow(m.hid, m.w2, i, f, d, m.out)
 					}
 				})
 			} else {
@@ -256,7 +258,7 @@ func makeXFMR(opt Options) []TaskDef {
 			c.SyncBlock()
 		}
 		if opt.Verify {
-			t.Check = func() error { return approxEqual32("XFMR", out, want, 1e-2) }
+			t.Check = func() error { return approxEqual32("XFMR", m.out, want, 1e-2) }
 		}
 		tasks[i] = t
 	}

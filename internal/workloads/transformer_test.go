@@ -97,44 +97,57 @@ func TestXfmrRefUniformAttention(t *testing.T) {
 // TestMLVerifyModeThroughPagoda runs the ML benchmark end-to-end through
 // the real Pagoda runtime in verify mode, like TestVerifyModeThroughPagoda
 // does for the Table 3 set: scheduler, barriers and the staged row-parallel
-// kernels all in one.
+// kernels all in one. With 64 tokens a task's rows spread over more than
+// one warp, so a stage reads rows other warps wrote.
 func TestMLVerifyModeThroughPagoda(t *testing.T) {
-	t.Run("XFMR", func(t *testing.T) {
-		eng := sim.New()
-		gcfg := gpu.TitanX()
-		gcfg.NumSMMs = 2
-		dev := gpu.NewDevice(eng, gcfg)
-		bus := pcie.New(eng, pcie.Default())
-		ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
-		rt := core.NewRuntime(ctx, core.DefaultConfig())
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"XFMR", Options{Tasks: 8, Verify: true, Seed: 3}},
+		{"XFMR_InputSize64", Options{Tasks: 4, InputSize: 64, Verify: true, Seed: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runXFMRThroughPagoda(t, tc.opt) })
+	}
+}
 
-		tasks := makeXFMR(Options{Tasks: 8, Verify: true, Seed: 3})
-		eng.Spawn("host", func(p *sim.Proc) {
-			for i := range tasks {
-				td := tasks[i]
-				rt.TaskSpawn(p, core.TaskSpec{
-					Threads:   td.Threads,
-					Blocks:    td.Blocks,
-					SharedMem: td.SharedMem,
-					Sync:      td.Sync,
-					ArgBytes:  td.ArgBytes,
-					Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
-				})
-			}
-			rt.WaitAll(p)
-			rt.Shutdown(p)
-		})
-		eng.Run()
+// runXFMRThroughPagoda runs the XFMR tasks opt makes through a Pagoda
+// runtime on two SMMs and checks every task's output.
+func runXFMRThroughPagoda(t *testing.T, opt Options) {
+	eng := sim.New()
+	gcfg := gpu.TitanX()
+	gcfg.NumSMMs = 2
+	dev := gpu.NewDevice(eng, gcfg)
+	bus := pcie.New(eng, pcie.Default())
+	ctx := cuda.NewContext(eng, dev, bus, cuda.DefaultConfig())
+	rt := core.NewRuntime(ctx, core.DefaultConfig())
 
-		for i, td := range tasks {
-			if td.Check == nil {
-				t.Fatalf("task %d has no Check in verify mode", i)
-			}
-			if err := td.Check(); err != nil {
-				t.Fatalf("task %d: %v", i, err)
-			}
+	tasks := makeXFMR(opt)
+	eng.Spawn("host", func(p *sim.Proc) {
+		for i := range tasks {
+			td := tasks[i]
+			rt.TaskSpawn(p, core.TaskSpec{
+				Threads:   td.Threads,
+				Blocks:    td.Blocks,
+				SharedMem: td.SharedMem,
+				Sync:      td.Sync,
+				ArgBytes:  td.ArgBytes,
+				Kernel:    func(tc *core.TaskCtx) { td.Kernel(tc) },
+			})
 		}
+		rt.WaitAll(p)
+		rt.Shutdown(p)
 	})
+	eng.Run()
+
+	for i, td := range tasks {
+		if td.Check == nil {
+			t.Fatalf("task %d has no Check in verify mode", i)
+		}
+		if err := td.Check(); err != nil {
+			t.Fatalf("task %d: %v", i, err)
+		}
+	}
 }
 
 func TestMLGenerationProperties(t *testing.T) {
