@@ -116,12 +116,13 @@ loc:
 # traffic measures which code the documented programs execute: it builds
 # pagodabench, pagodatrace, gpuinfo, the four examples and the bench/ binary
 # with coverage over every repro package, runs what the repo documents
-# (pagodabench -exp all, pagodatrace's four modes, the examples, gpuinfo and
-# every bench workload for 3 s), then prints the per-package statement
-# coverage and every non-test block whose merged count is 0. A zero count is
-# a candidate for deletion, never proof (DESIGN.md §5). Binaries, counters
-# and traces go to a mktemp -d directory, never into the repo; the run takes
-# about 10 minutes on 2 CPUs. Not part of check.
+# (pagodabench -exp all, tenant_qos with five tenants, one- and
+# two-experiment runs in csv and json, pagodatrace's four modes, the
+# examples, gpuinfo and every bench workload for 3 s), then prints the
+# per-package statement coverage and every non-test block whose merged count
+# is 0. A zero count is a candidate for deletion, never proof (DESIGN.md §5).
+# Binaries, counters and traces go to a mktemp -d directory, never into the
+# repo; the run takes about 11 minutes on 2 CPUs. Not part of check.
 traffic:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf '$$d EXIT; mkdir -p $$d/cov; \
 	cover="-cover -coverpkg=repro/..."; \
@@ -130,6 +131,10 @@ traffic:
 	$(GO) -C bench build $$cover -o $$d/pagoda-bench .; \
 	export GOCOVERDIR=$$d/cov; \
 	$$d/pagodabench -exp all -tasks 2048 > /dev/null; \
+	$$d/pagodabench -exp tenant_qos -tenants 5 > /dev/null; \
+	for f in csv json; do \
+		$$d/pagodabench -exp tenant_qos -format $$f > /dev/null; \
+		$$d/pagodabench -exp table3,tenant_qos -format $$f > /dev/null; done; \
 	$$d/pagodatrace -bench MB -o $$d/plain.json > /dev/null; \
 	$$d/pagodatrace -bench MB -nodes 3 -o $$d/nodes.json > /dev/null; \
 	$$d/pagodatrace -bench XFMR -tenants 3 -tasks 96 -rate 192e3 -o $$d/tenants.json > /dev/null; \

@@ -17,6 +17,13 @@ func newCtx(smms int) (*sim.Engine, *Context) {
 	return eng, NewContext(eng, dev, bus, DefaultConfig())
 }
 
+// minTransferTime is the uncontended time to move bytes across newCtx's
+// default bus: latency plus bytes at the full bandwidth.
+func minTransferTime(bytes int) sim.Time {
+	cfg := pcie.Default()
+	return cfg.Latency + float64(bytes)/cfg.BytesPerCycle
+}
+
 func TestStreamFIFO(t *testing.T) {
 	eng, ctx := newCtx(2)
 	var order []string
@@ -153,7 +160,7 @@ func TestMemcpySyncTiming(t *testing.T) {
 		done = eng.Now()
 	})
 	eng.Run()
-	want := ctx.Bus.MinTransferTime(12000)
+	want := minTransferTime(12000)
 	if done != want {
 		t.Fatalf("sync copy took %v, want %v", done, want)
 	}

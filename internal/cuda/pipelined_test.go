@@ -71,7 +71,7 @@ func TestPipelinedSyncWaitsForDeliveries(t *testing.T) {
 		syncTime = eng.Now()
 	})
 	eng.Run()
-	min := ctx.Bus.MinTransferTime(1 << 20)
+	min := minTransferTime(1 << 20)
 	if syncTime < min {
 		t.Fatalf("Sync returned at %v, before the transfer could finish (%v)", syncTime, min)
 	}

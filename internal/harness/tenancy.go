@@ -15,8 +15,8 @@ import (
 // into the regime where admission policy decides who pays.
 const tenantRate = 192e3
 
-// tenantAdmitLimit bounds the admitted-but-uncompleted backlog for the
-// strict and wfq policies (mirrors the queue64 point of serve_latency).
+// tenantAdmitLimit bounds the admitted-but-uncompleted backlog of the strict
+// policy (mirrors the queue64 point of serve_latency); wfq does not read it.
 const tenantAdmitLimit = 64
 
 // tenantCounts splits the run's task budget evenly across the classes,
@@ -48,7 +48,7 @@ func tenantClasses(p Params, n int, slo sim.Time) []tenancy.Class {
 // TenantQoS regenerates the multi-tenant QoS table: the transformer-layer
 // inference workload offered by several tenant classes — one misbehaving at
 // 10x its contracted rate — under each admission policy (pass-through,
-// strict priority, weighted-fair), for every GPU scheme. Each row is one
+// strict priority, work-conserving wfq), for every GPU scheme. Each row is one
 // class's slice of one run: tail latency against the class's own SLO,
 // goodput, SLO violations, and the admission layer's shed/evicted split.
 func TenantQoS(p Params) *Report {

@@ -27,7 +27,7 @@ func TestSingleTenantReducesToOpenLoop(t *testing.T) {
 	cfg.SMMs = 4
 
 	gen := serve.FixedRate{Rate: 64e3}
-	cl := []tenancy.Class{{Name: "only", Priority: 0, Weight: 1, Rate: 64e3, Burst: 1,
+	cl := []tenancy.Class{{Name: "only", Priority: 0, Rate: 64e3, Burst: 1,
 		SLO: 1e6, Gen: gen}}
 
 	for _, sc := range runners.Schemes() {

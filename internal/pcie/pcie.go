@@ -109,11 +109,3 @@ func (x *xfer) Run(p *sim.Proc) {
 func (x *xfer) Resume(*sim.Proc) bool { return true }
 
 func (x *xfer) String() string { return "pcie-xfer" }
-
-// MinTransferTime returns the uncontended time to move `bytes` (latency +
-// bytes/bandwidth) — useful as an analytic lower bound in tests.
-//
-//pagoda:allow unused test support: the pcie and cuda tests' expected-time oracle
-func (b *Bus) MinTransferTime(bytes int) sim.Time {
-	return b.cfg.Latency + float64(bytes)/b.cfg.BytesPerCycle
-}

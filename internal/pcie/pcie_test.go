@@ -92,10 +92,29 @@ func TestZeroByteTransferLatencyOnly(t *testing.T) {
 	approx(t, done, 8000, 1e-6, "latency-only transfer")
 }
 
+// minTransferTime is the uncontended time to move bytes across a bus of
+// cfg: latency plus bytes at the full bandwidth.
+func minTransferTime(cfg Config, bytes int) sim.Time {
+	return cfg.Latency + float64(bytes)/cfg.BytesPerCycle
+}
+
+// TestMinTransferTime: a lone transfer takes exactly the analytic bound, on
+// the default bus and on a custom one, in either direction.
 func TestMinTransferTime(t *testing.T) {
-	eng := sim.New()
-	bus := New(eng, Default())
-	approx(t, bus.MinTransferTime(1200), 8000+100, 1e-9, "analytic bound")
+	approx(t, minTransferTime(Default(), 1200), 8000+100, 1e-9, "analytic bound")
+	for _, cfg := range []Config{Default(), {BytesPerCycle: 3, Latency: 250}} {
+		for _, dir := range []Dir{HostToDevice, DeviceToHost} {
+			eng := sim.New()
+			bus := New(eng, cfg)
+			var done sim.Time
+			eng.Spawn("h", func(p *sim.Proc) {
+				bus.Transfer(p, dir, 1200)
+				done = eng.Now()
+			})
+			eng.Run()
+			approx(t, done, minTransferTime(cfg, 1200), 1e-6, "lone transfer")
+		}
+	}
 }
 
 func TestNegativeTransferPanics(t *testing.T) {

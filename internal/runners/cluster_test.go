@@ -48,12 +48,14 @@ func clusterTestConfig() Config {
 // openLoopGolden holds the FNV-64a digest of (records, Result) that each
 // scheme's standalone single-device open-loop runner produced for
 // TestClusterOneNodeMatchesOpenLoop's inputs, recorded before those runners
-// were folded into the one-node fleet. Keys are "<scheme>/<admission>".
+// were folded into the one-node fleet. Keys are "<scheme>/<admission>". The
+// hyperq/wfq and zorua/wfq digests were re-pinned when wfq admission lost
+// its finish-time contest, the only cells in which that contest refused.
 var openLoopGolden = map[string]uint64{
 	"hyperq/unbounded": 0xd2a9399d3bdfae59,
 	"hyperq/queue8":    0xbe93040dbf3d2bbd,
 	"hyperq/token":     0xf49ef27e81083551,
-	"hyperq/wfq":       0x5de06543c6e492cb,
+	"hyperq/wfq":       0xa2157e4db620b4fc,
 	"gemtc/unbounded":  0x11410d8defe8c0ec,
 	"gemtc/queue8":     0xe0082f2ce9c4a718,
 	"gemtc/token":      0x176be06ec9cf5f07,
@@ -65,7 +67,7 @@ var openLoopGolden = map[string]uint64{
 	"zorua/unbounded":  0x835f40c0439877a0,
 	"zorua/queue8":     0xbe93040dbf3d2bbd,
 	"zorua/token":      0xf49ef27e81083551,
-	"zorua/wfq":        0x5de06543c6e492cb,
+	"zorua/wfq":        0xa2157e4db620b4fc,
 }
 
 // digestOpenLoop hashes every record field and every Result field, so any

@@ -2,8 +2,6 @@ package tenancy
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -51,10 +49,10 @@ const (
 	// backlog a class may occupy halves with each priority rank below the
 	// top (limit >> rank).
 	AdmitStrict = "strict"
-	// AdmitWFQ is weighted-fair queueing with contract policing: work-
-	// conserving below the backlog limit, and at saturation slots go to
-	// the backlogged class with the smallest virtual finish time, so
-	// admitted shares converge to the configured weights.
+	// AdmitWFQ is work-conserving admission with contract policing: every
+	// policed task is served unless the SLO guard finds a higher class's
+	// head-of-line task past half its SLO. The backlog limit does not
+	// apply.
 	AdmitWFQ = "wfq"
 )
 
@@ -67,9 +65,10 @@ func Kinds() []string { return []string{AdmitNone, AdmitStrict, AdmitWFQ} }
 //
 // At each task's presentation instant the layer first polices the task's
 // class against its contracted rate (a failed bucket check is a Shed — the
-// task never enters the system), then runs the policy contest for the
-// service slot (a lost contest is an Evicted — the task was queued and is
-// discarded in favor of more important work). Decisions are keyed on the
+// task never enters the system), then asks the policy for the service slot
+// (a refusal is an Evicted — the task was queued and is discarded in favor
+// of more important work). Both policies read one per-class signal, the
+// class's oldest arrived-but-unpresented task. Decisions are keyed on the
 // task index, never on call order: under Pagoda's multi-spawner host path
 // presentations are not globally ordered, only nondecreasing per spawner.
 type Admission struct {
@@ -83,16 +82,17 @@ type Admission struct {
 	at      [][]sim.Time // per-class arrival instants, ascending
 	seen    [][]bool     // per-class presentation marks, by position
 	head    []int        // first unpresented position per class
-	fin     []float64    // WFQ virtual finish time per class
 
 	outcomes []Outcome
 }
 
 // NewAdmission builds the admission layer for one run over the merged
-// arrival sequence (from Merge), which must be nondecreasing. limit bounds the admitted-but-uncompleted
-// backlog for the strict and wfq policies; police enables the per-class
-// token buckets at each class's contracted Rate/Burst (AdmitNone ignores
-// both — it is the pure pass-through baseline).
+// arrival sequence (from Merge), which must be nondecreasing. limit bounds
+// the admitted-but-uncompleted backlog of the strict policy (each rank below
+// the top gets half the limit of the rank above); strict and wfq both
+// require it positive, and only strict reads it. police enables the
+// per-class token buckets at each class's contracted Rate/Burst (AdmitNone
+// ignores both — it is the pure pass-through baseline).
 func NewAdmission(kind string, classes []Class, arrivals []sim.Time, classOf []int, limit int, police bool) *Admission {
 	if len(arrivals) != len(classOf) {
 		panic(fmt.Sprintf("tenancy: %d arrivals, %d classOf", len(arrivals), len(classOf)))
@@ -117,7 +117,6 @@ func NewAdmission(kind string, classes []Class, arrivals []sim.Time, classOf []i
 		at:       make([][]sim.Time, len(classes)),
 		seen:     make([][]bool, len(classes)),
 		head:     make([]int, len(classes)),
-		fin:      make([]float64, len(classes)),
 		outcomes: make([]Outcome, len(arrivals)),
 	}
 	for ti, c := range classOf {
@@ -158,7 +157,7 @@ func (a *Admission) AdmitTask(ti int, now sim.Time, inFlight int) bool {
 	case AdmitStrict:
 		admit = a.admitStrict(c, now, inFlight)
 	case AdmitWFQ:
-		admit = a.admitWFQ(c, now, inFlight)
+		admit = !a.sloGuard(c, now)
 	}
 	if !admit {
 		a.outcomes[ti] = Evicted
@@ -180,24 +179,10 @@ func (a *Admission) present(c, pos int) {
 	}
 }
 
-// waiting counts class c's tasks that have arrived by now but have not yet
-// been presented. Every presented task has arrival <= its presentation
-// instant (the runners sleep to the arrival first), so the count is exactly
-// arrived-up-to-now minus presented. Every position below head is presented,
-// so the scan starts there.
-func (a *Admission) waiting(c int, now sim.Time) int {
-	arrived := sort.SearchFloat64s(a.at[c], math.Nextafter(now, math.Inf(1)))
-	presented := min(a.head[c], arrived)
-	for pos := presented; pos < arrived; pos++ {
-		if a.seen[c][pos] {
-			presented++
-		}
-	}
-	return arrived - presented
-}
-
 // oldestWaiting returns the arrival instant of class c's oldest
-// arrived-but-unpresented task, if any.
+// arrived-but-unpresented task, if any. Every position below head is
+// presented and the class's arrivals are sorted, so such a task exists
+// exactly when the head has arrived by now.
 func (a *Admission) oldestWaiting(c int, now sim.Time) (sim.Time, bool) {
 	if h := a.head[c]; h < len(a.at[c]) && a.at[c][h] <= now {
 		return a.at[c][h], true
@@ -217,39 +202,11 @@ func (a *Admission) admitStrict(c int, now sim.Time, inFlight int) bool {
 			continue
 		}
 		rank++
-		if a.waiting(h, now) > 0 {
+		if _, ok := a.oldestWaiting(h, now); ok {
 			return false
 		}
 	}
 	return inFlight < a.limit>>rank
-}
-
-// admitWFQ grants the slot work-conservingly below the backlog limit, and
-// at saturation only to a class whose virtual finish time matches the
-// minimum over the backlogged classes — the classic WFQ contest, which
-// makes admitted shares track the weights. Either way the slot is refused
-// outright when the SLO guard says a higher class is about to miss.
-func (a *Admission) admitWFQ(c int, now sim.Time, inFlight int) bool {
-	if a.sloGuard(c, now) {
-		return false
-	}
-	if inFlight < a.limit {
-		return true
-	}
-	minFin := a.fin[c]
-	for h := range a.classes {
-		if h != c && a.waiting(h, now) > 0 && a.fin[h] < minFin {
-			minFin = a.fin[h]
-		}
-	}
-	if a.fin[c] > minFin+1e-9 {
-		return false
-	}
-	if a.fin[c] < minFin {
-		a.fin[c] = minFin
-	}
-	a.fin[c] += 1 / a.classes[c].Weight
-	return true
 }
 
 // sloGuard reports whether some class with higher priority than c has

@@ -16,11 +16,11 @@ import (
 //
 //	go test -run '^$' -fuzz=FuzzClassMerge -fuzztime=60s -parallel=2 ./internal/tenancy
 func FuzzClassMerge(f *testing.F) {
-	f.Add(uint8(0), 16e3, 0.6, 4e5, 1.0, 1e6, int64(1), uint8(8), uint8(8), uint8(8))
-	f.Add(uint8(3), 64e3, 8.0, 1e6, 2.0, 5e5, int64(7), uint8(64), uint8(0), uint8(3))
-	f.Add(uint8(4), 8e3, 64e3, 4e6, 0.5, 1e3, int64(2), uint8(1), uint8(40), uint8(0))
-	f.Add(uint8(1), 1e-300, 0.0, 0.0, 1e300, 1e-300, int64(0), uint8(3), uint8(3), uint8(3))
-	f.Fuzz(func(t *testing.T, kind uint8, rate, a, b, weight, slo float64, seed int64, n0, n1, n2 uint8) {
+	f.Add(uint8(0), 16e3, 0.6, 4e5, 1e6, int64(1), uint8(8), uint8(8), uint8(8))
+	f.Add(uint8(3), 64e3, 8.0, 1e6, 5e5, int64(7), uint8(64), uint8(0), uint8(3))
+	f.Add(uint8(4), 8e3, 64e3, 4e6, 1e3, int64(2), uint8(1), uint8(40), uint8(0))
+	f.Add(uint8(1), 1e-300, 0.0, 0.0, 1e-300, int64(0), uint8(3), uint8(3), uint8(3))
+	f.Fuzz(func(t *testing.T, kind uint8, rate, a, b, slo float64, seed int64, n0, n1, n2 uint8) {
 		var classes []Class
 		var counts []int
 		for c, n := range []uint8{n0, n1, n2} {
@@ -38,7 +38,7 @@ func FuzzClassMerge(f *testing.F) {
 			default:
 				g = serve.FlashCrowd{BaseRate: r, SpikeRate: a, SpikeAt: b, SpikeDur: b + 1, Seed: seed + int64(c)}
 			}
-			cl := Class{Name: fmt.Sprintf("c%d", c), Priority: -c, Weight: weight, Rate: r,
+			cl := Class{Name: fmt.Sprintf("c%d", c), Priority: -c, Rate: r,
 				Burst: 4, SLO: sim.Time(slo), Gen: g}
 			if cl.Validate() != nil {
 				continue

@@ -1,6 +1,6 @@
 // Package tenancy layers tenant classes over the open-loop serving model:
-// several arrival streams — each with its own priority, fair-share weight,
-// contracted rate and latency SLO — multiplexed onto one device through a
+// several arrival streams — each with its own priority, contracted rate,
+// burst and latency SLO — multiplexed onto one device through a
 // class-aware admission layer.
 //
 // The package deliberately owns no scheduler. It composes with the existing
@@ -30,10 +30,6 @@ type Class struct {
 	// strict policy treat the tied classes as peers.
 	Priority int
 
-	// Weight is the class's share under weighted-fair queueing. Must be
-	// positive when a WFQ admission is built.
-	Weight float64
-
 	// Rate is the contracted sustained rate in tasks/second — what the
 	// class's token bucket refills at. A misbehaving tenant offers more
 	// than Rate; the bucket is how the system holds it to its contract.
@@ -56,9 +52,6 @@ type Class struct {
 func (c Class) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("tenancy: class has no name")
-	}
-	if c.Weight <= 0 || math.IsNaN(c.Weight) || math.IsInf(c.Weight, 0) {
-		return fmt.Errorf("tenancy: class %s weight %v is not positive finite", c.Name, c.Weight)
 	}
 	if c.Rate <= 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
 		return fmt.Errorf("tenancy: class %s contracted rate %v is not positive finite", c.Name, c.Rate)
@@ -149,17 +142,17 @@ func DefaultClasses(n int, rate float64, slo, horizon sim.Time, seed int64, misb
 			// contracted rate and the bucket holds 16 tokens, so policing
 			// never sheds a well-behaved premium tenant — not even for the
 			// Poisson fluctuations at the top of its day.
-			cl = Class{Name: "premium", Priority: 2, Weight: 4, Rate: rate, Burst: 16, SLO: slo,
+			cl = Class{Name: "premium", Priority: 2, Rate: rate, Burst: 16, SLO: slo,
 				Gen: serve.Diurnal{MeanRate: offered / 2, Swing: 0.5, Period: horizon, Seed: seed + 101}}
 		case 1:
-			cl = Class{Name: "standard", Priority: 1, Weight: 2, Rate: rate, Burst: 8, SLO: 4 * slo,
+			cl = Class{Name: "standard", Priority: 1, Rate: rate, Burst: 8, SLO: 4 * slo,
 				Gen: serve.Poisson{Rate: offered, Seed: seed + 202}}
 		default:
 			name := "batch"
 			if i > 2 {
 				name = fmt.Sprintf("batch%d", i-1)
 			}
-			cl = Class{Name: name, Priority: 2 - i, Weight: 1, Rate: rate, Burst: 16, SLO: 16 * slo,
+			cl = Class{Name: name, Priority: 2 - i, Rate: rate, Burst: 16, SLO: 16 * slo,
 				Gen: serve.FlashCrowd{BaseRate: offered / 2, SpikeRate: offered * 4,
 					SpikeAt: 0.4 * horizon, SpikeDur: 0.2 * horizon, Seed: seed + 303*int64(i)}}
 		}
@@ -177,7 +170,7 @@ type ClassStats struct {
 
 	// Shed counts arrivals rejected at the door by the class's token
 	// bucket (contract policing). Evicted counts tasks that passed
-	// policing but lost the admission contest to a more important class.
+	// policing but were refused the slot in favor of a more important class.
 	// Stats.Dropped == Shed + Evicted.
 	Shed    int
 	Evicted int

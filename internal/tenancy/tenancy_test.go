@@ -1,6 +1,7 @@
 package tenancy
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,15 +13,15 @@ import (
 
 func twoClasses(slo sim.Time) []Class {
 	return []Class{
-		{Name: "hi", Priority: 1, Weight: 2, Rate: 1e4, Burst: 4, SLO: slo,
+		{Name: "hi", Priority: 1, Rate: 1e4, Burst: 4, SLO: slo,
 			Gen: serve.FixedRate{Rate: 1e4}},
-		{Name: "lo", Priority: 0, Weight: 1, Rate: 1e4, Burst: 4, SLO: 4 * slo,
+		{Name: "lo", Priority: 0, Rate: 1e4, Burst: 4, SLO: 4 * slo,
 			Gen: serve.FixedRate{Rate: 1e4}},
 	}
 }
 
 func TestMergeSingleClassReducesToGenerator(t *testing.T) {
-	cl := []Class{{Name: "only", Priority: 0, Weight: 1, Rate: 2e4, Burst: 1, SLO: 1e6,
+	cl := []Class{{Name: "only", Priority: 0, Rate: 2e4, Burst: 1, SLO: 1e6,
 		Gen: serve.Poisson{Rate: 2e4, Seed: 7}}}
 	arr, classOf := Merge(cl, []int{64})
 	want := cl[0].Gen.Times(64)
@@ -76,15 +77,7 @@ func TestStrictNeverAdmitsLowerWhileHigherWaits(t *testing.T) {
 	// Presentation order: a deterministic shuffle of the task indices,
 	// presented at now = its arrival or later (we use the max arrival so
 	// everything has "arrived" and waiting-work pressure is maximal).
-	order := make([]int, len(arr))
-	for i := range order {
-		order[i] = i
-	}
-	rng := prng.Xorshift(99)
-	for i := len(order) - 1; i > 0; i-- {
-		j := rng.Intn(i + 1)
-		order[i], order[j] = order[j], order[i]
-	}
+	order := shuffled(len(arr), 99)
 	now := arr[len(arr)-1] + 1
 
 	presented := make([]bool, len(arr))
@@ -147,52 +140,10 @@ func TestStrictRankNestedBacklog(t *testing.T) {
 	}
 }
 
-// TestWFQSharesConvergeToWeights saturates a three-class WFQ layer with
-// equal presentation rates and checks the admitted shares settle at the
-// configured 4:2:1 weights. Priorities are equal so the SLO guard stays out
-// of the picture and the fin contest alone decides.
-func TestWFQSharesConvergeToWeights(t *testing.T) {
-	per := 900
-	cl := []Class{
-		{Name: "a", Priority: 0, Weight: 4, Rate: 1e4, Burst: 1, SLO: 1e9, Gen: serve.FixedRate{Rate: 1e6}},
-		{Name: "b", Priority: 0, Weight: 2, Rate: 1e4, Burst: 1, SLO: 1e9, Gen: serve.FixedRate{Rate: 1e6}},
-		{Name: "c", Priority: 0, Weight: 1, Rate: 1e4, Burst: 1, SLO: 1e9, Gen: serve.FixedRate{Rate: 1e6}},
-	}
-	arr, classOf := Merge(cl, []int{per, per, per})
-	limit := 32
-	a := NewAdmission(AdmitWFQ, cl, arr, classOf, limit, false)
-	now := arr[len(arr)-1] + 1
-
-	// Round-robin presentation a,b,c,a,b,c... with the system pinned at
-	// saturation (inFlight = limit): every slot is contested.
-	byClass := make([][]int, 3)
-	for ti, c := range classOf {
-		byClass[c] = append(byClass[c], ti)
-	}
-	served := make([]int, 3)
-	for i := 0; i < per; i++ {
-		for c := 0; c < 3; c++ {
-			if a.AdmitTask(byClass[c][i], now, limit) {
-				served[c]++
-			}
-		}
-	}
-	total := served[0] + served[1] + served[2]
-	if total == 0 {
-		t.Fatalf("saturated WFQ served nothing")
-	}
-	weights := []float64{4, 2, 1}
-	for c := range served {
-		got := float64(served[c]) / float64(total)
-		want := weights[c] / 7
-		if math.Abs(got-want) > 0.05*want+0.01 {
-			t.Fatalf("class %d share %.3f, want %.3f (served %v)", c, got, want, served)
-		}
-	}
-}
-
-// TestWFQWorkConservingBelowLimit: with free capacity and no SLO pressure,
-// WFQ admits everything — fairness only bites at saturation.
+// TestWFQWorkConservingBelowLimit: with no SLO pressure WFQ admits every
+// policed task, below the backlog limit and at saturation alike; with a
+// higher class's head-of-line task aged past half its SLO it evicts exactly
+// the lower-class presentations, whatever the backlog.
 func TestWFQWorkConservingBelowLimit(t *testing.T) {
 	cl := twoClasses(1e15) // astronomically loose SLO: guard never fires
 	arr, classOf := Merge(cl, []int{16, 16})
@@ -201,6 +152,125 @@ func TestWFQWorkConservingBelowLimit(t *testing.T) {
 	for ti := range arr {
 		if !a.AdmitTask(ti, now, ti%8) {
 			t.Fatalf("work-conserving WFQ refused task %d below the limit", ti)
+		}
+	}
+
+	// Saturation: three backlogged classes presented in a scrambled order
+	// with the backlog at or past the limit.
+	const limit = 8
+	threeClasses := func(slo sim.Time) []Class {
+		return append(twoClasses(slo), Class{Name: "batch", Priority: -1, Rate: 1e4, Burst: 4,
+			SLO: 16 * slo, Gen: serve.FixedRate{Rate: 1e4}})
+	}
+	cl = threeClasses(1e15)
+	arr, classOf = Merge(cl, []int{16, 16, 16})
+	a = NewAdmission(AdmitWFQ, cl, arr, classOf, limit, false)
+	now = arr[len(arr)-1] + 1
+	for i, ti := range shuffled(len(arr), 7) {
+		if !a.AdmitTask(ti, now, limit+i%4) {
+			t.Fatalf("saturated WFQ refused task %d (class %s) with no SLO pressure", ti, cl[classOf[ti]].Name)
+		}
+	}
+
+	// The same saturation with the last top-class task held back and aged
+	// past half its SLO: every other top-class task is served, every
+	// lower-class task evicted, and the held-back task is served last.
+	slo := sim.Time(1e6)
+	cl = threeClasses(slo)
+	arr, classOf = Merge(cl, []int{16, 16, 16})
+	a = NewAdmission(AdmitWFQ, cl, arr, classOf, limit, false)
+	hold := -1
+	for ti, c := range classOf {
+		if c == 0 {
+			hold = ti
+		}
+	}
+	now = arr[hold] + slo
+	for _, ti := range shuffled(len(arr), 11) {
+		if ti == hold {
+			continue
+		}
+		if got, want := a.AdmitTask(ti, now, limit), classOf[ti] == 0; got != want {
+			t.Fatalf("task %d (class %s) admitted = %v while the top class aged past half its SLO, want %v",
+				ti, cl[classOf[ti]].Name, got, want)
+		}
+	}
+	if !a.AdmitTask(hold, now, limit) {
+		t.Fatalf("WFQ refused the aged top-class task")
+	}
+	for ti, o := range a.Outcomes() {
+		want := Evicted
+		if classOf[ti] == 0 {
+			want = Served
+		}
+		if o != want {
+			t.Fatalf("task %d (class %s) outcome %v, want %v", ti, cl[classOf[ti]].Name, o, want)
+		}
+	}
+}
+
+// shuffled returns a deterministic permutation of 0..n-1.
+func shuffled(n int, seed int64) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	rng := prng.Xorshift(seed)
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	return order
+}
+
+// TestOldestWaitingMatchesWaitingCount: the head-of-line signal both
+// policies read says a class has waiting work exactly when a brute-force
+// count of its arrived, unpresented tasks is positive. Random classes with
+// tied, sorted arrivals are presented in random out-of-order sequences (the
+// Pagoda multi-spawner shape), and every class is checked at a random
+// instant after each presentation.
+func TestOldestWaitingMatchesWaitingCount(t *testing.T) {
+	rng := prng.New(3)
+	for trial := 0; trial < 300; trial++ {
+		nc := 1 + rng.Intn(4)
+		cl := make([]Class, nc)
+		for c := range cl {
+			cl[c] = Class{Name: fmt.Sprintf("c%d", c), Priority: rng.Intn(3)}
+		}
+		n := rng.Intn(48)
+		arr := make([]sim.Time, n)
+		classOf := make([]int, n)
+		for ti := range arr {
+			if ti > 0 {
+				arr[ti] = arr[ti-1] + sim.Time(rng.Intn(3)) // ties are common
+			}
+			classOf[ti] = rng.Intn(nc)
+		}
+		a := NewAdmission(AdmitNone, cl, arr, classOf, 0, false)
+		presented := make([]bool, n)
+		horizon := 2
+		if n > 0 {
+			horizon += int(arr[n-1])
+		}
+		for _, ti := range shuffled(n, int64(trial)+1) {
+			a.AdmitTask(ti, arr[ti], 0)
+			presented[ti] = true
+			now := sim.Time(rng.Intn(horizon))
+			for c := range cl {
+				count := 0
+				for tj := range arr {
+					if classOf[tj] == c && arr[tj] <= now && !presented[tj] {
+						count++
+					}
+				}
+				at, ok := a.oldestWaiting(c, now)
+				if ok != (count > 0) {
+					t.Fatalf("trial %d: class %d at %v: oldestWaiting ok = %v, but %d tasks arrived unpresented", trial, c, now, ok, count)
+				}
+				if ok && (at > now || a.at[c][a.head[c]] != at) {
+					t.Fatalf("trial %d: class %d at %v: oldestWaiting returned arrival %v", trial, c, now, at)
+				}
+			}
 		}
 	}
 }

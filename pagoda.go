@@ -164,8 +164,10 @@ func (h *Host) Go(name string, body func(*Host)) {
 
 // Run executes body as the main host thread, shuts the runtime down when it
 // returns, and drains the simulation. It returns the final simulated time in
-// nanoseconds.
+// nanoseconds. A System runs once: Run closes its engine, so the run leaves
+// no goroutine behind, and Stats stays readable afterwards.
 func (s *System) Run(body func(*Host)) float64 {
+	defer s.Engine.Close()
 	s.Engine.Spawn("host-main", func(p *sim.Proc) {
 		body(&Host{sys: s, proc: p})
 		s.Runtime.Shutdown(p)

@@ -1,6 +1,7 @@
 package pagoda
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -173,5 +174,32 @@ func TestCustomDeviceGeometry(t *testing.T) {
 	})
 	if occ.Fraction != 1 {
 		t.Fatalf("MasterKernel occupancy = %v", occ.Fraction)
+	}
+}
+
+// TestRunsLeaveNoGoroutines: Run closes its engine, so after one warm-up run
+// fills the coroutine pool, further New+Run cycles neither start nor strand
+// a goroutine. (The count may drop: an earlier test's goroutines can still
+// be exiting when it is first read.)
+func TestRunsLeaveNoGoroutines(t *testing.T) {
+	run := func() {
+		sys := New(smallConfig())
+		sys.Run(func(h *Host) {
+			for i := 0; i < 8; i++ {
+				h.Spawn(Task{Threads: 32, Kernel: func(tc *TaskCtx) { tc.Compute(100) }})
+			}
+			h.WaitAll()
+		})
+		if st := sys.Stats(); st.Completed != 8 {
+			t.Fatalf("%d of 8 tasks completed", st.Completed)
+		}
+	}
+	run()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d after ten more runs, %d after the warm-up", after, before)
 	}
 }
