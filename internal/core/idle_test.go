@@ -139,9 +139,11 @@ func TestArenasStayNilWithoutSharedMemory(t *testing.T) {
 	}
 }
 
-// TestArenaAllocatedOnFirstUse: verified DCT tasks computing in Pagoda
-// shared memory produce correct results, and only the MTBs that ran one
-// hold an arena afterwards.
+// TestArenaAllocatedOnFirstUse: verified DCT tasks given Pagoda shared
+// memory produce correct results, and only the MTBs that ran a task that
+// touched it (Shared()) hold an arena afterwards. DCT charges its staged
+// traffic from its declared size, so the task that leaves Shared() alone
+// allocates none.
 func TestArenaAllocatedOnFirstUse(t *testing.T) {
 	eng, rt := testSystem(t, 2)
 	t.Cleanup(eng.Close)
@@ -157,13 +159,21 @@ func TestArenaAllocatedOnFirstUse(t *testing.T) {
 			if td.SharedMem == 0 {
 				t.Fatal("DCT with UseShared requested no shared memory")
 			}
+			touch := i == 0
 			id := rt.TaskSpawn(p, TaskSpec{
 				Threads: td.Threads, Blocks: td.Blocks, SharedMem: td.SharedMem,
 				Sync: td.Sync, ArgBytes: td.ArgBytes,
-				Kernel: func(tc *TaskCtx) { td.Kernel(tc) },
+				Kernel: func(tc *TaskCtx) {
+					if touch {
+						tc.Shared()[0] = 1
+					}
+					td.Kernel(tc)
+				},
 			})
 			// The MTB that owns the task's TaskTable column runs it.
-			used[slotForTaskID(id, rt.Cfg.Rows, rt.totalEntries).col] = true
+			if touch {
+				used[slotForTaskID(id, rt.Cfg.Rows, rt.totalEntries).col] = true
+			}
 		}
 		rt.WaitAll(p)
 	})
@@ -175,7 +185,7 @@ func TestArenaAllocatedOnFirstUse(t *testing.T) {
 	idle := 0
 	for col, m := range rt.mtbs {
 		if got := m.arena != nil; got != used[col] {
-			t.Fatalf("MTB %d: arena allocated = %v, ran a shared-memory task = %v", col, got, used[col])
+			t.Fatalf("MTB %d: arena allocated = %v, ran a task that touched shared memory = %v", col, got, used[col])
 		}
 		if m.arena == nil {
 			idle++

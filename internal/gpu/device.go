@@ -119,10 +119,13 @@ type threadBlock struct {
 // warp is one resident warp: the process that runs it, the Ctx its kernel
 // function sees, which names its threadblock, and the state its Resume
 // reads. A warp that exits goes to its device's free list, and a later
-// threadblock's warp reuses it; warps are allocated only when the list runs
-// short, a dispatch's shortfall in one array. startWarp rewrites the whole
-// Ctx, so while the warp is free its ctx.w, otherwise the warp itself,
-// links the next free warp, and the list costs no storage of its own.
+// threadblock's warp reuses it. startWarp rewrites the whole Ctx, so while
+// the warp is free its ctx.w, otherwise the warp itself, links the next
+// free warp, and the list costs no storage of its own. When the engine
+// closes, the device zeroes its free warps and hands them to the
+// process-wide list recycled, which a device whose own list runs short
+// draws on next; warps are allocated only when both run short, a
+// dispatch's shortfall in one array.
 type warp struct {
 	proc sim.Proc
 	ctx  Ctx
@@ -186,9 +189,10 @@ func (w *warp) Resume(p *sim.Proc) bool {
 func runOnce(c *Ctx) bool { return c.w.phase == phaseStart }
 
 // exit leaves the warp's threadblock once its kernel is done with it, and
-// frees the warp for reuse. It joins the free list only after warpDone, so
-// the threadblocks that call places take none but finished warps: nothing
-// runs between exit's return and the end of the warp's proc.
+// frees the warp for reuse on its own device. It joins the device's free
+// list only after warpDone, so the threadblocks that call places take none
+// but finished warps: nothing runs between exit's return and the end of the
+// warp's proc. It leaves the device only when the engine closes.
 func (w *warp) exit() {
 	w.ctx.assertDrained()
 	d := w.ctx.dev
@@ -305,9 +309,12 @@ type Device struct {
 	recID uint32
 
 	// free heads the list of exited warps whose procs have finished, for
-	// startWarp to reuse. A warp is allocated only when it runs short, so
-	// the list never holds more than the device's peak resident warps plus
-	// the one exiting while warpDone places the next threadblock.
+	// startWarp to reuse. It is refilled from recycled, and a warp
+	// allocated, only when it runs short, so the list never holds more than
+	// the device's peak resident warps plus the one exiting while warpDone
+	// places the next threadblock. Its warps go to recycled when the engine
+	// closes (recycleWarps), never at exit: the engine may still hold stale
+	// wake-ups of an exited warp.
 	free *warp
 	// spareTBs is the threadblock array of a finished multi-block kernel,
 	// kept for the next launch whose grid fits in it.
@@ -324,6 +331,7 @@ func NewDevice(eng *sim.Engine, cfg Config) *Device {
 		cfg.SharedLatency / 2, cfg.AtomicGlobalLatency, cfg.AtomicSharedLatency} {
 		eng.RegisterDelay(lat)
 	}
+	eng.OnClose(d.recycleWarps)
 	d.membw = sim.NewShare(eng, cfg.MemBandwidth, math.Inf(1))
 	d.SMMs = make([]*SMM, cfg.NumSMMs)
 	for i := range d.SMMs {
@@ -456,13 +464,40 @@ func (d *Device) pickSMM(spec LaunchSpec) *SMM {
 	return best
 }
 
-// popFree takes the head of the free list, or nil when it is empty.
+// popFree takes the head of the free list, else a warp a closed engine's
+// device gave back, or nil when both are empty.
 func (d *Device) popFree() *warp {
 	w := d.free
-	if w != nil {
-		d.free = w.ctx.w
+	if w == nil {
+		w, _ = recycled.Get()
+		return w
 	}
+	d.free = w.ctx.w
 	return w
+}
+
+// maxRecycled bounds recycled: 65,536 warps of 208 B, past the 52,224 a
+// 34-node Titan X GeMTC fleet holds.
+const maxRecycled = 1 << 16
+
+// recycled is the process-wide list of warps that the devices of closed
+// engines gave back, shared by every engine. Its warps are zeroed, so it
+// keeps nothing of a closed simulation alive.
+var recycled = sim.NewFreeList[*warp](maxRecycled)
+
+// recycleWarps runs once the engine has closed, when no proc can touch
+// the device's warps again: it zeroes the free ones and hands them to
+// recycled until that is full, and the device keeps none.
+func (d *Device) recycleWarps() {
+	for w := d.free; w != nil; {
+		next := w.ctx.w
+		*w = warp{}
+		if !recycled.Put(w) {
+			break
+		}
+		w = next
+	}
+	d.free = nil
 }
 
 // startWarp runs w as warp i of tb.

@@ -21,7 +21,7 @@ func TestKernelRunsAllWarps(t *testing.T) {
 		Fn: func(c *Ctx) {
 			c.Compute(10)
 			var task Task
-			task.Bind(c, 3, c.BlockIdx, nil)
+			task.Bind(c, 3, c.BlockIdx)
 			task.ForEachLane(func(tid int) { lanes = append(lanes, task.BlockIdx()*64+tid) })
 		},
 	})
@@ -49,7 +49,7 @@ func TestPartialWarp(t *testing.T) {
 		Name: "partial", GridDim: 1, BlockThreads: 40, // 2 warps: 32 + 8 lanes
 		Fn: func(c *Ctx) {
 			var task Task
-			task.Bind(c, 1, 0, nil)
+			task.Bind(c, 1, 0)
 			task.ForEachLane(func(int) { count++ })
 		},
 	})
@@ -178,7 +178,7 @@ func TestSyncBlock(t *testing.T) {
 			c.Compute(float64(10 * (c.WarpInBlock + 1)))
 			phase1++
 			var task Task
-			task.Bind(c, 1, 0, nil)
+			task.Bind(c, 1, 0)
 			task.SyncBlock()
 			if phase1 != warps {
 				errs++
@@ -198,7 +198,7 @@ func TestSyncBlockSingleWarpNoop(t *testing.T) {
 		Name: "single", GridDim: 1, BlockThreads: 32,
 		Fn: func(c *Ctx) { // must not panic or hang
 			var task Task
-			task.Bind(c, 1, 0, nil)
+			task.Bind(c, 1, 0)
 			task.SyncBlock()
 		},
 	})

@@ -15,11 +15,14 @@ import (
 // (each warp's Proc and Ctx) are the last launch's, and a wider grid reuses
 // the last one's threadblock array, barriers' waiter storage included.
 //
-// A cold launch, the first on a fresh device, also allocates its
-// threadblock array, the device's dispatch queue and the SMMs' issue-share
-// request storage, and its warps: one array for every warp the dispatch
-// starts, however many blocks it places (a block per array would cost the
-// 32-block grid 31 more allocations and the OnDemand grid 3 more).
+// A cold launch, the first on a fresh device with no warps of closed
+// engines to draw on, also allocates its threadblock array, the device's
+// dispatch queue and the SMMs' issue-share request storage, and its warps:
+// one array for every warp the dispatch starts, however many blocks it
+// places (a block per array would cost the 32-block grid 31 more
+// allocations and the OnDemand grid 3 more). The cold cases empty the
+// process-wide warp list first, so what earlier tests closed moves no
+// count.
 func TestLaunchAllocationsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		grid, threads  int
@@ -53,12 +56,13 @@ func TestLaunchAllocationsPinned(t *testing.T) {
 				c.Compute(4)
 				if tc.sync {
 					task := c.Task()
-					task.Bind(c, 1, 0, nil)
+					task.Bind(c, 1, 0)
 					task.SyncBlock()
 				}
 			}
 			var got float64
 			if tc.cold {
+				takeRecycled()
 				device := testing.AllocsPerRun(20, func() { NewDevice(eng, testCfg()) })
 				got = testing.AllocsPerRun(20, func() {
 					NewDevice(eng, testCfg()).Launch(spec)
@@ -96,7 +100,7 @@ func TestRelaunchReusesWarpsAndThreadblocks(t *testing.T) {
 		spec.Fn = func(c *Ctx) {
 			r.ctxs = append(r.ctxs, c)
 			task := c.Task()
-			task.Bind(c, 1, 0, nil)
+			task.Bind(c, 1, 0)
 			task.Compute(float64(10*c.BlockIdx + 3*c.WarpInBlock))
 			task.SyncBlock()
 			task.GlobalRead(256)

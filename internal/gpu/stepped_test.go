@@ -140,7 +140,7 @@ func runStepProgram(pr stepProgram, stepped, warm bool, deadline sim.Time) stepR
 				}
 			}()
 			var t Task
-			t.Bind(c, len(blocks), c.BlockIdx, nil)
+			t.Bind(c, len(blocks), c.BlockIdx)
 			t.Compute(o.arg)
 			t.GlobalRead(int(o.arg) * 8)
 			t.Drain()
@@ -159,7 +159,7 @@ func runStepProgram(pr stepProgram, stepped, warm bool, deadline sim.Time) stepR
 			spec.Fn = func(c *Ctx) {
 				warps[c] = true
 				var t Task
-				t.Bind(c, len(blocks), c.BlockIdx, nil)
+				t.Bind(c, len(blocks), c.BlockIdx)
 				for s, ops := range blocks[c.BlockIdx][c.WarpInBlock] {
 					if s > 0 {
 						t.SyncBlock()

@@ -118,7 +118,7 @@ func runTapeProgram(pr tapeProgram, taped bool) tapeRunResult {
 				Name: "tape", GridDim: len(blocks), BlockThreads: 32 * pr.warps,
 				Fn: func(c *Ctx) {
 					var t Task
-					t.Bind(c, len(blocks), c.BlockIdx, nil)
+					t.Bind(c, len(blocks), c.BlockIdx)
 					var w costOps = opByOp{c}
 					if taped {
 						w = &t
@@ -264,7 +264,7 @@ func TestCloseMidTapeReturnsTapes(t *testing.T) {
 			Name: "tape", GridDim: 4, BlockThreads: 128,
 			Fn: func(c *Ctx) {
 				var task Task
-				task.Bind(c, 4, c.BlockIdx, nil)
+				task.Bind(c, 4, c.BlockIdx)
 				for i := 0; i < tapeCap+8; i++ {
 					task.Compute(3)
 					task.GlobalRead(1024)

@@ -17,8 +17,8 @@ type Task struct {
 	// of more than one warp.
 	bar *Barrier
 
-	// shared is the block's shared memory: given to Bind, or carved from
-	// *arena on the first Shared() after UseArena.
+	// shared is the block's shared memory, carved from *arena on the first
+	// Shared() after UseArena.
 	shared                  []byte
 	arena                   *[]byte
 	arenaLen, smOff, smSize int32
@@ -29,11 +29,11 @@ type Task struct {
 
 // Bind makes t the task whose threadblock is warp c's whole physical
 // threadblock (HyperQ, GeMTC and fused kernels): c.BlockDim threads per
-// block, blocks blocks of which c serves blockIdx, c's __syncthreads()
-// barrier, and shared (nil for none) as the block's shared memory.
-func (t *Task) Bind(c *Ctx, blocks, blockIdx int, shared []byte) {
+// block, blocks blocks of which c serves blockIdx, and c's __syncthreads()
+// barrier. The task has no shared memory until UseArena.
+func (t *Task) Bind(c *Ctx, blocks, blockIdx int) {
 	*t = Task{
-		c: c, bar: c.blockBar(), shared: shared, smSize: int32(len(shared)),
+		c: c, bar: c.blockBar(),
 		blocks: int32(blocks), blockIdx: int32(blockIdx),
 		threads: int16(c.BlockDim), warpInBlock: int16(c.WarpInBlock),
 	}

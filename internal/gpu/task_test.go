@@ -29,11 +29,11 @@ func TestTaskGeometry(t *testing.T) {
 		want          func(c *Ctx) view
 	}{{
 		name: "hyperq", grid: 2, threads: 64, // logical = physical
-		bind: func(task *Task, c *Ctx) { task.Bind(c, 2, c.BlockIdx, nil) },
+		bind: func(task *Task, c *Ctx) { task.Bind(c, 2, c.BlockIdx) },
 		want: func(c *Ctx) view { return view{64, 2, c.BlockIdx, c.WarpInBlock, c.WarpInBlock * 32, 32} },
 	}, {
 		name: "fused", grid: 3, threads: 64, // a one-block task on physical block b
-		bind: func(task *Task, c *Ctx) { task.Bind(c, 1, 0, nil) },
+		bind: func(task *Task, c *Ctx) { task.Bind(c, 1, 0) },
 		want: func(c *Ctx) view { return view{64, 1, 0, c.WarpInBlock, c.WarpInBlock * 32, 32} },
 	}, {
 		name: "pagoda", grid: 1, threads: 256, // warpID → (block, warp), 2 warps per block
@@ -43,7 +43,7 @@ func TestTaskGeometry(t *testing.T) {
 		},
 	}, {
 		name: "partial", grid: 1, threads: 40, // 32 + 8 lanes
-		bind: func(task *Task, c *Ctx) { task.Bind(c, 1, 0, nil) },
+		bind: func(task *Task, c *Ctx) { task.Bind(c, 1, 0) },
 		want: func(c *Ctx) view { return view{40, 1, 0, c.WarpInBlock, c.WarpInBlock * 32, 32 - 24*c.WarpInBlock} },
 	}, {
 		name: "pagoda-partial", grid: 1, threads: 128, // warpID 3 is the 8-lane tail of block 1
@@ -95,7 +95,7 @@ func TestTaskSyncBlockCost(t *testing.T) {
 	physical := syncRun(syncThreads)
 	bound := syncRun(func(c *Ctx) {
 		var task Task
-		task.Bind(c, 1, 0, nil)
+		task.Bind(c, 1, 0)
 		task.SyncBlock()
 	})
 	bar := new(Barrier)
@@ -142,17 +142,16 @@ func TestTaskPanics(t *testing.T) {
 	}
 }
 
-// TestTaskSharedMemory: a bound buffer is the block's shared memory as
-// given; an arena stays unallocated until the first Shared(), which carves
-// the task's slice out of it.
+// TestTaskSharedMemory: a bound task has no shared memory until UseArena,
+// and an arena stays unallocated until the first Shared(), which carves the
+// task's slice out of it.
 func TestTaskSharedMemory(t *testing.T) {
-	buf := make([]byte, 16)
 	var arena []byte
 	launchRun(1, 32, func(c *Ctx) {
 		var task Task
-		task.Bind(c, 1, 0, buf)
-		if !task.HasShared() || &task.Shared()[0] != &buf[0] {
-			t.Error("Bind's buffer is not the task's shared memory")
+		task.Bind(c, 1, 0)
+		if task.HasShared() {
+			t.Error("a task Bind made has shared memory before UseArena")
 		}
 
 		task.BindWarp(c, 32, 1, 0, nil, "args")

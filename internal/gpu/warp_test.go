@@ -99,7 +99,7 @@ func TestCtxGeometry(t *testing.T) {
 		Name: "geom", GridDim: 2, BlockThreads: 96, // 3 warps per block
 		Fn: func(c *Ctx) {
 			var task Task
-			task.Bind(c, 2, c.BlockIdx, nil)
+			task.Bind(c, 2, c.BlockIdx)
 			r := rec{block: task.BlockIdx(), warp: task.WarpInBlock(), first: -1}
 			task.ForEachLane(func(tid int) {
 				if r.first < 0 {

@@ -132,7 +132,9 @@ func TestTenantQoSShape(t *testing.T) {
 			if v := mustGet(t, r, fmt.Sprintf("%s/standard/%s/shed", kind, sc.Key)); v == 0 {
 				t.Errorf("%s/%s: misbehaving class was never shed", kind, sc.Key)
 			}
-			// An honest premium tenant is never shed by its own bucket.
+			// At three classes an honest premium tenant is never shed by
+			// its own bucket (with four or five, wfq sheds some on HyperQ
+			// and Zorua: EXPERIMENTS.md, tenant_qos).
 			if v := mustGet(t, r, fmt.Sprintf("%s/premium/%s/shed", kind, sc.Key)); v != 0 {
 				t.Errorf("%s/%s: honest premium class shed %v tasks", kind, sc.Key, v)
 			}

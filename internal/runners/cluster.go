@@ -798,7 +798,7 @@ func (k *superKernel) resume(c *gpu.Ctx) bool {
 // one-block task on the worker's threadblock, without shared memory.
 func (k *superKernel) run(c *gpu.Ctx) {
 	t := c.Task()
-	t.Bind(c, 1, 0, nil)
+	t.Bind(c, 1, 0)
 	k.n.tasks[k.batch[k.claimed[c.BlockIdx]]].Kernel(t)
 	t.Drain()
 }

@@ -33,12 +33,11 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 		}
 	}
 
-	var sharedPerTB [][]byte
+	// Each subtask's shared memory is an arena of its own, allocated on its
+	// first Shared(), so a timing-only run allocates none.
+	var arenas [][]byte
 	if maxShared > 0 {
-		sharedPerTB = make([][]byte, len(tasks))
-		for b := range sharedPerTB {
-			sharedPerTB[b] = make([]byte, maxShared)
-		}
+		arenas = make([][]byte, len(tasks))
 	}
 
 	var endTime sim.Time
@@ -64,14 +63,13 @@ func RunFusion(tasks []workloads.TaskDef, cfg Config) Result {
 			RegsPerThread: maxRegs,
 			Fn: func(c *gpu.Ctx) {
 				td := &tasks[c.BlockIdx]
-				var shared []byte
-				if sharedPerTB != nil && td.SharedMem > 0 {
-					shared = sharedPerTB[c.BlockIdx][:td.SharedMem]
-				}
 				// The fused kernel gives every subtask the same, fixed
 				// thread count regardless of its input size.
 				t := c.Task()
-				t.Bind(c, 1, 0, shared)
+				t.Bind(c, 1, 0)
+				if td.SharedMem > 0 {
+					t.UseArena(&arenas[c.BlockIdx], td.SharedMem, 0, td.SharedMem)
+				}
 				td.Kernel(t)
 				t.Drain()
 			},

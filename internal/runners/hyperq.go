@@ -78,12 +78,13 @@ func runKernelPerTask(tasks []workloads.TaskDef, cfg Config, oversub float64) Re
 	return r
 }
 
-// hyperqSpec builds the per-task kernel launch. The task's per-block shared
-// memory is one allocation per task; each warp binds its own Task.
+// hyperqSpec builds the per-task kernel launch; each warp binds its own
+// Task. The task's per-block shared memory is one arena, allocated on the
+// first Shared() of any of its blocks, so a timing-only run allocates none.
 func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
-	var shared []byte
+	var arena *[]byte
 	if td.SharedMem > 0 {
-		shared = make([]byte, td.Blocks*td.SharedMem)
+		arena = new([]byte)
 	}
 	return gpu.LaunchSpec{
 		Name:          "hq-" + td.Name,
@@ -92,13 +93,11 @@ func hyperqSpec(td *workloads.TaskDef) gpu.LaunchSpec {
 		SharedPerTB:   td.SharedMem,
 		RegsPerThread: td.Regs,
 		Fn: func(c *gpu.Ctx) {
-			var sh []byte
-			if shared != nil {
-				lo, hi := c.BlockIdx*td.SharedMem, (c.BlockIdx+1)*td.SharedMem
-				sh = shared[lo:hi:hi]
-			}
 			t := c.Task()
-			t.Bind(c, td.Blocks, c.BlockIdx, sh)
+			t.Bind(c, td.Blocks, c.BlockIdx)
+			if arena != nil {
+				t.UseArena(arena, td.Blocks*td.SharedMem, c.BlockIdx*td.SharedMem, td.SharedMem)
+			}
 			td.Kernel(t)
 			t.Drain()
 		},

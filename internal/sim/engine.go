@@ -18,7 +18,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is the virtual clock type, in cycles. Fractional cycles arise from
@@ -95,6 +94,9 @@ type Engine struct {
 	// running counts the coroutines held: the procs inside a Run.
 	running int64
 	stats   Stats
+	// onClose runs, in registration order, once Close has unwound every
+	// proc (OnClose).
+	onClose []func()
 }
 
 // Stats counts an engine's work since New. Every count is deterministic:
@@ -263,51 +265,39 @@ func (e *Engine) RegisterDelay(d Time) {
 		}
 	}
 	e.delays[e.ndelays] = d
-	e.dlanes[e.ndelays].items = getLaneArray()
+	e.dlanes[e.ndelays].items, _ = laneArrays.Get() // nil when none is idle
 	e.ndelays++
 }
 
-// laneArrays is the process-wide free list of delay-lane backing arrays,
-// shared by every engine as the coroutine pool is: RegisterDelay takes one
-// for each new lane and Close gives back its empty lanes', so a sequence of
-// short simulations stops growing lane arrays once one has reached its
-// peak. A lane starts without an array only when the list is empty, so the
-// list never holds more arrays than the most lanes ever open at once. It is
-// a LIFO and Close returns the last lane's first, so an engine that
-// registers delays in the order its predecessor did gets back the arrays
-// that predecessor's lanes grew.
-var laneArrays struct {
-	sync.Mutex
-	free [][]*event
-}
+// laneArrays is the process-wide free list of delay-lane backing arrays:
+// RegisterDelay takes one for each new lane and Close gives back its empty
+// lanes', so a sequence of short simulations stops growing lane arrays once
+// one has reached its peak. It is a LIFO and Close returns the last lane's
+// first, so an engine that registers delays in the order its predecessor
+// did gets back the arrays that predecessor's lanes grew.
+var laneArrays = NewFreeList[[]*event](maxLaneArrays)
 
-// getLaneArray takes an idle lane array, or nil when there is none.
-func getLaneArray() []*event {
-	laneArrays.Lock()
-	defer laneArrays.Unlock()
-	n := len(laneArrays.free)
-	if n == 0 {
-		return nil
-	}
-	a := laneArrays.free[n-1]
-	laneArrays.free[n-1] = nil
-	laneArrays.free = laneArrays.free[:n-1]
-	return a
-}
+// maxLaneArrays bounds laneArrays: far above the lanes of the engines a
+// harness runs at once, maxDelayLanes each.
+const maxLaneArrays = 1 << 10
 
 // putLaneArrays returns the arrays of e's empty delay lanes to the free
 // list; the lanes keep none.
 func (e *Engine) putLaneArrays() {
-	laneArrays.Lock()
-	defer laneArrays.Unlock()
 	for i := e.ndelays - 1; i >= 0; i-- {
 		q := &e.dlanes[i]
 		if q.Len() == 0 && cap(q.items) > 0 {
-			laneArrays.free = append(laneArrays.free, q.items[:0])
+			laneArrays.Put(q.items[:0])
 			*q = FIFO[*event]{}
 		}
 	}
 }
+
+// OnClose registers fn to run when Close has unwound every proc, after the
+// hooks registered before it. A model that owns state its procs used (a
+// gpu.Device's exited warps) hands it on from there, when no proc of the
+// engine can touch it again.
+func (e *Engine) OnClose(fn func()) { e.onClose = append(e.onClose, fn) }
 
 // queueAfter queues a non-timer event delay from now: in the lane
 // registered for delay when there is one and the delay moves the clock,

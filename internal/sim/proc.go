@@ -5,7 +5,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"sync"
 )
 
 // Proc is a simulation process. Every event that resumes it runs its
@@ -301,40 +300,24 @@ func (w *worker) run() {
 // running many such cells at once still reuses every coroutine.
 const maxWorkers = 1 << 16
 
-// workers is the process-wide idle worker pool, shared by every engine (the
-// harness runs engines on several goroutines at once). It is not a
-// sync.Pool: a worker the GC dropped would stay parked forever.
-var workers struct {
-	sync.Mutex
-	free []*worker
-}
+// workers is the process-wide idle worker pool, shared by every engine.
+var workers = NewFreeList[*worker](maxWorkers)
 
 // getWorker takes an idle worker, or starts a new coroutine.
 func getWorker() *worker {
-	workers.Lock()
-	if n := len(workers.free); n > 0 {
-		w := workers.free[n-1]
-		workers.free[n-1] = nil
-		workers.free = workers.free[:n-1]
-		workers.Unlock()
+	if w, ok := workers.Get(); ok {
 		return w
 	}
-	workers.Unlock()
 	w := new(worker)
 	w.next, w.stop = iter.Pull(w.loop)
 	return w
 }
 
-// putWorker returns an idle worker to the pool.
+// putWorker returns an idle worker to the pool, or ends its coroutine when
+// the pool is full.
 func putWorker(w *worker) {
 	w.p = nil
-	workers.Lock()
-	if len(workers.free) < maxWorkers {
-		workers.free = append(workers.free, w)
-		w = nil
-	}
-	workers.Unlock()
-	if w != nil {
+	if !workers.Put(w) {
 		w.stop()
 	}
 }
@@ -370,13 +353,14 @@ func (e *Engine) switchTo(p *Proc) {
 // or in a Share, sleeping past the end of the run, or never started — in spawn
 // order, and returns their coroutines to the pool, so a finished simulation
 // leaves no goroutine behind. It also gives the arrays of its empty delay
-// lanes to the next engine that registers delays (RegisterDelay). A proc
-// waiting between Runs holds no coroutine and is finished in place; one
-// blocked inside its Run unwinds. Each started body unwinds through its
-// deferred calls; recover sites inside bodies must re-panic values for which
-// Unwinding reports true. On an engine with no live process Close only
-// gives back the lane arrays. It must not be called while the engine is
-// running, and the engine must not be run afterwards.
+// lanes to the next engine that registers delays (RegisterDelay), then runs
+// the OnClose hooks. A proc waiting between Runs holds no coroutine and is
+// finished in place; one blocked inside its Run unwinds. Each started body
+// unwinds through its deferred calls; recover sites inside bodies must
+// re-panic values for which Unwinding reports true. On an engine with no
+// live process Close only gives back the lane arrays and runs the hooks,
+// each once: a second Close runs none. It must not be called while the
+// engine is running, and the engine must not be run afterwards.
 func (e *Engine) Close() {
 	for p := e.head; p != nil; p = e.head {
 		if p.w == nil {
@@ -388,4 +372,9 @@ func (e *Engine) Close() {
 		e.switchTo(p)
 	}
 	e.putLaneArrays()
+	hooks := e.onClose
+	e.onClose = nil
+	for _, fn := range hooks {
+		fn()
+	}
 }

@@ -142,10 +142,14 @@ func makeDCT(opt Options) []TaskDef {
 			if useShared && c.HasShared() {
 				// Stage rows through shared memory: pay shared traffic but
 				// halve the global read volume (the SDK optimization).
-				c.SharedWrite(len(c.Shared()) / 4)
+				// The staged traffic is the declared tile, which every
+				// scheme gives as the task's shared memory; reading it
+				// through Shared() would allocate the arena in a
+				// timing-only run.
+				c.SharedWrite(sharedMem / 4)
 				chargeWarp(c, pixels, dctCyclesPerPixel*0.7, pixels*2, pixels*4, 4)
 				c.SyncBlock()
-				c.SharedRead(len(c.Shared()) / 4)
+				c.SharedRead(sharedMem / 4)
 			} else {
 				chargeWarp(c, pixels, dctCyclesPerPixel, pixels*4, pixels*4, 4)
 				c.SyncBlock()
